@@ -5,7 +5,9 @@ references to its parents and a closure that maps the output gradient to
 parent gradients.  Node ids increase monotonically with creation, so the
 recorded graph is replayed exactly in reverse creation order by
 ``backward``.  Gradients accumulate additively when a node feeds several
-consumers.
+consumers.  A kernel whose gradient touches only part of an input (row
+gathers, column slices) returns it as a ``Partial``, which ``backward``
+adds into the input's gradient buffer in place.
 
 The kernel set is deliberately small: just what gated recurrences with
 tape attention, fusion decoders, and their losses need.  Shapes follow a
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,12 +151,37 @@ def zero_grad(params) -> None:
         p.grad = None
 
 
+class Partial(NamedTuple):
+    """Gradient of ``parent[index]`` alone; the rest of the parent gets
+    none.  Integer-array indices may repeat, and their rows are summed."""
+    index: object
+    values: np.ndarray
+
+
+def _accumulate(parent: Tensor, g, free: bool) -> None:
+    """Add ``g`` into ``parent.grad``; a ``free`` array, held by no one
+    else, may become the buffer itself."""
+    if isinstance(g, Partial):
+        if parent.grad is None:
+            parent.grad = np.zeros_like(parent.data)
+        if isinstance(g.index, np.ndarray):
+            np.add.at(parent.grad, g.index, g.values)
+        else:
+            parent.grad[g.index] += g.values
+    elif parent.grad is None:
+        parent.grad = g if free else np.array(g)
+    else:
+        parent.grad += g
+
+
 def backward(loss: Tensor, params=()) -> None:
-    """Populate .grad for every tensor the scalar ``loss`` depends on.
+    """Populate .grad for every leaf tensor the scalar ``loss`` depends on.
 
     Tensors in ``params`` that the loss does not reach get zero-filled
-    gradients.  Calling backward twice on the same loss node is an error:
-    the replay consumes the recorded graph semantics.
+    gradients.  An interior node's gradient is dropped once it has been
+    passed to the node's inputs; ``loss.grad`` and leaf gradients stay.
+    Calling backward twice on the same loss node is an error: the replay
+    consumes the recorded graph semantics.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -178,14 +206,19 @@ def backward(loss: Tensor, params=()) -> None:
     for node in nodes:
         if node._backward_fn is None or node.grad is None:
             continue
+        # Closures return fresh arrays, their incoming gradient, or views
+        # of it.  A fresh array, or the incoming gradient of a node other
+        # than the loss (dropped below), is free for the first parent that
+        # receives it; views, and arrays handed out before, are copied.
+        held = [loss.grad]
         for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-            if g is None or not parent.requires_grad:
-                continue
-            if parent.grad is None:
-                # Copy: closures may return views or alias g across parents.
-                parent.grad = np.array(g)
-            else:
-                parent.grad += g
+            if g is not None and parent.requires_grad:
+                free = isinstance(g, np.ndarray) and g.base is None \
+                    and not any(g is h for h in held)
+                _accumulate(parent, g, free)
+                held.append(g)
+        if node is not loss:
+            node.grad = None
     loss._backward_done = True
 
     for p in params:
@@ -286,12 +319,8 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"slice_cols: expected 2-D, got shape {x.data.shape}")
 
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _make(x.data[:, start:stop].copy(), (x,), bwd, "slice_cols")
+    cols = (slice(None), slice(start, stop))
+    return _make(x.data[cols].copy(), (x,), lambda g: (Partial(cols, g),), "slice_cols")
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -413,7 +442,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def lookup(table: Tensor, idx) -> Tensor:
-    """Row gather from an embedding table; gradients scatter-add."""
+    """Row gather from an embedding table; the gradient is a ``Partial``
+    over the gathered rows, so no table-sized array is built per call."""
     idx = np.asarray(idx)
     if table.data.ndim != 2:
         raise ShapeMismatchError(f"lookup: table must be 2-D, got {table.data.shape}")
@@ -421,12 +451,7 @@ def lookup(table: Tensor, idx) -> Tensor:
         raise IndexError(
             f"lookup: index out of range for table with {table.data.shape[0]} rows")
 
-    def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _make(table.data[idx], (table,), bwd, "lookup")
+    return _make(table.data[idx], (table,), lambda g: (Partial(idx, g),), "lookup")
 
 
 def masked_nll(logits: Tensor, targets, mask=None) -> Tensor:
@@ -452,15 +477,18 @@ def masked_nll(logits: Tensor, targets, mask=None) -> Tensor:
         raise IndexError(f"masked_nll: target index {bad} out of range for vocab {z.shape[1]}")
 
     m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
+    e = z - m
+    np.exp(e, out=e)
     lse = np.log(e.sum(axis=1)) + m[:, 0]
     picked = z[np.arange(z.shape[0]), targets]
     nll = float(((lse - picked) * mask).sum())
 
     def bwd(g):
+        # One (B, V) array: softmax, minus one-hot, scaled in place.
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(z.shape[0]), targets] -= 1.0
-        return (p * (mask * float(g))[:, None],)
+        p *= (mask * float(g))[:, None]
+        return (p,)
 
     return _make(np.asarray(nll), (logits,), bwd, "masked_nll")
 

@@ -82,14 +82,11 @@ def init_classifier_head(rng, in_size: int, hidden: int, labels: int,
         dropout=dropout)
 
 
-def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
-            proj: OutputProjection):
-    """Summed NLL of targets[:, t] under the projection of h_t.
-
-    ``hidden_states`` is the per-step list of (B, h); targets and mask
-    are (B, T).  Masked positions contribute to neither the NLL nor the
-    token count.  Returns (nll scalar Tensor, token count).
-    """
+def _lm_logits(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
+               proj: OutputProjection):
+    """Logits of all B*T positions from one projection, with targets and
+    mask flattened to match.  Rows run step-major, (t, b), so that each
+    step's (B, h) gradient is a contiguous block of the backward."""
     targets = np.asarray(targets)
     steps = len(hidden_states)
     if targets.shape[1] != steps:
@@ -97,21 +94,39 @@ def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray]
             f"lm_loss: {steps} hidden states vs targets {targets.shape}")
     if mask is None:
         mask = np.ones_like(targets, dtype=np.float64)
-    total = None
-    for t, h in enumerate(hidden_states):
-        term = ad.masked_nll(proj(h), targets[:, t], mask[:, t])
-        total = term if total is None else ad.add(total, term)
-    return total, int(mask.sum())
+    logits = proj(ad.concat(hidden_states, axis=0))
+    return logits, targets.T.reshape(-1), np.asarray(mask).T.reshape(-1)
 
 
-def lm_correct(hidden_states: list, targets: np.ndarray, mask: np.ndarray,
-               proj: OutputProjection) -> int:
-    """Greedy next-token hits over unmasked positions (evaluation only)."""
-    correct = 0
-    for t, h in enumerate(hidden_states):
-        pred = proj(h).data.argmax(axis=1)
-        correct += int(((pred == targets[:, t]) & (mask[:, t] != 0)).sum())
-    return correct
+def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
+            proj: OutputProjection):
+    """Summed NLL of targets[:, t] under the projection of h_t.
+
+    ``hidden_states`` is the per-step list of (B, h); targets and mask
+    are (B, T).  Masked positions contribute to neither the NLL nor the
+    token count.  Returns (nll scalar Tensor, token count).
+
+    The whole batch is projected at once, so the (B*T, V) logits are
+    materialised, along with same-sized softmax and gradient arrays: at
+    the PTB shape (B=20, T up to 41, V=10,004) each is about 66 MB in
+    float64.
+    """
+    logits, targets, mask = _lm_logits(hidden_states, targets, mask, proj)
+    return ad.masked_nll(logits, targets, mask), int(mask.sum())
+
+
+def lm_correct(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> int:
+    """Greedy next-token hits over the unmasked rows of (N, V) logits."""
+    return int(((logits.data.argmax(axis=1) == targets) & (mask != 0)).sum())
+
+
+def lm_eval(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
+            proj: OutputProjection) -> tuple:
+    """(NLL, token count, greedy next-token hits) over unmasked positions,
+    all from one projection of the batch (evaluation only)."""
+    logits, targets, mask = _lm_logits(hidden_states, targets, mask, proj)
+    nll = ad.masked_nll(logits, targets, mask).item()
+    return nll, int(mask.sum()), lm_correct(logits, targets, mask)
 
 
 def mean_pool(stacked: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:

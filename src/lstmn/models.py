@@ -30,13 +30,6 @@ def _embed_steps(table: EmbeddingTable, tokens: np.ndarray) -> list:
     return [ad.lookup(table.weights, tokens[:, t]) for t in range(tokens.shape[1])]
 
 
-def _sum_terms(terms):
-    total = None
-    for term in terms:
-        total = term if total is None else ad.add(total, term)
-    return total
-
-
 class LanguageModel:
     """Next-token model over single sentences: lstm / lstmn / lstmn-stack."""
 
@@ -92,11 +85,10 @@ class LanguageModel:
         total_nll, total_tokens, correct = 0.0, 0, 0
         for batch in batches:
             inputs, targets, mask = self._split(batch)
-            hs = self._states(inputs)
-            nll, tokens = heads.lm_loss(hs, targets, mask, self.proj)
-            total_nll += nll.item()
+            nll, tokens, hits = heads.lm_eval(self._states(inputs), targets, mask, self.proj)
+            total_nll += nll
             total_tokens += tokens
-            correct += heads.lm_correct(hs, targets, mask, self.proj)
+            correct += hits
         acc = correct / total_tokens if total_tokens else None
         return EvalMetrics(nll=total_nll, tokens=total_tokens, accuracy=acc,
                            dataset=dataset, split=split)
@@ -175,10 +167,10 @@ class Seq2SeqModel:
         total_nll, total_tokens, correct = 0.0, 0, 0
         for batch in batches:
             run, _, targets, out_mask = self._decode(batch)
-            nll, tokens = heads.lm_loss(run.outputs, targets, out_mask, self.proj)
-            total_nll += nll.item()
+            nll, tokens, hits = heads.lm_eval(run.outputs, targets, out_mask, self.proj)
+            total_nll += nll
             total_tokens += tokens
-            correct += heads.lm_correct(run.outputs, targets, out_mask, self.proj)
+            correct += hits
         acc = correct / total_tokens if total_tokens else None
         return EvalMetrics(nll=total_nll, tokens=total_tokens, accuracy=acc,
                            dataset=dataset, split=split)

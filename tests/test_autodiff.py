@@ -128,6 +128,43 @@ class TestBackward:
         with pytest.raises(ShapeMismatchError):
             backward(ad.mul(x, x))
 
+    def test_interior_grads_freed_leaf_and_loss_grads_kept(self):
+        rng = np.random.default_rng(4)
+        x, w = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 4, 2)
+        hidden = ad.linear(x, w)
+        act = ad.tanh(hidden)
+        loss = ad.sum_all(act)
+        backward(loss)
+        assert hidden.grad is None and act.grad is None
+        np.testing.assert_array_equal(loss.grad, np.ones(()))
+        np.testing.assert_allclose(w.grad, (1.0 - act.data ** 2).T @ x.data, rtol=1e-12)
+        assert x.grad.shape == (3, 2)
+
+    def test_gradient_handed_to_two_parents_is_not_shared(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        early = ad.sum_all(ad.mul(x, Tensor([7.0, 8.0])))   # replayed after the add
+        term = ad.sum_all(ad.mul(ad.add(x, y), Tensor([5.0, 6.0])))
+        loss = ad.add(ad.add(term, term), early)
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [17.0, 20.0])
+        np.testing.assert_array_equal(y.grad, [10.0, 12.0])
+        np.testing.assert_array_equal(loss.grad, np.ones(()))
+
+    def test_lookup_repeated_ids_match_dense_scatter(self):
+        rng = np.random.default_rng(5)
+        table = _rng_tensor(rng, 6, 3)
+        steps = [np.array([4, 1, 4, 4]), np.array([1, 0, 1, 5])]
+        coefs = [rng.normal(size=(4, 3)) for _ in steps]
+        terms = [ad.sum_all(ad.mul(ad.lookup(table, ids), Tensor(c)))
+                 for ids, c in zip(steps, coefs)]
+        backward(ad.add(terms[0], terms[1]))
+        dense = np.zeros((6, 3))
+        for ids, c in zip(steps, coefs):
+            np.add.at(dense, ids, c)
+        np.testing.assert_allclose(table.grad, dense, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(table.grad[[2, 3]], 0.0)
+
     def test_grad_accumulates_across_backward_calls(self):
         x = Tensor([2.0], requires_grad=True)
         backward(ad.sum_all(ad.mul(x, x)))
@@ -206,6 +243,7 @@ def _kernel_cases():
     slots = [t(2, 3) for _ in range(3)]
     table = t(5, 3)
     logits = t(3, 4)
+    x24 = t(2, 4)
 
     cases = {
         "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.tanh(ad.add(x23, y23)))),
@@ -218,6 +256,10 @@ def _kernel_cases():
         "concat": ({"a": x23, "b": y23},
                    lambda: ad.sum_all(ad.tanh(ad.concat([x23, y23], axis=1)))),
         "slice_cols": ({"a": x23}, lambda: ad.sum_all(ad.slice_cols(x23, 1, 3))),
+        # Gate-style blocks of one parent, plus a dense use of it.
+        "slice_cols_blocks": ({"a": x24}, lambda: ad.add(
+            ad.sum_all(ad.mul(ad.tanh(ad.slice_cols(x24, 0, 1)), ad.sigmoid(ad.slice_cols(x24, 1, 2)))),
+            ad.add(ad.sum_all(ad.tanh(ad.slice_cols(x24, 2, 4))), ad.sum_all(ad.mul(x24, x24))))),
         "sigmoid": ({"a": x23}, lambda: ad.sum_all(ad.sigmoid(x23))),
         "tanh": ({"a": x23}, lambda: ad.sum_all(ad.tanh(x23))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, 0.3)))),
@@ -235,6 +277,11 @@ def _kernel_cases():
         "mean": ({"a": x23}, lambda: ad.sum_all(ad.mean(x23, axis=0))),
         "lookup": ({"table": table},
                    lambda: ad.sum_all(ad.tanh(ad.lookup(table, np.array([0, 2, 2]))))),
+        # Row gradients added before and after dense ones into one buffer.
+        "lookup_shared_table": ({"table": table}, lambda: ad.add(
+            ad.add(ad.sum_all(ad.mul(table, table)),
+                   ad.sum_all(ad.tanh(ad.lookup(table, np.array([[3, 1], [1, 1]]))))),
+            ad.sum_all(ad.sigmoid(ad.mul(table, 0.5))))),
         "masked_nll": ({"logits": logits},
                        lambda: ad.masked_nll(logits, np.array([1, 0, 3]), [1.0, 0.0, 1.0])),
     }

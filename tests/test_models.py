@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lstmn import autodiff as ad
 from lstmn import models
 from lstmn.config import ConfigError, build_config
 from lstmn.data import Batch, Vocabulary
@@ -64,6 +65,60 @@ class TestLanguageModel:
         assert stats["tokens"] == 3 + 4   # per row: tokens + </s>
         assert loss.item() == pytest.approx(stats["nll"] / stats["tokens"])
 
+    def test_evaluate_hits_match_per_step_argmax(self):
+        vocab = make_vocab()
+        model = models.LanguageModel(cfg_for(), vocab, np.random.default_rng(13))
+        # "w5" after "w1" is this model's greedy guess: at least one hit.
+        batch = lm_batch(vocab, [["w0", "w1", "w0", "w1", "w0"], ["w2"], ["w1", "w5"]])
+        inputs, targets, mask = model._split(batch)
+        hits = per_step_hits(model.proj, model._states(inputs), targets, mask)
+        metrics = model.evaluate([batch])
+        assert metrics.tokens == int(mask.sum()) and 0 < hits < metrics.tokens
+        assert round(metrics.accuracy * metrics.tokens) == hits
+        assert metrics.nll == pytest.approx(model.loss(batch)[1]["nll"], rel=1e-12)
+
+    def test_stacked_lstmn_backward_frees_interior_and_matches_fd(self):
+        vocab = make_vocab(3)
+        cfg = cfg_for(model="lstmn-stack", layers=2, hidden=3, embedding=2,
+                      skip_connections=True)
+        model = models.LanguageModel(cfg, vocab, np.random.default_rng(16))
+        batch = lm_batch(vocab, [["w0", "w1", "w1", "w2"], ["w2", "w0"]])
+        params = model.params()
+        # Generic weights: init zeroes v, whose zero scores leave the attention
+        # gradients at 0, and small gradients drown in finite-difference noise.
+        rng = np.random.default_rng(16)
+        for t in params.values():
+            t.data[...] = rng.standard_normal(t.data.shape)
+        loss, _ = model.loss(batch)
+        ad.zero_grad(params.values())
+        ad.backward(loss, params=list(params.values()))
+        interior = [t for t in graph_nodes(loss) if t._backward_fn and t is not loss]
+        assert len(interior) > 100 and all(t.grad is None for t in interior)
+        np.testing.assert_array_equal(loss.grad, np.ones(()))
+        report = ad.grad_check(lambda: model.loss(batch)[0], params)
+        assert report.passed, str(report)
+
+
+def per_step_hits(proj, states, targets, mask) -> int:
+    """Greedy hits from one projection per step: the evaluation oracle."""
+    hits = 0
+    for t, h in enumerate(states):
+        pred = proj(h).data.argmax(axis=1)
+        hits += int(((pred == targets[:, t]) & (mask[:, t] != 0)).sum())
+    return hits
+
+
+def graph_nodes(loss) -> list:
+    """Every node the graph of ``loss`` reaches."""
+    seen, stack, found = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            found.append(t)
+            stack.extend(t._parents)
+    return found
+
 
 class TestSeq2Seq:
     def pair_batch(self, vocab, src_rows, tgt_rows):
@@ -113,6 +168,20 @@ class TestSeq2Seq:
         mutated.tokens[1, 2] = vocab.token_to_index["w5"]
         after, _ = model.loss(mutated)
         assert base.item() == after.item()
+
+    def test_evaluate_hits_match_per_step_argmax(self):
+        vocab = make_vocab()
+        cfg = cfg_for(model="seq2seq-shallow", optimizer="adam")
+        model = models.Seq2SeqModel(cfg, vocab, np.random.default_rng(15))
+        # "w0" and "w4" are this model's first greedy outputs: some hits.
+        batch = self.pair_batch(vocab, [["w0", "w1", "w2"], ["w3"], ["w4", "w5"]],
+                                [["w0", "w1", "w1", "w2"], ["w4"], ["w3", "w1"]])
+        run, _, targets, mask = model._decode(batch)
+        hits = per_step_hits(model.proj, run.outputs, targets, mask)
+        metrics = model.evaluate([batch])
+        assert metrics.tokens == int(mask.sum()) and 0 < hits < metrics.tokens
+        assert round(metrics.accuracy * metrics.tokens) == hits
+        assert metrics.nll == pytest.approx(model.loss(batch)[1]["nll"], rel=1e-12)
 
     def test_generate_stops_at_eos_or_cap(self):
         vocab = make_vocab()
