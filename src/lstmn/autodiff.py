@@ -12,14 +12,17 @@ adds into the input's gradient buffer in place.
 The kernel set is deliberately small: just what gated recurrences with
 tape attention, fusion decoders, and their losses need.  Shapes follow a
 batch-first convention, (B, n) for per-step vectors and (B, T, n) for
-stacked tape slots.
+stacked tape slots.  A memory tape is one (B, T, n) buffer written in
+place, one slot per step, by ``tape_write``; ``tape_attend`` reads a
+window of it in a single node, so a recurrent step adds a fixed number
+of nodes however long the tape.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -129,9 +132,9 @@ class Tensor:
         return matmul(self, other)
 
 
-def _make(data: np.ndarray, parents, backward_fn, op: str) -> Tensor:
+def _make(data: np.ndarray, parents, backward_fn, op: str, screen: bool = True) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = _finite(data, op)
+    out.data = _finite(data, op) if screen else data
     out.grad = None
     out._nid = next(_node_ids)
     out._backward_done = False
@@ -339,34 +342,27 @@ def relu(x: Tensor) -> Tensor:
     return _make(out, (x,), lambda g: (g * (x.data > 0),), "relu")
 
 
-def masked_softmax(logits: Tensor, mask=None) -> Tensor:
-    """Softmax over the last axis with max-subtraction stabilization.
+def softmax(z: np.ndarray, mask=None) -> np.ndarray:
+    """Softmax over the last axis of an array (a helper, not a graph node),
+    with max-subtraction stabilization.
 
     ``mask`` (same shape, 1 = attend, 0 = ignore) drives the additive
     MASK_FILL surrogate; masked outputs are exactly 0.  A fully-masked
     row is an error: there is nothing to normalize over.
     """
-    z = logits.data
     if mask is not None:
         mask = np.asarray(mask, dtype=z.dtype)
         if mask.shape != z.shape:
-            raise ShapeMismatchError(f"masked_softmax: mask {mask.shape} vs logits {z.shape}")
+            raise ShapeMismatchError(f"softmax: mask {mask.shape} vs logits {z.shape}")
         z = z + (1.0 - mask) * MASK_FILL
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
     if mask is not None:
-        e = e * mask  # exactness: kill any surviving underflow residue
+        e *= mask  # exactness: kill any surviving underflow residue
     denom = e.sum(axis=-1, keepdims=True)
     if np.any(denom == 0.0):
-        raise ShapeMismatchError("masked_softmax: a row has no unmasked positions")
-    p = e / denom
-
-    def bwd(g):
-        # dL/dz = p * (g - sum(g * p)); zero at masked slots since p = 0.
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        return (p * (g - inner),)
-
-    return _make(p, (logits,), bwd, "masked_softmax")
+        raise ShapeMismatchError("softmax: a row has no unmasked positions")
+    e /= denom
+    return e
 
 
 def stack_slots(slots) -> Tensor:
@@ -384,26 +380,6 @@ def stack_slots(slots) -> Tensor:
         return tuple(g[:, i, :] for i in range(len(slots)))
 
     return _make(out, slots, bwd, "stack_slots")
-
-
-def bcast_add_slots(x3: Tensor, q: Tensor) -> Tensor:
-    """(B, T, n) + (B, n) broadcast over the slot axis."""
-    if x3.data.ndim != 3 or q.data.ndim != 2 or \
-            x3.data.shape[0] != q.data.shape[0] or x3.data.shape[2] != q.data.shape[1]:
-        raise ShapeMismatchError(
-            f"bcast_add_slots: shapes {x3.data.shape} and {q.data.shape} do not conform")
-    return _make(x3.data + q.data[:, None, :], (x3, q),
-                 lambda g: (g, g.sum(axis=1)), "bcast_add_slots")
-
-
-def slot_dot(x3: Tensor, v: Tensor) -> Tensor:
-    """Per-slot inner product with a shared vector: (B, T, n) . (n,) -> (B, T)."""
-    if x3.data.ndim != 3 or v.data.ndim != 1 or x3.data.shape[2] != v.data.shape[0]:
-        raise ShapeMismatchError(
-            f"slot_dot: shapes {x3.data.shape} and {v.data.shape} do not conform")
-    return _make(x3.data @ v.data, (x3, v),
-                 lambda g: (g[:, :, None] * v.data,
-                            np.einsum("bt,btn->n", g, x3.data)), "slot_dot")
 
 
 def slot_linear(x3: Tensor, w: Tensor) -> Tensor:
@@ -425,6 +401,96 @@ def attend(weights: Tensor, x3: Tensor) -> Tensor:
     return _make(np.einsum("bt,btn->bn", weights.data, x3.data), (weights, x3),
                  lambda g: (np.einsum("bn,btn->bt", g, x3.data),
                             weights.data[:, :, None] * g[:, None, :]), "attend")
+
+
+def tape_write(prev: Optional[Tensor], buf: np.ndarray, n: int, parts) -> Tensor:
+    """Write slot ``n`` of the (B, T, k) buffer ``buf`` in place from the
+    (B, k_i) ``parts``, side by side; returns the node of the tape after
+    the write, whose data is ``buf`` itself.
+
+    ``prev`` is the node before the write (None for the first).  Its data
+    is ``buf``, or the shorter buffer ``buf`` was grown from.  Backward
+    hands this node's gradient to ``prev`` unchanged (cut to its length
+    after a growth), so one gradient buffer runs back through the whole
+    chain of writes, and gives each part its columns of slot ``n``.  The
+    buffer is not screened for NaN/Inf: only slot ``n`` changed, and the
+    kernels that made its parts screened them.
+    """
+    bounds = np.cumsum([0] + [p.data.shape[1] for p in parts])
+    if buf.ndim != 3 or bounds[-1] != buf.shape[2] or not 0 <= n < buf.shape[1]:
+        raise ShapeMismatchError(
+            f"tape_write: parts of width {bounds[-1]} into slot {n} of {buf.shape}")
+    for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        buf[:, n, lo:hi] = p.data
+
+    def bwd(g):
+        slot = g[:, n]
+        grads = tuple(slot[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        if prev is None:
+            return grads
+        return (g if prev.data is buf else g[:, :prev.data.shape[1]],) + grads
+
+    parents = tuple(parts) if prev is None else (prev,) + tuple(parts)
+    return _make(buf, parents, bwd, "tape_write", screen=False)
+
+
+def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
+                prev: Tensor, w_prev: Tensor, v: Tensor,
+                bias: Optional[Tensor] = None, mask=None):
+    """Additive attention over slots [lo, hi) of a slot memory, one node.
+
+    ``memory`` (B, T, d + a) holds per slot a value (the first d columns)
+    and its key, already projected into the a = len(v) attention columns
+    (the last a).  With q = W_x x + W_prev prev + bias:
+
+        scores_j  = v . tanh(key_j + q)           (B, hi - lo)
+        weights   = softmax(scores), 0 where ``mask`` (B, hi - lo) is 0
+        out       = sum_j weights_j value_j       (B, d)
+
+    Returns (out, scores, weights); scores and weights are records
+    outside the graph.  The gradient to ``memory`` is a ``Partial`` over
+    the window, so a read costs nothing outside it.
+    """
+    md = memory.data
+    a = v.data.shape[0]
+    batch = md.shape[0] if md.ndim == 3 else -1
+    if md.ndim != 3 or md.shape[2] <= a or not 0 <= lo < hi <= md.shape[1] or \
+            x.data.shape != (batch, w_x.data.shape[1]) or w_x.data.shape[0] != a or \
+            prev.data.shape != (batch, w_prev.data.shape[1]) or w_prev.data.shape[0] != a:
+        raise ShapeMismatchError(
+            f"tape_attend: memory {md.shape} window [{lo}, {hi}), x {x.data.shape}, "
+            f"W_x {w_x.data.shape}, prev {prev.data.shape}, W_prev {w_prev.data.shape}, "
+            f"v {v.data.shape} do not conform")
+    d = md.shape[2] - a
+    values = md[:, lo:hi, :d]
+    q = x.data @ w_x.data.T
+    q += prev.data @ w_prev.data.T
+    if bias is not None:
+        q += bias.data
+    z = md[:, lo:hi, d:] + q[:, None, :]
+    np.tanh(z, out=z)
+    scores = z @ v.data
+    weights = softmax(scores, mask)
+    out = np.matmul(weights[:, None, :], values)[:, 0]
+
+    def bwd(g):
+        # dL/dscores = w * (dL/dw - sum(dL/dw * w)); zero at masked slots.
+        gw = np.matmul(values, g[:, :, None])[:, :, 0]
+        gs = weights * (gw - (gw * weights).sum(axis=1, keepdims=True))
+        gmem = np.empty((batch, hi - lo, d + a), dtype=md.dtype)
+        np.multiply(weights[:, :, None], g[:, None, :], out=gmem[:, :, :d])
+        gpre = gmem[:, :, d:]
+        np.multiply(gs[:, :, None], v.data, out=gpre)
+        gpre *= 1.0 - z * z
+        gq = gpre.sum(axis=1)
+        grads = (Partial((slice(None), slice(lo, hi)), gmem),
+                 gq @ w_x.data, gq.T @ x.data, gq @ w_prev.data, gq.T @ prev.data,
+                 gs.reshape(-1) @ z.reshape(-1, a))
+        return grads if bias is None else grads + (gq.sum(axis=0),)
+
+    parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
+    return (_make(out, parents, bwd, "tape_attend"),
+            _make(scores, (), None, "tape_attend"), _make(weights, (), None, "tape_attend"))
 
 
 def mean(x: Tensor, axis: int) -> Tensor:

@@ -1,10 +1,16 @@
 """Gated recurrent cells: the standard LSTM step and the memory-tape step.
 
-The tape cell keeps every past (h_i, c_i) pair in growable per-sequence
-tapes and, at each step, addresses them with an attention distribution to
-form adaptive summaries (h~, c~) that replace the single recurrent state.
+The tape cell keeps every past (h_i, c_i) pair in a per-sequence tape
+and, at each step, addresses them with an attention distribution to form
+adaptive summaries (h~, c~) that replace the single recurrent state.
 Stacked variants feed the lower layer's output upward, optionally with a
 skip connection from the token embedding.
+
+A tape is one preallocated buffer that each step writes in place
+(``Tapes``); the attention read and both summaries are a single fused
+node (``autodiff.tape_attend``), and the backward hands one gradient
+buffer per tape down the chain of writes, so a step costs the same graph
+work at any tape length.
 
 All step functions are batch-first: token inputs are (B, in), states are
 (B, h).  Weights are immutable during forward/backward; tapes belong to
@@ -23,7 +29,7 @@ from .autodiff import Tensor
 
 
 class TapeError(ValueError):
-    """A tape invariant (equal lengths, non-empty read) was violated."""
+    """A tape invariant (matching slot shapes, non-empty read) was violated."""
 
 
 class CellState(NamedTuple):
@@ -86,44 +92,68 @@ class StackWeights:
 
 
 class Tapes:
-    """Per-sequence hidden/memory tapes plus cached attention projections.
+    """Per-sequence hidden and memory tapes, with cached attention keys,
+    in one (B, T, 2h + a) buffer.
 
-    ``h_proj`` holds W_h @ h_i for each slot, computed once when the slot
-    is appended so later steps reuse it.  With a capacity, appending past
-    the bound evicts the oldest slot (FIFO).
+    Slot i holds [h_i | c_i | W_h h_i]: the key is projected once, when
+    the slot is appended, and reused by every later step.  ``append``
+    writes the next slot in place and ``memory`` is the graph node of the
+    tape after the latest write (``autodiff.tape_write``); in the
+    backward one gradient buffer runs back through that chain of writes.
+    With ``length`` the buffer is allocated for that many slots at the
+    first write; without it, it starts at ``INITIAL_SLOTS`` and doubles
+    when full.  The buffer takes the dtype of the first slot.
+
+    With a capacity, attention reads only the newest ``capacity`` slots:
+    the read window is [n - capacity, n) over the n slots written, and
+    ``len`` counts the slots in it (FIFO eviction, without moving data).
     """
 
-    def __init__(self, capacity: Optional[int] = None):
+    INITIAL_SLOTS = 16
+
+    def __init__(self, capacity: Optional[int] = None, length: Optional[int] = None):
         if capacity is not None and capacity < 1:
             raise TapeError(f"tape capacity must be >= 1, got {capacity}")
-        self.h: list = []
-        self.c: list = []
-        self.h_proj: list = []
         self.capacity = capacity
+        self.length = length
+        self.memory: Optional[Tensor] = None
+        self.written = 0
 
     def __len__(self) -> int:
-        return len(self.h)
+        if self.capacity is None:
+            return self.written
+        return min(self.written, self.capacity)
 
-    def append(self, h: Tensor, c: Tensor, h_proj: Optional[Tensor] = None) -> None:
-        self.h.append(h)
-        self.c.append(c)
-        self.h_proj.append(h_proj)
-        if self.capacity is not None and len(self.h) > self.capacity:
-            del self.h[0], self.c[0], self.h_proj[0]
+    def window(self) -> tuple:
+        """Slots [lo, hi) that attention reads."""
+        return self.written - len(self), self.written
 
-    def check(self) -> None:
-        if len(self.h) != len(self.c):
+    def append(self, h: Tensor, c: Tensor, h_proj: Tensor) -> None:
+        batch, width = h.data.shape[0], 2 * h.data.shape[1] + h_proj.data.shape[1]
+        buf = None if self.memory is None else self.memory.data
+        if c.data.shape != h.data.shape or h_proj.data.shape[0] != batch or \
+                (buf is not None and buf.shape[::2] != (batch, width)):
             raise TapeError(
-                f"hidden tape length {len(self.h)} != memory tape length {len(self.c)}")
+                f"tape slot shapes differ: h {h.data.shape}, c {c.data.shape}, "
+                f"key {h_proj.data.shape}, tape {None if buf is None else buf.shape}")
+        if buf is None or self.written == buf.shape[1]:
+            slots = 2 * buf.shape[1] if buf is not None else self.length or self.INITIAL_SLOTS
+            grown = np.zeros((batch, slots, width), dtype=h.data.dtype)
+            if buf is not None:
+                grown[:, :self.written] = buf
+            buf = grown
+        self.memory = ad.tape_write(self.memory, buf, self.written, (h, c, h_proj))
+        self.written += 1
 
 
 @dataclass
 class IntraAttention:
     """Attention record for one step: raw energies and the normalized
-    distribution over tape slots (None at the first step, when the tape
-    is empty), plus the adaptive summaries used in the state update."""
-    scores: Optional[Tensor]    # (B, t-1)
-    weights: Optional[Tensor]   # (B, t-1)
+    distribution over the read window (None at the first step, when the
+    tape is empty; records outside the graph), plus the adaptive
+    summaries used in the state update."""
+    scores: Optional[Tensor]    # (B, len(tapes))
+    weights: Optional[Tensor]   # (B, len(tapes))
     htilde: Tensor              # (B, h)
     ctilde: Tensor              # (B, h)
 
@@ -199,45 +229,40 @@ def lstm_step(x: Tensor, prev: CellState, w: GateWeights) -> CellState:
 
 
 def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
-                 w: IntraAttentionWeights, mask=None):
-    """Attention energies and distribution over the hidden tape.
+                 w: IntraAttentionWeights) -> IntraAttention:
+    """Attention over the tape's read window and the summaries (h~, c~)
+    it gives, from one fused ``autodiff.tape_attend`` node.
 
-    Returns (scores, weights), each (B, t-1).  The tape must be
-    non-empty; the first-step convention is the caller's concern.
+    The tape must be non-empty; the first-step convention is the
+    caller's concern (see ``tape_summaries``).
     """
-    tapes.check()
     if len(tapes) == 0:
         raise TapeError("attention over an empty tape")
-    proj = []
-    for slot_h, cached in zip(tapes.h, tapes.h_proj):
-        proj.append(cached if cached is not None else ad.linear(slot_h, w.w_h))
-    p3 = ad.stack_slots(proj)                                   # (B, t-1, a)
-    q = ad.add(ad.linear(x, w.w_x), ad.linear(htilde_prev, w.w_htilde))
-    if w.bias is not None:
-        q = ad.add(q, w.bias)
-    scores = ad.slot_dot(ad.tanh(ad.bcast_add_slots(p3, q)), w.v)
-    weights = ad.masked_softmax(scores, mask)
-    return scores, weights
+    lo, hi = tapes.window()
+    summary, scores, weights = ad.tape_attend(
+        tapes.memory, lo, hi, x, w.w_x, htilde_prev, w.w_htilde, w.v, w.bias)
+    hidden = w.w_htilde.data.shape[1]
+    return IntraAttention(scores, weights, ad.slice_cols(summary, 0, hidden),
+                          ad.slice_cols(summary, hidden, 2 * hidden))
 
 
-def lstmn_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
-               w: LstmnLayerWeights, mask=None):
+def tape_summaries(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
+                   w: IntraAttentionWeights) -> IntraAttention:
+    """``intra_attend``, or zero summaries and no distribution while the
+    tape is empty (the first step)."""
+    if len(tapes) == 0:
+        zero = Tensor(np.zeros((x.data.shape[0], w.w_htilde.data.shape[1])))
+        return IntraAttention(None, None, zero, zero)
+    return intra_attend(x, tapes, htilde_prev, w)
+
+
+def lstmn_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor, w: LstmnLayerWeights):
     """One memory-tape update; appends the new state to ``tapes``.
 
     Empty-tape convention: at the first step the summaries are zero, so
     the gate block sees [0, x_t] and c_t reduces to i * c-hat.
     """
-    tapes.check()
-    batch = x.data.shape[0]
-    hidden = w.gates.hidden_size
-    if len(tapes) == 0:
-        zero = Tensor(np.zeros((batch, hidden)))
-        attn = IntraAttention(None, None, zero, zero)
-    else:
-        scores, weights = intra_attend(x, tapes, htilde_prev, w.attn, mask)
-        htilde = ad.attend(weights, ad.stack_slots(tapes.h))
-        ctilde = ad.attend(weights, ad.stack_slots(tapes.c))
-        attn = IntraAttention(scores, weights, htilde, ctilde)
+    attn = tape_summaries(x, tapes, htilde_prev, w.attn)
     i, f, o, chat = _gates(attn.htilde, x, w.gates)
     c = ad.add(ad.mul(f, attn.ctilde), ad.mul(i, chat))
     h = ad.mul(o, ad.tanh(c))
@@ -245,8 +270,7 @@ def lstmn_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     return CellState(h, c), attn
 
 
-def stack_step(x: Tensor, tapes: list, summaries_prev: list, w: StackWeights,
-               mask=None):
+def stack_step(x: Tensor, tapes: list, summaries_prev: list, w: StackWeights):
     """One step through all layers; layer k+1 consumes layer k's output
     (concatenated with x when skip connections are on)."""
     if len(tapes) != len(w.layers) or len(summaries_prev) != len(w.layers):
@@ -258,7 +282,7 @@ def stack_step(x: Tensor, tapes: list, summaries_prev: list, w: StackWeights,
     for k, layer in enumerate(w.layers):
         if k > 0:
             inp = ad.concat([states[-1].h, x], axis=1) if w.skip else states[-1].h
-        state, attn = lstmn_step(inp, tapes[k], summaries_prev[k], layer, mask)
+        state, attn = lstmn_step(inp, tapes[k], summaries_prev[k], layer)
         states.append(state)
         traces.append(attn)
     return states, traces
@@ -267,11 +291,10 @@ def stack_step(x: Tensor, tapes: list, summaries_prev: list, w: StackWeights,
 @dataclass
 class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
-    step even when a capacity bound evicts tape slots), final per-layer
-    tapes, and per-step/per-layer attention traces."""
+    step even when a capacity bound keeps attention from reading them) and
+    per-step/per-layer attention traces."""
     top_h: list           # [T] of (B, h)
     top_c: list           # [T] of (B, h)
-    tapes: list           # [layers] of Tapes
     traces: list          # [T][layers] of IntraAttention
 
 
@@ -282,7 +305,7 @@ def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> Stac
         raise TapeError("cannot run over an empty sequence")
     batch = xs[0].data.shape[0]
     hidden = w.layers[0].gates.hidden_size
-    tapes = [Tapes(capacity) for _ in w.layers]
+    tapes = [Tapes(capacity, length=len(xs)) for _ in w.layers]
     summaries = [Tensor(np.zeros((batch, hidden))) for _ in w.layers]
     top_h, top_c, traces = [], [], []
     for x in xs:
@@ -291,7 +314,7 @@ def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> Stac
         top_h.append(states[-1].h)
         top_c.append(states[-1].c)
         traces.append(step_traces)
-    return StackRun(top_h=top_h, top_c=top_c, tapes=tapes, traces=traces)
+    return StackRun(top_h=top_h, top_c=top_c, traces=traces)
 
 
 def init_lstm_stack(rng, num_layers: int, hidden: int, embed: int) -> list:

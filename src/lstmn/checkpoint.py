@@ -8,6 +8,8 @@ garbage.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -16,7 +18,23 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(params: dict, path: str) -> None:
-    np.savez(path, **{name: t.data for name, t in params.items()})
+    """Write ``path`` (``.npz`` appended if missing) atomically: the
+    archive goes to a temporary file in the same directory, which then
+    replaces ``path``, so a save that fails part-way leaves the previous
+    checkpoint intact and no temporary file behind."""
+    if not path.endswith(".npz"):
+        path += ".npz"
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **{name: t.data for name, t in params.items()})
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path: str) -> dict:

@@ -10,6 +10,12 @@ step.  Two couplings are provided:
   with h_t.
 * deep fusion: a transfer gate writes the aligned source memory directly
   into the target memory update, c_t = r * a~ + f * c~ + i * c-hat.
+
+Inter-attention uses the same fused kernel as the tape cell
+(``autodiff.tape_attend``): the source is packed once per decoded
+sequence into a (B, m, 2h + a) slot memory [y_j | a_j | W_gamma y_j]
+(``source_projection``), and each decode step reads all of it in one
+node.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import cells
 from .autodiff import Tensor
-from .cells import CellState, IntraAttention, LstmnLayerWeights, StackWeights, TapeError, Tapes
+from .cells import CellState, LstmnLayerWeights, StackWeights, TapeError, Tapes
 
 
 @dataclass
@@ -60,9 +66,9 @@ class InterAttentionWeights:
 
 @dataclass
 class InterAttention:
-    """One decode step's alignment over the source: raw energies, the
-    distribution, both adaptive summaries, and the transfer gate (deep
-    fusion only)."""
+    """One decode step's alignment over the source: raw energies and the
+    distribution (records outside the graph), both adaptive summaries,
+    and the transfer gate (deep fusion only)."""
     energies: Tensor            # (B, m)
     weights: Tensor             # (B, m)
     gamma_tilde: Tensor         # (B, h)
@@ -116,24 +122,27 @@ def encode(xs: list, w: StackWeights, capacity: Optional[int] = None,
 
 
 def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
-    """Project every source hidden slot into attention space once per
-    decoded sequence; reused by all decode steps."""
-    return ad.slot_linear(src.y, w.w_gamma)
+    """Pack the source into the slot memory inter-attention reads, per
+    slot [y_j | a_j | W_gamma y_j], once per decoded sequence; reused by
+    all decode steps."""
+    return ad.concat([src.y, src.a, ad.slot_linear(src.y, w.w_gamma)], axis=2)
 
 
 def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
                  w: InterAttentionWeights,
                  src_proj: Optional[Tensor] = None) -> InterAttention:
-    """Align the current target input against the whole source."""
+    """Align the current target input against the whole source.
+    ``src_proj`` is ``source_projection(src, w)``, computed here if not
+    given."""
     if src.length < 1:
         raise TapeError("inter-attention needs a non-empty source")
-    p3 = src_proj if src_proj is not None else source_projection(src, w)
-    q = ad.add(ad.linear(x, w.w_x), ad.linear(gamma_tilde_prev, w.w_gammatilde))
-    energies = ad.slot_dot(ad.tanh(ad.bcast_add_slots(p3, q)), w.u)
-    weights = ad.masked_softmax(energies, src.mask)
-    gamma_tilde = ad.attend(weights, src.y)
-    alpha_tilde = ad.attend(weights, src.a)
-    return InterAttention(energies, weights, gamma_tilde, alpha_tilde)
+    memory = src_proj if src_proj is not None else source_projection(src, w)
+    summary, energies, weights = ad.tape_attend(
+        memory, 0, src.length, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
+        mask=src.mask)
+    hidden = src.y.data.shape[2]
+    return InterAttention(energies, weights, ad.slice_cols(summary, 0, hidden),
+                          ad.slice_cols(summary, hidden, 2 * hidden))
 
 
 def deep_decode_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
@@ -144,17 +153,7 @@ def deep_decode_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     The transfer gate decides how much aligned source memory enters the
     new target memory alongside the intra term and the fresh input term.
     """
-    tapes.check()
-    batch = x.data.shape[0]
-    hidden = w.cell.gates.hidden_size
-    if len(tapes) == 0:
-        zero = Tensor(np.zeros((batch, hidden)))
-        intra = IntraAttention(None, None, zero, zero)
-    else:
-        scores, weights = cells.intra_attend(x, tapes, htilde_prev, w.cell.attn)
-        intra = IntraAttention(scores, weights,
-                               ad.attend(weights, ad.stack_slots(tapes.h)),
-                               ad.attend(weights, ad.stack_slots(tapes.c)))
+    intra = cells.tape_summaries(x, tapes, htilde_prev, w.cell.attn)
     inter = inter_attend(x, src, gamma_tilde_prev, w.inter, src_proj)
     i, f, o, chat = cells._gates(intra.htilde, x, w.cell.gates)
     pre = ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.inter.w_r)
@@ -200,7 +199,7 @@ def run_decoder(xs: list, src: SourceTapes, w: DecoderWeights, mode: str,
         raise TapeError("cannot decode an empty target")
     batch = xs[0].data.shape[0]
     hidden = w.cell.gates.hidden_size
-    tapes = Tapes(capacity)
+    tapes = Tapes(capacity, length=len(xs))
     htilde = Tensor(np.zeros((batch, hidden)))
     gamma = Tensor(np.zeros((batch, hidden)))
     proj = source_projection(src, w.inter)

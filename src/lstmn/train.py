@@ -186,6 +186,7 @@ def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 record = (f"step={step} loss={value:.6f} "
                           f"grad_norm={grad_norm:.6f} lr={opt.lr:.6f}")
                 log.write(record + "\n")
+                log.flush()
                 if step % cfg.log_every == 0:
                     print(record)
                 if cfg.max_steps and step >= cfg.max_steps:
@@ -198,6 +199,7 @@ def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 result.val_metrics.append(metrics)
                 line = f"epoch={epoch} {metrics.record()}"
                 metrics_fh.write(line + "\n")
+                metrics_fh.flush()
                 print(line)
                 score = _validation_score(cfg, metrics)
                 if best_score is None or score < best_score:

@@ -29,23 +29,23 @@ class TestForwardKernels:
         np.testing.assert_array_equal(out.data, [3.0, 4.0])
 
     def test_masked_softmax_equal_logits(self):
-        out = ad.masked_softmax(Tensor([0.0, 0.0]), mask=[1.0, 1.0])
-        np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
+        out = ad.softmax(np.array([0.0, 0.0]), mask=[1.0, 1.0])
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_masked_softmax_matches_direct_formula(self):
         z = [0.7, -1.2, 3.0]
-        out = ad.masked_softmax(Tensor(z))
-        np.testing.assert_allclose(out.data, softmax_oracle(z), atol=1e-12)
+        out = ad.softmax(np.array(z))
+        np.testing.assert_allclose(out, softmax_oracle(z), atol=1e-12)
 
     def test_masked_softmax_masked_positions_exactly_zero(self):
-        out = ad.masked_softmax(Tensor([[1.0, 2.0, 3.0]]), mask=[[1.0, 0.0, 1.0]])
-        assert out.data[0, 1] == 0.0
-        assert out.data[0].sum() == pytest.approx(1.0, abs=1e-9)
-        assert (out.data >= 0).all()
+        out = ad.softmax(np.array([[1.0, 2.0, 3.0]]), mask=[[1.0, 0.0, 1.0]])
+        assert out[0, 1] == 0.0
+        assert out[0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert (out >= 0).all()
 
     def test_masked_softmax_all_masked_row_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            ad.masked_softmax(Tensor([[1.0, 2.0]]), mask=[[0.0, 0.0]])
+            ad.softmax(np.array([[1.0, 2.0]]), mask=[[0.0, 0.0]])
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
@@ -80,15 +80,15 @@ class TestForwardKernels:
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8),
        st.floats(-100, 100))
 def test_softmax_shift_invariance(logits, shift):
-    base = ad.masked_softmax(Tensor(logits)).data
-    shifted = ad.masked_softmax(Tensor(np.asarray(logits) + shift)).data
+    base = ad.softmax(np.asarray(logits))
+    shifted = ad.softmax(np.asarray(logits) + shift)
     np.testing.assert_allclose(base, shifted, atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6))
 def test_softmax_normalized_nonnegative(logits):
-    p = ad.masked_softmax(Tensor(logits)).data
+    p = ad.softmax(np.asarray(logits, dtype=np.float64))
     assert abs(p.sum() - 1.0) <= 1e-9
     assert (p >= 0).all()
 
@@ -237,13 +237,30 @@ def _kernel_cases():
     w43 = t(4, 3)
     m22, v2 = t(2, 2), t(2)
     x3d = t(2, 4, 3)
-    q = t(2, 3)
-    vdot = t(3)
     wts = Tensor(np.abs(rng.normal(size=(2, 4))), requires_grad=True)
     slots = [t(2, 3) for _ in range(3)]
     table = t(5, 3)
     logits = t(3, 4)
     x24 = t(2, 4)
+    # Fused attention over a (2, 5, 3 + 2) slot memory: values in the
+    # first 3 columns, keys in the last 2 (= len(v)).
+    mem, q_x, w_qx, q_p, w_qp = t(2, 5, 5), t(2, 3), t(2, 3), t(2, 4), t(2, 4)
+    v_att, b_att, y_att = t(2), t(2), Tensor(rng.normal(size=(2, 3)))
+    attend_params = {"memory": mem, "x": q_x, "W_x": w_qx, "prev": q_p, "W_prev": w_qp,
+                     "v": v_att}
+    slot_h, slot_k = [t(2, 3) for _ in range(3)], [t(2, 2) for _ in range(3)]
+
+    def tape_chain():
+        # Three writes into a 2-slot buffer that grows to 4 before the
+        # third, each followed by a read of every slot written so far.
+        buf, node, total = np.zeros((2, 2, 5)), None, ad.sum_all(Tensor(np.zeros(1)))
+        for n, (h, k) in enumerate(zip(slot_h, slot_k)):
+            if n == buf.shape[1]:
+                buf = np.concatenate([buf, np.zeros_like(buf)], axis=1)
+            node = ad.tape_write(node, buf, n, (h, k))
+            out = ad.tape_attend(node, 0, n + 1, q_x, w_qx, q_p, w_qp, v_att)[0]
+            total = ad.add(total, ad.sum_all(ad.mul(out, y_att)))
+        return total
 
     cases = {
         "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.tanh(ad.add(x23, y23)))),
@@ -263,17 +280,20 @@ def _kernel_cases():
         "sigmoid": ({"a": x23}, lambda: ad.sum_all(ad.sigmoid(x23))),
         "tanh": ({"a": x23}, lambda: ad.sum_all(ad.tanh(x23))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, 0.3)))),
-        "masked_softmax": ({"a": x23},
-                           lambda: ad.sum_all(ad.mul(ad.masked_softmax(x23, [[1, 1, 0], [1, 1, 1]]), y23))),
         "stack_slots": ({f"s{i}": s for i, s in enumerate(slots)},
                         lambda: ad.sum_all(ad.tanh(ad.stack_slots(slots)))),
-        "bcast_add_slots": ({"x3": x3d, "q": q},
-                            lambda: ad.sum_all(ad.tanh(ad.bcast_add_slots(x3d, q)))),
-        "slot_dot": ({"x3": x3d, "v": vdot},
-                     lambda: ad.sum_all(ad.tanh(ad.slot_dot(x3d, vdot)))),
         "slot_linear": ({"x3": x3d, "w": w43},
                         lambda: ad.sum_all(ad.tanh(ad.slot_linear(x3d, w43)))),
         "attend": ({"w": wts, "x3": x3d}, lambda: ad.sum_all(ad.tanh(ad.attend(wts, x3d)))),
+        # B=2, a capacity-style read window [1, 4) of five slots, with bias.
+        "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
+            ad.tape_attend(mem, 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
+        # No attention bias, every slot, and a padded-source mask.
+        "tape_attend_masked": (attend_params, lambda: ad.sum_all(ad.mul(
+            ad.tape_attend(mem, 0, 5, q_x, w_qx, q_p, w_qp, v_att,
+                           mask=[[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])[0], y_att))),
+        "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
+                        **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
         "mean": ({"a": x23}, lambda: ad.sum_all(ad.mean(x23, axis=0))),
         "lookup": ({"table": table},
                    lambda: ad.sum_all(ad.tanh(ad.lookup(table, np.array([0, 2, 2]))))),

@@ -106,10 +106,12 @@ class TestIntraAttend:
         rng = np.random.default_rng(8)
         layer = randomize_layer(rng, random_layer(rng, 2, 2, 3))
         tapes = Tapes()
-        tapes.append(row(rng.normal(size=2)), row(rng.normal(size=2)))
-        scores, weights = cells.intra_attend(
+        h = row(rng.normal(size=2))
+        tapes.append(h, row(rng.normal(size=2)), ad.linear(h, layer.attn.w_h))
+        attn = cells.intra_attend(
             row(rng.normal(size=2)), tapes, row(rng.normal(size=2)), layer.attn)
-        np.testing.assert_array_equal(weights.data, [[1.0]])
+        np.testing.assert_array_equal(attn.weights.data, [[1.0]])
+        np.testing.assert_array_equal(attn.htilde.data, h.data)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(9)
@@ -118,14 +120,15 @@ class TestIntraAttend:
         x, htilde_prev = rng.normal(size=2), rng.normal(size=2)
         tapes = Tapes()
         for h_i in H:
-            tapes.append(row(h_i), row(np.zeros(2)))
-        scores, weights = cells.intra_attend(row(x), tapes, row(htilde_prev), layer.attn)
+            tapes.append(row(h_i), row(np.zeros(2)), ad.linear(row(h_i), layer.attn.w_h))
+        attn = cells.intra_attend(row(x), tapes, row(htilde_prev), layer.attn)
         a = layer.attn
         ref_scores = oracles.intra_scores_ref(
             x, H, htilde_prev, a.v.data, a.w_h.data, a.w_x.data,
             a.w_htilde.data, a.bias.data)
-        np.testing.assert_allclose(scores.data[0], ref_scores, atol=1e-12)
-        np.testing.assert_allclose(weights.data[0], oracles.softmax(ref_scores), atol=1e-12)
+        np.testing.assert_allclose(attn.scores.data[0], ref_scores, atol=1e-12)
+        np.testing.assert_allclose(attn.weights.data[0], oracles.softmax(ref_scores),
+                                   atol=1e-12)
 
     def test_empty_tape_rejected(self):
         rng = np.random.default_rng(10)
@@ -209,12 +212,20 @@ class TestLstmnStep:
         assert report.passed, str(report)
 
     def test_unequal_tapes_rejected(self):
+        # h and c share one buffer slot per step, so their tapes cannot
+        # get out of step: a slot whose h and c differ is never written.
         rng = np.random.default_rng(14)
         layer = random_layer(rng, 2, 2, 2)
         tapes = Tapes()
-        tapes.h.append(row([0.0, 0.0]))   # h longer than c
-        with pytest.raises(TapeError, match="length"):
-            lstmn_step(row([0.0, 0.0]), tapes, Tensor(np.zeros((1, 2))), layer)
+        h = row([0.0, 0.0])
+        with pytest.raises(TapeError, match="differ"):
+            tapes.append(h, row([0.0, 0.0, 0.0]), ad.linear(h, layer.attn.w_h))
+        assert len(tapes) == 0
+        lstmn_step(row([0.0, 0.0]), tapes, Tensor(np.zeros((1, 2))), layer)
+        with pytest.raises(TapeError, match="differ"):
+            tapes.append(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))),
+                         Tensor(np.zeros((2, 2))))
+        assert len(tapes) == 1
 
     def test_tape_growth_unbounded(self):
         rng = np.random.default_rng(15)
@@ -250,6 +261,78 @@ class TestLstmnStep:
             hp = ht_ref
 
 
+class TestFusedTape:
+    def test_batched_capacity_window_matches_oracle_per_row(self):
+        rng = np.random.default_rng(24)
+        cap, batch = 3, 3
+        layer = randomize_layer(rng, random_layer(rng, 3, 2, 4))
+        tapes = Tapes(capacity=cap)
+        htilde = Tensor(np.zeros((batch, 3)))
+        H = [[] for _ in range(batch)]
+        C = [[] for _ in range(batch)]
+        hp = [np.zeros(3) for _ in range(batch)]
+        for _ in range(7):
+            x = rng.normal(size=(batch, 2))
+            state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
+            htilde = attn.htilde
+            for b in range(batch):
+                h_ref, c_ref, w_ref, ht_ref, ct_ref = oracles.lstmn_step_ref(
+                    x[b], H[b][-cap:], C[b][-cap:], hp[b], **layer_ref_args(layer))
+                np.testing.assert_allclose(state.h.data[b], h_ref, atol=1e-12)
+                np.testing.assert_allclose(state.c.data[b], c_ref, atol=1e-12)
+                np.testing.assert_allclose(attn.ctilde.data[b], ct_ref, atol=1e-12)
+                if attn.weights is not None:
+                    np.testing.assert_allclose(attn.weights.data[b], w_ref, atol=1e-12)
+                H[b].append(h_ref)
+                C[b].append(c_ref)
+                hp[b] = ht_ref
+
+    def test_growth_past_first_allocation_same_results(self):
+        # Tapes() starts at INITIAL_SLOTS and doubles twice over 40 steps;
+        # values and gradients match a tape allocated for 40 slots.
+        rng = np.random.default_rng(25)
+        layer = randomize_layer(rng, random_layer(rng, 3, 2, 2))
+        xs = [rng.normal(size=(2, 2)) for _ in range(40)]
+        params = list(layer.named("layer1").values())
+
+        def run(tapes):
+            zero_grad(params)
+            htilde, total, hs = Tensor(np.zeros((2, 3))), None, []
+            for x in xs:
+                state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
+                htilde = attn.htilde
+                hs.append(state.h.data.copy())
+                term = ad.sum_all(ad.mul(state.h, state.h))
+                total = term if total is None else ad.add(total, term)
+            backward(total, params=params)
+            return hs, [p.grad.copy() for p in params]
+
+        grown = Tapes()
+        hs_grown, grads_grown = run(grown)
+        assert grown.memory.data.shape[1] == 4 * Tapes.INITIAL_SLOTS > 40
+        hs_fixed, grads_fixed = run(Tapes(length=40))
+        np.testing.assert_array_equal(np.stack(hs_grown), np.stack(hs_fixed))
+        for g_grown, g_fixed in zip(grads_grown, grads_fixed):
+            np.testing.assert_array_equal(g_grown, g_fixed)
+
+    def test_graph_nodes_per_step_independent_of_tape_length(self):
+        rng = np.random.default_rng(26)
+        layer = randomize_layer(rng, random_layer(rng, 3, 2, 2))
+
+        def nodes_of_step(tape_len):
+            tapes = Tapes()
+            htilde = Tensor(np.zeros((2, 3)))
+            for _ in range(tape_len):
+                _, attn = lstmn_step(Tensor(rng.normal(size=(2, 2))), tapes, htilde, layer)
+                htilde = attn.htilde
+            x = Tensor(rng.normal(size=(2, 2)))
+            before = Tensor(0.0)._nid
+            lstmn_step(x, tapes, htilde, layer)
+            return Tensor(0.0)._nid - before
+
+        assert nodes_of_step(4) == nodes_of_step(64)
+
+
 class TestAttentionSumInvariant:
     def test_distributions_normalized_every_step(self):
         rng = np.random.default_rng(16)
@@ -270,11 +353,12 @@ class TestAttentionSumInvariant:
         layer = randomize_layer(rng, random_layer(rng, 1, 2, 2))
         tapes = Tapes()
         htilde = Tensor(np.zeros((1, 1)))
+        hs = []
         for _ in range(5):
-            _, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
+            state, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
             if attn.weights is not None:
-                hs = [s.data[0, 0] for s in tapes.h[:-1]]
                 assert min(hs) - 1e-12 <= attn.htilde.data[0, 0] <= max(hs) + 1e-12
+            hs.append(state.h.data[0, 0])
             htilde = attn.htilde
 
 
@@ -342,22 +426,25 @@ class TestStack:
 
 class TestNonMarkovContrast:
     def test_tape_slot_feeds_later_steps(self):
-        # Replace the first tape slot with a fresh leaf after step 2 has
-        # consumed it; steps 3..4 still read it through attention, so its
-        # gradient is generically nonzero.  A plain LSTM has no such input:
-        # after step 2 its entire state is (h_2, c_2).
+        # Rebuild the tape after step 2 with the first slot as a fresh leaf
+        # and the second, and the summary, as constants; steps 3..4 still
+        # read the first slot through attention, so its gradient is
+        # generically nonzero.  A plain LSTM has no such input: after
+        # step 2 its entire state is (h_2, c_2).
         rng = np.random.default_rng(21)
         layer = randomize_layer(rng, random_layer(rng, 3, 2, 2))
         tapes = Tapes()
         htilde = Tensor(np.zeros((1, 3)))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
-        _, a1 = lstmn_step(xs[0], tapes, htilde, layer)
-        _, a2 = lstmn_step(xs[1], tapes, a1.htilde, layer)
-        leaf = Tensor(tapes.h[0].data.copy(), requires_grad=True)
-        tapes.h[0] = leaf
-        tapes.h_proj[0] = None   # projection cache belongs to the old node
-        _, a3 = lstmn_step(xs[2], tapes, a2.htilde, layer)
-        s4, _ = lstmn_step(xs[3], tapes, a3.htilde, layer)
+        s1, a1 = lstmn_step(xs[0], tapes, htilde, layer)
+        s2, a2 = lstmn_step(xs[1], tapes, a1.htilde, layer)
+        leaf = Tensor(s1.h.data.copy(), requires_grad=True)
+        rebuilt = Tapes()
+        rebuilt.append(leaf, Tensor(s1.c.data.copy()), ad.linear(leaf, layer.attn.w_h))
+        h2 = Tensor(s2.h.data.copy())
+        rebuilt.append(h2, Tensor(s2.c.data.copy()), ad.linear(h2, layer.attn.w_h))
+        _, a3 = lstmn_step(xs[2], rebuilt, Tensor(a2.htilde.data.copy()), layer)
+        s4, _ = lstmn_step(xs[3], rebuilt, a3.htilde, layer)
         backward(ad.sum_all(s4.h), params=[leaf])
         assert np.abs(leaf.grad).max() > 1e-8
 

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from lstmn import cli, synthetic, train
+from lstmn import checkpoint, cli, models, synthetic, train
+from lstmn.autodiff import Tensor
 from lstmn.checkpoint import CheckpointError, load_checkpoint, load_into
 from lstmn.config import ConfigError, RunConfig, build_config, data_kind, format_config
 from lstmn.data import Vocabulary
@@ -132,6 +133,64 @@ class TestRunTrain:
             tmp_path, train_data=str(tmp_path / "missing.txt")))
         with pytest.raises(FileNotFoundError):
             train.run_train(cfg, str(tmp_path / "out"))
+
+
+class TestCrashSafety:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "checkpoint.npz")
+        checkpoint.save_checkpoint({"w": Tensor(np.arange(3.0))}, path)
+
+        def savez_then_fail(fh, **arrays):
+            fh.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint.np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.save_checkpoint({"w": Tensor(np.zeros(3))}, path)
+        np.testing.assert_array_equal(load_checkpoint(path)["w"], np.arange(3.0))
+        assert os.listdir(tmp_path) == ["checkpoint.npz"]
+
+    def test_save_appends_npz_suffix(self, tmp_path):
+        checkpoint.save_checkpoint({"w": Tensor(np.ones(2))}, str(tmp_path / "ckpt"))
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+
+    def _crash(self, tmp_path, monkeypatch, when, **extra):
+        """Run training until ``when(calls, evaluated)`` is true at a call of
+        ``model.loss``; returns the log files' contents at that moment,
+        before the training loop can close them."""
+        out = tmp_path / "out"
+        seen, calls, evaluated = {}, [], []
+        loss, evaluate = models.LanguageModel.loss, models.LanguageModel.evaluate
+
+        def crashing_loss(self, batch, **kwargs):
+            calls.append(1)
+            if when(len(calls), bool(evaluated)):
+                seen.update({name: (out / name).read_text()
+                             for name in ("train.log", "metrics.txt")})
+                raise RuntimeError("simulated crash")
+            return loss(self, batch, **kwargs)
+
+        def recording_evaluate(self, *args, **kwargs):
+            evaluated.append(1)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(models.LanguageModel, "loss", crashing_loss)
+        monkeypatch.setattr(models.LanguageModel, "evaluate", recording_evaluate)
+        cfg = build_config(overrides=lm_overrides(tmp_path, **extra))
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            train.run_train(cfg, str(out))
+        return seen
+
+    def test_step_lines_on_disk_before_a_crash(self, tmp_path, monkeypatch):
+        seen = self._crash(tmp_path, monkeypatch, lambda calls, _: calls == 3)
+        lines = seen["train.log"].splitlines()
+        assert [line.split()[0] for line in lines] == ["step=1", "step=2"]
+
+    def test_epoch_metrics_on_disk_before_a_crash(self, tmp_path, monkeypatch):
+        seen = self._crash(tmp_path, monkeypatch, lambda _, evaluated: evaluated,
+                           epochs="2", batch_size="200")
+        assert seen["metrics.txt"].startswith("epoch=1 ")
+        assert seen["train.log"].count("\n") > 0
 
 
 class TestRunEval:

@@ -145,6 +145,36 @@ class TestInterAttend:
         np.testing.assert_allclose(out.weights.data.sum(axis=1), 1.0, atol=1e-9)
 
 
+    def test_padded_source_matches_oracle_on_unpadded_slots(self):
+        rng = np.random.default_rng(47)
+        dec = random_decoder(rng, 3, 2, 2)
+        y, a = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 3))
+        lengths = [2, 4]
+        mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        x, gprev = rng.normal(size=(2, 2)), rng.normal(size=(2, 3))
+        out = inter_attend(Tensor(x), SourceTapes(y=Tensor(y), a=Tensor(a), mask=mask),
+                           Tensor(gprev), dec.inter)
+        w = dec.inter
+        for b, n in enumerate(lengths):
+            p_ref, g_ref, a_ref = oracles.inter_attend_ref(
+                x[b], list(y[b, :n]), list(a[b, :n]), gprev[b], w.u.data,
+                w.w_gamma.data, w.w_x.data, w.w_gammatilde.data)
+            np.testing.assert_allclose(out.weights.data[b, :n], p_ref, atol=1e-12)
+            np.testing.assert_array_equal(out.weights.data[b, n:], 0.0)
+            np.testing.assert_allclose(out.gamma_tilde.data[b], g_ref, atol=1e-12)
+            np.testing.assert_allclose(out.alpha_tilde.data[b], a_ref, atol=1e-12)
+
+    def test_fully_masked_row_rejected(self):
+        rng = np.random.default_rng(48)
+        dec = random_decoder(rng, 2, 2, 2)
+        src = SourceTapes(y=Tensor(rng.normal(size=(2, 3, 2))),
+                          a=Tensor(rng.normal(size=(2, 3, 2))),
+                          mask=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(ad.ShapeMismatchError, match="no unmasked"):
+            inter_attend(Tensor(rng.normal(size=(2, 2))), src,
+                         Tensor(np.zeros((2, 2))), dec.inter)
+
+
 class TestDeepDecode:
     def test_zero_weights_zero_state(self):
         # r = sigma(0) = 0.5 everywhere, but the zero encoder gives

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lstmn import autodiff as ad
-from lstmn import models
+from lstmn import models, optim
 from lstmn.config import ConfigError, build_config
 from lstmn.data import Batch, Vocabulary
 
@@ -239,3 +239,56 @@ class TestClassifierModels:
         assert any(n.startswith("encoder.") for n in m2.params())
         assert not any(n.startswith("premise.") for n in m2.params())
         assert len(m2.params()) < len(m1.params())
+
+
+# Fixed before the first float32 run: float32 keeps about 7 significant
+# digits, and one step's losses go through a few hundred rounded ops.
+FLOAT32_RTOL = 1e-3
+
+
+class TestFloat32:
+    def _run(self, model_name, dtype, monkeypatch):
+        """One SGD step, the loss after it, evaluate and (seq2seq) generate
+        at ``dtype``; asserts every parameter, gradient and tape buffer
+        keeps that dtype.  Returns the three losses."""
+        buffers = []
+        write = ad.tape_write
+
+        def recording_write(prev, buf, n, parts):
+            buffers.append(buf.dtype)
+            return write(prev, buf, n, parts)
+
+        monkeypatch.setattr(ad, "tape_write", recording_write)
+        ad.set_default_dtype(dtype)
+        try:
+            vocab = make_vocab()
+            cfg = cfg_for(model=model_name, layers=2, capacity=3)
+            model = models.build_model(cfg, vocab, np.random.default_rng(21))
+            if model_name.startswith("seq2seq"):
+                batch = TestSeq2Seq().pair_batch(
+                    vocab, [["w0", "w1", "w2", "w3"], ["w4"]],
+                    [["w2", "w3", "w1"], ["w5", "w0"]])
+            else:
+                batch = lm_batch(vocab, [["w0", "w1", "w2", "w3", "w4"], ["w5", "w1"]])
+            params = list(model.params().values())
+            loss, _ = model.loss(batch)
+            ad.backward(loss, params=params)
+            assert all(p.grad.dtype == dtype for p in params)
+            optim.Sgd(params, lr=0.5).step()
+            assert all(p.data.dtype == dtype for p in params)
+            after = model.loss(batch)[0].item()
+            nll = model.evaluate([batch]).nll
+            if model_name.startswith("seq2seq"):
+                out = model.generate(vocab.encode(["w0", "w1"]), max_len=6)
+                assert all(0 <= t < len(vocab) for t in out)
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert buffers and all(d == dtype for d in buffers)
+        return np.array([loss.item(), after, nll])
+
+    @pytest.mark.parametrize("model_name", ["lstmn-stack", "seq2seq-deep"])
+    def test_train_eval_generate_stay_float32(self, model_name, monkeypatch):
+        wide = self._run(model_name, np.float64, monkeypatch)
+        narrow = self._run(model_name, np.float32, monkeypatch)
+        assert np.all(np.isfinite(narrow))
+        np.testing.assert_allclose(narrow, wide, rtol=FLOAT32_RTOL)
