@@ -292,6 +292,17 @@ def _kernel_cases():
         "tape_attend_masked": (attend_params, lambda: ad.sum_all(ad.mul(
             ad.tape_attend(mem, 0, 5, q_x, w_qx, q_p, w_qp, v_att,
                            mask=[[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])[0], y_att))),
+        # The two stages tape_attend fuses, each checked on its own inputs:
+        # the broadcast add of the query onto every slot key (query path
+        # only, memory held fixed) and the per-slot v . tanh(...) scores
+        # (v and the memory only), over a window that ends at the last slot.
+        "bcast_add_slots": ({"x": q_x, "W_x": w_qx, "prev": q_p, "W_prev": w_qp, "bias": b_att},
+                            lambda: ad.sum_all(ad.mul(ad.tape_attend(
+                                Tensor(mem.data), 0, 3, q_x, w_qx, q_p, w_qp,
+                                Tensor(v_att.data), b_att)[0], y_att))),
+        "slot_dot": ({"memory": mem, "v": v_att}, lambda: ad.sum_all(ad.mul(ad.tape_attend(
+            mem, 2, 5, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
+            Tensor(w_qp.data), v_att)[0], y_att))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
         "mean": ({"a": x23}, lambda: ad.sum_all(ad.mean(x23, axis=0))),
