@@ -218,6 +218,25 @@ class TestClassifierModels:
                                     labels=np.array([0, 1])))
         assert base.item() == after.item()
 
+    @pytest.mark.parametrize("model_name,extra", [
+        ("lstmn", {}), ("lstmn", {"tie_encoders": "true"}),
+        ("lstmn-stack", {"layers": "2", "capacity": "2"}),
+        ("seq2seq-shallow", {}), ("seq2seq-deep", {})])
+    def test_pair_classifier_padding_invariance(self, model_name, extra):
+        vocab = make_vocab()
+        cfg = build_config(overrides=dict(task="nli", model=model_name, hidden="6",
+                                          embedding="4", **extra))
+        model = models.PairClassifier(cfg, vocab, np.random.default_rng(17))
+        batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w1", "w2"], ["w3"]],
+                                         [["w4"], ["w5", "w1", "w0", "w2"]])
+        batch.labels = np.array([0, 2])
+        base, _ = model.loss(batch)
+        assert batch.mask[1, 1:].sum() == 0 and batch.mask2[0, 1:].sum() == 0
+        batch.tokens[1, 1:] = vocab.token_to_index["w5"]
+        batch.tokens2[0, 1:] = vocab.token_to_index["w3"]
+        after, _ = model.loss(batch)
+        assert base.item() == after.item()
+
     def test_nli_rejects_plain_lstm(self):
         vocab = make_vocab()
         cfg = build_config(overrides=dict(task="nli", model="lstm",
