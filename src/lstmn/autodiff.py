@@ -128,9 +128,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _make(data: np.ndarray, parents, backward_fn, op: str, screen: bool = True) -> Tensor:
     out = Tensor.__new__(Tensor)
@@ -260,32 +257,6 @@ def mul(a: Tensor, b) -> Tensor:
         raise ShapeMismatchError(f"mul: shapes {a.data.shape} and {b.data.shape} do not conform")
     return _make(a.data * b.data, (a, b),
                  lambda g: (g * b.data, g * a.data), "mul")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy semantics for 1-D/2-D operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeMismatchError(f"matmul: shapes {ad.shape} and {bd.shape} do not conform")
-        return _make(ad @ bd, (a, b),
-                     lambda g: (g @ bd.T, ad.T @ g), "matmul")
-    if ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ShapeMismatchError(f"matmul: shapes {ad.shape} and {bd.shape} do not conform")
-        return _make(ad @ bd, (a, b),
-                     lambda g: (np.outer(g, bd), ad.T @ g), "matmul")
-    if ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeMismatchError(f"matmul: shapes {ad.shape} and {bd.shape} do not conform")
-        return _make(ad @ bd, (a, b),
-                     lambda g: (bd @ g, np.outer(ad, g)), "matmul")
-    if ad.ndim == 1 and bd.ndim == 1:
-        if ad.shape[0] != bd.shape[0]:
-            raise ShapeMismatchError(f"matmul: shapes {ad.shape} and {bd.shape} do not conform")
-        return _make(ad @ bd, (a, b),
-                     lambda g: (g * bd, g * ad), "matmul")
-    raise ShapeMismatchError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
@@ -491,15 +462,6 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
     return (_make(out, parents, bwd, "tape_attend"),
             _make(scores, (), None, "tape_attend"), _make(weights, (), None, "tape_attend"))
-
-
-def mean(x: Tensor, axis: int) -> Tensor:
-    n = x.data.shape[axis]
-
-    def bwd(g):
-        return (np.repeat(np.expand_dims(g / n, axis), n, axis=axis),)
-
-    return _make(x.data.mean(axis=axis), (x,), bwd, "mean")
 
 
 def sum_all(x: Tensor) -> Tensor:

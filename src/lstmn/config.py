@@ -166,6 +166,8 @@ def finalize(cfg: RunConfig) -> RunConfig:
             "model lstmn-stack needs layers >= 2")
     require(cfg.model not in SEQ2SEQ_MODELS or cfg.task in ("lm", "nli"),
             f"model {cfg.model} needs a source sequence; task {cfg.task} has none")
+    require(cfg.task != "nli" or cfg.model != "lstm",
+            "task nli supports lstmn, lstmn-stack, or seq2seq models")
     require(cfg.hidden >= 1, f"hidden must be >= 1, got {cfg.hidden}")
     require(cfg.embedding >= 1, f"embedding must be >= 1, got {cfg.embedding}")
     require(cfg.attention >= 1, f"attention must be >= 1, got {cfg.attention}")

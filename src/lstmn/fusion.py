@@ -16,6 +16,10 @@ Inter-attention uses the same fused kernel as the tape cell
 sequence into a (B, m, 2h + a) slot memory [y_j | a_j | W_gamma y_j]
 (``source_projection``), and each decode step reads all of it in one
 node.
+
+``DecoderState.step`` is the one decode step: teacher-forced training
+(``run_decoder``) and greedy decoding (``models.Seq2SeqModel.generate``)
+both drive it.
 """
 
 from __future__ import annotations
@@ -182,6 +186,37 @@ def shallow_decode_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     return state, intra, inter, context
 
 
+class DecoderState:
+    """Decoding state for one batch: the target tapes, the carried
+    summaries h~ and gamma~, and the source packed once for
+    inter-attention.  ``length`` preallocates that many tape slots."""
+
+    def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,
+                 capacity: Optional[int] = None, length: Optional[int] = None):
+        if mode not in ("deep", "shallow"):
+            raise ValueError(f"unknown fusion mode {mode!r}")
+        self.src, self.w, self.mode = src, w, mode
+        batch = src.y.data.shape[0]
+        hidden = w.cell.gates.hidden_size
+        self.tapes = Tapes(capacity, length=length)
+        self.htilde = Tensor(np.zeros((batch, hidden)))
+        self.gamma_tilde = Tensor(np.zeros((batch, hidden)))
+        self.src_proj = source_projection(src, w.inter)
+
+    def step(self, x: Tensor):
+        """One decoder step; returns (prediction input, intra, inter): the
+        prediction input is h_t for deep fusion, [h_t, gamma~_t] for
+        shallow."""
+        args = (x, self.tapes, self.htilde, self.gamma_tilde, self.src, self.w, self.src_proj)
+        if self.mode == "deep":
+            state, intra, inter = deep_decode_step(*args)
+            out = state.h
+        else:
+            state, intra, inter, out = shallow_decode_step(*args)
+        self.htilde, self.gamma_tilde = intra.htilde, inter.gamma_tilde
+        return out, intra, inter
+
+
 @dataclass
 class DecodeRun:
     """Per-step decoder outputs: prediction inputs (h_t for deep fusion,
@@ -193,27 +228,13 @@ class DecodeRun:
 
 def run_decoder(xs: list, src: SourceTapes, w: DecoderWeights, mode: str,
                 capacity: Optional[int] = None) -> DecodeRun:
-    if mode not in ("deep", "shallow"):
-        raise ValueError(f"unknown fusion mode {mode!r}")
     if not xs:
         raise TapeError("cannot decode an empty target")
-    batch = xs[0].data.shape[0]
-    hidden = w.cell.gates.hidden_size
-    tapes = Tapes(capacity, length=len(xs))
-    htilde = Tensor(np.zeros((batch, hidden)))
-    gamma = Tensor(np.zeros((batch, hidden)))
-    proj = source_projection(src, w.inter)
-    outputs, intra_traces, inter_traces = [], [], []
+    decoder = DecoderState(src, w, mode, capacity, length=len(xs))
+    run = DecodeRun([], [], [])
     for x in xs:
-        if mode == "deep":
-            state, intra, inter = deep_decode_step(x, tapes, htilde, gamma, src, w, proj)
-            outputs.append(state.h)
-        else:
-            state, intra, inter, context = shallow_decode_step(
-                x, tapes, htilde, gamma, src, w, proj)
-            outputs.append(context)
-        htilde = intra.htilde
-        gamma = inter.gamma_tilde
-        intra_traces.append(intra)
-        inter_traces.append(inter)
-    return DecodeRun(outputs=outputs, intra=intra_traces, inter=inter_traces)
+        out, intra, inter = decoder.step(x)
+        run.outputs.append(out)
+        run.intra.append(intra)
+        run.inter.append(inter)
+    return run

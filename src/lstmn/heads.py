@@ -1,5 +1,5 @@
-"""Task heads and losses: next-token NLL with perplexity, mean-pooled
-sentence classification, and two-encoder pair inference."""
+"""Task heads and losses: next-token NLL with perplexity and greedy hits,
+mask-aware mean pooling, and the classifier head over pooled features."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from . import cells, fusion, optim
+from . import cells, optim
 from .autodiff import Tensor
-from .cells import StackWeights, TapeError
+from .cells import TapeError
 
 
 @dataclass
@@ -145,36 +145,9 @@ def mean_pool(stacked: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
     return ad.attend(Tensor(weights), stacked)
 
 
-def classify_sentence(tape_h: list, mask: Optional[np.ndarray],
-                      head: ClassifierHead, training: bool = False,
-                      rng=None) -> Tensor:
-    """Label logits from the mean-pooled hidden tape."""
-    if not tape_h:
-        raise TapeError("cannot classify from an empty tape")
-    pooled = mean_pool(ad.stack_slots(tape_h), mask)
-    return head_logits(pooled, head, training, rng)
-
-
 def head_logits(features: Tensor, head: ClassifierHead, training: bool = False,
                 rng=None) -> Tensor:
     x = optim.dropout(features, head.dropout, training, rng)
     hidden = ad.relu(ad.add(ad.linear(x, head.w1), head.b1))
     return ad.add(ad.linear(hidden, head.w2), head.b2)
 
-
-def infer_pair(premise_xs: list, hypothesis_xs: list,
-               premise_encoder: StackWeights, hypothesis_encoder: StackWeights,
-               head: ClassifierHead,
-               premise_mask: Optional[np.ndarray] = None,
-               hypothesis_mask: Optional[np.ndarray] = None,
-               capacity: Optional[int] = None,
-               training: bool = False, rng=None) -> Tensor:
-    """Three-way logits from two encoders: each sentence's hidden tape is
-    mean-pooled and the two averages are concatenated into the head."""
-    if not premise_xs or not hypothesis_xs:
-        raise TapeError("pair inference needs two non-empty sentences")
-    src_p, _ = fusion.encode(premise_xs, premise_encoder, capacity, premise_mask)
-    src_h, _ = fusion.encode(hypothesis_xs, hypothesis_encoder, capacity, hypothesis_mask)
-    features = ad.concat([mean_pool(src_p.y, premise_mask),
-                          mean_pool(src_h.y, hypothesis_mask)], axis=1)
-    return head_logits(features, head, training, rng)

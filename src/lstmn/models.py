@@ -1,10 +1,15 @@
 """Task models: parameter wiring, per-batch losses, and evaluation.
 
-Each model owns an embedding table, a recurrent core, and a head, and
-exposes a flat ``params()`` dict whose names define the checkpoint
-layout.  Losses are mean-per-token (language modeling) or
-mean-per-example (classification); evaluation sums raw NLL so
-perplexity aggregates correctly across batches.
+Every model is the one reader wired to a task.  ``Model`` owns the
+embedding table, the single-sequence core (a stacked LSTM for model
+``lstm``, the tape stack otherwise) and, for seq2seq models, the fusion
+decoder, and assembles the flat ``params()`` dict whose names define the
+checkpoint layout.  Language models predict the next token from
+per-step states (``LanguageModel._predict``), classifiers label pooled
+features (``SentenceClassifier._features``); the seq2seq and pair
+variants override only those hooks.  Losses are mean-per-token
+(language modeling) or mean-per-example (classification); evaluation
+sums raw NLL so perplexity aggregates correctly across batches.
 """
 
 from __future__ import annotations
@@ -12,80 +17,119 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import cells, data, fusion, heads, optim
-from .autodiff import Tensor
-from .config import ConfigError, RunConfig
+from . import cells, data, fusion, heads
+from .config import SEQ2SEQ_MODELS, ConfigError, RunConfig
 from .data import Batch, EmbeddingTable, Vocabulary
 from .heads import EvalMetrics
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
 
 
-def _capacity(cfg: RunConfig):
-    return cfg.capacity if cfg.capacity > 0 else None
-
-
-def _embed_steps(table: EmbeddingTable, tokens: np.ndarray) -> list:
-    """Per-step embedding lookups for a (B, L) token block."""
-    return [ad.lookup(table.weights, tokens[:, t]) for t in range(tokens.shape[1])]
-
-
-class LanguageModel:
-    """Next-token model over single sentences: lstm / lstmn / lstmn-stack."""
+class Model:
+    """Shared wiring: embedding table, core, decoder and checkpoint names."""
 
     def __init__(self, cfg: RunConfig, vocab: Vocabulary, rng,
                  embeddings: EmbeddingTable | None = None):
         self.cfg = cfg
         self.vocab = vocab
+        self.capacity = cfg.capacity if cfg.capacity > 0 else None
+        self.mode = {"seq2seq-deep": "deep", "seq2seq-shallow": "shallow"}.get(cfg.model)
         self.embeddings = embeddings or data.init_embeddings(rng, vocab, cfg.embedding)
+        self.stack = self._init_core(rng)
+        self.decoder = None
+        if self.mode:
+            self.decoder = fusion.init_decoder(rng, cfg.hidden, cfg.embedding,
+                                               cfg.attention,
+                                               attention_bias=cfg.attention_bias)
+
+    def _init_core(self, rng):
+        """A stacked LSTM for model lstm, the tape stack otherwise."""
+        cfg = self.cfg
         if cfg.model == "lstm":
-            self.lstm_layers = cells.init_lstm_stack(rng, cfg.layers, cfg.hidden,
-                                                     cfg.embedding)
-            self.stack = None
-        else:
-            self.stack = cells.init_stack(rng, cfg.layers, cfg.hidden, cfg.embedding,
-                                          cfg.attention, skip=cfg.skip_connections,
-                                          attention_bias=cfg.attention_bias)
-            self.lstm_layers = None
-        self.proj = heads.init_output_projection(rng, len(vocab), cfg.hidden)
+            return cells.init_lstm_stack(rng, cfg.layers, cfg.hidden, cfg.embedding)
+        return cells.init_stack(rng, cfg.layers, cfg.hidden, cfg.embedding,
+                                cfg.attention, skip=cfg.skip_connections,
+                                attention_bias=cfg.attention_bias)
+
+    def _run(self, xs: list, core):
+        """The core over embedded steps: per-step top-layer states, and
+        top-layer intra-attention traces (None for the LSTM)."""
+        if isinstance(core, list):
+            return cells.run_lstm(xs, core), None
+        run = cells.run_stack(xs, core, self.capacity)
+        return run.top_h, [step[-1] for step in run.traces]
+
+    def _parts(self) -> list:
+        """(prefix, weights) after the embedding table, in checkpoint order."""
+        if self.mode:
+            return [("encoder.", self.stack), ("decoder.", self.decoder)]
+        return [("", self.stack)]
 
     def params(self) -> dict:
         out = {"embedding.weight": self.embeddings.weights}
-        if self.stack is not None:
-            out.update(self.stack.named())
-        else:
-            out.update(cells.lstm_named(self.lstm_layers))
-        out.update(self.proj.named())
+        for prefix, part in self._parts():
+            out.update(cells.lstm_named(part, prefix) if isinstance(part, list)
+                       else part.named(prefix))
         return out
 
     def l2_params(self) -> list:
         return [t for n, t in self.params().items() if n != "embedding.weight"]
 
-    def _states(self, tokens: np.ndarray) -> list:
-        xs = _embed_steps(self.embeddings, tokens)
-        if self.stack is not None:
-            return cells.run_stack(xs, self.stack, _capacity(self.cfg)).top_h
-        return cells.run_lstm(xs, self.lstm_layers)
+    def _embed(self, tokens: np.ndarray) -> list:
+        """Per-step embedding lookups for a (B, L) token block."""
+        return [ad.lookup(self.embeddings.weights, tokens[:, t])
+                for t in range(tokens.shape[1])]
 
-    @staticmethod
-    def _split(batch: Batch):
-        # Rows are [<s> w1 .. wn </s>]: shift for next-token prediction.
-        inputs = batch.tokens[:, :-1]
-        targets = batch.tokens[:, 1:]
-        mask = batch.mask[:, 1:]
-        return inputs, targets, mask
+    def _decode(self, src_tokens: np.ndarray, tgt_tokens: np.ndarray, src_mask=None):
+        """Encode the source block and run the fusion decoder over the
+        target block: (DecodeRun, encoder traces)."""
+        src, enc_traces = fusion.encode(self._embed(src_tokens), self.stack,
+                                        self.capacity, mask=src_mask)
+        run = fusion.run_decoder(self._embed(tgt_tokens), src, self.decoder, self.mode,
+                                 self.capacity)
+        return run, enc_traces
+
+    def attention_traces(self, token_ids: np.ndarray, tgt_ids: np.ndarray | None = None):
+        """Attention over one raw sequence (no boundary tokens added): the
+        core's top-layer intra-attention, or for a (source, target) pair
+        through a fusion decoder, the decoder's intra- and inter-attention
+        plus the encoder's own intra-attention."""
+        if self.mode:
+            run, enc_traces = self._decode(token_ids[None, :], tgt_ids[None, :])
+            return {"encoder-intra": enc_traces, "intra": run.intra, "inter": run.inter}
+        if self.cfg.model == "lstm":
+            raise ConfigError("model lstm has no attention to dump")
+        return {"intra": self._run(self._embed(token_ids[None, :]), self.stack)[1]}
+
+
+class LanguageModel(Model):
+    """Next-token model over single sentences: lstm / lstmn / lstmn-stack."""
+
+    def __init__(self, cfg: RunConfig, vocab: Vocabulary, rng,
+                 embeddings: EmbeddingTable | None = None):
+        super().__init__(cfg, vocab, rng, embeddings)
+        # Shallow fusion predicts from [h_t, gamma~_t].
+        width = 2 * cfg.hidden if self.mode == "shallow" else cfg.hidden
+        self.proj = heads.init_output_projection(rng, len(vocab), width)
+
+    def _parts(self) -> list:
+        return super()._parts() + [("output", self.proj)]
+
+    def _predict(self, batch: Batch):
+        """(per-step states, targets, mask): rows are [<s> w1 .. wn </s>],
+        shifted for next-token prediction."""
+        states, _ = self._run(self._embed(batch.tokens[:, :-1]), self.stack)
+        return states, batch.tokens[:, 1:], batch.mask[:, 1:]
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
-        inputs, targets, mask = self._split(batch)
-        hs = self._states(inputs)
-        nll, tokens = heads.lm_loss(hs, targets, mask, self.proj)
+        states, targets, mask = self._predict(batch)
+        nll, tokens = heads.lm_loss(states, targets, mask, self.proj)
         return ad.mul(nll, 1.0 / max(tokens, 1)), {"tokens": tokens, "nll": nll.item()}
 
     def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
         total_nll, total_tokens, correct = 0.0, 0, 0
         for batch in batches:
-            inputs, targets, mask = self._split(batch)
-            nll, tokens, hits = heads.lm_eval(self._states(inputs), targets, mask, self.proj)
+            nll, tokens, hits = heads.lm_eval(*self._predict(batch), self.proj)
             total_nll += nll
             total_tokens += tokens
             correct += hits
@@ -93,44 +137,14 @@ class LanguageModel:
         return EvalMetrics(nll=total_nll, tokens=total_tokens, accuracy=acc,
                            dataset=dataset, split=split)
 
-    def attention_traces(self, token_ids: np.ndarray):
-        """Per-step top-layer intra-attention for one raw sequence (no
-        boundary tokens added)."""
-        if self.stack is None:
-            raise ConfigError("model lstm has no attention to dump")
-        xs = _embed_steps(self.embeddings, token_ids[None, :])
-        run = cells.run_stack(xs, self.stack, _capacity(self.cfg))
-        return {"intra": [step[-1] for step in run.traces]}
 
-
-class Seq2SeqModel:
+class Seq2SeqModel(LanguageModel):
     """Conditional next-token model over (source, target) pairs with
     shallow or deep attention fusion."""
 
-    def __init__(self, cfg: RunConfig, vocab: Vocabulary, rng,
-                 embeddings: EmbeddingTable | None = None):
-        self.cfg = cfg
-        self.vocab = vocab
-        self.mode = "deep" if cfg.model == "seq2seq-deep" else "shallow"
-        self.embeddings = embeddings or data.init_embeddings(rng, vocab, cfg.embedding)
-        self.encoder = cells.init_stack(rng, cfg.layers, cfg.hidden, cfg.embedding,
-                                        cfg.attention, skip=cfg.skip_connections,
-                                        attention_bias=cfg.attention_bias)
-        self.decoder = fusion.init_decoder(rng, cfg.hidden, cfg.embedding,
-                                           cfg.attention,
-                                           attention_bias=cfg.attention_bias)
-        out_width = cfg.hidden if self.mode == "deep" else 2 * cfg.hidden
-        self.proj = heads.init_output_projection(rng, len(vocab), out_width)
-
-    def params(self) -> dict:
-        out = {"embedding.weight": self.embeddings.weights}
-        out.update(self.encoder.named("encoder."))
-        out.update(self.decoder.named("decoder."))
-        out.update(self.proj.named())
-        return out
-
-    def l2_params(self) -> list:
-        return [t for n, t in self.params().items() if n != "embedding.weight"]
+    @property
+    def encoder(self) -> cells.StackWeights:
+        return self.stack
 
     def _decoder_io(self, batch: Batch):
         """Teacher forcing: inputs [<s> t1..tm], targets [t1..tm </s>]."""
@@ -148,112 +162,46 @@ class Seq2SeqModel:
             out_mask[i, :n + 1] = 1.0
         return inputs, targets, out_mask
 
-    def _decode(self, batch: Batch):
-        src_xs = _embed_steps(self.embeddings, batch.tokens)
-        src, enc_traces = fusion.encode(src_xs, self.encoder, _capacity(self.cfg),
-                                        mask=batch.mask)
+    def _predict(self, batch: Batch):
         inputs, targets, out_mask = self._decoder_io(batch)
-        dec_xs = _embed_steps(self.embeddings, inputs)
-        run = fusion.run_decoder(dec_xs, src, self.decoder, self.mode,
-                                 _capacity(self.cfg))
-        return run, enc_traces, targets, out_mask
-
-    def loss(self, batch: Batch, training: bool = False, rng=None):
-        run, _, targets, out_mask = self._decode(batch)
-        nll, tokens = heads.lm_loss(run.outputs, targets, out_mask, self.proj)
-        return ad.mul(nll, 1.0 / max(tokens, 1)), {"tokens": tokens, "nll": nll.item()}
-
-    def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
-        total_nll, total_tokens, correct = 0.0, 0, 0
-        for batch in batches:
-            run, _, targets, out_mask = self._decode(batch)
-            nll, tokens, hits = heads.lm_eval(run.outputs, targets, out_mask, self.proj)
-            total_nll += nll
-            total_tokens += tokens
-            correct += hits
-        acc = correct / total_tokens if total_tokens else None
-        return EvalMetrics(nll=total_nll, tokens=total_tokens, accuracy=acc,
-                           dataset=dataset, split=split)
+        run, _ = self._decode(batch.tokens, inputs, batch.mask)
+        return run.outputs, targets, out_mask
 
     def generate(self, src_tokens: np.ndarray, max_len: int = 50) -> list:
         """Greedy decoding for one source sequence (token ids)."""
-        src_xs = _embed_steps(self.embeddings, src_tokens[None, :])
-        src, _ = fusion.encode(src_xs, self.encoder, _capacity(self.cfg))
-        tapes = cells.Tapes(_capacity(self.cfg))
-        htilde = Tensor(np.zeros((1, self.cfg.hidden)))
-        gamma = Tensor(np.zeros((1, self.cfg.hidden)))
-        proj_src = fusion.source_projection(src, self.decoder.inter)
+        src, _ = fusion.encode(self._embed(src_tokens[None, :]), self.stack, self.capacity)
+        decoder = fusion.DecoderState(src, self.decoder, self.mode, self.capacity,
+                                      length=max_len)
         token = self.vocab.bos
         out = []
         for _ in range(max_len):
-            x = ad.lookup(self.embeddings.weights, np.array([token]))
-            if self.mode == "deep":
-                state, intra, inter = fusion.deep_decode_step(
-                    x, tapes, htilde, gamma, src, self.decoder, proj_src)
-                feats = state.h
-            else:
-                state, intra, inter, feats = fusion.shallow_decode_step(
-                    x, tapes, htilde, gamma, src, self.decoder, proj_src)
-            htilde, gamma = intra.htilde, inter.gamma_tilde
+            feats, _, _ = decoder.step(ad.lookup(self.embeddings.weights, np.array([token])))
             token = int(self.proj(feats).data.argmax())
             if token == self.vocab.eos:
                 break
             out.append(token)
         return out
 
-    def attention_traces(self, src_ids: np.ndarray, tgt_ids: np.ndarray):
-        """Decoder intra- and inter-attention over a raw (source, target)
-        pair, plus the encoder's own intra-attention."""
-        src_xs = _embed_steps(self.embeddings, src_ids[None, :])
-        src, enc_traces = fusion.encode(src_xs, self.encoder, _capacity(self.cfg))
-        dec_xs = _embed_steps(self.embeddings, tgt_ids[None, :])
-        run = fusion.run_decoder(dec_xs, src, self.decoder, self.mode,
-                                 _capacity(self.cfg))
-        return {"encoder-intra": enc_traces, "intra": run.intra, "inter": run.inter}
 
+class _Classifier(Model):
+    """Label logits from pooled features; the subclasses build the head
+    and ``_features``."""
 
-class SentenceClassifier:
-    """Mean-pooled sentence classification: lstm / lstmn / lstmn-stack."""
+    def _init_head(self, rng, width: int) -> None:
+        cfg = self.cfg
+        self.head = heads.init_classifier_head(rng, width, cfg.hidden, cfg.num_labels,
+                                               dropout=cfg.dropout)
 
-    def __init__(self, cfg: RunConfig, vocab: Vocabulary, rng,
-                 embeddings: EmbeddingTable | None = None):
-        self.cfg = cfg
-        self.vocab = vocab
-        self.embeddings = embeddings or data.init_embeddings(rng, vocab, cfg.embedding)
-        if cfg.model == "lstm":
-            self.lstm_layers = cells.init_lstm_stack(rng, cfg.layers, cfg.hidden,
-                                                     cfg.embedding)
-            self.stack = None
-        else:
-            self.stack = cells.init_stack(rng, cfg.layers, cfg.hidden, cfg.embedding,
-                                          cfg.attention, skip=cfg.skip_connections,
-                                          attention_bias=cfg.attention_bias)
-            self.lstm_layers = None
-        self.head = heads.init_classifier_head(rng, cfg.hidden, cfg.hidden,
-                                               cfg.num_labels, dropout=cfg.dropout)
+    def _parts(self) -> list:
+        return super()._parts() + [("head", self.head)]
 
-    def params(self) -> dict:
-        out = {"embedding.weight": self.embeddings.weights}
-        if self.stack is not None:
-            out.update(self.stack.named())
-        else:
-            out.update(cells.lstm_named(self.lstm_layers))
-        out.update(self.head.named())
-        return out
-
-    def l2_params(self) -> list:
-        return [t for n, t in self.params().items() if n != "embedding.weight"]
-
-    def _logits(self, batch: Batch, training: bool, rng):
-        xs = _embed_steps(self.embeddings, batch.tokens)
-        if self.stack is not None:
-            hs = cells.run_stack(xs, self.stack, _capacity(self.cfg)).top_h
-        else:
-            hs = cells.run_lstm(xs, self.lstm_layers)
-        return heads.classify_sentence(hs, batch.mask, self.head, training, rng)
+    def _pool(self, xs: list, core, mask) -> ad.Tensor:
+        """Mask-aware mean of the core's top-layer states."""
+        states, _ = self._run(xs, core)
+        return heads.mean_pool(ad.stack_slots(states), mask)
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
-        logits = self._logits(batch, training, rng)
+        logits = heads.head_logits(self._features(batch), self.head, training, rng)
         nll = ad.masked_nll(logits, batch.labels)
         correct = int((logits.data.argmax(axis=1) == batch.labels).sum())
         return ad.mul(nll, 1.0 / batch.size), \
@@ -262,23 +210,28 @@ class SentenceClassifier:
     def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
         total_nll, examples, correct = 0.0, 0, 0
         for batch in batches:
-            logits = self._logits(batch, training=False, rng=None)
-            total_nll += ad.masked_nll(logits, batch.labels).item()
-            examples += batch.size
-            correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
+            _, stats = self.loss(batch)
+            total_nll += stats["nll"]
+            examples += stats["examples"]
+            correct += stats["correct"]
         return EvalMetrics(nll=total_nll, tokens=examples,
                            accuracy=correct / examples if examples else None,
                            dataset=dataset, split=split)
 
-    def attention_traces(self, token_ids: np.ndarray):
-        if self.stack is None:
-            raise ConfigError("model lstm has no attention to dump")
-        xs = _embed_steps(self.embeddings, token_ids[None, :])
-        run = cells.run_stack(xs, self.stack, _capacity(self.cfg))
-        return {"intra": [step[-1] for step in run.traces]}
+
+class SentenceClassifier(_Classifier):
+    """Mean-pooled sentence classification: lstm / lstmn / lstmn-stack."""
+
+    def __init__(self, cfg: RunConfig, vocab: Vocabulary, rng,
+                 embeddings: EmbeddingTable | None = None):
+        super().__init__(cfg, vocab, rng, embeddings)
+        self._init_head(rng, cfg.hidden)
+
+    def _features(self, batch: Batch) -> ad.Tensor:
+        return self._pool(self._embed(batch.tokens), self.stack, batch.mask)
 
 
-class PairClassifier:
+class PairClassifier(_Classifier):
     """Premise/hypothesis inference.
 
     model lstmn / lstmn-stack: two tape encoders, pooled and concatenated.
@@ -289,105 +242,44 @@ class PairClassifier:
 
     def __init__(self, cfg: RunConfig, vocab: Vocabulary, rng,
                  embeddings: EmbeddingTable | None = None):
-        if cfg.model == "lstm":
-            raise ConfigError("task nli supports lstmn, lstmn-stack, or seq2seq models")
-        self.cfg = cfg
-        self.vocab = vocab
-        self.embeddings = embeddings or data.init_embeddings(rng, vocab, cfg.embedding)
-        self.fusion_mode = {"seq2seq-deep": "deep", "seq2seq-shallow": "shallow"}.get(cfg.model)
-        self.decoder = None
-        self.hypothesis_encoder = None
+        super().__init__(cfg, vocab, rng, embeddings)
+        if not self.mode:
+            self.hypothesis_encoder = self.stack if cfg.tie_encoders \
+                else self._init_core(rng)
+        self._init_head(rng, cfg.hidden if self.mode == "deep" else 2 * cfg.hidden)
 
-        def new_stack():
-            return cells.init_stack(rng, cfg.layers, cfg.hidden, cfg.embedding,
-                                    cfg.attention, skip=cfg.skip_connections,
-                                    attention_bias=cfg.attention_bias)
-
-        self.premise_encoder = new_stack()
-        if self.fusion_mode:
-            self.decoder = fusion.init_decoder(rng, cfg.hidden, cfg.embedding,
-                                               cfg.attention,
-                                               attention_bias=cfg.attention_bias)
-            feat = cfg.hidden if self.fusion_mode == "deep" else 2 * cfg.hidden
+    def _parts(self) -> list:
+        if self.mode:
+            return super()._parts()
+        if self.cfg.tie_encoders:
+            encoders = [("encoder.", self.stack)]
         else:
-            self.hypothesis_encoder = self.premise_encoder if cfg.tie_encoders \
-                else new_stack()
-            feat = 2 * cfg.hidden
-        self.head = heads.init_classifier_head(rng, feat, cfg.hidden, cfg.num_labels,
-                                               dropout=cfg.dropout)
+            encoders = [("premise.", self.stack), ("hypothesis.", self.hypothesis_encoder)]
+        return encoders + [("head", self.head)]
 
-    def params(self) -> dict:
-        out = {"embedding.weight": self.embeddings.weights}
-        if self.fusion_mode:
-            out.update(self.premise_encoder.named("encoder."))
-            out.update(self.decoder.named("decoder."))
-        elif self.cfg.tie_encoders:
-            out.update(self.premise_encoder.named("encoder."))
-        else:
-            out.update(self.premise_encoder.named("premise."))
-            out.update(self.hypothesis_encoder.named("hypothesis."))
-        out.update(self.head.named())
-        return out
-
-    def l2_params(self) -> list:
-        return [t for n, t in self.params().items() if n != "embedding.weight"]
-
-    def _features(self, batch: Batch):
-        cap = _capacity(self.cfg)
-        prem_xs = _embed_steps(self.embeddings, batch.tokens)
-        if self.fusion_mode:
-            src, _ = fusion.encode(prem_xs, self.premise_encoder, cap, mask=batch.mask)
-            hyp_xs = _embed_steps(self.embeddings, batch.tokens2)
-            run = fusion.run_decoder(hyp_xs, src, self.decoder, self.fusion_mode, cap)
+    def _features(self, batch: Batch) -> ad.Tensor:
+        if self.mode:
+            run, _ = self._decode(batch.tokens, batch.tokens2, batch.mask)
             return heads.mean_pool(ad.stack_slots(run.outputs), batch.mask2)
-        hyp_xs = _embed_steps(self.embeddings, batch.tokens2)
-        src_p, _ = fusion.encode(prem_xs, self.premise_encoder, cap)
-        src_h, _ = fusion.encode(hyp_xs, self.hypothesis_encoder, cap)
-        return ad.concat([heads.mean_pool(src_p.y, batch.mask),
-                          heads.mean_pool(src_h.y, batch.mask2)], axis=1)
-
-    def _logits(self, batch: Batch, training: bool, rng):
-        return heads.head_logits(self._features(batch), self.head, training, rng)
-
-    def loss(self, batch: Batch, training: bool = False, rng=None):
-        logits = self._logits(batch, training, rng)
-        nll = ad.masked_nll(logits, batch.labels)
-        correct = int((logits.data.argmax(axis=1) == batch.labels).sum())
-        return ad.mul(nll, 1.0 / batch.size), \
-            {"examples": batch.size, "correct": correct, "nll": nll.item()}
-
-    def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
-        total_nll, examples, correct = 0.0, 0, 0
-        for batch in batches:
-            logits = self._logits(batch, training=False, rng=None)
-            total_nll += ad.masked_nll(logits, batch.labels).item()
-            examples += batch.size
-            correct += int((logits.data.argmax(axis=1) == batch.labels).sum())
-        return EvalMetrics(nll=total_nll, tokens=examples,
-                           accuracy=correct / examples if examples else None,
-                           dataset=dataset, split=split)
+        prem_xs, hyp_xs = self._embed(batch.tokens), self._embed(batch.tokens2)
+        return ad.concat([self._pool(prem_xs, self.stack, batch.mask),
+                          self._pool(hyp_xs, self.hypothesis_encoder, batch.mask2)], axis=1)
 
     def attention_traces(self, premise_ids: np.ndarray, hypothesis_ids: np.ndarray):
-        cap = _capacity(self.cfg)
-        prem_xs = _embed_steps(self.embeddings, premise_ids[None, :])
-        hyp_xs = _embed_steps(self.embeddings, hypothesis_ids[None, :])
-        if self.fusion_mode:
-            src, enc_traces = fusion.encode(prem_xs, self.premise_encoder, cap)
-            run = fusion.run_decoder(hyp_xs, src, self.decoder, self.fusion_mode, cap)
-            return {"encoder-intra": enc_traces, "intra": run.intra, "inter": run.inter}
-        _, p_traces = fusion.encode(prem_xs, self.premise_encoder, cap)
-        _, h_traces = fusion.encode(hyp_xs, self.hypothesis_encoder, cap)
-        return {"premise-intra": p_traces, "hypothesis-intra": h_traces}
+        if self.mode:
+            return super().attention_traces(premise_ids, hypothesis_ids)
+        prem_xs = self._embed(premise_ids[None, :])
+        hyp_xs = self._embed(hypothesis_ids[None, :])
+        return {"premise-intra": self._run(prem_xs, self.stack)[1],
+                "hypothesis-intra": self._run(hyp_xs, self.hypothesis_encoder)[1]}
 
 
 def build_model(cfg: RunConfig, vocab: Vocabulary, rng,
                 embeddings: EmbeddingTable | None = None):
+    """The task's model; ``config.finalize`` has already rejected task and
+    model pairs that do not fit."""
     if cfg.task == "lm":
-        if cfg.model in ("seq2seq-shallow", "seq2seq-deep"):
-            return Seq2SeqModel(cfg, vocab, rng, embeddings)
-        return LanguageModel(cfg, vocab, rng, embeddings)
-    if cfg.task == "sentiment":
-        if cfg.model in ("seq2seq-shallow", "seq2seq-deep"):
-            raise ConfigError("task sentiment has no source sequence for seq2seq models")
-        return SentenceClassifier(cfg, vocab, rng, embeddings)
-    return PairClassifier(cfg, vocab, rng, embeddings)
+        cls = Seq2SeqModel if cfg.model in SEQ2SEQ_MODELS else LanguageModel
+    else:
+        cls = SentenceClassifier if cfg.task == "sentiment" else PairClassifier
+    return cls(cfg, vocab, rng, embeddings)

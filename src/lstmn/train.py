@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint, data, models, optim, synthetic
-from .config import ConfigError, RunConfig, data_kind, format_config
+from .config import SEQ2SEQ_MODELS, ConfigError, RunConfig, data_kind, format_config
 from .data import Vocabulary
 from .heads import EvalMetrics
 from .models import NLI_LABELS
@@ -266,7 +266,7 @@ def run_dump_attention(cfg: RunConfig, checkpoint_path: str, input_path: str,
     if line is None:
         raise ConfigError(f"{input_path}: no input text")
 
-    pair_model = cfg.model in ("seq2seq-shallow", "seq2seq-deep") or cfg.task == "nli"
+    pair_model = cfg.model in SEQ2SEQ_MODELS or cfg.task == "nli"
     lines = []
     if pair_model:
         parts = line.split("\t")

@@ -24,10 +24,6 @@ def softmax_oracle(z):
 
 
 class TestForwardKernels:
-    def test_matmul_identity(self):
-        out = ad.matmul(Tensor(np.eye(2)), Tensor([3.0, 4.0]))
-        np.testing.assert_array_equal(out.data, [3.0, 4.0])
-
     def test_masked_softmax_equal_logits(self):
         out = ad.softmax(np.array([0.0, 0.0]), mask=[1.0, 1.0])
         np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
@@ -49,7 +45,7 @@ class TestForwardKernels:
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
 
     def test_nonfinite_output_raises(self):
         big = Tensor(np.array([[1e308]]))
@@ -61,10 +57,6 @@ class TestForwardKernels:
         cat = ad.concat([a, b], axis=1)
         assert cat.data.shape == (2, 5)
         np.testing.assert_array_equal(ad.slice_cols(cat, 3, 5).data, b.data)
-
-    def test_mean_axis(self):
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_allclose(ad.mean(x, axis=0).data, [2.0, 3.0])
 
     def test_lookup_gathers_rows(self):
         table = Tensor(np.arange(6.0).reshape(3, 2))
@@ -235,7 +227,6 @@ def _kernel_cases():
     x23, y23 = t(2, 3), t(2, 3)
     bias = t(3)
     w43 = t(4, 3)
-    m22, v2 = t(2, 2), t(2)
     x3d = t(2, 4, 3)
     wts = Tensor(np.abs(rng.normal(size=(2, 4))), requires_grad=True)
     slots = [t(2, 3) for _ in range(3)]
@@ -268,7 +259,6 @@ def _kernel_cases():
         "neg": ({"a": x23}, lambda: ad.sum_all(ad.tanh(ad.neg(x23)))),
         "mul": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.mul(x23, y23))),
         "mul_scalar": ({"a": x23}, lambda: ad.sum_all(ad.mul(x23, 1.7))),
-        "matmul_2d": ({"a": m22, "b": v2}, lambda: ad.sum_all(ad.tanh(ad.matmul(m22, v2)))),
         "linear": ({"x": x23, "w": w43}, lambda: ad.sum_all(ad.tanh(ad.linear(x23, w43)))),
         "concat": ({"a": x23, "b": y23},
                    lambda: ad.sum_all(ad.tanh(ad.concat([x23, y23], axis=1)))),
@@ -305,7 +295,6 @@ def _kernel_cases():
             Tensor(w_qp.data), v_att)[0], y_att))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
-        "mean": ({"a": x23}, lambda: ad.sum_all(ad.mean(x23, axis=0))),
         "lookup": ({"table": table},
                    lambda: ad.sum_all(ad.tanh(ad.lookup(table, np.array([0, 2, 2]))))),
         # Row gradients added before and after dense ones into one buffer.

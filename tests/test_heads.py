@@ -1,23 +1,13 @@
-"""Head tests: perplexity identities, pooling, pair inference."""
+"""Head tests: perplexity identities and pooling.  The classifier head is
+tested through the models (``test_models.TestClassifierModels``)."""
 
 import numpy as np
 import pytest
 
 import oracles
 from lstmn import autodiff as ad
-from lstmn import cells, fusion, heads
-from lstmn.autodiff import Tensor, grad_check
-from lstmn.cells import TapeError
-from lstmn.heads import (
-    ClassifierHead,
-    EvalMetrics,
-    OutputProjection,
-    classify_sentence,
-    infer_pair,
-    init_classifier_head,
-    lm_loss,
-    mean_pool,
-)
+from lstmn.autodiff import Tensor
+from lstmn.heads import EvalMetrics, OutputProjection, lm_loss, mean_pool
 
 
 def identity_projection(vocab):
@@ -131,81 +121,6 @@ class TestPoolingAndClassify:
         mask = np.array([[1.0, 1.0, 0.0]])
         pooled = mean_pool(ad.stack_slots([Tensor(h) for h in real + [pad]]), mask)
         np.testing.assert_allclose(pooled.data, np.mean(real, axis=0), atol=1e-12)
-
-    def test_empty_tape_rejected(self):
-        head = init_classifier_head(np.random.default_rng(0), 3, 3, 2)
-        with pytest.raises(TapeError, match="empty"):
-            classify_sentence([], None, head)
-
-    def test_classifier_eval_deterministic_despite_dropout_rate(self):
-        rng = np.random.default_rng(58)
-        head = init_classifier_head(rng, 3, 4, 5, dropout=0.5)
-        hs = [Tensor(rng.normal(size=(1, 3))) for _ in range(3)]
-        a = classify_sentence(hs, None, head, training=False)
-        b = classify_sentence(hs, None, head, training=False)
-        np.testing.assert_array_equal(a.data, b.data)
-
-
-class TestInferPair:
-    @staticmethod
-    def _random_encoder(rng, hidden, embed):
-        enc = cells.init_stack(rng, 1, hidden, embed, hidden)
-        layer = enc.layers[0]
-        for t in (layer.gates.w, layer.gates.bias, layer.attn.v, layer.attn.w_h,
-                  layer.attn.w_x, layer.attn.w_htilde, layer.attn.bias):
-            t.data[...] = rng.normal(scale=0.7, size=t.data.shape)
-        return enc
-
-    def test_identical_encoders_and_sentences_give_equal_halves(self):
-        rng = np.random.default_rng(59)
-        enc = self._random_encoder(rng, 3, 2)
-        head = init_classifier_head(rng, 6, 3, 3)
-        xs = [Tensor(rng.normal(size=(1, 2))) for _ in range(3)]
-        src, _ = fusion.encode(xs, enc)
-        pooled = mean_pool(src.y, None)
-        both = ad.concat([pooled, pooled], axis=1)
-        logits = infer_pair(xs, xs, enc, enc, head)
-        ref = heads.head_logits(both, head)
-        np.testing.assert_allclose(logits.data, ref.data, atol=1e-12)
-
-    def test_zero_encoders_logits_equal_head_bias_path(self):
-        rng = np.random.default_rng(60)
-        enc = cells.init_stack(rng, 1, 2, 2, 2)
-        for t in (enc.layers[0].gates.w, enc.layers[0].gates.bias):
-            t.data[...] = 0.0
-        head = init_classifier_head(rng, 4, 3, 3)
-        head.b1.data[...] = rng.normal(size=3)
-        head.b2.data[...] = rng.normal(size=3)
-        xs = [Tensor(rng.normal(size=(1, 2))) for _ in range(2)]
-        logits = infer_pair(xs, xs, enc, enc, head)
-        expected = head.w2.data @ np.maximum(head.b1.data, 0.0) + head.b2.data
-        np.testing.assert_allclose(logits.data[0], expected, atol=1e-12)
-
-    def test_gradients_flow_through_both_encoders(self):
-        rng = np.random.default_rng(61)
-        enc_p = self._random_encoder(rng, 3, 3)
-        enc_h = self._random_encoder(rng, 3, 3)
-        head = init_classifier_head(rng, 6, 3, 3)
-        prem = [rng.normal(size=(1, 3)) for _ in range(3)]
-        hyp = [rng.normal(size=(1, 3)) for _ in range(2)]
-        params = dict(enc_p.named("premise."))
-        params.update(enc_h.named("hypothesis."))
-        params.update(head.named())
-
-        def loss():
-            logits = infer_pair([Tensor(x) for x in prem], [Tensor(x) for x in hyp],
-                                enc_p, enc_h, head)
-            return ad.masked_nll(logits, np.array([1]))
-
-        report = grad_check(loss, params, tolerance=1e-4)
-        assert report.passed, str(report)
-
-    def test_empty_sentence_rejected(self):
-        rng = np.random.default_rng(62)
-        enc = self._random_encoder(rng, 2, 2)
-        head = init_classifier_head(rng, 4, 2, 3)
-        with pytest.raises(TapeError):
-            infer_pair([], [Tensor(np.zeros((1, 2)))], enc, enc, head)
 
 
 def test_metrics_record_format():

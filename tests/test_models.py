@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lstmn import autodiff as ad
-from lstmn import models, optim
+from lstmn import heads, models, optim
+from lstmn.cells import TapeError
 from lstmn.config import ConfigError, build_config
 from lstmn.data import Batch, Vocabulary
 
@@ -70,8 +71,8 @@ class TestLanguageModel:
         model = models.LanguageModel(cfg_for(), vocab, np.random.default_rng(13))
         # "w5" after "w1" is this model's greedy guess: at least one hit.
         batch = lm_batch(vocab, [["w0", "w1", "w0", "w1", "w0"], ["w2"], ["w1", "w5"]])
-        inputs, targets, mask = model._split(batch)
-        hits = per_step_hits(model.proj, model._states(inputs), targets, mask)
+        states, targets, mask = model._predict(batch)
+        hits = per_step_hits(model.proj, states, targets, mask)
         metrics = model.evaluate([batch])
         assert metrics.tokens == int(mask.sum()) and 0 < hits < metrics.tokens
         assert round(metrics.accuracy * metrics.tokens) == hits
@@ -176,8 +177,8 @@ class TestSeq2Seq:
         # "w0" and "w4" are this model's first greedy outputs: some hits.
         batch = self.pair_batch(vocab, [["w0", "w1", "w2"], ["w3"], ["w4", "w5"]],
                                 [["w0", "w1", "w1", "w2"], ["w4"], ["w3", "w1"]])
-        run, _, targets, mask = model._decode(batch)
-        hits = per_step_hits(model.proj, run.outputs, targets, mask)
+        states, targets, mask = model._predict(batch)
+        hits = per_step_hits(model.proj, states, targets, mask)
         metrics = model.evaluate([batch])
         assert metrics.tokens == int(mask.sum()) and 0 < hits < metrics.tokens
         assert round(metrics.accuracy * metrics.tokens) == hits
@@ -221,7 +222,8 @@ class TestClassifierModels:
     @pytest.mark.parametrize("model_name,extra", [
         ("lstmn", {}), ("lstmn", {"tie_encoders": "true"}),
         ("lstmn-stack", {"layers": "2", "capacity": "2"}),
-        ("seq2seq-shallow", {}), ("seq2seq-deep", {})])
+        ("seq2seq-shallow", {}), ("seq2seq-deep", {})],
+        ids=["lstmn", "lstmn-tied", "lstmn-stack", "seq2seq-shallow", "seq2seq-deep"])
     def test_pair_classifier_padding_invariance(self, model_name, extra):
         vocab = make_vocab()
         cfg = build_config(overrides=dict(task="nli", model=model_name, hidden="6",
@@ -238,11 +240,9 @@ class TestClassifierModels:
         assert base.item() == after.item()
 
     def test_nli_rejects_plain_lstm(self):
-        vocab = make_vocab()
-        cfg = build_config(overrides=dict(task="nli", model="lstm",
-                                          hidden="6", embedding="4"))
-        with pytest.raises(ConfigError):
-            models.PairClassifier(cfg, vocab, np.random.default_rng(10))
+        with pytest.raises(ConfigError, match="task nli"):
+            build_config(overrides=dict(task="nli", model="lstm",
+                                        hidden="6", embedding="4"))
 
     def test_pair_prefixes_tied_vs_untied(self):
         vocab = make_vocab()
@@ -258,6 +258,78 @@ class TestClassifierModels:
         assert any(n.startswith("encoder.") for n in m2.params())
         assert not any(n.startswith("premise.") for n in m2.params())
         assert len(m2.params()) < len(m1.params())
+
+    @staticmethod
+    def _pair_model(seed, **extra):
+        """A 1-layer lstmn pair classifier (H=3, E=2) with every weight
+        drawn at scale 0.7: init zeroes v, which flattens the attention."""
+        vocab = make_vocab()
+        cfg = build_config(overrides=dict(task="nli", model="lstmn", hidden="3",
+                                          embedding="2", **extra))
+        model = models.PairClassifier(cfg, vocab, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for t in model.params().values():
+            t.data[...] = rng.normal(scale=0.7, size=t.data.shape)
+        return model, vocab
+
+    def test_tied_encoders_give_equal_halves(self):
+        model, vocab = self._pair_model(59, tie_encoders="true")
+        batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w3", "w1"]], [["w0", "w3", "w1"]])
+        feats = model._features(batch).data
+        np.testing.assert_array_equal(feats[:, :3], feats[:, 3:])
+        states, _ = model._run(model._embed(batch.tokens), model.stack)
+        np.testing.assert_allclose(feats[:, :3], np.mean([h.data for h in states], axis=0),
+                                   atol=1e-12)
+
+    def test_zero_encoders_logits_equal_head_bias_path(self):
+        # Zero gate weights give c = i * tanh(0) = 0, so h = 0 at every step.
+        model, vocab = self._pair_model(60)
+        for name, t in model.params().items():
+            if name.endswith((".W", ".bias")) and not name.startswith("head"):
+                t.data[...] = 0.0
+        batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w1"]], [["w2"]])
+        logits = heads.head_logits(model._features(batch), model.head)
+        head = model.head
+        expected = head.w2.data @ np.maximum(head.b1.data, 0.0) + head.b2.data
+        np.testing.assert_allclose(logits.data[0], expected, atol=1e-12)
+
+    def test_gradients_flow_through_both_encoders(self):
+        model, vocab = self._pair_model(61)
+        batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w1", "w2"]], [["w3", "w4"]])
+        batch.labels = np.array([1])
+        params = model.params()
+        assert any(n.startswith("premise.") for n in params)
+        assert any(n.startswith("hypothesis.") for n in params)
+        report = ad.grad_check(lambda: model.loss(batch)[0], params, tolerance=1e-4)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("task,model_name", [
+        ("nli", "lstmn"), ("nli", "seq2seq-deep"), ("sentiment", "lstmn"),
+        ("sentiment", "lstm")])
+    def test_empty_sentence_rejected(self, task, model_name):
+        vocab = make_vocab()
+        cfg = build_config(overrides=dict(task=task, model=model_name, hidden="3",
+                                          embedding="2"))
+        model = models.build_model(cfg, vocab, np.random.default_rng(62))
+        empty = np.zeros((1, 0), dtype=np.int64)
+        batch = Batch(tokens=empty, mask=np.zeros((1, 0)), labels=np.array([1]),
+                      tokens2=np.array([[3]]), mask2=np.ones((1, 1)))
+        with pytest.raises(TapeError, match="empty"):
+            model.loss(batch)
+
+    def test_eval_deterministic_despite_dropout_rate(self):
+        vocab = make_vocab()
+        cfg = build_config(overrides=dict(task="sentiment", model="lstmn", hidden="4",
+                                          embedding="3", dropout="0.5"))
+        model = models.SentenceClassifier(cfg, vocab, np.random.default_rng(58))
+        batch = Batch(tokens=np.array([[3, 4, 5], [6, 7, 3]]), mask=np.ones((2, 3)),
+                      labels=np.array([0, 4]))
+        first, second = model.evaluate([batch]), model.evaluate([batch])
+        assert first.nll == second.nll and first.accuracy == second.accuracy
+        assert model.loss(batch)[0].item() == model.loss(batch)[0].item()
+        # Dropout is live in training mode, so the equalities above are not vacuous.
+        dropped = model.loss(batch, training=True, rng=np.random.default_rng(0))[0]
+        assert dropped.item() != model.loss(batch)[0].item()
 
 
 # Fixed before the first float32 run: float32 keeps about 7 significant
