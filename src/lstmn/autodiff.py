@@ -34,10 +34,6 @@ _node_ids = itertools.count()
 
 _default_dtype = np.float64
 
-# Forward kernels raise NonFiniteError when an output contains NaN/Inf.
-# Left on by default; training loops may disable it for speed.
-check_finite = True
-
 
 def set_default_dtype(dtype) -> None:
     """Set the dtype new tensors are created with (float64 or float32)."""
@@ -65,9 +61,10 @@ class GraphStateError(RuntimeError):
 
 
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
-    # Single-pass screen: any NaN/Inf makes the sum non-finite.  (A sum
+    # Every new tensor and kernel output passes this screen.  Single
+    # pass: any NaN/Inf makes the sum non-finite.  (A sum
     # overflowing on finite inputs would need ~1e308 values.)
-    if check_finite and not np.isfinite(arr.sum()):
+    if not np.isfinite(arr.sum()):
         if np.all(np.isfinite(arr)):
             return arr
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -109,24 +106,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other if isinstance(other, Tensor) else Tensor(other)))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
 
 def _make(data: np.ndarray, parents, backward_fn, op: str, screen: bool = True) -> Tensor:
@@ -230,22 +209,15 @@ def backward(loss: Tensor, params=()) -> None:
 # kernels
 
 
-def add(a: Tensor, b) -> Tensor:
-    """Elementwise sum; also accepts a python scalar or a bias vector
-    broadcast over the leading batch axis."""
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return _make(a.data + c, (a,), lambda g: (g,), "add")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum, or a bias vector broadcast over the leading batch
+    axis."""
     if a.data.shape == b.data.shape:
         return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
     if a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
         return _make(a.data + b.data, (a, b),
                      lambda g: (g, g.sum(axis=0)), "add")
     raise ShapeMismatchError(f"add: shapes {a.data.shape} and {b.data.shape} do not conform")
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def mul(a: Tensor, b) -> Tensor:

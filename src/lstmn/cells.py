@@ -6,6 +6,11 @@ adaptive summaries (h~, c~) that replace the single recurrent state.
 Stacked variants feed the lower layer's output upward, optionally with a
 skip connection from the token embedding.
 
+Both steps share one gate-and-memory update (``_gated_update``).
+``lstmn_step`` is the one tape-cell step: every encoder layer and both
+fusion decoders (``fusion.DecoderState``) run it, deep fusion passing
+its gated source memory as the extra ``transfer`` term.
+
 A tape is one preallocated buffer that each step writes in place
 (``Tapes``); the attention read and both summaries are a single fused
 node (``autodiff.tape_attend``), and the backward hands one gradient
@@ -208,7 +213,10 @@ def zero_state(batch: int, hidden: int) -> CellState:
     return CellState(Tensor(np.zeros((batch, hidden))), Tensor(np.zeros((batch, hidden))))
 
 
-def _gates(rec: Tensor, x: Tensor, w: GateWeights):
+def _gated_update(rec: Tensor, x: Tensor, carried: Tensor, w: GateWeights,
+                  transfer: Optional[Tensor] = None) -> CellState:
+    """The gate block over [rec, x] and the memory update
+    c = [transfer +] f * carried + i * c-hat, h = o * tanh(c)."""
     z = ad.linear(ad.concat([rec, x], axis=1), w.w)
     if w.bias is not None:
         z = ad.add(z, w.bias)
@@ -217,15 +225,14 @@ def _gates(rec: Tensor, x: Tensor, w: GateWeights):
     f = ad.sigmoid(ad.slice_cols(z, h, 2 * h))
     o = ad.sigmoid(ad.slice_cols(z, 2 * h, 3 * h))
     chat = ad.tanh(ad.slice_cols(z, 3 * h, 4 * h))
-    return i, f, o, chat
+    kept = ad.mul(f, carried)
+    c = ad.add(kept if transfer is None else ad.add(transfer, kept), ad.mul(i, chat))
+    return CellState(ad.mul(o, ad.tanh(c)), c)
 
 
 def lstm_step(x: Tensor, prev: CellState, w: GateWeights) -> CellState:
     """One standard LSTM update from (h_{t-1}, c_{t-1})."""
-    i, f, o, chat = _gates(prev.h, x, w)
-    c = ad.add(ad.mul(f, prev.c), ad.mul(i, chat))
-    h = ad.mul(o, ad.tanh(c))
-    return CellState(h, c)
+    return _gated_update(prev.h, x, prev.c, w)
 
 
 def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
@@ -233,8 +240,8 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     """Attention over the tape's read window and the summaries (h~, c~)
     it gives, from one fused ``autodiff.tape_attend`` node.
 
-    The tape must be non-empty; the first-step convention is the
-    caller's concern (see ``tape_summaries``).
+    The tape must be non-empty; the first-step convention is
+    ``lstmn_step``'s concern.
     """
     if len(tapes) == 0:
         raise TapeError("attention over an empty tape")
@@ -246,75 +253,59 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
                           ad.slice_cols(summary, hidden, 2 * hidden))
 
 
-def tape_summaries(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
-                   w: IntraAttentionWeights) -> IntraAttention:
-    """``intra_attend``, or zero summaries and no distribution while the
-    tape is empty (the first step)."""
-    if len(tapes) == 0:
-        zero = Tensor(np.zeros((x.data.shape[0], w.w_htilde.data.shape[1])))
-        return IntraAttention(None, None, zero, zero)
-    return intra_attend(x, tapes, htilde_prev, w)
-
-
-def lstmn_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor, w: LstmnLayerWeights):
+def lstmn_step(x: Tensor, tapes: Tapes, htilde_prev: Optional[Tensor],
+               w: LstmnLayerWeights, transfer: Optional[Tensor] = None):
     """One memory-tape update; appends the new state to ``tapes``.
 
-    Empty-tape convention: at the first step the summaries are zero, so
-    the gate block sees [0, x_t] and c_t reduces to i * c-hat.
+    The one tape-cell step of the encoder layers and of both fusion
+    decoders.  ``transfer`` is an extra memory term, deep fusion's
+    r * a~: c_t = (transfer + f * c~) + i * c-hat.
+
+    Empty-tape convention: at the first step the summaries are zero (and
+    ``htilde_prev`` is unused), so the gate block sees [0, x_t] and c_t
+    reduces to [transfer +] i * c-hat.
     """
-    attn = tape_summaries(x, tapes, htilde_prev, w.attn)
-    i, f, o, chat = _gates(attn.htilde, x, w.gates)
-    c = ad.add(ad.mul(f, attn.ctilde), ad.mul(i, chat))
-    h = ad.mul(o, ad.tanh(c))
-    tapes.append(h, c, ad.linear(h, w.attn.w_h))
-    return CellState(h, c), attn
-
-
-def stack_step(x: Tensor, tapes: list, summaries_prev: list, w: StackWeights):
-    """One step through all layers; layer k+1 consumes layer k's output
-    (concatenated with x when skip connections are on)."""
-    if len(tapes) != len(w.layers) or len(summaries_prev) != len(w.layers):
-        raise TapeError(
-            f"expected {len(w.layers)} tape/summary entries, "
-            f"got {len(tapes)}/{len(summaries_prev)}")
-    states, traces = [], []
-    inp = x
-    for k, layer in enumerate(w.layers):
-        if k > 0:
-            inp = ad.concat([states[-1].h, x], axis=1) if w.skip else states[-1].h
-        state, attn = lstmn_step(inp, tapes[k], summaries_prev[k], layer)
-        states.append(state)
-        traces.append(attn)
-    return states, traces
+    if len(tapes) == 0:
+        zero = Tensor(np.zeros((x.data.shape[0], w.gates.hidden_size)))
+        attn = IntraAttention(None, None, zero, zero)
+    else:
+        attn = intra_attend(x, tapes, htilde_prev, w.attn)
+    state = _gated_update(attn.htilde, x, attn.ctilde, w.gates, transfer)
+    tapes.append(state.h, state.c, ad.linear(state.h, w.attn.w_h))
+    return state, attn
 
 
 @dataclass
 class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
     step even when a capacity bound keeps attention from reading them) and
-    per-step/per-layer attention traces."""
+    per-step top-layer attention traces."""
     top_h: list           # [T] of (B, h)
     top_c: list           # [T] of (B, h)
-    traces: list          # [T][layers] of IntraAttention
+    traces: list          # [T] of IntraAttention
 
 
 def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
-    """Process a token-embedding sequence left to right.  ``capacity``
-    bounds only how far back the attention may look."""
+    """Process a token-embedding sequence left to right; layer k+1
+    consumes layer k's output (concatenated with x when skip connections
+    are on).  ``capacity`` bounds only how far back the attention may
+    look."""
     if not xs:
         raise TapeError("cannot run over an empty sequence")
-    batch = xs[0].data.shape[0]
-    hidden = w.layers[0].gates.hidden_size
     tapes = [Tapes(capacity, length=len(xs)) for _ in w.layers]
-    summaries = [Tensor(np.zeros((batch, hidden))) for _ in w.layers]
-    top_h, top_c, traces = [], [], []
+    summaries = [None] * len(w.layers)
+    run = StackRun(top_h=[], top_c=[], traces=[])
     for x in xs:
-        states, step_traces = stack_step(x, tapes, summaries, w)
-        summaries = [t.htilde for t in step_traces]
-        top_h.append(states[-1].h)
-        top_c.append(states[-1].c)
-        traces.append(step_traces)
-    return StackRun(top_h=top_h, top_c=top_c, traces=traces)
+        inp = x
+        for k, layer in enumerate(w.layers):
+            if k > 0:
+                inp = ad.concat([state.h, x], axis=1) if w.skip else state.h
+            state, attn = lstmn_step(inp, tapes[k], summaries[k], layer)
+            summaries[k] = attn.htilde
+        run.top_h.append(state.h)
+        run.top_c.append(state.c)
+        run.traces.append(attn)
+    return run
 
 
 def init_lstm_stack(rng, num_layers: int, hidden: int, embed: int) -> list:

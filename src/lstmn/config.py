@@ -54,7 +54,7 @@ class RunConfig:
     adam_eps: float = 1e-8
     dropout: float = _UNSET_FLOAT
     l2: float = _UNSET_FLOAT
-    embedding_grad_policy: str = "auto"
+    embedding_grad_policy: str = "auto"   # auto -> from task and embeddings_path
     embedding_grad_scale: float = 0.35
 
     # data
@@ -84,6 +84,10 @@ _TASK_DEFAULTS = {
     "sentiment": ("adam", 2e-3, 5, 0.5, 1e-4, 0.0, 5),
     "nli": ("adam", 1e-3, 16, 0.2, 0.0, 0.0, 3),
 }
+
+# embedding_grad_policy "auto" with pretrained vectors ("none" without).
+_AUTO_EMBEDDING_POLICY = {"sentiment": "scale-first-epoch",
+                          "nli": "freeze-pretrained-first-epoch"}
 
 
 def _parse_value(name: str, raw: str):
@@ -155,6 +159,9 @@ def finalize(cfg: RunConfig) -> RunConfig:
     )
     if cfg.grad_clip == _UNSET_FLOAT:
         cfg = dataclasses.replace(cfg, grad_clip=clip if cfg.optimizer == "sgd" else 0.0)
+    if cfg.embedding_grad_policy == "auto":
+        policy = _AUTO_EMBEDDING_POLICY.get(cfg.task, "none") if cfg.embeddings_path else "none"
+        cfg = dataclasses.replace(cfg, embedding_grad_policy=policy)
 
     def require(cond, msg):
         if not cond:

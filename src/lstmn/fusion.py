@@ -3,13 +3,14 @@
 The encoder is a (possibly stacked) tape cell; its final top-layer tapes
 become the source hidden tape Y and memory tape A.  The decoder is a
 single tape cell that additionally attends over the source at every
-step.  Two couplings are provided:
+step.  Both couplings run the same tape-cell step, ``cells.lstmn_step``:
 
 * shallow fusion: the decoder update is the plain tape-cell step; the
   source context vector only joins the prediction input, concatenated
   with h_t.
-* deep fusion: a transfer gate writes the aligned source memory directly
-  into the target memory update, c_t = r * a~ + f * c~ + i * c-hat.
+* deep fusion: a transfer gate r over [gamma~, x] writes the aligned
+  source memory into the target memory update, passed to the step as
+  its ``transfer`` term r * a~: c_t = r * a~ + f * c~ + i * c-hat.
 
 Inter-attention uses the same fused kernel as the tape cell
 (``autodiff.tape_attend``): the source is packed once per decoded
@@ -17,7 +18,8 @@ sequence into a (B, m, 2h + a) slot memory [y_j | a_j | W_gamma y_j]
 (``source_projection``), and each decode step reads all of it in one
 node.
 
-``DecoderState.step`` is the one decode step: teacher-forced training
+``DecoderState.step`` is the one decode step (inter-attention, the
+transfer gate, the tape-cell step): teacher-forced training
 (``run_decoder``) and greedy decoding (``models.Seq2SeqModel.generate``)
 both drive it.
 """
@@ -122,7 +124,7 @@ def encode(xs: list, w: StackWeights, capacity: Optional[int] = None,
     run = cells.run_stack(xs, w, capacity=capacity)
     tapes = SourceTapes(y=ad.stack_slots(run.top_h), a=ad.stack_slots(run.top_c),
                         mask=mask)
-    return tapes, [step[-1] for step in run.traces]
+    return tapes, run.traces
 
 
 def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
@@ -149,72 +151,41 @@ def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
                           ad.slice_cols(summary, hidden, 2 * hidden))
 
 
-def deep_decode_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
-                     gamma_tilde_prev: Tensor, src: SourceTapes,
-                     w: DecoderWeights, src_proj: Optional[Tensor] = None):
-    """One deep-fusion decoder step; appends to the target tapes.
-
-    The transfer gate decides how much aligned source memory enters the
-    new target memory alongside the intra term and the fresh input term.
-    """
-    intra = cells.tape_summaries(x, tapes, htilde_prev, w.cell.attn)
-    inter = inter_attend(x, src, gamma_tilde_prev, w.inter, src_proj)
-    i, f, o, chat = cells._gates(intra.htilde, x, w.cell.gates)
-    pre = ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.inter.w_r)
-    if w.inter.r_bias is not None:
-        pre = ad.add(pre, w.inter.r_bias)
-    r = ad.sigmoid(pre)
-    inter.gate = r
-    c = ad.add(ad.add(ad.mul(r, inter.alpha_tilde), ad.mul(f, intra.ctilde)),
-               ad.mul(i, chat))
-    h = ad.mul(o, ad.tanh(c))
-    tapes.append(h, c, ad.linear(h, w.cell.attn.w_h))
-    return CellState(h, c), intra, inter
-
-
-def shallow_decode_step(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
-                        gamma_tilde_prev: Tensor, src: SourceTapes,
-                        w: DecoderWeights, src_proj: Optional[Tensor] = None):
-    """One shallow-fusion decoder step: the cell update is the plain tape
-    step; the source context only feeds the prediction input.
-
-    Returns (state, intra, inter, context) where context = [h_t, gamma~_t].
-    """
-    state, intra = cells.lstmn_step(x, tapes, htilde_prev, w.cell)
-    inter = inter_attend(x, src, gamma_tilde_prev, w.inter, src_proj)
-    context = ad.concat([state.h, inter.gamma_tilde], axis=1)
-    return state, intra, inter, context
-
-
 class DecoderState:
     """Decoding state for one batch: the target tapes, the carried
-    summaries h~ and gamma~, and the source packed once for
-    inter-attention.  ``length`` preallocates that many tape slots."""
+    summaries h~ and gamma~, the latest cell state, and the source packed
+    once for inter-attention.  ``length`` preallocates that many tape
+    slots."""
 
     def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,
                  capacity: Optional[int] = None, length: Optional[int] = None):
         if mode not in ("deep", "shallow"):
             raise ValueError(f"unknown fusion mode {mode!r}")
         self.src, self.w, self.mode = src, w, mode
-        batch = src.y.data.shape[0]
-        hidden = w.cell.gates.hidden_size
         self.tapes = Tapes(capacity, length=length)
-        self.htilde = Tensor(np.zeros((batch, hidden)))
-        self.gamma_tilde = Tensor(np.zeros((batch, hidden)))
+        self.htilde = None   # unused while the target tape is empty
+        self.gamma_tilde = Tensor(np.zeros((src.y.data.shape[0], w.cell.gates.hidden_size)))
+        self.state: Optional[CellState] = None
         self.src_proj = source_projection(src, w.inter)
 
     def step(self, x: Tensor):
-        """One decoder step; returns (prediction input, intra, inter): the
-        prediction input is h_t for deep fusion, [h_t, gamma~_t] for
-        shallow."""
-        args = (x, self.tapes, self.htilde, self.gamma_tilde, self.src, self.w, self.src_proj)
+        """One decoder step: inter-attention, the transfer gate (deep
+        fusion only), then the tape-cell step.  Returns (prediction input,
+        intra, inter): h_t for deep fusion, [h_t, gamma~_t] for shallow."""
+        w = self.w.inter
+        inter = inter_attend(x, self.src, self.gamma_tilde, w, self.src_proj)
+        transfer = None
         if self.mode == "deep":
-            state, intra, inter = deep_decode_step(*args)
-            out = state.h
-        else:
-            state, intra, inter, out = shallow_decode_step(*args)
+            pre = ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.w_r)
+            if w.r_bias is not None:
+                pre = ad.add(pre, w.r_bias)
+            inter.gate = ad.sigmoid(pre)
+            transfer = ad.mul(inter.gate, inter.alpha_tilde)
+        self.state, intra = cells.lstmn_step(x, self.tapes, self.htilde, self.w.cell, transfer)
         self.htilde, self.gamma_tilde = intra.htilde, inter.gamma_tilde
-        return out, intra, inter
+        if self.mode == "deep":
+            return self.state.h, intra, inter
+        return ad.concat([self.state.h, inter.gamma_tilde], axis=1), intra, inter
 
 
 @dataclass

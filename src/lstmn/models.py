@@ -57,7 +57,7 @@ class Model:
         if isinstance(core, list):
             return cells.run_lstm(xs, core), None
         run = cells.run_stack(xs, core, self.capacity)
-        return run.top_h, [step[-1] for step in run.traces]
+        return run.top_h, run.traces
 
     def _parts(self) -> list:
         """(prefix, weights) after the embedding table, in checkpoint order."""

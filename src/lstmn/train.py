@@ -113,20 +113,12 @@ def _validation_score(cfg: RunConfig, metrics: EvalMetrics) -> float:
 
 def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
     _apply_precision(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))
-
     if not cfg.train_data:
         raise ConfigError("train_data is required for training")
     train_set = data.load_dataset(cfg.train_data, data_kind(cfg))
     vocab = _build_vocab(cfg, train_set)
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
     train_prepared = prepare_examples(cfg, train_set, vocab)
     val_prepared = _load_split(cfg, cfg.val_data, vocab) if cfg.val_data else None
-
-    init_rng = np.random.default_rng([cfg.seed, 0])
-    dropout_rng = np.random.default_rng([cfg.seed, 1])
     embeddings = None
     if cfg.embeddings_path:
         embeddings = data.load_pretrained(cfg.embeddings_path, vocab, seed=cfg.seed)
@@ -134,18 +126,19 @@ def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
             raise ConfigError(
                 f"embeddings_path has dimension {embeddings.dim}, "
                 f"config says embedding = {cfg.embedding}")
+
+    # The first write comes after every check, so a failed run leaves no
+    # config or vocabulary for eval and dump-attention to pick up.
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(format_config(cfg))
+    vocab.save(os.path.join(out_dir, "vocab.txt"))
+
+    init_rng = np.random.default_rng([cfg.seed, 0])
+    dropout_rng = np.random.default_rng([cfg.seed, 1])
     model = models.build_model(cfg, vocab, init_rng, embeddings)
     params = model.params()
     tensors = list(params.values())
-
-    policy = cfg.embedding_grad_policy
-    if policy == "auto":
-        if cfg.embeddings_path and cfg.task == "sentiment":
-            policy = "scale-first-epoch"
-        elif cfg.embeddings_path and cfg.task == "nli":
-            policy = "freeze-pretrained-first-epoch"
-        else:
-            policy = "none"
 
     if cfg.optimizer == "sgd":
         opt = optim.Sgd(tensors, lr=cfg.lr, decay=cfg.lr_decay,
@@ -170,10 +163,10 @@ def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
                     penalty = _sum_squares(model.l2_params())
                     loss = ad.add(loss, ad.mul(penalty, cfg.l2))
                 ad.backward(loss, params=tensors)
-                emb = getattr(model, "embeddings", None)
-                if emb is not None and policy != "none":
-                    optim.scale_embedding_grads(emb.weights.grad, epoch, policy,
-                                                emb.pretrained,
+                if cfg.embedding_grad_policy != "none":
+                    emb = model.embeddings
+                    optim.scale_embedding_grads(emb.weights.grad, epoch,
+                                                cfg.embedding_grad_policy, emb.pretrained,
                                                 scale=cfg.embedding_grad_scale)
                 if cfg.grad_clip > 0:
                     grad_norm = optim.renorm_gradients(tensors, cfg.grad_clip)

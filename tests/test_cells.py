@@ -18,7 +18,6 @@ from lstmn.cells import (
     lstmn_step,
     run_lstm,
     run_stack,
-    stack_step,
     zero_state,
 )
 
@@ -367,16 +366,14 @@ class TestStack:
         rng = np.random.default_rng(18)
         layer = randomize_layer(rng, random_layer(rng, 3, 2, 2))
         stack = cells.StackWeights(layers=[layer], skip=False)
-        t_direct, t_stack = Tapes(), Tapes()
+        xs = [row(rng.normal(size=2)) for _ in range(3)]
+        run = run_stack(xs, stack)
+        t_direct = Tapes()
         ht_d = Tensor(np.zeros((1, 3)))
-        ht_s = [Tensor(np.zeros((1, 3)))]
-        for _ in range(3):
-            x = row(rng.normal(size=2))
+        for x, h in zip(xs, run.top_h):
             s_d, a_d = lstmn_step(x, t_direct, ht_d, layer)
-            states, traces = stack_step(x, [t_stack], ht_s, stack)
             ht_d = a_d.htilde
-            ht_s = [traces[0].htilde]
-            np.testing.assert_array_equal(states[0].h.data, s_d.h.data)
+            np.testing.assert_array_equal(h.data, s_d.h.data)
 
     def test_two_layers_zero_weights_zero_outputs(self):
         layers = []

@@ -72,6 +72,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=fragment):
             build_config(overrides=overrides)
 
+    @pytest.mark.parametrize("overrides, policy", [
+        (dict(task="sentiment", embeddings_path="vectors.txt"), "scale-first-epoch"),
+        (dict(task="nli", embeddings_path="vectors.txt"), "freeze-pretrained-first-epoch"),
+        (dict(task="sentiment"), "none"),
+        (dict(task="nli"), "none"),
+        (dict(task="lm", embeddings_path="vectors.txt"), "none"),
+        (dict(task="nli", embeddings_path="vectors.txt", embedding_grad_policy="none"), "none"),
+    ])
+    def test_auto_embedding_policy_resolved(self, overrides, policy):
+        assert build_config(overrides=overrides).embedding_grad_policy == policy
+
     def test_round_trip_through_format(self):
         cfg = build_config(overrides=dict(task="nli", hidden="100",
                                           bucketing="true", seed="11"))
@@ -133,6 +144,33 @@ class TestRunTrain:
             tmp_path, train_data=str(tmp_path / "missing.txt")))
         with pytest.raises(FileNotFoundError):
             train.run_train(cfg, str(tmp_path / "out"))
+
+
+class TestRunTrainChecks:
+    """A run that fails a check writes nothing into its output directory,
+    so ``eval`` and ``dump-attention`` cannot pick up its config."""
+
+    @pytest.mark.parametrize("failure", ["no-train-data", "missing-val-data",
+                                         "embedding-dimension"])
+    def test_failed_check_leaves_no_files(self, tmp_path, failure):
+        overrides = lm_overrides(tmp_path)
+        if failure == "no-train-data":
+            overrides["train_data"] = ""
+            expected = ConfigError
+        elif failure == "missing-val-data":
+            overrides["val_data"] = str(tmp_path / "missing.txt")
+            expected = FileNotFoundError
+        else:
+            vectors = tmp_path / "vectors.txt"
+            vectors.write_text("( 0.1 0.2\n) 0.3 0.4\n")
+            overrides["embeddings_path"] = str(vectors)
+            expected = ConfigError
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(expected):
+            train.run_train(build_config(overrides=overrides), str(out))
+        assert not (out / "config.cfg").exists()
+        assert not (out / "vocab.txt").exists()
 
 
 class TestCrashSafety:

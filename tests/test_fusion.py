@@ -9,14 +9,13 @@ from lstmn import cells, fusion
 from lstmn.autodiff import Tensor, grad_check
 from lstmn.cells import TapeError, Tapes
 from lstmn.fusion import (
+    DecoderState,
     DecoderWeights,
     InterAttentionWeights,
     SourceTapes,
-    deep_decode_step,
     encode,
     inter_attend,
     run_decoder,
-    shallow_decode_step,
 )
 
 
@@ -185,12 +184,11 @@ class TestDeepDecode:
                   dec.inter.w_gamma, dec.inter.w_x, dec.inter.w_gammatilde):
             t.data[...] = 0.0
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.zeros((1, 2, 2))))
-        state, intra, inter = deep_decode_step(
-            row([0.7, -0.3]), Tapes(), Tensor(np.zeros((1, 2))),
-            Tensor(np.zeros((1, 2))), src, dec)
+        decoder = DecoderState(src, dec, "deep")
+        _, _, inter = decoder.step(row([0.7, -0.3]))
         np.testing.assert_allclose(inter.gate.data, np.full((1, 2), 0.5))
-        np.testing.assert_array_equal(state.c.data, np.zeros((1, 2)))
-        np.testing.assert_array_equal(state.h.data, np.zeros((1, 2)))
+        np.testing.assert_array_equal(decoder.state.c.data, np.zeros((1, 2)))
+        np.testing.assert_array_equal(decoder.state.h.data, np.zeros((1, 2)))
 
     def test_first_step_singleton_source_closed_form(self):
         # Empty target tape kills the intra terms: c = r*alpha_1 + i*c-hat.
@@ -199,10 +197,9 @@ class TestDeepDecode:
         y = rng.normal(size=(1, 1, 3))
         a = rng.normal(size=(1, 1, 3))
         x = rng.normal(size=2)
-        src = SourceTapes(y=Tensor(y), a=Tensor(a))
-        state, intra, inter = deep_decode_step(
-            row(x), Tapes(), Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))),
-            src, dec)
+        decoder = DecoderState(SourceTapes(y=Tensor(y), a=Tensor(a)), dec, "deep")
+        decoder.step(row(x))
+        state = decoder.state
         i, f, o, chat = oracles.gate_blocks(
             np.zeros(3), x, dec.cell.gates.w.data, dec.cell.gates.bias.data)
         r = oracles.sigmoid(dec.inter.w_r.data @ np.concatenate([y[0, 0], x]))
@@ -217,13 +214,12 @@ class TestDeepDecode:
         A = [rng.normal(size=3) for _ in range(3)]
         src = SourceTapes(y=Tensor(np.stack(Y)[None]), a=Tensor(np.stack(A)[None]))
         xs = [rng.normal(size=2) for _ in range(3)]
-        tapes = Tapes()
-        htilde = Tensor(np.zeros((1, 3)))
-        gamma = Tensor(np.zeros((1, 3)))
+        decoder = DecoderState(src, dec, "deep")
         H, C = [], []
         hp, gp = np.zeros(3), np.zeros(3)
         for x in xs:
-            state, intra, inter = deep_decode_step(row(x), tapes, htilde, gamma, src, dec)
+            _, _, inter = decoder.step(row(x))
+            state = decoder.state
             h_ref, c_ref, w_ref, p_ref, r_ref, ht_ref, g_ref, a_ref = \
                 oracles.deep_decode_step_ref(
                     x, H, C, hp, Y, A, gp,
@@ -236,7 +232,6 @@ class TestDeepDecode:
             np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
             np.testing.assert_allclose(inter.weights.data[0], p_ref, atol=1e-12)
             np.testing.assert_allclose(inter.gate.data[0], r_ref, atol=1e-12)
-            htilde, gamma = intra.htilde, inter.gamma_tilde
             H.append(h_ref)
             C.append(c_ref)
             hp, gp = ht_ref, g_ref
@@ -272,9 +267,7 @@ class TestShallowDecode:
                   dec.inter.w_gamma, dec.inter.w_x, dec.inter.w_gammatilde):
             t.data[...] = 0.0
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.zeros((1, 2, 2))))
-        _, _, _, context = shallow_decode_step(
-            row([1.0, 1.0]), Tapes(), Tensor(np.zeros((1, 2))),
-            Tensor(np.zeros((1, 2))), src, dec)
+        context, _, _ = DecoderState(src, dec, "shallow").step(row([1.0, 1.0]))
         np.testing.assert_array_equal(context.data, np.zeros((1, 4)))
 
     def test_singleton_source_context_is_that_slot(self):
@@ -282,9 +275,7 @@ class TestShallowDecode:
         dec = random_decoder(rng, 2, 2, 2)
         y = rng.normal(size=(1, 1, 2))
         src = SourceTapes(y=Tensor(y), a=Tensor(rng.normal(size=(1, 1, 2))))
-        _, _, inter, context = shallow_decode_step(
-            row(rng.normal(size=2)), Tapes(), Tensor(np.zeros((1, 2))),
-            Tensor(np.zeros((1, 2))), src, dec)
+        context, _, _ = DecoderState(src, dec, "shallow").step(row(rng.normal(size=2)))
         np.testing.assert_array_equal(context.data[:, 2:], y[:, 0])
 
     def test_cell_update_is_plain_tape_step(self):
@@ -293,15 +284,15 @@ class TestShallowDecode:
         src = SourceTapes(y=Tensor(rng.normal(size=(1, 2, 3))),
                           a=Tensor(rng.normal(size=(1, 2, 3))))
         xs = [row(rng.normal(size=2)) for _ in range(3)]
-        t_ref, t_dec = Tapes(), Tapes()
-        ht_r = ht_d = Tensor(np.zeros((1, 3)))
-        gamma = Tensor(np.zeros((1, 3)))
+        t_ref = Tapes()
+        ht_r = Tensor(np.zeros((1, 3)))
+        decoder = DecoderState(src, dec, "shallow")
         for x in xs:
             s_ref, a_ref = cells.lstmn_step(x, t_ref, ht_r, dec.cell)
-            s_dec, a_dec, inter, _ = shallow_decode_step(x, t_dec, ht_d, gamma, src, dec)
-            np.testing.assert_array_equal(s_dec.h.data, s_ref.h.data)
-            np.testing.assert_array_equal(s_dec.c.data, s_ref.c.data)
-            ht_r, ht_d, gamma = a_ref.htilde, a_dec.htilde, inter.gamma_tilde
+            decoder.step(x)
+            np.testing.assert_array_equal(decoder.state.h.data, s_ref.h.data)
+            np.testing.assert_array_equal(decoder.state.c.data, s_ref.c.data)
+            ht_r = a_ref.htilde
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(43)
@@ -328,16 +319,9 @@ class TestShallowDecode:
 
 class TestFusionIdentities:
     def _run_deep(self, dec, src, xs):
-        tapes = Tapes()
-        ht = Tensor(np.zeros((1, dec.cell.gates.hidden_size)))
-        g = Tensor(np.zeros((1, dec.cell.gates.hidden_size)))
-        hs, gates = [], []
-        for x in xs:
-            state, intra, inter = deep_decode_step(x, tapes, ht, g, src, dec)
-            ht, g = intra.htilde, inter.gamma_tilde
-            hs.append(state.h.data.copy())
-            gates.append(inter.gate.data.copy())
-        return np.stack(hs), np.stack(gates)
+        run = run_decoder(xs, src, dec, "deep")
+        return (np.stack([h.data for h in run.outputs]),
+                np.stack([inter.gate.data for inter in run.inter]))
 
     def test_gate_forced_to_zero_reproduces_plain_decoder(self):
         # A -inf transfer-gate bias saturates r to exactly 0, collapsing
@@ -357,7 +341,7 @@ class TestFusionIdentities:
             state, attn = cells.lstmn_step(x, tapes, ht, dec.cell)
             ht = attn.htilde
             plain_hs.append(state.h.data.copy())
-        np.testing.assert_allclose(deep_hs, np.stack(plain_hs), atol=1e-10)
+        np.testing.assert_array_equal(deep_hs, np.stack(plain_hs))
 
     def test_deep_equals_shallow_when_gate_dead_and_context_severed(self):
         rng = np.random.default_rng(46)
@@ -370,7 +354,7 @@ class TestFusionIdentities:
         run = run_decoder(xs, src, dec, "shallow")
         # Sever the context path: compare only the h half of each output.
         shallow_hs = np.stack([out.data[:, :3] for out in run.outputs])
-        np.testing.assert_allclose(deep_hs, shallow_hs, atol=1e-10)
+        np.testing.assert_array_equal(deep_hs, shallow_hs)
 
     def test_inter_distribution_over_m_slots_every_step(self):
         rng = np.random.default_rng(45)
