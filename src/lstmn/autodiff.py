@@ -15,7 +15,8 @@ batch-first convention, (B, n) for per-step vectors and (B, T, n) for
 stacked tape slots.  A memory tape is one (B, T, n) buffer written in
 place, one slot per step, by ``tape_write``; ``tape_attend`` reads a
 window of it in a single node, so a recurrent step adds a fixed number
-of nodes however long the tape.
+of nodes however long the tape.  Every loss ends in ``affine_nll``, the
+output affine map and softmax NLL in one node over the rows it is given.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ def set_default_dtype(dtype) -> None:
     if dtype not in (np.float64, np.float32):
         raise ValueError(f"unsupported dtype {dtype}; use float64 or float32")
     _default_dtype = dtype.type
-
-
-def get_default_dtype():
-    return _default_dtype
 
 
 class ShapeMismatchError(ValueError):
@@ -454,43 +451,48 @@ def lookup(table: Tensor, idx) -> Tensor:
     return _make(table.data[idx], (table,), lambda g: (Partial(idx, g),), "lookup")
 
 
-def masked_nll(logits: Tensor, targets, mask=None) -> Tensor:
-    """Summed negative log likelihood of ``targets`` under row softmaxes.
+def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
+    """Summed NLL of ``targets`` under the row softmaxes of the logits
+    h (N, n) @ w (V, n)^T + b (V,), in one node over every row given.
 
-    logits (B, V), targets (B,) integer class ids; rows where ``mask`` is
-    0 contribute nothing.  Fused log-softmax keeps the backward to a
-    single (softmax - onehot) expression.
+    Returns (nll, hits); ``hits`` is a boolean (N,) record outside the
+    graph, true where the target is the row's argmax.  One (N, V) buffer
+    holds the logits, then their exponentials, then the backward's
+    softmax minus one-hot.  A NaN/Inf logit raises ``NonFiniteError``.
     """
-    z = logits.data
-    if z.ndim != 2:
-        raise ShapeMismatchError(f"masked_nll: logits must be 2-D, got {z.shape}")
+    hd, wd = h.data, w.data
+    if hd.ndim != 2 or wd.ndim != 2 or hd.shape[1] != wd.shape[1] or \
+            b.data.shape != (wd.shape[0],):
+        raise ShapeMismatchError(f"affine_nll: h {hd.shape}, W {wd.shape} and b "
+                                 f"{b.data.shape} do not conform")
     targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != (z.shape[0],):
-        raise ShapeMismatchError(f"masked_nll: targets {targets.shape} vs logits {z.shape}")
-    if mask is None:
-        mask = np.ones(z.shape[0], dtype=z.dtype)
-    else:
-        mask = np.asarray(mask, dtype=z.dtype)
-    live = mask != 0
-    if np.any(targets[live] >= z.shape[1]) or np.any(targets[live] < 0):
-        bad = targets[live][(targets[live] >= z.shape[1]) | (targets[live] < 0)][0]
-        raise IndexError(f"masked_nll: target index {bad} out of range for vocab {z.shape[1]}")
+    if targets.shape != (hd.shape[0],):
+        raise ShapeMismatchError(f"affine_nll: targets {targets.shape} vs h {hd.shape}")
+    out_of_range = (targets < 0) | (targets >= wd.shape[0])
+    if np.any(out_of_range):
+        raise IndexError(f"affine_nll: target index {targets[out_of_range][0]} "
+                         f"out of range for vocab {wd.shape[0]}")
 
-    m = z.max(axis=1, keepdims=True)
-    e = z - m
-    np.exp(e, out=e)
-    lse = np.log(e.sum(axis=1)) + m[:, 0]
-    picked = z[np.arange(z.shape[0]), targets]
-    nll = float(((lse - picked) * mask).sum())
+    rows = np.arange(hd.shape[0])
+    z = hd @ wd.T
+    z += b.data
+    _finite(z, "affine_nll")
+    m = z.max(axis=1)
+    picked = z[rows, targets]
+    hits = picked == m   # a full argmax only where the target ties the max
+    hits[hits] = z[hits].argmax(axis=1) == targets[hits]
+    z -= m[:, None]
+    np.exp(z, out=z)
+    total = z.sum(axis=1)
+    nll = float((np.log(total) + m - picked).sum())
 
     def bwd(g):
-        # One (B, V) array: softmax, minus one-hot, scaled in place.
-        p = e / e.sum(axis=1, keepdims=True)
-        p[np.arange(z.shape[0]), targets] -= 1.0
-        p *= (mask * float(g))[:, None]
-        return (p,)
+        np.divide(z, total[:, None], out=z)
+        z[rows, targets] -= 1.0
+        np.multiply(z, float(g), out=z)
+        return z @ wd, z.T @ hd, z.sum(axis=0)
 
-    return _make(np.asarray(nll), (logits,), bwd, "masked_nll")
+    return _make(np.asarray(nll), (h, w, b), bwd, "affine_nll"), hits
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,13 @@ class ClassifierHead:
         return {f"{prefix}.W1": self.w1, f"{prefix}.b1": self.b1,
                 f"{prefix}.W2": self.w2, f"{prefix}.b2": self.b2}
 
+    def loss(self, features: Tensor, labels, training: bool = False, rng=None):
+        """(summed NLL node, hits record) of ``labels``; the last affine
+        map is applied by ``autodiff.affine_nll`` with the loss."""
+        x = optim.dropout(features, self.dropout, training, rng)
+        hidden = ad.relu(ad.add(ad.linear(x, self.w1), self.b1))
+        return ad.affine_nll(hidden, self.w2, self.b2, labels)
+
 
 def init_classifier_head(rng, in_size: int, hidden: int, labels: int,
                          dropout: float = 0.5) -> ClassifierHead:
@@ -82,20 +89,22 @@ def init_classifier_head(rng, in_size: int, hidden: int, labels: int,
         dropout=dropout)
 
 
-def _lm_logits(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
-               proj: OutputProjection):
-    """Logits of all B*T positions from one projection, with targets and
-    mask flattened to match.  Rows run step-major, (t, b), so that each
-    step's (B, h) gradient is a contiguous block of the backward."""
+def _lm_nll(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
+            proj: OutputProjection):
+    """(NLL node, token count, hits record) of the unmasked positions.
+    Their states are gathered from the step-major (t, b) concat of the
+    per-step (B, h) states, so padded states are never projected and get
+    an exact zero gradient."""
     targets = np.asarray(targets)
     steps = len(hidden_states)
     if targets.shape[1] != steps:
         raise ad.ShapeMismatchError(
             f"lm_loss: {steps} hidden states vs targets {targets.shape}")
-    if mask is None:
-        mask = np.ones_like(targets, dtype=np.float64)
-    logits = proj(ad.concat(hidden_states, axis=0))
-    return logits, targets.T.reshape(-1), np.asarray(mask).T.reshape(-1)
+    targets = targets.T.reshape(-1)
+    live = np.arange(targets.size) if mask is None \
+        else np.flatnonzero(np.asarray(mask).T.reshape(-1))
+    h = ad.lookup(ad.concat(hidden_states, axis=0), live)
+    return ad.affine_nll(h, proj.w, proj.b, targets[live]) + (live.size,)
 
 
 def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
@@ -106,27 +115,25 @@ def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray]
     are (B, T).  Masked positions contribute to neither the NLL nor the
     token count.  Returns (nll scalar Tensor, token count).
 
-    The whole batch is projected at once, so the (B*T, V) logits are
-    materialised, along with same-sized softmax and gradient arrays: at
-    the PTB shape (B=20, T up to 41, V=10,004) each is about 66 MB in
-    float64.
+    Only the live positions are projected, all at once by
+    ``autodiff.affine_nll``: one (live, V) buffer serves the logits, the
+    softmax and the gradient.
     """
-    logits, targets, mask = _lm_logits(hidden_states, targets, mask, proj)
-    return ad.masked_nll(logits, targets, mask), int(mask.sum())
+    nll, _, tokens = _lm_nll(hidden_states, targets, mask, proj)
+    return nll, tokens
 
 
-def lm_correct(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> int:
-    """Greedy next-token hits over the unmasked rows of (N, V) logits."""
-    return int(((logits.data.argmax(axis=1) == targets) & (mask != 0)).sum())
+def lm_correct(hits: np.ndarray) -> int:
+    """Greedy next-token hits in ``affine_nll``'s record of live rows."""
+    return int(hits.sum())
 
 
 def lm_eval(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
             proj: OutputProjection) -> tuple:
     """(NLL, token count, greedy next-token hits) over unmasked positions,
-    all from one projection of the batch (evaluation only)."""
-    logits, targets, mask = _lm_logits(hidden_states, targets, mask, proj)
-    nll = ad.masked_nll(logits, targets, mask).item()
-    return nll, int(mask.sum()), lm_correct(logits, targets, mask)
+    all from one projection of the live rows (evaluation only)."""
+    nll, hits, tokens = _lm_nll(hidden_states, targets, mask, proj)
+    return nll.item(), tokens, lm_correct(hits)
 
 
 def mean_pool(stacked: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
@@ -143,11 +150,3 @@ def mean_pool(stacked: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
             raise TapeError("cannot pool a row with no unmasked positions")
         weights = mask / counts
     return ad.attend(Tensor(weights), stacked)
-
-
-def head_logits(features: Tensor, head: ClassifierHead, training: bool = False,
-                rng=None) -> Tensor:
-    x = optim.dropout(features, head.dropout, training, rng)
-    hidden = ad.relu(ad.add(ad.linear(x, head.w1), head.b1))
-    return ad.add(ad.linear(hidden, head.w2), head.b2)
-

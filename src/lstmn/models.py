@@ -122,8 +122,7 @@ class LanguageModel(Model):
         return states, batch.tokens[:, 1:], batch.mask[:, 1:]
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
-        states, targets, mask = self._predict(batch)
-        nll, tokens = heads.lm_loss(states, targets, mask, self.proj)
+        nll, tokens = heads.lm_loss(*self._predict(batch), self.proj)
         return ad.mul(nll, 1.0 / max(tokens, 1)), {"tokens": tokens, "nll": nll.item()}
 
     def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
@@ -201,11 +200,9 @@ class _Classifier(Model):
         return heads.mean_pool(ad.stack_slots(states), mask)
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
-        logits = heads.head_logits(self._features(batch), self.head, training, rng)
-        nll = ad.masked_nll(logits, batch.labels)
-        correct = int((logits.data.argmax(axis=1) == batch.labels).sum())
+        nll, hits = self.head.loss(self._features(batch), batch.labels, training, rng)
         return ad.mul(nll, 1.0 / batch.size), \
-            {"examples": batch.size, "correct": correct, "nll": nll.item()}
+            {"examples": batch.size, "correct": int(hits.sum()), "nll": nll.item()}
 
     def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
         total_nll, examples, correct = 0.0, 0, 0

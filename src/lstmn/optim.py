@@ -11,14 +11,15 @@ from .config import ConfigError
 
 
 def global_grad_norm(params) -> float:
+    """L2 norm over all gradients; raises on NaN/Inf, not on overflow."""
     total = 0.0
     for p in params:
-        g = p.grad
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError("gradient contains non-finite values")
-        total += float((g * g).sum())
+        if p.grad is not None:
+            flat = p.grad.reshape(-1)
+            total += float(flat @ flat)
+    if not np.isfinite(total) and not all(
+            p.grad is None or np.all(np.isfinite(p.grad)) for p in params):
+        raise NonFiniteError("gradient contains non-finite values")
     return float(np.sqrt(total))
 
 

@@ -233,7 +233,7 @@ def _kernel_cases():
     wts = Tensor(np.abs(rng.normal(size=(2, 4))), requires_grad=True)
     slots = [t(2, 3) for _ in range(3)]
     table = t(5, 3)
-    logits = t(3, 4)
+    nll_h = t(4, 3)
     x24 = t(2, 4)
     shift = Tensor(np.full(3, 0.3))
     # Fused attention over a (2, 5, 3 + 2) slot memory: values in the
@@ -243,6 +243,7 @@ def _kernel_cases():
     attend_params = {"memory": mem, "x": q_x, "W_x": w_qx, "prev": q_p, "W_prev": w_qp,
                      "v": v_att}
     slot_h, slot_k = [t(2, 3) for _ in range(3)], [t(2, 2) for _ in range(3)]
+    nll_w, nll_b = t(5, 3), t(5)
 
     def tape_chain():
         # Three writes into a 2-slot buffer that grows to 4 before the
@@ -305,8 +306,9 @@ def _kernel_cases():
             ad.add(ad.sum_all(ad.mul(table, table)),
                    ad.sum_all(ad.tanh(ad.lookup(table, np.array([[3, 1], [1, 1]]))))),
             ad.sum_all(ad.sigmoid(ad.mul(table, 0.5))))),
-        "masked_nll": ({"logits": logits},
-                       lambda: ad.masked_nll(logits, np.array([1, 0, 3]), [1.0, 0.0, 1.0])),
+        # Four rows, one target repeated.
+        "affine_nll": ({"h": nll_h, "W": nll_w, "b": nll_b},
+                       lambda: ad.affine_nll(nll_h, nll_w, nll_b, np.array([1, 4, 1, 0]))[0]),
     }
     return cases
 
@@ -328,7 +330,7 @@ def test_every_kernel_has_a_grad_check_case(monkeypatch):
     kernels = sorted(name for name, fn in vars(ad).items()
                      if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                      and not name.startswith("_") and "_make" in fn.__code__.co_names)
-    assert {"add", "tape_attend", "tape_write", "masked_nll"} <= set(kernels)
+    assert {"add", "tape_attend", "tape_write", "affine_nll"} <= set(kernels)
     missing = [name for name in kernels if name not in _KERNEL_CASES]
     assert not missing, f"kernels without a grad_check case: {missing}"
     called = set()
@@ -343,19 +345,35 @@ def test_every_kernel_has_a_grad_check_case(monkeypatch):
         assert name in called, f"grad_check case {name!r} never calls the kernel"
 
 
-def test_masked_nll_matches_per_token_oracle():
+def test_affine_nll_matches_per_token_oracle():
     rng = np.random.default_rng(11)
-    z = rng.normal(size=(4, 6))
+    h, w, b = rng.normal(size=(4, 3)), rng.normal(size=(6, 3)), rng.normal(size=6)
     targets = np.array([1, 5, 0, 3])
-    mask = np.array([1.0, 1.0, 0.0, 1.0])
-    total = ad.masked_nll(Tensor(z), targets, mask).item()
-    expected = 0.0
-    for b in range(4):
-        if mask[b]:
-            expected += -np.log(softmax_oracle(z[b])[targets[b]])
-    assert total == pytest.approx(expected, abs=1e-10)
+    nll, hits = ad.affine_nll(Tensor(h), Tensor(w), Tensor(b), targets)
+    expected, argmax_hits = 0.0, []
+    for row, target in zip(h, targets):
+        logits = w @ row + b
+        expected += -np.log(softmax_oracle(logits)[target])
+        argmax_hits.append(logits.argmax() == target)
+    assert nll.item() == pytest.approx(expected, abs=1e-10)
+    np.testing.assert_array_equal(hits, argmax_hits)
+    # Tied logits: only the first largest counts as the greedy choice.
+    _, tied = ad.affine_nll(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))),
+                            Tensor(np.zeros(4)), np.array([0, 2]))
+    np.testing.assert_array_equal(tied, [True, False])
 
 
-def test_masked_nll_target_range_error():
-    with pytest.raises(IndexError, match="out of range"):
-        ad.masked_nll(Tensor(np.zeros((1, 3))), np.array([3]))
+def test_affine_nll_target_range_error():
+    zeros = Tensor(np.zeros((1, 3)))
+    for bad in (3, -1):
+        with pytest.raises(IndexError, match="out of range"):
+            ad.affine_nll(zeros, Tensor(np.zeros((3, 3))), Tensor(np.zeros(3)),
+                          np.array([bad]))
+
+
+def test_affine_nll_nonfinite_logit_raises():
+    # Finite operands whose product overflows to -inf in one logit only.
+    h = Tensor(np.array([[1e200]]))
+    w = Tensor(np.array([[-1e200], [1.0]]))
+    with pytest.raises(NonFiniteError, match="affine_nll"):
+        ad.affine_nll(h, w, Tensor(np.zeros(2)), np.array([1]))

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from lstmn import autodiff as ad
 from lstmn.autodiff import Tensor
-from lstmn.heads import EvalMetrics, OutputProjection, lm_loss, mean_pool
+from lstmn.heads import EvalMetrics, OutputProjection, lm_eval, lm_loss, mean_pool
 
 
 def identity_projection(vocab):
@@ -88,6 +88,74 @@ class TestLmLoss:
         second, n2 = lm_loss(hs[4:], targets[:, 4:], None, proj)
         assert whole.item() == pytest.approx(first.item() + second.item(), abs=1e-12)
         assert n_whole == n1 + n2
+
+
+class TestPaddingLeak:
+    """Padded positions are left out of the output layer: their states
+    change nothing and receive an exact zero gradient."""
+    VOCAB, HIDDEN, LENGTHS = 6, 4, (1, 7, 2)
+
+    def setup_method(self):
+        rng = np.random.default_rng(58)
+        self.proj = OutputProjection(
+            w=Tensor(rng.normal(size=(self.VOCAB, self.HIDDEN)), requires_grad=True),
+            b=Tensor(rng.normal(size=self.VOCAB), requires_grad=True))
+        self.seqs = [rng.normal(size=(n, self.HIDDEN)) for n in self.LENGTHS]
+        # Every other target is the greedy choice, so hits are counted.
+        self.tgts = [np.where(np.arange(n) % 2 == 0,
+                              (seq @ self.proj.w.data.T + self.proj.b.data).argmax(axis=1),
+                              rng.integers(0, self.VOCAB, size=n))
+                     for n, seq in zip(self.LENGTHS, self.seqs)]
+        steps = max(self.LENGTHS)
+        self.mask = np.zeros((len(self.LENGTHS), steps))
+        self.targets = np.zeros((len(self.LENGTHS), steps), dtype=np.int64)
+        for i, n in enumerate(self.LENGTHS):
+            self.mask[i, :n] = 1.0
+            self.targets[i, :n] = self.tgts[i]
+
+    def padded_states(self, pad_values):
+        """Per-step (B, h) states: the sentences, and ``pad_values`` at
+        padded positions."""
+        block = pad_values.copy()
+        for i, seq in enumerate(self.seqs):
+            block[i, :len(seq)] = seq
+        return [Tensor(block[:, t], requires_grad=True) for t in range(block.shape[1])]
+
+    def test_padded_states_change_nothing_and_get_zero_gradient(self):
+        rng = np.random.default_rng(59)
+        shape = self.mask.shape + (self.HIDDEN,)
+        losses, grads = [], []
+        for pad in (np.zeros(shape), 1e3 * rng.normal(size=shape)):
+            states = self.padded_states(pad)
+            nll, count = lm_loss(states, self.targets, self.mask, self.proj)
+            ad.zero_grad([self.proj.w, self.proj.b])
+            ad.backward(nll, params=states)
+            losses.append(nll.item())
+            grads.append(np.stack([h.grad for h in states], axis=1))
+            assert count == sum(self.LENGTHS)
+        assert losses[0] == losses[1]
+        np.testing.assert_array_equal(grads[0], grads[1])
+        assert np.all(grads[1][self.mask == 0] == 0.0)
+        assert np.any(grads[1][self.mask == 1] != 0.0)
+
+    def test_eval_of_padded_batch_matches_unpadded_sentences(self):
+        pad = np.random.default_rng(60).normal(size=self.mask.shape + (self.HIDDEN,))
+        nll, tokens, hits = lm_eval(self.padded_states(pad), self.targets, self.mask, self.proj)
+        alone = [lm_eval([Tensor(row[None]) for row in seq], tgt[None], None, self.proj)
+                 for seq, tgt in zip(self.seqs, self.tgts)]
+        assert nll == pytest.approx(sum(a[0] for a in alone), rel=1e-12)
+        assert tokens == sum(a[1] for a in alone) == sum(self.LENGTHS)
+        assert hits == sum(a[2] for a in alone) >= 5
+
+    def test_all_padding_gives_zero_loss_and_zero_gradients(self):
+        states = self.padded_states(np.ones(self.mask.shape + (self.HIDDEN,)))
+        nll, count = lm_loss(states, self.targets, np.zeros_like(self.mask), self.proj)
+        assert nll.item() == 0.0 and count == 0
+        params = states + [self.proj.w, self.proj.b]
+        ad.zero_grad(params)
+        ad.backward(nll, params=params)
+        for p in params:
+            assert np.all(p.grad == 0.0)
 
 
 class TestPoolingAndClassify:

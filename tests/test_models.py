@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lstmn import autodiff as ad
-from lstmn import heads, models, optim
+from lstmn import models, optim
 from lstmn.cells import TapeError
 from lstmn.config import ConfigError, build_config
 from lstmn.data import Batch, Vocabulary
@@ -288,10 +288,14 @@ class TestClassifierModels:
             if name.endswith((".W", ".bias")) and not name.startswith("head"):
                 t.data[...] = 0.0
         batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w1"]], [["w2"]])
-        logits = heads.head_logits(model._features(batch), model.head)
         head = model.head
-        expected = head.w2.data @ np.maximum(head.b1.data, 0.0) + head.b2.data
-        np.testing.assert_allclose(logits.data[0], expected, atol=1e-12)
+        logits = head.w2.data @ np.maximum(head.b1.data, 0.0) + head.b2.data
+        for label in range(3):
+            batch.labels = np.array([label])
+            nll, hits = head.loss(model._features(batch), batch.labels)
+            assert nll.item() == pytest.approx(np.log(np.exp(logits).sum()) - logits[label],
+                                               abs=1e-12)
+            assert hits[0] == (logits.argmax() == label)
 
     def test_gradients_flow_through_both_encoders(self):
         model, vocab = self._pair_model(61)

@@ -70,6 +70,22 @@ class TestRenorm:
         with pytest.raises(NonFiniteError):
             renorm_gradients(params, 5.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_grad_in_any_param_rejected(self, bad):
+        params = params_with_grads([np.array([1.0, 2.0]), np.ones((2, 3)), np.array([0.5])])
+        params[1].grad[1, 2] = bad
+        before = [p.grad.copy() for p in params]
+        with pytest.raises(NonFiniteError):
+            renorm_gradients(params, 5.0)
+        for p, g in zip(params, before):
+            np.testing.assert_array_equal(p.grad, g)
+
+    def test_finite_grad_whose_square_overflows_is_not_rejected(self):
+        params = params_with_grads([np.array([1e200, 1.0]), np.array([[2.0]])])
+        assert global_grad_norm(params) == np.inf
+        renorm_gradients(params, 5.0)
+        np.testing.assert_array_equal(params[0].grad, [0.0, 0.0])
+
 
 class TestSgd:
     def test_basic_step(self):
