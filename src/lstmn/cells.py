@@ -3,13 +3,15 @@
 The tape cell keeps every past (h_i, c_i) pair in a per-sequence tape
 and, at each step, addresses them with an attention distribution to form
 adaptive summaries (h~, c~) that replace the single recurrent state.
-Stacked variants feed the lower layer's output upward, optionally with a
-skip connection from the token embedding.
 
 Both steps share one gate-and-memory update (``_gated_update``).
-``lstmn_step`` is the one tape-cell step: every encoder layer and both
+``lstmn_step`` is the one tape-cell step: every tape layer and both
 fusion decoders (``fusion.DecoderState``) run it, deep fusion passing
 its gated source memory as the extra ``transfer`` term.
+
+``run_stack`` is the one layer stack: a layer without intra-attention
+weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
+k's output, optionally with a skip connection from the token embedding.
 
 A tape is one preallocated buffer that each step writes in place
 (``Tapes``); the attention read and both summaries are a single fused
@@ -65,8 +67,10 @@ class IntraAttentionWeights:
 
 @dataclass
 class LstmnLayerWeights:
+    """One stack layer: a tape layer, or a plain LSTM layer when ``attn``
+    is None."""
     gates: GateWeights
-    attn: IntraAttentionWeights
+    attn: Optional[IntraAttentionWeights] = None
 
     def named(self, prefix: str, upper: bool = False) -> dict:
         """Checkpoint tensors for one layer.  Upper layers store their
@@ -74,12 +78,13 @@ class LstmnLayerWeights:
         out = {f"{prefix}.W": self.gates.w}
         if self.gates.bias is not None:
             out[f"{prefix}.bias"] = self.gates.bias
-        out[f"{prefix}.v"] = self.attn.v
-        out[f"{prefix}.W_h"] = self.attn.w_h
-        out[f"{prefix}.W_l" if upper else f"{prefix}.W_x"] = self.attn.w_x
-        out[f"{prefix}.W_htilde"] = self.attn.w_htilde
-        if self.attn.bias is not None:
-            out[f"{prefix}.attn_bias"] = self.attn.bias
+        if self.attn is not None:
+            out[f"{prefix}.v"] = self.attn.v
+            out[f"{prefix}.W_h"] = self.attn.w_h
+            out[f"{prefix}.W_l" if upper else f"{prefix}.W_x"] = self.attn.w_x
+            out[f"{prefix}.W_htilde"] = self.attn.w_htilde
+            if self.attn.bias is not None:
+                out[f"{prefix}.attn_bias"] = self.attn.bias
         return out
 
 
@@ -190,16 +195,17 @@ def init_intra_attention(rng, attn_size: int, hidden: int, in_size: int,
     )
 
 
-def init_lstmn_layer(rng, hidden: int, in_size: int, attn_size: int,
+def init_lstmn_layer(rng, hidden: int, in_size: int, attn_size: Optional[int],
                      attention_bias: bool = True) -> LstmnLayerWeights:
-    return LstmnLayerWeights(
-        gates=init_gate_weights(rng, hidden, in_size),
-        attn=init_intra_attention(rng, attn_size, hidden, in_size, bias=attention_bias),
-    )
+    gates = init_gate_weights(rng, hidden, in_size)
+    return LstmnLayerWeights(gates, None if attn_size is None else
+                             init_intra_attention(rng, attn_size, hidden, in_size,
+                                                  bias=attention_bias))
 
 
-def init_stack(rng, num_layers: int, hidden: int, embed: int, attn_size: int,
+def init_stack(rng, num_layers: int, hidden: int, embed: int, attn_size: Optional[int],
                skip: bool = False, attention_bias: bool = True) -> StackWeights:
+    """Tape layers, or plain LSTM layers when ``attn_size`` is None."""
     if num_layers < 1:
         raise ValueError(f"layer count must be >= 1, got {num_layers}")
     layers = []
@@ -279,61 +285,37 @@ def lstmn_step(x: Tensor, tapes: Tapes, htilde_prev: Optional[Tensor],
 class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
     step even when a capacity bound keeps attention from reading them) and
-    per-step top-layer attention traces."""
+    per-step top-layer attention traces (None for an LSTM top layer)."""
     top_h: list           # [T] of (B, h)
     top_c: list           # [T] of (B, h)
-    traces: list          # [T] of IntraAttention
+    traces: list          # [T] of IntraAttention or None
 
 
 def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
     """Process a token-embedding sequence left to right; layer k+1
     consumes layer k's output (concatenated with x when skip connections
-    are on).  ``capacity`` bounds only how far back the attention may
-    look."""
+    are on).  A tape layer carries its summary h~ between steps, an LSTM
+    layer its (h, c).  ``capacity`` bounds only how far back the attention
+    may look."""
     if not xs:
         raise TapeError("cannot run over an empty sequence")
+    batch = xs[0].data.shape[0]
     tapes = [Tapes(capacity, length=len(xs)) for _ in w.layers]
-    summaries = [None] * len(w.layers)
+    carried = [zero_state(batch, layer.gates.hidden_size) if layer.attn is None else None
+               for layer in w.layers]
     run = StackRun(top_h=[], top_c=[], traces=[])
     for x in xs:
         inp = x
         for k, layer in enumerate(w.layers):
             if k > 0:
                 inp = ad.concat([state.h, x], axis=1) if w.skip else state.h
-            state, attn = lstmn_step(inp, tapes[k], summaries[k], layer)
-            summaries[k] = attn.htilde
+            if layer.attn is None:
+                state = carried[k] = lstm_step(inp, carried[k], layer.gates)
+                attn = None
+            else:
+                state, attn = lstmn_step(inp, tapes[k], carried[k], layer)
+                carried[k] = attn.htilde
         run.top_h.append(state.h)
         run.top_c.append(state.c)
         run.traces.append(attn)
     return run
-
-
-def init_lstm_stack(rng, num_layers: int, hidden: int, embed: int) -> list:
-    """Plain stacked-LSTM weights, layer k>0 consuming layer k-1's output."""
-    return [init_gate_weights(rng, hidden, embed if k == 0 else hidden)
-            for k in range(num_layers)]
-
-
-def run_lstm(xs: list, layers: list) -> list:
-    """Stacked-LSTM baseline; returns the top layer's h_t per step."""
-    if not xs:
-        raise TapeError("cannot run over an empty sequence")
-    batch = xs[0].data.shape[0]
-    states = [zero_state(batch, w.hidden_size) for w in layers]
-    top_h = []
-    for x in xs:
-        inp = x
-        for k, w in enumerate(layers):
-            states[k] = lstm_step(inp, states[k], w)
-            inp = states[k].h
-        top_h.append(inp)
-    return top_h
-
-
-def lstm_named(layers: list, prefix: str = "") -> dict:
-    out = {}
-    for k, w in enumerate(layers):
-        out[f"{prefix}layer{k + 1}.W"] = w.w
-        if w.bias is not None:
-            out[f"{prefix}layer{k + 1}.bias"] = w.bias
-    return out

@@ -1,5 +1,7 @@
 """Task heads and losses: next-token NLL with perplexity and greedy hits,
-mask-aware mean pooling, and the classifier head over pooled features."""
+mask-aware mean pooling, and the classifier head over pooled features.
+Both losses return ``autodiff.affine_nll``'s greedy hits with the NLL,
+so training and evaluation share one path."""
 
 from __future__ import annotations
 
@@ -89,12 +91,20 @@ def init_classifier_head(rng, in_size: int, hidden: int, labels: int,
         dropout=dropout)
 
 
-def _lm_nll(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
+def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
             proj: OutputProjection):
-    """(NLL node, token count, hits record) of the unmasked positions.
-    Their states are gathered from the step-major (t, b) concat of the
-    per-step (B, h) states, so padded states are never projected and get
-    an exact zero gradient."""
+    """Summed NLL of targets[:, t] under the projection of h_t.
+
+    ``hidden_states`` is the per-step list of (B, h); targets and mask
+    are (B, T).  Masked positions contribute to neither the NLL nor the
+    token count.  Returns (nll scalar Tensor, token count, greedy hits).
+
+    Only the live positions are projected, all at once by
+    ``autodiff.affine_nll``: one (live, V) buffer serves the logits, the
+    softmax and the gradient.  Their states are gathered from the
+    step-major (t, b) concat of the per-step states, so padded states
+    get an exact zero gradient.
+    """
     targets = np.asarray(targets)
     steps = len(hidden_states)
     if targets.shape[1] != steps:
@@ -104,36 +114,13 @@ def _lm_nll(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray]
     live = np.arange(targets.size) if mask is None \
         else np.flatnonzero(np.asarray(mask).T.reshape(-1))
     h = ad.lookup(ad.concat(hidden_states, axis=0), live)
-    return ad.affine_nll(h, proj.w, proj.b, targets[live]) + (live.size,)
-
-
-def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
-            proj: OutputProjection):
-    """Summed NLL of targets[:, t] under the projection of h_t.
-
-    ``hidden_states`` is the per-step list of (B, h); targets and mask
-    are (B, T).  Masked positions contribute to neither the NLL nor the
-    token count.  Returns (nll scalar Tensor, token count).
-
-    Only the live positions are projected, all at once by
-    ``autodiff.affine_nll``: one (live, V) buffer serves the logits, the
-    softmax and the gradient.
-    """
-    nll, _, tokens = _lm_nll(hidden_states, targets, mask, proj)
-    return nll, tokens
+    nll, hits = ad.affine_nll(h, proj.w, proj.b, targets[live])
+    return nll, live.size, lm_correct(hits)
 
 
 def lm_correct(hits: np.ndarray) -> int:
     """Greedy next-token hits in ``affine_nll``'s record of live rows."""
     return int(hits.sum())
-
-
-def lm_eval(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
-            proj: OutputProjection) -> tuple:
-    """(NLL, token count, greedy next-token hits) over unmasked positions,
-    all from one projection of the live rows (evaluation only)."""
-    nll, hits, tokens = _lm_nll(hidden_states, targets, mask, proj)
-    return nll.item(), tokens, lm_correct(hits)
 
 
 def mean_pool(stacked: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:

@@ -1,15 +1,16 @@
 """Task models: parameter wiring, per-batch losses, and evaluation.
 
 Every model is the one reader wired to a task.  ``Model`` owns the
-embedding table, the single-sequence core (a stacked LSTM for model
-``lstm``, the tape stack otherwise) and, for seq2seq models, the fusion
-decoder, and assembles the flat ``params()`` dict whose names define the
-checkpoint layout.  Language models predict the next token from
-per-step states (``LanguageModel._predict``), classifiers label pooled
-features (``SentenceClassifier._features``); the seq2seq and pair
-variants override only those hooks.  Losses are mean-per-token
-(language modeling) or mean-per-example (classification); evaluation
-sums raw NLL so perplexity aggregates correctly across batches.
+embedding table, the single-sequence core (one ``cells.run_stack``
+stack: LSTM layers for model ``lstm``, tape layers otherwise) and, for
+seq2seq models, the fusion decoder, and assembles the flat ``params()``
+dict whose names define the checkpoint layout.  Language models predict
+the next token from per-step states (``LanguageModel._predict``),
+classifiers label pooled features (``SentenceClassifier._features``);
+the seq2seq and pair variants override only those hooks.  Losses are
+mean-per-token (language modeling) or mean-per-example (classification)
+and come with the raw stats ``{nll, tokens, correct}`` (a classifier's
+tokens are examples), which ``Model.evaluate`` sums across batches.
 """
 
 from __future__ import annotations
@@ -43,19 +44,16 @@ class Model:
                                                attention_bias=cfg.attention_bias)
 
     def _init_core(self, rng):
-        """A stacked LSTM for model lstm, the tape stack otherwise."""
+        """Plain LSTM layers for model lstm, tape layers otherwise."""
         cfg = self.cfg
-        if cfg.model == "lstm":
-            return cells.init_lstm_stack(rng, cfg.layers, cfg.hidden, cfg.embedding)
         return cells.init_stack(rng, cfg.layers, cfg.hidden, cfg.embedding,
-                                cfg.attention, skip=cfg.skip_connections,
+                                None if cfg.model == "lstm" else cfg.attention,
+                                skip=cfg.skip_connections,
                                 attention_bias=cfg.attention_bias)
 
     def _run(self, xs: list, core):
         """The core over embedded steps: per-step top-layer states, and
-        top-layer intra-attention traces (None for the LSTM)."""
-        if isinstance(core, list):
-            return cells.run_lstm(xs, core), None
+        top-layer intra-attention traces (None per step for the LSTM)."""
         run = cells.run_stack(xs, core, self.capacity)
         return run.top_h, run.traces
 
@@ -68,12 +66,23 @@ class Model:
     def params(self) -> dict:
         out = {"embedding.weight": self.embeddings.weights}
         for prefix, part in self._parts():
-            out.update(cells.lstm_named(part, prefix) if isinstance(part, list)
-                       else part.named(prefix))
+            out.update(part.named(prefix))
         return out
 
     def l2_params(self) -> list:
         return [t for n, t in self.params().items() if n != "embedding.weight"]
+
+    def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
+        """The per-batch stats of ``loss`` summed over ``batches``."""
+        nll, tokens, correct = 0.0, 0, 0
+        for batch in batches:
+            _, stats = self.loss(batch)
+            nll += stats["nll"]
+            tokens += stats["tokens"]
+            correct += stats["correct"]
+        return EvalMetrics(nll=nll, tokens=tokens,
+                           accuracy=correct / tokens if tokens else None,
+                           dataset=dataset, split=split)
 
     def _embed(self, tokens: np.ndarray) -> list:
         """Per-step embedding lookups for a (B, L) token block."""
@@ -122,19 +131,9 @@ class LanguageModel(Model):
         return states, batch.tokens[:, 1:], batch.mask[:, 1:]
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
-        nll, tokens = heads.lm_loss(*self._predict(batch), self.proj)
-        return ad.mul(nll, 1.0 / max(tokens, 1)), {"tokens": tokens, "nll": nll.item()}
-
-    def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
-        total_nll, total_tokens, correct = 0.0, 0, 0
-        for batch in batches:
-            nll, tokens, hits = heads.lm_eval(*self._predict(batch), self.proj)
-            total_nll += nll
-            total_tokens += tokens
-            correct += hits
-        acc = correct / total_tokens if total_tokens else None
-        return EvalMetrics(nll=total_nll, tokens=total_tokens, accuracy=acc,
-                           dataset=dataset, split=split)
+        nll, tokens, correct = heads.lm_loss(*self._predict(batch), self.proj)
+        return ad.mul(nll, 1.0 / max(tokens, 1)), \
+            {"nll": nll.item(), "tokens": tokens, "correct": correct}
 
 
 class Seq2SeqModel(LanguageModel):
@@ -202,18 +201,7 @@ class _Classifier(Model):
     def loss(self, batch: Batch, training: bool = False, rng=None):
         nll, hits = self.head.loss(self._features(batch), batch.labels, training, rng)
         return ad.mul(nll, 1.0 / batch.size), \
-            {"examples": batch.size, "correct": int(hits.sum()), "nll": nll.item()}
-
-    def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
-        total_nll, examples, correct = 0.0, 0, 0
-        for batch in batches:
-            _, stats = self.loss(batch)
-            total_nll += stats["nll"]
-            examples += stats["examples"]
-            correct += stats["correct"]
-        return EvalMetrics(nll=total_nll, tokens=examples,
-                           accuracy=correct / examples if examples else None,
-                           dataset=dataset, split=split)
+            {"nll": nll.item(), "tokens": batch.size, "correct": int(hits.sum())}
 
 
 class SentenceClassifier(_Classifier):

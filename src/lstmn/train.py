@@ -265,9 +265,8 @@ def run_dump_attention(cfg: RunConfig, checkpoint_path: str, input_path: str,
         parts = line.split("\t")
         if len(parts) != 2:
             raise ConfigError("pair models need 'source<TAB>target' input")
-        if cfg.task == "nli":
-            parts = [p.lower() for p in parts]
-        src_tokens, tgt_tokens = parts[0].split(), parts[1].split()
+        # Pair data (sentence-pairs) is lowercased on load, for every pair model.
+        src_tokens, tgt_tokens = parts[0].lower().split(), parts[1].lower().split()
         traces = model.attention_traces(vocab.encode(src_tokens),
                                         vocab.encode(tgt_tokens))
         lines.append("# source-tokens\t" + "\t".join(src_tokens))

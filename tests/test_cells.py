@@ -16,7 +16,6 @@ from lstmn.cells import (
     Tapes,
     lstm_step,
     lstmn_step,
-    run_lstm,
     run_stack,
     zero_state,
 )
@@ -477,14 +476,39 @@ def test_determinism_same_seed_bit_identical():
     assert a.tobytes() == b.tobytes()
 
 
+def lstm_stack(rng, layers, hidden, embed, skip=False):
+    """A run_stack stack of plain LSTM layers with every weight random."""
+    stack = cells.init_stack(rng, layers, hidden, embed, attn_size=None, skip=skip)
+    for layer in stack.layers:
+        assert layer.attn is None
+        for t in (layer.gates.w, layer.gates.bias):
+            t.data[...] = rng.normal(size=t.data.shape)
+    return stack
+
+
 def test_run_lstm_baseline_matches_manual_chain():
     rng = np.random.default_rng(23)
-    layers = cells.init_lstm_stack(rng, 1, hidden=3, embed=2)
-    for t in (layers[0].w, layers[0].bias):
-        t.data[...] = rng.normal(size=t.data.shape)
+    stack = lstm_stack(rng, 1, hidden=3, embed=2)
     xs = [row(rng.normal(size=2)) for _ in range(3)]
-    top = run_lstm(xs, layers)
+    run = run_stack(xs, stack)
+    assert run.traces == [None] * 3
     state = zero_state(1, 3)
-    for x, h in zip(xs, top):
-        state = lstm_step(x, state, layers[0])
+    for x, h, c in zip(xs, run.top_h, run.top_c):
+        state = lstm_step(x, state, stack.layers[0].gates)
         np.testing.assert_array_equal(state.h.data, h.data)
+        np.testing.assert_array_equal(state.c.data, c.data)
+
+
+def test_run_stack_lstm_skip_feeds_h_and_x_upward():
+    rng = np.random.default_rng(24)
+    hidden, embed = 3, 2
+    stack = lstm_stack(rng, 2, hidden, embed, skip=True)
+    assert stack.named()["layer2.W"].data.shape == (4 * hidden, 2 * hidden + embed)
+    assert set(stack.named()) == {"layer1.W", "layer1.bias", "layer2.W", "layer2.bias"}
+    xs = [Tensor(rng.normal(size=(2, embed))) for _ in range(4)]
+    run = run_stack(xs, stack)
+    lower, upper = zero_state(2, hidden), zero_state(2, hidden)
+    for x, h in zip(xs, run.top_h):
+        lower = lstm_step(x, lower, stack.layers[0].gates)
+        upper = lstm_step(ad.concat([lower.h, x], axis=1), upper, stack.layers[1].gates)
+        np.testing.assert_array_equal(upper.h.data, h.data)

@@ -193,14 +193,17 @@ class TestCrashSafety:
         assert os.listdir(tmp_path) == ["ckpt.npz"]
 
     def _crash(self, tmp_path, monkeypatch, when, **extra):
-        """Run training until ``when(calls, evaluated)`` is true at a call of
-        ``model.loss``; returns the log files' contents at that moment,
-        before the training loop can close them."""
+        """Run training until ``when(calls, evaluated)`` is true at a
+        training-mode call of ``model.loss`` (``evaluate`` calls ``loss``
+        too); returns the log files' contents at that moment, before the
+        training loop can close them."""
         out = tmp_path / "out"
         seen, calls, evaluated = {}, [], []
         loss, evaluate = models.LanguageModel.loss, models.LanguageModel.evaluate
 
         def crashing_loss(self, batch, **kwargs):
+            if not kwargs.get("training"):
+                return loss(self, batch, **kwargs)
             calls.append(1)
             if when(len(calls), bool(evaluated)):
                 seen.update({name: (out / name).read_text()
@@ -304,24 +307,31 @@ class TestDumpAttention:
         with pytest.raises(ConfigError, match="no input"):
             train.run_dump_attention(cfg, ckpt, str(inp), str(tmp_path / "o.tsv"))
 
-    def test_seq2seq_dump_has_inter_section(self, tmp_path):
+    def _seq2seq(self, tmp_path):
         rng = np.random.default_rng(10)
         train_path = tmp_path / "pairs.tsv"
         synthetic.write_lines(train_path, synthetic.copy_pairs(rng, 40))
         cfg = build_config(overrides=dict(
             task="lm", model="seq2seq-deep", hidden="8", embedding="8",
-            optimizer="adam", epochs="0", batch_size="4", seed="1",
+            optimizer="adam", epochs="1", batch_size="4", seed="1",
             train_data=str(train_path)))
-        result = train.run_train(cfg, str(tmp_path / "out"))
-        inp = tmp_path / "input.txt"
-        inp.write_text("s1 s2 s3\ts1 s2 s3\n")
-        out = tmp_path / "attention.tsv"
-        train.run_dump_attention(cfg, result.checkpoint_path, str(inp), str(out))
-        text = out.read_text()
+        return cfg, train.run_train(cfg, str(tmp_path / "out")).checkpoint_path
+
+    def test_seq2seq_dump_has_inter_section(self, tmp_path):
+        text = "\n".join(self._dump(tmp_path, *self._seq2seq(tmp_path), "s1 s2 s3\ts1 s2 s3"))
         assert "# section\tinter" in text and "# section\tintra" in text
         inter_rows = [l for l in text.splitlines()
                       if l and l[0].isdigit()]
         assert inter_rows
+
+    def test_seq2seq_lm_dump_lowercases_like_its_pair_data(self, tmp_path):
+        """sentence-pairs data is lowercased on load, so a seq2seq LM's
+        dump must map mixed-case input onto the same tokens."""
+        cfg, ckpt = self._seq2seq(tmp_path)
+        lower, mixed = [self._dump(tmp_path, cfg, ckpt, text)
+                        for text in ("s5 s4 s3\ts5 s4 s3", "S5 s4 S3\tS5 S4 s3")]
+        assert [l for l in mixed if l[0].isdigit()] == [l for l in lower if l[0].isdigit()]
+        assert mixed == lower
 
 
 class TestCliMain:

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from lstmn import autodiff as ad
 from lstmn.autodiff import Tensor
-from lstmn.heads import EvalMetrics, OutputProjection, lm_eval, lm_loss, mean_pool
+from lstmn.heads import EvalMetrics, OutputProjection, lm_loss, mean_pool
 
 
 def identity_projection(vocab):
@@ -22,7 +22,7 @@ class TestLmLoss:
                                 b=Tensor(np.zeros(vocab)))
         hs = [Tensor(np.zeros((1, 3))) for _ in range(tokens)]
         targets = np.arange(tokens).reshape(1, tokens) % vocab
-        nll, count = lm_loss(hs, targets, None, proj)
+        nll, count, _ = lm_loss(hs, targets, None, proj)
         metrics = EvalMetrics(nll=nll.item(), tokens=count)
         assert metrics.ppl == pytest.approx(vocab, abs=1e-8)
 
@@ -35,7 +35,7 @@ class TestLmLoss:
             onehot = np.zeros((1, vocab))
             onehot[0, targets[0, t]] = 1e4   # huge margin stands in for +inf
             hs.append(Tensor(onehot))
-        nll, count = lm_loss(hs, targets, None, proj)
+        nll, count, _ = lm_loss(hs, targets, None, proj)
         assert np.exp(nll.item() / count) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_per_token_summation_oracle(self):
@@ -47,7 +47,7 @@ class TestLmLoss:
         targets = rng.integers(0, vocab, size=(2, steps))
         mask = (rng.random((2, steps)) > 0.3).astype(float)
         mask[:, 0] = 1.0
-        nll, count = lm_loss([Tensor(h) for h in hs_data], targets, mask, proj)
+        nll, count, _ = lm_loss([Tensor(h) for h in hs_data], targets, mask, proj)
         expected = 0.0
         for t in range(steps):
             for b in range(2):
@@ -64,10 +64,10 @@ class TestLmLoss:
         hs = [Tensor(rng.normal(size=(1, 3))) for _ in range(3)]
         targets = np.array([[1, 2, 3]])
         mask = np.array([[1.0, 1.0, 0.0]])
-        base, _ = lm_loss(hs, targets, mask, proj)
+        base, _, _ = lm_loss(hs, targets, mask, proj)
         mutated = targets.copy()
         mutated[0, 2] = 4   # padded target cell
-        after, _ = lm_loss(hs, mutated, mask, proj)
+        after, _, _ = lm_loss(hs, mutated, mask, proj)
         assert base.item() == after.item()
 
     def test_target_out_of_range(self):
@@ -83,9 +83,9 @@ class TestLmLoss:
                                 b=Tensor(rng.normal(size=5)))
         hs = [Tensor(rng.normal(size=(1, 3))) for _ in range(6)]
         targets = rng.integers(0, 5, size=(1, 6))
-        whole, n_whole = lm_loss(hs, targets, None, proj)
-        first, n1 = lm_loss(hs[:4], targets[:, :4], None, proj)
-        second, n2 = lm_loss(hs[4:], targets[:, 4:], None, proj)
+        whole, n_whole, _ = lm_loss(hs, targets, None, proj)
+        first, n1, _ = lm_loss(hs[:4], targets[:, :4], None, proj)
+        second, n2, _ = lm_loss(hs[4:], targets[:, 4:], None, proj)
         assert whole.item() == pytest.approx(first.item() + second.item(), abs=1e-12)
         assert n_whole == n1 + n2
 
@@ -127,7 +127,7 @@ class TestPaddingLeak:
         losses, grads = [], []
         for pad in (np.zeros(shape), 1e3 * rng.normal(size=shape)):
             states = self.padded_states(pad)
-            nll, count = lm_loss(states, self.targets, self.mask, self.proj)
+            nll, count, _ = lm_loss(states, self.targets, self.mask, self.proj)
             ad.zero_grad([self.proj.w, self.proj.b])
             ad.backward(nll, params=states)
             losses.append(nll.item())
@@ -140,16 +140,16 @@ class TestPaddingLeak:
 
     def test_eval_of_padded_batch_matches_unpadded_sentences(self):
         pad = np.random.default_rng(60).normal(size=self.mask.shape + (self.HIDDEN,))
-        nll, tokens, hits = lm_eval(self.padded_states(pad), self.targets, self.mask, self.proj)
-        alone = [lm_eval([Tensor(row[None]) for row in seq], tgt[None], None, self.proj)
+        nll, tokens, hits = lm_loss(self.padded_states(pad), self.targets, self.mask, self.proj)
+        alone = [lm_loss([Tensor(row[None]) for row in seq], tgt[None], None, self.proj)
                  for seq, tgt in zip(self.seqs, self.tgts)]
-        assert nll == pytest.approx(sum(a[0] for a in alone), rel=1e-12)
+        assert nll.item() == pytest.approx(sum(a[0].item() for a in alone), rel=1e-12)
         assert tokens == sum(a[1] for a in alone) == sum(self.LENGTHS)
         assert hits == sum(a[2] for a in alone) >= 5
 
     def test_all_padding_gives_zero_loss_and_zero_gradients(self):
         states = self.padded_states(np.ones(self.mask.shape + (self.HIDDEN,)))
-        nll, count = lm_loss(states, self.targets, np.zeros_like(self.mask), self.proj)
+        nll, count, _ = lm_loss(states, self.targets, np.zeros_like(self.mask), self.proj)
         assert nll.item() == 0.0 and count == 0
         params = states + [self.proj.w, self.proj.b]
         ad.zero_grad(params)

@@ -58,6 +58,13 @@ class TestLanguageModel:
                 "layer1.v", "layer2.W_htilde", "layer3.attn_bias"} <= names
         assert "layer1.W_l" not in names and "layer2.W_x" not in names
 
+    def test_lstm_stack_applies_skip_connections(self):
+        cfg = cfg_for(model="lstm", layers=2, hidden=3, embedding=2, skip_connections=True)
+        params = models.LanguageModel(cfg, make_vocab(), np.random.default_rng(2)).params()
+        assert params["layer2.W"].data.shape == (4 * 3, 2 * 3 + 2)
+        assert not any(name.startswith("layer") and name.split(".")[1] not in ("W", "bias")
+                       for name in params)
+
     def test_loss_is_mean_per_token(self):
         vocab = make_vocab()
         model = models.LanguageModel(cfg_for(), vocab, np.random.default_rng(3))
