@@ -12,11 +12,15 @@ adds into the input's gradient buffer in place.
 The kernel set is deliberately small: just what gated recurrences with
 tape attention, fusion decoders, and their losses need.  Shapes follow a
 batch-first convention, (B, n) for per-step vectors and (B, T, n) for
-stacked tape slots.  A memory tape is one (B, T, n) buffer written in
-place, one slot per step, by ``tape_write``; ``tape_attend`` reads a
-window of it in a single node, so a recurrent step adds a fixed number
-of nodes however long the tape.  Every loss ends in ``affine_nll``, the
-output affine map and softmax NLL in one node over the rows it is given.
+stacked tape slots.  A recurrent cell's state is one (B, 2h) block
+[h | c]: ``gate_cell`` maps such a block (the LSTM's [h_{t-1} | c_{t-1}]
+or a tape summary [h~ | c~]) and the step input to the next [h | c] in
+one node, gate block and memory update together.  A memory tape is one
+(B, T, n) buffer written in place, one slot per step, by
+``tape_write``; ``tape_attend`` reads a window of it in a single node,
+so a recurrent step adds a fixed number of nodes however long the tape.
+Every loss ends in ``affine_nll``, the output affine map and softmax NLL
+in one node over the rows it is given.
 """
 
 from __future__ import annotations
@@ -134,16 +138,24 @@ class Partial(NamedTuple):
     values: np.ndarray
 
 
+def _unique_rows(index) -> bool:
+    """True for a basic index, or a 1-D integer index that is strictly
+    increasing and so cannot name a row twice."""
+    if not isinstance(index, np.ndarray):
+        return True
+    return index.ndim == 1 and bool((index[1:] > index[:-1]).all())
+
+
 def _accumulate(parent: Tensor, g, free: bool) -> None:
     """Add ``g`` into ``parent.grad``; a ``free`` array, held by no one
     else, may become the buffer itself."""
     if isinstance(g, Partial):
         if parent.grad is None:
             parent.grad = np.zeros_like(parent.data)
-        if isinstance(g.index, np.ndarray):
-            np.add.at(parent.grad, g.index, g.values)
-        else:
+        if _unique_rows(g.index):
             parent.grad[g.index] += g.values
+        else:   # repeated ids: a fancy-index += would keep only one of them
+            np.add.at(parent.grad, g.index, g.values)
     elif parent.grad is None:
         parent.grad = g if free else np.array(g)
     else:
@@ -272,9 +284,62 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
-def tanh(x: Tensor) -> Tensor:
-    out = np.tanh(x.data)
-    return _make(out, (x,), lambda g: (g * (1.0 - out * out),), "tanh")
+def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
+              transfer: Optional[Tensor] = None) -> Tensor:
+    """The LSTM gate block and memory update in one node.
+
+    ``state`` (B, 2h) is [rec | carried], ``x`` (B, in) the step input,
+    ``w`` (4h, h + in) the gate rows in (i, f, o, c-hat) order, ``bias``
+    (4h,) and ``transfer`` (B, h) an extra memory term:
+
+        i, f, o = sigmoid(z), c-hat = tanh(z)   with z = w [rec, x] + bias
+        c = (transfer + f * carried) + i * c-hat
+        h = o * tanh(c)
+
+    Returns [h | c] (B, 2h).  The sigmoid is ``sigmoid``'s
+    0.5 (1 + tanh(z / 2)) and c sums in the order written; seeded runs
+    depend on both.
+    """
+    sd, xd, wd = state.data, x.data, w.data
+    hid = wd.shape[0] // 4
+    batch = sd.shape[0] if sd.ndim == 2 else -1
+    if sd.ndim != 2 or wd.ndim != 2 or wd.shape[0] != 4 * hid or sd.shape[1] != 2 * hid or \
+            xd.shape != (batch, wd.shape[1] - hid) or \
+            (bias is not None and bias.data.shape != (4 * hid,)) or \
+            (transfer is not None and transfer.data.shape != (batch, hid)):
+        raise ShapeMismatchError(
+            f"gate_cell: state {sd.shape}, x {xd.shape}, W {wd.shape}, bias "
+            f"{bias if bias is None else bias.data.shape}, transfer "
+            f"{transfer if transfer is None else transfer.data.shape} do not conform")
+    carried = sd[:, hid:]
+    inp = np.concatenate([sd[:, :hid], xd], axis=1)
+    z = inp @ wd.T
+    if bias is not None:
+        z += bias.data
+    gates = 0.5 * (1.0 + np.tanh(0.5 * z[:, :3 * hid]))
+    i, f, o = gates[:, :hid], gates[:, hid:2 * hid], gates[:, 2 * hid:]
+    chat = np.tanh(z[:, 3 * hid:])
+    c = f * carried
+    if transfer is not None:
+        c = transfer.data + c
+    c += i * chat
+    tanh_c = np.tanh(c)
+    out = np.concatenate([o * tanh_c, c], axis=1)
+
+    def bwd(g):
+        gh = g[:, :hid]
+        dc = gh * o * (1.0 - tanh_c * tanh_c) + g[:, hid:]
+        dgates = np.concatenate([dc * chat, dc * carried, gh * tanh_c], axis=1)
+        gz = np.concatenate([dgates * gates * (1.0 - gates), dc * i * (1.0 - chat * chat)],
+                            axis=1)
+        ginp = gz @ wd
+        grads = (np.concatenate([ginp[:, :hid], dc * f], axis=1), ginp[:, hid:], gz.T @ inp)
+        if bias is not None:
+            grads += (gz.sum(axis=0),)
+        return grads if transfer is None else grads + (dc,)
+
+    parents = (state, x, w) + tuple(t for t in (bias, transfer) if t is not None)
+    return _make(out, parents, bwd, "gate_cell")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -387,24 +452,29 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         weights   = softmax(scores), 0 where ``mask`` (B, hi - lo) is 0
         out       = sum_j weights_j value_j       (B, d)
 
-    Returns (out, scores, weights); scores and weights are records
-    outside the graph.  The gradient to ``memory`` is a ``Partial`` over
-    the window, so a read costs nothing outside it.
+    ``prev`` is read in its first k = W_prev-width columns, so a summary
+    block [h~ | c~] passes whole as h~.  Returns (out, scores, weights);
+    scores and weights are records outside the graph.  The gradients to
+    ``memory`` and a wider ``prev`` are ``Partial``s over the columns read,
+    so a read costs nothing outside them.
     """
     md = memory.data
     a = v.data.shape[0]
     batch = md.shape[0] if md.ndim == 3 else -1
     if md.ndim != 3 or md.shape[2] <= a or not 0 <= lo < hi <= md.shape[1] or \
             x.data.shape != (batch, w_x.data.shape[1]) or w_x.data.shape[0] != a or \
-            prev.data.shape != (batch, w_prev.data.shape[1]) or w_prev.data.shape[0] != a:
+            prev.data.ndim != 2 or prev.data.shape[0] != batch or \
+            prev.data.shape[1] < w_prev.data.shape[1] or w_prev.data.shape[0] != a:
         raise ShapeMismatchError(
             f"tape_attend: memory {md.shape} window [{lo}, {hi}), x {x.data.shape}, "
             f"W_x {w_x.data.shape}, prev {prev.data.shape}, W_prev {w_prev.data.shape}, "
             f"v {v.data.shape} do not conform")
     d = md.shape[2] - a
     values = md[:, lo:hi, :d]
+    k = w_prev.data.shape[1]
+    pd = prev.data if prev.data.shape[1] == k else prev.data[:, :k]
     q = x.data @ w_x.data.T
-    q += prev.data @ w_prev.data.T
+    q += pd @ w_prev.data.T
     if bias is not None:
         q += bias.data
     z = md[:, lo:hi, d:] + q[:, None, :]
@@ -424,7 +494,9 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         gpre *= 1.0 - z * z
         gq = gpre.sum(axis=1)
         grads = (Partial((slice(None), slice(lo, hi)), gmem),
-                 gq @ w_x.data, gq.T @ x.data, gq @ w_prev.data, gq.T @ prev.data,
+                 gq @ w_x.data, gq.T @ x.data,
+                 gq @ w_prev.data if pd is prev.data else
+                 Partial((slice(None), slice(0, k)), gq @ w_prev.data), gq.T @ pd,
                  gs.reshape(-1) @ z.reshape(-1, a))
         return grads if bias is None else grads + (gq.sum(axis=0),)
 

@@ -4,10 +4,13 @@ The tape cell keeps every past (h_i, c_i) pair in a per-sequence tape
 and, at each step, addresses them with an attention distribution to form
 adaptive summaries (h~, c~) that replace the single recurrent state.
 
-Both steps share one gate-and-memory update (``_gated_update``).
-``lstmn_step`` is the one tape-cell step: every tape layer and both
-fusion decoders (``fusion.DecoderState``) run it, deep fusion passing
-its gated source memory as the extra ``transfer`` term.
+A state is one (B, 2h) block [h | c].  ``lstm_step`` maps a block to
+the next through one fused node (``autodiff.gate_cell``): the LSTM's
+own [h | c], or, in the tape cell, the summary block [h~ | c~] that the
+attention read returns.  Only h gets a node of its own.  ``lstmn_step``
+is the one tape-cell step: every tape layer and both fusion decoders
+(``fusion.DecoderState``) run it, deep fusion passing its gated source
+memory as the extra ``transfer`` term.
 
 ``run_stack`` is the one layer stack: a layer without intra-attention
 weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
@@ -19,9 +22,9 @@ node (``autodiff.tape_attend``), and the backward hands one gradient
 buffer per tape down the chain of writes, so a step costs the same graph
 work at any tape length.
 
-All step functions are batch-first: token inputs are (B, in), states are
-(B, h).  Weights are immutable during forward/backward; tapes belong to
-one sequence and are never shared.
+All step functions are batch-first: token inputs are (B, in), state
+blocks (B, 2h).  Weights are immutable during forward/backward; tapes
+belong to one sequence and are never shared.
 """
 
 from __future__ import annotations
@@ -40,8 +43,16 @@ class TapeError(ValueError):
 
 
 class CellState(NamedTuple):
+    """One step's output: the (B, 2h) block [h | c] from
+    ``autodiff.gate_cell``, and h as a node of its own."""
+    hc: Tensor
     h: Tensor
-    c: Tensor
+
+    @property
+    def c(self) -> Tensor:
+        """c, as a new slice node of ``hc`` on every read."""
+        hidden = self.h.data.shape[1]
+        return ad.slice_cols(self.hc, hidden, 2 * hidden)
 
 
 @dataclass
@@ -106,8 +117,9 @@ class Tapes:
     in one (B, T, 2h + a) buffer.
 
     Slot i holds [h_i | c_i | W_h h_i]: the key is projected once, when
-    the slot is appended, and reused by every later step.  ``append``
-    writes the next slot in place and ``memory`` is the graph node of the
+    the slot is appended, and reused by every later step, and a read of
+    the values gives a summary block [h~ | c~].  ``append`` writes the
+    next slot in place and ``memory`` is the graph node of the
     tape after the latest write (``autodiff.tape_write``); in the
     backward one gradient buffer runs back through that chain of writes.
     With ``length`` the buffer is allocated for that many slots at the
@@ -138,21 +150,25 @@ class Tapes:
         """Slots [lo, hi) that attention reads."""
         return self.written - len(self), self.written
 
-    def append(self, h: Tensor, c: Tensor, h_proj: Tensor) -> None:
-        batch, width = h.data.shape[0], 2 * h.data.shape[1] + h_proj.data.shape[1]
+    def append(self, *parts: Tensor) -> None:
+        """Write the next slot from ``parts`` side by side: ([h | c], key)
+        or (h, c, key).  The parts share one batch size, the value parts
+        before the key one width, and together they fill the slot."""
+        shapes = [p.data.shape for p in parts]
+        batch, width = shapes[0][0], sum(s[1] for s in shapes)
         buf = None if self.memory is None else self.memory.data
-        if c.data.shape != h.data.shape or h_proj.data.shape[0] != batch or \
+        if len(parts) < 2 or any(s[0] != batch for s in shapes) or \
+                len({s[1] for s in shapes[:-1]}) != 1 or \
                 (buf is not None and buf.shape[::2] != (batch, width)):
-            raise TapeError(
-                f"tape slot shapes differ: h {h.data.shape}, c {c.data.shape}, "
-                f"key {h_proj.data.shape}, tape {None if buf is None else buf.shape}")
+            raise TapeError(f"tape slot shapes differ: parts {shapes}, "
+                            f"tape {None if buf is None else buf.shape}")
         if buf is None or self.written == buf.shape[1]:
             slots = 2 * buf.shape[1] if buf is not None else self.length or self.INITIAL_SLOTS
-            grown = np.zeros((batch, slots, width), dtype=h.data.dtype)
+            grown = np.zeros((batch, slots, width), dtype=parts[0].data.dtype)
             if buf is not None:
                 grown[:, :self.written] = buf
             buf = grown
-        self.memory = ad.tape_write(self.memory, buf, self.written, (h, c, h_proj))
+        self.memory = ad.tape_write(self.memory, buf, self.written, parts)
         self.written += 1
 
 
@@ -160,12 +176,11 @@ class Tapes:
 class IntraAttention:
     """Attention record for one step: raw energies and the normalized
     distribution over the read window (None at the first step, when the
-    tape is empty; records outside the graph), plus the adaptive
-    summaries used in the state update."""
+    tape is empty; records outside the graph), plus the adaptive summary
+    block that the state update reads."""
     scores: Optional[Tensor]    # (B, len(tapes))
     weights: Optional[Tensor]   # (B, len(tapes))
-    htilde: Tensor              # (B, h)
-    ctilde: Tensor              # (B, h)
+    summary: Tensor             # (B, 2h) [h~ | c~]
 
 
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
@@ -215,36 +230,27 @@ def init_stack(rng, num_layers: int, hidden: int, embed: int, attn_size: Optiona
     return StackWeights(layers=layers, skip=skip)
 
 
-def zero_state(batch: int, hidden: int) -> CellState:
-    return CellState(Tensor(np.zeros((batch, hidden))), Tensor(np.zeros((batch, hidden))))
+def zero_state(batch: int, hidden: int) -> Tensor:
+    """The (B, 2h) zero block, in the default dtype: the LSTM's first
+    [h | c] and the tape cell's first-step summary [h~ | c~]."""
+    return Tensor(np.zeros((batch, 2 * hidden)))
 
 
-def _gated_update(rec: Tensor, x: Tensor, carried: Tensor, w: GateWeights,
-                  transfer: Optional[Tensor] = None) -> CellState:
-    """The gate block over [rec, x] and the memory update
-    c = [transfer +] f * carried + i * c-hat, h = o * tanh(c)."""
-    z = ad.linear(ad.concat([rec, x], axis=1), w.w)
-    if w.bias is not None:
-        z = ad.add(z, w.bias)
-    h = w.hidden_size
-    i = ad.sigmoid(ad.slice_cols(z, 0, h))
-    f = ad.sigmoid(ad.slice_cols(z, h, 2 * h))
-    o = ad.sigmoid(ad.slice_cols(z, 2 * h, 3 * h))
-    chat = ad.tanh(ad.slice_cols(z, 3 * h, 4 * h))
-    kept = ad.mul(f, carried)
-    c = ad.add(kept if transfer is None else ad.add(transfer, kept), ad.mul(i, chat))
-    return CellState(ad.mul(o, ad.tanh(c)), c)
-
-
-def lstm_step(x: Tensor, prev: CellState, w: GateWeights) -> CellState:
-    """One standard LSTM update from (h_{t-1}, c_{t-1})."""
-    return _gated_update(prev.h, x, prev.c, w)
+def lstm_step(x: Tensor, prev: Tensor, w: GateWeights,
+              transfer: Optional[Tensor] = None) -> CellState:
+    """One LSTM update from the block ``prev`` = [rec | carried]: the gate
+    block over [rec, x] and c = [transfer +] f * carried + i * c-hat,
+    h = o * tanh(c)."""
+    hc = ad.gate_cell(prev, x, w.w, w.bias, transfer)
+    return CellState(hc, ad.slice_cols(hc, 0, w.hidden_size))
 
 
 def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
                  w: IntraAttentionWeights) -> IntraAttention:
-    """Attention over the tape's read window and the summaries (h~, c~)
-    it gives, from one fused ``autodiff.tape_attend`` node.
+    """Attention over the tape's read window and the summary block
+    [h~ | c~] it gives, from one fused ``autodiff.tape_attend`` node.
+    ``htilde_prev`` is the previous h~, or the previous summary block
+    (whose h~ columns are read).
 
     The tape must be non-empty; the first-step convention is
     ``lstmn_step``'s concern.
@@ -254,30 +260,29 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     lo, hi = tapes.window()
     summary, scores, weights = ad.tape_attend(
         tapes.memory, lo, hi, x, w.w_x, htilde_prev, w.w_htilde, w.v, w.bias)
-    hidden = w.w_htilde.data.shape[1]
-    return IntraAttention(scores, weights, ad.slice_cols(summary, 0, hidden),
-                          ad.slice_cols(summary, hidden, 2 * hidden))
+    return IntraAttention(scores, weights, summary)
 
 
-def lstmn_step(x: Tensor, tapes: Tapes, htilde_prev: Optional[Tensor],
+def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
                w: LstmnLayerWeights, transfer: Optional[Tensor] = None):
-    """One memory-tape update; appends the new state to ``tapes``.
+    """One memory-tape update; appends the new [h | c] and its key to
+    ``tapes``.  ``summary_prev`` is the previous step's summary block
+    [h~ | c~] (or its h~ alone), whose h~ the attention query reads.
 
     The one tape-cell step of the encoder layers and of both fusion
     decoders.  ``transfer`` is an extra memory term, deep fusion's
     r * a~: c_t = (transfer + f * c~) + i * c-hat.
 
-    Empty-tape convention: at the first step the summaries are zero (and
-    ``htilde_prev`` is unused), so the gate block sees [0, x_t] and c_t
-    reduces to [transfer +] i * c-hat.
+    Empty-tape convention: at the first step the summary is the zero
+    block (and ``summary_prev`` is unused), so the gate block sees
+    [0, x_t] and c_t reduces to [transfer +] i * c-hat.
     """
     if len(tapes) == 0:
-        zero = Tensor(np.zeros((x.data.shape[0], w.gates.hidden_size)))
-        attn = IntraAttention(None, None, zero, zero)
+        attn = IntraAttention(None, None, zero_state(x.data.shape[0], w.gates.hidden_size))
     else:
-        attn = intra_attend(x, tapes, htilde_prev, w.attn)
-    state = _gated_update(attn.htilde, x, attn.ctilde, w.gates, transfer)
-    tapes.append(state.h, state.c, ad.linear(state.h, w.attn.w_h))
+        attn = intra_attend(x, tapes, summary_prev, w.attn)
+    state = lstm_step(x, attn.summary, w.gates, transfer)
+    tapes.append(state.hc, ad.linear(state.h, w.attn.w_h))
     return state, attn
 
 
@@ -286,36 +291,44 @@ class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
     step even when a capacity bound keeps attention from reading them) and
     per-step top-layer attention traces (None for an LSTM top layer)."""
-    top_h: list           # [T] of (B, h)
-    top_c: list           # [T] of (B, h)
+    top: list             # [T] of CellState
     traces: list          # [T] of IntraAttention or None
+
+    @property
+    def top_h(self) -> list:
+        """[T] of (B, h)."""
+        return [s.h for s in self.top]
+
+    @property
+    def top_c(self) -> list:
+        """[T] of (B, h), new slice nodes on every read."""
+        return [s.c for s in self.top]
 
 
 def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
     """Process a token-embedding sequence left to right; layer k+1
     consumes layer k's output (concatenated with x when skip connections
-    are on).  A tape layer carries its summary h~ between steps, an LSTM
-    layer its (h, c).  ``capacity`` bounds only how far back the attention
-    may look."""
+    are on).  A tape layer carries its summary block [h~ | c~] between
+    steps, an LSTM layer its [h | c].  ``capacity`` bounds only how far
+    back the attention may look."""
     if not xs:
         raise TapeError("cannot run over an empty sequence")
     batch = xs[0].data.shape[0]
     tapes = [Tapes(capacity, length=len(xs)) for _ in w.layers]
     carried = [zero_state(batch, layer.gates.hidden_size) if layer.attn is None else None
                for layer in w.layers]
-    run = StackRun(top_h=[], top_c=[], traces=[])
+    run = StackRun(top=[], traces=[])
     for x in xs:
         inp = x
         for k, layer in enumerate(w.layers):
             if k > 0:
                 inp = ad.concat([state.h, x], axis=1) if w.skip else state.h
             if layer.attn is None:
-                state = carried[k] = lstm_step(inp, carried[k], layer.gates)
-                attn = None
+                state, attn = lstm_step(inp, carried[k], layer.gates), None
+                carried[k] = state.hc
             else:
                 state, attn = lstmn_step(inp, tapes[k], carried[k], layer)
-                carried[k] = attn.htilde
-        run.top_h.append(state.h)
-        run.top_c.append(state.c)
+                carried[k] = attn.summary
+        run.top.append(state)
         run.traces.append(attn)
     return run

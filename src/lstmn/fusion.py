@@ -10,7 +10,8 @@ step.  Both couplings run the same tape-cell step, ``cells.lstmn_step``:
   with h_t.
 * deep fusion: a transfer gate r over [gamma~, x] writes the aligned
   source memory into the target memory update, passed to the step as
-  its ``transfer`` term r * a~: c_t = r * a~ + f * c~ + i * c-hat.
+  its ``transfer`` term r * a~: c_t = r * a~ + f * c~ + i * c-hat, one
+  term of the fused gate cell (``autodiff.gate_cell``).
 
 Inter-attention uses the same fused kernel as the tape cell
 (``autodiff.tape_attend``): the source is packed once per decoded
@@ -152,10 +153,10 @@ def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
 
 
 class DecoderState:
-    """Decoding state for one batch: the target tapes, the carried
-    summaries h~ and gamma~, the latest cell state, and the source packed
-    once for inter-attention.  ``length`` preallocates that many tape
-    slots."""
+    """Decoding state for one batch: the target tapes, the carried intra
+    summary block [h~ | c~] and context gamma~, the latest cell state, and
+    the source packed once for inter-attention.  ``length`` preallocates
+    that many tape slots."""
 
     def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,
                  capacity: Optional[int] = None, length: Optional[int] = None):
@@ -163,7 +164,7 @@ class DecoderState:
             raise ValueError(f"unknown fusion mode {mode!r}")
         self.src, self.w, self.mode = src, w, mode
         self.tapes = Tapes(capacity, length=length)
-        self.htilde = None   # unused while the target tape is empty
+        self.summary = None   # unused while the target tape is empty
         self.gamma_tilde = Tensor(np.zeros((src.y.data.shape[0], w.cell.gates.hidden_size)))
         self.state: Optional[CellState] = None
         self.src_proj = source_projection(src, w.inter)
@@ -181,8 +182,8 @@ class DecoderState:
                 pre = ad.add(pre, w.r_bias)
             inter.gate = ad.sigmoid(pre)
             transfer = ad.mul(inter.gate, inter.alpha_tilde)
-        self.state, intra = cells.lstmn_step(x, self.tapes, self.htilde, self.w.cell, transfer)
-        self.htilde, self.gamma_tilde = intra.htilde, inter.gamma_tilde
+        self.state, intra = cells.lstmn_step(x, self.tapes, self.summary, self.w.cell, transfer)
+        self.summary, self.gamma_tilde = intra.summary, inter.gamma_tilde
         if self.mode == "deep":
             return self.state.h, intra, inter
         return ad.concat([self.state.h, inter.gamma_tilde], axis=1), intra, inter

@@ -49,9 +49,13 @@ class Sgd:
         self.best = None
 
     def step(self) -> None:
+        """p -= lr * grad for every parameter with a gradient.  Consumes
+        the gradients: each is scaled by lr in place, so no
+        parameter-sized temporary is allocated."""
         for p in self.params:
             if p.grad is not None:
-                p.data -= self.lr * p.grad
+                p.grad *= self.lr
+                p.data -= p.grad
 
     def end_epoch(self, val_metric: float) -> bool:
         """Returns True when the learning rate was decayed."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from lstmn import autodiff as ad
 from lstmn.autodiff import (
     GraphStateError,
@@ -126,12 +127,13 @@ class TestBackward:
         rng = np.random.default_rng(4)
         x, w = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 4, 2)
         hidden = ad.linear(x, w)
-        act = ad.tanh(hidden)
+        act = ad.sigmoid(hidden)
         loss = ad.sum_all(act)
         backward(loss)
         assert hidden.grad is None and act.grad is None
         np.testing.assert_array_equal(loss.grad, np.ones(()))
-        np.testing.assert_allclose(w.grad, (1.0 - act.data ** 2).T @ x.data, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, (act.data * (1.0 - act.data)).T @ x.data,
+                                   rtol=1e-12)
         assert x.grad.shape == (3, 2)
 
     def test_gradient_handed_to_two_parents_is_not_shared(self):
@@ -159,6 +161,20 @@ class TestBackward:
         np.testing.assert_allclose(table.grad, dense, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(table.grad[[2, 3]], 0.0)
 
+    def test_increasing_rows_add_like_add_at(self):
+        # The row gradient lands on a dense one already in the buffer.  A
+        # strictly increasing index is added by a fancy-index +=; a sorted
+        # index with a repeat, and an unsorted one, still sum every row.
+        rng = np.random.default_rng(6)
+        for ids in (np.array([0, 2, 5]), np.array([0, 2, 2, 5]), np.array([5, 2, 0, 2])):
+            table = _rng_tensor(rng, 6, 3)
+            coef, dense = rng.normal(size=(len(ids), 3)), rng.normal(size=(6, 3))
+            rows = ad.sum_all(ad.mul(ad.lookup(table, ids), Tensor(coef)))
+            backward(ad.add(rows, ad.sum_all(ad.mul(table, Tensor(dense)))))
+            expected = dense.copy()
+            np.add.at(expected, ids, coef)
+            assert table.grad.tobytes() == expected.tobytes(), ids
+
     def test_grad_accumulates_across_backward_calls(self):
         x = Tensor([2.0], requires_grad=True)
         backward(ad.sum_all(ad.mul(x, x)))
@@ -179,7 +195,7 @@ class TestGradCheck:
         x = rng.normal(size=(3, 2))
 
         def loss():
-            return ad.sum_all(ad.tanh(ad.linear(Tensor(x), w)))
+            return ad.sum_all(ad.sigmoid(ad.linear(Tensor(x), w)))
 
         report = grad_check(loss, {"w": w}, tolerance=1e-7)
         assert report.passed, str(report)
@@ -244,6 +260,11 @@ def _kernel_cases():
                      "v": v_att}
     slot_h, slot_k = [t(2, 3) for _ in range(3)], [t(2, 2) for _ in range(3)]
     nll_w, nll_b = t(5, 3), t(5)
+    # Gate cell with h = 3 over a (2, 6) [rec | carried] block and a
+    # 2-wide input; a random readout weighs both halves of [h | c].
+    g_state, g_x, g_w, g_bias, g_transfer = t(2, 6), t(2, 2), t(12, 5), t(12), t(2, 3)
+    g_read = Tensor(rng.normal(size=(2, 6)))
+    summary_prev = t(2, 6)   # a [h~ | c~] block; the query reads its first 4 columns
 
     def tape_chain():
         # Three writes into a 2-slot buffer that grows to 4 before the
@@ -258,27 +279,28 @@ def _kernel_cases():
         return total
 
     cases = {
-        "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.tanh(ad.add(x23, y23)))),
-        "add_bias": ({"a": x23, "b": bias}, lambda: ad.sum_all(ad.tanh(ad.add(x23, bias)))),
+        "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.sigmoid(ad.add(x23, y23)))),
+        "add_bias": ({"a": x23, "b": bias}, lambda: ad.sum_all(ad.sigmoid(ad.add(x23, bias)))),
         "mul": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.mul(x23, y23))),
         "mul_scalar": ({"a": x23}, lambda: ad.sum_all(ad.mul(x23, 1.7))),
-        "linear": ({"x": x23, "w": w43}, lambda: ad.sum_all(ad.tanh(ad.linear(x23, w43)))),
+        "linear": ({"x": x23, "w": w43}, lambda: ad.sum_all(ad.sigmoid(ad.linear(x23, w43)))),
         "concat": ({"a": x23, "b": y23},
-                   lambda: ad.sum_all(ad.tanh(ad.concat([x23, y23], axis=1)))),
+                   lambda: ad.sum_all(ad.sigmoid(ad.concat([x23, y23], axis=1)))),
         "slice_cols": ({"a": x23}, lambda: ad.sum_all(ad.slice_cols(x23, 1, 3))),
         # Gate-style blocks of one parent, plus a dense use of it.
         "slice_cols_blocks": ({"a": x24}, lambda: ad.add(
-            ad.sum_all(ad.mul(ad.tanh(ad.slice_cols(x24, 0, 1)), ad.sigmoid(ad.slice_cols(x24, 1, 2)))),
-            ad.add(ad.sum_all(ad.tanh(ad.slice_cols(x24, 2, 4))), ad.sum_all(ad.mul(x24, x24))))),
+            ad.sum_all(ad.mul(ad.sigmoid(ad.slice_cols(x24, 0, 1)),
+                              ad.sigmoid(ad.slice_cols(x24, 1, 2)))),
+            ad.add(ad.sum_all(ad.sigmoid(ad.slice_cols(x24, 2, 4))),
+                   ad.sum_all(ad.mul(x24, x24))))),
         "sigmoid": ({"a": x23}, lambda: ad.sum_all(ad.sigmoid(x23))),
-        "tanh": ({"a": x23}, lambda: ad.sum_all(ad.tanh(x23))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, shift)))),
-        "sum_all": ({"a": x23}, lambda: ad.tanh(ad.sum_all(x23))),
+        "sum_all": ({"a": x23}, lambda: ad.sigmoid(ad.sum_all(x23))),
         "stack_slots": ({f"s{i}": s for i, s in enumerate(slots)},
-                        lambda: ad.sum_all(ad.tanh(ad.stack_slots(slots)))),
+                        lambda: ad.sum_all(ad.sigmoid(ad.stack_slots(slots)))),
         "slot_linear": ({"x3": x3d, "w": w43},
-                        lambda: ad.sum_all(ad.tanh(ad.slot_linear(x3d, w43)))),
-        "attend": ({"w": wts, "x3": x3d}, lambda: ad.sum_all(ad.tanh(ad.attend(wts, x3d)))),
+                        lambda: ad.sum_all(ad.sigmoid(ad.slot_linear(x3d, w43)))),
+        "attend": ({"w": wts, "x3": x3d}, lambda: ad.sum_all(ad.sigmoid(ad.attend(wts, x3d)))),
         # B=2, a capacity-style read window [1, 4) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
             ad.tape_attend(mem, 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
@@ -297,14 +319,26 @@ def _kernel_cases():
         "slot_dot": ({"memory": mem, "v": v_att}, lambda: ad.sum_all(ad.mul(ad.tape_attend(
             mem, 2, 5, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
             Tensor(w_qp.data), v_att)[0], y_att))),
+        "tape_attend_summary_prev": (
+            {"prev": summary_prev, "W_prev": w_qp},
+            lambda: ad.sum_all(ad.mul(ad.tape_attend(
+                Tensor(mem.data), 0, 5, Tensor(q_x.data), Tensor(w_qx.data), summary_prev,
+                w_qp, Tensor(v_att.data))[0], y_att))),
+        "gate_cell": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias,
+                       "transfer": g_transfer},
+                      lambda: ad.sum_all(ad.mul(ad.gate_cell(
+                          g_state, g_x, g_w, g_bias, g_transfer), g_read))),
+        "gate_cell_plain": ({"state": g_state, "x": g_x, "W": g_w},
+                            lambda: ad.sum_all(ad.mul(ad.gate_cell(g_state, g_x, g_w),
+                                                      g_read))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
         "lookup": ({"table": table},
-                   lambda: ad.sum_all(ad.tanh(ad.lookup(table, np.array([0, 2, 2]))))),
+                   lambda: ad.sum_all(ad.sigmoid(ad.lookup(table, np.array([0, 2, 2]))))),
         # Row gradients added before and after dense ones into one buffer.
         "lookup_shared_table": ({"table": table}, lambda: ad.add(
             ad.add(ad.sum_all(ad.mul(table, table)),
-                   ad.sum_all(ad.tanh(ad.lookup(table, np.array([[3, 1], [1, 1]]))))),
+                   ad.sum_all(ad.sigmoid(ad.lookup(table, np.array([[3, 1], [1, 1]]))))),
             ad.sum_all(ad.sigmoid(ad.mul(table, 0.5))))),
         # Four rows, one target repeated.
         "affine_nll": ({"h": nll_h, "W": nll_w, "b": nll_b},
@@ -343,6 +377,34 @@ def test_every_kernel_has_a_grad_check_case(monkeypatch):
         called.clear()
         _KERNEL_CASES[name][1]()
         assert name in called, f"grad_check case {name!r} never calls the kernel"
+
+
+def test_gate_cell_matches_oracle_per_row():
+    rng = np.random.default_rng(12)
+    hid, batch = 3, 4
+    state, x = rng.normal(size=(batch, 2 * hid)), rng.normal(size=(batch, 2))
+    w, b, transfer = rng.normal(size=(4 * hid, hid + 2)), rng.normal(size=4 * hid), \
+        rng.normal(size=(batch, hid))
+    out = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w), Tensor(b), Tensor(transfer))
+    plain = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w))
+    for r in range(batch):
+        rec, carried = state[r, :hid], state[r, hid:]
+        h_ref, c_ref = oracles.lstm_step_ref(x[r], rec, carried, w, None)
+        np.testing.assert_allclose(plain.data[r], np.concatenate([h_ref, c_ref]), atol=1e-12)
+        i, f, o, chat = oracles.gate_blocks(rec, x[r], w, b)
+        c_ref = transfer[r] + f * carried + i * chat
+        np.testing.assert_allclose(out.data[r], np.concatenate([o * np.tanh(c_ref), c_ref]),
+                                   atol=1e-12)
+
+
+def test_gate_cell_shape_errors_name_the_operands():
+    state, x, w = Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((12, 5)))
+    for bad in [(Tensor(np.zeros((2, 4))), x, w), (state, Tensor(np.zeros((3, 2))), w),
+                (state, x, Tensor(np.zeros((12, 4))))]:
+        with pytest.raises(ShapeMismatchError, match="gate_cell: state"):
+            ad.gate_cell(*bad)
+    with pytest.raises(ShapeMismatchError, match=r"transfer \(2, 2\)"):
+        ad.gate_cell(state, x, w, transfer=Tensor(np.zeros((2, 2))))
 
 
 def test_affine_nll_matches_per_token_oracle():

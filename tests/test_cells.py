@@ -8,7 +8,6 @@ from lstmn import autodiff as ad
 from lstmn import cells
 from lstmn.autodiff import Tensor, backward, grad_check, zero_grad
 from lstmn.cells import (
-    CellState,
     GateWeights,
     IntraAttentionWeights,
     LstmnLayerWeights,
@@ -64,8 +63,7 @@ class TestLstmStep:
     def test_zero_weights_unit_memory(self):
         # sigma(0) = 0.5 gates halve the carried memory.
         w = zero_gate_weights(1, 1)
-        prev = CellState(row([0.0]), row([1.0]))
-        state = lstm_step(row([0.3]), prev, w)
+        state = lstm_step(row([0.3]), row([0.0, 1.0]), w)
         assert state.c.item() == pytest.approx(0.5, abs=1e-15)
         assert state.h.item() == pytest.approx(0.5 * np.tanh(0.5), abs=1e-12)
 
@@ -74,7 +72,7 @@ class TestLstmStep:
         w = GateWeights(w=Tensor(rng.normal(size=(12, 6))),
                         bias=Tensor(rng.normal(size=12)))
         x, h0, c0 = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        state = lstm_step(row(x), CellState(row(h0), row(c0)), w)
+        state = lstm_step(row(x), row(np.concatenate([h0, c0])), w)
         h_ref, c_ref = oracles.lstm_step_ref(x, h0, c0, w.w.data, w.bias.data)
         np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
         np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
@@ -82,8 +80,7 @@ class TestLstmStep:
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(6)
         w = GateWeights(w=Tensor(rng.normal(scale=3.0, size=(8, 5))))
-        state = lstm_step(row(rng.normal(size=3)),
-                          CellState(row(rng.normal(size=2)), row(rng.normal(size=2))), w)
+        state = lstm_step(row(rng.normal(size=3)), row(rng.normal(size=4)), w)
         assert np.all(np.abs(state.h.data) <= 1.0)
 
 
@@ -98,7 +95,7 @@ class TestIntraAttend:
             if attn.weights is not None:
                 np.testing.assert_allclose(attn.weights.data[0],
                                            np.full(t, 1.0 / t), atol=1e-12)
-            htilde = attn.htilde
+            htilde = attn.summary
 
     def test_singleton_tape_weight_one(self):
         rng = np.random.default_rng(8)
@@ -109,7 +106,7 @@ class TestIntraAttend:
         attn = cells.intra_attend(
             row(rng.normal(size=2)), tapes, row(rng.normal(size=2)), layer.attn)
         np.testing.assert_array_equal(attn.weights.data, [[1.0]])
-        np.testing.assert_array_equal(attn.htilde.data, h.data)
+        np.testing.assert_array_equal(attn.summary.data[:, :2], h.data)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(9)
@@ -161,12 +158,10 @@ class TestLstmnStep:
         htp = Tensor(np.zeros((1, 3)))
         x1, x2 = row(rng.normal(size=2)), row(rng.normal(size=2))
         s1, a1 = lstmn_step(x1, tapes, htp, layer)
-        s2, a2 = lstmn_step(x2, tapes, a1.htilde, layer)
-        ref = lstm_step(x2, s1, layer.gates)
-        np.testing.assert_array_equal(s2.h.data, ref.h.data)
-        np.testing.assert_array_equal(s2.c.data, ref.c.data)
-        np.testing.assert_array_equal(a2.htilde.data, s1.h.data)
-        np.testing.assert_array_equal(a2.ctilde.data, s1.c.data)
+        s2, a2 = lstmn_step(x2, tapes, a1.summary, layer)
+        ref = lstm_step(x2, s1.hc, layer.gates)
+        np.testing.assert_array_equal(s2.hc.data, ref.hc.data)
+        np.testing.assert_array_equal(a2.summary.data, s1.hc.data)
 
     def test_matches_naive_oracle_over_sequence(self):
         rng = np.random.default_rng(12)
@@ -178,7 +173,7 @@ class TestLstmnStep:
         hp = np.zeros(3)
         for x in xs:
             state, attn = lstmn_step(row(x), tapes, htilde, layer)
-            htilde = attn.htilde
+            htilde = attn.summary
             h_ref, c_ref, w_ref, ht_ref, _ = oracles.lstmn_step_ref(
                 x, H, C, hp, **layer_ref_args(layer))
             np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
@@ -201,7 +196,7 @@ class TestLstmnStep:
             total = None
             for x in xs:
                 state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
-                htilde = attn.htilde
+                htilde = attn.summary
                 term = ad.sum_all(ad.mul(state.h, state.h))
                 total = term if total is None else ad.add(total, term)
             return total
@@ -232,7 +227,7 @@ class TestLstmnStep:
         htilde = Tensor(np.zeros((1, 2)))
         for t in range(6):
             _, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
-            htilde = attn.htilde
+            htilde = attn.summary
             assert len(tapes) == t + 1
 
     def test_capacity_drops_oldest_slot(self):
@@ -248,7 +243,7 @@ class TestLstmnStep:
         for t in range(6):
             x = rng.normal(size=2)
             state, attn = lstmn_step(row(x), tapes, htilde, layer)
-            htilde = attn.htilde
+            htilde = attn.summary
             h_ref, c_ref, _, ht_ref, _ = oracles.lstmn_step_ref(
                 x, H[-cap:], C[-cap:], hp, **layer_ref_args(layer))
             np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
@@ -272,13 +267,13 @@ class TestFusedTape:
         for _ in range(7):
             x = rng.normal(size=(batch, 2))
             state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
-            htilde = attn.htilde
+            htilde = attn.summary
             for b in range(batch):
                 h_ref, c_ref, w_ref, ht_ref, ct_ref = oracles.lstmn_step_ref(
                     x[b], H[b][-cap:], C[b][-cap:], hp[b], **layer_ref_args(layer))
                 np.testing.assert_allclose(state.h.data[b], h_ref, atol=1e-12)
                 np.testing.assert_allclose(state.c.data[b], c_ref, atol=1e-12)
-                np.testing.assert_allclose(attn.ctilde.data[b], ct_ref, atol=1e-12)
+                np.testing.assert_allclose(attn.summary.data[b, 3:], ct_ref, atol=1e-12)
                 if attn.weights is not None:
                     np.testing.assert_allclose(attn.weights.data[b], w_ref, atol=1e-12)
                 H[b].append(h_ref)
@@ -298,7 +293,7 @@ class TestFusedTape:
             htilde, total, hs = Tensor(np.zeros((2, 3))), None, []
             for x in xs:
                 state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
-                htilde = attn.htilde
+                htilde = attn.summary
                 hs.append(state.h.data.copy())
                 term = ad.sum_all(ad.mul(state.h, state.h))
                 total = term if total is None else ad.add(total, term)
@@ -322,7 +317,7 @@ class TestFusedTape:
             htilde = Tensor(np.zeros((2, 3)))
             for _ in range(tape_len):
                 _, attn = lstmn_step(Tensor(rng.normal(size=(2, 2))), tapes, htilde, layer)
-                htilde = attn.htilde
+                htilde = attn.summary
             x = Tensor(rng.normal(size=(2, 2)))
             before = Tensor(0.0)._nid
             lstmn_step(x, tapes, htilde, layer)
@@ -339,7 +334,7 @@ class TestAttentionSumInvariant:
         htilde = Tensor(np.zeros((2, 4)))
         for t in range(6):
             _, attn = lstmn_step(Tensor(rng.normal(size=(2, 3))), tapes, htilde, layer)
-            htilde = attn.htilde
+            htilde = attn.summary
             if attn.weights is not None:
                 sums = attn.weights.data.sum(axis=1)
                 np.testing.assert_allclose(sums, 1.0, atol=1e-9)
@@ -355,9 +350,9 @@ class TestAttentionSumInvariant:
         for _ in range(5):
             state, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
             if attn.weights is not None:
-                assert min(hs) - 1e-12 <= attn.htilde.data[0, 0] <= max(hs) + 1e-12
+                assert min(hs) - 1e-12 <= attn.summary.data[0, 0] <= max(hs) + 1e-12
             hs.append(state.h.data[0, 0])
-            htilde = attn.htilde
+            htilde = attn.summary
 
 
 class TestStack:
@@ -371,7 +366,7 @@ class TestStack:
         ht_d = Tensor(np.zeros((1, 3)))
         for x, h in zip(xs, run.top_h):
             s_d, a_d = lstmn_step(x, t_direct, ht_d, layer)
-            ht_d = a_d.htilde
+            ht_d = a_d.summary
             np.testing.assert_array_equal(h.data, s_d.h.data)
 
     def test_two_layers_zero_weights_zero_outputs(self):
@@ -433,14 +428,14 @@ class TestNonMarkovContrast:
         htilde = Tensor(np.zeros((1, 3)))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
         s1, a1 = lstmn_step(xs[0], tapes, htilde, layer)
-        s2, a2 = lstmn_step(xs[1], tapes, a1.htilde, layer)
+        s2, a2 = lstmn_step(xs[1], tapes, a1.summary, layer)
         leaf = Tensor(s1.h.data.copy(), requires_grad=True)
         rebuilt = Tapes()
         rebuilt.append(leaf, Tensor(s1.c.data.copy()), ad.linear(leaf, layer.attn.w_h))
         h2 = Tensor(s2.h.data.copy())
         rebuilt.append(h2, Tensor(s2.c.data.copy()), ad.linear(h2, layer.attn.w_h))
-        _, a3 = lstmn_step(xs[2], rebuilt, Tensor(a2.htilde.data.copy()), layer)
-        s4, _ = lstmn_step(xs[3], rebuilt, a3.htilde, layer)
+        _, a3 = lstmn_step(xs[2], rebuilt, Tensor(a2.summary.data.copy()), layer)
+        s4, _ = lstmn_step(xs[3], rebuilt, a3.summary, layer)
         backward(ad.sum_all(s4.h), params=[leaf])
         assert np.abs(leaf.grad).max() > 1e-8
 
@@ -451,15 +446,43 @@ class TestNonMarkovContrast:
         xs = [row(rng.normal(size=2)) for _ in range(4)]
         state = zero_state(1, 3)
         for x in xs:
-            state = lstm_step(x, state, w)
-        # Recompute steps 3..4 from the stored (h_2, c_2) alone.
+            state = lstm_step(x, state, w).hc
+        # Recompute steps 3..4 from the stored [h_2 | c_2] alone.
         s2 = zero_state(1, 3)
         for x in xs[:2]:
-            s2 = lstm_step(x, s2, w)
-        redo = CellState(Tensor(s2.h.data.copy()), Tensor(s2.c.data.copy()))
+            s2 = lstm_step(x, s2, w).hc
+        redo = Tensor(s2.data.copy())
         for x in xs[2:]:
-            redo = lstm_step(x, redo, w)
-        np.testing.assert_array_equal(redo.h.data, state.h.data)
+            redo = lstm_step(x, redo, w).hc
+        np.testing.assert_array_equal(redo.data, state.data)
+
+
+def test_float32_steps_stay_float32():
+    # The zero state, the first-step zero summary, the fused cell's output
+    # and every parameter gradient keep the default dtype.
+    ad.set_default_dtype(np.float32)
+    try:
+        rng = np.random.default_rng(27)
+        layer = randomize_layer(rng, random_layer(rng, 3, 2, 2))
+        lstm = GateWeights(w=Tensor(rng.normal(size=(12, 5)), requires_grad=True),
+                           bias=Tensor(rng.normal(size=12), requires_grad=True))
+        transfer = Tensor(rng.normal(size=(2, 3)))
+        tapes, summary, hc, total, blocks = Tapes(), None, zero_state(2, 3), None, []
+        for _ in range(3):
+            x = Tensor(rng.normal(size=(2, 2)))
+            state, attn = lstmn_step(x, tapes, summary, layer, transfer)
+            hc = lstm_step(x, hc, lstm).hc
+            summary = attn.summary
+            blocks += [summary, state.hc, hc]
+            term = ad.add(ad.sum_all(ad.mul(state.h, state.h)), ad.sum_all(hc))
+            total = term if total is None else ad.add(total, term)
+        params = list(layer.named("layer1").values()) + [lstm.w, lstm.bias]
+        backward(total, params=params)
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert zero_state(1, 1).data.dtype == np.float64
+    assert all(b.data.dtype == np.float32 for b in blocks)
+    assert all(p.grad.dtype == np.float32 for p in params)
 
 
 def test_determinism_same_seed_bit_identical():
@@ -494,9 +517,8 @@ def test_run_lstm_baseline_matches_manual_chain():
     assert run.traces == [None] * 3
     state = zero_state(1, 3)
     for x, h, c in zip(xs, run.top_h, run.top_c):
-        state = lstm_step(x, state, stack.layers[0].gates)
-        np.testing.assert_array_equal(state.h.data, h.data)
-        np.testing.assert_array_equal(state.c.data, c.data)
+        state = lstm_step(x, state, stack.layers[0].gates).hc
+        np.testing.assert_array_equal(state.data, np.concatenate([h.data, c.data], axis=1))
 
 
 def test_run_stack_lstm_skip_feeds_h_and_x_upward():
@@ -512,3 +534,4 @@ def test_run_stack_lstm_skip_feeds_h_and_x_upward():
         lower = lstm_step(x, lower, stack.layers[0].gates)
         upper = lstm_step(ad.concat([lower.h, x], axis=1), upper, stack.layers[1].gates)
         np.testing.assert_array_equal(upper.h.data, h.data)
+        lower, upper = lower.hc, upper.hc

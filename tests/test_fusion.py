@@ -292,7 +292,7 @@ class TestShallowDecode:
             decoder.step(x)
             np.testing.assert_array_equal(decoder.state.h.data, s_ref.h.data)
             np.testing.assert_array_equal(decoder.state.c.data, s_ref.c.data)
-            ht_r = a_ref.htilde
+            ht_r = a_ref.summary
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(43)
@@ -339,7 +339,7 @@ class TestFusionIdentities:
         plain_hs = []
         for x in xs:
             state, attn = cells.lstmn_step(x, tapes, ht, dec.cell)
-            ht = attn.htilde
+            ht = attn.summary
             plain_hs.append(state.h.data.copy())
         np.testing.assert_array_equal(deep_hs, np.stack(plain_hs))
 

@@ -101,7 +101,13 @@ class TestLanguageModel:
         ad.zero_grad(params.values())
         ad.backward(loss, params=list(params.values()))
         interior = [t for t in graph_nodes(loss) if t._backward_fn and t is not loss]
-        assert len(interior) > 100 and all(t.grad is None for t in interior)
+        # One fused gate-cell node per layer per step, and every interior
+        # gradient freed once passed on.
+        steps = batch.tokens.shape[1] - 1
+        gate_cells = [t for t in interior
+                      if t._backward_fn.__qualname__.startswith("gate_cell.")]
+        assert len(gate_cells) == cfg.layers * steps == 10
+        assert all(t.grad is None for t in interior)
         np.testing.assert_array_equal(loss.grad, np.ones(()))
         report = ad.grad_check(lambda: model.loss(batch)[0], params)
         assert report.passed, str(report)

@@ -94,6 +94,14 @@ class TestSgd:
         Sgd([p], lr=0.65).step()
         np.testing.assert_allclose(p.data, [-0.3])
 
+    def test_step_rounds_like_scaled_subtraction(self):
+        rng = np.random.default_rng(3)
+        data, grad = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        p = Tensor(data.copy(), requires_grad=True)
+        p.grad = grad.copy()
+        Sgd([p], lr=0.37).step()
+        assert p.data.tobytes() == (data - 0.37 * grad).tobytes()
+
     def test_decay_on_no_improvement(self):
         opt = Sgd([], lr=0.65, decay=0.85)
         assert opt.end_epoch(100.0) is False     # first epoch sets the bar
