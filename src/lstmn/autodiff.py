@@ -21,10 +21,18 @@ one node, gate block and memory update together.  A memory tape is one
 so a recurrent step adds a fixed number of nodes however long the tape.
 Every loss ends in ``affine_nll``, the output affine map and softmax NLL
 in one node over the rows it is given.
+
+Inside a ``no_grad()`` block no graph is recorded: every node is made
+with no parents and no backward closure, and ``requires_grad`` False,
+so each intermediate is freed as soon as the forward pass drops it.  The
+forward arithmetic, the NaN/Inf screen and every shape check are the
+same in both modes, so outputs are bit-identical.  Evaluation, greedy
+decoding and attention tracing run in this mode.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -39,6 +47,9 @@ _node_ids = itertools.count()
 
 _default_dtype = np.float64
 
+# False inside a ``no_grad()`` block: ``_make`` records no graph.
+_grad_enabled = True
+
 
 def set_default_dtype(dtype) -> None:
     """Set the dtype new tensors are created with (float64 or float32)."""
@@ -47,6 +58,20 @@ def set_default_dtype(dtype) -> None:
     if dtype not in (np.float64, np.float32):
         raise ValueError(f"unsupported dtype {dtype}; use float64 or float32")
     _default_dtype = dtype.type
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block, or the decorated function, without recording a
+    backward graph; the previous mode is restored on exit, also when the
+    block raises."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class ShapeMismatchError(ValueError):
@@ -115,7 +140,7 @@ def _make(data: np.ndarray, parents, backward_fn, op: str, screen: bool = True) 
     out.grad = None
     out._nid = next(_node_ids)
     out._backward_done = False
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -169,12 +194,17 @@ def backward(loss: Tensor, params=()) -> None:
     gradients.  An interior node's gradient is dropped once it has been
     passed to the node's inputs; ``loss.grad`` and leaf gradients stay.
     Calling backward twice on the same loss node is an error: the replay
-    consumes the recorded graph semantics.
+    consumes the recorded graph semantics.  So is a loss with no graph
+    (made under ``no_grad`` or from constants only), which would
+    otherwise zero-fill every gradient without a word.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"loss must be scalar, got shape {loss.data.shape}")
     if loss._backward_done:
         raise GraphStateError("backward already ran for this loss; rebuild the graph")
+    if not loss.requires_grad:
+        raise GraphStateError("loss has no graph (made under no_grad or from constants "
+                              "only); there is nothing to differentiate")
 
     nodes = []
     seen = set()

@@ -11,6 +11,8 @@ the seq2seq and pair variants override only those hooks.  Losses are
 mean-per-token (language modeling) or mean-per-example (classification)
 and come with the raw stats ``{nll, tokens, correct}`` (a classifier's
 tokens are examples), which ``Model.evaluate`` sums across batches.
+``evaluate``, ``generate`` and ``attention_traces`` never call backward
+and run under ``autodiff.no_grad``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ class Model:
     def l2_params(self) -> list:
         return [t for n, t in self.params().items() if n != "embedding.weight"]
 
+    @ad.no_grad()
     def evaluate(self, batches, dataset: str = "", split: str = "") -> EvalMetrics:
         """The per-batch stats of ``loss`` summed over ``batches``."""
         nll, tokens, correct = 0.0, 0, 0
@@ -98,6 +101,7 @@ class Model:
                                  self.capacity)
         return run, enc_traces
 
+    @ad.no_grad()
     def attention_traces(self, token_ids: np.ndarray, tgt_ids: np.ndarray | None = None):
         """Attention over one raw sequence (no boundary tokens added): the
         core's top-layer intra-attention, or for a (source, target) pair
@@ -165,6 +169,7 @@ class Seq2SeqModel(LanguageModel):
         run, _ = self._decode(batch.tokens, inputs, batch.mask)
         return run.outputs, targets, out_mask
 
+    @ad.no_grad()
     def generate(self, src_tokens: np.ndarray, max_len: int = 50) -> list:
         """Greedy decoding for one source sequence (token ids)."""
         src, _ = fusion.encode(self._embed(src_tokens[None, :]), self.stack, self.capacity)
@@ -250,6 +255,7 @@ class PairClassifier(_Classifier):
         return ad.concat([self._pool(prem_xs, self.stack, batch.mask),
                           self._pool(hyp_xs, self.hypothesis_encoder, batch.mask2)], axis=1)
 
+    @ad.no_grad()
     def attention_traces(self, premise_ids: np.ndarray, hypothesis_ids: np.ndarray):
         if self.mode:
             return super().attention_traces(premise_ids, hypothesis_ids)

@@ -84,17 +84,29 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        """The moments update in place and the step is built in two
+        scratch arrays, in the operation order of
+        p -= lr * m_hat / (sqrt(v_hat) + eps), so it rounds the same."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
+        c1, c2 = 1 - b1 ** self.t, 1 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            num = (1 - b2) * g
+            num *= g
+            v += num
+            np.divide(m, c1, out=num)
+            num *= self.lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
 
 def dropout(x: Tensor, rate: float, training: bool,

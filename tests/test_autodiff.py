@@ -94,10 +94,20 @@ class TestBackward:
         backward(ad.sum_all(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
-    def test_constant_loss_zero_grads(self):
+    def test_constant_loss_is_graph_state_error(self):
+        # A loss that reaches no parameter has nothing to differentiate;
+        # zero-filling every gradient would hide the mistake.
         w = Tensor(np.random.default_rng(0).normal(size=(2, 2)), requires_grad=True)
         loss = ad.sum_all(Tensor(np.zeros((1, 1))))
-        backward(loss, params=[w])
+        with pytest.raises(GraphStateError, match="no graph"):
+            backward(loss, params=[w])
+        assert w.grad is None
+
+    def test_unreached_param_gets_zero_grad(self):
+        x = Tensor([1.5], requires_grad=True)
+        w = Tensor(np.random.default_rng(0).normal(size=(2, 2)), requires_grad=True)
+        backward(ad.sum_all(ad.mul(x, x)), params=[x, w])
+        np.testing.assert_array_equal(x.grad, [3.0])
         np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
 
     def test_accumulation_x_plus_x(self):
@@ -377,6 +387,64 @@ def test_every_kernel_has_a_grad_check_case(monkeypatch):
         called.clear()
         _KERNEL_CASES[name][1]()
         assert name in called, f"grad_check case {name!r} never calls the kernel"
+
+
+def _records_graph() -> bool:
+    """Whether a kernel called now records its parents."""
+    return ad.mul(Tensor([1.0], requires_grad=True), 2.0).requires_grad
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_CASES))
+def test_no_grad_records_no_graph_and_keeps_values(kernel, monkeypatch):
+    params, loss = _KERNEL_CASES[kernel]
+    zero_grad(params.values())
+    expected = loss().data
+    made = []
+    make = ad._make
+
+    def recording_make(*args, **kwargs):
+        made.append(make(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    with ad.no_grad():
+        value = loss()
+    assert made and all(n._parents == () and n._backward_fn is None
+                        and not n.requires_grad for n in made)
+    assert value.data.tobytes() == expected.tobytes()
+    with pytest.raises(GraphStateError, match="no graph"):
+        backward(value, params=list(params.values()))
+    assert all(p.grad is None for p in params.values())
+
+
+class TestNoGradMode:
+    def test_restored_after_the_block_and_when_nested(self):
+        assert _records_graph()
+        with ad.no_grad():
+            assert not _records_graph()
+            with ad.no_grad():
+                assert not _records_graph()
+            assert not _records_graph()
+        assert _records_graph()
+
+    def test_restored_when_the_block_raises(self):
+        with pytest.raises(ShapeMismatchError):
+            with ad.no_grad():
+                ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        assert _records_graph()
+
+    def test_nonfinite_screen_stays_on(self):
+        big = Tensor(np.array([[1e308]]), requires_grad=True)
+        with ad.no_grad(), pytest.raises(NonFiniteError):
+            ad.mul(big, big)
+
+    def test_leaves_keep_requires_grad(self):
+        # Only op outputs lose the flag; a parameter made in the block
+        # still trains after it.
+        with ad.no_grad():
+            w = Tensor([2.0], requires_grad=True)
+        backward(ad.sum_all(ad.mul(w, w)))
+        np.testing.assert_array_equal(w.grad, [4.0])
 
 
 def test_gate_cell_matches_oracle_per_row():

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from lstmn import checkpoint, cli, models, synthetic, train
+from lstmn import checkpoint, cli, models, optim, synthetic, train
 from lstmn.autodiff import Tensor
 from lstmn.checkpoint import CheckpointError, load_checkpoint, load_into
 from lstmn.config import ConfigError, RunConfig, build_config, data_kind, format_config
@@ -138,6 +138,34 @@ class TestRunTrain:
         assert len(lines) == result.steps == 4
         assert all(line.startswith(f"step={i + 1} loss=") and "grad_norm=" in line
                    and "lr=" in line for i, line in enumerate(lines))
+
+    def test_training_after_validation_still_gets_gradients(self, tmp_path, monkeypatch):
+        # Validation runs without a backward graph between the epochs; the
+        # mode must end with it, or epoch 2 would train on graph-less losses.
+        evaluated, after_validation = [], []
+        evaluate, step = models.LanguageModel.evaluate, optim.Sgd.step
+
+        def recording_evaluate(self, *args, **kwargs):
+            evaluated.append(1)
+            return evaluate(self, *args, **kwargs)
+
+        def recording_step(self):
+            before = [p.data.copy() for p in self.params]
+            norm = optim.global_grad_norm(self.params)   # step scales grads in place
+            step(self)
+            if evaluated:
+                after_validation.append(
+                    (norm, sum(not np.array_equal(b, p.data)
+                               for b, p in zip(before, self.params))))
+
+        monkeypatch.setattr(models.LanguageModel, "evaluate", recording_evaluate)
+        monkeypatch.setattr(optim.Sgd, "step", recording_step)
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="2", batch_size="100",
+                                                  optimizer="sgd"))
+        result = train.run_train(cfg, str(tmp_path / "out"))
+        assert len(result.val_metrics) == 2 and len(evaluated) == 2
+        assert after_validation and len(after_validation) == result.steps // 2
+        assert all(norm > 0 and moved > 1 for norm, moved in after_validation)
 
     def test_unreadable_path_fails_with_clear_error(self, tmp_path):
         cfg = build_config(overrides=lm_overrides(

@@ -349,6 +349,101 @@ class TestClassifierModels:
         assert dropped.item() != model.loss(batch)[0].item()
 
 
+def trace_bytes(traces: dict) -> dict:
+    """Each attention stream's per-step weights, as bytes (None where a
+    step has no distribution)."""
+    return {name: [None if getattr(t, "weights", None) is None else t.weights.data.tobytes()
+                   for t in stream] for name, stream in traces.items()}
+
+
+class TestNoGradEntryPoints:
+    """evaluate, generate and attention_traces record no backward graph,
+    and give bit-identical results to a run that records one."""
+
+    @staticmethod
+    def _model(task, model_name, seed):
+        vocab = make_vocab()
+        cfg = build_config(overrides=dict(task=task, model=model_name, hidden="5",
+                                          embedding="4", train_data="unused"))
+        model = models.build_model(cfg, vocab, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)   # init zeroes v: attention would be flat
+        for t in model.params().values():
+            t.data[...] = rng.normal(scale=0.7, size=t.data.shape)
+        return model, vocab
+
+    @staticmethod
+    def _run(fn, record_graph: bool):
+        """(fn(), whether any node it made kept parents); ``record_graph``
+        makes every node as if no no-grad block were open."""
+        kept = []
+        make = ad._make
+
+        def recording_make(*args, **kwargs):
+            enabled = ad._grad_enabled
+            ad._grad_enabled = enabled or record_graph
+            try:
+                out = make(*args, **kwargs)
+            finally:
+                ad._grad_enabled = enabled
+            kept.append(bool(out._parents) or out._backward_fn is not None)
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_make", recording_make)
+            result = fn()
+        return result, any(kept)
+
+    def _both(self, fn):
+        (with_graph, kept), (without, kept_none) = self._run(fn, True), self._run(fn, False)
+        assert kept and not kept_none
+        return with_graph, without
+
+    @pytest.mark.parametrize("task,model_name", [
+        ("lm", "lstm"), ("lm", "lstmn"), ("lm", "seq2seq-shallow"), ("lm", "seq2seq-deep"),
+        ("sentiment", "lstmn"), ("nli", "lstmn"), ("nli", "seq2seq-deep")])
+    def test_evaluate_bit_identical(self, task, model_name):
+        model, vocab = self._model(task, model_name, 81)
+        if task == "lm" and not model_name.startswith("seq2seq"):
+            batch = lm_batch(vocab, [["w0", "w1", "w2", "w3"], ["w4", "w5"]])
+        else:
+            batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w1", "w2"], ["w3"]],
+                                             [["w4", "w1"], ["w5", "w1", "w0"]])
+            batch.labels = np.array([1, 0])
+        if task == "sentiment":
+            batch = Batch(tokens=batch.tokens, mask=batch.mask, labels=batch.labels)
+        with_graph, without = self._both(lambda: model.evaluate([batch, batch]))
+        assert with_graph == without and without.tokens > 0
+
+    @pytest.mark.parametrize("model_name", ["seq2seq-shallow", "seq2seq-deep"])
+    def test_generate_bit_identical(self, model_name):
+        model, vocab = self._model("lm", model_name, 82)
+        src = vocab.encode(["w0", "w3", "w1", "w4"])
+        with_graph, without = self._both(lambda: model.generate(src, max_len=8))
+        assert with_graph == without and len(without) > 1
+
+    @pytest.mark.parametrize("task,model_name", [
+        ("lm", "lstmn"), ("lm", "seq2seq-deep"), ("nli", "lstmn"), ("nli", "seq2seq-shallow")])
+    def test_attention_traces_bit_identical(self, task, model_name):
+        model, vocab = self._model(task, model_name, 83)
+        src, tgt = vocab.encode(["w0", "w3", "w1", "w4"]), vocab.encode(["w2", "w5", "w0"])
+        args = (src,) if task == "lm" and model_name == "lstmn" else (src, tgt)
+        with_graph, without = self._both(lambda: model.attention_traces(*args))
+        assert trace_bytes(with_graph) == trace_bytes(without)
+        assert any(w is not None for stream in trace_bytes(without).values() for w in stream)
+
+    def test_mode_ends_when_evaluate_raises(self):
+        vocab = make_vocab()
+        cfg = build_config(overrides=dict(task="sentiment", model="lstmn", hidden="3",
+                                          embedding="2"))
+        model = models.build_model(cfg, vocab, np.random.default_rng(62))
+        empty = Batch(tokens=np.zeros((1, 0), dtype=np.int64), mask=np.zeros((1, 0)),
+                      labels=np.array([1]))
+        with pytest.raises(TapeError, match="empty"):
+            model.evaluate([empty])
+        x = ad.Tensor([1.0], requires_grad=True)
+        assert ad.mul(x, 2.0).requires_grad
+
+
 # Fixed before the first float32 run: float32 keeps about 7 significant
 # digits, and one step's losses go through a few hundred rounded ops.
 FLOAT32_RTOL = 1e-3

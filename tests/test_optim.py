@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lstmn.autodiff import NonFiniteError, Tensor
+from lstmn.autodiff import NonFiniteError, Tensor, set_default_dtype
 from lstmn.config import ConfigError
 from lstmn.optim import (
     Adam,
@@ -156,6 +156,41 @@ class TestAdam:
             v_hat = v / (1 - 0.999 ** t)
             theta = theta - 2e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert p.data[0] == pytest.approx(theta, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_step_rounds_like_the_direct_expression(self, dtype):
+        # The moments and the step are built in place; every value must
+        # equal the out-of-place update bit for bit.
+        rng = np.random.default_rng(73)
+        shapes = [(4, 3), (5,), (2, 2, 3)]
+        set_default_dtype(dtype)
+        try:
+            # Weights at the step's own scale, so a step that rounds
+            # differently also moves the weights differently.
+            params = [Tensor(rng.normal(size=s) * 1e-3, requires_grad=True) for s in shapes]
+        finally:
+            set_default_dtype(np.float64)
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        theta = [p.data.copy() for p in params]
+        m = [np.zeros_like(t) for t in theta]
+        v = [np.zeros_like(t) for t in theta]
+        for t in range(1, 7):
+            grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1 ** t)
+                v_hat = v[i] / (1 - b2 ** t)
+                theta[i] = theta[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert params[i].data.dtype == dtype
+                assert params[i].data.tobytes() == theta[i].tobytes(), (t, i)
+                assert opt.m[i].tobytes() == m[i].tobytes()
+                assert opt.v[i].tobytes() == v[i].tobytes()
+            np.testing.assert_array_equal(params[0].grad, grads[0])   # grads untouched
 
 
 class TestDropout:
