@@ -9,18 +9,21 @@ consumers.  A kernel whose gradient touches only part of an input (row
 gathers, column slices) returns it as a ``Partial``, which ``backward``
 adds into the input's gradient buffer in place.
 
-The kernel set is deliberately small: just what gated recurrences with
-tape attention, fusion decoders, and their losses need.  Shapes follow a
-batch-first convention, (B, n) for per-step vectors and (B, T, n) for
-stacked tape slots.  A recurrent cell's state is one (B, 2h) block
-[h | c]: ``gate_cell`` maps such a block (the LSTM's [h_{t-1} | c_{t-1}]
-or a tape summary [h~ | c~]) and the step input to the next [h | c] in
-one node, gate block and memory update together.  A memory tape is one
-(B, T, n) buffer written in place, one slot per step, by
-``tape_write``; ``tape_attend`` reads a window of it in a single node,
-so a recurrent step adds a fixed number of nodes however long the tape.
-Every loss ends in ``affine_nll``, the output affine map and softmax NLL
-in one node over the rows it is given.
+The kernel set is small, one kernel per job: ``add`` (same shapes),
+``mul``, ``sigmoid``, ``relu``, ``sum_all``, ``concat``, ``slice_cols``
+(last axis), ``linear`` (the one affine map: optional bias, any leading
+axes), ``lookup``, ``attend`` (a weighted sum of per-step slots),
+``gate_cell``, ``tape_write``, ``tape_attend`` and ``affine_nll``.
+Shapes are batch-first: (B, n) per step, (B, T, n) for tape slots.  A
+recurrent cell's state is one (B, 2h) block [h | c]: ``gate_cell`` maps
+such a block (the LSTM's [h_{t-1} | c_{t-1}] or a tape summary
+[h~ | c~]) and the step input to the next [h | c] in one node, gate
+block and memory update together.  A memory tape is one (B, T, n)
+buffer written in place, one slot per step, by ``tape_write``;
+``tape_attend`` reads a window of it in a single node, so a recurrent
+step adds a fixed number of nodes however long the tape.  Every loss
+ends in ``affine_nll``, the output affine map and softmax NLL in one
+node over the rows it is given.
 
 Inside a ``no_grad()`` block no graph is recorded: every node is made
 with no parents and no backward closure, and ``requires_grad`` False,
@@ -249,14 +252,10 @@ def backward(loss: Tensor, params=()) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum, or a bias vector broadcast over the leading batch
-    axis."""
-    if a.data.shape == b.data.shape:
-        return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
-    if a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
-        return _make(a.data + b.data, (a, b),
-                     lambda g: (g, g.sum(axis=0)), "add")
-    raise ShapeMismatchError(f"add: shapes {a.data.shape} and {b.data.shape} do not conform")
+    """Elementwise sum of two same-shaped tensors."""
+    if a.data.shape != b.data.shape:
+        raise ShapeMismatchError(f"add: shapes {a.data.shape} and {b.data.shape} do not conform")
+    return _make(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -270,12 +269,24 @@ def mul(a: Tensor, b) -> Tensor:
                  lambda g: (g * b.data, g * a.data), "mul")
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x (B, n) @ w (m, n)^T -> (B, m); weights stored row-per-output."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-        raise ShapeMismatchError(f"linear: shapes {x.data.shape} and {w.data.shape} do not conform")
-    return _make(x.data @ w.data.T, (x, w),
-                 lambda g: (g @ w.data, g.T @ x.data), "linear")
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """x (..., n) @ w (m, n)^T [+ b (m,)] -> (..., m) over any leading
+    axes; weights stored row-per-output."""
+    xd, wd = x.data, w.data
+    if xd.ndim < 1 or wd.ndim != 2 or xd.shape[-1] != wd.shape[1] or \
+            (b is not None and b.data.shape != (wd.shape[0],)):
+        raise ShapeMismatchError(f"linear: shapes {xd.shape}, {wd.shape} and bias "
+                                 f"{b if b is None else b.data.shape} do not conform")
+    out = xd @ wd.T
+    if b is not None:
+        out += b.data
+
+    def bwd(g):
+        rows = g.reshape(-1, g.shape[-1])
+        grads = (g @ wd, rows.T @ xd.reshape(-1, xd.shape[-1]))
+        return grads if b is None else grads + (rows.sum(axis=0),)
+
+    return _make(out, (x, w) if b is None else (x, w, b), bwd, "linear")
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
@@ -300,11 +311,10 @@ def concat(tensors, axis: int = -1) -> Tensor:
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns [start:stop) of a 2-D tensor (gate block extraction)."""
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"slice_cols: expected 2-D, got shape {x.data.shape}")
-
-    cols = (slice(None), slice(start, stop))
+    """Columns [start:stop) of the last axis, at any rank."""
+    if x.data.ndim < 1:
+        raise ShapeMismatchError("slice_cols: a scalar has no columns")
+    cols = (..., slice(start, stop))
     return _make(x.data[cols].copy(), (x,), lambda g: (Partial(cols, g),), "slice_cols")
 
 
@@ -314,7 +324,7 @@ def sigmoid(x: Tensor) -> Tensor:
     return _make(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
 
 
-def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Optional[Tensor] = None,
+def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
               transfer: Optional[Tensor] = None) -> Tensor:
     """The LSTM gate block and memory update in one node.
 
@@ -334,18 +344,15 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Optional[Tensor] = None
     hid = wd.shape[0] // 4
     batch = sd.shape[0] if sd.ndim == 2 else -1
     if sd.ndim != 2 or wd.ndim != 2 or wd.shape[0] != 4 * hid or sd.shape[1] != 2 * hid or \
-            xd.shape != (batch, wd.shape[1] - hid) or \
-            (bias is not None and bias.data.shape != (4 * hid,)) or \
+            xd.shape != (batch, wd.shape[1] - hid) or bias.data.shape != (4 * hid,) or \
             (transfer is not None and transfer.data.shape != (batch, hid)):
         raise ShapeMismatchError(
-            f"gate_cell: state {sd.shape}, x {xd.shape}, W {wd.shape}, bias "
-            f"{bias if bias is None else bias.data.shape}, transfer "
-            f"{transfer if transfer is None else transfer.data.shape} do not conform")
+            f"gate_cell: state {sd.shape}, x {xd.shape}, W {wd.shape}, bias {bias.data.shape}, "
+            f"transfer {transfer if transfer is None else transfer.data.shape} do not conform")
     carried = sd[:, hid:]
     inp = np.concatenate([sd[:, :hid], xd], axis=1)
     z = inp @ wd.T
-    if bias is not None:
-        z += bias.data
+    z += bias.data
     gates = 0.5 * (1.0 + np.tanh(0.5 * z[:, :3 * hid]))
     i, f, o = gates[:, :hid], gates[:, hid:2 * hid], gates[:, 2 * hid:]
     chat = np.tanh(z[:, 3 * hid:])
@@ -363,12 +370,11 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Optional[Tensor] = None
         gz = np.concatenate([dgates * gates * (1.0 - gates), dc * i * (1.0 - chat * chat)],
                             axis=1)
         ginp = gz @ wd
-        grads = (np.concatenate([ginp[:, :hid], dc * f], axis=1), ginp[:, hid:], gz.T @ inp)
-        if bias is not None:
-            grads += (gz.sum(axis=0),)
+        grads = (np.concatenate([ginp[:, :hid], dc * f], axis=1), ginp[:, hid:], gz.T @ inp,
+                 gz.sum(axis=0))
         return grads if transfer is None else grads + (dc,)
 
-    parents = (state, x, w) + tuple(t for t in (bias, transfer) if t is not None)
+    parents = (state, x, w, bias) + (() if transfer is None else (transfer,))
     return _make(out, parents, bwd, "gate_cell")
 
 
@@ -400,42 +406,22 @@ def softmax(z: np.ndarray, mask=None) -> np.ndarray:
     return e
 
 
-def stack_slots(slots) -> Tensor:
-    """Stack T tensors of shape (B, n) into (B, T, n)."""
+def attend(weights: Tensor, slots) -> Tensor:
+    """Weighted sum of T same-shaped (B, n) slots with (B, T) weights:
+    sum_t weights[:, t] * slots[t] -> (B, n)."""
     slots = list(slots)
-    if not slots:
-        raise ShapeMismatchError("stack_slots: empty slot list")
-    ref = slots[0].data.shape
-    for s in slots[1:]:
-        if s.data.shape != ref:
-            raise ShapeMismatchError(f"stack_slots: shapes {ref} and {s.data.shape} differ")
-    out = np.stack([s.data for s in slots], axis=1)
+    shapes = {s.data.shape for s in slots}
+    if len(shapes) != 1 or slots[0].data.ndim != 2 or \
+            weights.data.shape != (slots[0].data.shape[0], len(slots)):
+        raise ShapeMismatchError(
+            f"attend: weights {weights.data.shape} and slots {sorted(shapes)} do not conform")
+    wd, x3 = weights.data, np.stack([s.data for s in slots], axis=1)
 
     def bwd(g):
-        return tuple(g[:, i, :] for i in range(len(slots)))
+        return (np.einsum("bn,btn->bt", g, x3),) + \
+            tuple(wd[:, t, None] * g for t in range(len(slots)))
 
-    return _make(out, slots, bwd, "stack_slots")
-
-
-def slot_linear(x3: Tensor, w: Tensor) -> Tensor:
-    """Apply a (m, n) projection to every slot: (B, T, n) -> (B, T, m)."""
-    if x3.data.ndim != 3 or w.data.ndim != 2 or x3.data.shape[2] != w.data.shape[1]:
-        raise ShapeMismatchError(
-            f"slot_linear: shapes {x3.data.shape} and {w.data.shape} do not conform")
-    return _make(x3.data @ w.data.T, (x3, w),
-                 lambda g: (g @ w.data,
-                            np.einsum("btm,btn->mn", g, x3.data)), "slot_linear")
-
-
-def attend(weights: Tensor, x3: Tensor) -> Tensor:
-    """Weighted sum over slots: (B, T) x (B, T, n) -> (B, n)."""
-    if weights.data.ndim != 2 or x3.data.ndim != 3 or \
-            weights.data.shape != x3.data.shape[:2]:
-        raise ShapeMismatchError(
-            f"attend: shapes {weights.data.shape} and {x3.data.shape} do not conform")
-    return _make(np.einsum("bt,btn->bn", weights.data, x3.data), (weights, x3),
-                 lambda g: (np.einsum("bn,btn->bt", g, x3.data),
-                            weights.data[:, :, None] * g[:, None, :]), "attend")
+    return _make(np.einsum("bt,btn->bn", wd, x3), (weights, *slots), bwd, "attend")
 
 
 def tape_write(prev: Optional[Tensor], buf: np.ndarray, n: int, parts) -> Tensor:
@@ -485,8 +471,8 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     ``prev`` is read in its first k = W_prev-width columns, so a summary
     block [h~ | c~] passes whole as h~.  Returns (out, scores, weights);
     scores and weights are records outside the graph.  The gradients to
-    ``memory`` and a wider ``prev`` are ``Partial``s over the columns read,
-    so a read costs nothing outside them.
+    ``memory`` and ``prev`` are ``Partial``s over the columns read, so a
+    read costs nothing outside them.
     """
     md = memory.data
     a = v.data.shape[0]
@@ -502,7 +488,7 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     d = md.shape[2] - a
     values = md[:, lo:hi, :d]
     k = w_prev.data.shape[1]
-    pd = prev.data if prev.data.shape[1] == k else prev.data[:, :k]
+    pd = prev.data[:, :k]
     q = x.data @ w_x.data.T
     q += pd @ w_prev.data.T
     if bias is not None:
@@ -525,7 +511,6 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         gq = gpre.sum(axis=1)
         grads = (Partial((slice(None), slice(lo, hi)), gmem),
                  gq @ w_x.data, gq.T @ x.data,
-                 gq @ w_prev.data if pd is prev.data else
                  Partial((slice(None), slice(0, k)), gq @ w_prev.data), gq.T @ pd,
                  gs.reshape(-1) @ z.reshape(-1, a))
         return grads if bias is None else grads + (gq.sum(axis=0),)
@@ -579,10 +564,10 @@ def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
     z = hd @ wd.T
     z += b.data
     _finite(z, "affine_nll")
-    m = z.max(axis=1)
+    top = z.argmax(axis=1)
+    hits = top == targets
+    m = z[rows, top]
     picked = z[rows, targets]
-    hits = picked == m   # a full argmax only where the target ties the max
-    hits[hits] = z[hits].argmax(axis=1) == targets[hits]
     z -= m[:, None]
     np.exp(z, out=z)
     total = z.sum(axis=1)

@@ -60,7 +60,7 @@ class GateWeights:
     """Gate block mapping [recurrent-input, token-input] to the four gate
     pre-activations, stacked row-wise in (i, f, o, c-hat) order."""
     w: Tensor            # (4h, h + in)
-    bias: Optional[Tensor] = None   # (4h,)
+    bias: Tensor         # (4h,)
 
     @property
     def hidden_size(self) -> int:
@@ -86,9 +86,7 @@ class LstmnLayerWeights:
     def named(self, prefix: str, upper: bool = False) -> dict:
         """Checkpoint tensors for one layer.  Upper layers store their
         input projection as W_l (it projects the layer below's output)."""
-        out = {f"{prefix}.W": self.gates.w}
-        if self.gates.bias is not None:
-            out[f"{prefix}.bias"] = self.gates.bias
+        out = {f"{prefix}.W": self.gates.w, f"{prefix}.bias": self.gates.bias}
         if self.attn is not None:
             out[f"{prefix}.v"] = self.attn.v
             out[f"{prefix}.W_h"] = self.attn.w_h
@@ -192,11 +190,8 @@ def zeros_param(*shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def init_gate_weights(rng, hidden: int, in_size: int, bias: bool = True) -> GateWeights:
-    return GateWeights(
-        w=glorot(rng, 4 * hidden, hidden + in_size),
-        bias=zeros_param(4 * hidden) if bias else None,
-    )
+def init_gate_weights(rng, hidden: int, in_size: int) -> GateWeights:
+    return GateWeights(w=glorot(rng, 4 * hidden, hidden + in_size), bias=zeros_param(4 * hidden))
 
 
 def init_intra_attention(rng, attn_size: int, hidden: int, in_size: int,
@@ -289,10 +284,12 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
 @dataclass
 class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
-    step even when a capacity bound keeps attention from reading them) and
-    per-step top-layer attention traces (None for an LSTM top layer)."""
+    step even when a capacity bound keeps attention from reading them),
+    per-step top-layer attention traces (None for an LSTM top layer) and
+    the top layer's tapes."""
     top: list             # [T] of CellState
     traces: list          # [T] of IntraAttention or None
+    tapes: Tapes
 
     @property
     def top_h(self) -> list:
@@ -303,6 +300,16 @@ class StackRun:
     def top_c(self) -> list:
         """[T] of (B, h), new slice nodes on every read."""
         return [s.c for s in self.top]
+
+    def tape_states(self) -> tuple:
+        """Every step's top-layer h and c, as two (B, T, h) column slices
+        of the top tape's [h | c | key] slots (``run_stack`` sizes the tape
+        to the sequence): two nodes at any length.  Tape layers only."""
+        mem = self.tapes.memory
+        if mem is None:
+            raise TapeError("an LSTM top layer keeps no tape")
+        hidden = self.top[0].h.data.shape[1]
+        return ad.slice_cols(mem, 0, hidden), ad.slice_cols(mem, hidden, 2 * hidden)
 
 
 def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
@@ -317,7 +324,7 @@ def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> Stac
     tapes = [Tapes(capacity, length=len(xs)) for _ in w.layers]
     carried = [zero_state(batch, layer.gates.hidden_size) if layer.attn is None else None
                for layer in w.layers]
-    run = StackRun(top=[], traces=[])
+    run = StackRun(top=[], traces=[], tapes=tapes[-1])
     for x in xs:
         inp = x
         for k, layer in enumerate(w.layers):

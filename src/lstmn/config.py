@@ -187,11 +187,16 @@ def finalize(cfg: RunConfig) -> RunConfig:
     require(cfg.improvement_threshold >= 0,
             f"improvement_threshold must be >= 0, got {cfg.improvement_threshold}")
     require(cfg.grad_clip >= 0, f"grad_clip must be >= 0, got {cfg.grad_clip}")
+    require(0.0 <= cfg.beta1 < 1.0, f"beta1 must be in [0, 1), got {cfg.beta1}")
+    require(0.0 <= cfg.beta2 < 1.0, f"beta2 must be in [0, 1), got {cfg.beta2}")
+    require(cfg.adam_eps > 0, f"adam_eps must be > 0, got {cfg.adam_eps}")
     require(0.0 <= cfg.dropout < 1.0, f"dropout must be in [0, 1), got {cfg.dropout}")
     require(cfg.l2 >= 0, f"l2 must be >= 0, got {cfg.l2}")
     require(cfg.embedding_grad_policy in EMBEDDING_POLICIES,
             f"embedding_grad_policy must be one of {EMBEDDING_POLICIES}, "
             f"got {cfg.embedding_grad_policy!r}")
+    require(cfg.embedding_grad_scale >= 0,
+            f"embedding_grad_scale must be >= 0, got {cfg.embedding_grad_scale}")
     require(cfg.task == "lm" or cfg.num_labels >= 2,
             f"num_labels must be >= 2 for task {cfg.task}, got {cfg.num_labels}")
     require(cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}")
@@ -199,6 +204,7 @@ def finalize(cfg: RunConfig) -> RunConfig:
     require(cfg.max_steps >= 0, f"max_steps must be >= 0, got {cfg.max_steps}")
     require(cfg.vocab_size >= 0, f"vocab_size must be >= 0, got {cfg.vocab_size}")
     require(cfg.min_freq >= 1, f"min_freq must be >= 1, got {cfg.min_freq}")
+    require(cfg.log_every >= 1, f"log_every must be >= 1, got {cfg.log_every}")
     require(cfg.precision in ("float64", "float32"),
             f"precision must be float64 or float32, got {cfg.precision!r}")
     require(cfg.split in ("train", "val", "test"),

@@ -124,7 +124,8 @@ def load_pretrained(path: str, vocab: Vocabulary, seed: int = 0) -> EmbeddingTab
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            # fastText rows end in a space; GloVe tokens may hold other whitespace.
+            parts = line.rstrip().split(" ")
             if len(parts) < 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 'token v1 ... vd'")
             token, values = parts[0], parts[1:]

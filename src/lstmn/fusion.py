@@ -117,22 +117,22 @@ def encode(xs: list, w: StackWeights, capacity: Optional[int] = None,
     """Run the encoder over source embeddings, left to right.
 
     Returns (SourceTapes, per-step top-layer IntraAttention traces).  The
-    source tapes hold every step's top-layer state; ``capacity`` only
-    bounds how far back the encoder's own attention may look.
+    source tapes are the h and c columns of the encoder's top tape, which
+    holds every step's state; ``capacity`` only bounds how far back the
+    encoder's own attention may look.
     """
     if not xs:
         raise TapeError("cannot encode an empty source")
     run = cells.run_stack(xs, w, capacity=capacity)
-    tapes = SourceTapes(y=ad.stack_slots(run.top_h), a=ad.stack_slots(run.top_c),
-                        mask=mask)
-    return tapes, run.traces
+    y, a = run.tape_states()
+    return SourceTapes(y=y, a=a, mask=mask), run.traces
 
 
 def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
     """Pack the source into the slot memory inter-attention reads, per
     slot [y_j | a_j | W_gamma y_j], once per decoded sequence; reused by
     all decode steps."""
-    return ad.concat([src.y, src.a, ad.slot_linear(src.y, w.w_gamma)], axis=2)
+    return ad.concat([src.y, src.a, ad.linear(src.y, w.w_gamma)], axis=2)
 
 
 def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
@@ -177,10 +177,8 @@ class DecoderState:
         inter = inter_attend(x, self.src, self.gamma_tilde, w, self.src_proj)
         transfer = None
         if self.mode == "deep":
-            pre = ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.w_r)
-            if w.r_bias is not None:
-                pre = ad.add(pre, w.r_bias)
-            inter.gate = ad.sigmoid(pre)
+            inter.gate = ad.sigmoid(
+                ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.w_r, w.r_bias))
             transfer = ad.mul(inter.gate, inter.alpha_tilde)
         self.state, intra = cells.lstmn_step(x, self.tapes, self.summary, self.w.cell, transfer)
         self.summary, self.gamma_tilde = intra.summary, inter.gamma_tilde

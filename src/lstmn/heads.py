@@ -51,7 +51,7 @@ class OutputProjection:
         return {f"{prefix}.W": self.w, f"{prefix}.b": self.b}
 
     def __call__(self, h: Tensor) -> Tensor:
-        return ad.add(ad.linear(h, self.w), self.b)
+        return ad.linear(h, self.w, self.b)
 
 
 def init_output_projection(rng, vocab: int, hidden: int) -> OutputProjection:
@@ -77,7 +77,7 @@ class ClassifierHead:
         """(summed NLL node, hits record) of ``labels``; the last affine
         map is applied by ``autodiff.affine_nll`` with the loss."""
         x = optim.dropout(features, self.dropout, training, rng)
-        hidden = ad.relu(ad.add(ad.linear(x, self.w1), self.b1))
+        hidden = ad.relu(ad.linear(x, self.w1, self.b1))
         return ad.affine_nll(hidden, self.w2, self.b2, labels)
 
 
@@ -123,17 +123,17 @@ def lm_correct(hits: np.ndarray) -> int:
     return int(hits.sum())
 
 
-def mean_pool(stacked: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Mask-aware average over the slot axis of (B, T, h)."""
-    b, t, _ = stacked.data.shape
+def mean_pool(states: list, mask: Optional[np.ndarray] = None) -> Tensor:
+    """Mask-aware average of the per-step (B, h) states."""
+    t = len(states)
     if t == 0:
         raise TapeError("cannot pool an empty tape")
     if mask is None:
-        weights = np.full((b, t), 1.0 / t)
+        weights = np.full((states[0].data.shape[0], t), 1.0 / t)
     else:
-        mask = np.asarray(mask, dtype=stacked.data.dtype)
+        mask = np.asarray(mask, dtype=states[0].data.dtype)
         counts = mask.sum(axis=1, keepdims=True)
         if np.any(counts == 0):
             raise TapeError("cannot pool a row with no unmasked positions")
         weights = mask / counts
-    return ad.attend(Tensor(weights), stacked)
+    return ad.attend(Tensor(weights), states)

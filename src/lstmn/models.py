@@ -201,7 +201,7 @@ class _Classifier(Model):
     def _pool(self, xs: list, core, mask) -> ad.Tensor:
         """Mask-aware mean of the core's top-layer states."""
         states, _ = self._run(xs, core)
-        return heads.mean_pool(ad.stack_slots(states), mask)
+        return heads.mean_pool(states, mask)
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
         nll, hits = self.head.loss(self._features(batch), batch.labels, training, rng)
@@ -250,7 +250,7 @@ class PairClassifier(_Classifier):
     def _features(self, batch: Batch) -> ad.Tensor:
         if self.mode:
             run, _ = self._decode(batch.tokens, batch.tokens2, batch.mask)
-            return heads.mean_pool(ad.stack_slots(run.outputs), batch.mask2)
+            return heads.mean_pool(run.outputs, batch.mask2)
         prem_xs, hyp_xs = self._embed(batch.tokens), self._embed(batch.tokens2)
         return ad.concat([self._pool(prem_xs, self.stack, batch.mask),
                           self._pool(hyp_xs, self.hypothesis_encoder, batch.mask2)], axis=1)

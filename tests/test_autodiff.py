@@ -261,7 +261,7 @@ def _kernel_cases():
     table = t(5, 3)
     nll_h = t(4, 3)
     x24 = t(2, 4)
-    shift = Tensor(np.full(3, 0.3))
+    shift = Tensor(np.full((2, 3), 0.3))
     # Fused attention over a (2, 5, 3 + 2) slot memory: values in the
     # first 3 columns, keys in the last 2 (= len(v)).
     mem, q_x, w_qx, q_p, w_qp = t(2, 5, 5), t(2, 3), t(2, 3), t(2, 4), t(2, 4)
@@ -275,6 +275,8 @@ def _kernel_cases():
     g_state, g_x, g_w, g_bias, g_transfer = t(2, 6), t(2, 2), t(12, 5), t(12), t(2, 3)
     g_read = Tensor(rng.normal(size=(2, 6)))
     summary_prev = t(2, 6)   # a [h~ | c~] block; the query reads its first 4 columns
+    w34, b4 = t(3, 4), t(4)
+    slots.append(t(2, 3))
 
     def tape_chain():
         # Three writes into a 2-slot buffer that grows to 4 before the
@@ -290,13 +292,19 @@ def _kernel_cases():
 
     cases = {
         "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.sigmoid(ad.add(x23, y23)))),
-        "add_bias": ({"a": x23, "b": bias}, lambda: ad.sum_all(ad.sigmoid(ad.add(x23, bias)))),
         "mul": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.mul(x23, y23))),
         "mul_scalar": ({"a": x23}, lambda: ad.sum_all(ad.mul(x23, 1.7))),
         "linear": ({"x": x23, "w": w43}, lambda: ad.sum_all(ad.sigmoid(ad.linear(x23, w43)))),
+        "linear_bias": ({"x": x24, "w": w34, "b": bias},
+                        lambda: ad.sum_all(ad.sigmoid(ad.linear(x24, w34, bias)))),
+        # One projection of every slot of a (B, T, n) block.
+        "linear_slots": ({"x3": x3d, "w": w43, "b": b4},
+                         lambda: ad.sum_all(ad.sigmoid(ad.linear(x3d, w43, b4)))),
         "concat": ({"a": x23, "b": y23},
                    lambda: ad.sum_all(ad.sigmoid(ad.concat([x23, y23], axis=1)))),
         "slice_cols": ({"a": x23}, lambda: ad.sum_all(ad.slice_cols(x23, 1, 3))),
+        # The last axis of a (B, T, n) block, as the encoder's source read cuts it.
+        "slice_cols_slots": ({"a": x3d}, lambda: ad.sum_all(ad.sigmoid(ad.slice_cols(x3d, 1, 3)))),
         # Gate-style blocks of one parent, plus a dense use of it.
         "slice_cols_blocks": ({"a": x24}, lambda: ad.add(
             ad.sum_all(ad.mul(ad.sigmoid(ad.slice_cols(x24, 0, 1)),
@@ -306,11 +314,8 @@ def _kernel_cases():
         "sigmoid": ({"a": x23}, lambda: ad.sum_all(ad.sigmoid(x23))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, shift)))),
         "sum_all": ({"a": x23}, lambda: ad.sigmoid(ad.sum_all(x23))),
-        "stack_slots": ({f"s{i}": s for i, s in enumerate(slots)},
-                        lambda: ad.sum_all(ad.sigmoid(ad.stack_slots(slots)))),
-        "slot_linear": ({"x3": x3d, "w": w43},
-                        lambda: ad.sum_all(ad.sigmoid(ad.slot_linear(x3d, w43)))),
-        "attend": ({"w": wts, "x3": x3d}, lambda: ad.sum_all(ad.sigmoid(ad.attend(wts, x3d)))),
+        "attend": ({"w": wts, **{f"s{i}": s for i, s in enumerate(slots)}},
+                   lambda: ad.sum_all(ad.sigmoid(ad.attend(wts, slots)))),
         # B=2, a capacity-style read window [1, 4) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
             ad.tape_attend(mem, 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
@@ -338,8 +343,8 @@ def _kernel_cases():
                        "transfer": g_transfer},
                       lambda: ad.sum_all(ad.mul(ad.gate_cell(
                           g_state, g_x, g_w, g_bias, g_transfer), g_read))),
-        "gate_cell_plain": ({"state": g_state, "x": g_x, "W": g_w},
-                            lambda: ad.sum_all(ad.mul(ad.gate_cell(g_state, g_x, g_w),
+        "gate_cell_plain": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias},
+                            lambda: ad.sum_all(ad.mul(ad.gate_cell(g_state, g_x, g_w, g_bias),
                                                       g_read))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
@@ -374,7 +379,10 @@ def test_every_kernel_has_a_grad_check_case(monkeypatch):
     kernels = sorted(name for name, fn in vars(ad).items()
                      if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                      and not name.startswith("_") and "_make" in fn.__code__.co_names)
-    assert {"add", "tape_attend", "tape_write", "affine_nll"} <= set(kernels)
+    # One kernel per job: a new one must come with its case and a line here.
+    assert kernels == sorted([
+        "add", "mul", "sigmoid", "relu", "sum_all", "concat", "slice_cols", "linear",
+        "lookup", "attend", "gate_cell", "tape_write", "tape_attend", "affine_nll"])
     missing = [name for name in kernels if name not in _KERNEL_CASES]
     assert not missing, f"kernels without a grad_check case: {missing}"
     called = set()
@@ -454,10 +462,10 @@ def test_gate_cell_matches_oracle_per_row():
     w, b, transfer = rng.normal(size=(4 * hid, hid + 2)), rng.normal(size=4 * hid), \
         rng.normal(size=(batch, hid))
     out = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w), Tensor(b), Tensor(transfer))
-    plain = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w))
+    plain = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w), Tensor(b))
     for r in range(batch):
         rec, carried = state[r, :hid], state[r, hid:]
-        h_ref, c_ref = oracles.lstm_step_ref(x[r], rec, carried, w, None)
+        h_ref, c_ref = oracles.lstm_step_ref(x[r], rec, carried, w, b)
         np.testing.assert_allclose(plain.data[r], np.concatenate([h_ref, c_ref]), atol=1e-12)
         i, f, o, chat = oracles.gate_blocks(rec, x[r], w, b)
         c_ref = transfer[r] + f * carried + i * chat
@@ -467,12 +475,13 @@ def test_gate_cell_matches_oracle_per_row():
 
 def test_gate_cell_shape_errors_name_the_operands():
     state, x, w = Tensor(np.zeros((2, 6))), Tensor(np.zeros((2, 2))), Tensor(np.zeros((12, 5)))
-    for bad in [(Tensor(np.zeros((2, 4))), x, w), (state, Tensor(np.zeros((3, 2))), w),
-                (state, x, Tensor(np.zeros((12, 4))))]:
+    b = Tensor(np.zeros(12))
+    for bad in [(Tensor(np.zeros((2, 4))), x, w, b), (state, Tensor(np.zeros((3, 2))), w, b),
+                (state, x, Tensor(np.zeros((12, 4))), b), (state, x, w, Tensor(np.zeros(11)))]:
         with pytest.raises(ShapeMismatchError, match="gate_cell: state"):
             ad.gate_cell(*bad)
     with pytest.raises(ShapeMismatchError, match=r"transfer \(2, 2\)"):
-        ad.gate_cell(state, x, w, transfer=Tensor(np.zeros((2, 2))))
+        ad.gate_cell(state, x, w, b, transfer=Tensor(np.zeros((2, 2))))
 
 
 def test_affine_nll_matches_per_token_oracle():

@@ -25,10 +25,10 @@ def row(vec):
     return Tensor(np.asarray(vec, dtype=np.float64)[None, :])
 
 
-def zero_gate_weights(hidden, in_size, bias=True):
+def zero_gate_weights(hidden, in_size):
     return GateWeights(
         w=Tensor(np.zeros((4 * hidden, hidden + in_size)), requires_grad=True),
-        bias=Tensor(np.zeros(4 * hidden), requires_grad=True) if bias else None,
+        bias=Tensor(np.zeros(4 * hidden), requires_grad=True),
     )
 
 
@@ -79,7 +79,8 @@ class TestLstmStep:
 
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(6)
-        w = GateWeights(w=Tensor(rng.normal(scale=3.0, size=(8, 5))))
+        w = GateWeights(w=Tensor(rng.normal(scale=3.0, size=(8, 5))),
+                        bias=Tensor(rng.normal(scale=3.0, size=8)))
         state = lstm_step(row(rng.normal(size=3)), row(rng.normal(size=4)), w)
         assert np.all(np.abs(state.h.data) <= 1.0)
 

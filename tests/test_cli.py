@@ -67,10 +67,20 @@ class TestConfig:
         (dict(dropout="1.5"), "dropout"),
         (dict(precision="float16"), "precision"),
         (dict(task="translation"), "task"),
+        (dict(log_every="0"), "log_every"),
+        (dict(beta1="1"), "beta1"),
+        (dict(beta1="-0.1"), "beta1"),
+        (dict(beta2="1"), "beta2"),
+        (dict(adam_eps="0"), "adam_eps"),
+        (dict(embedding_grad_scale="-1"), "embedding_grad_scale"),
     ])
     def test_validation_failures(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
             build_config(overrides=overrides)
+
+    def test_adam_bounds_accept_their_closed_ends(self):
+        cfg = build_config(overrides=dict(beta1="0", beta2="0", embedding_grad_scale="0"))
+        assert (cfg.beta1, cfg.beta2, cfg.embedding_grad_scale) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("overrides, policy", [
         (dict(task="sentiment", embeddings_path="vectors.txt"), "scale-first-epoch"),
@@ -391,6 +401,15 @@ class TestCliMain:
     def test_eval_without_checkpoint_fails(self, capsys):
         assert cli.main(["eval"]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_log_every_zero_fails_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        args = ["train", "--out", str(out)]
+        for key, value in lm_overrides(tmp_path, max_steps="2", log_every="0").items():
+            args += [f"--{key}", value]
+        assert cli.main(args) == 1
+        assert "log_every" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
 
     def test_dangling_override_fails(self, capsys):
         assert cli.main(["train", "--hidden"]) == 1

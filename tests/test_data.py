@@ -83,6 +83,24 @@ class TestPretrained:
         assert abs(oov.mean()) < 0.05
         assert abs(oov.std() - 1.0) < 0.05
 
+    def test_row_ending_in_space_parses(self, tmp_path):
+        # fastText .vec rows end in a space before the newline.
+        path = tmp_path / "emb.vec"
+        path.write_text("x 1.0 2.0 \ny 3.0 4.0 \n")
+        vocab = Vocabulary(["x", "y"])
+        table = load_pretrained(path, vocab)
+        rows = [vocab.token_to_index[t] for t in ("x", "y")]
+        np.testing.assert_array_equal(table.weights.data[rows], [[1.0, 2.0], [3.0, 4.0]])
+        assert table.pretrained[rows].all()
+
+    def test_token_keeps_inner_whitespace(self, tmp_path):
+        # Only " " separates fields: a token may hold other whitespace.
+        path = tmp_path / "emb.txt"
+        path.write_text("a\u00a0b 1.0 2.0\n", encoding="utf-8")
+        vocab = Vocabulary(["a\u00a0b"])
+        table = load_pretrained(path, vocab)
+        assert table.pretrained[vocab.token_to_index["a\u00a0b"]]
+
     def test_inconsistent_width_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("x 1.0 2.0\ny 1.0\n")

@@ -89,6 +89,24 @@ class TestEncode:
         np.testing.assert_allclose(src.y.data[0], np.stack(H), atol=1e-12)
         np.testing.assert_allclose(src.a.data[0], np.stack(C), atol=1e-12)
 
+    @pytest.mark.parametrize("capacity", [None, 2])
+    def test_tape_read_is_bit_equal_to_stacked_states(self, capacity):
+        # y and a are column slices of the top tape, which keeps every
+        # step however short the attention window.
+        rng = np.random.default_rng(33)
+        enc = random_encoder(rng, 3, 2, 2, layers=2)
+        xs = [Tensor(rng.normal(size=(2, 2))) for _ in range(5)]
+        src, _ = encode(xs, enc, capacity)
+        run = cells.run_stack(xs, enc, capacity)
+        assert src.y.data.tobytes() == np.stack([h.data for h in run.top_h], axis=1).tobytes()
+        assert src.a.data.tobytes() == np.stack([c.data for c in run.top_c], axis=1).tobytes()
+
+    def test_lstm_top_layer_has_no_tape_to_read(self):
+        stack = cells.init_stack(np.random.default_rng(0), 1, 2, 2, attn_size=None)
+        run = cells.run_stack([row([0.5, -0.5])], stack)
+        with pytest.raises(TapeError, match="no tape"):
+            run.tape_states()
+
     def test_empty_source_rejected(self):
         enc = cells.init_stack(np.random.default_rng(0), 1, 2, 2, 2)
         with pytest.raises(TapeError, match="empty"):

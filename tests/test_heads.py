@@ -161,25 +161,25 @@ class TestPaddingLeak:
 class TestPoolingAndClassify:
     def test_single_step_pool_is_that_vector(self):
         h = np.random.default_rng(53).normal(size=(2, 4))
-        pooled = mean_pool(ad.stack_slots([Tensor(h)]), None)
+        pooled = mean_pool([Tensor(h)], None)
         np.testing.assert_array_equal(pooled.data, h)
 
     def test_identical_steps_pool_to_same_vector(self):
         h = np.random.default_rng(54).normal(size=(1, 3))
-        pooled = mean_pool(ad.stack_slots([Tensor(h)] * 4), None)
+        pooled = mean_pool([Tensor(h)] * 4, None)
         np.testing.assert_allclose(pooled.data, h, atol=1e-12)
 
     def test_pool_matches_arithmetic_mean_oracle(self):
         rng = np.random.default_rng(55)
         hs = [rng.normal(size=(2, 3)) for _ in range(4)]
-        pooled = mean_pool(ad.stack_slots([Tensor(h) for h in hs]), None)
+        pooled = mean_pool([Tensor(h) for h in hs], None)
         np.testing.assert_allclose(pooled.data, np.mean(hs, axis=0), atol=1e-12)
 
     def test_pool_is_order_invariant(self):
         rng = np.random.default_rng(56)
         hs = [rng.normal(size=(1, 3)) for _ in range(5)]
-        fwd = mean_pool(ad.stack_slots([Tensor(h) for h in hs]), None)
-        rev = mean_pool(ad.stack_slots([Tensor(h) for h in hs[::-1]]), None)
+        fwd = mean_pool([Tensor(h) for h in hs], None)
+        rev = mean_pool([Tensor(h) for h in hs[::-1]], None)
         np.testing.assert_allclose(fwd.data, rev.data, atol=1e-15)
 
     def test_masked_pool_ignores_padding(self):
@@ -187,7 +187,7 @@ class TestPoolingAndClassify:
         real = [rng.normal(size=(1, 3)) for _ in range(2)]
         pad = rng.normal(size=(1, 3))
         mask = np.array([[1.0, 1.0, 0.0]])
-        pooled = mean_pool(ad.stack_slots([Tensor(h) for h in real + [pad]]), mask)
+        pooled = mean_pool([Tensor(h) for h in real + [pad]], mask)
         np.testing.assert_allclose(pooled.data, np.mean(real, axis=0), atol=1e-12)
 
 

@@ -205,6 +205,22 @@ class TestSeq2Seq:
         assert len(out) <= 5
         assert all(0 <= t < len(vocab) for t in out)
 
+    def test_gradients_through_the_encoder_tape_read(self):
+        # encode -> run_decoder -> loss on a tiny deep-fusion model: two
+        # encoder layers, a capacity shorter than the source, padded rows.
+        vocab = make_vocab(3)
+        cfg = cfg_for(model="seq2seq-deep", optimizer="adam", hidden=2, embedding=2,
+                      attention=2, layers=2, capacity=2)
+        rng = np.random.default_rng(16)
+        model = models.Seq2SeqModel(cfg, vocab, rng)
+        params = model.params()
+        for t in params.values():
+            t.data[...] = rng.normal(size=t.data.shape)
+        batch = self.pair_batch(vocab, [["w0", "w1", "w2", "w0"], ["w2", "w1"]],
+                                [["w1", "w0", "w2"], ["w2"]])
+        report = ad.grad_check(lambda: model.loss(batch)[0], params, tolerance=1e-4)
+        assert report.passed, str(report)
+
     def test_params_have_encoder_decoder_prefixes(self):
         vocab = make_vocab()
         cfg = cfg_for(model="seq2seq-deep", optimizer="adam")
