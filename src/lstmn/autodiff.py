@@ -21,7 +21,11 @@ such a block (the LSTM's [h_{t-1} | c_{t-1}] or a tape summary
 block and memory update together.  A memory tape is one (B, T, n)
 buffer written in place, one slot per step, by ``tape_write``;
 ``tape_attend`` reads a window of it in a single node, so a recurrent
-step adds a fixed number of nodes however long the tape.  Every loss
+step adds a fixed number of nodes however long the tape.  Batches of
+variable-length rows are packed: rows sorted longest first, step t's
+tensors hold B_t rows, the live prefix of the batch, and both tape
+kernels write and read only that row prefix of the (B, T, n) buffer,
+their gradients ``Partial``s over it.  Every loss
 ends in ``affine_nll``, the output affine map and softmax NLL in one
 node over the rows it is given.
 
@@ -426,26 +430,30 @@ def attend(weights: Tensor, slots) -> Tensor:
 
 def tape_write(prev: Optional[Tensor], buf: np.ndarray, n: int, parts) -> Tensor:
     """Write slot ``n`` of the (B, T, k) buffer ``buf`` in place from the
-    (B, k_i) ``parts``, side by side; returns the node of the tape after
-    the write, whose data is ``buf`` itself.
+    (B_n, k_i) ``parts``, side by side, into its first B_n <= B rows;
+    returns the node of the tape after the write, whose data is ``buf``
+    itself.  In a packed batch B_n is the rows still live at step n, and
+    the slot's other rows stay as allocated (zero) and are never read.
 
     ``prev`` is the node before the write (None for the first).  Its data
     is ``buf``, or the shorter buffer ``buf`` was grown from.  Backward
     hands this node's gradient to ``prev`` unchanged (cut to its length
     after a growth), so one gradient buffer runs back through the whole
-    chain of writes, and gives each part its columns of slot ``n``.  The
-    buffer is not screened for NaN/Inf: only slot ``n`` changed, and the
-    kernels that made its parts screened them.
+    chain of writes, and gives each part its columns of the written rows
+    of slot ``n``.  The buffer is not screened for NaN/Inf: only those
+    rows changed, and the kernels that made the parts screened them.
     """
+    rows = parts[0].data.shape[0]
     bounds = np.cumsum([0] + [p.data.shape[1] for p in parts])
-    if buf.ndim != 3 or bounds[-1] != buf.shape[2] or not 0 <= n < buf.shape[1]:
+    if buf.ndim != 3 or bounds[-1] != buf.shape[2] or not 0 <= n < buf.shape[1] or \
+            rows > buf.shape[0] or any([p.data.shape[0] != rows for p in parts]):
         raise ShapeMismatchError(
-            f"tape_write: parts of width {bounds[-1]} into slot {n} of {buf.shape}")
+            f"tape_write: parts {[p.data.shape for p in parts]} into slot {n} of {buf.shape}")
     for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-        buf[:, n, lo:hi] = p.data
+        buf[:rows, n, lo:hi] = p.data
 
     def bwd(g):
-        slot = g[:, n]
+        slot = g[:rows, n]
         grads = tuple(slot[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
         if prev is None:
             return grads
@@ -462,29 +470,37 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
 
     ``memory`` (B, T, d + a) holds per slot a value (the first d columns)
     and its key, already projected into the a = len(v) attention columns
-    (the last a).  With q = W_x x + W_prev prev + bias:
+    (the last a).  The read covers the first rows = B_t <= B rows of the
+    memory, as many as ``x`` (B_t, in) has: in a packed batch, the rows
+    still live.  With q = W_x x + W_prev prev + bias:
 
-        scores_j  = v . tanh(key_j + q)           (B, hi - lo)
-        weights   = softmax(scores), 0 where ``mask`` (B, hi - lo) is 0
-        out       = sum_j weights_j value_j       (B, d)
+        scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
+        weights   = softmax(scores), 0 where ``mask`` is 0
+        out       = sum_j weights_j value_j       (B_t, d)
 
-    ``prev`` is read in its first k = W_prev-width columns, so a summary
-    block [h~ | c~] passes whole as h~.  Returns (out, scores, weights);
-    scores and weights are records outside the graph.  The gradients to
-    ``memory`` and ``prev`` are ``Partial``s over the columns read, so a
-    read costs nothing outside them.
+    ``mask`` is (B, hi - lo) and is cut to the same rows.  ``prev`` is
+    read in its first k = W_prev-width columns, so a summary block
+    [h~ | c~] passes whole as h~.  Returns (out, scores, weights); scores
+    and weights are records outside the graph.  The gradients to
+    ``memory`` and ``prev`` are ``Partial``s over the rows, window and
+    columns read, so a read costs nothing outside them.
     """
     md = memory.data
+    batch = x.data.shape[0] if x.data.ndim == 2 else -1
+    if md.ndim == 3:
+        md = md[:batch]
     a = v.data.shape[0]
-    batch = md.shape[0] if md.ndim == 3 else -1
-    if md.ndim != 3 or md.shape[2] <= a or not 0 <= lo < hi <= md.shape[1] or \
+    if md.ndim != 3 or md.shape[0] != batch or md.shape[2] <= a or \
+            not 0 <= lo < hi <= md.shape[1] or \
             x.data.shape != (batch, w_x.data.shape[1]) or w_x.data.shape[0] != a or \
             prev.data.ndim != 2 or prev.data.shape[0] != batch or \
             prev.data.shape[1] < w_prev.data.shape[1] or w_prev.data.shape[0] != a:
         raise ShapeMismatchError(
-            f"tape_attend: memory {md.shape} window [{lo}, {hi}), x {x.data.shape}, "
+            f"tape_attend: memory {memory.data.shape} window [{lo}, {hi}), x {x.data.shape}, "
             f"W_x {w_x.data.shape}, prev {prev.data.shape}, W_prev {w_prev.data.shape}, "
             f"v {v.data.shape} do not conform")
+    if mask is not None:
+        mask = np.asarray(mask)[:batch]
     d = md.shape[2] - a
     values = md[:, lo:hi, :d]
     k = w_prev.data.shape[1]
@@ -509,7 +525,7 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         np.multiply(gs[:, :, None], v.data, out=gpre)
         gpre *= 1.0 - z * z
         gq = gpre.sum(axis=1)
-        grads = (Partial((slice(None), slice(lo, hi)), gmem),
+        grads = (Partial((slice(0, batch), slice(lo, hi)), gmem),
                  gq @ w_x.data, gq.T @ x.data,
                  Partial((slice(None), slice(0, k)), gq @ w_prev.data), gq.T @ pd,
                  gs.reshape(-1) @ z.reshape(-1, a))

@@ -23,8 +23,11 @@ buffer per tape down the chain of writes, so a step costs the same graph
 work at any tape length.
 
 All step functions are batch-first: token inputs are (B, in), state
-blocks (B, 2h).  Weights are immutable during forward/backward; tapes
-belong to one sequence and are never shared.
+blocks (B, 2h).  A batch may be packed: rows sorted longest first, and
+at step t only B_t rows, the live prefix, run; ``run_stack`` cuts each
+carried block to them (``live_rows``), so padded steps cost nothing and
+cannot leak into a row's state.  Weights are immutable during
+forward/backward; tapes belong to one sequence and are never shared.
 """
 
 from __future__ import annotations
@@ -138,6 +141,7 @@ class Tapes:
         self.length = length
         self.memory: Optional[Tensor] = None
         self.written = 0
+        self.rows = 0    # rows of the latest slot; later slots may have fewer
 
     def __len__(self) -> int:
         if self.capacity is None:
@@ -150,24 +154,27 @@ class Tapes:
 
     def append(self, *parts: Tensor) -> None:
         """Write the next slot from ``parts`` side by side: ([h | c], key)
-        or (h, c, key).  The parts share one batch size, the value parts
+        or (h, c, key).  The parts share one batch size, at most the
+        previous slot's (a packed batch's rows only end), the value parts
         before the key one width, and together they fill the slot."""
         shapes = [p.data.shape for p in parts]
         batch, width = shapes[0][0], sum(s[1] for s in shapes)
         buf = None if self.memory is None else self.memory.data
         if len(parts) < 2 or any(s[0] != batch for s in shapes) or \
                 len({s[1] for s in shapes[:-1]}) != 1 or \
-                (buf is not None and buf.shape[::2] != (batch, width)):
+                (buf is not None and (buf.shape[2] != width or batch > self.rows)):
             raise TapeError(f"tape slot shapes differ: parts {shapes}, "
                             f"tape {None if buf is None else buf.shape}")
-        if buf is None or self.written == buf.shape[1]:
-            slots = 2 * buf.shape[1] if buf is not None else self.length or self.INITIAL_SLOTS
-            grown = np.zeros((batch, slots, width), dtype=parts[0].data.dtype)
-            if buf is not None:
-                grown[:, :self.written] = buf
+        if buf is None:
+            buf = np.zeros((batch, self.length or self.INITIAL_SLOTS, width),
+                           dtype=parts[0].data.dtype)
+        elif self.written == buf.shape[1]:
+            grown = np.zeros((buf.shape[0], 2 * buf.shape[1], width), dtype=buf.dtype)
+            grown[:, :self.written] = buf
             buf = grown
         self.memory = ad.tape_write(self.memory, buf, self.written, parts)
         self.written += 1
+        self.rows = batch
 
 
 @dataclass
@@ -312,12 +319,30 @@ class StackRun:
         return ad.slice_cols(mem, 0, hidden), ad.slice_cols(mem, hidden, 2 * hidden)
 
 
+def live_rows(block: Optional[Tensor], rows: int) -> Optional[Tensor]:
+    """The first ``rows`` rows of a carried (B, n) block: the block itself
+    while no row has ended, a row-prefix ``lookup`` once the packed
+    batch's shorter rows have.  Rows never come back: asking for more
+    than the block has is a ``TapeError``."""
+    if block is None or block.data.shape[0] == rows:
+        return block
+    if rows > block.data.shape[0]:
+        raise TapeError(f"a step has {rows} rows after a step with {block.data.shape[0]}; "
+                        "packed rows must be sorted longest first")
+    return ad.lookup(block, np.arange(rows))
+
+
 def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
     """Process a token-embedding sequence left to right; layer k+1
     consumes layer k's output (concatenated with x when skip connections
     are on).  A tape layer carries its summary block [h~ | c~] between
     steps, an LSTM layer its [h | c].  ``capacity`` bounds only how far
-    back the attention may look."""
+    back the attention may look.
+
+    The batch may be packed: ``xs[t]`` holds the first B_t rows, those
+    still live at step t, with B_t never growing (rows sorted longest
+    first).  Each layer's carried block is then cut to those rows
+    (``live_rows``), and step t's states and tape slot have B_t rows."""
     if not xs:
         raise TapeError("cannot run over an empty sequence")
     batch = xs[0].data.shape[0]
@@ -326,6 +351,9 @@ def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> Stac
                for layer in w.layers]
     run = StackRun(top=[], traces=[], tapes=tapes[-1])
     for x in xs:
+        if x.data.shape[0] != batch:
+            batch = x.data.shape[0]
+            carried = [live_rows(c, batch) for c in carried]
         inp = x
         for k, layer in enumerate(w.layers):
             if k > 0:

@@ -119,13 +119,20 @@ def init_embeddings(rng, vocab: Vocabulary, dim: int) -> EmbeddingTable:
 def load_pretrained(path: str, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
     """Pretrained vectors for matching tokens; missing rows drawn from a
     seeded standard Gaussian and flagged as OOV.  The dimension comes
-    from the first row and is enforced afterwards."""
+    from the first row and is enforced afterwards.  A first line of
+    exactly two integers is a fastText ``.vec`` header "N D": it is not a
+    row, and its D is the width every row must have."""
     vectors = {}
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             # fastText rows end in a space; GloVe tokens may hold other whitespace.
             parts = line.rstrip().split(" ")
+            if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+                dim = int(parts[1])
+                if dim < 1:
+                    raise DataFormatError(f"{path}:1: header gives dimension {dim}")
+                continue
             if len(parts) < 2:
                 raise DataFormatError(f"{path}:{lineno}: expected 'token v1 ... vd'")
             token, values = parts[0], parts[1:]

@@ -22,7 +22,10 @@ node.
 ``DecoderState.step`` is the one decode step (inter-attention, the
 transfer gate, the tape-cell step): teacher-forced training
 (``run_decoder``) and greedy decoding (``models.Seq2SeqModel.generate``)
-both drive it.
+both drive it.  The decoder may run packed, the batch sorted by target
+length, longest first: step t takes the B_t live rows, cuts its carried
+summary and context to them, and reads the same rows of a source
+encoded over the whole batch.
 """
 
 from __future__ import annotations
@@ -57,18 +60,14 @@ class InterAttentionWeights:
     w_gamma: Tensor      # (a, h)  source-slot projection
     w_x: Tensor          # (a, e)  target-input projection
     w_gammatilde: Tensor  # (a, h) previous-context projection
-    w_r: Tensor          # (h, h + e) transfer gate over [gamma~, x]
-    r_bias: Optional[Tensor] = None   # absent by default; a -inf bias kills the gate
+    w_r: Tensor          # (h, h + e) transfer gate over [gamma~, x], no bias
 
     def named(self, prefix: str = "inter") -> dict:
-        out = {f"{prefix}.u": self.u,
-               f"{prefix}.W_gamma": self.w_gamma,
-               f"{prefix}.W_x": self.w_x,
-               f"{prefix}.W_gammatilde": self.w_gammatilde,
-               f"{prefix}.W_r": self.w_r}
-        if self.r_bias is not None:
-            out[f"{prefix}.r_bias"] = self.r_bias
-        return out
+        return {f"{prefix}.u": self.u,
+                f"{prefix}.W_gamma": self.w_gamma,
+                f"{prefix}.W_x": self.w_x,
+                f"{prefix}.W_gammatilde": self.w_gammatilde,
+                f"{prefix}.W_r": self.w_r}
 
 
 @dataclass
@@ -172,13 +171,22 @@ class DecoderState:
     def step(self, x: Tensor):
         """One decoder step: inter-attention, the transfer gate (deep
         fusion only), then the tape-cell step.  Returns (prediction input,
-        intra, inter): h_t for deep fusion, [h_t, gamma~_t] for shallow."""
+        intra, inter): h_t for deep fusion, [h_t, gamma~_t] for shallow.
+
+        ``x`` holds the first B_t rows of the batch, those still live in a
+        packed batch (never more than the step before); the carried intra
+        summary and context are cut to them, and inter-attention reads
+        the same rows of the source."""
+        rows = x.data.shape[0]
+        if rows != self.gamma_tilde.data.shape[0]:
+            self.summary = cells.live_rows(self.summary, rows)
+            self.gamma_tilde = cells.live_rows(self.gamma_tilde, rows)
         w = self.w.inter
         inter = inter_attend(x, self.src, self.gamma_tilde, w, self.src_proj)
         transfer = None
         if self.mode == "deep":
             inter.gate = ad.sigmoid(
-                ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.w_r, w.r_bias))
+                ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.w_r))
             transfer = ad.mul(inter.gate, inter.alpha_tilde)
         self.state, intra = cells.lstmn_step(x, self.tapes, self.summary, self.w.cell, transfer)
         self.summary, self.gamma_tilde = intra.summary, inter.gamma_tilde

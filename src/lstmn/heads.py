@@ -1,7 +1,9 @@
 """Task heads and losses: next-token NLL with perplexity and greedy hits,
 mask-aware mean pooling, and the classifier head over pooled features.
 Both losses return ``autodiff.affine_nll``'s greedy hits with the NLL,
-so training and evaluation share one path."""
+so training and evaluation share one path.  ``lm_loss`` takes per-step
+states as full rows, or packed (step t's B_t live rows, longest first),
+as the language models give them."""
 
 from __future__ import annotations
 
@@ -95,25 +97,35 @@ def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray]
             proj: OutputProjection):
     """Summed NLL of targets[:, t] under the projection of h_t.
 
-    ``hidden_states`` is the per-step list of (B, h); targets and mask
+    ``hidden_states`` is the per-step list of states; targets and mask
     are (B, T).  Masked positions contribute to neither the NLL nor the
     token count.  Returns (nll scalar Tensor, token count, greedy hits).
 
-    Only the live positions are projected, all at once by
-    ``autodiff.affine_nll``: one (live, V) buffer serves the logits, the
-    softmax and the gradient.  Their states are gathered from the
-    step-major (t, b) concat of the per-step states, so padded states
-    get an exact zero gradient.
+    Step t's states are full rows (B, h), or packed: the first B_t rows,
+    which must be exactly the rows the mask marks live at step t (rows
+    sorted longest first, as ``models.pack`` orders them).  Only the live
+    positions are projected, all at once by ``autodiff.affine_nll``: one
+    (live, V) buffer serves the logits, the softmax and the gradient.
+    Packed states, step-major, are those positions already; full rows
+    around padding are gathered to them from the step-major (t, b)
+    concat, so padded states get an exact zero gradient.
     """
     targets = np.asarray(targets)
-    steps = len(hidden_states)
-    if targets.shape[1] != steps:
+    batch, steps = targets.shape
+    if steps != len(hidden_states):
         raise ad.ShapeMismatchError(
-            f"lm_loss: {steps} hidden states vs targets {targets.shape}")
+            f"lm_loss: {len(hidden_states)} hidden states vs targets {targets.shape}")
+    rows = np.array([h.data.shape[0] for h in hidden_states])
+    if (rows != batch).any() and (mask is None or not np.array_equal(
+            np.asarray(mask) != 0, np.arange(batch)[:, None] < rows)):
+        raise ad.ShapeMismatchError(f"lm_loss: packed states of {rows.tolist()} rows need "
+                                    "a mask live in exactly those rows of each step")
     targets = targets.T.reshape(-1)
     live = np.arange(targets.size) if mask is None \
         else np.flatnonzero(np.asarray(mask).T.reshape(-1))
-    h = ad.lookup(ad.concat(hidden_states, axis=0), live)
+    h = ad.concat(hidden_states, axis=0)
+    if h.data.shape[0] != live.size:
+        h = ad.lookup(h, live)
     nll, hits = ad.affine_nll(h, proj.w, proj.b, targets[live])
     return nll, live.size, lm_correct(hits)
 

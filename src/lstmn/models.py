@@ -11,6 +11,10 @@ the seq2seq and pair variants override only those hooks.  Losses are
 mean-per-token (language modeling) or mean-per-example (classification)
 and come with the raw stats ``{nll, tokens, correct}`` (a classifier's
 tokens are examples), which ``Model.evaluate`` sums across batches.
+Language models and the seq2seq decoder run packed (``pack``): a
+batch's rows are sorted longest first and step t runs only B_t rows,
+the live prefix, so no padded position is computed or read.
+Classifiers run full rows under their masks.
 ``evaluate``, ``generate`` and ``attention_traces`` never call backward
 and run under ``autodiff.no_grad``.
 """
@@ -26,6 +30,16 @@ from .data import Batch, EmbeddingTable, Vocabulary
 from .heads import EvalMetrics
 
 NLI_LABELS = ("entailment", "contradiction", "neutral")
+
+
+def pack(mask: np.ndarray) -> tuple:
+    """Longest-first row order of a (B, T) mask whose live positions lead
+    each row, and B_t, the count of rows still live at each step t up to
+    the longest row: after the sort, step t runs the first B_t rows."""
+    lengths = mask.sum(axis=1).astype(np.int64)
+    # B=1 (greedy requests) needs no sort.
+    order = np.argsort(-lengths, kind="stable") if len(lengths) > 1 else np.zeros(1, np.int64)
+    return order, (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
 
 
 class Model:
@@ -87,18 +101,23 @@ class Model:
                            accuracy=correct / tokens if tokens else None,
                            dataset=dataset, split=split)
 
-    def _embed(self, tokens: np.ndarray) -> list:
-        """Per-step embedding lookups for a (B, L) token block."""
-        return [ad.lookup(self.embeddings.weights, tokens[:, t])
-                for t in range(tokens.shape[1])]
+    def _embed(self, tokens: np.ndarray, rows=None) -> list:
+        """Per-step embedding lookups for a (B, L) token block; with
+        ``rows`` (``pack``'s B_t), step t embeds only its first rows[t]
+        rows, for as many steps as ``rows`` has."""
+        if rows is None:
+            rows = [tokens.shape[0]] * tokens.shape[1]
+        return [ad.lookup(self.embeddings.weights, tokens[:n, t]) for t, n in enumerate(rows)]
 
-    def _decode(self, src_tokens: np.ndarray, tgt_tokens: np.ndarray, src_mask=None):
-        """Encode the source block and run the fusion decoder over the
-        target block: (DecodeRun, encoder traces)."""
+    def _decode(self, src_tokens: np.ndarray, tgt_tokens: np.ndarray, src_mask=None,
+                tgt_rows=None):
+        """Encode the source block over all its rows and run the fusion
+        decoder over the target block, packed to ``tgt_rows`` when given:
+        (DecodeRun, encoder traces)."""
         src, enc_traces = fusion.encode(self._embed(src_tokens), self.stack,
                                         self.capacity, mask=src_mask)
-        run = fusion.run_decoder(self._embed(tgt_tokens), src, self.decoder, self.mode,
-                                 self.capacity)
+        run = fusion.run_decoder(self._embed(tgt_tokens, tgt_rows), src, self.decoder,
+                                 self.mode, self.capacity)
         return run, enc_traces
 
     @ad.no_grad()
@@ -130,9 +149,13 @@ class LanguageModel(Model):
 
     def _predict(self, batch: Batch):
         """(per-step states, targets, mask): rows are [<s> w1 .. wn </s>],
-        shifted for next-token prediction."""
-        states, _ = self._run(self._embed(batch.tokens[:, :-1]), self.stack)
-        return states, batch.tokens[:, 1:], batch.mask[:, 1:]
+        shifted for next-token prediction.  The rows are packed (``pack``):
+        targets and mask come sorted longest first, and step t's states
+        are the first B_t rows, exactly the live ones."""
+        order, rows = pack(batch.mask[:, 1:])
+        tokens = batch.tokens[order, :len(rows) + 1]
+        states, _ = self._run(self._embed(tokens[:, :-1], rows), self.stack)
+        return states, tokens[:, 1:], batch.mask[order, 1:len(rows) + 1]
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
         nll, tokens, correct = heads.lm_loss(*self._predict(batch), self.proj)
@@ -165,9 +188,12 @@ class Seq2SeqModel(LanguageModel):
         return inputs, targets, out_mask
 
     def _predict(self, batch: Batch):
+        """The whole batch sorted once by target length: the encoder runs
+        over every row, the decoder packed, as in ``LanguageModel``."""
         inputs, targets, out_mask = self._decoder_io(batch)
-        run, _ = self._decode(batch.tokens, inputs, batch.mask)
-        return run.outputs, targets, out_mask
+        order, rows = pack(out_mask)
+        run, _ = self._decode(batch.tokens[order], inputs[order], batch.mask[order], rows)
+        return run.outputs, targets[order, :len(rows)], out_mask[order, :len(rows)]
 
     @ad.no_grad()
     def generate(self, src_tokens: np.ndarray, max_len: int = 50) -> list:

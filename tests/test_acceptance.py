@@ -1,0 +1,99 @@
+"""Acceptance gate: the models learn the desk-scale synthetic tasks.
+
+These are learning checks, not regression pins.  Each trains through
+``train.run_train`` from a fixed (corpus seed, model seed) pair; the
+seeds, budgets and bounds below were fixed before the first run and are
+not to be re-picked to make a run pass.  A failure is a finding about
+the models, to be reported as such.
+
+Bracket language (``synthetic.bracket_corpus``): one rng seeded with the
+corpus seed draws 40k training tokens, then 6k validation tokens.
+``lstm`` and ``lstmn`` train with H = E = 32, Adam lr 0.01, gradient
+clip 5, batch 16, 15 epochs (about 1,350 steps).  The metric is the mean
+validation NLL of the ``close{k}`` targets under the best-validation
+checkpoint; a uniform guess over the 16 bracket types scores
+ln 16 = 2.773.  Bounds: ``lstmn`` <= 2.5, and at least 0.3 below
+``lstm``.
+
+Copy task (``synthetic.copy_pairs``): one rng seeded with the corpus
+seed draws 800 training pairs, then 200 validation pairs.
+``seq2seq-shallow`` and ``seq2seq-deep`` train with H = E = 32, Adam
+lr 0.01, gradient clip 5, batch 16, 8 epochs (400 steps).  The metric
+is the last epoch's teacher-forced validation accuracy.  Bounds:
+shallow >= 0.90, deep >= 0.70.
+
+Seed pairs (corpus, model), for both tasks: (11, 3) and (12, 4).
+"""
+
+import numpy as np
+import pytest
+
+from lstmn import autodiff as ad
+from lstmn import checkpoint, config, data, models, synthetic, train
+from lstmn.config import build_config
+
+SEED_PAIRS = [(11, 3), (12, 4)]
+COMMON = dict(task="lm", hidden="32", embedding="32", optimizer="adam", lr="0.01",
+              grad_clip="5", batch_size="16", log_every="100000")
+
+
+def run(tmp_path, name, lines_train, lines_val, **overrides):
+    train_path, val_path = tmp_path / "train.txt", tmp_path / "val.txt"
+    synthetic.write_lines(train_path, lines_train)
+    synthetic.write_lines(val_path, lines_val)
+    cfg = build_config(overrides=dict(COMMON, train_data=str(train_path),
+                                      val_data=str(val_path), **overrides))
+    return cfg, train.run_train(cfg, str(tmp_path / name))
+
+
+def close_nll(cfg, result) -> float:
+    """Mean validation NLL of the close{k} targets under the run's
+    best-validation checkpoint."""
+    vocab = data.Vocabulary.load(f"{result.out_dir}/vocab.txt")
+    model = models.build_model(cfg, vocab, np.random.default_rng([cfg.seed, 0]))
+    checkpoint.load_into(model.params(), result.checkpoint_path)
+    seqs = train.prepare_examples(cfg, data.load_dataset(cfg.val_data, config.data_kind(cfg)),
+                                  vocab)[0]
+    close = np.array([i for i, tok in enumerate(vocab.index_to_token)
+                      if tok.startswith("close")])
+    w, b = model.proj.w.data, model.proj.b.data
+    total, count = 0.0, 0
+    with ad.no_grad():
+        for batch in data.batchify(seqs, cfg.batch_size, seed=cfg.seed):
+            states, targets, mask = model._predict(batch)
+            for t, h in enumerate(states):
+                rows = h.data.shape[0]
+                z = h.data @ w.T + b
+                top = z.max(axis=1, keepdims=True)
+                logp = z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+                tgt = targets[:rows, t]
+                pick = np.isin(tgt, close) & (mask[:rows, t] != 0)
+                total -= logp[pick, tgt[pick]].sum()
+                count += int(pick.sum())
+    return total / count
+
+
+@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
+def test_lstmn_recalls_brackets_that_lstm_cannot(tmp_path, corpus_seed, model_seed):
+    rng = np.random.default_rng(corpus_seed)
+    lines_train = synthetic.bracket_corpus(rng, 40000)
+    lines_val = synthetic.bracket_corpus(rng, 6000)
+    nll = {}
+    for name in ("lstm", "lstmn"):
+        cfg, result = run(tmp_path, name, lines_train, lines_val, model=name, epochs="15",
+                          seed=str(model_seed))
+        nll[name] = close_nll(cfg, result)
+    assert nll["lstmn"] <= 2.5 and nll["lstmn"] <= nll["lstm"] - 0.3, nll
+
+
+@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
+@pytest.mark.parametrize("model_name,bound", [("seq2seq-shallow", 0.90),
+                                              ("seq2seq-deep", 0.70)])
+def test_fusion_decoders_learn_to_copy(tmp_path, corpus_seed, model_seed, model_name, bound):
+    rng = np.random.default_rng(corpus_seed)
+    lines_train = synthetic.copy_pairs(rng, 800)
+    lines_val = synthetic.copy_pairs(rng, 200)
+    _, result = run(tmp_path, model_name, lines_train, lines_val, model=model_name,
+                    epochs="8", seed=str(model_seed))
+    assert result.steps == 400
+    assert result.val_metrics[-1].accuracy >= bound, result.val_metrics[-1].record()

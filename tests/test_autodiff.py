@@ -277,6 +277,12 @@ def _kernel_cases():
     summary_prev = t(2, 6)   # a [h~ | c~] block; the query reads its first 4 columns
     w34, b4 = t(3, 4), t(4)
     slots.append(t(2, 3))
+    # A packed batch: a (3, 5, 5) memory read by 2 live rows, and writes
+    # by 3, 2 and 1 live rows, each with a query of its own rows.
+    mem3, px, pp = t(3, 5, 5), t(2, 3), t(2, 4)
+    pk_h, pk_k = [t(3 - n, 3) for n in range(3)], [t(3 - n, 2) for n in range(3)]
+    pk_x, pk_p = [t(3 - n, 3) for n in range(3)], [t(3 - n, 4) for n in range(3)]
+    y3 = rng.normal(size=(3, 3))
 
     def tape_chain():
         # Three writes into a 2-slot buffer that grows to 4 before the
@@ -288,6 +294,16 @@ def _kernel_cases():
             node = ad.tape_write(node, buf, n, (h, k))
             out = ad.tape_attend(node, 0, n + 1, q_x, w_qx, q_p, w_qp, v_att)[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, y_att)))
+        return total
+
+    def packed_tape_chain():
+        # Each write is followed by a read of every slot written so far by
+        # the rows still live; the buffer's ended rows are never read.
+        buf, node, total = np.zeros((3, 3, 5)), None, ad.sum_all(Tensor(np.zeros(1)))
+        for n, parts in enumerate(zip(pk_h, pk_k)):
+            node = ad.tape_write(node, buf, n, parts)
+            out = ad.tape_attend(node, 0, n + 1, pk_x[n], w_qx, pk_p[n], w_qp, v_att)[0]
+            total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - n]))))
         return total
 
     cases = {
@@ -323,6 +339,15 @@ def _kernel_cases():
         "tape_attend_masked": (attend_params, lambda: ad.sum_all(ad.mul(
             ad.tape_attend(mem, 0, 5, q_x, w_qx, q_p, w_qp, v_att,
                            mask=[[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])[0], y_att))),
+        # 2 live rows of a 3-row memory, a capacity-style window [1, 4) and
+        # a mask; the ended third row's mask is all 0, which a read of it
+        # would reject, and its memory gradient must be exactly 0.
+        "tape_attend_packed": (
+            {"memory": mem3, "x": px, "W_x": w_qx, "prev": pp, "W_prev": w_qp, "v": v_att,
+             "bias": b_att},
+            lambda: ad.sum_all(ad.mul(ad.tape_attend(
+                mem3, 1, 4, px, w_qx, pp, w_qp, v_att, b_att,
+                mask=[[1, 1, 0], [1, 0, 1], [0, 0, 0]])[0], y_att))),
         # The two stages tape_attend fuses, each checked on its own inputs:
         # the broadcast add of the query onto every slot key (query path
         # only, memory held fixed) and the per-slot v . tanh(...) scores
@@ -348,6 +373,11 @@ def _kernel_cases():
                                                       g_read))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
+        "tape_write_packed": ({**{f"h{i}": h for i, h in enumerate(pk_h)},
+                               **{f"k{i}": k for i, k in enumerate(pk_k)},
+                               **{f"x{i}": x for i, x in enumerate(pk_x)},
+                               **{f"prev{i}": p for i, p in enumerate(pk_p)}},
+                              packed_tape_chain),
         "lookup": ({"table": table},
                    lambda: ad.sum_all(ad.sigmoid(ad.lookup(table, np.array([0, 2, 2]))))),
         # Row gradients added before and after dense ones into one buffer.
@@ -453,6 +483,58 @@ class TestNoGradMode:
             w = Tensor([2.0], requires_grad=True)
         backward(ad.sum_all(ad.mul(w, w)))
         np.testing.assert_array_equal(w.grad, [4.0])
+
+
+def test_tape_attend_row_prefix_matches_oracle():
+    # x has 2 rows and reads the first 2 rows of a 3-row memory over the
+    # window [1, 4), masked; each row against the oracle over its own
+    # unmasked window slots.  The third row's all-zero mask is never read.
+    rng = np.random.default_rng(13)
+    hid, att = 2, 3
+    H, C = rng.normal(size=(3, 5, hid)), rng.normal(size=(3, 5, hid))
+    w_h, w_x, w_ht = (rng.normal(size=(att, n)) for n in (hid, 4, hid))
+    v, bias = rng.normal(size=att), rng.normal(size=att)
+    memory = np.concatenate([H, C, H @ w_h.T], axis=2)
+    x, prev = rng.normal(size=(2, 4)), rng.normal(size=(2, hid))
+    mask = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0]])
+    out, _, weights = ad.tape_attend(Tensor(memory), 1, 4, Tensor(x), Tensor(w_x),
+                                     Tensor(prev), Tensor(w_ht), Tensor(v), Tensor(bias),
+                                     mask=mask)
+    assert out.data.shape == (2, 2 * hid) and weights.data.shape == (2, 3)
+    for r in range(2):
+        keep = [1 + j for j in range(3) if mask[r, j]]
+        w_ref, ht_ref, ct_ref = oracles.intra_summaries_ref(
+            x[r], H[r, keep], C[r, keep], prev[r], v, w_h, w_x, w_ht, bias, hid)
+        np.testing.assert_allclose(out.data[r], np.concatenate([ht_ref, ct_ref]), atol=1e-12)
+        np.testing.assert_allclose(weights.data[r, mask[r] != 0], w_ref, atol=1e-12)
+        assert (weights.data[r, mask[r] == 0] == 0.0).all()
+
+
+def test_tape_write_row_prefix():
+    # Slot 1 written by 1 live row of 3: its other rows stay zero, and each
+    # part's gradient is exactly its columns of the rows it wrote.
+    rng = np.random.default_rng(14)
+    h3, k3 = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 3, 1)
+    h1, k1 = _rng_tensor(rng, 1, 2), _rng_tensor(rng, 1, 1)
+    buf = np.zeros((3, 2, 3))
+    node = ad.tape_write(ad.tape_write(None, buf, 0, (h3, k3)), buf, 1, (h1, k1))
+    np.testing.assert_array_equal(buf[:, 0], np.concatenate([h3.data, k3.data], axis=1))
+    np.testing.assert_array_equal(buf[0, 1], np.concatenate([h1.data[0], k1.data[0]]))
+    assert (buf[1:, 1] == 0.0).all()
+    g = rng.normal(size=buf.shape)
+    backward(ad.sum_all(ad.mul(node, Tensor(g))))
+    np.testing.assert_array_equal(h3.grad, g[:, 0, :2])
+    np.testing.assert_array_equal(k3.grad, g[:, 0, 2:])
+    np.testing.assert_array_equal(h1.grad, g[:1, 1, :2])
+    np.testing.assert_array_equal(k1.grad, g[:1, 1, 2:])
+
+
+def test_tape_write_rejects_extra_or_unequal_rows():
+    buf = np.zeros((2, 2, 3))
+    with pytest.raises(ShapeMismatchError, match="tape_write"):
+        ad.tape_write(None, buf, 0, (Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 1)))))
+    with pytest.raises(ShapeMismatchError, match="tape_write"):
+        ad.tape_write(None, buf, 0, (Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 1)))))
 
 
 def test_gate_cell_matches_oracle_per_row():

@@ -536,3 +536,68 @@ def test_run_stack_lstm_skip_feeds_h_and_x_upward():
         upper = lstm_step(ad.concat([lower.h, x], axis=1), upper, stack.layers[1].gates)
         np.testing.assert_array_equal(upper.h.data, h.data)
         lower, upper = lower.hc, upper.hc
+
+
+class TestPackedStack:
+    """A packed batch: rows sorted longest first, step t runs the first
+    B_t rows.  Each row must get what it gets alone."""
+
+    LENGTHS = (5, 5, 3, 1)
+
+    def stacks(self, rng):
+        tape = cells.init_stack(rng, 2, hidden=3, embed=2, attn_size=2, skip=True)
+        for layer in tape.layers:
+            randomize_layer(rng, layer, scale=1.0)
+        return {"lstm": lstm_stack(rng, 2, hidden=3, embed=2, skip=True), "lstmn": tape}
+
+    def packed_xs(self, rng):
+        x = rng.normal(size=(len(self.LENGTHS), max(self.LENGTHS), 2))
+        rows = [sum(n > t for n in self.LENGTHS) for t in range(max(self.LENGTHS))]
+        return x, [Tensor(x[:b, t]) for t, b in enumerate(rows)]
+
+    @pytest.mark.parametrize("kind,capacity", [("lstm", None), ("lstmn", None), ("lstmn", 2)])
+    def test_each_row_matches_its_own_run(self, kind, capacity):
+        rng = np.random.default_rng(27)
+        stack = self.stacks(rng)[kind]
+        x, xs = self.packed_xs(rng)
+        run = run_stack(xs, stack, capacity)
+        assert [h.data.shape[0] for h in run.top_h] == [4, 3, 3, 2, 2]
+        for r, n in enumerate(self.LENGTHS):
+            alone = run_stack([Tensor(x[r:r + 1, t]) for t in range(n)], stack, capacity)
+            for t in range(n):
+                np.testing.assert_allclose(run.top[t].hc.data[r], alone.top[t].hc.data[0],
+                                           rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["lstm", "lstmn"])
+    def test_gradients_through_the_row_cuts(self, kind):
+        rng = np.random.default_rng(28)
+        stack = self.stacks(rng)[kind]
+        _, xs = self.packed_xs(rng)
+        read = [rng.normal(size=x.data.shape[:1] + (3,)) for x in xs]
+
+        def loss():
+            run = run_stack(xs, stack, capacity=2)
+            total = None
+            for h, r in zip(run.top_h, read):
+                term = ad.sum_all(ad.mul(h, Tensor(r)))
+                total = term if total is None else ad.add(total, term)
+            return total
+
+        report = grad_check(loss, dict(stack.named()), tolerance=1e-4)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("kind", ["lstm", "lstmn"])
+    def test_rows_cannot_grow(self, kind):
+        rng = np.random.default_rng(29)
+        stack = self.stacks(rng)[kind]
+        xs = [Tensor(rng.normal(size=(b, 2))) for b in (3, 2, 3)]
+        with pytest.raises(TapeError, match="longest first"):
+            run_stack(xs, stack)
+
+    def test_tape_rejects_more_rows_than_the_slot_before(self):
+        tapes = Tapes(length=3)
+        tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))
+        tapes.append(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1))))
+        np.testing.assert_array_equal(tapes.memory.data[:, 1], [[1.0] * 5, [0.0] * 5])
+        with pytest.raises(TapeError, match="differ"):
+            tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))

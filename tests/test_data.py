@@ -93,6 +93,23 @@ class TestPretrained:
         np.testing.assert_array_equal(table.weights.data[rows], [[1.0, 2.0], [3.0, 4.0]])
         assert table.pretrained[rows].all()
 
+    def test_fasttext_header_is_skipped(self, tmp_path):
+        # A .vec file opens with "N D"; it is no token row.
+        path = tmp_path / "hdr.vec"
+        path.write_text("2 3\nx 1.0 2.0 3.0 \ny 4.0 5.0 6.0 \n")
+        vocab = Vocabulary(["x", "y"])
+        table = load_pretrained(path, vocab)
+        rows = [vocab.token_to_index[t] for t in ("x", "y")]
+        np.testing.assert_array_equal(table.weights.data[rows],
+                                      [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        assert table.pretrained[rows].all() and "2" not in vocab.token_to_index
+
+    def test_fasttext_header_width_is_enforced(self, tmp_path):
+        path = tmp_path / "hdr.vec"
+        path.write_text("2 3\nx 1.0 2.0 \ny 4.0 5.0 \n")
+        with pytest.raises(DataFormatError, match=r":2: row has 2 values, expected 3"):
+            load_pretrained(path, Vocabulary(["x", "y"]))
+
     def test_token_keeps_inner_whitespace(self, tmp_path):
         # Only " " separates fields: a token may hold other whitespace.
         path = tmp_path / "emb.txt"

@@ -339,19 +339,18 @@ class TestFusionIdentities:
     def _run_deep(self, dec, src, xs):
         run = run_decoder(xs, src, dec, "deep")
         return (np.stack([h.data for h in run.outputs]),
-                np.stack([inter.gate.data for inter in run.inter]))
+                np.stack([(inter.gate.data * inter.alpha_tilde.data) for inter in run.inter]))
 
-    def test_gate_forced_to_zero_reproduces_plain_decoder(self):
-        # A -inf transfer-gate bias saturates r to exactly 0, collapsing
-        # c = r*a~ + f*c~ + i*c-hat term-by-term onto the plain update.
+    def test_zero_source_memory_reproduces_plain_decoder(self):
+        # A zero source memory a makes a~ and the transfer term r * a~
+        # exactly 0, collapsing c = r*a~ + f*c~ + i*c-hat term-by-term onto
+        # the plain update, whatever the gate r.
         rng = np.random.default_rng(44)
         dec = random_decoder(rng, 3, 2, 2)
-        dec.inter.r_bias = Tensor(np.full(3, -1e4))
-        src = SourceTapes(y=Tensor(rng.normal(size=(1, 3, 3))),
-                          a=Tensor(rng.normal(size=(1, 3, 3))))
+        src = SourceTapes(y=Tensor(rng.normal(size=(1, 3, 3))), a=Tensor(np.zeros((1, 3, 3))))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
-        deep_hs, gates = self._run_deep(dec, src, xs)
-        assert np.all(gates == 0.0)
+        deep_hs, transfers = self._run_deep(dec, src, xs)
+        assert np.all(transfers == 0.0)
         tapes = Tapes()
         ht = Tensor(np.zeros((1, 3)))
         plain_hs = []
@@ -361,14 +360,13 @@ class TestFusionIdentities:
             plain_hs.append(state.h.data.copy())
         np.testing.assert_array_equal(deep_hs, np.stack(plain_hs))
 
-    def test_deep_equals_shallow_when_gate_dead_and_context_severed(self):
+    def test_deep_equals_shallow_when_transfer_zero_and_context_severed(self):
         rng = np.random.default_rng(46)
         dec = random_decoder(rng, 3, 2, 2)
-        dec.inter.r_bias = Tensor(np.full(3, -1e4))
-        src = SourceTapes(y=Tensor(rng.normal(size=(1, 4, 3))),
-                          a=Tensor(rng.normal(size=(1, 4, 3))))
+        src = SourceTapes(y=Tensor(rng.normal(size=(1, 4, 3))), a=Tensor(np.zeros((1, 4, 3))))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
-        deep_hs, _ = self._run_deep(dec, src, xs)
+        deep_hs, transfers = self._run_deep(dec, src, xs)
+        assert np.all(transfers == 0.0)
         run = run_decoder(xs, src, dec, "shallow")
         # Sever the context path: compare only the h half of each output.
         shallow_hs = np.stack([out.data[:, :3] for out in run.outputs])

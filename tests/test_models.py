@@ -114,11 +114,13 @@ class TestLanguageModel:
 
 
 def per_step_hits(proj, states, targets, mask) -> int:
-    """Greedy hits from one projection per step: the evaluation oracle."""
+    """Greedy hits from one projection per step: the evaluation oracle.
+    Step t's states may be packed, the first rows of targets and mask."""
     hits = 0
     for t, h in enumerate(states):
         pred = proj(h).data.argmax(axis=1)
-        hits += int(((pred == targets[:, t]) & (mask[:, t] != 0)).sum())
+        rows = len(pred)
+        hits += int(((pred == targets[:rows, t]) & (mask[:rows, t] != 0)).sum())
     return hits
 
 
@@ -229,6 +231,91 @@ class TestSeq2Seq:
         assert {"encoder.layer1.W", "decoder.layer1.W", "decoder.inter.u",
                 "decoder.inter.W_gamma", "decoder.inter.W_x",
                 "decoder.inter.W_gammatilde", "decoder.inter.W_r"} <= names
+
+
+class TestPackedPadding:
+    """Language models and seq2seq decoders run packed: rows sorted by
+    length, step t over the rows still live.  Each row of a mixed-length
+    batch must get what it gets alone, and padding must never be read."""
+
+    FAMILIES = {
+        "lstm": dict(model="lstm", layers=2),
+        "lstmn": dict(model="lstmn"),
+        "lstmn-stack": dict(model="lstmn-stack", layers=2, skip_connections=True, capacity=2),
+        "seq2seq-shallow": dict(model="seq2seq-shallow", optimizer="adam"),
+        "seq2seq-deep": dict(model="seq2seq-deep", optimizer="adam", capacity=2),
+    }
+    # Unsorted lengths; the targets sort differently from the sources.
+    SOURCES = [["w0", "w1"], ["w2", "w5", "w1", "w3"], ["w4"], ["w3", "w3", "w0"]]
+    TARGETS = [["w1", "w2", "w0"], ["w5"], ["w0", "w4", "w4", "w2"], ["w3", "w1"]]
+
+    def model(self, name):
+        vocab = make_vocab()
+        model = models.build_model(cfg_for(**self.FAMILIES[name]), vocab,
+                                   np.random.default_rng(31))
+        rng = np.random.default_rng(32)
+        for t in model.params().values():
+            t.data[...] = rng.normal(scale=0.5, size=t.data.shape)
+        return vocab, model
+
+    def batch(self, vocab, model, rows):
+        if model.mode:
+            return TestSeq2Seq().pair_batch(vocab, [self.SOURCES[i] for i in rows],
+                                            [self.TARGETS[i] for i in rows])
+        return lm_batch(vocab, [self.SOURCES[i] for i in rows])
+
+    def per_row(self, model, batch):
+        """(NLL, hits) of every batch row, in batch order, from one numpy
+        softmax per packed state: the oracle of the batched loss."""
+        mask = model._decoder_io(batch)[2] if model.mode else batch.mask[:, 1:]
+        order, _ = models.pack(mask)
+        states, targets, live = model._predict(batch)
+        w, b = model.proj.w.data, model.proj.b.data
+        stats = np.zeros((len(order), 2))
+        for t, h in enumerate(states):
+            logits = h.data @ w.T + b
+            for j, z in enumerate(logits):
+                assert live[j, t]
+                logp = z - z.max() - np.log(np.exp(z - z.max()).sum())
+                stats[order[j]] += (-logp[targets[j, t]], z.argmax() == targets[j, t])
+        return stats
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_each_row_matches_its_batch_of_one(self, name):
+        vocab, model = self.model(name)
+        batch = self.batch(vocab, model, range(4))
+        stats = self.per_row(model, batch)
+        for i in range(4):
+            alone = model.evaluate([self.batch(vocab, model, [i])])
+            np.testing.assert_allclose(stats[i, 0], alone.nll, rtol=1e-10)
+            assert stats[i, 1] == round(alone.accuracy * alone.tokens)
+        whole = model.evaluate([batch])
+        np.testing.assert_allclose(whole.nll, stats[:, 0].sum(), rtol=1e-10)
+        assert round(whole.accuracy * whole.tokens) == stats[:, 1].sum()
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_padded_ids_are_never_read(self, name):
+        vocab, model = self.model(name)
+        batch = self.batch(vocab, model, range(4))
+        params = list(model.params().values())
+
+        def loss_and_grads(b):
+            ad.zero_grad(params)
+            loss, _ = model.loss(b)
+            ad.backward(loss, params=params)
+            return loss.item(), [p.grad.copy() for p in params]
+
+        base, base_grads = loss_and_grads(batch)
+        rng = np.random.default_rng(33)
+        for tokens, mask in ((batch.tokens, batch.mask), (batch.tokens2, batch.mask2)):
+            if tokens is not None:
+                pad = mask == 0
+                assert pad.any()
+                tokens[pad] = rng.integers(vocab.pad + 1, len(vocab), size=int(pad.sum()))
+        after, after_grads = loss_and_grads(batch)
+        assert after == base
+        for g, h in zip(base_grads, after_grads):
+            np.testing.assert_array_equal(g, h)
 
 
 class TestClassifierModels:
