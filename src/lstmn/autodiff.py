@@ -12,7 +12,7 @@ adds into the input's gradient buffer in place.
 The kernel set is small, one kernel per job: ``add`` (same shapes),
 ``mul``, ``sigmoid``, ``relu``, ``sum_all``, ``concat``, ``slice_cols``
 (last axis), ``linear`` (the one affine map: optional bias, any leading
-axes), ``lookup``, ``attend`` (a weighted sum of per-step slots),
+axes), ``lookup``, ``attend`` (per-step slots under constant weights),
 ``gate_cell``, ``tape_write``, ``tape_attend`` and ``affine_nll``.
 Shapes are batch-first: (B, n) per step, (B, T, n) for tape slots.  A
 recurrent cell's state is one (B, 2h) block [h | c]: ``gate_cell`` maps
@@ -20,8 +20,9 @@ such a block (the LSTM's [h_{t-1} | c_{t-1}] or a tape summary
 [h~ | c~]) and the step input to the next [h | c] in one node, gate
 block and memory update together.  A memory tape is one (B, T, n)
 buffer written in place, one slot per step, by ``tape_write``;
-``tape_attend`` reads a window of it in a single node, so a recurrent
-step adds a fixed number of nodes however long the tape.  Batches of
+``tape_attend`` reads a window of it in one node (its attention weights
+a plain array), so a recurrent step adds a fixed number of nodes however
+long the tape.  Batches of
 variable-length rows are packed: rows sorted longest first, step t's
 tensors hold B_t rows, the live prefix of the batch, and both tape
 kernels write and read only that row prefix of the (B, T, n) buffer,
@@ -410,22 +411,18 @@ def softmax(z: np.ndarray, mask=None) -> np.ndarray:
     return e
 
 
-def attend(weights: Tensor, slots) -> Tensor:
-    """Weighted sum of T same-shaped (B, n) slots with (B, T) weights:
-    sum_t weights[:, t] * slots[t] -> (B, n)."""
+def attend(weights: np.ndarray, slots) -> Tensor:
+    """Weighted sum of T same-shaped (B, n) slots with a constant (B, T)
+    weights array: sum_t weights[:, t] * slots[t] -> (B, n)."""
     slots = list(slots)
     shapes = {s.data.shape for s in slots}
     if len(shapes) != 1 or slots[0].data.ndim != 2 or \
-            weights.data.shape != (slots[0].data.shape[0], len(slots)):
+            weights.shape != (slots[0].data.shape[0], len(slots)):
         raise ShapeMismatchError(
-            f"attend: weights {weights.data.shape} and slots {sorted(shapes)} do not conform")
-    wd, x3 = weights.data, np.stack([s.data for s in slots], axis=1)
-
-    def bwd(g):
-        return (np.einsum("bn,btn->bt", g, x3),) + \
-            tuple(wd[:, t, None] * g for t in range(len(slots)))
-
-    return _make(np.einsum("bt,btn->bn", wd, x3), (weights, *slots), bwd, "attend")
+            f"attend: weights {weights.shape} and slots {sorted(shapes)} do not conform")
+    x3 = np.stack([s.data for s in slots], axis=1)
+    return _make(np.einsum("bt,btn->bn", weights, x3), slots,
+                 lambda g: tuple(weights[:, t, None] * g for t in range(len(slots))), "attend")
 
 
 def tape_write(prev: Optional[Tensor], buf: np.ndarray, n: int, parts) -> Tensor:
@@ -480,8 +477,9 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
 
     ``mask`` is (B, hi - lo) and is cut to the same rows.  ``prev`` is
     read in its first k = W_prev-width columns, so a summary block
-    [h~ | c~] passes whole as h~.  Returns (out, scores, weights); scores
-    and weights are records outside the graph.  The gradients to
+    [h~ | c~] passes whole as h~.  Returns (out, weights): the one graph
+    node, and the softmax as a plain array in the memory's dtype (screened
+    for NaN/Inf through ``out``).  The gradients to
     ``memory`` and ``prev`` are ``Partial``s over the rows, window and
     columns read, so a read costs nothing outside them.
     """
@@ -532,8 +530,7 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
     parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
-    return (_make(out, parents, bwd, "tape_attend"),
-            _make(scores, (), None, "tape_attend"), _make(weights, (), None, "tape_attend"))
+    return _make(out, parents, bwd, "tape_attend"), weights
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -638,8 +635,15 @@ def grad_check(loss_fn, params, fd_step: float = 1e-5,
     ``loss_fn`` must rebuild the graph from the current parameter values
     on every call and be deterministic; ``params`` maps names to leaf
     tensors.  Per-entry relative error is
-    |analytic - numeric| / max(|analytic|, |numeric|, 1e-8).
+    |analytic - numeric| / max(|analytic|, |numeric|, r / tolerance), where
+    r = eps * max(1, |L|) / fd_step bounds the central difference's
+    round-off (two loss values, each rounded by about eps * |L|, over
+    2 fd_step): a gradient within r of its difference passes, as the
+    difference resolves it no closer, and larger ones are held to the
+    relative tolerance.
     """
+    if tolerance <= 0:
+        raise ValueError(f"grad_check tolerance must be positive, got {tolerance}")
     if hasattr(params, "items"):
         items = list(params.items())
     else:
@@ -654,6 +658,7 @@ def grad_check(loss_fn, params, fd_step: float = 1e-5,
         raise GraphStateError(
             "loss is not deterministic (two identical evaluations differ); check refused")
 
+    floor = np.finfo(np.float64).eps * max(1.0, abs(first)) / fd_step / tolerance
     tensors = [t for _, t in items]
     zero_grad(tensors)
     backward(loss_fn(), params=tensors)
@@ -673,7 +678,7 @@ def grad_check(loss_fn, params, fd_step: float = 1e-5,
             numeric[i] = (hi - lo) / (2.0 * fd_step)
         numeric = numeric.reshape(t.data.shape)
         a = analytic[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), floor)
         rel = float((np.abs(a - numeric) / denom).max()) if a.size else 0.0
         entries.append(GradCheckEntry(name, rel, rel <= tolerance))
     return GradCheckReport(entries, tolerance, fd_step)

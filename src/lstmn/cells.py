@@ -179,12 +179,10 @@ class Tapes:
 
 @dataclass
 class IntraAttention:
-    """Attention record for one step: raw energies and the normalized
-    distribution over the read window (None at the first step, when the
-    tape is empty; records outside the graph), plus the adaptive summary
-    block that the state update reads."""
-    scores: Optional[Tensor]    # (B, len(tapes))
-    weights: Optional[Tensor]   # (B, len(tapes))
+    """Attention record for one step: the distribution over the read
+    window as a plain array (None at the first step, when the tape is
+    empty), and the adaptive summary block that the state update reads."""
+    weights: Optional[np.ndarray]   # (B, len(tapes))
     summary: Tensor             # (B, 2h) [h~ | c~]
 
 
@@ -260,9 +258,9 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     if len(tapes) == 0:
         raise TapeError("attention over an empty tape")
     lo, hi = tapes.window()
-    summary, scores, weights = ad.tape_attend(
+    summary, weights = ad.tape_attend(
         tapes.memory, lo, hi, x, w.w_x, htilde_prev, w.w_htilde, w.v, w.bias)
-    return IntraAttention(scores, weights, summary)
+    return IntraAttention(weights, summary)
 
 
 def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
@@ -280,7 +278,7 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
     [0, x_t] and c_t reduces to [transfer +] i * c-hat.
     """
     if len(tapes) == 0:
-        attn = IntraAttention(None, None, zero_state(x.data.shape[0], w.gates.hidden_size))
+        attn = IntraAttention(None, zero_state(x.data.shape[0], w.gates.hidden_size))
     else:
         attn = intra_attend(x, tapes, summary_prev, w.attn)
     state = lstm_step(x, attn.summary, w.gates, transfer)

@@ -72,11 +72,10 @@ class InterAttentionWeights:
 
 @dataclass
 class InterAttention:
-    """One decode step's alignment over the source: raw energies and the
-    distribution (records outside the graph), both adaptive summaries,
-    and the transfer gate (deep fusion only)."""
-    energies: Tensor            # (B, m)
-    weights: Tensor             # (B, m)
+    """One decode step's alignment over the source: the distribution as a
+    plain array, both adaptive summaries, and the transfer gate (deep
+    fusion only)."""
+    weights: np.ndarray         # (B, m)
     gamma_tilde: Tensor         # (B, h)
     alpha_tilde: Tensor         # (B, h)
     gate: Optional[Tensor] = None   # (B, h)
@@ -143,11 +142,11 @@ def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
     if src.length < 1:
         raise TapeError("inter-attention needs a non-empty source")
     memory = src_proj if src_proj is not None else source_projection(src, w)
-    summary, energies, weights = ad.tape_attend(
+    summary, weights = ad.tape_attend(
         memory, 0, src.length, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
         mask=src.mask)
     hidden = src.y.data.shape[2]
-    return InterAttention(energies, weights, ad.slice_cols(summary, 0, hidden),
+    return InterAttention(weights, ad.slice_cols(summary, 0, hidden),
                           ad.slice_cols(summary, hidden, 2 * hidden))
 
 

@@ -136,16 +136,14 @@ def lm_correct(hits: np.ndarray) -> int:
 
 
 def mean_pool(states: list, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Mask-aware average of the per-step (B, h) states."""
-    t = len(states)
-    if t == 0:
+    """Mask-aware average of the per-step (B, h) states: an ``attend``
+    under constant weights built in the states' dtype."""
+    if not states:
         raise TapeError("cannot pool an empty tape")
-    if mask is None:
-        weights = np.full((states[0].data.shape[0], t), 1.0 / t)
-    else:
-        mask = np.asarray(mask, dtype=states[0].data.dtype)
-        counts = mask.sum(axis=1, keepdims=True)
-        if np.any(counts == 0):
-            raise TapeError("cannot pool a row with no unmasked positions")
-        weights = mask / counts
-    return ad.attend(Tensor(weights), states)
+    dtype = states[0].data.dtype
+    mask = np.ones((states[0].data.shape[0], len(states)), dtype) if mask is None \
+        else np.asarray(mask, dtype=dtype)
+    counts = mask.sum(axis=1, keepdims=True)
+    if np.any(counts == 0):
+        raise TapeError("cannot pool a row with no unmasked positions")
+    return ad.attend(mask / counts, states)

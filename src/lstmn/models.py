@@ -37,9 +37,8 @@ def pack(mask: np.ndarray) -> tuple:
     each row, and B_t, the count of rows still live at each step t up to
     the longest row: after the sort, step t runs the first B_t rows."""
     lengths = mask.sum(axis=1).astype(np.int64)
-    # B=1 (greedy requests) needs no sort.
-    order = np.argsort(-lengths, kind="stable") if len(lengths) > 1 else np.zeros(1, np.int64)
-    return order, (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
+    rows = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
+    return np.argsort(-lengths, kind="stable"), rows
 
 
 class Model:
@@ -176,16 +175,11 @@ class Seq2SeqModel(LanguageModel):
         tgt, mask = batch.tokens2, batch.mask2
         b, m = tgt.shape
         lengths = mask.sum(axis=1).astype(int)
-        inputs = np.full((b, m + 1), self.vocab.pad, dtype=np.int64)
-        targets = np.full((b, m + 1), self.vocab.pad, dtype=np.int64)
-        out_mask = np.zeros((b, m + 1))
-        inputs[:, 0] = self.vocab.bos
-        inputs[:, 1:] = tgt
-        targets[:, :m] = tgt
-        for i, n in enumerate(lengths):
-            targets[i, n] = self.vocab.eos
-            out_mask[i, :n + 1] = 1.0
-        return inputs, targets, out_mask
+        column = np.ones((b, 1), dtype=np.int64)
+        inputs = np.concatenate([column * self.vocab.bos, tgt], axis=1)
+        targets = np.concatenate([tgt, column * self.vocab.pad], axis=1)
+        targets[np.arange(b), lengths] = self.vocab.eos
+        return inputs, targets, (np.arange(m + 1) <= lengths[:, None]).astype(np.float64)
 
     def _predict(self, batch: Batch):
         """The whole batch sorted once by target length: the encoder runs

@@ -293,6 +293,6 @@ def _format_stream(stream) -> list:
         weights = getattr(trace, "weights", None)
         if weights is None:
             continue
-        for i, w in enumerate(weights.data[0], start=1):
+        for i, w in enumerate(weights[0], start=1):
             lines.append(f"{t}\t{i}\t{w:.10g}")
     return lines

@@ -1,5 +1,6 @@
 """Kernel, backward, and gradient-check tests for the autodiff engine."""
 
+import contextlib
 import inspect
 
 import numpy as np
@@ -52,7 +53,7 @@ class TestForwardKernels:
 
     def test_nonfinite_output_raises(self):
         big = Tensor(np.array([[1e308]]))
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(NonFiniteError), pytest.warns(RuntimeWarning, match="overflow"):
             ad.mul(big, big)
 
     def test_concat_and_slice_roundtrip(self):
@@ -243,6 +244,42 @@ class TestGradCheck:
         with pytest.raises(GraphStateError, match="float64"):
             grad_check(lambda: ad.sum_all(x), {"x": x})
 
+    def test_roundoff_sized_gradients_pass(self):
+        # Gradients near 1e-10 under a loss near 7.6: the central difference
+        # at the default step resolves them only to its round-off, about
+        # eps * 7.6 / 1e-5 = 1.7e-10, and they agree to that.
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 3)) * 1e-9)
+        shift = Tensor(np.full((4, 2), 3.0))
+
+        def loss():
+            return ad.sum_all(ad.sigmoid(ad.add(ad.linear(x, w), shift)))
+
+        report = grad_check(loss, {"w": w})
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("tolerance", [1e-4, 1e-6])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    @pytest.mark.parametrize("factor,passes", [(1.0, True), (1.01, False)])
+    def test_wrong_backward_fails(self, factor, passes, scale, tolerance):
+        # L = scale * sum(w^2) / 2, whose gradient scale * w has entries
+        # between scale and 2 scale; the backward returns ``factor`` times it.
+        w = Tensor(1.0 + np.random.default_rng(4).uniform(size=3), requires_grad=True)
+
+        def loss():
+            return ad._make(np.asarray(0.5 * scale * (w.data ** 2).sum()), (w,),
+                            lambda g: (g * scale * factor * w.data,), "scaled_square")
+
+        report = grad_check(loss, {"w": w}, tolerance=tolerance)
+        assert report.passed == passes, str(report)
+
+    def test_nonpositive_tolerance_refused(self):
+        # The round-off floor divides by the tolerance; 0 would pass anything.
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError, match="tolerance"):
+            grad_check(lambda: ad.sum_all(ad.mul(x, x)), {"x": x}, tolerance=0.0)
+
 
 # Every registered kernel must pass a finite-difference check on random
 # small shapes.  Each case builds a scalar loss exercising one kernel.
@@ -256,7 +293,7 @@ def _kernel_cases():
     bias = t(3)
     w43 = t(4, 3)
     x3d = t(2, 4, 3)
-    wts = Tensor(np.abs(rng.normal(size=(2, 4))), requires_grad=True)
+    wts = np.abs(rng.normal(size=(2, 4)))   # constant weights: no gradient
     slots = [t(2, 3) for _ in range(3)]
     table = t(5, 3)
     nll_h = t(4, 3)
@@ -330,7 +367,7 @@ def _kernel_cases():
         "sigmoid": ({"a": x23}, lambda: ad.sum_all(ad.sigmoid(x23))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, shift)))),
         "sum_all": ({"a": x23}, lambda: ad.sigmoid(ad.sum_all(x23))),
-        "attend": ({"w": wts, **{f"s{i}": s for i, s in enumerate(slots)}},
+        "attend": ({f"s{i}": s for i, s in enumerate(slots)},
                    lambda: ad.sum_all(ad.sigmoid(ad.attend(wts, slots)))),
         # B=2, a capacity-style read window [1, 4) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
@@ -432,11 +469,9 @@ def _records_graph() -> bool:
     return ad.mul(Tensor([1.0], requires_grad=True), 2.0).requires_grad
 
 
-@pytest.mark.parametrize("kernel", sorted(_KERNEL_CASES))
-def test_no_grad_records_no_graph_and_keeps_values(kernel, monkeypatch):
-    params, loss = _KERNEL_CASES[kernel]
-    zero_grad(params.values())
-    expected = loss().data
+@pytest.fixture
+def made_nodes(monkeypatch):
+    """The list of every node ``_make`` makes from here on."""
     made = []
     make = ad._make
 
@@ -445,10 +480,19 @@ def test_no_grad_records_no_graph_and_keeps_values(kernel, monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(ad, "_make", recording_make)
+    return made
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_CASES))
+def test_no_grad_records_no_graph_and_keeps_values(kernel, made_nodes):
+    params, loss = _KERNEL_CASES[kernel]
+    zero_grad(params.values())
+    expected = loss().data
+    made_nodes.clear()
     with ad.no_grad():
         value = loss()
-    assert made and all(n._parents == () and n._backward_fn is None
-                        and not n.requires_grad for n in made)
+    assert made_nodes and all(n._parents == () and n._backward_fn is None
+                              and not n.requires_grad for n in made_nodes)
     assert value.data.tobytes() == expected.tobytes()
     with pytest.raises(GraphStateError, match="no graph"):
         backward(value, params=list(params.values()))
@@ -473,7 +517,8 @@ class TestNoGradMode:
 
     def test_nonfinite_screen_stays_on(self):
         big = Tensor(np.array([[1e308]]), requires_grad=True)
-        with ad.no_grad(), pytest.raises(NonFiniteError):
+        with ad.no_grad(), pytest.raises(NonFiniteError), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             ad.mul(big, big)
 
     def test_leaves_keep_requires_grad(self):
@@ -497,17 +542,54 @@ def test_tape_attend_row_prefix_matches_oracle():
     memory = np.concatenate([H, C, H @ w_h.T], axis=2)
     x, prev = rng.normal(size=(2, 4)), rng.normal(size=(2, hid))
     mask = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0]])
-    out, _, weights = ad.tape_attend(Tensor(memory), 1, 4, Tensor(x), Tensor(w_x),
-                                     Tensor(prev), Tensor(w_ht), Tensor(v), Tensor(bias),
-                                     mask=mask)
-    assert out.data.shape == (2, 2 * hid) and weights.data.shape == (2, 3)
+    out, weights = ad.tape_attend(Tensor(memory), 1, 4, Tensor(x), Tensor(w_x),
+                                  Tensor(prev), Tensor(w_ht), Tensor(v), Tensor(bias),
+                                  mask=mask)
+    assert out.data.shape == (2, 2 * hid) and weights.shape == (2, 3)
     for r in range(2):
         keep = [1 + j for j in range(3) if mask[r, j]]
         w_ref, ht_ref, ct_ref = oracles.intra_summaries_ref(
             x[r], H[r, keep], C[r, keep], prev[r], v, w_h, w_x, w_ht, bias, hid)
         np.testing.assert_allclose(out.data[r], np.concatenate([ht_ref, ct_ref]), atol=1e-12)
-        np.testing.assert_allclose(weights.data[r, mask[r] != 0], w_ref, atol=1e-12)
-        assert (weights.data[r, mask[r] == 0] == 0.0).all()
+        np.testing.assert_allclose(weights[r, mask[r] != 0], w_ref, atol=1e-12)
+        assert (weights[r, mask[r] == 0] == 0.0).all()
+
+
+def _attend_read(rng, read: str):
+    """tape_attend's arguments over a (2, 5, 3 + 2) memory: the intra read
+    (window [1, 4), with bias) or the inter read (every slot, masked)."""
+    mem, x, w_x, prev, w_prev, v, bias = (
+        _rng_tensor(rng, *shape) for shape in [(2, 5, 5), (2, 3), (2, 3), (2, 4), (2, 4), (2,),
+                                               (2,)])
+    if read == "intra":
+        return (mem, 1, 4, x, w_x, prev, w_prev, v, bias), {}
+    return (mem, 0, 5, x, w_x, prev, w_prev, v), {"mask": [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]}
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("read", ["intra", "inter"])
+def test_tape_attend_makes_one_node(read, record, made_nodes):
+    args, kwargs = _attend_read(np.random.default_rng(15), read)
+    made_nodes.clear()
+    with contextlib.nullcontext() if record else ad.no_grad():
+        out, weights = ad.tape_attend(*args, **kwargs)
+    assert len(made_nodes) == 1 and made_nodes[0] is out
+    assert out.requires_grad == record and isinstance(weights, np.ndarray)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("read", ["intra", "inter"])
+def test_tape_attend_weights_are_an_array_in_the_memory_dtype(read, dtype):
+    ad.set_default_dtype(dtype)
+    try:
+        args, kwargs = _attend_read(np.random.default_rng(16), read)
+        out, weights = ad.tape_attend(*args, **kwargs)
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert args[0].data.dtype == dtype and out.data.dtype == dtype
+    assert type(weights) is np.ndarray and weights.dtype == dtype
+    assert weights.shape == (2, args[2] - args[1])
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-6)
 
 
 def test_tape_write_row_prefix():
@@ -596,5 +678,6 @@ def test_affine_nll_nonfinite_logit_raises():
     # Finite operands whose product overflows to -inf in one logit only.
     h = Tensor(np.array([[1e200]]))
     w = Tensor(np.array([[-1e200], [1.0]]))
-    with pytest.raises(NonFiniteError, match="affine_nll"):
+    with pytest.raises(NonFiniteError, match="affine_nll"), \
+            pytest.warns(RuntimeWarning, match="overflow"):
         ad.affine_nll(h, w, Tensor(np.zeros(2)), np.array([1]))

@@ -94,7 +94,7 @@ class TestIntraAttend:
         for t in range(4):
             _, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
             if attn.weights is not None:
-                np.testing.assert_allclose(attn.weights.data[0],
+                np.testing.assert_allclose(attn.weights[0],
                                            np.full(t, 1.0 / t), atol=1e-12)
             htilde = attn.summary
 
@@ -106,7 +106,7 @@ class TestIntraAttend:
         tapes.append(h, row(rng.normal(size=2)), ad.linear(h, layer.attn.w_h))
         attn = cells.intra_attend(
             row(rng.normal(size=2)), tapes, row(rng.normal(size=2)), layer.attn)
-        np.testing.assert_array_equal(attn.weights.data, [[1.0]])
+        np.testing.assert_array_equal(attn.weights, [[1.0]])
         np.testing.assert_array_equal(attn.summary.data[:, :2], h.data)
 
     def test_matches_direct_formula(self):
@@ -122,8 +122,7 @@ class TestIntraAttend:
         ref_scores = oracles.intra_scores_ref(
             x, H, htilde_prev, a.v.data, a.w_h.data, a.w_x.data,
             a.w_htilde.data, a.bias.data)
-        np.testing.assert_allclose(attn.scores.data[0], ref_scores, atol=1e-12)
-        np.testing.assert_allclose(attn.weights.data[0], oracles.softmax(ref_scores),
+        np.testing.assert_allclose(attn.weights[0], oracles.softmax(ref_scores),
                                    atol=1e-12)
 
     def test_empty_tape_rejected(self):
@@ -147,7 +146,7 @@ class TestLstmnStep:
         state, attn = lstmn_step(row([1.0, -1.0]), tapes, Tensor(np.zeros((1, 2))), layer)
         np.testing.assert_array_equal(state.h.data, np.zeros((1, 2)))
         np.testing.assert_array_equal(state.c.data, np.zeros((1, 2)))
-        assert attn.weights is None and attn.scores is None
+        assert attn.weights is None
         assert len(tapes) == 1
 
     def test_second_step_equals_lstm_on_first_state(self):
@@ -180,7 +179,7 @@ class TestLstmnStep:
             np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
             np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
             if attn.weights is not None:
-                np.testing.assert_allclose(attn.weights.data[0], w_ref, atol=1e-12)
+                np.testing.assert_allclose(attn.weights[0], w_ref, atol=1e-12)
             H.append(h_ref)
             C.append(c_ref)
             hp = ht_ref
@@ -276,7 +275,7 @@ class TestFusedTape:
                 np.testing.assert_allclose(state.c.data[b], c_ref, atol=1e-12)
                 np.testing.assert_allclose(attn.summary.data[b, 3:], ct_ref, atol=1e-12)
                 if attn.weights is not None:
-                    np.testing.assert_allclose(attn.weights.data[b], w_ref, atol=1e-12)
+                    np.testing.assert_allclose(attn.weights[b], w_ref, atol=1e-12)
                 H[b].append(h_ref)
                 C[b].append(c_ref)
                 hp[b] = ht_ref
@@ -337,9 +336,9 @@ class TestAttentionSumInvariant:
             _, attn = lstmn_step(Tensor(rng.normal(size=(2, 3))), tapes, htilde, layer)
             htilde = attn.summary
             if attn.weights is not None:
-                sums = attn.weights.data.sum(axis=1)
+                sums = attn.weights.sum(axis=1)
                 np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-                assert (attn.weights.data >= 0).all()
+                assert (attn.weights >= 0).all()
 
     def test_summary_in_convex_hull_1d(self):
         # With hidden size 1 the convex hull is the [min, max] interval.

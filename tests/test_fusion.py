@@ -121,7 +121,7 @@ class TestInterAttend:
                           a=Tensor(rng.normal(size=(1, 4, 2))))
         out = inter_attend(row(rng.normal(size=2)), src,
                            Tensor(np.zeros((1, 2))), dec.inter)
-        np.testing.assert_allclose(out.weights.data[0], np.full(4, 0.25), atol=1e-12)
+        np.testing.assert_allclose(out.weights[0], np.full(4, 0.25), atol=1e-12)
 
     def test_singleton_source(self):
         rng = np.random.default_rng(33)
@@ -131,7 +131,7 @@ class TestInterAttend:
         out = inter_attend(row(rng.normal(size=2)),
                            SourceTapes(y=Tensor(y), a=Tensor(a)),
                            Tensor(np.zeros((1, 2))), dec.inter)
-        np.testing.assert_array_equal(out.weights.data, [[1.0]])
+        np.testing.assert_array_equal(out.weights, [[1.0]])
         np.testing.assert_array_equal(out.gamma_tilde.data, y[:, 0])
         np.testing.assert_array_equal(out.alpha_tilde.data, a[:, 0])
 
@@ -146,7 +146,7 @@ class TestInterAttend:
         w = dec.inter
         p_ref, g_ref, a_ref = oracles.inter_attend_ref(
             x, Y, A, gprev, w.u.data, w.w_gamma.data, w.w_x.data, w.w_gammatilde.data)
-        np.testing.assert_allclose(out.weights.data[0], p_ref, atol=1e-12)
+        np.testing.assert_allclose(out.weights[0], p_ref, atol=1e-12)
         np.testing.assert_allclose(out.gamma_tilde.data[0], g_ref, atol=1e-12)
         np.testing.assert_allclose(out.alpha_tilde.data[0], a_ref, atol=1e-12)
 
@@ -158,8 +158,8 @@ class TestInterAttend:
                           mask=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
         out = inter_attend(Tensor(rng.normal(size=(2, 2))), src,
                            Tensor(np.zeros((2, 2))), dec.inter)
-        assert out.weights.data[0, 2] == 0.0
-        np.testing.assert_allclose(out.weights.data.sum(axis=1), 1.0, atol=1e-9)
+        assert out.weights[0, 2] == 0.0
+        np.testing.assert_allclose(out.weights.sum(axis=1), 1.0, atol=1e-9)
 
 
     def test_padded_source_matches_oracle_on_unpadded_slots(self):
@@ -176,8 +176,8 @@ class TestInterAttend:
             p_ref, g_ref, a_ref = oracles.inter_attend_ref(
                 x[b], list(y[b, :n]), list(a[b, :n]), gprev[b], w.u.data,
                 w.w_gamma.data, w.w_x.data, w.w_gammatilde.data)
-            np.testing.assert_allclose(out.weights.data[b, :n], p_ref, atol=1e-12)
-            np.testing.assert_array_equal(out.weights.data[b, n:], 0.0)
+            np.testing.assert_allclose(out.weights[b, :n], p_ref, atol=1e-12)
+            np.testing.assert_array_equal(out.weights[b, n:], 0.0)
             np.testing.assert_allclose(out.gamma_tilde.data[b], g_ref, atol=1e-12)
             np.testing.assert_allclose(out.alpha_tilde.data[b], a_ref, atol=1e-12)
 
@@ -248,7 +248,7 @@ class TestDeepDecode:
                     dec.inter.w_gammatilde.data, dec.inter.w_r.data)
             np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
             np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
-            np.testing.assert_allclose(inter.weights.data[0], p_ref, atol=1e-12)
+            np.testing.assert_allclose(inter.weights[0], p_ref, atol=1e-12)
             np.testing.assert_allclose(inter.gate.data[0], r_ref, atol=1e-12)
             H.append(h_ref)
             C.append(c_ref)
@@ -380,7 +380,7 @@ class TestFusionIdentities:
         run = run_decoder([Tensor(rng.normal(size=(2, 2))) for _ in range(5)],
                           src, dec, "deep")
         for inter in run.inter:
-            assert inter.weights.data.shape == (2, 4)
-            np.testing.assert_allclose(inter.weights.data.sum(axis=1), 1.0, atol=1e-9)
-            assert (inter.weights.data >= 0).all()
+            assert inter.weights.shape == (2, 4)
+            np.testing.assert_allclose(inter.weights.sum(axis=1), 1.0, atol=1e-9)
+            assert (inter.weights >= 0).all()
             assert ((inter.gate.data > 0) & (inter.gate.data < 1)).all()

@@ -76,7 +76,7 @@ def family_batches(cfg, vocab):
 
 
 def _weights(stream) -> list:
-    return [None if t.weights is None else t.weights.data[0].tolist() for t in stream]
+    return [None if t.weights is None else t.weights[0].tolist() for t in stream]
 
 
 def record(name) -> dict:

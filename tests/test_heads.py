@@ -190,6 +190,18 @@ class TestPoolingAndClassify:
         pooled = mean_pool([Tensor(h) for h in real + [pad]], mask)
         np.testing.assert_allclose(pooled.data, np.mean(real, axis=0), atol=1e-12)
 
+    @pytest.mark.parametrize("mask", [None, np.array([[1.0, 1.0, 0.0]])], ids=["full", "masked"])
+    def test_float32_states_pool_in_float32(self, mask):
+        ad.set_default_dtype(np.float32)
+        try:
+            hs = [Tensor(np.full((1, 3), 0.5), requires_grad=True) for _ in range(3)]
+        finally:
+            ad.set_default_dtype(np.float64)
+        pooled = mean_pool(hs, mask)
+        ad.backward(ad.sum_all(pooled))
+        assert pooled.data.dtype == np.float32
+        assert all(h.grad.dtype == np.float32 for h in hs)
+
 
 def test_metrics_record_format():
     m = EvalMetrics(nll=230.2585, tokens=100, accuracy=0.5,

@@ -455,7 +455,7 @@ class TestClassifierModels:
 def trace_bytes(traces: dict) -> dict:
     """Each attention stream's per-step weights, as bytes (None where a
     step has no distribution)."""
-    return {name: [None if getattr(t, "weights", None) is None else t.weights.data.tobytes()
+    return {name: [None if getattr(t, "weights", None) is None else t.weights.tobytes()
                    for t in stream] for name, stream in traces.items()}
 
 
@@ -553,10 +553,10 @@ FLOAT32_RTOL = 1e-3
 
 
 class TestFloat32:
-    def _run(self, model_name, dtype, monkeypatch):
-        """One SGD step, the loss after it, evaluate and (seq2seq) generate
-        at ``dtype``; asserts every parameter, gradient and tape buffer
-        keeps that dtype.  Returns the three losses."""
+    def _run(self, task, model_name, dtype, monkeypatch):
+        """One SGD step, the loss after it, evaluate and (seq2seq language
+        model) generate at ``dtype``; asserts every parameter, gradient and
+        tape buffer keeps that dtype.  Returns the three losses."""
         buffers = []
         write = ad.tape_write
 
@@ -568,14 +568,18 @@ class TestFloat32:
         ad.set_default_dtype(dtype)
         try:
             vocab = make_vocab()
-            cfg = cfg_for(model=model_name, layers=2, capacity=3)
+            cfg = cfg_for(task=task, model=model_name, layers=2, capacity=3)
             model = models.build_model(cfg, vocab, np.random.default_rng(21))
-            if model_name.startswith("seq2seq"):
+            generates = task == "lm" and model_name.startswith("seq2seq")
+            if task == "lm" and not generates:
+                batch = lm_batch(vocab, [["w0", "w1", "w2", "w3", "w4"], ["w5", "w1"]])
+            else:
                 batch = TestSeq2Seq().pair_batch(
                     vocab, [["w0", "w1", "w2", "w3"], ["w4"]],
                     [["w2", "w3", "w1"], ["w5", "w0"]])
-            else:
-                batch = lm_batch(vocab, [["w0", "w1", "w2", "w3", "w4"], ["w5", "w1"]])
+                batch.labels = np.array([2, 0])
+            if task == "sentiment":
+                batch = Batch(tokens=batch.tokens, mask=batch.mask, labels=batch.labels)
             params = list(model.params().values())
             loss, _ = model.loss(batch)
             ad.backward(loss, params=params)
@@ -584,7 +588,7 @@ class TestFloat32:
             assert all(p.data.dtype == dtype for p in params)
             after = model.loss(batch)[0].item()
             nll = model.evaluate([batch]).nll
-            if model_name.startswith("seq2seq"):
+            if generates:
                 out = model.generate(vocab.encode(["w0", "w1"]), max_len=6)
                 assert all(0 <= t < len(vocab) for t in out)
         finally:
@@ -592,9 +596,13 @@ class TestFloat32:
         assert buffers and all(d == dtype for d in buffers)
         return np.array([loss.item(), after, nll])
 
-    @pytest.mark.parametrize("model_name", ["lstmn-stack", "seq2seq-deep"])
-    def test_train_eval_generate_stay_float32(self, model_name, monkeypatch):
-        wide = self._run(model_name, np.float64, monkeypatch)
-        narrow = self._run(model_name, np.float32, monkeypatch)
+    # The classifier families hold ``heads.mean_pool`` to float32 too.
+    @pytest.mark.parametrize("task,model_name", [
+        ("lm", "lstmn-stack"), ("lm", "seq2seq-deep"), ("sentiment", "lstmn-stack"),
+        ("nli", "seq2seq-shallow")],
+        ids=["lstmn-stack", "seq2seq-deep", "sentiment-lstmn-stack", "nli-seq2seq-shallow"])
+    def test_train_eval_generate_stay_float32(self, task, model_name, monkeypatch):
+        wide = self._run(task, model_name, np.float64, monkeypatch)
+        narrow = self._run(task, model_name, np.float32, monkeypatch)
         assert np.all(np.isfinite(narrow))
         np.testing.assert_allclose(narrow, wide, rtol=FLOAT32_RTOL)
