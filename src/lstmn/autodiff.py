@@ -19,10 +19,16 @@ recurrent cell's state is one (B, 2h) block [h | c]: ``gate_cell`` maps
 such a block (the LSTM's [h_{t-1} | c_{t-1}] or a tape summary
 [h~ | c~]) and the step input to the next [h | c] in one node, gate
 block and memory update together.  A memory tape is one (B, T, n)
-buffer written in place, one slot per step, by ``tape_write``;
-``tape_attend`` reads a window of it in one node (its attention weights
-a plain array), so a recurrent step adds a fixed number of nodes however
-long the tape.  Batches of
+buffer written in place by ``tape_write``, one slot per step or several
+slots at once (the source that inter-attention reads); ``tape_attend``
+reads a window of it in one node (its attention weights a plain array),
+so a recurrent step adds a fixed number of nodes however long the tape.
+``tape_attend`` reads only tapes: a memory that no ``tape_write`` made
+is a ``TapeError``.  A read's backward returns the gradient of the key
+columns only and records its weights and output gradient in the read
+log that the chain of writes shares; each write's backward then adds
+the value gradient of its slots, sum_r weights_r g_r, as one batched
+product over the log.  Batches of
 variable-length rows are packed: rows sorted longest first, step t's
 tensors hold B_t rows, the live prefix of the batch, and both tape
 kernels write and read only that row prefix of the (B, T, n) buffer,
@@ -94,6 +100,11 @@ class GraphStateError(RuntimeError):
     """The graph is in a state that forbids the requested traversal."""
 
 
+class TapeError(ValueError):
+    """A tape invariant (matching slot shapes, non-empty read, a memory
+    made by ``tape_write``) was violated."""
+
+
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     # Every new tensor and kernel output passes this screen.  Single
     # pass: any NaN/Inf makes the sum non-finite.  (A sum
@@ -142,8 +153,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _make(data: np.ndarray, parents, backward_fn, op: str, screen: bool = True) -> Tensor:
-    out = Tensor.__new__(Tensor)
+def _make(data: np.ndarray, parents, backward_fn, op: str, screen: bool = True,
+          cls: type = Tensor) -> Tensor:
+    out = cls.__new__(cls)
     out.data = _finite(data, op) if screen else data
     out.grad = None
     out._nid = next(_node_ids)
@@ -425,51 +437,110 @@ def attend(weights: np.ndarray, slots) -> Tensor:
                  lambda g: tuple(weights[:, t, None] * g for t in range(len(slots))), "attend")
 
 
+class _Tape(Tensor):
+    """A tape node, made by ``tape_write``: the buffer after a write, and
+    the read log of its chain of writes."""
+    __slots__ = ("log",)
+
+
+class _ReadLog:
+    """The reads of one chain of tape writes, recorded by ``tape_attend``'s
+    backward so that each write can form its slots' value gradient at once.
+
+    Read r keeps its weights in ``weights[:, lo:hi, r]`` (B, slots, R), laid
+    out per slot, and its output gradient in ``grads[:, r]`` (B, R, d); the
+    entries of rows and slots it did not read stay 0.  The arrays are made
+    at the first record, in the memory's dtype, with R = slots, and R
+    doubles when full.
+    """
+
+    __slots__ = ("weights", "grads", "count")
+
+    def __init__(self):
+        self.weights = self.grads = None
+        self.count = 0
+
+    def record(self, memory: np.ndarray, lo: int, hi: int, weights: np.ndarray,
+               g: np.ndarray) -> None:
+        r = self.count
+        if self.weights is None:
+            batch, slots = memory.shape[:2]
+            self.weights = np.zeros((batch, slots, slots), dtype=memory.dtype)
+            self.grads = np.zeros((batch, slots, g.shape[1]), dtype=memory.dtype)
+        elif r == self.grads.shape[1]:
+            self.weights = np.concatenate([self.weights, np.zeros_like(self.weights)], axis=2)
+            self.grads = np.concatenate([self.grads, np.zeros_like(self.grads)], axis=1)
+        self.weights[:weights.shape[0], lo:hi, r] = weights
+        self.grads[:g.shape[0], r] = g
+        self.count = r + 1
+
+    def add_value_grad(self, g: np.ndarray, rows: int, start: int, stop: int) -> None:
+        """Add sum_r weights_r[:, j] g_r, over every read recorded so far,
+        into the value columns of slots [start, stop) of the tape gradient
+        ``g``: one batched product."""
+        if self.count:
+            g[:rows, start:stop, :self.grads.shape[2]] += np.matmul(
+                self.weights[:rows, start:stop, :self.count], self.grads[:rows, :self.count])
+
+
 def tape_write(prev: Optional[Tensor], buf: np.ndarray, n: int, parts) -> Tensor:
     """Write slot ``n`` of the (B, T, k) buffer ``buf`` in place from the
-    (B_n, k_i) ``parts``, side by side, into its first B_n <= B rows;
-    returns the node of the tape after the write, whose data is ``buf``
-    itself.  In a packed batch B_n is the rows still live at step n, and
-    the slot's other rows stay as allocated (zero) and are never read.
+    (B_n, k_i) ``parts``, side by side, into its first B_n <= B rows, or
+    slots [n, n + m) from (B_n, m, k_i) parts; returns the tape node after
+    the write, whose data is ``buf`` itself.  In a packed batch B_n is the
+    rows still live at step n, and the slot's other rows stay as allocated
+    (zero) and are never read.
 
-    ``prev`` is the node before the write (None for the first).  Its data
-    is ``buf``, or the shorter buffer ``buf`` was grown from.  Backward
-    hands this node's gradient to ``prev`` unchanged (cut to its length
-    after a growth), so one gradient buffer runs back through the whole
-    chain of writes, and gives each part its columns of the written rows
-    of slot ``n``.  The buffer is not screened for NaN/Inf: only those
+    ``prev`` is the tape node before the write (None for the first).  Its
+    data is ``buf``, or the shorter buffer ``buf`` was grown from.  The
+    chain's first write makes the read log (``_ReadLog``) that every later
+    write shares.  Backward first adds the value gradient of the slots
+    written, formed from the log of the reads that ran backward before
+    it: every read of those slots, as reads are made after the write.  It
+    then hands this node's gradient to ``prev`` unchanged (cut to its
+    length after a growth), so one gradient buffer runs back through the
+    whole chain of writes, and gives each part its columns of the written
+    rows and slots.  The buffer is not screened for NaN/Inf: only those
     rows changed, and the kernels that made the parts screened them.
     """
-    rows = parts[0].data.shape[0]
-    bounds = np.cumsum([0] + [p.data.shape[1] for p in parts])
-    if buf.ndim != 3 or bounds[-1] != buf.shape[2] or not 0 <= n < buf.shape[1] or \
-            rows > buf.shape[0] or any([p.data.shape[0] != rows for p in parts]):
+    shape = parts[0].data.shape
+    rows, stop = shape[0], n + (shape[1] if len(shape) == 3 else 1)
+    slot = n if len(shape) == 2 else slice(n, stop)
+    bounds = np.cumsum([0] + [p.data.shape[-1] for p in parts])
+    if buf.ndim != 3 or len(shape) not in (2, 3) or bounds[-1] != buf.shape[2] or \
+            not 0 <= n < stop <= buf.shape[1] or rows > buf.shape[0] or \
+            any([p.data.shape[:-1] != shape[:-1] for p in parts]):
         raise ShapeMismatchError(
             f"tape_write: parts {[p.data.shape for p in parts]} into slot {n} of {buf.shape}")
     for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-        buf[:rows, n, lo:hi] = p.data
+        buf[:rows, slot, lo:hi] = p.data
+    log = _ReadLog() if prev is None else prev.log
 
     def bwd(g):
-        slot = g[:rows, n]
-        grads = tuple(slot[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        log.add_value_grad(g, rows, n, stop)
+        block = g[:rows, slot]
+        grads = tuple(block[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
         if prev is None:
             return grads
         return (g if prev.data is buf else g[:, :prev.data.shape[1]],) + grads
 
     parents = tuple(parts) if prev is None else (prev,) + tuple(parts)
-    return _make(buf, parents, bwd, "tape_write", screen=False)
+    node = _make(buf, parents, bwd, "tape_write", screen=False, cls=_Tape)
+    node.log = log
+    return node
 
 
 def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
                 prev: Tensor, w_prev: Tensor, v: Tensor,
                 bias: Optional[Tensor] = None, mask=None):
-    """Additive attention over slots [lo, hi) of a slot memory, one node.
+    """Additive attention over slots [lo, hi) of a tape, one node.
 
-    ``memory`` (B, T, d + a) holds per slot a value (the first d columns)
-    and its key, already projected into the a = len(v) attention columns
-    (the last a).  The read covers the first rows = B_t <= B rows of the
-    memory, as many as ``x`` (B_t, in) has: in a packed batch, the rows
-    still live.  With q = W_x x + W_prev prev + bias:
+    ``memory`` (B, T, d + a), a tape node that ``tape_write`` made (any
+    other tensor is a ``TapeError``), holds per slot a value (the first d
+    columns) and its key, already projected into the a = len(v) attention
+    columns (the last a).  The read covers the first rows = B_t <= B rows
+    of the memory, as many as ``x`` (B_t, in) has: in a packed batch, the
+    rows still live.  With q = W_x x + W_prev prev + bias:
 
         scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
         weights   = softmax(scores), 0 where ``mask`` is 0
@@ -479,16 +550,22 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     read in its first k = W_prev-width columns, so a summary block
     [h~ | c~] passes whole as h~.  Returns (out, weights): the one graph
     node, and the softmax as a plain array in the memory's dtype (screened
-    for NaN/Inf through ``out``).  The gradients to
-    ``memory`` and ``prev`` are ``Partial``s over the rows, window and
-    columns read, so a read costs nothing outside them.
+    for NaN/Inf through ``out``).
+
+    The memory's gradient is a ``Partial`` over the rows, window and key
+    columns read, formed in the forward's tanh buffer.  The value columns'
+    share, weights_j g, is not formed here: backward records (weights, g)
+    in the tape's read log, and the write of each slot adds it
+    (``tape_write``).  ``prev``'s gradient is a ``Partial`` over its first
+    k columns.
     """
+    if not isinstance(memory, _Tape):
+        raise TapeError("tape_attend: the memory must be a tape node made by tape_write")
     md = memory.data
     batch = x.data.shape[0] if x.data.ndim == 2 else -1
-    if md.ndim == 3:
-        md = md[:batch]
+    md = md[:batch]
     a = v.data.shape[0]
-    if md.ndim != 3 or md.shape[0] != batch or md.shape[2] <= a or \
+    if md.shape[0] != batch or md.shape[2] <= a or \
             not 0 <= lo < hi <= md.shape[1] or \
             x.data.shape != (batch, w_x.data.shape[1]) or w_x.data.shape[0] != a or \
             prev.data.ndim != 2 or prev.data.shape[0] != batch or \
@@ -517,16 +594,18 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         # dL/dscores = w * (dL/dw - sum(dL/dw * w)); zero at masked slots.
         gw = np.matmul(values, g[:, :, None])[:, :, 0]
         gs = weights * (gw - (gw * weights).sum(axis=1, keepdims=True))
-        gmem = np.empty((batch, hi - lo, d + a), dtype=md.dtype)
-        np.multiply(weights[:, :, None], g[:, None, :], out=gmem[:, :, :d])
-        gpre = gmem[:, :, d:]
-        np.multiply(gs[:, :, None], v.data, out=gpre)
-        gpre *= 1.0 - z * z
-        gq = gpre.sum(axis=1)
-        grads = (Partial((slice(0, batch), slice(lo, hi)), gmem),
+        if memory.requires_grad:
+            memory.log.record(memory.data, lo, hi, weights, g)
+        gv = gs.reshape(-1) @ z.reshape(-1, a)
+        # z becomes the key gradient (1 - z^2) * v * gs, in place.
+        np.multiply(z, z, out=z)
+        np.subtract(1.0, z, out=z)
+        np.multiply(z, v.data, out=z)
+        np.multiply(z, gs[:, :, None], out=z)
+        gq = z.sum(axis=1)
+        grads = (Partial((slice(0, batch), slice(lo, hi), slice(d, None)), z),
                  gq @ w_x.data, gq.T @ x.data,
-                 Partial((slice(None), slice(0, k)), gq @ w_prev.data), gq.T @ pd,
-                 gs.reshape(-1) @ z.reshape(-1, a))
+                 Partial((slice(None), slice(0, k)), gq @ w_prev.data), gq.T @ pd, gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
     parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))

@@ -20,7 +20,8 @@ A tape is one preallocated buffer that each step writes in place
 (``Tapes``); the attention read and both summaries are a single fused
 node (``autodiff.tape_attend``), and the backward hands one gradient
 buffer per tape down the chain of writes, so a step costs the same graph
-work at any tape length.
+work at any tape length.  Each write's backward adds its slot's value
+gradient from the reads that chain's read log holds, in one product.
 
 All step functions are batch-first: token inputs are (B, in), state
 blocks (B, 2h).  A batch may be packed: rows sorted longest first, and
@@ -38,11 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-
-
-class TapeError(ValueError):
-    """A tape invariant (matching slot shapes, non-empty read) was violated."""
+from .autodiff import TapeError, Tensor
 
 
 class CellState(NamedTuple):

@@ -15,9 +15,12 @@ step.  Both couplings run the same tape-cell step, ``cells.lstmn_step``:
 
 Inter-attention uses the same fused kernel as the tape cell
 (``autodiff.tape_attend``): the source is packed once per decoded
-sequence into a (B, m, 2h + a) slot memory [y_j | a_j | W_gamma y_j]
-(``source_projection``), and each decode step reads all of it in one
-node.
+sequence into a (B, m, 2h + a) tape [y_j | a_j | W_gamma y_j] by one
+``autodiff.tape_write`` of all m slots (``source_projection``), and each
+decode step reads all of it in one node.  Intra and inter reads thus
+take one backward path: each read logs its weights and output gradient,
+and the source write forms the whole source's value gradient in one
+batched product.
 
 ``DecoderState.step`` is the one decode step (inter-attention, the
 transfer gate, the tape-cell step): teacher-forced training
@@ -127,10 +130,13 @@ def encode(xs: list, w: StackWeights, capacity: Optional[int] = None,
 
 
 def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
-    """Pack the source into the slot memory inter-attention reads, per
-    slot [y_j | a_j | W_gamma y_j], once per decoded sequence; reused by
-    all decode steps."""
-    return ad.concat([src.y, src.a, ad.linear(src.y, w.w_gamma)], axis=2)
+    """Pack the source into the tape inter-attention reads, per slot
+    [y_j | a_j | W_gamma y_j], once per decoded sequence and reused by all
+    decode steps: one ``tape_write`` of all m slots, so the backward forms
+    the whole source's value gradient in one product."""
+    y = src.y.data
+    buf = np.empty(y.shape[:2] + (2 * y.shape[2] + w.u.data.shape[0],), dtype=y.dtype)
+    return ad.tape_write(None, buf, 0, (src.y, src.a, ad.linear(src.y, w.w_gamma)))
 
 
 def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,

@@ -156,25 +156,15 @@ def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
         step = 0
         stop = False
         for epoch in range(1, cfg.epochs + 1):
-            for batch in _batches(cfg, train_prepared, seed=cfg.seed + epoch):
-                ad.zero_grad(tensors)
-                loss, _ = model.loss(batch, training=True, rng=dropout_rng)
-                if cfg.l2 > 0:
-                    penalty = _sum_squares(model.l2_params())
-                    loss = ad.add(loss, ad.mul(penalty, cfg.l2))
-                ad.backward(loss, params=tensors)
-                if cfg.embedding_grad_policy != "none":
-                    emb = model.embeddings
-                    optim.scale_embedding_grads(emb.weights.grad, epoch,
-                                                cfg.embedding_grad_policy, emb.pretrained,
-                                                scale=cfg.embedding_grad_scale)
-                if cfg.grad_clip > 0:
-                    grad_norm = optim.renorm_gradients(tensors, cfg.grad_clip)
-                else:
-                    grad_norm = optim.global_grad_norm(tensors)
-                opt.step()
+            batches = _batches(cfg, train_prepared, seed=cfg.seed + epoch)
+            for index, batch in enumerate(batches, start=1):
+                try:
+                    value, grad_norm = _train_step(cfg, model, tensors, opt, batch, epoch,
+                                                   dropout_rng)
+                except ad.NonFiniteError as err:
+                    raise ad.NonFiniteError(
+                        f"{err} (epoch {epoch}, batch {index}, step {step + 1})") from err
                 step += 1
-                value = loss.item()
                 result.losses.append(value)
                 record = (f"step={step} loss={value:.6f} "
                           f"grad_norm={grad_norm:.6f} lr={opt.lr:.6f}")
@@ -210,6 +200,26 @@ def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
         log.close()
         metrics_fh.close()
     return result
+
+
+def _train_step(cfg: RunConfig, model, tensors: list, opt, batch, epoch: int, rng) -> tuple:
+    """One optimizer step on ``batch``: loss, backward, the embedding
+    gradient policy, clipping and the update.  Returns (loss, grad norm)."""
+    ad.zero_grad(tensors)
+    loss, _ = model.loss(batch, training=True, rng=rng)
+    if cfg.l2 > 0:
+        loss = ad.add(loss, ad.mul(_sum_squares(model.l2_params()), cfg.l2))
+    ad.backward(loss, params=tensors)
+    if cfg.embedding_grad_policy != "none":
+        emb = model.embeddings
+        optim.scale_embedding_grads(emb.weights.grad, epoch, cfg.embedding_grad_policy,
+                                    emb.pretrained, scale=cfg.embedding_grad_scale)
+    if cfg.grad_clip > 0:
+        grad_norm = optim.renorm_gradients(tensors, cfg.grad_clip)
+    else:
+        grad_norm = optim.global_grad_norm(tensors)
+    opt.step()
+    return loss.item(), grad_norm
 
 
 def _sum_squares(tensors):

@@ -55,6 +55,16 @@ def intra_summaries_ref(x, H, C, htilde_prev, v, w_h, w_x, w_ht, bias, hidden):
     return weights, htilde, ctilde
 
 
+def read_memory_grads_ref(values, keys, q, v, weights, g):
+    """Gradients of g . out with respect to one row's read slots, values
+    (T, d) and keys (T, a): out = sum_j weights_j values_j, with weights
+    the softmax of v . tanh(key_j + q) (0 at masked slots)."""
+    z = np.tanh(keys + q)
+    gw = values @ g
+    gs = weights * (gw - gw @ weights)
+    return np.outer(weights, g), gs[:, None] * v * (1.0 - z * z)
+
+
 def lstmn_step_ref(x, H, C, htilde_prev, W, b, v, w_h, w_x, w_ht, bias):
     """Returns (h, c, weights, htilde, ctilde); H/C lists of past vectors."""
     hidden = W.shape[0] // 4

@@ -14,6 +14,7 @@ from lstmn.autodiff import (
     GraphStateError,
     NonFiniteError,
     ShapeMismatchError,
+    TapeError,
     Tensor,
     backward,
     grad_check,
@@ -199,6 +200,12 @@ def _rng_tensor(rng, *shape, requires_grad=True):
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
 
 
+def _tape(memory: Tensor) -> Tensor:
+    """A (B, T, n) memory as the tape ``tape_attend`` reads: one
+    ``tape_write`` of all its slots into a fresh buffer."""
+    return ad.tape_write(None, np.zeros_like(memory.data), 0, (memory,))
+
+
 class TestGradCheck:
     def test_linear_model(self):
         rng = np.random.default_rng(1)
@@ -333,6 +340,21 @@ def _kernel_cases():
             total = ad.add(total, ad.sum_all(ad.mul(out, y_att)))
         return total
 
+    # A two-slot source tape written once from 3-D parts and read by three
+    # packed reads (3, 2, then 1 live row) under a padded-source mask; the
+    # third read doubles the read log's R.
+    src_v, src_k = t(3, 2, 3), t(3, 2, 2)
+    src_x, src_p = [t(3 - r, 3) for r in range(3)], [t(3 - r, 4) for r in range(3)]
+
+    def source_reads():
+        node = ad.tape_write(None, np.zeros((3, 2, 5)), 0, (src_v, src_k))
+        total = ad.sum_all(Tensor(np.zeros(1)))
+        for r in range(3):
+            out = ad.tape_attend(node, 0, 2, src_x[r], w_qx, src_p[r], w_qp, v_att,
+                                 mask=[[1, 1], [0, 1], [1, 0]])[0]
+            total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - r]))))
+        return total
+
     def packed_tape_chain():
         # Each write is followed by a read of every slot written so far by
         # the rows still live; the buffer's ended rows are never read.
@@ -371,10 +393,10 @@ def _kernel_cases():
                    lambda: ad.sum_all(ad.sigmoid(ad.attend(wts, slots)))),
         # B=2, a capacity-style read window [1, 4) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
-            ad.tape_attend(mem, 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
+            ad.tape_attend(_tape(mem), 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
         # No attention bias, every slot, and a padded-source mask.
         "tape_attend_masked": (attend_params, lambda: ad.sum_all(ad.mul(
-            ad.tape_attend(mem, 0, 5, q_x, w_qx, q_p, w_qp, v_att,
+            ad.tape_attend(_tape(mem), 0, 5, q_x, w_qx, q_p, w_qp, v_att,
                            mask=[[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])[0], y_att))),
         # 2 live rows of a 3-row memory, a capacity-style window [1, 4) and
         # a mask; the ended third row's mask is all 0, which a read of it
@@ -383,7 +405,7 @@ def _kernel_cases():
             {"memory": mem3, "x": px, "W_x": w_qx, "prev": pp, "W_prev": w_qp, "v": v_att,
              "bias": b_att},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                mem3, 1, 4, px, w_qx, pp, w_qp, v_att, b_att,
+                _tape(mem3), 1, 4, px, w_qx, pp, w_qp, v_att, b_att,
                 mask=[[1, 1, 0], [1, 0, 1], [0, 0, 0]])[0], y_att))),
         # The two stages tape_attend fuses, each checked on its own inputs:
         # the broadcast add of the query onto every slot key (query path
@@ -391,16 +413,16 @@ def _kernel_cases():
         # (v and the memory only), over a window that ends at the last slot.
         "bcast_add_slots": ({"x": q_x, "W_x": w_qx, "prev": q_p, "W_prev": w_qp, "bias": b_att},
                             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                                Tensor(mem.data), 0, 3, q_x, w_qx, q_p, w_qp,
+                                _tape(Tensor(mem.data)), 0, 3, q_x, w_qx, q_p, w_qp,
                                 Tensor(v_att.data), b_att)[0], y_att))),
         "slot_dot": ({"memory": mem, "v": v_att}, lambda: ad.sum_all(ad.mul(ad.tape_attend(
-            mem, 2, 5, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
+            _tape(mem), 2, 5, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
             Tensor(w_qp.data), v_att)[0], y_att))),
         "tape_attend_summary_prev": (
             {"prev": summary_prev, "W_prev": w_qp},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                Tensor(mem.data), 0, 5, Tensor(q_x.data), Tensor(w_qx.data), summary_prev,
-                w_qp, Tensor(v_att.data))[0], y_att))),
+                _tape(Tensor(mem.data)), 0, 5, Tensor(q_x.data), Tensor(w_qx.data),
+                summary_prev, w_qp, Tensor(v_att.data))[0], y_att))),
         "gate_cell": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias,
                        "transfer": g_transfer},
                       lambda: ad.sum_all(ad.mul(ad.gate_cell(
@@ -415,6 +437,9 @@ def _kernel_cases():
                                **{f"x{i}": x for i, x in enumerate(pk_x)},
                                **{f"prev{i}": p for i, p in enumerate(pk_p)}},
                               packed_tape_chain),
+        "tape_write_slots": ({"values": src_v, "keys": src_k,
+                              **{f"x{r}": x for r, x in enumerate(src_x)},
+                              **{f"prev{r}": p for r, p in enumerate(src_p)}}, source_reads),
         "lookup": ({"table": table},
                    lambda: ad.sum_all(ad.sigmoid(ad.lookup(table, np.array([0, 2, 2]))))),
         # Row gradients added before and after dense ones into one buffer.
@@ -542,7 +567,7 @@ def test_tape_attend_row_prefix_matches_oracle():
     memory = np.concatenate([H, C, H @ w_h.T], axis=2)
     x, prev = rng.normal(size=(2, 4)), rng.normal(size=(2, hid))
     mask = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0]])
-    out, weights = ad.tape_attend(Tensor(memory), 1, 4, Tensor(x), Tensor(w_x),
+    out, weights = ad.tape_attend(_tape(Tensor(memory)), 1, 4, Tensor(x), Tensor(w_x),
                                   Tensor(prev), Tensor(w_ht), Tensor(v), Tensor(bias),
                                   mask=mask)
     assert out.data.shape == (2, 2 * hid) and weights.shape == (2, 3)
@@ -561,6 +586,7 @@ def _attend_read(rng, read: str):
     mem, x, w_x, prev, w_prev, v, bias = (
         _rng_tensor(rng, *shape) for shape in [(2, 5, 5), (2, 3), (2, 3), (2, 4), (2, 4), (2,),
                                                (2,)])
+    mem = _tape(mem)
     if read == "intra":
         return (mem, 1, 4, x, w_x, prev, w_prev, v, bias), {}
     return (mem, 0, 5, x, w_x, prev, w_prev, v), {"mask": [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]}
@@ -590,6 +616,63 @@ def test_tape_attend_weights_are_an_array_in_the_memory_dtype(read, dtype):
     assert type(weights) is np.ndarray and weights.dtype == dtype
     assert weights.shape == (2, args[2] - args[1])
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-6)
+
+
+def test_tape_attend_refuses_a_memory_no_tape_write_made():
+    args, kwargs = _attend_read(np.random.default_rng(17), "intra")
+    leaf = Tensor(args[0].data, requires_grad=True)
+    for mode in (contextlib.nullcontext(), ad.no_grad()):
+        with mode, pytest.raises(TapeError, match="tape_write"):
+            ad.tape_attend(leaf, *args[1:], **kwargs)
+
+
+def test_tape_attend_memory_gradient_is_the_key_columns_only():
+    # 2 live rows of a 3-row tape, window [1, 4): the memory Partial spans
+    # those rows and slots and the a = 2 key columns, never the values.
+    args, _ = _attend_read(np.random.default_rng(18), "intra")
+    mem = _tape(_rng_tensor(np.random.default_rng(19), 3, 5, 5))
+    out, _ = ad.tape_attend(mem, *args[1:])
+    grads = out._backward_fn(np.ones(out.data.shape))
+    assert isinstance(grads[0], ad.Partial) and grads[0].values.shape == (2, 3, 2)
+    assert grads[0].index == (slice(0, 2), slice(1, 4), slice(3, None))
+
+
+def test_capacity_chain_memory_gradients_match_dense_oracle():
+    # Five packed writes of [h | key] (rows 3, 3, 2, 2, 1), each step first
+    # reading the window [n - 2, n) of the slots written: every part's
+    # gradient is the dense sum over the reads of its slot, weights_r x g_r
+    # in the value columns plus the key terms.  The last slot is never read.
+    rng = np.random.default_rng(20)
+    rows, hid, att = [3, 3, 2, 2, 1], 3, 2
+    hs = [_rng_tensor(rng, b, hid) for b in rows]
+    keys = [_rng_tensor(rng, b, att) for b in rows]
+    xs, prevs = [_rng_tensor(rng, b, 4) for b in rows], [_rng_tensor(rng, b, 2) for b in rows]
+    w_x, w_p, v, bias = (_rng_tensor(rng, *s) for s in [(att, 4), (att, 2), (att,), (att,)])
+    ys = [rng.normal(size=(b, hid)) for b in rows]
+    buf, node, total, reads = np.zeros((3, 5, hid + att)), None, None, []
+    for n, b in enumerate(rows):
+        if n:
+            lo = max(0, n - 2)
+            out, weights = ad.tape_attend(node, lo, n, xs[n], w_x, prevs[n], w_p, v, bias)
+            term = ad.sum_all(ad.mul(out, Tensor(ys[n])))
+            total = term if total is None else ad.add(total, term)
+            reads.append((n, lo, weights))
+        node = ad.tape_write(node, buf, n, (hs[n], keys[n]))
+    backward(total, params=hs + keys)
+
+    want_h = [np.zeros(h.data.shape) for h in hs]
+    want_k = [np.zeros(k.data.shape) for k in keys]
+    for n, lo, weights in reads:
+        q = xs[n].data @ w_x.data.T + prevs[n].data @ w_p.data.T + bias.data
+        for r in range(rows[n]):
+            gval, gkey = oracles.read_memory_grads_ref(
+                buf[r, lo:n, :hid], buf[r, lo:n, hid:], q[r], v.data, weights[r], ys[n][r])
+            for j in range(lo, n):
+                want_h[j][r] += gval[j - lo]
+                want_k[j][r] += gkey[j - lo]
+    for got, want in zip(hs + keys, want_h + want_k):
+        np.testing.assert_allclose(got.grad, want, rtol=1e-12, atol=1e-300)
+    assert not hs[-1].grad.any() and not keys[-1].grad.any()
 
 
 def test_tape_write_row_prefix():

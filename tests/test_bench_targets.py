@@ -32,7 +32,7 @@ def _numbers(value):
     return [value]
 
 
-@pytest.mark.parametrize("model", ["lstmn", "seq2seq-deep"])
+@pytest.mark.parametrize("model", ["lstmn", "seq2seq-deep", "seq2seq-shallow"])
 def test_traced_run_probes_give_finite_numbers(tmp_path, model):
     rng = np.random.default_rng(3)
     if model == "lstmn":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lstmn import checkpoint, cli, models, optim, synthetic, train
-from lstmn.autodiff import Tensor
+from lstmn.autodiff import NonFiniteError, Tensor
 from lstmn.checkpoint import CheckpointError, load_checkpoint, load_into
 from lstmn.config import ConfigError, RunConfig, build_config, data_kind, format_config
 from lstmn.data import Vocabulary
@@ -132,6 +132,29 @@ class TestRunTrain:
         b = train.run_train(cfg, str(tmp_path / "out-b"))
         assert a.losses == b.losses
         assert np.array(a.losses).tobytes() == np.array(b.losses).tobytes()
+
+    def test_nonfinite_step_names_epoch_batch_and_step(self, tmp_path, monkeypatch):
+        # 40 lines in batches of 8: five steps per epoch, so the eighth
+        # training loss is batch 3 of epoch 2.
+        train_path = tmp_path / "small.txt"
+        lines = synthetic.bracket_corpus(np.random.default_rng(4), 1200)[:40]
+        assert len(lines) == 40
+        synthetic.write_lines(train_path, lines)
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="2",
+                                                  train_data=str(train_path)))
+        calls, loss = [], models.LanguageModel.loss
+
+        def failing_loss(self, batch, training=False, rng=None):
+            calls.append(training)
+            if calls.count(True) == 8 and training:
+                raise NonFiniteError("affine_nll produced non-finite values")
+            return loss(self, batch, training=training, rng=rng)
+
+        monkeypatch.setattr(models.LanguageModel, "loss", failing_loss)
+        with pytest.raises(NonFiniteError,
+                           match=r"^affine_nll produced non-finite values "
+                                 r"\(epoch 2, batch 3, step 8\)$"):
+            train.run_train(cfg, str(tmp_path / "out"))
 
     def test_effective_config_reproduces_run(self, tmp_path):
         cfg = build_config(overrides=lm_overrides(tmp_path))

@@ -555,16 +555,22 @@ FLOAT32_RTOL = 1e-3
 class TestFloat32:
     def _run(self, task, model_name, dtype, monkeypatch):
         """One SGD step, the loss after it, evaluate and (seq2seq language
-        model) generate at ``dtype``; asserts every parameter, gradient and
-        tape buffer keeps that dtype.  Returns the three losses."""
-        buffers = []
-        write = ad.tape_write
+        model) generate at ``dtype``; asserts every parameter, gradient,
+        tape buffer and read log keeps that dtype, and that only the
+        backward records reads.  Returns the three losses."""
+        buffers, logs = [], []
+        write, record = ad.tape_write, ad._ReadLog.record
 
         def recording_write(prev, buf, n, parts):
             buffers.append(buf.dtype)
             return write(prev, buf, n, parts)
 
+        def recording_record(log, *args):
+            record(log, *args)
+            logs.extend([log.weights.dtype, log.grads.dtype])
+
         monkeypatch.setattr(ad, "tape_write", recording_write)
+        monkeypatch.setattr(ad._ReadLog, "record", recording_record)
         ad.set_default_dtype(dtype)
         try:
             vocab = make_vocab()
@@ -582,7 +588,9 @@ class TestFloat32:
                 batch = Batch(tokens=batch.tokens, mask=batch.mask, labels=batch.labels)
             params = list(model.params().values())
             loss, _ = model.loss(batch)
+            assert not logs
             ad.backward(loss, params=params)
+            recorded = len(logs)
             assert all(p.grad.dtype == dtype for p in params)
             optim.Sgd(params, lr=0.5).step()
             assert all(p.data.dtype == dtype for p in params)
@@ -594,6 +602,7 @@ class TestFloat32:
         finally:
             ad.set_default_dtype(np.float64)
         assert buffers and all(d == dtype for d in buffers)
+        assert recorded == len(logs) > 0 and all(d == dtype for d in logs)
         return np.array([loss.item(), after, nll])
 
     # The classifier families hold ``heads.mean_pool`` to float32 too.
