@@ -19,22 +19,22 @@ recurrent cell's state is one (B, 2h) block [h | c]: ``gate_cell`` maps
 such a block (the LSTM's [h_{t-1} | c_{t-1}] or a tape summary
 [h~ | c~]) and the step input to the next [h | c] in one node, gate
 block and memory update together.  A memory tape is one (B, T, n)
-buffer written in place by ``tape_write``, one slot per step or several
-slots at once (the source that inter-attention reads); ``tape_attend``
-reads a window of it in one node (its attention weights a plain array),
-so a recurrent step adds a fixed number of nodes however long the tape.
-``tape_attend`` reads only tapes: a memory that no ``tape_write`` made
-is a ``TapeError``.  A read's backward returns the gradient of the key
-columns only and records its weights and output gradient in the read
-log that the chain of writes shares; each write's backward then adds
-the value gradient of its slots, sum_r weights_r g_r, as one batched
-product over the log.  Batches of
-variable-length rows are packed: rows sorted longest first, step t's
-tensors hold B_t rows, the live prefix of the batch, and both tape
-kernels write and read only that row prefix of the (B, T, n) buffer,
-their gradients ``Partial``s over it.  Every loss
-ends in ``affine_nll``, the output affine map and softmax NLL in one
-node over the rows it is given.
+buffer that ``tape_write`` allocates, grows and writes in place, one
+slot per step or several slots at once (the source that inter-attention
+reads); ``tape_attend`` reads a window of it in one node (its attention
+weights a plain array), so a recurrent step adds a fixed number of
+nodes however long the tape.  ``tape_attend`` reads only tapes: a
+memory that no ``tape_write`` made is a ``TapeError``.  A read's
+backward returns the gradient of the key columns only and records its
+weights and output gradient in the read log that the chain of writes
+shares, sized to the reads the forward counted; each write's backward
+then adds the value gradient of its slots, sum_r weights_r g_r, as one
+batched product over the log.  Batches of variable-length rows are
+packed: rows sorted longest first, step t's tensors hold B_t rows, the
+live prefix of the batch, and both tape kernels write and read only
+that row prefix of the (B, T, n) buffer, their gradients ``Partial``s
+over it.  Every loss ends in ``affine_nll``, the output affine map and
+softmax NLL in one node over the rows it is given.
 
 Inside a ``no_grad()`` block no graph is recorded: every node is made
 with no parents and no backward closure, and ``requires_grad`` False,
@@ -318,8 +318,7 @@ def concat(tensors, axis: int = -1) -> Tensor:
         if s != ref:
             raise ShapeMismatchError(
                 f"concat: shapes {datas[0].shape} and {d.shape} differ off axis {axis}")
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
+    splits = list(itertools.accumulate(d.shape[axis] for d in datas[:-1]))
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
@@ -438,38 +437,37 @@ def attend(weights: np.ndarray, slots) -> Tensor:
 
 
 class _Tape(Tensor):
-    """A tape node, made by ``tape_write``: the buffer after a write, and
-    the read log of its chain of writes."""
-    __slots__ = ("log",)
+    """A tape node, made by ``tape_write``: the buffer after a write, the
+    rows that write covered, and the read log of its chain of writes."""
+    __slots__ = ("log", "rows")
 
 
 class _ReadLog:
     """The reads of one chain of tape writes, recorded by ``tape_attend``'s
     backward so that each write can form its slots' value gradient at once.
 
-    Read r keeps its weights in ``weights[:, lo:hi, r]`` (B, slots, R), laid
-    out per slot, and its output gradient in ``grads[:, r]`` (B, R, d); the
+    ``tape_attend``'s forward counts the chain's reads in ``reads``.  Read
+    r keeps its weights in ``weights[:, lo:hi, r]`` (B, slots, R), laid out
+    per slot, and its output gradient in ``grads[:, r]`` (B, R, d); the
     entries of rows and slots it did not read stay 0.  The arrays are made
-    at the first record, in the memory's dtype, with R = slots, and R
-    doubles when full.
+    at the first record, in the memory's dtype, with R = ``reads``.
     """
 
-    __slots__ = ("weights", "grads", "count")
+    __slots__ = ("weights", "grads", "reads", "count")
 
     def __init__(self):
         self.weights = self.grads = None
-        self.count = 0
+        self.reads = self.count = 0
 
     def record(self, memory: np.ndarray, lo: int, hi: int, weights: np.ndarray,
                g: np.ndarray) -> None:
         r = self.count
         if self.weights is None:
             batch, slots = memory.shape[:2]
-            self.weights = np.zeros((batch, slots, slots), dtype=memory.dtype)
-            self.grads = np.zeros((batch, slots, g.shape[1]), dtype=memory.dtype)
-        elif r == self.grads.shape[1]:
-            self.weights = np.concatenate([self.weights, np.zeros_like(self.weights)], axis=2)
-            self.grads = np.concatenate([self.grads, np.zeros_like(self.grads)], axis=1)
+            self.weights = np.zeros((batch, slots, self.reads), dtype=memory.dtype)
+            self.grads = np.zeros((batch, self.reads, g.shape[1]), dtype=memory.dtype)
+        elif r == self.reads:
+            raise GraphStateError("a tape read ran backward twice; rebuild the graph")
         self.weights[:weights.shape[0], lo:hi, r] = weights
         self.grads[:g.shape[0], r] = g
         self.count = r + 1
@@ -483,50 +481,64 @@ class _ReadLog:
                 self.weights[:rows, start:stop, :self.count], self.grads[:rows, :self.count])
 
 
-def tape_write(prev: Optional[Tensor], buf: np.ndarray, n: int, parts) -> Tensor:
-    """Write slot ``n`` of the (B, T, k) buffer ``buf`` in place from the
-    (B_n, k_i) ``parts``, side by side, into its first B_n <= B rows, or
-    slots [n, n + m) from (B_n, m, k_i) parts; returns the tape node after
-    the write, whose data is ``buf`` itself.  In a packed batch B_n is the
-    rows still live at step n, and the slot's other rows stay as allocated
-    (zero) and are never read.
+def tape_write(prev: Optional[Tensor], n: int, parts, slots: int) -> Tensor:
+    """Write slots [n, n + m) of a tape from the (B_n, m, k_i) ``parts``,
+    side by side, into its first B_n rows (a (B_n, k_i) part is m = 1), and
+    return the tape node after the write: the one code that allocates,
+    grows, checks and fills a tape buffer.
 
-    ``prev`` is the tape node before the write (None for the first).  Its
-    data is ``buf``, or the shorter buffer ``buf`` was grown from.  The
-    chain's first write makes the read log (``_ReadLog``) that every later
-    write shares.  Backward first adds the value gradient of the slots
-    written, formed from the log of the reads that ran backward before
-    it: every read of those slots, as reads are made after the write.  It
-    then hands this node's gradient to ``prev`` unchanged (cut to its
-    length after a growth), so one gradient buffer runs back through the
-    whole chain of writes, and gives each part its columns of the written
-    rows and slots.  The buffer is not screened for NaN/Inf: only those
-    rows changed, and the kernels that made the parts screened them.
+    ``prev`` is the tape node before the write, None for the first, which
+    allocates a zeroed (B_n, max(``slots``, n + m), sum k_i) buffer in the
+    parts' dtype and the read log (``_ReadLog``) that the chain shares.  A
+    write past the end copies the buffer into one of twice the slots (at
+    least n + m), so ``prev``'s data is this node's or the shorter buffer
+    it grew from.  The parts share their leading shape; a later write
+    fills the tape's width and covers no more rows than the write before
+    it (in a packed batch, the rows still live; a slot's other rows stay
+    zero and are never read).  Any other write is a ``TapeError``, raised
+    before anything is written.
+
+    Backward first adds the value gradient of the slots written, formed
+    from the log of the reads that ran backward before it: every read of
+    those slots, as reads are made after the write.  It then hands this
+    node's gradient to ``prev`` unchanged (cut to its length after a
+    growth), so one gradient buffer runs back through the whole chain of
+    writes, and gives each part its columns of the written rows and
+    slots.  The buffer is not screened for NaN/Inf: only those rows
+    changed, and the kernels that made the parts screened them.
     """
-    shape = parts[0].data.shape
-    rows, stop = shape[0], n + (shape[1] if len(shape) == 3 else 1)
-    slot = n if len(shape) == 2 else slice(n, stop)
-    bounds = np.cumsum([0] + [p.data.shape[-1] for p in parts])
-    if buf.ndim != 3 or len(shape) not in (2, 3) or bounds[-1] != buf.shape[2] or \
-            not 0 <= n < stop <= buf.shape[1] or rows > buf.shape[0] or \
-            any([p.data.shape[:-1] != shape[:-1] for p in parts]):
-        raise ShapeMismatchError(
-            f"tape_write: parts {[p.data.shape for p in parts]} into slot {n} of {buf.shape}")
-    for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-        buf[:rows, slot, lo:hi] = p.data
-    log = _ReadLog() if prev is None else prev.log
+    lead = parts[0].data.shape[:-1]
+    rows, stop = lead[0] if lead else 0, n + (lead[1] if len(lead) == 2 else 1)
+    bounds = [0, *itertools.accumulate(p.data.shape[-1] for p in parts)]
+    cols, width = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], bounds[-1]
+    if len(lead) not in (1, 2) or not 0 <= n < stop or \
+            any(p.data.shape[:-1] != lead for p in parts) or \
+            (prev is not None and (width != prev.data.shape[2] or rows > prev.rows)):
+        raise TapeError(f"tape_write: slot shapes differ: parts {[p.data.shape for p in parts]} "
+                        f"into slot {n} of tape {None if prev is None else prev.data.shape}")
+    if prev is None:
+        buf, log = np.zeros((rows, max(slots, stop), width), dtype=parts[0].data.dtype), _ReadLog()
+    else:
+        buf, log = prev.data, prev.log
+        if stop > buf.shape[1]:
+            grown = np.zeros((buf.shape[0], max(2 * buf.shape[1], stop), width), dtype=buf.dtype)
+            grown[:, :buf.shape[1]] = buf
+            buf = grown
+    block = buf[:rows, n:stop]
+    for p, c in zip(parts, cols):
+        block[..., c] = p.data.reshape(rows, stop - n, p.data.shape[-1])
 
     def bwd(g):
         log.add_value_grad(g, rows, n, stop)
-        block = g[:rows, slot]
-        grads = tuple(block[..., lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        block = g[:rows, n:stop]
+        grads = tuple(block[..., c].reshape(p.data.shape) for p, c in zip(parts, cols))
         if prev is None:
             return grads
         return (g if prev.data is buf else g[:, :prev.data.shape[1]],) + grads
 
     parents = tuple(parts) if prev is None else (prev,) + tuple(parts)
     node = _make(buf, parents, bwd, "tape_write", screen=False, cls=_Tape)
-    node.log = log
+    node.log, node.rows = log, rows
     return node
 
 
@@ -576,6 +588,8 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
             f"v {v.data.shape} do not conform")
     if mask is not None:
         mask = np.asarray(mask)[:batch]
+    if _grad_enabled and memory.requires_grad:
+        memory.log.reads += 1
     d = md.shape[2] - a
     values = md[:, lo:hi, :d]
     k = w_prev.data.shape[1]

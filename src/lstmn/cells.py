@@ -16,12 +16,13 @@ memory as the extra ``transfer`` term.
 weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
 k's output, optionally with a skip connection from the token embedding.
 
-A tape is one preallocated buffer that each step writes in place
-(``Tapes``); the attention read and both summaries are a single fused
-node (``autodiff.tape_attend``), and the backward hands one gradient
-buffer per tape down the chain of writes, so a step costs the same graph
-work at any tape length.  Each write's backward adds its slot's value
-gradient from the reads that chain's read log holds, in one product.
+A tape is one buffer that each step writes in place through
+``autodiff.tape_write`` (``Tapes``); the attention read and both
+summaries are a single fused node (``autodiff.tape_attend``), and the
+backward hands one gradient buffer per tape down the chain of writes, so
+a step costs the same graph work at any tape length.  Each write's
+backward adds its slot's value gradient from the reads that chain's read
+log holds, in one product.
 
 All step functions are batch-first: token inputs are (B, in), state
 blocks (B, 2h).  A batch may be packed: rows sorted longest first, and
@@ -117,12 +118,10 @@ class Tapes:
     Slot i holds [h_i | c_i | W_h h_i]: the key is projected once, when
     the slot is appended, and reused by every later step, and a read of
     the values gives a summary block [h~ | c~].  ``append`` writes the
-    next slot in place and ``memory`` is the graph node of the
-    tape after the latest write (``autodiff.tape_write``); in the
-    backward one gradient buffer runs back through that chain of writes.
-    With ``length`` the buffer is allocated for that many slots at the
-    first write; without it, it starts at ``INITIAL_SLOTS`` and doubles
-    when full.  The buffer takes the dtype of the first slot.
+    next slot by ``autodiff.tape_write``, which allocates the buffer for
+    ``length`` slots (or ``INITIAL_SLOTS``), doubles it when full and
+    checks each slot's shape; ``memory`` is the tape node after the latest
+    write, the end of the chain of writes that the backward runs back.
 
     With a capacity, attention reads only the newest ``capacity`` slots:
     the read window is [n - capacity, n) over the n slots written, and
@@ -138,7 +137,6 @@ class Tapes:
         self.length = length
         self.memory: Optional[Tensor] = None
         self.written = 0
-        self.rows = 0    # rows of the latest slot; later slots may have fewer
 
     def __len__(self) -> int:
         if self.capacity is None:
@@ -151,27 +149,15 @@ class Tapes:
 
     def append(self, *parts: Tensor) -> None:
         """Write the next slot from ``parts`` side by side: ([h | c], key)
-        or (h, c, key).  The parts share one batch size, at most the
-        previous slot's (a packed batch's rows only end), the value parts
-        before the key one width, and together they fill the slot."""
-        shapes = [p.data.shape for p in parts]
-        batch, width = shapes[0][0], sum(s[1] for s in shapes)
-        buf = None if self.memory is None else self.memory.data
-        if len(parts) < 2 or any(s[0] != batch for s in shapes) or \
-                len({s[1] for s in shapes[:-1]}) != 1 or \
-                (buf is not None and (buf.shape[2] != width or batch > self.rows)):
-            raise TapeError(f"tape slot shapes differ: parts {shapes}, "
-                            f"tape {None if buf is None else buf.shape}")
-        if buf is None:
-            buf = np.zeros((batch, self.length or self.INITIAL_SLOTS, width),
-                           dtype=parts[0].data.dtype)
-        elif self.written == buf.shape[1]:
-            grown = np.zeros((buf.shape[0], 2 * buf.shape[1], width), dtype=buf.dtype)
-            grown[:, :self.written] = buf
-            buf = grown
-        self.memory = ad.tape_write(self.memory, buf, self.written, parts)
+        or (h, c, key), the value parts before the key of one width.
+        ``tape_write`` checks the rest: one batch size, at most the last
+        slot's (a packed batch's rows only end), and the tape's width."""
+        if len(parts) < 2 or len({p.data.shape[-1] for p in parts[:-1]}) != 1:
+            raise TapeError(f"tape slot shapes differ: value parts "
+                            f"{[p.data.shape for p in parts[:-1]]}")
+        self.memory = ad.tape_write(self.memory, self.written, parts,
+                                    self.length or self.INITIAL_SLOTS)
         self.written += 1
-        self.rows = batch
 
 
 @dataclass

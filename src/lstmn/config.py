@@ -96,16 +96,16 @@ def _parse_value(name: str, raw: str):
     ftype = _FIELDS[name].type
     raw = raw.strip()
     try:
-        if ftype == "bool" or ftype is bool:
+        if ftype == "bool":
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
                 return True
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if ftype == "int" or ftype is int:
+        if ftype == "int":
             return int(raw)
-        if ftype == "float" or ftype is float:
+        if ftype == "float":
             return float(raw)
         return raw
     except ValueError:

@@ -134,22 +134,17 @@ def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
     [y_j | a_j | W_gamma y_j], once per decoded sequence and reused by all
     decode steps: one ``tape_write`` of all m slots, so the backward forms
     the whole source's value gradient in one product."""
-    y = src.y.data
-    buf = np.empty(y.shape[:2] + (2 * y.shape[2] + w.u.data.shape[0],), dtype=y.dtype)
-    return ad.tape_write(None, buf, 0, (src.y, src.a, ad.linear(src.y, w.w_gamma)))
+    return ad.tape_write(None, 0, (src.y, src.a, ad.linear(src.y, w.w_gamma)), src.length)
 
 
 def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
-                 w: InterAttentionWeights,
-                 src_proj: Optional[Tensor] = None) -> InterAttention:
-    """Align the current target input against the whole source.
-    ``src_proj`` is ``source_projection(src, w)``, computed here if not
-    given."""
+                 w: InterAttentionWeights, src_proj: Tensor) -> InterAttention:
+    """Align the current target input against the whole source, read from
+    ``src_proj``, the tape ``source_projection(src, w)``."""
     if src.length < 1:
         raise TapeError("inter-attention needs a non-empty source")
-    memory = src_proj if src_proj is not None else source_projection(src, w)
     summary, weights = ad.tape_attend(
-        memory, 0, src.length, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
+        src_proj, 0, src.length, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
         mask=src.mask)
     hidden = src.y.data.shape[2]
     return InterAttention(weights, ad.slice_cols(summary, 0, hidden),

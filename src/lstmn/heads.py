@@ -21,7 +21,7 @@ from .cells import TapeError
 
 @dataclass
 class EvalMetrics:
-    """One evaluation record.  PPL = exp(NLL / T)."""
+    """One evaluation record.  PPL = exp(NLL / T), inf on overflow."""
     nll: float = 0.0
     tokens: int = 0
     accuracy: Optional[float] = None
@@ -32,7 +32,10 @@ class EvalMetrics:
     def ppl(self) -> float:
         if self.tokens == 0:
             raise ValueError("perplexity undefined with zero tokens")
-        return math.exp(self.nll / self.tokens)
+        try:
+            return math.exp(self.nll / self.tokens)
+        except OverflowError:
+            return math.inf
 
     def record(self) -> str:
         parts = [f"dataset={self.dataset or '-'}", f"split={self.split or '-'}",

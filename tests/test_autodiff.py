@@ -203,7 +203,7 @@ def _rng_tensor(rng, *shape, requires_grad=True):
 def _tape(memory: Tensor) -> Tensor:
     """A (B, T, n) memory as the tape ``tape_attend`` reads: one
     ``tape_write`` of all its slots into a fresh buffer."""
-    return ad.tape_write(None, np.zeros_like(memory.data), 0, (memory,))
+    return ad.tape_write(None, 0, (memory,), memory.data.shape[1])
 
 
 class TestGradCheck:
@@ -331,23 +331,20 @@ def _kernel_cases():
     def tape_chain():
         # Three writes into a 2-slot buffer that grows to 4 before the
         # third, each followed by a read of every slot written so far.
-        buf, node, total = np.zeros((2, 2, 5)), None, ad.sum_all(Tensor(np.zeros(1)))
+        node, total = None, ad.sum_all(Tensor(np.zeros(1)))
         for n, (h, k) in enumerate(zip(slot_h, slot_k)):
-            if n == buf.shape[1]:
-                buf = np.concatenate([buf, np.zeros_like(buf)], axis=1)
-            node = ad.tape_write(node, buf, n, (h, k))
+            node = ad.tape_write(node, n, (h, k), 2)
             out = ad.tape_attend(node, 0, n + 1, q_x, w_qx, q_p, w_qp, v_att)[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, y_att)))
         return total
 
     # A two-slot source tape written once from 3-D parts and read by three
-    # packed reads (3, 2, then 1 live row) under a padded-source mask; the
-    # third read doubles the read log's R.
+    # packed reads (3, 2, then 1 live row) under a padded-source mask.
     src_v, src_k = t(3, 2, 3), t(3, 2, 2)
     src_x, src_p = [t(3 - r, 3) for r in range(3)], [t(3 - r, 4) for r in range(3)]
 
     def source_reads():
-        node = ad.tape_write(None, np.zeros((3, 2, 5)), 0, (src_v, src_k))
+        node = ad.tape_write(None, 0, (src_v, src_k), 2)
         total = ad.sum_all(Tensor(np.zeros(1)))
         for r in range(3):
             out = ad.tape_attend(node, 0, 2, src_x[r], w_qx, src_p[r], w_qp, v_att,
@@ -358,9 +355,9 @@ def _kernel_cases():
     def packed_tape_chain():
         # Each write is followed by a read of every slot written so far by
         # the rows still live; the buffer's ended rows are never read.
-        buf, node, total = np.zeros((3, 3, 5)), None, ad.sum_all(Tensor(np.zeros(1)))
+        node, total = None, ad.sum_all(Tensor(np.zeros(1)))
         for n, parts in enumerate(zip(pk_h, pk_k)):
-            node = ad.tape_write(node, buf, n, parts)
+            node = ad.tape_write(node, n, parts, 3)
             out = ad.tape_attend(node, 0, n + 1, pk_x[n], w_qx, pk_p[n], w_qp, v_att)[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - n]))))
         return total
@@ -649,7 +646,7 @@ def test_capacity_chain_memory_gradients_match_dense_oracle():
     xs, prevs = [_rng_tensor(rng, b, 4) for b in rows], [_rng_tensor(rng, b, 2) for b in rows]
     w_x, w_p, v, bias = (_rng_tensor(rng, *s) for s in [(att, 4), (att, 2), (att,), (att,)])
     ys = [rng.normal(size=(b, hid)) for b in rows]
-    buf, node, total, reads = np.zeros((3, 5, hid + att)), None, None, []
+    node, total, reads = None, None, []
     for n, b in enumerate(rows):
         if n:
             lo = max(0, n - 2)
@@ -657,8 +654,9 @@ def test_capacity_chain_memory_gradients_match_dense_oracle():
             term = ad.sum_all(ad.mul(out, Tensor(ys[n])))
             total = term if total is None else ad.add(total, term)
             reads.append((n, lo, weights))
-        node = ad.tape_write(node, buf, n, (hs[n], keys[n]))
+        node = ad.tape_write(node, n, (hs[n], keys[n]), 5)
     backward(total, params=hs + keys)
+    buf = node.data
 
     want_h = [np.zeros(h.data.shape) for h in hs]
     want_k = [np.zeros(k.data.shape) for k in keys]
@@ -681,8 +679,9 @@ def test_tape_write_row_prefix():
     rng = np.random.default_rng(14)
     h3, k3 = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 3, 1)
     h1, k1 = _rng_tensor(rng, 1, 2), _rng_tensor(rng, 1, 1)
-    buf = np.zeros((3, 2, 3))
-    node = ad.tape_write(ad.tape_write(None, buf, 0, (h3, k3)), buf, 1, (h1, k1))
+    node = ad.tape_write(ad.tape_write(None, 0, (h3, k3), 2), 1, (h1, k1), 2)
+    buf = node.data
+    assert buf.shape == (3, 2, 3)
     np.testing.assert_array_equal(buf[:, 0], np.concatenate([h3.data, k3.data], axis=1))
     np.testing.assert_array_equal(buf[0, 1], np.concatenate([h1.data[0], k1.data[0]]))
     assert (buf[1:, 1] == 0.0).all()
@@ -695,11 +694,71 @@ def test_tape_write_row_prefix():
 
 
 def test_tape_write_rejects_extra_or_unequal_rows():
-    buf = np.zeros((2, 2, 3))
-    with pytest.raises(ShapeMismatchError, match="tape_write"):
-        ad.tape_write(None, buf, 0, (Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 1)))))
-    with pytest.raises(ShapeMismatchError, match="tape_write"):
-        ad.tape_write(None, buf, 0, (Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 1)))))
+    first = ad.tape_write(None, 0, (Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 1)))), 2)
+    with pytest.raises(TapeError, match="tape_write"):
+        ad.tape_write(first, 1, (Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 1)))), 2)
+    with pytest.raises(TapeError, match="tape_write"):
+        ad.tape_write(None, 0, (Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 1)))), 2)
+
+
+def test_source_read_three_times_keeps_three_read_columns():
+    # The forward counts the chain's reads, and the first backward record
+    # sizes the read log to them: no doubling to 4.
+    rng = np.random.default_rng(21)
+    node = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 2, 3), _rng_tensor(rng, 2, 2, 2)), 2)
+    w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
+    total = None
+    for _ in range(3):
+        out, _ = ad.tape_attend(node, 0, 2, _rng_tensor(rng, 2, 3), w_x,
+                                _rng_tensor(rng, 2, 4), w_p, v)
+        total = ad.sum_all(out) if total is None else ad.add(total, ad.sum_all(out))
+    backward(total)
+    assert node.log.weights.shape == (2, 2, 3) and node.log.grads.shape == (2, 3, 3)
+
+
+def _write_read_chain(slots, hs, ks, xs, g, slot_rank=False):
+    """Writes slot n from (hs[n], ks[n]), as (B, k) parts or as (B, 1, k)
+    ones, and after each write reads every slot written; backward of the
+    reads plus sum(tape * g).  Returns the buffer and the parts' gradients."""
+    rng = np.random.default_rng(23)
+    w_x, w_p, v = (Tensor(rng.normal(size=s)) for s in [(1, 3), (1, 3), (1,)])
+    node, total, parts = None, ad.sum_all(Tensor(np.zeros(1))), []
+    for n, (h, k, x) in enumerate(zip(hs, ks, xs)):
+        pair = [Tensor(a[:, None] if slot_rank else a, requires_grad=True) for a in (h, k)]
+        parts += pair
+        node = ad.tape_write(node, n, pair, slots)
+        out, _ = ad.tape_attend(node, 0, n + 1, Tensor(x), w_x, Tensor(x), w_p, v)
+        total = ad.add(total, ad.sum_all(ad.mul(out, out)))
+    backward(ad.add(total, ad.sum_all(ad.mul(node, Tensor(g[:, :node.data.shape[1]])))))
+    return node.data, [p.grad.reshape(p.data.shape[0], -1) for p in parts]
+
+
+def _chain_inputs(rows):
+    rng = np.random.default_rng(22)
+    return ([rng.normal(size=(b, 2)) for b in rows], [rng.normal(size=(b, 1)) for b in rows],
+            [rng.normal(size=(b, 3)) for b in rows], rng.normal(size=(rows[0], 4, 3)))
+
+
+def test_flat_part_writes_like_a_one_slot_part():
+    # A (B, k) part takes the m = 1 path: the same buffer and gradients as
+    # the same values given as (B, 1, k), bit for bit.
+    inputs = _chain_inputs([3, 3, 2])
+    buf_flat, grads_flat = _write_read_chain(3, *inputs)
+    buf_slot, grads_slot = _write_read_chain(3, *inputs, slot_rank=True)
+    assert buf_flat.tobytes() == buf_slot.tobytes()
+    for a, b in zip(grads_flat, grads_slot):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_tape_write_growth_matches_one_allocation():
+    # slots=1 grows 1 -> 2 -> 4 over three writes; slots=3 is allocated once.
+    inputs = _chain_inputs([3, 2, 2])
+    buf_grown, grads_grown = _write_read_chain(1, *inputs)
+    buf_fixed, grads_fixed = _write_read_chain(3, *inputs)
+    assert buf_grown.shape == (3, 4, 3) and buf_fixed.shape == (3, 3, 3)
+    assert buf_grown[:, :3].tobytes() == buf_fixed.tobytes() and not buf_grown[:, 3:].any()
+    for a, b in zip(grads_grown, grads_fixed):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_gate_cell_matches_oracle_per_row():

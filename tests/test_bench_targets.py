@@ -53,6 +53,8 @@ def test_traced_run_probes_give_finite_numbers(tmp_path, model):
     probes = tracing.layer_probes(run, batch, 1)
     assert set(probes) >= {"embed", "lm_loss", "run_stack", "decoder", "encode"}
     values = _numbers(list(probes.values()))
-    values.append(tracing.intra_attend_probe(run, 8, 2, 1))
+    # 40 slots grow the tape past ``Tapes.INITIAL_SLOTS``, as the
+    # benchmark's mid and long tape buckets do.
+    values += [tracing.intra_attend_probe(run, slots, 2, 1) for slots in (8, 40)]
     values += _numbers(tracing.memory_peaks(run, batch, val_batch))
     assert values and all(math.isfinite(v) for v in values)

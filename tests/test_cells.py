@@ -593,6 +593,21 @@ class TestPackedStack:
         with pytest.raises(TapeError, match="longest first"):
             run_stack(xs, stack)
 
+    @pytest.mark.parametrize("shapes", [
+        [(2, 4), (2, 1)],             # more rows than the slot before
+        [(1, 4), (1, 2)],             # wider than the tape
+        [(1, 4), (2, 1)],             # parts of unequal rows
+        [(1, 2), (1, 3), (1, 1)],     # value parts of unequal width
+    ])
+    def test_refused_write_changes_nothing(self, shapes):
+        tapes = Tapes(length=2)
+        tapes.append(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1))))
+        memory, before = tapes.memory, tapes.memory.data.copy()
+        with pytest.raises(TapeError):
+            tapes.append(*(Tensor(np.full(s, 7.0)) for s in shapes))
+        assert tapes.memory is memory and tapes.written == 1
+        assert memory.data.tobytes() == before.tobytes()
+
     def test_tape_rejects_more_rows_than_the_slot_before(self):
         tapes = Tapes(length=3)
         tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))

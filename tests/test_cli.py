@@ -1,5 +1,6 @@
 """Config, workflow, and CLI tests."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -54,6 +55,11 @@ class TestConfig:
         path.write_text("hiden = 50\n")
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config(str(path))
+
+    def test_every_field_type_is_one_the_parser_reads(self):
+        # Field types are names (postponed annotations); a field of any
+        # other type would be parsed silently as a string.
+        assert {f.type for f in dataclasses.fields(RunConfig)} <= {"bool", "int", "float", "str"}
 
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError, match="hidden"):

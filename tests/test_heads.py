@@ -1,11 +1,14 @@
 """Head tests: perplexity identities and pooling.  The classifier head is
 tested through the models (``test_models.TestClassifierModels``)."""
 
+import math
+
 import numpy as np
 import pytest
 
 import oracles
 from lstmn import autodiff as ad
+from lstmn import optim
 from lstmn.autodiff import Tensor
 from lstmn.heads import EvalMetrics, OutputProjection, lm_loss, mean_pool
 
@@ -209,3 +212,13 @@ def test_metrics_record_format():
     rec = m.record()
     assert rec.startswith("dataset=toy split=val nll=230.258500 tokens=100")
     assert "ppl=" in rec and "accuracy=0.5000" in rec
+
+
+def test_diverged_perplexity_is_inf():
+    # exp overflows above ~709.78 nats per token; SGD reads inf as no
+    # improvement and decays.
+    m = EvalMetrics(nll=7200.0, tokens=10)
+    assert m.ppl == math.inf and "ppl=inf" in m.record()
+    opt = optim.Sgd([], lr=1.0, decay=0.5)
+    opt.end_epoch(100.0)
+    assert opt.end_epoch(m.ppl) is True and opt.lr == 0.5

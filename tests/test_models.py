@@ -561,9 +561,10 @@ class TestFloat32:
         buffers, logs = [], []
         write, record = ad.tape_write, ad._ReadLog.record
 
-        def recording_write(prev, buf, n, parts):
-            buffers.append(buf.dtype)
-            return write(prev, buf, n, parts)
+        def recording_write(prev, n, parts, slots):
+            node = write(prev, n, parts, slots)
+            buffers.append(node.data.dtype)
+            return node
 
         def recording_record(log, *args):
             record(log, *args)
