@@ -29,12 +29,14 @@ backward returns the gradient of the key columns only and records its
 weights and output gradient in the read log that the chain of writes
 shares, sized to the reads the forward counted; each write's backward
 then adds the value gradient of its slots, sum_r weights_r g_r, as one
-batched product over the log.  Batches of variable-length rows are
-packed: rows sorted longest first, step t's tensors hold B_t rows, the
-live prefix of the batch, and both tape kernels write and read only
-that row prefix of the (B, T, n) buffer, their gradients ``Partial``s
-over it.  Every loss ends in ``affine_nll``, the output affine map and
-softmax NLL in one node over the rows it is given.
+batched product over the log.  Every loss ends in ``affine_nll``, the
+output affine map and softmax NLL in one node over the rows it is given.
+Batches of variable-length rows are packed, and only the kernels keep
+the row-prefix rule: rows sorted longest first, step t's tensors hold
+the B_t live rows, B_t never growing.  An operand carried from an
+earlier step (a tape, ``gate_cell``'s state, ``tape_attend``'s prev)
+may have more rows: the kernel reads its first B_t and returns its
+gradient as a row-prefix ``Partial``; fewer rows is an error.
 
 Inside a ``no_grad()`` block no graph is recorded: every node is made
 with no parents and no backward closure, and ``requires_grad`` False,
@@ -344,7 +346,8 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
               transfer: Optional[Tensor] = None) -> Tensor:
     """The LSTM gate block and memory update in one node.
 
-    ``state`` (B, 2h) is [rec | carried], ``x`` (B, in) the step input,
+    ``state`` (>= B, 2h) is [rec | carried], read in its first B rows,
+    ``x`` (B, in) the step input,
     ``w`` (4h, h + in) the gate rows in (i, f, o, c-hat) order, ``bias``
     (4h,) and ``transfer`` (B, h) an extra memory term:
 
@@ -358,13 +361,15 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
     """
     sd, xd, wd = state.data, x.data, w.data
     hid = wd.shape[0] // 4
-    batch = sd.shape[0] if sd.ndim == 2 else -1
+    batch = xd.shape[0] if xd.ndim == 2 else -1
     if sd.ndim != 2 or wd.ndim != 2 or wd.shape[0] != 4 * hid or sd.shape[1] != 2 * hid or \
-            xd.shape != (batch, wd.shape[1] - hid) or bias.data.shape != (4 * hid,) or \
+            sd.shape[0] < batch or xd.shape != (batch, wd.shape[1] - hid) or \
+            bias.data.shape != (4 * hid,) or \
             (transfer is not None and transfer.data.shape != (batch, hid)):
         raise ShapeMismatchError(
             f"gate_cell: state {sd.shape}, x {xd.shape}, W {wd.shape}, bias {bias.data.shape}, "
             f"transfer {transfer if transfer is None else transfer.data.shape} do not conform")
+    cut, sd = sd.shape[0] > batch, sd[:batch]
     carried = sd[:, hid:]
     inp = np.concatenate([sd[:, :hid], xd], axis=1)
     z = inp @ wd.T
@@ -386,8 +391,9 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
         gz = np.concatenate([dgates * gates * (1.0 - gates), dc * i * (1.0 - chat * chat)],
                             axis=1)
         ginp = gz @ wd
-        grads = (np.concatenate([ginp[:, :hid], dc * f], axis=1), ginp[:, hid:], gz.T @ inp,
-                 gz.sum(axis=0))
+        gstate = np.concatenate([ginp[:, :hid], dc * f], axis=1)
+        grads = (Partial((slice(0, batch),), gstate) if cut else gstate, ginp[:, hid:],
+                 gz.T @ inp, gz.sum(axis=0))
         return grads if transfer is None else grads + (dc,)
 
     parents = (state, x, w, bias) + (() if transfer is None else (transfer,))
@@ -423,17 +429,18 @@ def softmax(z: np.ndarray, mask=None) -> np.ndarray:
 
 
 def attend(weights: np.ndarray, slots) -> Tensor:
-    """Weighted sum of T same-shaped (B, n) slots with a constant (B, T)
-    weights array: sum_t weights[:, t] * slots[t] -> (B, n)."""
+    """Weighted sum of T (B_t, n) slots with a constant (B, T) weights
+    array, B = B_0 >= B_1 >= ...: slot t adds weights[:B_t, t] * slots[t]
+    into the first B_t rows of the (B, n) output."""
     slots = list(slots)
-    shapes = {s.data.shape for s in slots}
-    if len(shapes) != 1 or slots[0].data.ndim != 2 or \
-            weights.shape != (slots[0].data.shape[0], len(slots)):
-        raise ShapeMismatchError(
-            f"attend: weights {weights.shape} and slots {sorted(shapes)} do not conform")
-    x3 = np.stack([s.data for s in slots], axis=1)
+    rows, shapes = [s.data.shape[0] for s in slots], [s.data.shape for s in slots]
+    if not slots or len({s[1:] for s in shapes}) != 1 or len(shapes[0]) != 2 or \
+            weights.shape != (rows[0], len(slots)) or rows != sorted(rows, reverse=True):
+        raise ShapeMismatchError(f"attend: weights {weights.shape} and slots {shapes} "
+                                 "do not conform")
+    x3 = np.stack([np.pad(s.data, ((0, rows[0] - b), (0, 0))) for s, b in zip(slots, rows)], 1)
     return _make(np.einsum("bt,btn->bn", weights, x3), slots,
-                 lambda g: tuple(weights[:, t, None] * g for t in range(len(slots))), "attend")
+                 lambda g: tuple(w[:b, None] * g[:b] for w, b in zip(weights.T, rows)), "attend")
 
 
 class _Tape(Tensor):
@@ -451,23 +458,26 @@ class _ReadLog:
     per slot, and its output gradient in ``grads[:, r]`` (B, R, d); the
     entries of rows and slots it did not read stay 0.  The arrays are made
     at the first record, in the memory's dtype, with R = ``reads``.
+    A chain runs backward once: ``spent`` is set when its first write has,
+    and a later record or write backward is a ``GraphStateError``.
     """
 
-    __slots__ = ("weights", "grads", "reads", "count")
+    __slots__ = ("weights", "grads", "reads", "count", "spent")
 
     def __init__(self):
         self.weights = self.grads = None
         self.reads = self.count = 0
+        self.spent = False
 
     def record(self, memory: np.ndarray, lo: int, hi: int, weights: np.ndarray,
                g: np.ndarray) -> None:
         r = self.count
+        if self.spent or r == self.reads:
+            raise GraphStateError("a tape chain runs backward once; rebuild the graph")
         if self.weights is None:
             batch, slots = memory.shape[:2]
             self.weights = np.zeros((batch, slots, self.reads), dtype=memory.dtype)
             self.grads = np.zeros((batch, self.reads, g.shape[1]), dtype=memory.dtype)
-        elif r == self.reads:
-            raise GraphStateError("a tape read ran backward twice; rebuild the graph")
         self.weights[:weights.shape[0], lo:hi, r] = weights
         self.grads[:g.shape[0], r] = g
         self.count = r + 1
@@ -476,6 +486,8 @@ class _ReadLog:
         """Add sum_r weights_r[:, j] g_r, over every read recorded so far,
         into the value columns of slots [start, stop) of the tape gradient
         ``g``: one batched product."""
+        if self.spent:
+            raise GraphStateError("a tape chain runs backward once; rebuild the graph")
         if self.count:
             g[:rows, start:stop, :self.grads.shape[2]] += np.matmul(
                 self.weights[:rows, start:stop, :self.count], self.grads[:rows, :self.count])
@@ -533,6 +545,7 @@ def tape_write(prev: Optional[Tensor], n: int, parts, slots: int) -> Tensor:
         block = g[:rows, n:stop]
         grads = tuple(block[..., c].reshape(p.data.shape) for p, c in zip(parts, cols))
         if prev is None:
+            log.spent = True
             return grads
         return (g if prev.data is buf else g[:, :prev.data.shape[1]],) + grads
 
@@ -550,9 +563,9 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     ``memory`` (B, T, d + a), a tape node that ``tape_write`` made (any
     other tensor is a ``TapeError``), holds per slot a value (the first d
     columns) and its key, already projected into the a = len(v) attention
-    columns (the last a).  The read covers the first rows = B_t <= B rows
-    of the memory, as many as ``x`` (B_t, in) has: in a packed batch, the
-    rows still live.  With q = W_x x + W_prev prev + bias:
+    columns (the last a).  The read covers the first B_t rows of the
+    memory and of ``prev``, as many as ``x`` (B_t, in) has: in a packed
+    batch, the rows still live.  With q = W_x x + W_prev prev + bias:
 
         scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
         weights   = softmax(scores), 0 where ``mask`` is 0
@@ -569,7 +582,7 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     share, weights_j g, is not formed here: backward records (weights, g)
     in the tape's read log, and the write of each slot adds it
     (``tape_write``).  ``prev``'s gradient is a ``Partial`` over its first
-    k columns.
+    B_t rows and k columns.
     """
     if not isinstance(memory, _Tape):
         raise TapeError("tape_attend: the memory must be a tape node made by tape_write")
@@ -580,7 +593,7 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     if md.shape[0] != batch or md.shape[2] <= a or \
             not 0 <= lo < hi <= md.shape[1] or \
             x.data.shape != (batch, w_x.data.shape[1]) or w_x.data.shape[0] != a or \
-            prev.data.ndim != 2 or prev.data.shape[0] != batch or \
+            prev.data.ndim != 2 or prev.data.shape[0] < batch or \
             prev.data.shape[1] < w_prev.data.shape[1] or w_prev.data.shape[0] != a:
         raise ShapeMismatchError(
             f"tape_attend: memory {memory.data.shape} window [{lo}, {hi}), x {x.data.shape}, "
@@ -593,7 +606,7 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     d = md.shape[2] - a
     values = md[:, lo:hi, :d]
     k = w_prev.data.shape[1]
-    pd = prev.data[:, :k]
+    pd = prev.data[:batch, :k]
     q = x.data @ w_x.data.T
     q += pd @ w_prev.data.T
     if bias is not None:
@@ -619,7 +632,7 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         gq = z.sum(axis=1)
         grads = (Partial((slice(0, batch), slice(lo, hi), slice(d, None)), z),
                  gq @ w_x.data, gq.T @ x.data,
-                 Partial((slice(None), slice(0, k)), gq @ w_prev.data), gq.T @ pd, gv)
+                 Partial((slice(0, batch), slice(0, k)), gq @ w_prev.data), gq.T @ pd, gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
     parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))

@@ -25,11 +25,11 @@ backward adds its slot's value gradient from the reads that chain's read
 log holds, in one product.
 
 All step functions are batch-first: token inputs are (B, in), state
-blocks (B, 2h).  A batch may be packed: rows sorted longest first, and
-at step t only B_t rows, the live prefix, run; ``run_stack`` cuts each
-carried block to them (``live_rows``), so padded steps cost nothing and
-cannot leak into a row's state.  Weights are immutable during
-forward/backward; tapes belong to one sequence and are never shared.
+blocks (B, 2h).  A batch may be packed (``autodiff``'s row-prefix rule):
+step t runs only its B_t live rows, and the kernels read those rows of
+the blocks and tapes carried from earlier steps, so padded steps cost
+nothing and cannot leak into a row's state.  Weights are immutable
+during forward/backward; tapes belong to one sequence, never shared.
 """
 
 from __future__ import annotations
@@ -300,19 +300,6 @@ class StackRun:
         return ad.slice_cols(mem, 0, hidden), ad.slice_cols(mem, hidden, 2 * hidden)
 
 
-def live_rows(block: Optional[Tensor], rows: int) -> Optional[Tensor]:
-    """The first ``rows`` rows of a carried (B, n) block: the block itself
-    while no row has ended, a row-prefix ``lookup`` once the packed
-    batch's shorter rows have.  Rows never come back: asking for more
-    than the block has is a ``TapeError``."""
-    if block is None or block.data.shape[0] == rows:
-        return block
-    if rows > block.data.shape[0]:
-        raise TapeError(f"a step has {rows} rows after a step with {block.data.shape[0]}; "
-                        "packed rows must be sorted longest first")
-    return ad.lookup(block, np.arange(rows))
-
-
 def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
     """Process a token-embedding sequence left to right; layer k+1
     consumes layer k's output (concatenated with x when skip connections
@@ -322,8 +309,7 @@ def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> Stac
 
     The batch may be packed: ``xs[t]`` holds the first B_t rows, those
     still live at step t, with B_t never growing (rows sorted longest
-    first).  Each layer's carried block is then cut to those rows
-    (``live_rows``), and step t's states and tape slot have B_t rows."""
+    first); step t's states and tape slot then have B_t rows."""
     if not xs:
         raise TapeError("cannot run over an empty sequence")
     batch = xs[0].data.shape[0]
@@ -332,9 +318,10 @@ def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> Stac
                for layer in w.layers]
     run = StackRun(top=[], traces=[], tapes=tapes[-1])
     for x in xs:
-        if x.data.shape[0] != batch:
-            batch = x.data.shape[0]
-            carried = [live_rows(c, batch) for c in carried]
+        if x.data.shape[0] > batch:
+            raise TapeError(f"a step has {x.data.shape[0]} rows after a step with {batch}; "
+                            "packed rows must be sorted longest first")
+        batch = x.data.shape[0]
         inp = x
         for k, layer in enumerate(w.layers):
             if k > 0:

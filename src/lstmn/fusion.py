@@ -26,8 +26,8 @@ batched product.
 transfer gate, the tape-cell step): teacher-forced training
 (``run_decoder``) and greedy decoding (``models.Seq2SeqModel.generate``)
 both drive it.  The decoder may run packed, the batch sorted by target
-length, longest first: step t takes the B_t live rows, cuts its carried
-summary and context to them, and reads the same rows of a source
+length, longest first: step t takes the B_t live rows, and its kernels
+read the same rows of the carried summary and context and of a source
 encoded over the whole batch.
 """
 
@@ -173,14 +173,9 @@ class DecoderState:
         fusion only), then the tape-cell step.  Returns (prediction input,
         intra, inter): h_t for deep fusion, [h_t, gamma~_t] for shallow.
 
-        ``x`` holds the first B_t rows of the batch, those still live in a
-        packed batch (never more than the step before); the carried intra
-        summary and context are cut to them, and inter-attention reads
-        the same rows of the source."""
-        rows = x.data.shape[0]
-        if rows != self.gamma_tilde.data.shape[0]:
-            self.summary = cells.live_rows(self.summary, rows)
-            self.gamma_tilde = cells.live_rows(self.gamma_tilde, rows)
+        ``x`` holds the first B_t rows, those still live in a packed batch
+        (never more than the step before); the kernels read the same rows
+        of the carried intra summary and context and of the source."""
         w = self.w.inter
         inter = inter_attend(x, self.src, self.gamma_tilde, w, self.src_proj)
         transfer = None

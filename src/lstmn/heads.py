@@ -1,9 +1,9 @@
 """Task heads and losses: next-token NLL with perplexity and greedy hits,
-mask-aware mean pooling, and the classifier head over pooled features.
-Both losses return ``autodiff.affine_nll``'s greedy hits with the NLL,
-so training and evaluation share one path.  ``lm_loss`` takes per-step
-states as full rows, or packed (step t's B_t live rows, longest first),
-as the language models give them."""
+mean pooling, and the classifier head over pooled features.  Both losses
+return ``autodiff.affine_nll``'s greedy hits with the NLL, so training
+and evaluation share one path.  ``lm_loss`` takes per-step states as
+full rows, or packed (step t's B_t live rows, longest first), as the
+models give them; ``mean_pool`` takes them packed."""
 
 from __future__ import annotations
 
@@ -138,15 +138,12 @@ def lm_correct(hits: np.ndarray) -> int:
     return int(hits.sum())
 
 
-def mean_pool(states: list, mask: Optional[np.ndarray] = None) -> Tensor:
-    """Mask-aware average of the per-step (B, h) states: an ``attend``
-    under constant weights built in the states' dtype."""
+def mean_pool(states: list) -> Tensor:
+    """Each row's mean over its steps of packed (B_t, h) states (row i is
+    in the steps with B_t > i): an ``attend`` under constant weights built
+    in the states' dtype."""
     if not states:
         raise TapeError("cannot pool an empty tape")
-    dtype = states[0].data.dtype
-    mask = np.ones((states[0].data.shape[0], len(states)), dtype) if mask is None \
-        else np.asarray(mask, dtype=dtype)
-    counts = mask.sum(axis=1, keepdims=True)
-    if np.any(counts == 0):
-        raise TapeError("cannot pool a row with no unmasked positions")
-    return ad.attend(mask / counts, states)
+    rows = [s.data.shape[0] for s in states]
+    live = (np.arange(rows[0])[:, None] < rows).astype(states[0].data.dtype)
+    return ad.attend(live / live.sum(axis=1, keepdims=True), states)

@@ -11,10 +11,10 @@ the seq2seq and pair variants override only those hooks.  Losses are
 mean-per-token (language modeling) or mean-per-example (classification)
 and come with the raw stats ``{nll, tokens, correct}`` (a classifier's
 tokens are examples), which ``Model.evaluate`` sums across batches.
-Language models and the seq2seq decoder run packed (``pack``): a
-batch's rows are sorted longest first and step t runs only B_t rows,
-the live prefix, so no padded position is computed or read.
-Classifiers run full rows under their masks.
+Every core but the seq2seq encoder runs packed (``pack``): a batch's
+rows are sorted longest first and step t runs only B_t rows, the live
+prefix, so no padded position is computed or read.  Classifiers pool
+the packed states and return their features in batch order.
 ``evaluate``, ``generate`` and ``attention_traces`` never call backward
 and run under ``autodiff.no_grad``.
 """
@@ -218,10 +218,17 @@ class _Classifier(Model):
     def _parts(self) -> list:
         return super()._parts() + [("head", self.head)]
 
-    def _pool(self, xs: list, core, mask) -> ad.Tensor:
-        """Mask-aware mean of the core's top-layer states."""
-        states, _ = self._run(xs, core)
-        return heads.mean_pool(states, mask)
+    def _pool(self, tokens: np.ndarray, mask: np.ndarray, core, src=None) -> ad.Tensor:
+        """Each row's mean top-layer state over its live tokens: ``core``
+        runs the rows packed by ``mask`` (``pack``), or with ``src``
+        (premise tokens and mask) the fusion decoder does, and one
+        ``lookup`` puts the pooled rows back in batch order."""
+        order, rows = pack(mask)
+        if rows and rows[0] < len(order):
+            raise ad.TapeError("cannot pool a row with no live token")
+        states = self._run(self._embed(tokens[order], rows), core)[0] if src is None else \
+            self._decode(src[0][order], tokens[order], src[1][order], rows)[0].outputs
+        return ad.lookup(heads.mean_pool(states), np.argsort(order))
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
         nll, hits = self.head.loss(self._features(batch), batch.labels, training, rng)
@@ -238,7 +245,7 @@ class SentenceClassifier(_Classifier):
         self._init_head(rng, cfg.hidden)
 
     def _features(self, batch: Batch) -> ad.Tensor:
-        return self._pool(self._embed(batch.tokens), self.stack, batch.mask)
+        return self._pool(batch.tokens, batch.mask, self.stack)
 
 
 class PairClassifier(_Classifier):
@@ -269,11 +276,10 @@ class PairClassifier(_Classifier):
 
     def _features(self, batch: Batch) -> ad.Tensor:
         if self.mode:
-            run, _ = self._decode(batch.tokens, batch.tokens2, batch.mask)
-            return heads.mean_pool(run.outputs, batch.mask2)
-        prem_xs, hyp_xs = self._embed(batch.tokens), self._embed(batch.tokens2)
-        return ad.concat([self._pool(prem_xs, self.stack, batch.mask),
-                          self._pool(hyp_xs, self.hypothesis_encoder, batch.mask2)], axis=1)
+            return self._pool(batch.tokens2, batch.mask2, None, (batch.tokens, batch.mask))
+        return ad.concat([self._pool(batch.tokens, batch.mask, self.stack),
+                          self._pool(batch.tokens2, batch.mask2, self.hypothesis_encoder)],
+                         axis=1)
 
     @ad.no_grad()
     def attention_traces(self, premise_ids: np.ndarray, hypothesis_ids: np.ndarray):

@@ -342,6 +342,11 @@ def _kernel_cases():
     # packed reads (3, 2, then 1 live row) under a padded-source mask.
     src_v, src_k = t(3, 2, 3), t(3, 2, 2)
     src_x, src_p = [t(3 - r, 3) for r in range(3)], [t(3 - r, 4) for r in range(3)]
+    # Carried operands with more rows than the step input: a 3-row [h | c]
+    # state for a 2-row x, a 3-row prev for a 2-row read; and prefix slots
+    # of 3, 3, 2 and 1 rows under (3, 4) weights.
+    g_state3, pp3 = t(3, 6), t(3, 4)
+    pk_slots, pk_wts = [t(b, 3) for b in (3, 3, 2, 1)], np.abs(rng.normal(size=(3, 4)))
 
     def source_reads():
         node = ad.tape_write(None, 0, (src_v, src_k), 2)
@@ -388,6 +393,8 @@ def _kernel_cases():
         "sum_all": ({"a": x23}, lambda: ad.sigmoid(ad.sum_all(x23))),
         "attend": ({f"s{i}": s for i, s in enumerate(slots)},
                    lambda: ad.sum_all(ad.sigmoid(ad.attend(wts, slots)))),
+        "attend_packed": ({f"s{i}": s for i, s in enumerate(pk_slots)},
+                          lambda: ad.sum_all(ad.sigmoid(ad.attend(pk_wts, pk_slots)))),
         # B=2, a capacity-style read window [1, 4) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
             ad.tape_attend(_tape(mem), 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
@@ -404,6 +411,11 @@ def _kernel_cases():
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
                 _tape(mem3), 1, 4, px, w_qx, pp, w_qp, v_att, b_att,
                 mask=[[1, 1, 0], [1, 0, 1], [0, 0, 0]])[0], y_att))),
+        "tape_attend_carried_prev": (
+            {"memory": mem3, "x": px, "prev": pp3, "W_prev": w_qp},
+            lambda: ad.sum_all(ad.mul(ad.tape_attend(
+                _tape(mem3), 0, 5, px, Tensor(w_qx.data), pp3, w_qp, Tensor(v_att.data))[0],
+                y_att))),
         # The two stages tape_attend fuses, each checked on its own inputs:
         # the broadcast add of the query onto every slot key (query path
         # only, memory held fixed) and the per-slot v . tanh(...) scores
@@ -427,6 +439,9 @@ def _kernel_cases():
         "gate_cell_plain": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias},
                             lambda: ad.sum_all(ad.mul(ad.gate_cell(g_state, g_x, g_w, g_bias),
                                                       g_read))),
+        "gate_cell_carried": ({"state": g_state3, "x": g_x, "W": g_w, "transfer": g_transfer},
+                              lambda: ad.sum_all(ad.mul(ad.gate_cell(
+                                  g_state3, g_x, g_w, g_bias, g_transfer), g_read))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
         "tape_write_packed": ({**{f"h{i}": h for i, h in enumerate(pk_h)},
@@ -777,6 +792,99 @@ def test_gate_cell_matches_oracle_per_row():
         c_ref = transfer[r] + f * carried + i * chat
         np.testing.assert_allclose(out.data[r], np.concatenate([o * np.tanh(c_ref), c_ref]),
                                    atol=1e-12)
+
+
+def _value_and_grads(build, leaves, read):
+    """The kernel output of ``build()`` and the leaves' gradients under the
+    loss sum(out * read)."""
+    zero_grad(leaves)
+    out = build()
+    backward(ad.sum_all(ad.mul(out, Tensor(read))), params=leaves)
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("kernel", ["gate_cell", "tape_attend"])
+def test_carried_operand_is_read_in_its_row_prefix(kernel):
+    # The carried operand (gate_cell's state, tape_attend's prev) has 3
+    # rows for a 2-row x: values and gradients equal, bit for bit, those of
+    # the same call on its first 2 rows, and its third row gets exactly 0.
+    rng = np.random.default_rng(25)
+    carried = _rng_tensor(rng, 3, 6)
+    cut = Tensor(carried.data[:2].copy(), requires_grad=True)
+    if kernel == "gate_cell":
+        x, w, b = _rng_tensor(rng, 2, 2), _rng_tensor(rng, 12, 5), _rng_tensor(rng, 12)
+        others = [x, w, b]
+
+        def build(state):
+            return lambda: ad.gate_cell(state, x, w, b)
+    else:
+        mem = _rng_tensor(rng, 3, 4, 5)
+        x, w_x, w_p, v = (_rng_tensor(rng, *s) for s in [(2, 3), (2, 3), (2, 4), (2,)])
+        others = [mem, x, w_x, w_p, v]
+
+        def build(prev):
+            return lambda: ad.tape_attend(_tape(mem), 0, 4, x, w_x, prev, w_p, v)[0]
+    read = rng.normal(size=build(cut)().data.shape)
+    full = _value_and_grads(build(carried), [carried] + others, read)
+    alone = _value_and_grads(build(cut), [cut] + others, read)
+    assert full[1][:2].tobytes() == alone[1].tobytes() and not full[1][2:].any()
+    for a, b in zip(full[:1] + full[2:], alone[:1] + alone[2:]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["gate_cell", "tape_attend"])
+def test_carried_operand_with_fewer_rows_is_refused(kernel):
+    rng = np.random.default_rng(26)
+    x = _rng_tensor(rng, 3, 2)
+    if kernel == "gate_cell":
+        with pytest.raises(ShapeMismatchError, match="gate_cell"):
+            ad.gate_cell(_rng_tensor(rng, 2, 6), x, _rng_tensor(rng, 12, 5), _rng_tensor(rng, 12))
+    else:
+        with pytest.raises(ShapeMismatchError, match="tape_attend"):
+            ad.tape_attend(_tape(_rng_tensor(rng, 3, 2, 5)), 0, 2, x, _rng_tensor(rng, 2, 2),
+                           _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
+
+
+def test_attend_sums_prefix_slots_like_a_dense_oracle():
+    # Slots of 3, 2, 2 and 1 rows: row i sums only the slots that have it,
+    # and slot t's gradient is weights[:B_t, t] times the output's.
+    rng = np.random.default_rng(27)
+    rows = [3, 2, 2, 1]
+    slots = [_rng_tensor(rng, b, 4) for b in rows]
+    weights = rng.uniform(size=(3, 4))
+    out = ad.attend(weights, slots)
+    for i in range(3):
+        want = sum(weights[i, t] * s.data[i] for t, s in enumerate(slots) if i < rows[t])
+        np.testing.assert_allclose(out.data[i], want, rtol=1e-14)
+    g = rng.normal(size=out.data.shape)
+    backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    for t, s in enumerate(slots):
+        np.testing.assert_allclose(s.grad, weights[:rows[t], t, None] * g[:rows[t]], rtol=1e-15)
+    with pytest.raises(ShapeMismatchError, match="attend"):
+        ad.attend(weights[:2, :2], [_rng_tensor(rng, 1, 4), _rng_tensor(rng, 2, 4)])
+
+
+def _read_twice():
+    """A 2-slot tape and two reads of it, A and B."""
+    rng = np.random.default_rng(28)
+    node = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 2, 3), _rng_tensor(rng, 2, 2, 2)), 2)
+    w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
+    reads = [ad.tape_attend(node, 0, 2, _rng_tensor(rng, 2, 3), w_x, _rng_tensor(rng, 2, 4),
+                            w_p, v)[0] for _ in range(2)]
+    return node, reads
+
+
+@pytest.mark.parametrize("second", ["other read", "same read", "tape"])
+def test_a_tape_chain_runs_backward_once(second):
+    # After backward(sum(A)) the read log holds A's record, and read A's
+    # tanh buffer holds its key gradient: a second loss through the chain
+    # would add A's value gradient again, or read that buffer.
+    node, (a, b) = _read_twice()
+    backward(ad.sum_all(a))
+    loss = {"other read": lambda: ad.sum_all(b), "same read": lambda: ad.sum_all(ad.mul(a, 2.0)),
+            "tape": lambda: ad.sum_all(node)}[second]()
+    with pytest.raises(GraphStateError, match="backward once"):
+        backward(loss)
 
 
 def test_gate_cell_shape_errors_name_the_operands():

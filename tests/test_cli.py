@@ -110,6 +110,14 @@ class TestConfig:
         again = build_config(overrides=reparsed)
         assert again == cfg
 
+    def test_readme_config_table_names_every_key(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            keys = {name for line in fh if line.startswith("| `")
+                    for name in line.split("|")[1].replace("`", "").replace(",", " ").split()}
+        missing = [f.name for f in dataclasses.fields(RunConfig) if f.name not in keys]
+        assert not missing, f"config keys missing from README's table: {missing}"
+
     def test_data_kind_mapping(self):
         assert data_kind(build_config(overrides=dict(task="lm"))) == "lm-text"
         assert data_kind(build_config(overrides=dict(

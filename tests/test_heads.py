@@ -161,46 +161,60 @@ class TestPaddingLeak:
             assert np.all(p.grad == 0.0)
 
 
+def packed(full: np.ndarray, rows) -> list:
+    """Step t's state of a packed batch: the first rows[t] rows of
+    ``full[:, t]`` (rows sorted longest first)."""
+    return [Tensor(full[:b, t], requires_grad=True) for t, b in enumerate(rows)]
+
+
 class TestPoolingAndClassify:
     def test_single_step_pool_is_that_vector(self):
         h = np.random.default_rng(53).normal(size=(2, 4))
-        pooled = mean_pool([Tensor(h)], None)
+        pooled = mean_pool([Tensor(h)])
         np.testing.assert_array_equal(pooled.data, h)
 
     def test_identical_steps_pool_to_same_vector(self):
-        h = np.random.default_rng(54).normal(size=(1, 3))
-        pooled = mean_pool([Tensor(h)] * 4, None)
-        np.testing.assert_allclose(pooled.data, h, atol=1e-12)
+        h = np.random.default_rng(54).normal(size=(3, 1, 2))
+        pooled = mean_pool(packed(np.repeat(h, 4, axis=1), [3, 3, 2, 1]))
+        np.testing.assert_allclose(pooled.data, h[:, 0], atol=1e-12)
 
     def test_pool_matches_arithmetic_mean_oracle(self):
-        rng = np.random.default_rng(55)
-        hs = [rng.normal(size=(2, 3)) for _ in range(4)]
-        pooled = mean_pool([Tensor(h) for h in hs], None)
-        np.testing.assert_allclose(pooled.data, np.mean(hs, axis=0), atol=1e-12)
+        full = np.random.default_rng(55).normal(size=(3, 4, 2))
+        lengths = [4, 3, 1]
+        pooled = mean_pool(packed(full, [3, 2, 2, 1]))
+        for r, n in enumerate(lengths):
+            np.testing.assert_allclose(pooled.data[r], full[r, :n].mean(axis=0), atol=1e-12)
 
     def test_pool_is_order_invariant(self):
-        rng = np.random.default_rng(56)
-        hs = [rng.normal(size=(1, 3)) for _ in range(5)]
-        fwd = mean_pool([Tensor(h) for h in hs], None)
-        rev = mean_pool([Tensor(h) for h in hs[::-1]], None)
+        # Steps of equal row counts may swap: [2, 2, 2] then [1, 1].
+        full = np.random.default_rng(56).normal(size=(2, 5, 3))
+        states = packed(full, [2, 2, 2, 1, 1])
+        fwd = mean_pool(states)
+        rev = mean_pool(states[2::-1] + states[:2:-1])
         np.testing.assert_allclose(fwd.data, rev.data, atol=1e-15)
 
-    def test_masked_pool_ignores_padding(self):
-        rng = np.random.default_rng(57)
-        real = [rng.normal(size=(1, 3)) for _ in range(2)]
-        pad = rng.normal(size=(1, 3))
-        mask = np.array([[1.0, 1.0, 0.0]])
-        pooled = mean_pool([Tensor(h) for h in real + [pad]], mask)
-        np.testing.assert_allclose(pooled.data, np.mean(real, axis=0), atol=1e-12)
+    def test_steps_beyond_a_rows_count_never_enter_its_mean(self):
+        # Row 1 ends after 2 of 3 steps: its mean and its gradients are
+        # those of its own 2 steps, and step 3 has no row 1 to read.
+        full = np.random.default_rng(57).normal(size=(2, 3, 3))
+        states = packed(full, [2, 2, 1])
+        pooled = mean_pool(states)
+        np.testing.assert_allclose(pooled.data[1], full[1, :2].mean(axis=0), atol=1e-12)
+        g = np.random.default_rng(58).normal(size=pooled.data.shape)
+        ad.backward(ad.sum_all(ad.mul(pooled, Tensor(g))))
+        counts = np.array([[3.0], [2.0]])
+        for s in states:
+            b = s.data.shape[0]
+            np.testing.assert_allclose(s.grad, g[:b] / counts[:b], rtol=1e-15)
 
-    @pytest.mark.parametrize("mask", [None, np.array([[1.0, 1.0, 0.0]])], ids=["full", "masked"])
-    def test_float32_states_pool_in_float32(self, mask):
+    @pytest.mark.parametrize("rows", [[1, 1, 1], [2, 2, 1]], ids=["full", "packed"])
+    def test_float32_states_pool_in_float32(self, rows):
         ad.set_default_dtype(np.float32)
         try:
-            hs = [Tensor(np.full((1, 3), 0.5), requires_grad=True) for _ in range(3)]
+            hs = packed(np.full((rows[0], 3, 3), 0.5), rows)
         finally:
             ad.set_default_dtype(np.float64)
-        pooled = mean_pool(hs, mask)
+        pooled = mean_pool(hs)
         ad.backward(ad.sum_all(pooled))
         assert pooled.data.dtype == np.float32
         assert all(h.grad.dtype == np.float32 for h in hs)

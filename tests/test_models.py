@@ -234,9 +234,10 @@ class TestSeq2Seq:
 
 
 class TestPackedPadding:
-    """Language models and seq2seq decoders run packed: rows sorted by
-    length, step t over the rows still live.  Each row of a mixed-length
-    batch must get what it gets alone, and padding must never be read."""
+    """Language models, seq2seq decoders and classifiers run packed: rows
+    sorted by length, step t over the rows still live.  Each row of a
+    mixed-length batch must get what it gets alone, and padding must never
+    be read."""
 
     FAMILIES = {
         "lstm": dict(model="lstm", layers=2),
@@ -244,6 +245,13 @@ class TestPackedPadding:
         "lstmn-stack": dict(model="lstmn-stack", layers=2, skip_connections=True, capacity=2),
         "seq2seq-shallow": dict(model="seq2seq-shallow", optimizer="adam"),
         "seq2seq-deep": dict(model="seq2seq-deep", optimizer="adam", capacity=2),
+        "sentiment-lstm": dict(task="sentiment", model="lstm", layers=2),
+        "sentiment-lstmn-stack": dict(task="sentiment", model="lstmn-stack", layers=2,
+                                      skip_connections=True, capacity=2),
+        "nli-lstmn": dict(task="nli", model="lstmn"),
+        "nli-lstmn-tied": dict(task="nli", model="lstmn", tie_encoders=True),
+        "nli-seq2seq-shallow": dict(task="nli", model="seq2seq-shallow"),
+        "nli-seq2seq-deep": dict(task="nli", model="seq2seq-deep", capacity=2),
     }
     # Unsorted lengths; the targets sort differently from the sources.
     SOURCES = [["w0", "w1"], ["w2", "w5", "w1", "w3"], ["w4"], ["w3", "w3", "w0"]]
@@ -259,14 +267,29 @@ class TestPackedPadding:
         return vocab, model
 
     def batch(self, vocab, model, rows):
-        if model.mode:
-            return TestSeq2Seq().pair_batch(vocab, [self.SOURCES[i] for i in rows],
-                                            [self.TARGETS[i] for i in rows])
-        return lm_batch(vocab, [self.SOURCES[i] for i in rows])
+        if model.mode or model.cfg.task == "nli":
+            batch = TestSeq2Seq().pair_batch(vocab, [self.SOURCES[i] for i in rows],
+                                             [self.TARGETS[i] for i in rows])
+        else:
+            batch = lm_batch(vocab, [self.SOURCES[i] for i in rows])
+        if model.cfg.task != "lm":
+            batch.labels = np.array([i % 3 for i in rows])
+        return batch
+
+    @staticmethod
+    def nll_hit(z, target):
+        logp = z - z.max() - np.log(np.exp(z - z.max()).sum())
+        return -logp[target], z.argmax() == target
 
     def per_row(self, model, batch):
         """(NLL, hits) of every batch row, in batch order, from one numpy
-        softmax per packed state: the oracle of the batched loss."""
+        softmax per packed state, or per pooled feature row of a
+        classifier: the oracle of the batched loss."""
+        if model.cfg.task != "lm":
+            head = model.head
+            hidden = np.maximum(model._features(batch).data @ head.w1.data.T + head.b1.data, 0)
+            logits = hidden @ head.w2.data.T + head.b2.data
+            return np.array([self.nll_hit(z, y) for z, y in zip(logits, batch.labels)])
         mask = model._decoder_io(batch)[2] if model.mode else batch.mask[:, 1:]
         order, _ = models.pack(mask)
         states, targets, live = model._predict(batch)
@@ -276,8 +299,7 @@ class TestPackedPadding:
             logits = h.data @ w.T + b
             for j, z in enumerate(logits):
                 assert live[j, t]
-                logp = z - z.max() - np.log(np.exp(z - z.max()).sum())
-                stats[order[j]] += (-logp[targets[j, t]], z.argmax() == targets[j, t])
+                stats[order[j]] += self.nll_hit(z, targets[j, t])
         return stats
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -316,6 +338,29 @@ class TestPackedPadding:
         assert after == base
         for g, h in zip(base_grads, after_grads):
             np.testing.assert_array_equal(g, h)
+
+    @pytest.mark.parametrize("name,unpermutes", [
+        ("lstmn-stack", 0), ("sentiment-lstmn-stack", 1), ("nli-lstmn", 2),
+        ("nli-seq2seq-deep", 1)])
+    def test_train_step_cuts_no_rows(self, name, unpermutes, monkeypatch):
+        # Every lookup of a train step is an embedding lookup, but for the
+        # one per pooled core that puts a classifier's rows back in batch
+        # order: no carried block is cut to the live rows outside a kernel.
+        vocab, model = self.model(name)
+        batch = self.batch(vocab, model, range(4))
+        lookups, make = [], ad._make
+
+        def recording_make(data, parents, backward_fn, op, *args, **kwargs):
+            if op == "lookup":
+                lookups.append(parents[0])
+            return make(data, parents, backward_fn, op, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        loss, _ = model.loss(batch, training=True, rng=np.random.default_rng(0))
+        ad.backward(loss, params=list(model.params().values()))
+        table = model.embeddings.weights
+        assert any(p is table for p in lookups)
+        assert sum(p is not table for p in lookups) == unpermutes
 
 
 class TestClassifierModels:
@@ -435,6 +480,20 @@ class TestClassifierModels:
         batch = Batch(tokens=empty, mask=np.zeros((1, 0)), labels=np.array([1]),
                       tokens2=np.array([[3]]), mask2=np.ones((1, 1)))
         with pytest.raises(TapeError, match="empty"):
+            model.loss(batch)
+
+    @pytest.mark.parametrize("task,model_name,side", [
+        ("sentiment", "lstmn", "mask"), ("nli", "lstmn", "mask"), ("nli", "lstmn", "mask2"),
+        ("nli", "seq2seq-deep", "mask2")])
+    def test_row_with_no_live_token_rejected(self, task, model_name, side):
+        vocab = make_vocab()
+        cfg = build_config(overrides=dict(task=task, model=model_name, hidden="3",
+                                          embedding="2"))
+        model = models.build_model(cfg, vocab, np.random.default_rng(63))
+        batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w1"], ["w2"]], [["w3"], ["w4", "w5"]])
+        batch.labels = np.array([0, 1])
+        getattr(batch, side)[1] = 0.0
+        with pytest.raises(TapeError, match="no live token"):
             model.loss(batch)
 
     def test_eval_deterministic_despite_dropout_rate(self):
