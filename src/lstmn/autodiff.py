@@ -7,7 +7,15 @@ recorded graph is replayed exactly in reverse creation order by
 ``backward``.  Gradients accumulate additively when a node feeds several
 consumers.  A kernel whose gradient touches only part of an input (row
 gathers, column slices) returns it as a ``Partial``, which ``backward``
-adds into the input's gradient buffer in place.
+adds into the input's gradient buffer in place.  A weight's gradient
+from ``linear``, ``gate_cell`` and ``tape_attend`` is an ``Outer``
+(lhs, rhs), meaning lhs.T @ rhs: ``backward`` keeps a leaf's terms until
+the replay ends and forms their sum in one product over their joined
+rows, so a recurrence pays one weight-gradient product per weight, not
+one per step.  A graph runs backward once: each node frees its closure,
+and with it the forward state the closure held, and its parents as soon
+as it has run, and a later backward that reaches it is a
+``GraphStateError``.
 
 The kernel set is small, one kernel per job: ``add`` (same shapes),
 ``mul``, ``sigmoid``, ``relu``, ``sum_all``, ``concat``, ``slice_cols``
@@ -185,6 +193,15 @@ class Partial(NamedTuple):
     values: np.ndarray
 
 
+class Outer(NamedTuple):
+    """The gradient ``lhs.T @ rhs`` (rows of both are summed over), left
+    unformed so that ``backward`` can join a leaf's terms into one product.
+    Both arrays must stay as they are until backward ends, so neither may
+    alias another gradient the kernel returns."""
+    lhs: np.ndarray
+    rhs: np.ndarray
+
+
 def _unique_rows(index) -> bool:
     """True for a basic index, or a 1-D integer index that is strictly
     increasing and so cannot name a row twice."""
@@ -213,17 +230,19 @@ def backward(loss: Tensor, params=()) -> None:
     """Populate .grad for every leaf tensor the scalar ``loss`` depends on.
 
     Tensors in ``params`` that the loss does not reach get zero-filled
-    gradients.  An interior node's gradient is dropped once it has been
-    passed to the node's inputs; ``loss.grad`` and leaf gradients stay.
-    Calling backward twice on the same loss node is an error: the replay
-    consumes the recorded graph semantics.  So is a loss with no graph
-    (made under ``no_grad`` or from constants only), which would
-    otherwise zero-fill every gradient without a word.
+    gradients.  A leaf's ``Outer`` terms are kept through the replay and
+    summed after it in one product, their rows joined, then added to the
+    rest of its gradient; an ``Outer`` for an interior node is formed at
+    once.  Each node runs backward once: after its closure has run, its
+    gradient (unless it is the loss), closure and parents are dropped,
+    which frees the forward state the closure held, and the node is
+    spent.  A backward whose graph reaches a spent node, the loss again
+    or any node an earlier backward ran, is a ``GraphStateError``.  So is
+    a loss with no graph (made under ``no_grad`` or from constants only),
+    which would otherwise zero-fill every gradient without a word.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"loss must be scalar, got shape {loss.data.shape}")
-    if loss._backward_done:
-        raise GraphStateError("backward already ran for this loss; rebuild the graph")
     if not loss.requires_grad:
         raise GraphStateError("loss has no graph (made under no_grad or from constants "
                               "only); there is nothing to differentiate")
@@ -235,6 +254,9 @@ def backward(loss: Tensor, params=()) -> None:
         t = stack.pop()
         if id(t) in seen or not t.requires_grad:
             continue
+        if t._backward_done:
+            raise GraphStateError("a graph runs backward once, and this one reaches a node "
+                                  "that already has; rebuild the graph")
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
@@ -242,6 +264,7 @@ def backward(loss: Tensor, params=()) -> None:
     # inputs), so descending node id replays the tape in reverse.
     nodes.sort(key=lambda t: t._nid, reverse=True)
 
+    outers = {}
     loss.grad = np.ones_like(loss.data)
     for node in nodes:
         if node._backward_fn is None or node.grad is None:
@@ -252,15 +275,24 @@ def backward(loss: Tensor, params=()) -> None:
         # receives it; views, and arrays handed out before, are copied.
         held = [loss.grad]
         for parent, g in zip(node._parents, node._backward_fn(node.grad)):
-            if g is not None and parent.requires_grad:
-                free = isinstance(g, np.ndarray) and g.base is None \
-                    and not any(g is h for h in held)
-                _accumulate(parent, g, free)
-                held.append(g)
+            if g is None or not parent.requires_grad:
+                continue
+            if isinstance(g, Outer):
+                if parent._backward_fn is None:
+                    outers.setdefault(parent, []).append(g)
+                    continue
+                g = g.lhs.T @ g.rhs
+            free = isinstance(g, np.ndarray) and g.base is None \
+                and not any(g is h for h in held)
+            _accumulate(parent, g, free)
+            held.append(g)
         if node is not loss:
             node.grad = None
-    loss._backward_done = True
+        node._backward_fn, node._parents, node._backward_done = None, (), True
 
+    for leaf, terms in outers.items():
+        lhs, rhs = (np.concatenate(side) for side in zip(*terms))
+        _accumulate(leaf, lhs.T @ rhs, True)
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -302,7 +334,7 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g):
         rows = g.reshape(-1, g.shape[-1])
-        grads = (g @ wd, rows.T @ xd.reshape(-1, xd.shape[-1]))
+        grads = (g @ wd, Outer(rows, xd.reshape(-1, xd.shape[-1])))
         return grads if b is None else grads + (rows.sum(axis=0),)
 
     return _make(out, (x, w) if b is None else (x, w, b), bwd, "linear")
@@ -393,7 +425,7 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
         ginp = gz @ wd
         gstate = np.concatenate([ginp[:, :hid], dc * f], axis=1)
         grads = (Partial((slice(0, batch),), gstate) if cut else gstate, ginp[:, hid:],
-                 gz.T @ inp, gz.sum(axis=0))
+                 Outer(gz, inp), gz.sum(axis=0))
         return grads if transfer is None else grads + (dc,)
 
     parents = (state, x, w, bias) + (() if transfer is None else (transfer,))
@@ -458,22 +490,19 @@ class _ReadLog:
     per slot, and its output gradient in ``grads[:, r]`` (B, R, d); the
     entries of rows and slots it did not read stay 0.  The arrays are made
     at the first record, in the memory's dtype, with R = ``reads``.
-    A chain runs backward once: ``spent`` is set when its first write has,
-    and a later record or write backward is a ``GraphStateError``.
+    Each read and write runs backward once (``backward``), so the log
+    fills once and no record outruns the count.
     """
 
-    __slots__ = ("weights", "grads", "reads", "count", "spent")
+    __slots__ = ("weights", "grads", "reads", "count")
 
     def __init__(self):
         self.weights = self.grads = None
         self.reads = self.count = 0
-        self.spent = False
 
     def record(self, memory: np.ndarray, lo: int, hi: int, weights: np.ndarray,
                g: np.ndarray) -> None:
         r = self.count
-        if self.spent or r == self.reads:
-            raise GraphStateError("a tape chain runs backward once; rebuild the graph")
         if self.weights is None:
             batch, slots = memory.shape[:2]
             self.weights = np.zeros((batch, slots, self.reads), dtype=memory.dtype)
@@ -486,8 +515,6 @@ class _ReadLog:
         """Add sum_r weights_r[:, j] g_r, over every read recorded so far,
         into the value columns of slots [start, stop) of the tape gradient
         ``g``: one batched product."""
-        if self.spent:
-            raise GraphStateError("a tape chain runs backward once; rebuild the graph")
         if self.count:
             g[:rows, start:stop, :self.grads.shape[2]] += np.matmul(
                 self.weights[:rows, start:stop, :self.count], self.grads[:rows, :self.count])
@@ -545,7 +572,6 @@ def tape_write(prev: Optional[Tensor], n: int, parts, slots: int) -> Tensor:
         block = g[:rows, n:stop]
         grads = tuple(block[..., c].reshape(p.data.shape) for p, c in zip(parts, cols))
         if prev is None:
-            log.spent = True
             return grads
         return (g if prev.data is buf else g[:, :prev.data.shape[1]],) + grads
 
@@ -631,8 +657,8 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         np.multiply(z, gs[:, :, None], out=z)
         gq = z.sum(axis=1)
         grads = (Partial((slice(0, batch), slice(lo, hi), slice(d, None)), z),
-                 gq @ w_x.data, gq.T @ x.data,
-                 Partial((slice(0, batch), slice(0, k)), gq @ w_prev.data), gq.T @ pd, gv)
+                 gq @ w_x.data, Outer(gq, x.data),
+                 Partial((slice(0, batch), slice(0, k)), gq @ w_prev.data), Outer(gq, pd), gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
     parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))

@@ -32,6 +32,8 @@ from lstmn import autodiff as ad
 from lstmn import checkpoint, config, data, models, synthetic, train
 from lstmn.config import build_config
 
+pytestmark = pytest.mark.acceptance
+
 SEED_PAIRS = [(11, 3), (12, 4)]
 COMMON = dict(task="lm", hidden="32", embedding="32", optimizer="adam", lr="0.01",
               grad_clip="5", batch_size="16", log_every="100000")

@@ -196,6 +196,56 @@ class TestBackward:
         assert x.grad is None
 
 
+class TestOuter:
+    def test_weight_terms_of_every_step_sum_to_one_product(self):
+        # One weight read by linear at 5 packed steps: backward joins the
+        # steps' Outer terms into one product.
+        rng = np.random.default_rng(30)
+        w = _rng_tensor(rng, 4, 3)
+        xs = [rng.normal(size=(b, 3)) for b in (4, 3, 3, 2, 1)]
+        gs = [rng.normal(size=(b, 4)) for b in (4, 3, 3, 2, 1)]
+
+        def loss():
+            terms = [ad.sum_all(ad.mul(ad.linear(Tensor(x), w), Tensor(g)))
+                     for x, g in zip(xs, gs)]
+            total = terms[0]
+            for t in terms[1:]:
+                total = ad.add(total, t)
+            return total
+
+        backward(loss())
+        np.testing.assert_allclose(w.grad, sum(g.T @ x for x, g in zip(xs, gs)), rtol=1e-13)
+        report = grad_check(loss, {"w": w})
+        assert report.passed, str(report)
+
+    def test_interior_weight_forms_its_terms_at_once(self):
+        rng = np.random.default_rng(31)
+        w0, x, y = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 4, 2), _rng_tensor(rng, 2, 2)
+
+        def loss():
+            w = ad.mul(w0, 2.0)
+            return ad.add(ad.sum_all(ad.sigmoid(ad.linear(x, w))),
+                          ad.sum_all(ad.sigmoid(ad.linear(y, w))))
+
+        report = grad_check(loss, {"w0": w0, "x": x})
+        assert report.passed, str(report)
+
+    def test_outer_and_dense_terms_of_one_leaf_add(self):
+        rng = np.random.default_rng(32)
+        w, x = _rng_tensor(rng, 3, 2), rng.normal(size=(4, 2))
+        c, d = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+        backward(ad.add(ad.sum_all(ad.mul(ad.linear(Tensor(x), w), Tensor(c))),
+                        ad.sum_all(ad.mul(w, Tensor(d)))))
+        np.testing.assert_allclose(w.grad, c.T @ x + d, rtol=1e-13)
+
+    def test_constant_weight_gets_no_gradient(self):
+        rng = np.random.default_rng(33)
+        w, x = _rng_tensor(rng, 3, 2, requires_grad=False), _rng_tensor(rng, 4, 2)
+        backward(ad.sum_all(ad.linear(x, w)), params=[x])
+        assert w.grad is None
+        np.testing.assert_allclose(x.grad, np.ones((4, 3)) @ w.data, rtol=1e-15)
+
+
 def _rng_tensor(rng, *shape, requires_grad=True):
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
 
@@ -885,6 +935,22 @@ def test_a_tape_chain_runs_backward_once(second):
             "tape": lambda: ad.sum_all(node)}[second]()
     with pytest.raises(GraphStateError, match="backward once"):
         backward(loss)
+
+
+def test_a_read_of_a_constant_tape_runs_backward_once():
+    # The read keeps no log record for a constant tape, but its backward
+    # still turns its tanh buffer into the key gradient: a second loss
+    # through the read would differentiate through that buffer.
+    rng = np.random.default_rng(34)
+    node = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 3, 3, requires_grad=False),
+                                   _rng_tensor(rng, 2, 3, 2, requires_grad=False)), 3)
+    x = _rng_tensor(rng, 2, 3)
+    w_x, prev, w_p, v = (_rng_tensor(rng, *shape, requires_grad=False)
+                         for shape in [(2, 3), (2, 4), (2, 4), (2,)])
+    out, _ = ad.tape_attend(node, 0, 3, x, w_x, prev, w_p, v)
+    backward(ad.sum_all(out))
+    with pytest.raises(GraphStateError, match="backward once"):
+        backward(ad.sum_all(ad.mul(out, 1.0)))
 
 
 def test_gate_cell_shape_errors_name_the_operands():

@@ -98,16 +98,17 @@ class TestLanguageModel:
         for t in params.values():
             t.data[...] = rng.standard_normal(t.data.shape)
         loss, _ = model.loss(batch)
-        ad.zero_grad(params.values())
-        ad.backward(loss, params=list(params.values()))
         interior = [t for t in graph_nodes(loss) if t._backward_fn and t is not loss]
-        # One fused gate-cell node per layer per step, and every interior
-        # gradient freed once passed on.
+        # One fused gate-cell node per layer per step.
         steps = batch.tokens.shape[1] - 1
         gate_cells = [t for t in interior
                       if t._backward_fn.__qualname__.startswith("gate_cell.")]
         assert len(gate_cells) == cfg.layers * steps == 10
-        assert all(t.grad is None for t in interior)
+        ad.zero_grad(params.values())
+        ad.backward(loss, params=list(params.values()))
+        # Every interior node frees its gradient, and its closure with the
+        # forward state it held, once it has run.
+        assert all(t.grad is None and t._backward_fn is None for t in interior)
         np.testing.assert_array_equal(loss.grad, np.ones(()))
         report = ad.grad_check(lambda: model.loss(batch)[0], params)
         assert report.passed, str(report)
