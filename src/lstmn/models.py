@@ -11,10 +11,12 @@ the seq2seq and pair variants override only those hooks.  Losses are
 mean-per-token (language modeling) or mean-per-example (classification)
 and come with the raw stats ``{nll, tokens, correct}`` (a classifier's
 tokens are examples), which ``Model.evaluate`` sums across batches.
-Every core but the seq2seq encoder runs packed (``pack``): a batch's
-rows are sorted longest first and step t runs only B_t rows, the live
-prefix, so no padded position is computed or read.  Classifiers pool
-the packed states and return their features in batch order.
+Every read of a token block goes through ``Model._read``, which sorts,
+embeds and runs a core or the fusion decoder.  Every core but the
+seq2seq encoder runs packed (``pack``): a batch's rows are sorted
+longest first and step t runs only B_t rows, the live prefix, so no
+padded position is computed or read.  Classifiers pool the packed
+states and return their features in batch order.
 ``evaluate``, ``generate`` and ``attention_traces`` never call backward
 and run under ``autodiff.no_grad``.
 """
@@ -66,12 +68,6 @@ class Model:
                                 skip=cfg.skip_connections,
                                 attention_bias=cfg.attention_bias)
 
-    def _run(self, xs: list, core):
-        """The core over embedded steps: per-step top-layer states, and
-        top-layer intra-attention traces (None per step for the LSTM)."""
-        run = cells.run_stack(xs, core, self.capacity)
-        return run.top_h, run.traces
-
     def _parts(self) -> list:
         """(prefix, weights) after the embedding table, in checkpoint order."""
         if self.mode:
@@ -100,24 +96,26 @@ class Model:
                            accuracy=correct / tokens if tokens else None,
                            dataset=dataset, split=split)
 
-    def _embed(self, tokens: np.ndarray, rows=None) -> list:
-        """Per-step embedding lookups for a (B, L) token block; with
-        ``rows`` (``pack``'s B_t), step t embeds only its first rows[t]
-        rows, for as many steps as ``rows`` has."""
-        if rows is None:
-            rows = [tokens.shape[0]] * tokens.shape[1]
-        return [ad.lookup(self.embeddings.weights, tokens[:n, t]) for t, n in enumerate(rows)]
-
-    def _decode(self, src_tokens: np.ndarray, tgt_tokens: np.ndarray, src_mask=None,
-                tgt_rows=None):
-        """Encode the source block over all its rows and run the fusion
-        decoder over the target block, packed to ``tgt_rows`` when given:
-        (DecodeRun, encoder traces)."""
-        src, enc_traces = fusion.encode(self._embed(src_tokens), self.stack,
-                                        self.capacity, mask=src_mask)
-        run = fusion.run_decoder(self._embed(tgt_tokens, tgt_rows), src, self.decoder,
-                                 self.mode, self.capacity)
-        return run, enc_traces
+    def _read(self, tokens: np.ndarray, mask=None, core=None, src=None):
+        """One packed left-to-right read of a (B, L) token block: rows
+        sorted by ``pack(mask)`` (all live when ``mask`` is None), step t
+        embeds its first B_t rows and ``core`` (default: the model's stack)
+        runs them.  With ``src``, the rows' (source tokens, mask or None),
+        ``core`` first encodes every source row and the fusion decoder
+        runs instead.  Returns (row order, B_t, the ``StackRun`` or
+        ``DecodeRun``, the encoder traces or None)."""
+        order, rows = pack(np.ones(tokens.shape) if mask is None else mask)
+        core = self.stack if core is None else core
+        table, enc_traces = self.embeddings.weights, None
+        if src is not None:
+            src_tokens, src_mask = (None if a is None else a[order] for a in src)
+            memory, enc_traces = fusion.encode([ad.lookup(table, ids) for ids in src_tokens.T],
+                                               core, self.capacity, mask=src_mask)
+        tokens = tokens[order]
+        xs = [ad.lookup(table, tokens[:n, t]) for t, n in enumerate(rows)]
+        run = cells.run_stack(xs, core, self.capacity) if src is None else \
+            fusion.run_decoder(xs, memory, self.decoder, self.mode, self.capacity)
+        return order, rows, run, enc_traces
 
     @ad.no_grad()
     def attention_traces(self, token_ids: np.ndarray, tgt_ids: np.ndarray | None = None):
@@ -126,11 +124,11 @@ class Model:
         through a fusion decoder, the decoder's intra- and inter-attention
         plus the encoder's own intra-attention."""
         if self.mode:
-            run, enc_traces = self._decode(token_ids[None, :], tgt_ids[None, :])
+            _, _, run, enc_traces = self._read(tgt_ids[None, :], src=(token_ids[None, :], None))
             return {"encoder-intra": enc_traces, "intra": run.intra, "inter": run.inter}
         if self.cfg.model == "lstm":
             raise ConfigError("model lstm has no attention to dump")
-        return {"intra": self._run(self._embed(token_ids[None, :]), self.stack)[1]}
+        return {"intra": self._read(token_ids[None, :])[2].traces}
 
 
 class LanguageModel(Model):
@@ -151,10 +149,9 @@ class LanguageModel(Model):
         shifted for next-token prediction.  The rows are packed (``pack``):
         targets and mask come sorted longest first, and step t's states
         are the first B_t rows, exactly the live ones."""
-        order, rows = pack(batch.mask[:, 1:])
-        tokens = batch.tokens[order, :len(rows) + 1]
-        states, _ = self._run(self._embed(tokens[:, :-1], rows), self.stack)
-        return states, tokens[:, 1:], batch.mask[order, 1:len(rows) + 1]
+        order, rows, run, _ = self._read(batch.tokens[:, :-1], batch.mask[:, 1:])
+        return run.top_h, batch.tokens[order, 1:len(rows) + 1], \
+            batch.mask[order, 1:len(rows) + 1]
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
         nll, tokens, correct = heads.lm_loss(*self._predict(batch), self.proj)
@@ -185,14 +182,14 @@ class Seq2SeqModel(LanguageModel):
         """The whole batch sorted once by target length: the encoder runs
         over every row, the decoder packed, as in ``LanguageModel``."""
         inputs, targets, out_mask = self._decoder_io(batch)
-        order, rows = pack(out_mask)
-        run, _ = self._decode(batch.tokens[order], inputs[order], batch.mask[order], rows)
+        order, rows, run, _ = self._read(inputs, out_mask, src=(batch.tokens, batch.mask))
         return run.outputs, targets[order, :len(rows)], out_mask[order, :len(rows)]
 
     @ad.no_grad()
     def generate(self, src_tokens: np.ndarray, max_len: int = 50) -> list:
         """Greedy decoding for one source sequence (token ids)."""
-        src, _ = fusion.encode(self._embed(src_tokens[None, :]), self.stack, self.capacity)
+        xs = [ad.lookup(self.embeddings.weights, ids) for ids in src_tokens[:, None]]
+        src, _ = fusion.encode(xs, self.stack, self.capacity)
         decoder = fusion.DecoderState(src, self.decoder, self.mode, self.capacity,
                                       length=max_len)
         token = self.vocab.bos
@@ -218,17 +215,16 @@ class _Classifier(Model):
     def _parts(self) -> list:
         return super()._parts() + [("head", self.head)]
 
-    def _pool(self, tokens: np.ndarray, mask: np.ndarray, core, src=None) -> ad.Tensor:
-        """Each row's mean top-layer state over its live tokens: ``core``
-        runs the rows packed by ``mask`` (``pack``), or with ``src``
-        (premise tokens and mask) the fusion decoder does, and one
-        ``lookup`` puts the pooled rows back in batch order."""
-        order, rows = pack(mask)
-        if rows and rows[0] < len(order):
+    def _pool(self, tokens: np.ndarray, mask: np.ndarray, core=None, src=None) -> ad.Tensor:
+        """Each row's mean top-layer state over its live tokens, from
+        ``_read`` through ``core``, or with ``src`` (premise tokens and
+        mask) through the fusion decoder; one ``lookup`` puts the pooled
+        rows back in batch order."""
+        order, rows, run, _ = self._read(tokens, mask, core, src)
+        if rows[0] < len(order):
             raise ad.TapeError("cannot pool a row with no live token")
-        states = self._run(self._embed(tokens[order], rows), core)[0] if src is None else \
-            self._decode(src[0][order], tokens[order], src[1][order], rows)[0].outputs
-        return ad.lookup(heads.mean_pool(states), np.argsort(order))
+        return ad.lookup(heads.mean_pool(run.top_h if src is None else run.outputs),
+                         np.argsort(order))
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
         nll, hits = self.head.loss(self._features(batch), batch.labels, training, rng)
@@ -245,7 +241,7 @@ class SentenceClassifier(_Classifier):
         self._init_head(rng, cfg.hidden)
 
     def _features(self, batch: Batch) -> ad.Tensor:
-        return self._pool(batch.tokens, batch.mask, self.stack)
+        return self._pool(batch.tokens, batch.mask)
 
 
 class PairClassifier(_Classifier):
@@ -276,8 +272,8 @@ class PairClassifier(_Classifier):
 
     def _features(self, batch: Batch) -> ad.Tensor:
         if self.mode:
-            return self._pool(batch.tokens2, batch.mask2, None, (batch.tokens, batch.mask))
-        return ad.concat([self._pool(batch.tokens, batch.mask, self.stack),
+            return self._pool(batch.tokens2, batch.mask2, src=(batch.tokens, batch.mask))
+        return ad.concat([self._pool(batch.tokens, batch.mask),
                           self._pool(batch.tokens2, batch.mask2, self.hypothesis_encoder)],
                          axis=1)
 
@@ -285,10 +281,9 @@ class PairClassifier(_Classifier):
     def attention_traces(self, premise_ids: np.ndarray, hypothesis_ids: np.ndarray):
         if self.mode:
             return super().attention_traces(premise_ids, hypothesis_ids)
-        prem_xs = self._embed(premise_ids[None, :])
-        hyp_xs = self._embed(hypothesis_ids[None, :])
-        return {"premise-intra": self._run(prem_xs, self.stack)[1],
-                "hypothesis-intra": self._run(hyp_xs, self.hypothesis_encoder)[1]}
+        return {"premise-intra": self._read(premise_ids[None, :])[2].traces,
+                "hypothesis-intra": self._read(hypothesis_ids[None, :],
+                                               core=self.hypothesis_encoder)[2].traces}
 
 
 def build_model(cfg: RunConfig, vocab: Vocabulary, rng,

@@ -11,16 +11,18 @@ from .config import ConfigError
 
 
 def global_grad_norm(params) -> float:
-    """L2 norm over all gradients; raises on NaN/Inf, not on overflow."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            flat = p.grad.reshape(-1)
-            total += float(flat @ flat)
-    if not np.isfinite(total) and not all(
-            p.grad is None or np.all(np.isfinite(p.grad)) for p in params):
+    """L2 norm over all gradients; raises on NaN/Inf.  When finite
+    gradients' squares overflow, the norm is taken again over the
+    gradients divided by their largest magnitude, so it stays finite."""
+    grads = [p.grad.reshape(-1) for p in params if p.grad is not None]
+    with np.errstate(over="ignore"):
+        total = sum(float(g @ g) for g in grads)
+    if np.isfinite(total):
+        return float(np.sqrt(total))
+    if not all(np.all(np.isfinite(g)) for g in grads):
         raise NonFiniteError("gradient contains non-finite values")
-    return float(np.sqrt(total))
+    top = max(float(np.abs(g).max()) for g in grads)
+    return top * float(np.sqrt(sum(float((g / top) @ (g / top)) for g in grads)))
 
 
 def renorm_gradients(params, threshold: float = 5.0) -> float:

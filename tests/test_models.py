@@ -439,7 +439,7 @@ class TestClassifierModels:
         batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w3", "w1"]], [["w0", "w3", "w1"]])
         feats = model._features(batch).data
         np.testing.assert_array_equal(feats[:, :3], feats[:, 3:])
-        states, _ = model._run(model._embed(batch.tokens), model.stack)
+        states = model._read(batch.tokens)[2].top_h
         np.testing.assert_allclose(feats[:, :3], np.mean([h.data for h in states], axis=0),
                                    atol=1e-12)
 

@@ -1,5 +1,7 @@
 """Optimizer and training-mechanics tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,10 +84,28 @@ class TestRenorm:
 
     def test_finite_grad_whose_square_overflows_is_not_rejected(self):
         params = params_with_grads([np.array([1e200, 1.0]), np.array([[2.0]])])
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            assert global_grad_norm(params) == np.inf
-            renorm_gradients(params, 5.0)
-        np.testing.assert_array_equal(params[0].grad, [0.0, 0.0])
+        assert global_grad_norm(params) == pytest.approx(1e200, rel=1e-12)
+        renorm_gradients(params, 5.0)
+        assert params[0].grad[0] == pytest.approx(5.0, rel=1e-12)
+        assert global_grad_norm(params) == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("dtype,top", [(np.float64, 1e200), (np.float32, 1e20)])
+    def test_overflowing_squares_are_measured_rescaled_not_zeroed(self, dtype, top):
+        # Three entries whose squares overflow the dtype: the plain sum is
+        # inf, and a clip by 5/inf would zero every gradient.
+        params = []
+        for shape in [(2,), (1, 1)]:
+            p = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+            p.grad = np.zeros(shape, dtype=dtype)
+            params.append(p)
+        params[0].grad[:] = [top, -top]
+        params[1].grad[0, 0] = top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norm = renorm_gradients(params, 5.0)
+            assert norm == pytest.approx(np.sqrt(3) * float(dtype(top)), rel=1e-6)
+            assert global_grad_norm(params) == pytest.approx(5.0, rel=1e-6)
+        assert all(p.grad.dtype == dtype for p in params)
 
 
 class TestSgd:
