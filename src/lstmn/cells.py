@@ -160,15 +160,6 @@ class Tapes:
         self.written += 1
 
 
-@dataclass
-class IntraAttention:
-    """Attention record for one step: the distribution over the read
-    window as a plain array (None at the first step, when the tape is
-    empty), and the adaptive summary block that the state update reads."""
-    weights: Optional[np.ndarray]   # (B, len(tapes))
-    summary: Tensor             # (B, 2h) [h~ | c~]
-
-
 def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     bound = np.sqrt(6.0 / (rows + cols))
     return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
@@ -229,11 +220,11 @@ def lstm_step(x: Tensor, prev: Tensor, w: GateWeights,
 
 
 def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
-                 w: IntraAttentionWeights) -> IntraAttention:
-    """Attention over the tape's read window and the summary block
-    [h~ | c~] it gives, from one fused ``autodiff.tape_attend`` node.
-    ``htilde_prev`` is the previous h~, or the previous summary block
-    (whose h~ columns are read).
+                 w: IntraAttentionWeights) -> tuple:
+    """Attention over the tape's read window: (summary block [h~ | c~],
+    weights as a plain (B, len(tapes)) array), from one fused
+    ``autodiff.tape_attend`` node.  ``htilde_prev`` is the previous h~,
+    or the previous summary block (whose h~ columns are read).
 
     The tape must be non-empty; the first-step convention is
     ``lstmn_step``'s concern.
@@ -241,9 +232,7 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     if len(tapes) == 0:
         raise TapeError("attention over an empty tape")
     lo, hi = tapes.window()
-    summary, weights = ad.tape_attend(
-        tapes.memory, lo, hi, x, w.w_x, htilde_prev, w.w_htilde, w.v, w.bias)
-    return IntraAttention(weights, summary)
+    return ad.tape_attend(tapes.memory, lo, hi, x, w.w_x, htilde_prev, w.w_htilde, w.v, w.bias)
 
 
 def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
@@ -251,6 +240,7 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
     """One memory-tape update; appends the new [h | c] and its key to
     ``tapes``.  ``summary_prev`` is the previous step's summary block
     [h~ | c~] (or its h~ alone), whose h~ the attention query reads.
+    Returns (state, summary block, attention weights or None).
 
     The one tape-cell step of the encoder layers and of both fusion
     decoders.  ``transfer`` is an extra memory term, deep fusion's
@@ -261,22 +251,23 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
     [0, x_t] and c_t reduces to [transfer +] i * c-hat.
     """
     if len(tapes) == 0:
-        attn = IntraAttention(None, zero_state(x.data.shape[0], w.gates.hidden_size))
+        summary, weights = zero_state(x.data.shape[0], w.gates.hidden_size), None
     else:
-        attn = intra_attend(x, tapes, summary_prev, w.attn)
-    state = lstm_step(x, attn.summary, w.gates, transfer)
+        summary, weights = intra_attend(x, tapes, summary_prev, w.attn)
+    state = lstm_step(x, summary, w.gates, transfer)
     tapes.append(state.hc, ad.linear(state.h, w.attn.w_h))
-    return state, attn
+    return state, summary, weights
 
 
 @dataclass
 class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
     step even when a capacity bound keeps attention from reading them),
-    per-step top-layer attention traces (None for an LSTM top layer) and
-    the top layer's tapes."""
+    per-step top-layer attention weights (None for an LSTM top layer or
+    an empty tape; step t's n columns are slots t-n..t-1) and the top
+    layer's tapes."""
     top: list             # [T] of CellState
-    traces: list          # [T] of IntraAttention or None
+    traces: list          # [T] of (B, n) weights or None
     tapes: Tapes
 
     @property
@@ -327,11 +318,10 @@ def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> Stac
             if k > 0:
                 inp = ad.concat([state.h, x], axis=1) if w.skip else state.h
             if layer.attn is None:
-                state, attn = lstm_step(inp, carried[k], layer.gates), None
+                state, weights = lstm_step(inp, carried[k], layer.gates), None
                 carried[k] = state.hc
             else:
-                state, attn = lstmn_step(inp, tapes[k], carried[k], layer)
-                carried[k] = attn.summary
+                state, carried[k], weights = lstmn_step(inp, tapes[k], carried[k], layer)
         run.top.append(state)
-        run.traces.append(attn)
+        run.traces.append(weights)
     return run

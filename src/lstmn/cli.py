@@ -27,7 +27,6 @@ def _make_parser() -> argparse.ArgumentParser:
     for p in (train, evaluate, dump):
         p.add_argument("--config", default="", help="flat key = value config file")
         p.add_argument("--checkpoint", default="", help="checkpoint .npz path")
-        p.add_argument("--seed", type=int, default=None, help="config seed override")
         p.add_argument("--out", default="out", help="output directory")
     dump.add_argument("--input", default="", help="input text file")
     return parser
@@ -45,24 +44,20 @@ def _collect_overrides(extras: list) -> dict:
     return overrides
 
 
-def _resolve_config(args, overrides: dict) -> str:
+def _config_path(args) -> str:
     # eval/dump default to the effective config written beside the checkpoint.
     config_path = args.config
     if not config_path and args.checkpoint:
         candidate = os.path.join(os.path.dirname(args.checkpoint) or ".", "config.cfg")
         if os.path.exists(candidate):
             config_path = candidate
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     return config_path
 
 
 def main(argv=None) -> int:
     args, extras = _make_parser().parse_known_args(argv)
     try:
-        overrides = _collect_overrides(extras)
-        config_path = _resolve_config(args, overrides)
-        cfg = build_config(config_path, overrides)
+        cfg = build_config(_config_path(args), _collect_overrides(extras))
         # Imported here so config errors surface before numpy spin-up cost.
         from . import train as workflows
 

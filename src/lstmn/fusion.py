@@ -74,17 +74,6 @@ class InterAttentionWeights:
 
 
 @dataclass
-class InterAttention:
-    """One decode step's alignment over the source: the distribution as a
-    plain array, both adaptive summaries, and the transfer gate (deep
-    fusion only)."""
-    weights: np.ndarray         # (B, m)
-    gamma_tilde: Tensor         # (B, h)
-    alpha_tilde: Tensor         # (B, h)
-    gate: Optional[Tensor] = None   # (B, h)
-
-
-@dataclass
 class DecoderWeights:
     cell: LstmnLayerWeights
     inter: InterAttentionWeights
@@ -117,10 +106,10 @@ def encode(xs: list, w: StackWeights, capacity: Optional[int] = None,
            mask: Optional[np.ndarray] = None):
     """Run the encoder over source embeddings, left to right.
 
-    Returns (SourceTapes, per-step top-layer IntraAttention traces).  The
-    source tapes are the h and c columns of the encoder's top tape, which
-    holds every step's state; ``capacity`` only bounds how far back the
-    encoder's own attention may look.
+    Returns (SourceTapes, the top layer's per-step attention weights, as
+    ``StackRun.traces``).  The source tapes are the h and c columns of the
+    encoder's top tape, which holds every step's state; ``capacity`` only
+    bounds how far back the encoder's own attention may look.
     """
     if not xs:
         raise TapeError("cannot encode an empty source")
@@ -138,17 +127,18 @@ def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
 
 
 def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
-                 w: InterAttentionWeights, src_proj: Tensor) -> InterAttention:
+                 w: InterAttentionWeights, src_proj: Tensor) -> tuple:
     """Align the current target input against the whole source, read from
-    ``src_proj``, the tape ``source_projection(src, w)``."""
+    ``src_proj``, the tape ``source_projection(src, w)``: (gamma~, alpha~,
+    the weights as a plain (B, m) array)."""
     if src.length < 1:
         raise TapeError("inter-attention needs a non-empty source")
     summary, weights = ad.tape_attend(
         src_proj, 0, src.length, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
         mask=src.mask)
     hidden = src.y.data.shape[2]
-    return InterAttention(weights, ad.slice_cols(summary, 0, hidden),
-                          ad.slice_cols(summary, hidden, 2 * hidden))
+    return (ad.slice_cols(summary, 0, hidden), ad.slice_cols(summary, hidden, 2 * hidden),
+            weights)
 
 
 class DecoderState:
@@ -171,29 +161,32 @@ class DecoderState:
     def step(self, x: Tensor):
         """One decoder step: inter-attention, the transfer gate (deep
         fusion only), then the tape-cell step.  Returns (prediction input,
-        intra, inter): h_t for deep fusion, [h_t, gamma~_t] for shallow.
+        intra weights, inter weights): h_t for deep fusion, [h_t, gamma~_t]
+        for shallow.
 
         ``x`` holds the first B_t rows, those still live in a packed batch
         (never more than the step before); the kernels read the same rows
         of the carried intra summary and context and of the source."""
         w = self.w.inter
-        inter = inter_attend(x, self.src, self.gamma_tilde, w, self.src_proj)
+        gamma_tilde, alpha_tilde, inter = inter_attend(
+            x, self.src, self.gamma_tilde, w, self.src_proj)
         transfer = None
         if self.mode == "deep":
-            inter.gate = ad.sigmoid(
-                ad.linear(ad.concat([inter.gamma_tilde, x], axis=1), w.w_r))
-            transfer = ad.mul(inter.gate, inter.alpha_tilde)
-        self.state, intra = cells.lstmn_step(x, self.tapes, self.summary, self.w.cell, transfer)
-        self.summary, self.gamma_tilde = intra.summary, inter.gamma_tilde
+            gate = ad.sigmoid(ad.linear(ad.concat([gamma_tilde, x], axis=1), w.w_r))
+            transfer = ad.mul(gate, alpha_tilde)
+        self.state, self.summary, intra = cells.lstmn_step(
+            x, self.tapes, self.summary, self.w.cell, transfer)
+        self.gamma_tilde = gamma_tilde
         if self.mode == "deep":
             return self.state.h, intra, inter
-        return ad.concat([self.state.h, inter.gamma_tilde], axis=1), intra, inter
+        return ad.concat([self.state.h, gamma_tilde], axis=1), intra, inter
 
 
 @dataclass
 class DecodeRun:
     """Per-step decoder outputs: prediction inputs (h_t for deep fusion,
-    [h_t, gamma~_t] for shallow), plus both attention trace streams."""
+    [h_t, gamma~_t] for shallow), plus both attention weight streams:
+    intra as in ``StackRun.traces``, inter (B, m) over the whole source."""
     outputs: list
     intra: list
     inter: list

@@ -122,7 +122,8 @@ class Model:
         """Attention over one raw sequence (no boundary tokens added): the
         core's top-layer intra-attention, or for a (source, target) pair
         through a fusion decoder, the decoder's intra- and inter-attention
-        plus the encoder's own intra-attention."""
+        plus the encoder's own intra-attention.  Each stream is a list of
+        per-step (1, n) weight arrays, None at an empty-tape step."""
         if self.mode:
             _, _, run, enc_traces = self._read(tgt_ids[None, :], src=(token_ids[None, :], None))
             return {"encoder-intra": enc_traces, "intra": run.intra, "inter": run.inter}

@@ -283,7 +283,7 @@ def run_dump_attention(cfg: RunConfig, checkpoint_path: str, input_path: str,
         lines.append("# target-tokens\t" + "\t".join(tgt_tokens))
         for name, stream in traces.items():
             lines.append(f"# section\t{name}")
-            lines.extend(_format_stream(stream))
+            lines.extend(_format_stream(stream, intra=name != "inter"))
     else:
         tokens = line.split()
         traces = model.attention_traces(vocab.encode(tokens))
@@ -295,14 +295,14 @@ def run_dump_attention(cfg: RunConfig, checkpoint_path: str, input_path: str,
     return out_path
 
 
-def _format_stream(stream) -> list:
+def _format_stream(stream, intra: bool = True) -> list:
     """Rows ``t<TAB>i<TAB>weight`` (1-based) under a column header; steps
-    without a distribution (t=1 intra) emit nothing."""
+    without a distribution (t=1 intra) emit nothing.  An n-slot intra
+    window ends at slot t-1; inter weights span the source from slot 1."""
     lines = ["t\ti\tweight"]
-    for t, trace in enumerate(stream, start=1):
-        weights = getattr(trace, "weights", None)
+    for t, weights in enumerate(stream, start=1):
         if weights is None:
             continue
-        for i, w in enumerate(weights[0], start=1):
+        for i, w in enumerate(weights[0], start=t - weights.shape[1] if intra else 1):
             lines.append(f"{t}\t{i}\t{w:.10g}")
     return lines

@@ -92,11 +92,9 @@ class TestIntraAttend:
         tapes = Tapes()
         htilde = Tensor(np.zeros((1, 2)))
         for t in range(4):
-            _, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
-            if attn.weights is not None:
-                np.testing.assert_allclose(attn.weights[0],
-                                           np.full(t, 1.0 / t), atol=1e-12)
-            htilde = attn.summary
+            _, htilde, weights = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
+            if weights is not None:
+                np.testing.assert_allclose(weights[0], np.full(t, 1.0 / t), atol=1e-12)
 
     def test_singleton_tape_weight_one(self):
         rng = np.random.default_rng(8)
@@ -104,10 +102,10 @@ class TestIntraAttend:
         tapes = Tapes()
         h = row(rng.normal(size=2))
         tapes.append(h, row(rng.normal(size=2)), ad.linear(h, layer.attn.w_h))
-        attn = cells.intra_attend(
+        summary, weights = cells.intra_attend(
             row(rng.normal(size=2)), tapes, row(rng.normal(size=2)), layer.attn)
-        np.testing.assert_array_equal(attn.weights, [[1.0]])
-        np.testing.assert_array_equal(attn.summary.data[:, :2], h.data)
+        np.testing.assert_array_equal(weights, [[1.0]])
+        np.testing.assert_array_equal(summary.data[:, :2], h.data)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(9)
@@ -117,13 +115,12 @@ class TestIntraAttend:
         tapes = Tapes()
         for h_i in H:
             tapes.append(row(h_i), row(np.zeros(2)), ad.linear(row(h_i), layer.attn.w_h))
-        attn = cells.intra_attend(row(x), tapes, row(htilde_prev), layer.attn)
+        _, weights = cells.intra_attend(row(x), tapes, row(htilde_prev), layer.attn)
         a = layer.attn
         ref_scores = oracles.intra_scores_ref(
             x, H, htilde_prev, a.v.data, a.w_h.data, a.w_x.data,
             a.w_htilde.data, a.bias.data)
-        np.testing.assert_allclose(attn.weights[0], oracles.softmax(ref_scores),
-                                   atol=1e-12)
+        np.testing.assert_allclose(weights[0], oracles.softmax(ref_scores), atol=1e-12)
 
     def test_empty_tape_rejected(self):
         rng = np.random.default_rng(10)
@@ -143,10 +140,10 @@ class TestLstmnStep:
                 w_x=Tensor(np.zeros((3, 2)), requires_grad=True),
                 w_htilde=Tensor(np.zeros((3, 2)), requires_grad=True)))
         tapes = Tapes()
-        state, attn = lstmn_step(row([1.0, -1.0]), tapes, Tensor(np.zeros((1, 2))), layer)
+        state, _, weights = lstmn_step(row([1.0, -1.0]), tapes, Tensor(np.zeros((1, 2))), layer)
         np.testing.assert_array_equal(state.h.data, np.zeros((1, 2)))
         np.testing.assert_array_equal(state.c.data, np.zeros((1, 2)))
-        assert attn.weights is None
+        assert weights is None
         assert len(tapes) == 1
 
     def test_second_step_equals_lstm_on_first_state(self):
@@ -157,11 +154,11 @@ class TestLstmnStep:
         tapes = Tapes()
         htp = Tensor(np.zeros((1, 3)))
         x1, x2 = row(rng.normal(size=2)), row(rng.normal(size=2))
-        s1, a1 = lstmn_step(x1, tapes, htp, layer)
-        s2, a2 = lstmn_step(x2, tapes, a1.summary, layer)
+        s1, summary1, _ = lstmn_step(x1, tapes, htp, layer)
+        s2, summary2, _ = lstmn_step(x2, tapes, summary1, layer)
         ref = lstm_step(x2, s1.hc, layer.gates)
         np.testing.assert_array_equal(s2.hc.data, ref.hc.data)
-        np.testing.assert_array_equal(a2.summary.data, s1.hc.data)
+        np.testing.assert_array_equal(summary2.data, s1.hc.data)
 
     def test_matches_naive_oracle_over_sequence(self):
         rng = np.random.default_rng(12)
@@ -172,14 +169,13 @@ class TestLstmnStep:
         H, C = [], []
         hp = np.zeros(3)
         for x in xs:
-            state, attn = lstmn_step(row(x), tapes, htilde, layer)
-            htilde = attn.summary
+            state, htilde, weights = lstmn_step(row(x), tapes, htilde, layer)
             h_ref, c_ref, w_ref, ht_ref, _ = oracles.lstmn_step_ref(
                 x, H, C, hp, **layer_ref_args(layer))
             np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
             np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
-            if attn.weights is not None:
-                np.testing.assert_allclose(attn.weights[0], w_ref, atol=1e-12)
+            if weights is not None:
+                np.testing.assert_allclose(weights[0], w_ref, atol=1e-12)
             H.append(h_ref)
             C.append(c_ref)
             hp = ht_ref
@@ -195,8 +191,7 @@ class TestLstmnStep:
             htilde = Tensor(np.zeros((1, 3)))
             total = None
             for x in xs:
-                state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
-                htilde = attn.summary
+                state, htilde, _ = lstmn_step(Tensor(x), tapes, htilde, layer)
                 term = ad.sum_all(ad.mul(state.h, state.h))
                 total = term if total is None else ad.add(total, term)
             return total
@@ -226,8 +221,7 @@ class TestLstmnStep:
         tapes = Tapes()
         htilde = Tensor(np.zeros((1, 2)))
         for t in range(6):
-            _, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
-            htilde = attn.summary
+            _, htilde, _ = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
             assert len(tapes) == t + 1
 
     def test_capacity_drops_oldest_slot(self):
@@ -242,8 +236,7 @@ class TestLstmnStep:
         hp = np.zeros(2)
         for t in range(6):
             x = rng.normal(size=2)
-            state, attn = lstmn_step(row(x), tapes, htilde, layer)
-            htilde = attn.summary
+            state, htilde, _ = lstmn_step(row(x), tapes, htilde, layer)
             h_ref, c_ref, _, ht_ref, _ = oracles.lstmn_step_ref(
                 x, H[-cap:], C[-cap:], hp, **layer_ref_args(layer))
             np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
@@ -266,16 +259,15 @@ class TestFusedTape:
         hp = [np.zeros(3) for _ in range(batch)]
         for _ in range(7):
             x = rng.normal(size=(batch, 2))
-            state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
-            htilde = attn.summary
+            state, htilde, weights = lstmn_step(Tensor(x), tapes, htilde, layer)
             for b in range(batch):
                 h_ref, c_ref, w_ref, ht_ref, ct_ref = oracles.lstmn_step_ref(
                     x[b], H[b][-cap:], C[b][-cap:], hp[b], **layer_ref_args(layer))
                 np.testing.assert_allclose(state.h.data[b], h_ref, atol=1e-12)
                 np.testing.assert_allclose(state.c.data[b], c_ref, atol=1e-12)
-                np.testing.assert_allclose(attn.summary.data[b, 3:], ct_ref, atol=1e-12)
-                if attn.weights is not None:
-                    np.testing.assert_allclose(attn.weights[b], w_ref, atol=1e-12)
+                np.testing.assert_allclose(htilde.data[b, 3:], ct_ref, atol=1e-12)
+                if weights is not None:
+                    np.testing.assert_allclose(weights[b], w_ref, atol=1e-12)
                 H[b].append(h_ref)
                 C[b].append(c_ref)
                 hp[b] = ht_ref
@@ -292,8 +284,7 @@ class TestFusedTape:
             zero_grad(params)
             htilde, total, hs = Tensor(np.zeros((2, 3))), None, []
             for x in xs:
-                state, attn = lstmn_step(Tensor(x), tapes, htilde, layer)
-                htilde = attn.summary
+                state, htilde, _ = lstmn_step(Tensor(x), tapes, htilde, layer)
                 hs.append(state.h.data.copy())
                 term = ad.sum_all(ad.mul(state.h, state.h))
                 total = term if total is None else ad.add(total, term)
@@ -316,8 +307,7 @@ class TestFusedTape:
             tapes = Tapes()
             htilde = Tensor(np.zeros((2, 3)))
             for _ in range(tape_len):
-                _, attn = lstmn_step(Tensor(rng.normal(size=(2, 2))), tapes, htilde, layer)
-                htilde = attn.summary
+                _, htilde, _ = lstmn_step(Tensor(rng.normal(size=(2, 2))), tapes, htilde, layer)
             x = Tensor(rng.normal(size=(2, 2)))
             before = Tensor(0.0)._nid
             lstmn_step(x, tapes, htilde, layer)
@@ -333,12 +323,12 @@ class TestAttentionSumInvariant:
         tapes = Tapes()
         htilde = Tensor(np.zeros((2, 4)))
         for t in range(6):
-            _, attn = lstmn_step(Tensor(rng.normal(size=(2, 3))), tapes, htilde, layer)
-            htilde = attn.summary
-            if attn.weights is not None:
-                sums = attn.weights.sum(axis=1)
+            x = Tensor(rng.normal(size=(2, 3)))
+            _, htilde, weights = lstmn_step(x, tapes, htilde, layer)
+            if weights is not None:
+                sums = weights.sum(axis=1)
                 np.testing.assert_allclose(sums, 1.0, atol=1e-9)
-                assert (attn.weights >= 0).all()
+                assert (weights >= 0).all()
 
     def test_summary_in_convex_hull_1d(self):
         # With hidden size 1 the convex hull is the [min, max] interval.
@@ -348,11 +338,10 @@ class TestAttentionSumInvariant:
         htilde = Tensor(np.zeros((1, 1)))
         hs = []
         for _ in range(5):
-            state, attn = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
-            if attn.weights is not None:
-                assert min(hs) - 1e-12 <= attn.summary.data[0, 0] <= max(hs) + 1e-12
+            state, htilde, weights = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
+            if weights is not None:
+                assert min(hs) - 1e-12 <= htilde.data[0, 0] <= max(hs) + 1e-12
             hs.append(state.h.data[0, 0])
-            htilde = attn.summary
 
 
 class TestStack:
@@ -365,8 +354,7 @@ class TestStack:
         t_direct = Tapes()
         ht_d = Tensor(np.zeros((1, 3)))
         for x, h in zip(xs, run.top_h):
-            s_d, a_d = lstmn_step(x, t_direct, ht_d, layer)
-            ht_d = a_d.summary
+            s_d, ht_d, _ = lstmn_step(x, t_direct, ht_d, layer)
             np.testing.assert_array_equal(h.data, s_d.h.data)
 
     def test_two_layers_zero_weights_zero_outputs(self):
@@ -427,15 +415,15 @@ class TestNonMarkovContrast:
         tapes = Tapes()
         htilde = Tensor(np.zeros((1, 3)))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
-        s1, a1 = lstmn_step(xs[0], tapes, htilde, layer)
-        s2, a2 = lstmn_step(xs[1], tapes, a1.summary, layer)
+        s1, summary1, _ = lstmn_step(xs[0], tapes, htilde, layer)
+        s2, summary2, _ = lstmn_step(xs[1], tapes, summary1, layer)
         leaf = Tensor(s1.h.data.copy(), requires_grad=True)
         rebuilt = Tapes()
         rebuilt.append(leaf, Tensor(s1.c.data.copy()), ad.linear(leaf, layer.attn.w_h))
         h2 = Tensor(s2.h.data.copy())
         rebuilt.append(h2, Tensor(s2.c.data.copy()), ad.linear(h2, layer.attn.w_h))
-        _, a3 = lstmn_step(xs[2], rebuilt, Tensor(a2.summary.data.copy()), layer)
-        s4, _ = lstmn_step(xs[3], rebuilt, a3.summary, layer)
+        _, summary3, _ = lstmn_step(xs[2], rebuilt, Tensor(summary2.data.copy()), layer)
+        s4, _, _ = lstmn_step(xs[3], rebuilt, summary3, layer)
         backward(ad.sum_all(s4.h), params=[leaf])
         assert np.abs(leaf.grad).max() > 1e-8
 
@@ -470,9 +458,8 @@ def test_float32_steps_stay_float32():
         tapes, summary, hc, total, blocks = Tapes(), None, zero_state(2, 3), None, []
         for _ in range(3):
             x = Tensor(rng.normal(size=(2, 2)))
-            state, attn = lstmn_step(x, tapes, summary, layer, transfer)
+            state, summary, _ = lstmn_step(x, tapes, summary, layer, transfer)
             hc = lstm_step(x, hc, lstm).hc
-            summary = attn.summary
             blocks += [summary, state.hc, hc]
             term = ad.add(ad.sum_all(ad.mul(state.h, state.h)), ad.sum_all(hc))
             total = term if total is None else ad.add(total, term)

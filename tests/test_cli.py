@@ -1,7 +1,9 @@
 """Config, workflow, and CLI tests."""
 
+import argparse
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -341,8 +343,8 @@ class TestRunEval:
 
 
 class TestDumpAttention:
-    def _trained(self, tmp_path):
-        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="0"))
+    def _trained(self, tmp_path, **extra):
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="0", **extra))
         result = train.run_train(cfg, str(tmp_path / "out"))
         return cfg, result.checkpoint_path
 
@@ -375,6 +377,13 @@ class TestDumpAttention:
         for total in sums.values():
             assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_capacity_window_rows_name_the_slots_read(self, tmp_path):
+        # With capacity 2, step t reads slots t-2 and t-1, not 1 and 2.
+        cfg, ckpt = self._trained(tmp_path, capacity="2")
+        lines = self._dump(tmp_path, cfg, ckpt, "f1 f2 f3 f4 f5")
+        slots = [tuple(int(v) for v in line.split("\t")[:2]) for line in lines[2:]]
+        assert slots == [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4)]
+
     def test_empty_input_rejected(self, tmp_path):
         cfg, ckpt = self._trained(tmp_path)
         inp = tmp_path / "empty.txt"
@@ -382,14 +391,14 @@ class TestDumpAttention:
         with pytest.raises(ConfigError, match="no input"):
             train.run_dump_attention(cfg, ckpt, str(inp), str(tmp_path / "o.tsv"))
 
-    def _seq2seq(self, tmp_path):
+    def _seq2seq(self, tmp_path, **extra):
         rng = np.random.default_rng(10)
         train_path = tmp_path / "pairs.tsv"
         synthetic.write_lines(train_path, synthetic.copy_pairs(rng, 40))
         cfg = build_config(overrides=dict(
             task="lm", model="seq2seq-deep", hidden="8", embedding="8",
             optimizer="adam", epochs="1", batch_size="4", seed="1",
-            train_data=str(train_path)))
+            train_data=str(train_path), **extra))
         return cfg, train.run_train(cfg, str(tmp_path / "out")).checkpoint_path
 
     def test_seq2seq_dump_has_inter_section(self, tmp_path):
@@ -398,6 +407,21 @@ class TestDumpAttention:
         inter_rows = [l for l in text.splitlines()
                       if l and l[0].isdigit()]
         assert inter_rows
+
+    def test_seq2seq_capacity_sections_name_the_slots_read(self, tmp_path):
+        # Intra windows end at slot t-1; inter-attention spans the source.
+        lines = self._dump(tmp_path, *self._seq2seq(tmp_path, capacity="2"),
+                           "s1 s2 s3\ts1 s2 s3 s4")
+        sections, name = {}, None
+        for line in lines:
+            if line.startswith("# section"):
+                name = line.split("\t")[1]
+            elif line[0].isdigit():
+                t, i, _ = line.split("\t")
+                sections.setdefault(name, []).append((int(t), int(i)))
+        assert sections["encoder-intra"] == [(2, 1), (3, 1), (3, 2)]
+        assert sections["intra"] == [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]
+        assert sections["inter"] == [(t, i) for t in range(1, 5) for i in (1, 2, 3)]
 
     def test_seq2seq_lm_dump_lowercases_like_its_pair_data(self, tmp_path):
         """sentence-pairs data is lowercased on load, so a seq2seq LM's
@@ -447,6 +471,23 @@ class TestCliMain:
         assert cli.main(args) == 1
         assert "log_every" in capsys.readouterr().err
         assert not out.exists() or os.listdir(out) == []
+
+    def test_bad_seed_is_one_error_line(self, capsys):
+        assert cli.main(["train", "--seed", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
+        assert err.strip().count("\n") == 0
+
+    def test_readme_fixed_flags_match_the_parser(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        listed = text.split("Fixed flags:", 1)[1].split("Any config key", 1)[0]
+        subparsers = next(a for a in cli._make_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {flag for sub in subparsers.choices.values()
+                 for flag in sub._option_string_actions if flag.startswith("--")}
+        assert set(re.findall(r"--\w+", listed)) == flags - {"--help"}
 
     def test_dangling_override_fails(self, capsys):
         assert cli.main(["train", "--hidden"]) == 1

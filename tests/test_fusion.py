@@ -76,7 +76,7 @@ class TestEncode:
         src, traces = encode([row(rng.normal(size=2))], enc)
         assert src.length == 1
         assert src.y.data.shape == (1, 1, 2)
-        assert traces[0].weights is None   # no attention at the first step
+        assert traces[0] is None   # no attention at the first step
 
     def test_zero_weights_zero_tapes(self):
         enc = cells.init_stack(np.random.default_rng(0), 1, 2, 2, 2)
@@ -125,21 +125,21 @@ class TestInterAttend:
         dec = fusion.init_decoder(rng, 2, 2, 3)   # u stays zero
         src = SourceTapes(y=Tensor(rng.normal(size=(1, 4, 2))),
                           a=Tensor(rng.normal(size=(1, 4, 2))))
-        out = read_source(row(rng.normal(size=2)), src,
-                          Tensor(np.zeros((1, 2))), dec.inter)
-        np.testing.assert_allclose(out.weights[0], np.full(4, 0.25), atol=1e-12)
+        _, _, weights = read_source(row(rng.normal(size=2)), src,
+                                    Tensor(np.zeros((1, 2))), dec.inter)
+        np.testing.assert_allclose(weights[0], np.full(4, 0.25), atol=1e-12)
 
     def test_singleton_source(self):
         rng = np.random.default_rng(33)
         dec = random_decoder(rng, 2, 2, 3)
         y = rng.normal(size=(1, 1, 2))
         a = rng.normal(size=(1, 1, 2))
-        out = read_source(row(rng.normal(size=2)),
-                          SourceTapes(y=Tensor(y), a=Tensor(a)),
-                          Tensor(np.zeros((1, 2))), dec.inter)
-        np.testing.assert_array_equal(out.weights, [[1.0]])
-        np.testing.assert_array_equal(out.gamma_tilde.data, y[:, 0])
-        np.testing.assert_array_equal(out.alpha_tilde.data, a[:, 0])
+        gamma_tilde, alpha_tilde, weights = read_source(
+            row(rng.normal(size=2)), SourceTapes(y=Tensor(y), a=Tensor(a)),
+            Tensor(np.zeros((1, 2))), dec.inter)
+        np.testing.assert_array_equal(weights, [[1.0]])
+        np.testing.assert_array_equal(gamma_tilde.data, y[:, 0])
+        np.testing.assert_array_equal(alpha_tilde.data, a[:, 0])
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(34)
@@ -148,13 +148,13 @@ class TestInterAttend:
         A = [rng.normal(size=3) for _ in range(3)]
         x, gprev = rng.normal(size=2), rng.normal(size=3)
         src = SourceTapes(y=Tensor(np.stack(Y)[None]), a=Tensor(np.stack(A)[None]))
-        out = read_source(row(x), src, row(gprev), dec.inter)
+        gamma_tilde, alpha_tilde, weights = read_source(row(x), src, row(gprev), dec.inter)
         w = dec.inter
         p_ref, g_ref, a_ref = oracles.inter_attend_ref(
             x, Y, A, gprev, w.u.data, w.w_gamma.data, w.w_x.data, w.w_gammatilde.data)
-        np.testing.assert_allclose(out.weights[0], p_ref, atol=1e-12)
-        np.testing.assert_allclose(out.gamma_tilde.data[0], g_ref, atol=1e-12)
-        np.testing.assert_allclose(out.alpha_tilde.data[0], a_ref, atol=1e-12)
+        np.testing.assert_allclose(weights[0], p_ref, atol=1e-12)
+        np.testing.assert_allclose(gamma_tilde.data[0], g_ref, atol=1e-12)
+        np.testing.assert_allclose(alpha_tilde.data[0], a_ref, atol=1e-12)
 
     def test_masked_source_slots_get_zero_weight(self):
         rng = np.random.default_rng(35)
@@ -162,10 +162,10 @@ class TestInterAttend:
         src = SourceTapes(y=Tensor(rng.normal(size=(2, 3, 2))),
                           a=Tensor(rng.normal(size=(2, 3, 2))),
                           mask=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]))
-        out = read_source(Tensor(rng.normal(size=(2, 2))), src,
-                          Tensor(np.zeros((2, 2))), dec.inter)
-        assert out.weights[0, 2] == 0.0
-        np.testing.assert_allclose(out.weights.sum(axis=1), 1.0, atol=1e-9)
+        _, _, weights = read_source(Tensor(rng.normal(size=(2, 2))), src,
+                                    Tensor(np.zeros((2, 2))), dec.inter)
+        assert weights[0, 2] == 0.0
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
 
     def test_padded_source_matches_oracle_on_unpadded_slots(self):
@@ -175,17 +175,17 @@ class TestInterAttend:
         lengths = [2, 4]
         mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
         x, gprev = rng.normal(size=(2, 2)), rng.normal(size=(2, 3))
-        out = read_source(Tensor(x), SourceTapes(y=Tensor(y), a=Tensor(a), mask=mask),
-                          Tensor(gprev), dec.inter)
+        gamma_tilde, alpha_tilde, weights = read_source(
+            Tensor(x), SourceTapes(y=Tensor(y), a=Tensor(a), mask=mask), Tensor(gprev), dec.inter)
         w = dec.inter
         for b, n in enumerate(lengths):
             p_ref, g_ref, a_ref = oracles.inter_attend_ref(
                 x[b], list(y[b, :n]), list(a[b, :n]), gprev[b], w.u.data,
                 w.w_gamma.data, w.w_x.data, w.w_gammatilde.data)
-            np.testing.assert_allclose(out.weights[b, :n], p_ref, atol=1e-12)
-            np.testing.assert_array_equal(out.weights[b, n:], 0.0)
-            np.testing.assert_allclose(out.gamma_tilde.data[b], g_ref, atol=1e-12)
-            np.testing.assert_allclose(out.alpha_tilde.data[b], a_ref, atol=1e-12)
+            np.testing.assert_allclose(weights[b, :n], p_ref, atol=1e-12)
+            np.testing.assert_array_equal(weights[b, n:], 0.0)
+            np.testing.assert_allclose(gamma_tilde.data[b], g_ref, atol=1e-12)
+            np.testing.assert_allclose(alpha_tilde.data[b], a_ref, atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
         rng = np.random.default_rng(48)
@@ -209,10 +209,15 @@ class TestDeepDecode:
             t.data[...] = 0.0
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.zeros((1, 2, 2))))
         decoder = DecoderState(src, dec, "deep")
-        _, _, inter = decoder.step(row([0.7, -0.3]))
-        np.testing.assert_allclose(inter.gate.data, np.full((1, 2), 0.5))
+        decoder.step(row([0.7, -0.3]))
         np.testing.assert_array_equal(decoder.state.c.data, np.zeros((1, 2)))
         np.testing.assert_array_equal(decoder.state.h.data, np.zeros((1, 2)))
+        # A unit source memory gives alpha~ = 1, and c-hat = tanh(0) = 0,
+        # so c = r * alpha~ is the gate itself.
+        src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.ones((1, 2, 2))))
+        decoder = DecoderState(src, dec, "deep")
+        decoder.step(row([0.7, -0.3]))
+        np.testing.assert_allclose(decoder.state.c.data, np.full((1, 2), 0.5))
 
     def test_first_step_singleton_source_closed_form(self):
         # Empty target tape kills the intra terms: c = r*alpha_1 + i*c-hat.
@@ -244,6 +249,8 @@ class TestDeepDecode:
         for x in xs:
             _, _, inter = decoder.step(row(x))
             state = decoder.state
+            # c_ref = r_ref * a_ref + f * c~ + i * c-hat: the c check pins
+            # the transfer gate r.
             h_ref, c_ref, w_ref, p_ref, r_ref, ht_ref, g_ref, a_ref = \
                 oracles.deep_decode_step_ref(
                     x, H, C, hp, Y, A, gp,
@@ -254,8 +261,7 @@ class TestDeepDecode:
                     dec.inter.w_gammatilde.data, dec.inter.w_r.data)
             np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
             np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
-            np.testing.assert_allclose(inter.weights[0], p_ref, atol=1e-12)
-            np.testing.assert_allclose(inter.gate.data[0], r_ref, atol=1e-12)
+            np.testing.assert_allclose(inter[0], p_ref, atol=1e-12)
             H.append(h_ref)
             C.append(c_ref)
             hp, gp = ht_ref, g_ref
@@ -312,11 +318,10 @@ class TestShallowDecode:
         ht_r = Tensor(np.zeros((1, 3)))
         decoder = DecoderState(src, dec, "shallow")
         for x in xs:
-            s_ref, a_ref = cells.lstmn_step(x, t_ref, ht_r, dec.cell)
+            s_ref, ht_r, _ = cells.lstmn_step(x, t_ref, ht_r, dec.cell)
             decoder.step(x)
             np.testing.assert_array_equal(decoder.state.h.data, s_ref.h.data)
             np.testing.assert_array_equal(decoder.state.c.data, s_ref.c.data)
-            ht_r = a_ref.summary
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(43)
@@ -343,9 +348,15 @@ class TestShallowDecode:
 
 class TestFusionIdentities:
     def _run_deep(self, dec, src, xs):
-        run = run_decoder(xs, src, dec, "deep")
-        return (np.stack([h.data for h in run.outputs]),
-                np.stack([(inter.gate.data * inter.alpha_tilde.data) for inter in run.inter]))
+        """Every step's h and c: a zero transfer term r * a~ leaves c
+        bit-equal to the update without it."""
+        decoder = DecoderState(src, dec, "deep", length=len(xs))
+        hs, cs = [], []
+        for x in xs:
+            decoder.step(x)
+            hs.append(decoder.state.h.data)
+            cs.append(decoder.state.c.data)
+        return np.stack(hs), np.stack(cs)
 
     def test_zero_source_memory_reproduces_plain_decoder(self):
         # A zero source memory a makes a~ and the transfer term r * a~
@@ -355,15 +366,15 @@ class TestFusionIdentities:
         dec = random_decoder(rng, 3, 2, 2)
         src = SourceTapes(y=Tensor(rng.normal(size=(1, 3, 3))), a=Tensor(np.zeros((1, 3, 3))))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
-        deep_hs, transfers = self._run_deep(dec, src, xs)
-        assert np.all(transfers == 0.0)
+        deep_hs, deep_cs = self._run_deep(dec, src, xs)
         tapes = Tapes()
         ht = Tensor(np.zeros((1, 3)))
-        plain_hs = []
+        plain_hs, plain_cs = [], []
         for x in xs:
-            state, attn = cells.lstmn_step(x, tapes, ht, dec.cell)
-            ht = attn.summary
+            state, ht, _ = cells.lstmn_step(x, tapes, ht, dec.cell)
             plain_hs.append(state.h.data.copy())
+            plain_cs.append(state.c.data.copy())
+        np.testing.assert_array_equal(deep_cs, np.stack(plain_cs))
         np.testing.assert_array_equal(deep_hs, np.stack(plain_hs))
 
     def test_deep_equals_shallow_when_transfer_zero_and_context_severed(self):
@@ -371,12 +382,15 @@ class TestFusionIdentities:
         dec = random_decoder(rng, 3, 2, 2)
         src = SourceTapes(y=Tensor(rng.normal(size=(1, 4, 3))), a=Tensor(np.zeros((1, 4, 3))))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
-        deep_hs, transfers = self._run_deep(dec, src, xs)
-        assert np.all(transfers == 0.0)
-        run = run_decoder(xs, src, dec, "shallow")
-        # Sever the context path: compare only the h half of each output.
-        shallow_hs = np.stack([out.data[:, :3] for out in run.outputs])
-        np.testing.assert_array_equal(deep_hs, shallow_hs)
+        deep_hs, deep_cs = self._run_deep(dec, src, xs)
+        shallow = DecoderState(src, dec, "shallow")
+        shallow_hs, shallow_cs = [], []
+        for x in xs:
+            # Sever the context path: keep only the h half of each output.
+            shallow_hs.append(shallow.step(x)[0].data[:, :3])
+            shallow_cs.append(shallow.state.c.data)
+        np.testing.assert_array_equal(deep_cs, np.stack(shallow_cs))
+        np.testing.assert_array_equal(deep_hs, np.stack(shallow_hs))
 
     def test_inter_distribution_over_m_slots_every_step(self):
         rng = np.random.default_rng(45)
@@ -385,8 +399,7 @@ class TestFusionIdentities:
         src, _ = encode([Tensor(rng.normal(size=(2, 2))) for _ in range(4)], enc)
         run = run_decoder([Tensor(rng.normal(size=(2, 2))) for _ in range(5)],
                           src, dec, "deep")
-        for inter in run.inter:
-            assert inter.weights.shape == (2, 4)
-            np.testing.assert_allclose(inter.weights.sum(axis=1), 1.0, atol=1e-9)
-            assert (inter.weights >= 0).all()
-            assert ((inter.gate.data > 0) & (inter.gate.data < 1)).all()
+        for weights in run.inter:
+            assert weights.shape == (2, 4)
+            np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
+            assert (weights >= 0).all()

@@ -515,8 +515,8 @@ class TestClassifierModels:
 def trace_bytes(traces: dict) -> dict:
     """Each attention stream's per-step weights, as bytes (None where a
     step has no distribution)."""
-    return {name: [None if getattr(t, "weights", None) is None else t.weights.tobytes()
-                   for t in stream] for name, stream in traces.items()}
+    return {name: [None if w is None else w.tobytes() for w in stream]
+            for name, stream in traces.items()}
 
 
 class TestNoGradEntryPoints:
