@@ -38,7 +38,11 @@ weights and output gradient in the read log that the chain of writes
 shares, sized to the reads the forward counted; each write's backward
 then adds the value gradient of its slots, sum_r weights_r g_r, as one
 batched product over the log.  Every loss ends in ``affine_nll``, the
-output affine map and softmax NLL in one node over the rows it is given.
+output affine map and softmax NLL in one node over the rows it is given;
+its weight gradient comes in the weight's own memory layout, so the
+column-major output projection (``heads.OutputProjection``) gets a
+column-major gradient.  Every other parameter, and so its gradient, is
+row-major.
 Batches of variable-length rows are packed, and only the kernels keep
 the row-prefix rule: rows sorted longest first, step t's tensors hold
 the B_t live rows, B_t never growing.  An operand carried from an
@@ -666,8 +670,9 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
 
 
 def sum_all(x: Tensor) -> Tensor:
-    return _make(np.asarray(x.data.sum()), (x,),
-                 lambda g: (np.broadcast_to(g, x.data.shape).copy(),), "sum_all")
+    """Sum of every entry; x's gradient comes in x's own memory layout."""
+    return _make(np.asarray(x.data.sum()), (x,), lambda g: (np.full_like(x.data, g),),
+                 "sum_all")
 
 
 def lookup(table: Tensor, idx) -> Tensor:
@@ -690,7 +695,14 @@ def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
     Returns (nll, hits); ``hits`` is a boolean (N,) record outside the
     graph, true where the target is the row's argmax.  One (N, V) buffer
     holds the logits, then their exponentials, then the backward's
-    softmax minus one-hot.  A NaN/Inf logit raises ``NonFiniteError``.
+    g (softmax minus one-hot), scaled in one pass.  A NaN/Inf logit raises
+    ``NonFiniteError``.
+
+    W's gradient comes in W's own layout: it is formed into a buffer laid
+    out like W, so a column-major W (``heads.OutputProjection``) gets the
+    product BLAS forms fastest, hᵀz, and a row-major W exactly the
+    product zᵀh.  h's gradient is formed as (Wᵀzᵀ)ᵀ, which is faster for
+    a column-major W, and comes back row-major.
     """
     hd, wd = h.data, w.data
     if hd.ndim != 2 or wd.ndim != 2 or hd.shape[1] != wd.shape[1] or \
@@ -719,10 +731,11 @@ def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
     nll = float((np.log(total) + m - picked).sum())
 
     def bwd(g):
-        np.divide(z, total[:, None], out=z)
-        z[rows, targets] -= 1.0
-        np.multiply(z, float(g), out=z)
-        return z @ wd, z.T @ hd, z.sum(axis=0)
+        g = float(g)
+        np.multiply(z, (g / total)[:, None], out=z)
+        z[rows, targets] -= g
+        gh = np.ascontiguousarray(np.matmul(wd.T, z.T).T)
+        return gh, np.matmul(z.T, hd, out=np.empty_like(wd)), z.sum(axis=0)
 
     return _make(np.asarray(nll), (h, w, b), bwd, "affine_nll"), hits
 
@@ -798,17 +811,17 @@ def grad_check(loss_fn, params, fd_step: float = 1e-5,
 
     entries = []
     for name, t in items:
-        flat = t.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + fd_step
+        # Each entry is perturbed in place, in the tensor's own array and
+        # whatever its memory layout, so every perturbation reaches it.
+        numeric = np.zeros_like(t.data)
+        for i in np.ndindex(t.data.shape):
+            orig = t.data[i]
+            t.data[i] = orig + fd_step
             hi = float(loss_fn().data)
-            flat[i] = orig - fd_step
+            t.data[i] = orig - fd_step
             lo = float(loss_fn().data)
-            flat[i] = orig
+            t.data[i] = orig
             numeric[i] = (hi - lo) / (2.0 * fd_step)
-        numeric = numeric.reshape(t.data.shape)
         a = analytic[name]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), floor)
         rel = float((np.abs(a - numeric) / denom).max()) if a.size else 0.0

@@ -43,7 +43,10 @@ def load_checkpoint(path: str) -> dict:
 
 
 def load_into(params: dict, path: str) -> None:
-    """Copy checkpoint arrays into the model's parameter tensors."""
+    """Copy checkpoint arrays into the model's parameter tensors, each in
+    the tensor's own memory layout.  Nothing is written unless every
+    tensor is present, of the model's shape and finite; a NaN/Inf is
+    refused with the tensor named."""
     stored = load_checkpoint(path)
     missing = sorted(set(params) - set(stored))
     if missing:
@@ -56,5 +59,7 @@ def load_into(params: dict, path: str) -> None:
             raise CheckpointError(
                 f"tensor {name!r}: checkpoint shape {stored[name].shape} "
                 f"!= model shape {tensor.data.shape}")
+        if not np.all(np.isfinite(stored[name])):
+            raise CheckpointError(f"tensor {name!r}: checkpoint {path} holds non-finite values")
     for name, tensor in params.items():
         tensor.data[...] = stored[name]

@@ -13,8 +13,10 @@ from .config import ConfigError
 def global_grad_norm(params) -> float:
     """L2 norm over all gradients; raises on NaN/Inf.  When finite
     gradients' squares overflow, the norm is taken again over the
-    gradients divided by their largest magnitude, so it stays finite."""
-    grads = [p.grad.reshape(-1) for p in params if p.grad is not None]
+    gradients divided by their largest magnitude, so it stays finite.
+    Each gradient is read as a flat view in its own memory order, so a
+    column-major one is not copied."""
+    grads = [p.grad.ravel(order="K") for p in params if p.grad is not None]
     with np.errstate(over="ignore"):
         total = sum(float(g @ g) for g in grads)
     if np.isfinite(total):

@@ -364,6 +364,7 @@ def _kernel_cases():
                      "v": v_att}
     slot_h, slot_k = [t(2, 3) for _ in range(3)], [t(2, 2) for _ in range(3)]
     nll_w, nll_b = t(5, 3), t(5)
+    nll_wf = Tensor(np.asfortranarray(t(5, 3).data), requires_grad=True)
     # Gate cell with h = 3 over a (2, 6) [rec | carried] block and a
     # 2-wide input; a random readout weighs both halves of [h | c].
     g_state, g_x, g_w, g_bias, g_transfer = t(2, 6), t(2, 2), t(12, 5), t(12), t(2, 3)
@@ -512,6 +513,10 @@ def _kernel_cases():
         # Four rows, one target repeated.
         "affine_nll": ({"h": nll_h, "W": nll_w, "b": nll_b},
                        lambda: ad.affine_nll(nll_h, nll_w, nll_b, np.array([1, 4, 1, 0]))[0]),
+        # The output projection's layout: W stored column-major.
+        "affine_nll_column_major_W": (
+            {"h": nll_h, "W": nll_wf, "b": nll_b},
+            lambda: ad.affine_nll(nll_h, nll_wf, nll_b, np.array([1, 4, 1, 0]))[0]),
     }
     return cases
 
@@ -997,3 +1002,41 @@ def test_affine_nll_nonfinite_logit_raises():
     with pytest.raises(NonFiniteError, match="affine_nll"), \
             pytest.warns(RuntimeWarning, match="overflow"):
         ad.affine_nll(h, w, Tensor(np.zeros(2)), np.array([1]))
+
+
+def _affine_nll_grads(h, w, b, targets, scale):
+    """(h, W) gradients of ``scale`` times ``affine_nll``'s NLL."""
+    ht, wt = Tensor(h, requires_grad=True), Tensor(w, requires_grad=True)
+    backward(ad.mul(ad.affine_nll(ht, wt, Tensor(b, requires_grad=True), targets)[0], scale))
+    return ht.grad, wt.grad
+
+
+def test_affine_nll_weight_gradient_comes_in_the_weight_layout():
+    rng = np.random.default_rng(12)
+    h, w, b = rng.normal(size=(6, 4)), rng.normal(size=(9, 4)), rng.normal(size=9)
+    targets = np.array([1, 8, 0, 3, 3, 5])
+    gh_c, gw_c = _affine_nll_grads(h, w, b, targets, 0.25)
+    gh_f, gw_f = _affine_nll_grads(h, np.asfortranarray(w), b, targets, 0.25)
+    assert gw_c.flags.c_contiguous and not gw_c.flags.f_contiguous
+    assert gw_f.flags.f_contiguous and not gw_f.flags.c_contiguous
+    assert gh_c.flags.c_contiguous and gh_f.flags.c_contiguous
+    np.testing.assert_allclose(gw_f, gw_c, rtol=1e-12)
+    np.testing.assert_allclose(gh_f, gh_c, rtol=1e-12)
+
+
+def test_affine_nll_row_major_weight_gradient_is_the_plain_product():
+    # A row-major W (the classifier heads) gets exactly z.T @ h of the
+    # backward's (N, V) buffer z = g (softmax - one-hot), rebuilt here in
+    # the kernel's own operation order.
+    rng = np.random.default_rng(13)
+    h, w, b = rng.normal(size=(7, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)
+    targets, g = np.array([0, 3, 3, 1, 2, 0, 1]), 0.125
+    _, gw = _affine_nll_grads(h, w, b, targets, g)
+    rows = np.arange(len(targets))
+    z = h @ w.T
+    z += b
+    z -= z.max(axis=1)[:, None]
+    np.exp(z, out=z)
+    np.multiply(z, (g / z.sum(axis=1))[:, None], out=z)
+    z[rows, targets] -= g
+    np.testing.assert_array_equal(gw, z.T @ h)

@@ -341,6 +341,35 @@ class TestRunEval:
         with pytest.raises(CheckpointError, match="layer1.W"):
             load_into(model.params(), result.checkpoint_path)
 
+    def test_row_major_checkpoint_loads_into_column_major_output(self, tmp_path):
+        # A checkpoint fixes each tensor's name and shape, not its memory
+        # order: one of row-major arrays only (as written before the output
+        # projection was stored column-major) evaluates the same.
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="0"))
+        result = train.run_train(cfg, str(tmp_path / "out"))
+        stored = load_checkpoint(result.checkpoint_path)
+        row_major = str(tmp_path / "out" / "row_major.npz")
+        np.savez(row_major, **{n: np.ascontiguousarray(a) for n, a in stored.items()})
+        assert train.run_eval(cfg, row_major) == train.run_eval(cfg, result.checkpoint_path)
+        w = train._rebuild(cfg, row_major)[0].params()["output.W"].data
+        assert w.flags.f_contiguous and not w.flags.c_contiguous
+        np.testing.assert_array_equal(w, stored["output.W"])
+
+    def test_nonfinite_checkpoint_refused_before_any_write(self, tmp_path):
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="0"))
+        result = train.run_train(cfg, str(tmp_path / "out"))
+        stored = load_checkpoint(result.checkpoint_path)
+        stored["output.W"][3, 1] = np.nan
+        bad = str(tmp_path / "bad.npz")
+        np.savez(bad, **stored)
+        vocab = Vocabulary.load(tmp_path / "out" / "vocab.txt")
+        params = models.build_model(cfg, vocab, np.random.default_rng(5)).params()
+        before = {n: t.data.copy() for n, t in params.items()}
+        with pytest.raises(CheckpointError, match="'output.W'.*non-finite"):
+            load_into(params, bad)
+        for name, t in params.items():
+            np.testing.assert_array_equal(t.data, before[name])
+
 
 class TestDumpAttention:
     def _trained(self, tmp_path, **extra):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lstmn import autodiff as ad
-from lstmn import models, optim
+from lstmn import models, optim, train
 from lstmn.cells import TapeError
 from lstmn.config import ConfigError, build_config
 from lstmn.data import Batch, Vocabulary
@@ -676,3 +676,53 @@ class TestFloat32:
         narrow = self._run(task, model_name, np.float32, monkeypatch)
         assert np.all(np.isfinite(narrow))
         np.testing.assert_allclose(narrow, wide, rtol=FLOAT32_RTOL)
+
+
+class TestWeightLayout:
+    """The output projection's W is stored column-major.  Through a
+    ``run_train`` step every gradient, and Adam's moments, keep their
+    parameter's memory layout, so no step copies a weight into the other
+    order."""
+
+    CASES = {
+        "lm-sgd-l2": (np.float64, dict(model="lstmn", l2=1e-3)),
+        "seq2seq-deep-adam": (np.float64, dict(model="seq2seq-deep", optimizer="adam",
+                                               capacity=2)),
+        "sentiment": (np.float64, dict(task="sentiment", model="lstmn-stack", layers=2)),
+        "lm-float32": (np.float32, dict(model="lstmn-stack", layers=2)),
+    }
+
+    @staticmethod
+    def layout(a: np.ndarray) -> tuple:
+        return a.flags.c_contiguous, a.flags.f_contiguous
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_train_step_keeps_every_layout(self, case):
+        dtype, overrides = self.CASES[case]
+        vocab = make_vocab()
+        cfg = cfg_for(**overrides)
+        ad.set_default_dtype(dtype)
+        try:
+            model = models.build_model(cfg, vocab, np.random.default_rng(41))
+            if model.mode:
+                batch = TestSeq2Seq().pair_batch(vocab, [["w0", "w1", "w2"], ["w4"]],
+                                                 [["w2", "w3"], ["w5", "w0", "w1"]])
+            else:
+                batch = lm_batch(vocab, [["w0", "w1", "w2", "w3"], ["w5", "w1"]])
+            if cfg.task == "sentiment":
+                batch.labels = np.array([1, 0])
+            params = model.params()
+            tensors = list(params.values())
+            opt = optim.Sgd(tensors, lr=cfg.lr) if cfg.optimizer == "sgd" else \
+                optim.Adam(tensors, lr=cfg.lr)
+            train._train_step(cfg, model, tensors, opt, batch, 1, np.random.default_rng(0))
+        finally:
+            ad.set_default_dtype(np.float64)
+        if cfg.task == "lm":
+            w = params["output.W"].data
+            assert w.dtype == dtype and self.layout(w) == (False, True)
+        for name, p in params.items():
+            assert self.layout(p.grad) == self.layout(p.data), name
+        if isinstance(opt, optim.Adam):
+            for p, m, v in zip(tensors, opt.m, opt.v):
+                assert self.layout(m) == self.layout(v) == self.layout(p.data)

@@ -1,5 +1,6 @@
 """Optimizer and training-mechanics tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -88,6 +89,22 @@ class TestRenorm:
         renorm_gradients(params, 5.0)
         assert params[0].grad[0] == pytest.approx(5.0, rel=1e-12)
         assert global_grad_norm(params) == pytest.approx(5.0, rel=1e-12)
+
+    def test_column_major_gradient_is_read_in_place(self):
+        # The output projection's gradient is column-major; the norm reads
+        # it where it lies, with no copy of its size.
+        grad = np.asfortranarray(np.random.default_rng(72).normal(size=(300, 200)))
+        params = params_with_grads([np.ones(3)])
+        params[0].grad = grad
+        expected = global_grad_norm(params_with_grads([np.ascontiguousarray(grad)]))
+        tracemalloc.start()
+        try:
+            norm = global_grad_norm(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm == pytest.approx(expected, rel=1e-12)
+        assert peak < grad.nbytes / 10
 
     @pytest.mark.parametrize("dtype,top", [(np.float64, 1e200), (np.float32, 1e20)])
     def test_overflowing_squares_are_measured_rescaled_not_zeroed(self, dtype, top):
