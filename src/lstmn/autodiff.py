@@ -18,20 +18,25 @@ as it has run, and a later backward that reaches it is a
 ``GraphStateError``.
 
 The kernel set is small, one kernel per job: ``add`` (same shapes),
-``mul``, ``sigmoid``, ``relu``, ``sum_all``, ``concat``, ``slice_cols``
-(last axis), ``linear`` (the one affine map: optional bias, any leading
-axes), ``lookup``, ``attend`` (per-step slots under constant weights),
+``mul``, ``relu``, ``sum_all``, ``concat``, ``slice_cols`` (last axis),
+``linear`` (the one affine map: optional bias, any leading axes),
+``lookup``, ``attend`` (per-step slots under constant weights),
 ``gate_cell``, ``tape_write``, ``tape_attend`` and ``affine_nll``.
 Shapes are batch-first: (B, n) per step, (B, T, n) for tape slots.  A
 recurrent cell's state is one (B, 2h) block [h | c]: ``gate_cell`` maps
 such a block (the LSTM's [h_{t-1} | c_{t-1}] or a tape summary
 [h~ | c~]) and the step input to the next [h | c] in one node, gate
-block and memory update together.  A memory tape is one (B, T, n)
-buffer that ``tape_write`` allocates, grows and writes in place, one
-slot per step or several slots at once (the source that inter-attention
-reads); ``tape_attend`` reads a window of it in one node (its attention
-weights a plain array), so a recurrent step adds a fixed number of
-nodes however long the tape.  ``tape_attend`` reads only tapes: a
+block and memory update together, and with deep fusion's
+inter-attention summary [g~ | a~] it forms the transfer gate and its
+memory term in the same node.  Each kernel pays a fixed cost per call
+that dominates at B = 1 (greedy decoding), so the kernels call the
+ufunc reductions directly and write their nonlinearities in place.
+
+A memory tape is one (B, T, n) buffer that ``tape_write`` allocates,
+grows and writes in place, one slot per step or several slots at once
+(the source that inter-attention reads); ``tape_attend`` reads a
+window of it in one node (its attention weights a plain array), so a
+recurrent step adds a fixed number of nodes however long the tape.  ``tape_attend`` reads only tapes: a
 memory that no ``tape_write`` made is a ``TapeError``.  A read's
 backward returns the gradient of the key columns only and records its
 weights and output gradient in the read log that the chain of writes
@@ -46,8 +51,8 @@ row-major.
 Batches of variable-length rows are packed, and only the kernels keep
 the row-prefix rule: rows sorted longest first, step t's tensors hold
 the B_t live rows, B_t never growing.  An operand carried from an
-earlier step (a tape, ``gate_cell``'s state, ``tape_attend``'s prev)
-may have more rows: the kernel reads its first B_t and returns its
+earlier step (a tape, ``gate_cell``'s state and inter-attention
+summary, ``tape_attend``'s prev) may have more rows: the kernel reads its first B_t and returns its
 gradient as a row-prefix ``Partial``; fewer rows is an error.
 
 Inside a ``no_grad()`` block no graph is recorded: every node is made
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -72,6 +78,10 @@ import numpy as np
 MASK_FILL = -1e30
 
 _node_ids = itertools.count()
+
+# The reductions the kernels call on every node, bound once: the ufunc
+# methods themselves, without ``ndarray.sum``'s and ``.max``'s wrappers.
+_sum, _max = np.add.reduce, np.maximum.reduce
 
 _default_dtype = np.float64
 
@@ -123,7 +133,7 @@ def _finite(arr: np.ndarray, op: str) -> np.ndarray:
     # Every new tensor and kernel output passes this screen.  Single
     # pass: any NaN/Inf makes the sum non-finite.  (A sum
     # overflowing on finite inputs would need ~1e308 values.)
-    if not np.isfinite(arr.sum()):
+    if not math.isfinite(_sum(arr, None)):
         if np.all(np.isfinite(arr)):
             return arr
         raise NonFiniteError(f"{op} produced non-finite values")
@@ -372,53 +382,72 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _make(x.data[cols].copy(), (x,), lambda g: (Partial(cols, g),), "slice_cols")
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    # Clip-free stable form: 0.5 * (1 + tanh(x/2)).
-    out = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-    return _make(out, (x,), lambda g: (g * out * (1.0 - out),), "sigmoid")
+def _sigmoid_(z: np.ndarray) -> np.ndarray:
+    """z becomes sigmoid(z) in place, in the clip-free stable form
+    0.5 * (1 + tanh(z / 2)); seeded runs depend on its rounding."""
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
-              transfer: Optional[Tensor] = None) -> Tensor:
-    """The LSTM gate block and memory update in one node.
+              inter: Optional[Tensor] = None, w_r: Optional[Tensor] = None) -> Tensor:
+    """The LSTM gate block and memory update in one node, with deep
+    fusion's transfer term when ``inter`` and ``w_r`` are given.
 
     ``state`` (>= B, 2h) is [rec | carried], read in its first B rows,
     ``x`` (B, in) the step input,
-    ``w`` (4h, h + in) the gate rows in (i, f, o, c-hat) order, ``bias``
-    (4h,) and ``transfer`` (B, h) an extra memory term:
+    ``w`` (4h, h + in) the gate rows in (i, f, o, c-hat) order and ``bias``
+    (4h,).  ``inter`` (>= B, 2h) is the inter-attention summary block
+    [g~ | a~], read like ``state``, and ``w_r`` (h, h + in) the transfer
+    gate over [g~, x]:
 
         i, f, o = sigmoid(z), c-hat = tanh(z)   with z = w [rec, x] + bias
-        c = (transfer + f * carried) + i * c-hat
+        c = f * carried + i * c-hat             (plain)
+        c = (r * a~ + f * carried) + i * c-hat  with r = sigmoid(w_r [g~, x])
         h = o * tanh(c)
 
-    Returns [h | c] (B, 2h).  The sigmoid is ``sigmoid``'s
-    0.5 (1 + tanh(z / 2)) and c sums in the order written; seeded runs
-    depend on both.
+    Returns [h | c] (B, 2h).  Every sigmoid is 0.5 (1 + tanh(z / 2)), and
+    c sums in the order written; seeded runs depend on both.
     """
     sd, xd, wd = state.data, x.data, w.data
     hid = wd.shape[0] // 4
     batch = xd.shape[0] if xd.ndim == 2 else -1
+    deep = inter is not None or w_r is not None
     if sd.ndim != 2 or wd.ndim != 2 or wd.shape[0] != 4 * hid or sd.shape[1] != 2 * hid or \
             sd.shape[0] < batch or xd.shape != (batch, wd.shape[1] - hid) or \
             bias.data.shape != (4 * hid,) or \
-            (transfer is not None and transfer.data.shape != (batch, hid)):
+            (deep and (inter is None or w_r is None or inter.data.ndim != 2 or
+                       inter.data.shape[0] < batch or inter.data.shape[1] != 2 * hid or
+                       w_r.data.shape != (hid, wd.shape[1]))):
         raise ShapeMismatchError(
             f"gate_cell: state {sd.shape}, x {xd.shape}, W {wd.shape}, bias {bias.data.shape}, "
-            f"transfer {transfer if transfer is None else transfer.data.shape} do not conform")
+            f"inter {inter if inter is None else inter.data.shape}, "
+            f"W_r {w_r if w_r is None else w_r.data.shape} do not conform")
     cut, sd = sd.shape[0] > batch, sd[:batch]
     carried = sd[:, hid:]
     inp = np.concatenate([sd[:, :hid], xd], axis=1)
     z = inp @ wd.T
     z += bias.data
-    gates = 0.5 * (1.0 + np.tanh(0.5 * z[:, :3 * hid]))
+    gates, chat = _sigmoid_(z[:, :3 * hid]), z[:, 3 * hid:]
+    np.tanh(chat, out=chat)
     i, f, o = gates[:, :hid], gates[:, hid:2 * hid], gates[:, 2 * hid:]
-    chat = np.tanh(z[:, 3 * hid:])
-    c = f * carried
-    if transfer is not None:
-        c = transfer.data + c
+    out = np.empty((batch, 2 * hid), dtype=z.dtype)
+    h, c = out[:, :hid], out[:, hid:]
+    if deep:
+        icut, idata = inter.data.shape[0] > batch, inter.data[:batch]
+        alpha, wrd = idata[:, hid:], w_r.data
+        inp_r = np.concatenate([idata[:, :hid], xd], axis=1)
+        r = _sigmoid_(inp_r @ wrd.T)
+        np.multiply(r, alpha, out=c)
+        c += f * carried
+    else:
+        np.multiply(f, carried, out=c)
     c += i * chat
     tanh_c = np.tanh(c)
-    out = np.concatenate([o * tanh_c, c], axis=1)
+    np.multiply(o, tanh_c, out=h)
 
     def bwd(g):
         gh = g[:, :hid]
@@ -428,11 +457,17 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
                             axis=1)
         ginp = gz @ wd
         gstate = np.concatenate([ginp[:, :hid], dc * f], axis=1)
-        grads = (Partial((slice(0, batch),), gstate) if cut else gstate, ginp[:, hid:],
-                 Outer(gz, inp), gz.sum(axis=0))
-        return grads if transfer is None else grads + (dc,)
+        gx, rows, transfer = ginp[:, hid:], (slice(0, batch),), ()
+        if deep:
+            gzr = dc * alpha * r * (1.0 - r)
+            ginp_r = gzr @ wrd
+            gx = gx + ginp_r[:, hid:]
+            ginter = np.concatenate([ginp_r[:, :hid], dc * r], axis=1)
+            transfer = (Partial(rows, ginter) if icut else ginter, Outer(gzr, inp_r))
+        return (Partial(rows, gstate) if cut else gstate, gx, Outer(gz, inp),
+                gz.sum(axis=0)) + transfer
 
-    parents = (state, x, w, bias) + (() if transfer is None else (transfer,))
+    parents = (state, x, w, bias) + ((inter, w_r) if deep else ())
     return _make(out, parents, bwd, "gate_cell")
 
 
@@ -454,11 +489,13 @@ def softmax(z: np.ndarray, mask=None) -> np.ndarray:
         if mask.shape != z.shape:
             raise ShapeMismatchError(f"softmax: mask {mask.shape} vs logits {z.shape}")
         z = z + (1.0 - mask) * MASK_FILL
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e = z - _max(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
     if mask is not None:
         e *= mask  # exactness: kill any surviving underflow residue
-    denom = e.sum(axis=-1, keepdims=True)
-    if np.any(denom == 0.0):
+    denom = _sum(e, axis=-1, keepdims=True)
+    # Each row's maximum adds exp(0) = 1, so only a mask can empty a row.
+    if mask is not None and not denom.all():
         raise ShapeMismatchError("softmax: a row has no unmasked positions")
     e /= denom
     return e
@@ -550,14 +587,15 @@ def tape_write(prev: Optional[Tensor], n: int, parts, slots: int) -> Tensor:
     slots.  The buffer is not screened for NaN/Inf: only those rows
     changed, and the kernels that made the parts screened them.
     """
-    lead = parts[0].data.shape[:-1]
+    shapes = [p.data.shape for p in parts]
+    lead = shapes[0][:-1]
     rows, stop = lead[0] if lead else 0, n + (lead[1] if len(lead) == 2 else 1)
-    bounds = [0, *itertools.accumulate(p.data.shape[-1] for p in parts)]
+    bounds = [0, *itertools.accumulate(s[-1] for s in shapes)]
     cols, width = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], bounds[-1]
     if len(lead) not in (1, 2) or not 0 <= n < stop or \
-            any(p.data.shape[:-1] != lead for p in parts) or \
+            any(s[:-1] != lead for s in shapes) or \
             (prev is not None and (width != prev.data.shape[2] or rows > prev.rows)):
-        raise TapeError(f"tape_write: slot shapes differ: parts {[p.data.shape for p in parts]} "
+        raise TapeError(f"tape_write: slot shapes differ: parts {shapes} "
                         f"into slot {n} of tape {None if prev is None else prev.data.shape}")
     if prev is None:
         buf, log = np.zeros((rows, max(slots, stop), width), dtype=parts[0].data.dtype), _ReadLog()
@@ -568,13 +606,13 @@ def tape_write(prev: Optional[Tensor], n: int, parts, slots: int) -> Tensor:
             grown[:, :buf.shape[1]] = buf
             buf = grown
     block = buf[:rows, n:stop]
-    for p, c in zip(parts, cols):
-        block[..., c] = p.data.reshape(rows, stop - n, p.data.shape[-1])
+    for p, s, c in zip(parts, shapes, cols):
+        block[:, :, c] = p.data.reshape(rows, stop - n, s[-1])
 
     def bwd(g):
         log.add_value_grad(g, rows, n, stop)
         block = g[:rows, n:stop]
-        grads = tuple(block[..., c].reshape(p.data.shape) for p, c in zip(parts, cols))
+        grads = tuple(block[:, :, c].reshape(s) for s, c in zip(shapes, cols))
         if prev is None:
             return grads
         return (g if prev.data is buf else g[:, :prev.data.shape[1]],) + grads
@@ -616,34 +654,33 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     """
     if not isinstance(memory, _Tape):
         raise TapeError("tape_attend: the memory must be a tape node made by tape_write")
-    md = memory.data
-    batch = x.data.shape[0] if x.data.ndim == 2 else -1
+    md, xd, wxd, pd, wpd, vd = memory.data, x.data, w_x.data, prev.data, w_prev.data, v.data
+    batch = xd.shape[0] if xd.ndim == 2 else -1
     md = md[:batch]
-    a = v.data.shape[0]
+    a, k = vd.shape[0], wpd.shape[1]
     if md.shape[0] != batch or md.shape[2] <= a or \
             not 0 <= lo < hi <= md.shape[1] or \
-            x.data.shape != (batch, w_x.data.shape[1]) or w_x.data.shape[0] != a or \
-            prev.data.ndim != 2 or prev.data.shape[0] < batch or \
-            prev.data.shape[1] < w_prev.data.shape[1] or w_prev.data.shape[0] != a:
+            xd.shape != (batch, wxd.shape[1]) or wxd.shape[0] != a or \
+            pd.ndim != 2 or pd.shape[0] < batch or pd.shape[1] < k or wpd.shape[0] != a:
         raise ShapeMismatchError(
-            f"tape_attend: memory {memory.data.shape} window [{lo}, {hi}), x {x.data.shape}, "
-            f"W_x {w_x.data.shape}, prev {prev.data.shape}, W_prev {w_prev.data.shape}, "
-            f"v {v.data.shape} do not conform")
+            f"tape_attend: memory {memory.data.shape} window [{lo}, {hi}), x {xd.shape}, "
+            f"W_x {wxd.shape}, prev {pd.shape}, W_prev {wpd.shape}, "
+            f"v {vd.shape} do not conform")
     if mask is not None:
         mask = np.asarray(mask)[:batch]
     if _grad_enabled and memory.requires_grad:
         memory.log.reads += 1
     d = md.shape[2] - a
-    values = md[:, lo:hi, :d]
-    k = w_prev.data.shape[1]
-    pd = prev.data[:batch, :k]
-    q = x.data @ w_x.data.T
-    q += pd @ w_prev.data.T
+    window = md[:, lo:hi]
+    values = window[:, :, :d]
+    pd = pd[:batch, :k]
+    q = xd @ wxd.T
+    q += pd @ wpd.T
     if bias is not None:
         q += bias.data
-    z = md[:, lo:hi, d:] + q[:, None, :]
+    z = window[:, :, d:] + q[:, None, :]
     np.tanh(z, out=z)
-    scores = z @ v.data
+    scores = z @ vd
     weights = softmax(scores, mask)
     out = np.matmul(weights[:, None, :], values)[:, 0]
 
@@ -657,12 +694,12 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         # z becomes the key gradient (1 - z^2) * v * gs, in place.
         np.multiply(z, z, out=z)
         np.subtract(1.0, z, out=z)
-        np.multiply(z, v.data, out=z)
+        np.multiply(z, vd, out=z)
         np.multiply(z, gs[:, :, None], out=z)
         gq = z.sum(axis=1)
         grads = (Partial((slice(0, batch), slice(lo, hi), slice(d, None)), z),
-                 gq @ w_x.data, Outer(gq, x.data),
-                 Partial((slice(0, batch), slice(0, k)), gq @ w_prev.data), Outer(gq, pd), gv)
+                 gq @ wxd, Outer(gq, xd),
+                 Partial((slice(0, batch), slice(0, k)), gq @ wpd), Outer(gq, pd), gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
     parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
@@ -678,14 +715,13 @@ def sum_all(x: Tensor) -> Tensor:
 def lookup(table: Tensor, idx) -> Tensor:
     """Row gather from an embedding table; the gradient is a ``Partial``
     over the gathered rows, so no table-sized array is built per call."""
-    idx = np.asarray(idx)
-    if table.data.ndim != 2:
-        raise ShapeMismatchError(f"lookup: table must be 2-D, got {table.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise IndexError(
-            f"lookup: index out of range for table with {table.data.shape[0]} rows")
-
-    return _make(table.data[idx], (table,), lambda g: (Partial(idx, g),), "lookup")
+    idx, td = np.asarray(idx), table.data
+    if td.ndim != 2:
+        raise ShapeMismatchError(f"lookup: table must be 2-D, got {td.shape}")
+    # One comparison: a negative id cast to unsigned is past every table.
+    if not (idx.astype(np.uint64) < td.shape[0]).all():
+        raise IndexError(f"lookup: index out of range for table with {td.shape[0]} rows")
+    return _make(td[idx], (table,), lambda g: (Partial(idx, g),), "lookup")
 
 
 def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):

@@ -9,8 +9,9 @@ the next through one fused node (``autodiff.gate_cell``): the LSTM's
 own [h | c], or, in the tape cell, the summary block [h~ | c~] that the
 attention read returns.  Only h gets a node of its own.  ``lstmn_step``
 is the one tape-cell step: every tape layer and both fusion decoders
-(``fusion.DecoderState``) run it, deep fusion passing its gated source
-memory as the extra ``transfer`` term.
+(``fusion.DecoderState``) run it, deep fusion passing its inter-attention
+summary block [g~ | a~] and transfer gate ``W_r``, from which the gate
+cell forms the source memory term r * a~.
 
 ``run_stack`` is the one layer stack: a layer without intra-attention
 weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
@@ -160,9 +161,21 @@ class Tapes:
         self.written += 1
 
 
-def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+# Values per ``rng.uniform`` call when ``glorot`` fills a matrix.
+GLOROT_BLOCK = 1 << 16
+
+
+def glorot(rng: np.random.Generator, rows: int, cols: int, order: str = "C") -> Tensor:
+    """Uniform(-b, b), b = sqrt(6 / (rows + cols)), drawn in row-major
+    order, block by block of rows, into a matrix of the memory layout
+    ``order``: a column-major matrix gets the same values as a row-major
+    one with no row-major copy of it made."""
     bound = np.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform(-bound, bound, size=(rows, cols)), requires_grad=True)
+    w = np.empty((rows, cols), order=order)
+    step = max(1, GLOROT_BLOCK // max(cols, 1))
+    for lo in range(0, rows, step):
+        w[lo:lo + step] = rng.uniform(-bound, bound, size=(min(step, rows - lo), cols))
+    return Tensor(w, requires_grad=True)
 
 
 def zeros_param(*shape) -> Tensor:
@@ -210,12 +223,13 @@ def zero_state(batch: int, hidden: int) -> Tensor:
     return Tensor(np.zeros((batch, 2 * hidden)))
 
 
-def lstm_step(x: Tensor, prev: Tensor, w: GateWeights,
-              transfer: Optional[Tensor] = None) -> CellState:
+def lstm_step(x: Tensor, prev: Tensor, w: GateWeights, inter: Optional[Tensor] = None,
+              w_r: Optional[Tensor] = None) -> CellState:
     """One LSTM update from the block ``prev`` = [rec | carried]: the gate
-    block over [rec, x] and c = [transfer +] f * carried + i * c-hat,
-    h = o * tanh(c)."""
-    hc = ad.gate_cell(prev, x, w.w, w.bias, transfer)
+    block over [rec, x] and c = [r * a~ +] f * carried + i * c-hat,
+    h = o * tanh(c), the bracket with deep fusion's summary block ``inter``
+    = [g~ | a~] and r = sigmoid(``w_r`` [g~, x])."""
+    hc = ad.gate_cell(prev, x, w.w, w.bias, inter, w_r)
     return CellState(hc, ad.slice_cols(hc, 0, w.hidden_size))
 
 
@@ -236,25 +250,27 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
 
 
 def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
-               w: LstmnLayerWeights, transfer: Optional[Tensor] = None):
+               w: LstmnLayerWeights, inter: Optional[Tensor] = None,
+               w_r: Optional[Tensor] = None):
     """One memory-tape update; appends the new [h | c] and its key to
     ``tapes``.  ``summary_prev`` is the previous step's summary block
     [h~ | c~] (or its h~ alone), whose h~ the attention query reads.
     Returns (state, summary block, attention weights or None).
 
     The one tape-cell step of the encoder layers and of both fusion
-    decoders.  ``transfer`` is an extra memory term, deep fusion's
-    r * a~: c_t = (transfer + f * c~) + i * c-hat.
+    decoders.  Deep fusion passes its inter-attention summary block
+    ``inter`` = [g~ | a~] and transfer gate ``w_r``, for the extra memory
+    term r * a~: c_t = (r * a~ + f * c~) + i * c-hat.
 
     Empty-tape convention: at the first step the summary is the zero
     block (and ``summary_prev`` is unused), so the gate block sees
-    [0, x_t] and c_t reduces to [transfer +] i * c-hat.
+    [0, x_t] and c_t reduces to [r * a~ +] i * c-hat.
     """
     if len(tapes) == 0:
         summary, weights = zero_state(x.data.shape[0], w.gates.hidden_size), None
     else:
         summary, weights = intra_attend(x, tapes, summary_prev, w.attn)
-    state = lstm_step(x, summary, w.gates, transfer)
+    state = lstm_step(x, summary, w.gates, inter, w_r)
     tapes.append(state.hc, ad.linear(state.h, w.attn.w_h))
     return state, summary, weights
 

@@ -9,12 +9,15 @@ garbage.
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 
 import numpy as np
 
 
 class CheckpointError(ValueError):
-    """Checkpoint is missing, extra, or shape-incompatible tensors."""
+    """Checkpoint is unreadable, or has missing, extra, shape-incompatible
+    or non-finite tensors."""
 
 
 def save_checkpoint(params: dict, path: str) -> None:
@@ -38,8 +41,17 @@ def save_checkpoint(params: dict, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> dict:
-    with np.load(path) as archive:
-        return {name: archive[name] for name in archive.files}
+    """Every array of the ``.npz`` at ``path``, by name.  A file that is not
+    such an archive of plain arrays (truncated, garbage, or holding pickled
+    objects, which are never loaded) is a ``CheckpointError`` naming it."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            return {name: archive[name] for name in archive.files}
+    except FileNotFoundError:
+        raise
+    except (ValueError, OSError, EOFError, NotImplementedError, zipfile.BadZipFile, zlib.error):
+        raise CheckpointError(f"checkpoint {path} is not a readable .npz archive of arrays "
+                              "(truncated, corrupt, or holding pickled objects)") from None
 
 
 def load_into(params: dict, path: str) -> None:

@@ -113,7 +113,9 @@ def _parse_value(name: str, raw: str):
 
 
 def parse_config_file(path: str) -> dict:
-    values = {}
+    """The file's values by key.  A key set twice is refused, naming both
+    lines, rather than one of them silently winning."""
+    values, first = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -123,7 +125,10 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
-            values[key] = _parse_value(key, raw)
+            if key in first:
+                raise ConfigError(f"{path}:{lineno}: config key {key} is set again "
+                                  f"(first set on line {first[key]})")
+            values[key], first[key] = _parse_value(key, raw), lineno
     return values
 
 

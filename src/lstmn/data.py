@@ -6,8 +6,11 @@ File formats:
   labeled-sentences  label<TAB>sentence
   sentence-pairs     label<TAB>premise<TAB>hypothesis (lowercased on load;
                      the unknown label "-" drops the pair)
-  embeddings         token v1 ... vd, space-separated decimal text
+  embeddings         token v1 ... vd, space-separated finite decimal text
   vocabulary         one token per line; index = line number
+
+Every file is UTF-8 text; other bytes, like any malformed line, are a
+``DataFormatError`` naming the path and the line.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Tensor
+from .cells import glorot
 from .config import ConfigError
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
@@ -29,6 +33,29 @@ UNKNOWN_PAIR_LABEL = "-"
 
 class DataFormatError(ValueError):
     """Malformed input file; the message carries the line number."""
+
+
+def text_lines(path: str):
+    """(line number, line) over a UTF-8 text file, counted from 1.  Bytes
+    that are not UTF-8 are a ``DataFormatError`` naming the path and the
+    first line that holds them."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> DataFormatError:
+    # The text reader decodes ahead of the lines it hands out, so the
+    # failing line is found again in the raw bytes.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return DataFormatError(f"{path}:{lineno}: not UTF-8 text ({bad.reason})")
+    return DataFormatError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 class Vocabulary:
@@ -74,8 +101,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        tokens = [line.rstrip("\n") for _, line in text_lines(path)]
         if tuple(tokens[:len(RESERVED)]) != RESERVED:
             raise DataFormatError(f"{path}: reserved token block missing or reordered")
         return cls(tokens[len(RESERVED):])
@@ -108,12 +134,9 @@ class EmbeddingTable:
 
 
 def init_embeddings(rng, vocab: Vocabulary, dim: int) -> EmbeddingTable:
-    rows, cols = len(vocab), dim
-    bound = np.sqrt(6.0 / (rows + cols))
-    weights = rng.uniform(-bound, bound, size=(rows, cols))
-    weights[vocab.pad] = 0.0
-    return EmbeddingTable(weights=Tensor(weights, requires_grad=True),
-                          pretrained=np.zeros(rows, dtype=bool))
+    weights = glorot(rng, len(vocab), dim)
+    weights.data[vocab.pad] = 0.0
+    return EmbeddingTable(weights=weights, pretrained=np.zeros(len(vocab), dtype=bool))
 
 
 def load_pretrained(path: str, vocab: Vocabulary, seed: int = 0) -> EmbeddingTable:
@@ -124,27 +147,28 @@ def load_pretrained(path: str, vocab: Vocabulary, seed: int = 0) -> EmbeddingTab
     row, and its D is the width every row must have."""
     vectors = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            # fastText rows end in a space; GloVe tokens may hold other whitespace.
-            parts = line.rstrip().split(" ")
-            if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
-                dim = int(parts[1])
-                if dim < 1:
-                    raise DataFormatError(f"{path}:1: header gives dimension {dim}")
-                continue
-            if len(parts) < 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 'token v1 ... vd'")
-            token, values = parts[0], parts[1:]
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: row has {len(values)} values, expected {dim}")
-            try:
-                vectors[token] = np.array([float(v) for v in values])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
+    for lineno, line in text_lines(path):
+        # fastText rows end in a space; GloVe tokens may hold other whitespace.
+        parts = line.rstrip().split(" ")
+        if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
+            dim = int(parts[1])
+            if dim < 1:
+                raise DataFormatError(f"{path}:1: header gives dimension {dim}")
+            continue
+        if len(parts) < 2:
+            raise DataFormatError(f"{path}:{lineno}: expected 'token v1 ... vd'")
+        token, values = parts[0], parts[1:]
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise DataFormatError(
+                f"{path}:{lineno}: row has {len(values)} values, expected {dim}")
+        try:
+            vectors[token] = np.array([float(v) for v in values])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-numeric value") from None
+        if not np.isfinite(vectors[token]).all():
+            raise DataFormatError(f"{path}:{lineno}: non-finite value (nan or inf)")
     if dim is None:
         raise DataFormatError(f"{path}: empty embedding file")
 
@@ -191,30 +215,29 @@ def load_dataset(path: str, kind: str) -> LoadedDataset:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     examples = []
     dropped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        if kind == "lm-text":
+            examples.append(line.split())
+            continue
+        parts = line.split("\t")
+        if kind == "labeled-sentences":
+            if len(parts) != 2 or not parts[1].strip():
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected 'label<TAB>sentence'")
+            examples.append((parts[0].strip(), parts[1].split()))
+        else:
+            if len(parts) != 3 or not parts[1].strip() or not parts[2].strip():
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected 'label<TAB>premise<TAB>hypothesis'")
+            label = parts[0].strip().lower()
+            if label == UNKNOWN_PAIR_LABEL:
+                dropped += 1
                 continue
-            if kind == "lm-text":
-                examples.append(line.split())
-                continue
-            parts = line.split("\t")
-            if kind == "labeled-sentences":
-                if len(parts) != 2 or not parts[1].strip():
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected 'label<TAB>sentence'")
-                examples.append((parts[0].strip(), parts[1].split()))
-            else:
-                if len(parts) != 3 or not parts[1].strip() or not parts[2].strip():
-                    raise DataFormatError(
-                        f"{path}:{lineno}: expected 'label<TAB>premise<TAB>hypothesis'")
-                label = parts[0].strip().lower()
-                if label == UNKNOWN_PAIR_LABEL:
-                    dropped += 1
-                    continue
-                examples.append((label, parts[1].lower().split(),
-                                 parts[2].lower().split()))
+            examples.append((label, parts[1].lower().split(),
+                             parts[2].lower().split()))
     return LoadedDataset(kind=kind, examples=examples, dropped=dropped)
 
 

@@ -9,9 +9,10 @@ step.  Both couplings run the same tape-cell step, ``cells.lstmn_step``:
   source context vector only joins the prediction input, concatenated
   with h_t.
 * deep fusion: a transfer gate r over [gamma~, x] writes the aligned
-  source memory into the target memory update, passed to the step as
-  its ``transfer`` term r * a~: c_t = r * a~ + f * c~ + i * c-hat, one
-  term of the fused gate cell (``autodiff.gate_cell``).
+  source memory into the target memory update,
+  c_t = r * a~ + f * c~ + i * c-hat.  The step hands the inter-attention
+  summary block [gamma~ | alpha~] and W_r to the fused gate cell
+  (``autodiff.gate_cell``), which forms r and its term in the same node.
 
 Inter-attention uses the same fused kernel as the tape cell
 (``autodiff.tape_attend``): the source is packed once per decoded
@@ -22,10 +23,11 @@ take one backward path: each read logs its weights and output gradient,
 and the source write forms the whole source's value gradient in one
 batched product.
 
-``DecoderState.step`` is the one decode step (inter-attention, the
-transfer gate, the tape-cell step): teacher-forced training
-(``run_decoder``) and greedy decoding (``models.Seq2SeqModel.generate``)
-both drive it.  The decoder may run packed, the batch sorted by target
+``DecoderState.step`` is the one decode step (inter-attention, then
+the tape-cell step, with the transfer gate for deep fusion): six graph
+nodes per deep step once the target tape holds a slot.  Teacher-forced
+training (``run_decoder``) and greedy decoding
+(``models.Seq2SeqModel.generate``) both drive it.  The decoder may run packed, the batch sorted by target
 length, longest first: step t takes the B_t live rows, and its kernels
 read the same rows of the carried summary and context and of a source
 encoded over the whole batch.
@@ -129,23 +131,22 @@ def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
 def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
                  w: InterAttentionWeights, src_proj: Tensor) -> tuple:
     """Align the current target input against the whole source, read from
-    ``src_proj``, the tape ``source_projection(src, w)``: (gamma~, alpha~,
-    the weights as a plain (B, m) array)."""
+    ``src_proj``, the tape ``source_projection(src, w)``: (the summary
+    block [gamma~ | alpha~] (B, 2h), the weights as a plain (B, m) array).
+    ``gamma_tilde_prev`` is the previous gamma~, or the previous summary
+    block, whose gamma~ columns the query reads."""
     if src.length < 1:
         raise TapeError("inter-attention needs a non-empty source")
-    summary, weights = ad.tape_attend(
-        src_proj, 0, src.length, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
-        mask=src.mask)
-    hidden = src.y.data.shape[2]
-    return (ad.slice_cols(summary, 0, hidden), ad.slice_cols(summary, hidden, 2 * hidden),
-            weights)
+    return ad.tape_attend(src_proj, 0, src.length, x, w.w_x, gamma_tilde_prev,
+                          w.w_gammatilde, w.u, mask=src.mask)
 
 
 class DecoderState:
     """Decoding state for one batch: the target tapes, the carried intra
-    summary block [h~ | c~] and context gamma~, the latest cell state, and
-    the source packed once for inter-attention.  ``length`` preallocates
-    that many tape slots."""
+    summary block [h~ | c~] and inter summary block [gamma~ | alpha~]
+    (``gamma_tilde``; a zero gamma~ before the first step), the latest cell
+    state, and the source packed once for inter-attention.  ``length``
+    preallocates that many tape slots."""
 
     def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,
                  capacity: Optional[int] = None, length: Optional[int] = None):
@@ -159,27 +160,24 @@ class DecoderState:
         self.src_proj = source_projection(src, w.inter)
 
     def step(self, x: Tensor):
-        """One decoder step: inter-attention, the transfer gate (deep
-        fusion only), then the tape-cell step.  Returns (prediction input,
-        intra weights, inter weights): h_t for deep fusion, [h_t, gamma~_t]
-        for shallow.
+        """One decoder step: inter-attention, then the tape-cell step, for
+        deep fusion with the transfer gate over the inter summary block.
+        Returns (prediction input, intra weights, inter weights): h_t for
+        deep fusion, [h_t, gamma~_t] for shallow.
 
         ``x`` holds the first B_t rows, those still live in a packed batch
         (never more than the step before); the kernels read the same rows
-        of the carried intra summary and context and of the source."""
+        of the carried summary blocks and of the source."""
         w = self.w.inter
-        gamma_tilde, alpha_tilde, inter = inter_attend(
-            x, self.src, self.gamma_tilde, w, self.src_proj)
-        transfer = None
+        self.gamma_tilde, inter = inter_attend(x, self.src, self.gamma_tilde, w, self.src_proj)
         if self.mode == "deep":
-            gate = ad.sigmoid(ad.linear(ad.concat([gamma_tilde, x], axis=1), w.w_r))
-            transfer = ad.mul(gate, alpha_tilde)
-        self.state, self.summary, intra = cells.lstmn_step(
-            x, self.tapes, self.summary, self.w.cell, transfer)
-        self.gamma_tilde = gamma_tilde
-        if self.mode == "deep":
+            self.state, self.summary, intra = cells.lstmn_step(
+                x, self.tapes, self.summary, self.w.cell, self.gamma_tilde, w.w_r)
             return self.state.h, intra, inter
-        return ad.concat([self.state.h, gamma_tilde], axis=1), intra, inter
+        self.state, self.summary, intra = cells.lstmn_step(x, self.tapes, self.summary, self.w.cell)
+        hidden = self.state.h.data.shape[1]
+        return ad.concat([self.state.h, ad.slice_cols(self.gamma_tilde, 0, hidden)], axis=1), \
+            intra, inter
 
 
 @dataclass

@@ -69,10 +69,10 @@ class OutputProjection:
 
 
 def init_output_projection(rng, vocab: int, hidden: int) -> OutputProjection:
-    """The seeded values of a row-major draw, copied into column-major W."""
-    w = cells.glorot(rng, vocab, hidden)
-    w.data = np.asfortranarray(w.data)
-    return OutputProjection(w=w, b=cells.zeros_param(vocab))
+    """The seeded values of a row-major draw, drawn straight into
+    column-major W."""
+    return OutputProjection(w=cells.glorot(rng, vocab, hidden, order="F"),
+                            b=cells.zeros_param(vocab))
 
 
 @dataclass

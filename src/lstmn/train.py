@@ -264,8 +264,7 @@ def run_dump_attention(cfg: RunConfig, checkpoint_path: str, input_path: str,
     boundary tokens), so a 1-token input yields a header-only file.
     """
     model, vocab = _rebuild(cfg, checkpoint_path)
-    with open(input_path, encoding="utf-8") as fh:
-        line = next((l.rstrip("\n") for l in fh if l.strip()), None)
+    line = next((l.rstrip("\n") for _, l in data.text_lines(input_path) if l.strip()), None)
     if line is None:
         raise ConfigError(f"{input_path}: no input text")
 

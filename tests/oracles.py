@@ -87,6 +87,15 @@ def inter_attend_ref(x, Y, A, gtilde_prev, u, w_g, w_x, w_gt):
     return p, gtilde, atilde
 
 
+def deep_fusion_cell_ref(x, htilde, ctilde, gtilde, atilde, W, b, w_r):
+    """The deep-fusion memory update from the summaries: (h, c, r)."""
+    i, f, o, chat = gate_blocks(htilde, x, W, b)
+    r = sigmoid(w_r @ np.concatenate([gtilde, x]))
+    c = r * atilde + f * ctilde + i * chat
+    h = o * np.tanh(c)
+    return h, c, r
+
+
 def deep_decode_step_ref(x, H, C, htilde_prev, Y, A, gtilde_prev,
                          W, b, v, w_h, w_x, w_ht, bias_a,
                          u, w_g, w_xg, w_gt, w_r):
@@ -95,8 +104,5 @@ def deep_decode_step_ref(x, H, C, htilde_prev, Y, A, gtilde_prev,
     weights, htilde, ctilde = intra_summaries_ref(
         x, H, C, htilde_prev, v, w_h, w_x, w_ht, bias_a, hidden)
     p, gtilde, atilde = inter_attend_ref(x, Y, A, gtilde_prev, u, w_g, w_xg, w_gt)
-    i, f, o, chat = gate_blocks(htilde, x, W, b)
-    r = sigmoid(w_r @ np.concatenate([gtilde, x]))
-    c = r * atilde + f * ctilde + i * chat
-    h = o * np.tanh(c)
+    h, c, r = deep_fusion_cell_ref(x, htilde, ctilde, gtilde, atilde, W, b, w_r)
     return h, c, weights, p, r, htilde, gtilde, atilde

@@ -139,13 +139,12 @@ class TestBackward:
         rng = np.random.default_rng(4)
         x, w = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 4, 2)
         hidden = ad.linear(x, w)
-        act = ad.sigmoid(hidden)
+        act = _square(hidden)
         loss = ad.sum_all(act)
         backward(loss)
         assert hidden.grad is None and act.grad is None
         np.testing.assert_array_equal(loss.grad, np.ones(()))
-        np.testing.assert_allclose(w.grad, (act.data * (1.0 - act.data)).T @ x.data,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(w.grad, (2.0 * hidden.data).T @ x.data, rtol=1e-12)
         assert x.grad.shape == (3, 2)
 
     def test_gradient_handed_to_two_parents_is_not_shared(self):
@@ -224,8 +223,8 @@ class TestOuter:
 
         def loss():
             w = ad.mul(w0, 2.0)
-            return ad.add(ad.sum_all(ad.sigmoid(ad.linear(x, w))),
-                          ad.sum_all(ad.sigmoid(ad.linear(y, w))))
+            return ad.add(ad.sum_all(_square(ad.linear(x, w))),
+                          ad.sum_all(_square(ad.linear(y, w))))
 
         report = grad_check(loss, {"w0": w0, "x": x})
         assert report.passed, str(report)
@@ -246,6 +245,11 @@ class TestOuter:
         np.testing.assert_allclose(x.grad, np.ones((4, 3)) @ w.data, rtol=1e-15)
 
 
+def _square(t: Tensor) -> Tensor:
+    """t * t: a smooth nonlinearity from a kernel of its own (``mul``)."""
+    return ad.mul(t, t)
+
+
 def _rng_tensor(rng, *shape, requires_grad=True):
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
 
@@ -263,7 +267,7 @@ class TestGradCheck:
         x = rng.normal(size=(3, 2))
 
         def loss():
-            return ad.sum_all(ad.sigmoid(ad.linear(Tensor(x), w)))
+            return ad.sum_all(_square(ad.linear(Tensor(x), w)))
 
         report = grad_check(loss, {"w": w}, tolerance=1e-7)
         assert report.passed, str(report)
@@ -302,16 +306,16 @@ class TestGradCheck:
             grad_check(lambda: ad.sum_all(x), {"x": x})
 
     def test_roundoff_sized_gradients_pass(self):
-        # Gradients near 1e-10 under a loss near 7.6: the central difference
+        # Gradients near 1e-9 under a loss near 240: the central difference
         # at the default step resolves them only to its round-off, about
-        # eps * 7.6 / 1e-5 = 1.7e-10, and they agree to that.
+        # eps * 240 / 1e-5 = 5.3e-9, and they agree to that.
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         x = Tensor(rng.normal(size=(4, 3)) * 1e-9)
-        shift = Tensor(np.full((4, 2), 3.0))
+        shift = Tensor(np.full((4, 2), 30.0))
 
         def loss():
-            return ad.sum_all(ad.sigmoid(ad.add(ad.linear(x, w), shift)))
+            return ad.sum_all(ad.relu(ad.add(ad.linear(x, w), shift)))
 
         report = grad_check(loss, {"w": w})
         assert report.passed, str(report)
@@ -366,8 +370,9 @@ def _kernel_cases():
     nll_w, nll_b = t(5, 3), t(5)
     nll_wf = Tensor(np.asfortranarray(t(5, 3).data), requires_grad=True)
     # Gate cell with h = 3 over a (2, 6) [rec | carried] block and a
-    # 2-wide input; a random readout weighs both halves of [h | c].
-    g_state, g_x, g_w, g_bias, g_transfer = t(2, 6), t(2, 2), t(12, 5), t(12), t(2, 3)
+    # 2-wide input, with deep fusion's (2, 6) summary block [g~ | a~] and
+    # (3, 5) transfer gate; a random readout weighs both halves of [h | c].
+    g_state, g_x, g_w, g_bias, g_inter = t(2, 6), t(2, 2), t(12, 5), t(12), t(2, 6)
     g_read = Tensor(rng.normal(size=(2, 6)))
     summary_prev = t(2, 6)   # a [h~ | c~] block; the query reads its first 4 columns
     w34, b4 = t(3, 4), t(4)
@@ -398,6 +403,8 @@ def _kernel_cases():
     # of 3, 3, 2 and 1 rows under (3, 4) weights.
     g_state3, pp3 = t(3, 6), t(3, 4)
     pk_slots, pk_wts = [t(b, 3) for b in (3, 3, 2, 1)], np.abs(rng.normal(size=(3, 4)))
+    # The transfer gate, and a 3-row summary block for a 2-row step.
+    g_wr, g_inter3 = t(3, 5), t(3, 6)
 
     def source_reads():
         node = ad.tape_write(None, 0, (src_v, src_k), 2)
@@ -419,33 +426,32 @@ def _kernel_cases():
         return total
 
     cases = {
-        "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.sigmoid(ad.add(x23, y23)))),
+        "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(_square(ad.add(x23, y23)))),
         "mul": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.mul(x23, y23))),
         "mul_scalar": ({"a": x23}, lambda: ad.sum_all(ad.mul(x23, 1.7))),
-        "linear": ({"x": x23, "w": w43}, lambda: ad.sum_all(ad.sigmoid(ad.linear(x23, w43)))),
+        "linear": ({"x": x23, "w": w43}, lambda: ad.sum_all(_square(ad.linear(x23, w43)))),
         "linear_bias": ({"x": x24, "w": w34, "b": bias},
-                        lambda: ad.sum_all(ad.sigmoid(ad.linear(x24, w34, bias)))),
+                        lambda: ad.sum_all(_square(ad.linear(x24, w34, bias)))),
         # One projection of every slot of a (B, T, n) block.
         "linear_slots": ({"x3": x3d, "w": w43, "b": b4},
-                         lambda: ad.sum_all(ad.sigmoid(ad.linear(x3d, w43, b4)))),
+                         lambda: ad.sum_all(_square(ad.linear(x3d, w43, b4)))),
         "concat": ({"a": x23, "b": y23},
-                   lambda: ad.sum_all(ad.sigmoid(ad.concat([x23, y23], axis=1)))),
+                   lambda: ad.sum_all(_square(ad.concat([x23, y23], axis=1)))),
         "slice_cols": ({"a": x23}, lambda: ad.sum_all(ad.slice_cols(x23, 1, 3))),
         # The last axis of a (B, T, n) block, as the encoder's source read cuts it.
-        "slice_cols_slots": ({"a": x3d}, lambda: ad.sum_all(ad.sigmoid(ad.slice_cols(x3d, 1, 3)))),
+        "slice_cols_slots": ({"a": x3d}, lambda: ad.sum_all(_square(ad.slice_cols(x3d, 1, 3)))),
         # Gate-style blocks of one parent, plus a dense use of it.
         "slice_cols_blocks": ({"a": x24}, lambda: ad.add(
-            ad.sum_all(ad.mul(ad.sigmoid(ad.slice_cols(x24, 0, 1)),
-                              ad.sigmoid(ad.slice_cols(x24, 1, 2)))),
-            ad.add(ad.sum_all(ad.sigmoid(ad.slice_cols(x24, 2, 4))),
+            ad.sum_all(ad.mul(_square(ad.slice_cols(x24, 0, 1)),
+                              _square(ad.slice_cols(x24, 1, 2)))),
+            ad.add(ad.sum_all(_square(ad.slice_cols(x24, 2, 4))),
                    ad.sum_all(ad.mul(x24, x24))))),
-        "sigmoid": ({"a": x23}, lambda: ad.sum_all(ad.sigmoid(x23))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, shift)))),
-        "sum_all": ({"a": x23}, lambda: ad.sigmoid(ad.sum_all(x23))),
+        "sum_all": ({"a": x23}, lambda: _square(ad.sum_all(x23))),
         "attend": ({f"s{i}": s for i, s in enumerate(slots)},
-                   lambda: ad.sum_all(ad.sigmoid(ad.attend(wts, slots)))),
+                   lambda: ad.sum_all(_square(ad.attend(wts, slots)))),
         "attend_packed": ({f"s{i}": s for i, s in enumerate(pk_slots)},
-                          lambda: ad.sum_all(ad.sigmoid(ad.attend(pk_wts, pk_slots)))),
+                          lambda: ad.sum_all(_square(ad.attend(pk_wts, pk_slots)))),
         # B=2, a capacity-style read window [1, 4) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
             ad.tape_attend(_tape(mem), 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
@@ -484,15 +490,16 @@ def _kernel_cases():
                 _tape(Tensor(mem.data)), 0, 5, Tensor(q_x.data), Tensor(w_qx.data),
                 summary_prev, w_qp, Tensor(v_att.data))[0], y_att))),
         "gate_cell": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias,
-                       "transfer": g_transfer},
+                       "inter": g_inter, "W_r": g_wr},
                       lambda: ad.sum_all(ad.mul(ad.gate_cell(
-                          g_state, g_x, g_w, g_bias, g_transfer), g_read))),
+                          g_state, g_x, g_w, g_bias, g_inter, g_wr), g_read))),
         "gate_cell_plain": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias},
                             lambda: ad.sum_all(ad.mul(ad.gate_cell(g_state, g_x, g_w, g_bias),
                                                       g_read))),
-        "gate_cell_carried": ({"state": g_state3, "x": g_x, "W": g_w, "transfer": g_transfer},
+        "gate_cell_carried": ({"state": g_state3, "x": g_x, "W": g_w, "inter": g_inter3,
+                               "W_r": g_wr},
                               lambda: ad.sum_all(ad.mul(ad.gate_cell(
-                                  g_state3, g_x, g_w, g_bias, g_transfer), g_read))),
+                                  g_state3, g_x, g_w, g_bias, g_inter3, g_wr), g_read))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
         "tape_write_packed": ({**{f"h{i}": h for i, h in enumerate(pk_h)},
@@ -504,12 +511,12 @@ def _kernel_cases():
                               **{f"x{r}": x for r, x in enumerate(src_x)},
                               **{f"prev{r}": p for r, p in enumerate(src_p)}}, source_reads),
         "lookup": ({"table": table},
-                   lambda: ad.sum_all(ad.sigmoid(ad.lookup(table, np.array([0, 2, 2]))))),
+                   lambda: ad.sum_all(_square(ad.lookup(table, np.array([0, 2, 2]))))),
         # Row gradients added before and after dense ones into one buffer.
         "lookup_shared_table": ({"table": table}, lambda: ad.add(
             ad.add(ad.sum_all(ad.mul(table, table)),
-                   ad.sum_all(ad.sigmoid(ad.lookup(table, np.array([[3, 1], [1, 1]]))))),
-            ad.sum_all(ad.sigmoid(ad.mul(table, 0.5))))),
+                   ad.sum_all(_square(ad.lookup(table, np.array([[3, 1], [1, 1]]))))),
+            ad.sum_all(_square(ad.mul(table, 0.5))))),
         # Four rows, one target repeated.
         "affine_nll": ({"h": nll_h, "W": nll_w, "b": nll_b},
                        lambda: ad.affine_nll(nll_h, nll_w, nll_b, np.array([1, 4, 1, 0]))[0]),
@@ -540,7 +547,7 @@ def test_every_kernel_has_a_grad_check_case(monkeypatch):
                      and not name.startswith("_") and "_make" in fn.__code__.co_names)
     # One kernel per job: a new one must come with its case and a line here.
     assert kernels == sorted([
-        "add", "mul", "sigmoid", "relu", "sum_all", "concat", "slice_cols", "linear",
+        "add", "mul", "relu", "sum_all", "concat", "slice_cols", "linear",
         "lookup", "attend", "gate_cell", "tape_write", "tape_attend", "affine_nll"])
     missing = [name for name in kernels if name not in _KERNEL_CASES]
     assert not missing, f"kernels without a grad_check case: {missing}"
@@ -835,18 +842,19 @@ def test_gate_cell_matches_oracle_per_row():
     rng = np.random.default_rng(12)
     hid, batch = 3, 4
     state, x = rng.normal(size=(batch, 2 * hid)), rng.normal(size=(batch, 2))
-    w, b, transfer = rng.normal(size=(4 * hid, hid + 2)), rng.normal(size=4 * hid), \
-        rng.normal(size=(batch, hid))
-    out = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w), Tensor(b), Tensor(transfer))
+    w, b, w_r = rng.normal(size=(4 * hid, hid + 2)), rng.normal(size=4 * hid), \
+        rng.normal(size=(hid, hid + 2))
+    inter = rng.normal(size=(batch + 1, 2 * hid))   # one row more, as in a packed batch
+    out = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w), Tensor(b), Tensor(inter),
+                       Tensor(w_r))
     plain = ad.gate_cell(Tensor(state), Tensor(x), Tensor(w), Tensor(b))
     for r in range(batch):
         rec, carried = state[r, :hid], state[r, hid:]
         h_ref, c_ref = oracles.lstm_step_ref(x[r], rec, carried, w, b)
         np.testing.assert_allclose(plain.data[r], np.concatenate([h_ref, c_ref]), atol=1e-12)
-        i, f, o, chat = oracles.gate_blocks(rec, x[r], w, b)
-        c_ref = transfer[r] + f * carried + i * chat
-        np.testing.assert_allclose(out.data[r], np.concatenate([o * np.tanh(c_ref), c_ref]),
-                                   atol=1e-12)
+        h_ref, c_ref, _ = oracles.deep_fusion_cell_ref(
+            x[r], rec, carried, inter[r, :hid], inter[r, hid:], w, b, w_r)
+        np.testing.assert_allclose(out.data[r], np.concatenate([h_ref, c_ref]), atol=1e-12)
 
 
 def _value_and_grads(build, leaves, read):
@@ -858,11 +866,12 @@ def _value_and_grads(build, leaves, read):
     return [out.data] + [leaf.grad for leaf in leaves]
 
 
-@pytest.mark.parametrize("kernel", ["gate_cell", "tape_attend"])
+@pytest.mark.parametrize("kernel", ["gate_cell", "gate_cell_inter", "tape_attend"])
 def test_carried_operand_is_read_in_its_row_prefix(kernel):
-    # The carried operand (gate_cell's state, tape_attend's prev) has 3
-    # rows for a 2-row x: values and gradients equal, bit for bit, those of
-    # the same call on its first 2 rows, and its third row gets exactly 0.
+    # The carried operand (gate_cell's state or deep-fusion summary block,
+    # tape_attend's prev) has 3 rows for a 2-row x: values and gradients
+    # equal, bit for bit, those of the same call on its first 2 rows, and
+    # its third row gets exactly 0.
     rng = np.random.default_rng(25)
     carried = _rng_tensor(rng, 3, 6)
     cut = Tensor(carried.data[:2].copy(), requires_grad=True)
@@ -872,6 +881,13 @@ def test_carried_operand_is_read_in_its_row_prefix(kernel):
 
         def build(state):
             return lambda: ad.gate_cell(state, x, w, b)
+    elif kernel == "gate_cell_inter":
+        state, x, w, b, w_r = (_rng_tensor(rng, *s) for s in [(2, 6), (2, 2), (12, 5), (12,),
+                                                              (3, 5)])
+        others = [state, x, w, b, w_r]
+
+        def build(inter):
+            return lambda: ad.gate_cell(state, x, w, b, inter, w_r)
     else:
         mem = _rng_tensor(rng, 3, 4, 5)
         x, w_x, w_p, v = (_rng_tensor(rng, *s) for s in [(2, 3), (2, 3), (2, 4), (2,)])
@@ -887,13 +903,17 @@ def test_carried_operand_is_read_in_its_row_prefix(kernel):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("kernel", ["gate_cell", "tape_attend"])
+@pytest.mark.parametrize("kernel", ["gate_cell", "gate_cell_inter", "tape_attend"])
 def test_carried_operand_with_fewer_rows_is_refused(kernel):
     rng = np.random.default_rng(26)
     x = _rng_tensor(rng, 3, 2)
     if kernel == "gate_cell":
         with pytest.raises(ShapeMismatchError, match="gate_cell"):
             ad.gate_cell(_rng_tensor(rng, 2, 6), x, _rng_tensor(rng, 12, 5), _rng_tensor(rng, 12))
+    elif kernel == "gate_cell_inter":
+        with pytest.raises(ShapeMismatchError, match="gate_cell"):
+            ad.gate_cell(_rng_tensor(rng, 3, 6), x, _rng_tensor(rng, 12, 5), _rng_tensor(rng, 12),
+                         _rng_tensor(rng, 2, 6), _rng_tensor(rng, 3, 5))
     else:
         with pytest.raises(ShapeMismatchError, match="tape_attend"):
             ad.tape_attend(_tape(_rng_tensor(rng, 3, 2, 5)), 0, 2, x, _rng_tensor(rng, 2, 2),
@@ -965,8 +985,14 @@ def test_gate_cell_shape_errors_name_the_operands():
                 (state, x, Tensor(np.zeros((12, 4))), b), (state, x, w, Tensor(np.zeros(11)))]:
         with pytest.raises(ShapeMismatchError, match="gate_cell: state"):
             ad.gate_cell(*bad)
-    with pytest.raises(ShapeMismatchError, match=r"transfer \(2, 2\)"):
-        ad.gate_cell(state, x, w, b, transfer=Tensor(np.zeros((2, 2))))
+    inter, w_r = Tensor(np.zeros((2, 6))), Tensor(np.zeros((3, 5)))
+    for bad, named in [((Tensor(np.zeros((2, 4))), w_r), r"inter \(2, 4\), W_r \(3, 5\)"),
+                       ((Tensor(np.zeros((1, 6))), w_r), r"inter \(1, 6\)"),
+                       ((inter, Tensor(np.zeros((3, 4)))), r"W_r \(3, 4\)"),
+                       ((inter, None), r"inter \(2, 6\), W_r None"),
+                       ((None, w_r), r"inter None, W_r \(3, 5\)")]:
+        with pytest.raises(ShapeMismatchError, match=named):
+            ad.gate_cell(state, x, w, b, *bad)
 
 
 def test_affine_nll_matches_per_token_oracle():

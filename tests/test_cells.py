@@ -454,11 +454,11 @@ def test_float32_steps_stay_float32():
         layer = randomize_layer(rng, random_layer(rng, 3, 2, 2))
         lstm = GateWeights(w=Tensor(rng.normal(size=(12, 5)), requires_grad=True),
                            bias=Tensor(rng.normal(size=12), requires_grad=True))
-        transfer = Tensor(rng.normal(size=(2, 3)))
+        inter, w_r = Tensor(rng.normal(size=(2, 6))), Tensor(rng.normal(size=(3, 5)))
         tapes, summary, hc, total, blocks = Tapes(), None, zero_state(2, 3), None, []
         for _ in range(3):
             x = Tensor(rng.normal(size=(2, 2)))
-            state, summary, _ = lstmn_step(x, tapes, summary, layer, transfer)
+            state, summary, _ = lstmn_step(x, tapes, summary, layer, inter, w_r)
             hc = lstm_step(x, hc, lstm).hc
             blocks += [summary, state.hc, hc]
             term = ad.add(ad.sum_all(ad.mul(state.h, state.h)), ad.sum_all(hc))

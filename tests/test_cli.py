@@ -58,6 +58,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config(str(path))
 
+    def test_key_set_twice_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("hidden = 50\n# comment\nseed = 7\nhidden = 60\n")
+        with pytest.raises(ConfigError, match=rf"{path}:4: config key hidden is set again "
+                                              r"\(first set on line 1\)"):
+            build_config(str(path))
+
+    def test_spellings_of_one_key_are_one_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("grad_clip = 1\ngrad-clip = 2\n")
+        with pytest.raises(ConfigError, match=r":2: config key grad_clip is set again"):
+            build_config(str(path))
+
     def test_every_field_type_is_one_the_parser_reads(self):
         # Field types are names (postponed annotations); a field of any
         # other type would be parsed silently as a string.
@@ -505,6 +518,43 @@ class TestCliMain:
         assert cli.main(["train", "--seed", "x"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed" in err
+        assert err.strip().count("\n") == 0
+
+    def test_config_key_set_twice_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nseed = 2\n")
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: config key seed is set again")
+        assert err.strip().count("\n") == 0
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_unreadable_checkpoint_is_one_error_line_naming_it(self, tmp_path, capsys, damage):
+        args = ["train", "--out", str(tmp_path / "run")]
+        for key, value in lm_overrides(tmp_path, epochs="0").items():
+            args += [f"--{key}", value]
+        assert cli.main(args) == 0
+        ckpt = tmp_path / "run" / "checkpoint.npz"
+        raw = ckpt.read_bytes()
+        ckpt.write_bytes(b"not an archive\n" * 64 if damage == "garbage" else raw[:len(raw) // 2])
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {ckpt} is not a readable .npz archive")
+        assert err.strip().count("\n") == 0
+
+    def test_non_utf8_data_is_one_error_line_naming_file_and_line(self, tmp_path, capsys):
+        overrides = lm_overrides(tmp_path)
+        with open(overrides["train_data"], "ab") as fh:
+            fh.write(b"open1 \xff close1\n")
+        lines = len(open(overrides["train_data"], "rb").read().splitlines())
+        args = ["train", "--out", str(tmp_path / "run")]
+        for key, value in overrides.items():
+            args += [f"--{key}", value]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {overrides['train_data']}:{lines}: not UTF-8 text")
         assert err.strip().count("\n") == 0
 
     def test_readme_fixed_flags_match_the_parser(self):

@@ -53,6 +53,13 @@ class TestVocabulary:
         assert again.token_to_index == vocab.token_to_index
 
 
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("\n".join(RESERVED).encode() + b"\nok\nbad\xff\n")
+        with pytest.raises(DataFormatError, match=rf"{path}:6: not UTF-8"):
+            Vocabulary.load(path)
+
+
 class TestPretrained:
     def test_matching_row_copied_and_flagged(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -124,6 +131,20 @@ class TestPretrained:
         with pytest.raises(DataFormatError, match=":2"):
             load_pretrained(path, Vocabulary(["x", "y"]))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "NaN"])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"x 1.0 2.0\ny 0.5 {value}\n")
+        with pytest.raises(DataFormatError, match=rf"{path}:2: non-finite"):
+            load_pretrained(path, Vocabulary(["x", "y"]))
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        # Far enough down that the text reader has decoded past line 1.
+        path.write_bytes(b"".join(b"t%d 1.0 2.0\n" % i for i in range(2000)) + b"\xc3x 1 2\n")
+        with pytest.raises(DataFormatError, match=rf"{path}:2001: not UTF-8"):
+            load_pretrained(path, Vocabulary(["t0"]))
+
     def test_rows_match_independent_parser(self, tmp_path):
         # Oracle: a second, trivial parse of the same file.
         rng = np.random.default_rng(81)
@@ -174,6 +195,13 @@ class TestLoadDataset:
         path.write_text("entailment\tonly-premise\n")
         with pytest.raises(DataFormatError, match=":1"):
             load_dataset(path, "sentence-pairs")
+
+    @pytest.mark.parametrize("kind", ["lm-text", "labeled-sentences", "sentence-pairs"])
+    def test_non_utf8_names_path_and_line(self, tmp_path, kind):
+        path = tmp_path / "data.txt"
+        path.write_bytes(b"1\ta\tb\n2\tc\td\n3\te \xff\tf\n")
+        with pytest.raises(DataFormatError, match=rf"{path}:3: not UTF-8"):
+            load_dataset(path, kind)
 
     def test_unknown_kind_is_config_error(self, tmp_path):
         path = tmp_path / "x.txt"

@@ -21,8 +21,11 @@ from lstmn.fusion import (
 
 def read_source(x, src, gamma_tilde_prev, w):
     """``inter_attend`` over the source tape that ``source_projection``
-    packs."""
-    return inter_attend(x, src, gamma_tilde_prev, w, fusion.source_projection(src, w))
+    packs, its summary block cut into (gamma~, alpha~, weights)."""
+    summary, weights = inter_attend(x, src, gamma_tilde_prev, w,
+                                    fusion.source_projection(src, w))
+    hidden = src.y.data.shape[2]
+    return summary.data[:, :hidden], summary.data[:, hidden:], weights
 
 
 def row(vec):
@@ -138,8 +141,8 @@ class TestInterAttend:
             row(rng.normal(size=2)), SourceTapes(y=Tensor(y), a=Tensor(a)),
             Tensor(np.zeros((1, 2))), dec.inter)
         np.testing.assert_array_equal(weights, [[1.0]])
-        np.testing.assert_array_equal(gamma_tilde.data, y[:, 0])
-        np.testing.assert_array_equal(alpha_tilde.data, a[:, 0])
+        np.testing.assert_array_equal(gamma_tilde, y[:, 0])
+        np.testing.assert_array_equal(alpha_tilde, a[:, 0])
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(34)
@@ -153,8 +156,8 @@ class TestInterAttend:
         p_ref, g_ref, a_ref = oracles.inter_attend_ref(
             x, Y, A, gprev, w.u.data, w.w_gamma.data, w.w_x.data, w.w_gammatilde.data)
         np.testing.assert_allclose(weights[0], p_ref, atol=1e-12)
-        np.testing.assert_allclose(gamma_tilde.data[0], g_ref, atol=1e-12)
-        np.testing.assert_allclose(alpha_tilde.data[0], a_ref, atol=1e-12)
+        np.testing.assert_allclose(gamma_tilde[0], g_ref, atol=1e-12)
+        np.testing.assert_allclose(alpha_tilde[0], a_ref, atol=1e-12)
 
     def test_masked_source_slots_get_zero_weight(self):
         rng = np.random.default_rng(35)
@@ -184,8 +187,8 @@ class TestInterAttend:
                 w.w_gamma.data, w.w_x.data, w.w_gammatilde.data)
             np.testing.assert_allclose(weights[b, :n], p_ref, atol=1e-12)
             np.testing.assert_array_equal(weights[b, n:], 0.0)
-            np.testing.assert_allclose(gamma_tilde.data[b], g_ref, atol=1e-12)
-            np.testing.assert_allclose(alpha_tilde.data[b], a_ref, atol=1e-12)
+            np.testing.assert_allclose(gamma_tilde[b], g_ref, atol=1e-12)
+            np.testing.assert_allclose(alpha_tilde[b], a_ref, atol=1e-12)
 
     def test_fully_masked_row_rejected(self):
         rng = np.random.default_rng(48)
@@ -287,6 +290,45 @@ class TestDeepDecode:
 
         report = grad_check(loss, params, tolerance=1e-4)
         assert report.passed, str(report)
+
+
+class TestNodeCounts:
+    """Graph nodes per decode step: greedy decoding at B=1 pays a fixed
+    cost per node, so the deep step's count is pinned."""
+
+    @pytest.fixture
+    def made_ops(self, monkeypatch):
+        """The op name of every node ``_make`` makes from here on."""
+        ops = []
+        make = ad._make
+
+        def counting(data, parents, backward_fn, op, *args, **kwargs):
+            ops.append(op)
+            return make(data, parents, backward_fn, op, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_make", counting)
+        return ops
+
+    @pytest.mark.parametrize("mode,ops", [
+        # Inter- and intra-attention, the fused cell with the transfer
+        # gate, h, the slot's key and the tape write.
+        ("deep", ["gate_cell", "linear", "slice_cols", "tape_attend", "tape_attend",
+                  "tape_write"]),
+        # The same without the transfer gate, plus gamma~ cut from the
+        # summary block and joined to h for the prediction input.
+        ("shallow", ["concat", "gate_cell", "linear", "slice_cols", "slice_cols",
+                     "tape_attend", "tape_attend", "tape_write"])])
+    def test_step_after_the_first(self, made_ops, mode, ops):
+        rng = np.random.default_rng(49)
+        dec = random_decoder(rng, 3, 2, 2)
+        src = SourceTapes(y=Tensor(rng.normal(size=(1, 4, 3))),
+                          a=Tensor(rng.normal(size=(1, 4, 3))))
+        with ad.no_grad():
+            decoder = DecoderState(src, dec, mode)
+            decoder.step(row(rng.normal(size=2)))
+            made_ops.clear()
+            decoder.step(row(rng.normal(size=2)))
+        assert sorted(made_ops) == ops
 
 
 class TestShallowDecode:

@@ -10,7 +10,8 @@ import oracles
 from lstmn import autodiff as ad
 from lstmn import optim
 from lstmn.autodiff import Tensor
-from lstmn.heads import EvalMetrics, OutputProjection, lm_loss, mean_pool
+from lstmn.heads import (EvalMetrics, OutputProjection, init_output_projection, lm_loss,
+                         mean_pool)
 
 
 def identity_projection(vocab):
@@ -236,3 +237,21 @@ def test_diverged_perplexity_is_inf():
     opt = optim.Sgd([], lr=1.0, decay=0.5)
     opt.end_epoch(100.0)
     assert opt.end_epoch(m.ppl) is True and opt.lr == 0.5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_output_weight_drawn_straight_into_column_major(dtype):
+    # Several blocks of rows, the last one short: the values of one
+    # row-major draw, the generator left where that draw leaves it.
+    vocab, hidden = 1000, 300
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    ad.set_default_dtype(dtype)
+    try:
+        w = init_output_projection(rng, vocab, hidden).w.data
+    finally:
+        ad.set_default_dtype(np.float64)
+    bound = np.sqrt(6.0 / (vocab + hidden))
+    ref = ref_rng.uniform(-bound, bound, size=(vocab, hidden)).astype(dtype)
+    assert w.flags.f_contiguous and not w.flags.c_contiguous and w.dtype == dtype
+    assert w.tobytes(order="C") == ref.tobytes()
+    assert rng.uniform() == ref_rng.uniform()

@@ -208,6 +208,32 @@ class TestSeq2Seq:
         assert len(out) <= 5
         assert all(0 <= t < len(vocab) for t in out)
 
+    def test_greedy_token_makes_eight_nodes(self, monkeypatch):
+        # One generated token after the first: its embedding lookup, the six
+        # nodes of a deep decode step and the output projection.
+        vocab = make_vocab()
+        model = models.Seq2SeqModel(cfg_for(model="seq2seq-deep", optimizer="adam"), vocab,
+                                    np.random.default_rng(17))
+        model.proj.b.data[vocab.eos] = -1e3   # </s> never wins: no early stop
+        ops = []
+        make = ad._make
+
+        def counting(data, parents, backward_fn, op, *args, **kwargs):
+            ops.append(op)
+            return make(data, parents, backward_fn, op, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_make", counting)
+        src = vocab.encode(["w0", "w1", "w2"])
+        made = []
+        for max_len in (2, 3):
+            ops.clear()
+            assert len(model.generate(src, max_len=max_len)) == max_len
+            made.append(list(ops))
+        assert made[1][:len(made[0])] == made[0]
+        assert sorted(made[1][len(made[0]):]) == [
+            "gate_cell", "linear", "linear", "lookup", "slice_cols", "tape_attend",
+            "tape_attend", "tape_write"]
+
     def test_gradients_through_the_encoder_tape_read(self):
         # encode -> run_decoder -> loss on a tiny deep-fusion model: two
         # encoder layers, a capacity shorter than the source, padded rows.
