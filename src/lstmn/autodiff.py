@@ -44,6 +44,8 @@ shares, sized to the reads the forward counted; each write's backward
 then adds the value gradient of its slots, sum_r weights_r g_r, as one
 batched product over the log.  Every loss ends in ``affine_nll``, the
 output affine map and softmax NLL in one node over the rows it is given;
+it forms the logits in row blocks of at most ``NLL_BLOCK_BYTES``, so
+the (N, V) logits exist only while a graph is recorded, for the backward;
 its weight gradient comes in the weight's own memory layout, so the
 column-major output projection (``heads.OutputProjection``) gets a
 column-major gradient.  Every other parameter, and so its gradient, is
@@ -57,7 +59,8 @@ gradient as a row-prefix ``Partial``; fewer rows is an error.
 
 Inside a ``no_grad()`` block no graph is recorded: every node is made
 with no parents and no backward closure, and ``requires_grad`` False,
-so each intermediate is freed as soon as the forward pass drops it.  The
+so each intermediate is freed as soon as the forward pass drops it, and
+``affine_nll`` reuses one block-sized logits buffer.  The
 forward arithmetic, the NaN/Inf screen and every shape check are the
 same in both modes, so outputs are bit-identical.  Evaluation, greedy
 decoding and attention tracing run in this mode.
@@ -72,6 +75,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+# Bytes of logits that ``affine_nll`` forms at once: 96 rows at the PTB
+# vocabulary (V = 10,004) in float64, so small vocabularies and single
+# sentences stay one block.
+NLL_BLOCK_BYTES = 8 << 20
 
 # Additive mask surrogate: large enough that exp underflows to exactly 0
 # after max subtraction.
@@ -724,15 +732,37 @@ def lookup(table: Tensor, idx) -> Tensor:
     return _make(td[idx], (table,), lambda g: (Partial(idx, g),), "lookup")
 
 
+def _row_blocks(n: int, row_bytes: int) -> list:
+    """Bounds [0, ..., n] of the row blocks ``affine_nll`` forms its logits
+    in: as many rows of ``row_bytes`` as fit in ``NLL_BLOCK_BYTES``,
+    rounded down to a multiple of 12, except that a last row left alone
+    joins the block before it.  Single-threaded OpenBLAS then rounds every
+    block's logits exactly as one product over all rows: its Haswell-class
+    kernels form output rows 12 at a time, and a one-row product as a
+    GEMV."""
+    size = max(1, NLL_BLOCK_BYTES // row_bytes)
+    if size >= 12:
+        size -= size % 12
+    bounds = list(range(0, n, size)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return bounds
+
+
 def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
     """Summed NLL of ``targets`` under the row softmaxes of the logits
     h (N, n) @ w (V, n)^T + b (V,), in one node over every row given.
 
     Returns (nll, hits); ``hits`` is a boolean (N,) record outside the
-    graph, true where the target is the row's argmax.  One (N, V) buffer
-    holds the logits, then their exponentials, then the backward's
-    g (softmax minus one-hot), scaled in one pass.  A NaN/Inf logit raises
-    ``NonFiniteError``.
+    graph, true where the target is the row's argmax.  The logits are
+    formed block by block, in one buffer: each block is screened for
+    NaN/Inf (a ``NonFiniteError`` naming ``affine_nll``) and gives its
+    rows' hits, maxima, target logits and exponential sums, from which
+    the NLL is formed once.  When the node records its graph, one block
+    holds every row: the (N, V) buffer keeps the exponentials for the
+    backward and then its g (softmax minus one-hot), scaled in one pass.
+    Otherwise the blocks are ``_row_blocks`` of at most
+    ``NLL_BLOCK_BYTES``, so evaluation never holds (N, V) logits.
 
     W's gradient comes in W's own layout: it is formed into a buffer laid
     out like W, so a column-major W (``heads.OutputProjection``) gets the
@@ -753,17 +783,26 @@ def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
         raise IndexError(f"affine_nll: target index {targets[out_of_range][0]} "
                          f"out of range for vocab {wd.shape[0]}")
 
-    rows = np.arange(hd.shape[0])
-    z = hd @ wd.T
-    z += b.data
-    _finite(z, "affine_nll")
-    top = z.argmax(axis=1)
-    hits = top == targets
-    m = z[rows, top]
-    picked = z[rows, targets]
-    z -= m[:, None]
-    np.exp(z, out=z)
-    total = z.sum(axis=1)
+    n, vocab, dtype = hd.shape[0], wd.shape[0], np.result_type(hd, wd)
+    # A recorded graph keeps all N rows for its backward anyway, and one
+    # product over them packs W once, not once per block.
+    record = _grad_enabled and (h.requires_grad or w.requires_grad or b.requires_grad)
+    bounds = [0, n] if record else _row_blocks(n, vocab * dtype.itemsize)
+    z = np.empty((max(np.diff(bounds), default=0), vocab), dtype)
+    rows, hits = np.arange(n), np.empty(n, dtype=bool)
+    m, picked, total = np.empty(n, dtype), np.empty(n, dtype), np.empty(n, dtype)
+    for lo, hi in zip(bounds, bounds[1:]):
+        zb = z[:hi - lo]
+        np.matmul(hd[lo:hi], wd.T, out=zb)
+        zb += b.data
+        _finite(zb, "affine_nll")
+        top, at = zb.argmax(axis=1), rows[:hi - lo]
+        hits[lo:hi] = top == targets[lo:hi]
+        m[lo:hi] = zb[at, top]
+        picked[lo:hi] = zb[at, targets[lo:hi]]
+        zb -= m[lo:hi, None]
+        np.exp(zb, out=zb)
+        total[lo:hi] = zb.sum(axis=1)
     nll = float((np.log(total) + m - picked).sum())
 
     def bwd(g):

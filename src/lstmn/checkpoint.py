@@ -56,9 +56,12 @@ def load_checkpoint(path: str) -> dict:
 
 def load_into(params: dict, path: str) -> None:
     """Copy checkpoint arrays into the model's parameter tensors, each in
-    the tensor's own memory layout.  Nothing is written unless every
-    tensor is present, of the model's shape and finite; a NaN/Inf is
-    refused with the tensor named."""
+    the tensor's own memory layout and dtype: a checkpoint of the other
+    precision is cast (float64 rounded to a float32 model, float32
+    widened exactly to a float64 one).  Nothing is written unless every
+    tensor is present, of the model's shape and finite in the model's
+    dtype; a NaN/Inf, also one the cast makes (a float64 value beyond
+    float32's range), is refused with the tensor named."""
     stored = load_checkpoint(path)
     missing = sorted(set(params) - set(stored))
     if missing:
@@ -71,7 +74,10 @@ def load_into(params: dict, path: str) -> None:
             raise CheckpointError(
                 f"tensor {name!r}: checkpoint shape {stored[name].shape} "
                 f"!= model shape {tensor.data.shape}")
+        with np.errstate(over="ignore"):
+            stored[name] = stored[name].astype(tensor.data.dtype, copy=False)
         if not np.all(np.isfinite(stored[name])):
-            raise CheckpointError(f"tensor {name!r}: checkpoint {path} holds non-finite values")
+            raise CheckpointError(f"tensor {name!r}: checkpoint {path} holds non-finite "
+                                  f"values as {tensor.data.dtype}")
     for name, tensor in params.items():
         tensor.data[...] = stored[name]

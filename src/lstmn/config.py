@@ -22,13 +22,13 @@ MODELS = ("lstm", "lstmn", "lstmn-stack", "seq2seq-shallow", "seq2seq-deep")
 SEQ2SEQ_MODELS = ("seq2seq-shallow", "seq2seq-deep")
 EMBEDDING_POLICIES = ("auto", "none", "scale-first-epoch", "freeze-pretrained-first-epoch")
 
-# Sentinels meaning "resolve from the task" during finalize().
-_UNSET_INT = -1
-_UNSET_FLOAT = -1.0
-
 
 @dataclass
 class RunConfig:
+    """Every setting of a run.  A field that defaults to None is resolved
+    from the task by ``finalize``; no parsed value is None, so every value
+    given, -1 included, is validated."""
+
     task: str = "lm"
     model: str = "lstmn"
 
@@ -40,20 +40,20 @@ class RunConfig:
     capacity: int = 0           # memory span; 0 -> unbounded
     skip_connections: bool = False
     attention_bias: bool = True
-    num_labels: int = _UNSET_INT
+    num_labels: int = None
     tie_encoders: bool = False
 
     # optimizer block
     optimizer: str = "auto"
-    lr: float = _UNSET_FLOAT
+    lr: float = None
     lr_decay: float = 0.85
     improvement_threshold: float = 0.001
-    grad_clip: float = _UNSET_FLOAT
+    grad_clip: float = None
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    dropout: float = _UNSET_FLOAT
-    l2: float = _UNSET_FLOAT
+    dropout: float = None
+    l2: float = None
     embedding_grad_policy: str = "auto"   # auto -> from task and embeddings_path
     embedding_grad_scale: float = 0.35
 
@@ -67,7 +67,7 @@ class RunConfig:
 
     # training loop
     epochs: int = 1
-    batch_size: int = _UNSET_INT
+    batch_size: int = None
     max_steps: int = 0          # 0 -> no step cap
     bucketing: bool = False
     seed: int = 0
@@ -112,23 +112,46 @@ def _parse_value(name: str, raw: str):
         raise ConfigError(f"config key {name}: cannot parse {raw!r} as {ftype}") from None
 
 
+def text_lines(path: str, error: type = ConfigError):
+    """(line number, line) over a UTF-8 text file, counted from 1.  Bytes
+    that are not UTF-8 are an ``error`` naming the path and the first line
+    that holds them: a ``ConfigError`` for config files, and
+    ``data.DataFormatError`` for the files ``data`` reads."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, error) from None
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError, error: type) -> Exception:
+    # The text reader decodes ahead of the lines it hands out, so the
+    # failing line is found again in the raw bytes.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return error(f"{path}:{lineno}: not UTF-8 text ({bad.reason})")
+    return error(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 def parse_config_file(path: str) -> dict:
     """The file's values by key.  A key set twice is refused, naming both
     lines, rather than one of them silently winning."""
     values, first = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in first:
-                raise ConfigError(f"{path}:{lineno}: config key {key} is set again "
-                                  f"(first set on line {first[key]})")
-            values[key], first[key] = _parse_value(key, raw), lineno
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: config key {key} is set again "
+                              f"(first set on line {first[key]})")
+        values[key], first[key] = _parse_value(key, raw), lineno
     return values
 
 
@@ -155,14 +178,14 @@ def finalize(cfg: RunConfig) -> RunConfig:
     cfg = dataclasses.replace(
         cfg,
         optimizer=opt if cfg.optimizer == "auto" else cfg.optimizer,
-        lr=lr if cfg.lr == _UNSET_FLOAT else cfg.lr,
-        batch_size=batch if cfg.batch_size == _UNSET_INT else cfg.batch_size,
-        dropout=drop if cfg.dropout == _UNSET_FLOAT else cfg.dropout,
-        l2=l2 if cfg.l2 == _UNSET_FLOAT else cfg.l2,
-        num_labels=labels if cfg.num_labels == _UNSET_INT else cfg.num_labels,
+        lr=lr if cfg.lr is None else cfg.lr,
+        batch_size=batch if cfg.batch_size is None else cfg.batch_size,
+        dropout=drop if cfg.dropout is None else cfg.dropout,
+        l2=l2 if cfg.l2 is None else cfg.l2,
+        num_labels=labels if cfg.num_labels is None else cfg.num_labels,
         attention=cfg.hidden if cfg.attention == 0 else cfg.attention,
     )
-    if cfg.grad_clip == _UNSET_FLOAT:
+    if cfg.grad_clip is None:
         cfg = dataclasses.replace(cfg, grad_clip=clip if cfg.optimizer == "sgd" else 0.0)
     if cfg.embedding_grad_policy == "auto":
         policy = _AUTO_EMBEDDING_POLICY.get(cfg.task, "none") if cfg.embeddings_path else "none"

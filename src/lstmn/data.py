@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .cells import glorot
-from .config import ConfigError
+from .config import ConfigError, text_lines
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
 RESERVED = (PAD, UNK, BOS, EOS)
@@ -33,29 +33,6 @@ UNKNOWN_PAIR_LABEL = "-"
 
 class DataFormatError(ValueError):
     """Malformed input file; the message carries the line number."""
-
-
-def text_lines(path: str):
-    """(line number, line) over a UTF-8 text file, counted from 1.  Bytes
-    that are not UTF-8 are a ``DataFormatError`` naming the path and the
-    first line that holds them."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from enumerate(fh, start=1)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-
-
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> DataFormatError:
-    # The text reader decodes ahead of the lines it hands out, so the
-    # failing line is found again in the raw bytes.
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as bad:
-                return DataFormatError(f"{path}:{lineno}: not UTF-8 text ({bad.reason})")
-    return DataFormatError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 class Vocabulary:
@@ -101,7 +78,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        tokens = [line.rstrip("\n") for _, line in text_lines(path)]
+        tokens = [line.rstrip("\n") for _, line in text_lines(path, DataFormatError)]
         if tuple(tokens[:len(RESERVED)]) != RESERVED:
             raise DataFormatError(f"{path}: reserved token block missing or reordered")
         return cls(tokens[len(RESERVED):])
@@ -147,7 +124,7 @@ def load_pretrained(path: str, vocab: Vocabulary, seed: int = 0) -> EmbeddingTab
     row, and its D is the width every row must have."""
     vectors = {}
     dim = None
-    for lineno, line in text_lines(path):
+    for lineno, line in text_lines(path, DataFormatError):
         # fastText rows end in a space; GloVe tokens may hold other whitespace.
         parts = line.rstrip().split(" ")
         if lineno == 1 and len(parts) == 2 and all(p.isdecimal() for p in parts):
@@ -215,7 +192,7 @@ def load_dataset(path: str, kind: str) -> LoadedDataset:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     examples = []
     dropped = 0
-    for lineno, line in text_lines(path):
+    for lineno, line in text_lines(path, DataFormatError):
         line = line.rstrip("\n")
         if not line.strip():
             continue

@@ -118,8 +118,10 @@ def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray]
     Step t's states are full rows (B, h), or packed: the first B_t rows,
     which must be exactly the rows the mask marks live at step t (rows
     sorted longest first, as ``models.pack`` orders them).  Only the live
-    positions are projected, all at once by ``autodiff.affine_nll``: one
-    (live, V) buffer serves the logits, the softmax and the gradient.
+    positions are projected, in one ``autodiff.affine_nll`` node: while a
+    graph is recorded, one (live, V) buffer serves the logits, the softmax
+    and the gradient; under ``no_grad`` the logits are formed one row
+    block at a time and never held whole.
     Packed states, step-major, are those positions already; full rows
     around padding are gathered to them from the step-major (t, b)
     concat, so padded states get an exact zero gradient.

@@ -264,7 +264,8 @@ def run_dump_attention(cfg: RunConfig, checkpoint_path: str, input_path: str,
     boundary tokens), so a 1-token input yields a header-only file.
     """
     model, vocab = _rebuild(cfg, checkpoint_path)
-    line = next((l.rstrip("\n") for _, l in data.text_lines(input_path) if l.strip()), None)
+    line = next((l.rstrip("\n") for _, l in data.text_lines(input_path, data.DataFormatError)
+                 if l.strip()), None)
     if line is None:
         raise ConfigError(f"{input_path}: no input text")
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,19 @@ def _rng_tensor(rng, *shape, requires_grad=True):
     return Tensor(rng.normal(size=shape), requires_grad=requires_grad)
 
 
+@contextlib.contextmanager
+def _nll_block_rows(rows: int, vocab: int, itemsize: int = 8):
+    """Inside the block, ``affine_nll`` without a graph forms its logits
+    ``rows`` rows at a time (rows of ``vocab`` logits of ``itemsize``
+    bytes)."""
+    budget = ad.NLL_BLOCK_BYTES
+    ad.NLL_BLOCK_BYTES = rows * vocab * itemsize
+    try:
+        yield
+    finally:
+        ad.NLL_BLOCK_BYTES = budget
+
+
 def _tape(memory: Tensor) -> Tensor:
     """A (B, T, n) memory as the tape ``tape_attend`` reads: one
     ``tape_write`` of all its slots into a fresh buffer."""
@@ -425,6 +439,15 @@ def _kernel_cases():
             total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - n]))))
         return total
 
+    # Seven rows: one block while the graph is recorded, and under no_grad
+    # blocks of two rows, the last taking three, whose value must match.
+    blk_rng = np.random.default_rng(17)
+    blk_h, blk_w, blk_b = (_rng_tensor(blk_rng, *shape) for shape in ((7, 3), (5, 3), (5,)))
+
+    def blocked_nll():
+        with _nll_block_rows(2, 5):
+            return ad.affine_nll(blk_h, blk_w, blk_b, np.array([1, 4, 1, 0, 2, 3, 4]))[0]
+
     cases = {
         "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(_square(ad.add(x23, y23)))),
         "mul": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.mul(x23, y23))),
@@ -524,6 +547,7 @@ def _kernel_cases():
         "affine_nll_column_major_W": (
             {"h": nll_h, "W": nll_wf, "b": nll_b},
             lambda: ad.affine_nll(nll_h, nll_wf, nll_b, np.array([1, 4, 1, 0]))[0]),
+        "affine_nll_row_blocks": ({"h": blk_h, "W": blk_w, "b": blk_b}, blocked_nll),
     }
     return cases
 
@@ -1066,3 +1090,85 @@ def test_affine_nll_row_major_weight_gradient_is_the_plain_product():
     np.multiply(z, (g / z.sum(axis=1))[:, None], out=z)
     z[rows, targets] -= g
     np.testing.assert_array_equal(gw, z.T @ h)
+
+
+def test_row_blocks_come_in_multiples_of_12_rows_and_never_end_in_one(monkeypatch):
+    monkeypatch.setattr(ad, "NLL_BLOCK_BYTES", 100 * 8)    # 100 one-logit rows fit
+    assert ad._row_blocks(250, 8) == [0, 96, 192, 250]
+    assert ad._row_blocks(96, 8) == [0, 96]
+    assert ad._row_blocks(193, 8) == [0, 96, 193]
+    assert ad._row_blocks(1, 8) == [0, 1]
+    assert ad._row_blocks(0, 8) == [0]
+    monkeypatch.setattr(ad, "NLL_BLOCK_BYTES", 5 * 8)      # fewer than 12 rows fit
+    assert ad._row_blocks(11, 8) == [0, 5, 11]
+    monkeypatch.undo()
+    # The PTB vocabulary in float64: 96 rows, about 7.7 MB, per block.
+    assert ad._row_blocks(514, 10_004 * 8) == [0, 96, 192, 288, 384, 480, 514]
+
+
+def _blocked_nll_inputs():
+    """Seven rows over a 5-word vocabulary; every other target is its row's
+    argmax, so the hits record holds both values."""
+    rng = np.random.default_rng(21)
+    h, w, b = (Tensor(rng.normal(size=shape)) for shape in ((7, 3), (5, 3), (5,)))
+    targets = rng.integers(0, 5, size=7)
+    targets[::2] = (h.data @ w.data.T + b.data).argmax(axis=1)[::2]
+    return h, w, b, targets
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_affine_nll_row_blocks_match_one_block(rows):
+    h, w, b, targets = _blocked_nll_inputs()
+    whole, whole_hits = ad.affine_nll(h, w, b, targets)
+    with _nll_block_rows(rows, 5):
+        nll, hits = ad.affine_nll(h, w, b, targets)
+    assert nll.item() == pytest.approx(whole.item(), rel=1e-12, abs=0)
+    np.testing.assert_array_equal(hits, whole_hits)
+    assert hits.any() and not hits.all()
+
+
+def test_affine_nll_screens_the_last_row_block():
+    h, w, b, targets = _blocked_nll_inputs()
+    h.data[6, 1] = np.nan     # past the screen at creation; rows 4-6 are the last block
+    with _nll_block_rows(2, 5), pytest.raises(NonFiniteError, match="affine_nll"):
+        ad.affine_nll(h, w, b, targets)
+
+
+def test_affine_nll_row_blocks_stay_float32(monkeypatch):
+    row_bytes, row_blocks = [], ad._row_blocks
+    monkeypatch.setattr(ad, "_row_blocks",
+                        lambda n, size: row_bytes.append(size) or row_blocks(n, size))
+    h64, w64, b64, targets = _blocked_nll_inputs()
+    ad.set_default_dtype(np.float32)
+    try:
+        h, w, b = (Tensor(t.data, requires_grad=True) for t in (h64, w64, b64))
+        with _nll_block_rows(2, 5, itemsize=4):
+            recorded, _ = ad.affine_nll(h, w, b, targets)
+            assert row_bytes == []           # a recorded graph forms one block
+            with ad.no_grad():
+                blocked, _ = ad.affine_nll(h, w, b, targets)
+        backward(recorded, params=[h, w, b])
+    finally:
+        ad.set_default_dtype(np.float64)
+    assert row_bytes == [5 * 4]              # float32 logits, 4 bytes each
+    assert blocked.data.tobytes() == recorded.data.tobytes()
+    assert [t.grad.dtype for t in (h, w, b)] == [np.float32] * 3
+    whole64 = ad.affine_nll(h64, w64, b64, targets)[0].item()
+    assert recorded.item() != whole64
+    assert recorded.item() == pytest.approx(whole64, rel=1e-6)
+
+
+def test_affine_nll_without_a_graph_holds_one_block_of_logits():
+    # N = 600 rows over the PTB vocabulary: the whole (N, V) logits would
+    # take 48 MB; one block of them takes under NLL_BLOCK_BYTES.
+    rng = np.random.default_rng(23)
+    h, w = Tensor(rng.normal(size=(600, 8))), Tensor(0.1 * rng.normal(size=(10_004, 8)))
+    b, targets = Tensor(np.zeros(10_004)), rng.integers(0, 10_004, size=600)
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            ad.affine_nll(h, w, b, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ad.NLL_BLOCK_BYTES

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lstmn import checkpoint, cli, models, optim, synthetic, train
-from lstmn.autodiff import NonFiniteError, Tensor
+from lstmn.autodiff import NonFiniteError, Tensor, set_default_dtype
 from lstmn.checkpoint import CheckpointError, load_checkpoint, load_into
 from lstmn.config import ConfigError, RunConfig, build_config, data_kind, format_config
 from lstmn.data import Vocabulary
@@ -94,6 +94,13 @@ class TestConfig:
         (dict(beta2="1"), "beta2"),
         (dict(adam_eps="0"), "adam_eps"),
         (dict(embedding_grad_scale="-1"), "embedding_grad_scale"),
+        # -1 is a value like -2, not "unset": no task default replaces it.
+        (dict(lr="-1"), "lr must be > 0, got -1.0"),
+        (dict(grad_clip="-1"), "grad_clip must be >= 0, got -1.0"),
+        (dict(batch_size="-1"), "batch_size must be >= 1, got -1"),
+        (dict(dropout="-1"), r"dropout must be in \[0, 1\), got -1.0"),
+        (dict(l2="-1"), "l2 must be >= 0, got -1.0"),
+        (dict(task="sentiment", num_labels="-1"), "num_labels must be >= 2 for task sentiment"),
     ])
     def test_validation_failures(self, overrides, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -383,6 +390,53 @@ class TestRunEval:
         for name, t in params.items():
             np.testing.assert_array_equal(t.data, before[name])
 
+    def test_float64_checkpoint_is_cast_to_a_float32_model(self, tmp_path):
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="0"))
+        result = train.run_train(cfg, str(tmp_path / "out"))
+        stored = load_checkpoint(result.checkpoint_path)
+        try:
+            model = train._rebuild(dataclasses.replace(cfg, precision="float32"),
+                                   result.checkpoint_path)[0]
+        finally:
+            set_default_dtype(np.float64)
+        for name, t in model.params().items():
+            assert t.data.dtype == np.float32
+            np.testing.assert_array_equal(t.data, stored[name].astype(np.float32))
+
+    def test_float32_checkpoint_is_widened_exactly_into_a_float64_model(self, tmp_path):
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="0", precision="float32"))
+        try:
+            result = train.run_train(cfg, str(tmp_path / "out"))
+        finally:
+            set_default_dtype(np.float64)
+        stored = load_checkpoint(result.checkpoint_path)
+        assert {a.dtype for a in stored.values()} == {np.dtype(np.float32)}
+        model = train._rebuild(dataclasses.replace(cfg, precision="float64"),
+                               result.checkpoint_path)[0]
+        for name, t in model.params().items():
+            assert t.data.dtype == np.float64
+            np.testing.assert_array_equal(t.data, stored[name].astype(np.float64))
+
+    def test_value_beyond_float32_range_refused_before_any_write(self, tmp_path):
+        # Finite in the float64 checkpoint, inf once cast to the model's float32.
+        cfg = build_config(overrides=lm_overrides(tmp_path, epochs="0"))
+        result = train.run_train(cfg, str(tmp_path / "out"))
+        stored = load_checkpoint(result.checkpoint_path)
+        stored["output.W"][3, 1] = 1e39
+        bad = str(tmp_path / "big.npz")
+        np.savez(bad, **stored)
+        vocab = Vocabulary.load(tmp_path / "out" / "vocab.txt")
+        set_default_dtype(np.float32)
+        try:
+            params = models.build_model(cfg, vocab, np.random.default_rng(5)).params()
+        finally:
+            set_default_dtype(np.float64)
+        before = {n: t.data.copy() for n, t in params.items()}
+        with pytest.raises(CheckpointError, match="'output.W'.*non-finite values as float32"):
+            load_into(params, bad)
+        for name, t in params.items():
+            np.testing.assert_array_equal(t.data, before[name])
+
 
 class TestDumpAttention:
     def _trained(self, tmp_path, **extra):
@@ -494,6 +548,38 @@ class TestCliMain:
                          "--input", str(inp), "--out", str(tmp_path / "dump")]) == 0
         assert os.path.exists(tmp_path / "dump" / "attention.tsv")
 
+    def test_float32_train_eval_dump_round_trip(self, tmp_path, capsys, monkeypatch):
+        loaded, load_into = [], checkpoint.load_into
+
+        def recording_load_into(params, path):
+            load_into(params, path)
+            loaded.append({n: t.data.dtype for n, t in params.items()})
+
+        monkeypatch.setattr(checkpoint, "load_into", recording_load_into)
+        args = ["train", "--out", str(tmp_path / "run")]
+        for key, value in lm_overrides(tmp_path, max_steps="3", precision="float32").items():
+            args += [f"--{key}", value]
+        ckpt = str(tmp_path / "run" / "checkpoint.npz")
+        inp = tmp_path / "probe.txt"
+        inp.write_text("open1 mark close1\n")
+        try:
+            assert cli.main(args) == 0
+            capsys.readouterr()
+            assert cli.main(["eval", "--checkpoint", ckpt, "--split", "val"]) == 0
+            evaluated = capsys.readouterr().out.strip()
+            assert cli.main(["dump-attention", "--checkpoint", ckpt,
+                             "--input", str(inp), "--out", str(tmp_path / "dump")]) == 0
+        finally:
+            set_default_dtype(np.float64)
+        # The validation line of the run and eval's line agree to the digit.
+        validation = (tmp_path / "run" / "metrics.txt").read_text().splitlines()[-1]
+        assert validation == f"epoch=1 {evaluated}"
+        assert {a.dtype for a in load_checkpoint(ckpt).values()} == {np.dtype(np.float32)}
+        assert len(loaded) == 2
+        assert all(dtype == np.float32 for dtypes in loaded for dtype in dtypes.values())
+        rows = (tmp_path / "dump" / "attention.tsv").read_text().splitlines()[2:]
+        assert rows and all(0.0 <= float(row.split("\t")[2]) <= 1.0 for row in rows)
+
     def test_error_is_single_line_and_nonzero(self, capsys):
         code = cli.main(["train", "--task", "unknown-task"])
         assert code == 1
@@ -526,6 +612,21 @@ class TestCliMain:
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:2: config key seed is set again")
+        assert err.strip().count("\n") == 0
+        assert not (tmp_path / "out").exists()
+
+    def test_minus_one_is_one_error_line(self, tmp_path, capsys):
+        assert cli.main(["train", "--grad_clip", "-1", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: grad_clip must be >= 0, got -1.0\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_utf8_config_is_one_error_line_naming_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"seed = 1\nhidden = \xff\n")
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: not UTF-8 text")
         assert err.strip().count("\n") == 0
         assert not (tmp_path / "out").exists()
 

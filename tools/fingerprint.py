@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bit-identity fingerprint of the benchmark workloads.
 
-    python3 tools/fingerprint.py [workload ...]
+    python3 tools/fingerprint.py [--precision float32] [workload ...]
 
 For each workload of ``perfbench/workloads.py`` (all of them by default)
 at its reference seed, prints one SHA-256 digest over the exact bytes of
@@ -10,12 +10,16 @@ parameter after them (name and values), the first held-out batch's eval
 NLL and, for seq2seq models, one greedy ``generate``.  A refactor that
 claims unchanged numbers prints the same digests before and after it; a
 reordered float sum anywhere in training, eval or decoding changes them.
+``--precision float32`` runs the same operations in float32 (the
+workloads' default is float64), so a float32 refactor is checked too.
 
 Run from the root of a checkout; the package is imported from its
 ``src/``, and ``perfbench/`` is imported read-only.  Inputs are generated
 into a temporary directory.
 """
 
+import argparse
+import dataclasses
 import hashlib
 import os
 import sys
@@ -39,12 +43,14 @@ import workloads  # noqa: E402
 TRAIN_STEPS = 3
 
 
-def fingerprint(name: str) -> str:
-    """The workload's digest as 64 hex digits."""
+def fingerprint(name: str, precision: str = "float64") -> str:
+    """The workload's digest at ``precision`` as 64 hex digits.  Set-up
+    leaves the default dtype at ``precision``."""
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         paths = workloads.write_inputs(synthetic, name, workloads.DEFAULT_SEED, tmp)
-        run = harness.set_up(harness.make_config(workloads.WORKLOADS[name], paths))
+        cfg = harness.make_config(workloads.WORKLOADS[name], paths)
+        run = harness.set_up(dataclasses.replace(cfg, precision=precision))
     for batch in run.batches[:TRAIN_STEPS]:
         loss, _, norm = harness.train_step(run, batch)
         digest.update(np.float64([loss, norm]).tobytes())
@@ -59,9 +65,13 @@ def fingerprint(name: str) -> str:
 
 
 def main(argv=None) -> int:
-    names = (sys.argv[1:] if argv is None else argv) or sorted(workloads.WORKLOADS)
-    for name in names:
-        print(name, fingerprint(name), flush=True)
+    parser = argparse.ArgumentParser(description="Bit-identity digests of the benchmark "
+                                                 "workloads.")
+    parser.add_argument("workload", nargs="*", help="workload names (default: all)")
+    parser.add_argument("--precision", choices=("float64", "float32"), default="float64")
+    args = parser.parse_args(argv)
+    for name in args.workload or sorted(workloads.WORKLOADS):
+        print(name, fingerprint(name, args.precision), flush=True)
     return 0
 
 
