@@ -32,18 +32,28 @@ memory term in the same node.  Each kernel pays a fixed cost per call
 that dominates at B = 1 (greedy decoding), so the kernels call the
 ufunc reductions directly and write their nonlinearities in place.
 
-A memory tape is one (B, T, n) buffer that ``tape_write`` allocates,
-grows and writes in place, one slot per step or several slots at once
-(the source that inter-attention reads); ``tape_attend`` reads a
-window of it in one node (its attention weights a plain array), so a
-recurrent step adds a fixed number of nodes however long the tape.  ``tape_attend`` reads only tapes: a
-memory that no ``tape_write`` made is a ``TapeError``.  A read's
-backward returns the gradient of the key columns only and records its
-weights and output gradient in the read log that the chain of writes
-shares, sized to the reads the forward counted; each write's backward
-then adds the value gradient of its slots, sum_r weights_r g_r, as one
-batched product over the log.  Every loss ends in ``affine_nll``, the
-output affine map and softmax NLL in one node over the rows it is given;
+A memory tape is two buffers that ``tape_write`` allocates, grows and
+writes in place, one slot per step or several slots at once (the source
+that inter-attention reads): a value tape (B, T, d) and a key tape
+(T, B, a), laid out slot-major so that a read's window of keys is one
+contiguous run of B_t a values per slot.  ``tape_attend`` reads a window
+of both in one node (its attention weights a plain array), so a
+recurrent step adds a fixed number of nodes however long the tape.
+``tape_attend`` reads only tapes: a memory that no ``tape_write`` made is
+a ``TapeError``, and so are a read past the slots written and a write of
+a slot written before.  A recorded read keeps for its backward only its
+query, its weights and views of the tapes; the backward recomputes
+tanh(key + q) from the key tape, so no read holds a (B_t, window, a)
+activation, and a T-step sequence holds O(B T (d + a) + B T^2) for its
+reads, not O(B T^2 a).  A read's backward returns the key tape's
+gradient over its window, and for the value tape a ``ReadTerm``, its
+weights and output gradient, which ``backward`` files in the read log
+that the chain of writes shares, sized to the reads the forward counted;
+each write's backward then adds the value gradient of its slots,
+sum_r weights_r g_r, as one batched product over the log.
+
+Every loss ends in ``affine_nll``, the output affine map and softmax NLL
+in one node over the rows it is given;
 it forms the logits in row blocks of at most ``NLL_BLOCK_BYTES``, so
 the (N, V) logits exist only while a graph is recorded, for the backward;
 its weight gradient comes in the weight's own memory layout, so the
@@ -134,7 +144,8 @@ class GraphStateError(RuntimeError):
 
 class TapeError(ValueError):
     """A tape invariant (matching slot shapes, non-empty read, a memory
-    made by ``tape_write``) was violated."""
+    made by ``tape_write``, slots written once and in order, a read of
+    written slots only) was violated."""
 
 
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -234,8 +245,14 @@ def _unique_rows(index) -> bool:
 
 def _accumulate(parent: Tensor, g, free: bool) -> None:
     """Add ``g`` into ``parent.grad``; a ``free`` array, held by no one
-    else, may become the buffer itself."""
-    if isinstance(g, Partial):
+    else, may become the buffer itself.  A ``ReadTerm`` goes to the
+    parent tape's read log, and the tape gets a zeroed buffer for the
+    value gradient that its writes add."""
+    if isinstance(g, ReadTerm):
+        parent.log.record(parent.data, *g)
+        if parent.grad is None:
+            parent.grad = np.zeros_like(parent.data)
+    elif isinstance(g, Partial):
         if parent.grad is None:
             parent.grad = np.zeros_like(parent.data)
         if _unique_rows(g.index):
@@ -526,28 +543,43 @@ def attend(weights: np.ndarray, slots) -> Tensor:
 
 class _Tape(Tensor):
     """A tape node, made by ``tape_write``: the buffer after a write, the
-    rows that write covered, and the read log of its chain of writes."""
-    __slots__ = ("log", "rows")
+    rows that write covered, the slots written [0, ``end``) at this node,
+    whether it is a key tape, and the read log of its chain of writes."""
+    __slots__ = ("log", "rows", "end", "keys")
+
+
+class ReadTerm(NamedTuple):
+    """A read's share of its value tape's gradient, left unformed: the
+    read's weights over slots [lo, hi) and its output gradient g.
+    ``backward`` files it in the tape's read log, and each write of those
+    slots forms sum_r weights_r g_r for them (``tape_write``)."""
+    lo: int
+    hi: int
+    weights: np.ndarray
+    g: np.ndarray
 
 
 class _ReadLog:
-    """The reads of one chain of tape writes, recorded by ``tape_attend``'s
-    backward so that each write can form its slots' value gradient at once.
+    """The state one chain of tape writes shares: its written end, and the
+    reads of a value tape, filed by ``backward`` (``ReadTerm``) so that
+    each write can form its slots' value gradient at once.
 
-    ``tape_attend``'s forward counts the chain's reads in ``reads``.  Read
-    r keeps its weights in ``weights[:, lo:hi, r]`` (B, slots, R), laid out
-    per slot, and its output gradient in ``grads[:, r]`` (B, R, d); the
-    entries of rows and slots it did not read stay 0.  The arrays are made
-    at the first record, in the memory's dtype, with R = ``reads``.
-    Each read and write runs backward once (``backward``), so the log
-    fills once and no record outruns the count.
+    ``end`` is the end of the slots the chain has written: every write
+    starts there.  ``tape_attend``'s forward counts a value tape's reads
+    in ``reads``.  Read r keeps its weights in ``weights[:, lo:hi, r]``
+    (B, slots, R), laid out per slot, and its output gradient in
+    ``grads[:, r]`` (B, R, d); the entries of rows and slots it did not
+    read stay 0.  The arrays are made at the first record, in the
+    memory's dtype, with R = ``reads``.  Each read and write runs backward
+    once (``backward``), so the log fills once and no record outruns the
+    count.  A key tape's log records nothing.
     """
 
-    __slots__ = ("weights", "grads", "reads", "count")
+    __slots__ = ("weights", "grads", "reads", "count", "end")
 
     def __init__(self):
         self.weights = self.grads = None
-        self.reads = self.count = 0
+        self.reads = self.count = self.end = 0
 
     def record(self, memory: np.ndarray, lo: int, hi: int, weights: np.ndarray,
                g: np.ndarray) -> None:
@@ -562,29 +594,36 @@ class _ReadLog:
 
     def add_value_grad(self, g: np.ndarray, rows: int, start: int, stop: int) -> None:
         """Add sum_r weights_r[:, j] g_r, over every read recorded so far,
-        into the value columns of slots [start, stop) of the tape gradient
-        ``g``: one batched product."""
+        into slots [start, stop) of the value tape gradient ``g``: one
+        batched product."""
         if self.count:
-            g[:rows, start:stop, :self.grads.shape[2]] += np.matmul(
+            g[:rows, start:stop] += np.matmul(
                 self.weights[:rows, start:stop, :self.count], self.grads[:rows, :self.count])
 
 
-def tape_write(prev: Optional[Tensor], n: int, parts, slots: int) -> Tensor:
+def tape_write(prev: Optional[Tensor], n: int, parts, slots: int, keys: bool = False) -> Tensor:
     """Write slots [n, n + m) of a tape from the (B_n, m, k_i) ``parts``,
     side by side, into its first B_n rows (a (B_n, k_i) part is m = 1), and
     return the tape node after the write: the one code that allocates,
     grows, checks and fills a tape buffer.
 
-    ``prev`` is the tape node before the write, None for the first, which
-    allocates a zeroed (B_n, max(``slots``, n + m), sum k_i) buffer in the
-    parts' dtype and the read log (``_ReadLog``) that the chain shares.  A
+    A value tape is laid out (B, T, k), a slot's values per row, as the
+    read's weighted sum wants them; a key tape (``keys``) is laid out
+    slot-major, (T, B, k), so that a read's window of keys is one
+    contiguous run of B_t k values per slot.  ``prev`` is the tape
+    node before the write, None for the first, which allocates a zeroed
+    buffer of max(``slots``, n + m) slots and B_n rows in the parts'
+    dtype, and the read log (``_ReadLog``) that the chain shares.  A
     write past the end copies the buffer into one of twice the slots (at
     least n + m), so ``prev``'s data is this node's or the shorter buffer
     it grew from.  The parts share their leading shape; a later write
     fills the tape's width and covers no more rows than the write before
     it (in a packed batch, the rows still live; a slot's other rows stay
-    zero and are never read).  Any other write is a ``TapeError``, raised
-    before anything is written.
+    zero and are never read).  Slots are written once, in order: a write
+    starts at the chain's written end, from the chain's last node, so no
+    write changes a slot that a read (whose backward reads it again) has
+    seen.  Any other write is a ``TapeError``, raised before anything is
+    written.
 
     Backward first adds the value gradient of the slots written, formed
     from the log of the reads that ran backward before it: every read of
@@ -598,50 +637,70 @@ def tape_write(prev: Optional[Tensor], n: int, parts, slots: int) -> Tensor:
     shapes = [p.data.shape for p in parts]
     lead = shapes[0][:-1]
     rows, stop = lead[0] if lead else 0, n + (lead[1] if len(lead) == 2 else 1)
-    bounds = [0, *itertools.accumulate(s[-1] for s in shapes)]
-    cols, width = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], bounds[-1]
-    if len(lead) not in (1, 2) or not 0 <= n < stop or \
-            any(s[:-1] != lead for s in shapes) or \
-            (prev is not None and (width != prev.data.shape[2] or rows > prev.rows)):
+    cols, width = [], 0
+    for s in shapes:
+        cols.append(slice(width, width + s[-1]))
+        width += s[-1]
+    if len(lead) not in (1, 2) or stop <= n or any(s[:-1] != lead for s in shapes) or \
+            (prev is not None and (keys != prev.keys or width != prev.data.shape[2] or
+                                   rows > prev.rows)):
         raise TapeError(f"tape_write: slot shapes differ: parts {shapes} "
                         f"into slot {n} of tape {None if prev is None else prev.data.shape}")
+    end = 0 if prev is None else prev.log.end
+    if n != end or (prev is not None and prev.end != end):
+        raise TapeError(f"tape_write: slot {n} written from a node at slot "
+                        f"{0 if prev is None else prev.end} of a chain written to slot {end}: "
+                        "slots are written once, in order, from the chain's last node")
     if prev is None:
-        buf, log = np.zeros((rows, max(slots, stop), width), dtype=parts[0].data.dtype), _ReadLog()
+        size, log = max(slots, stop), _ReadLog()
+        buf = np.zeros((size, rows, width) if keys else (rows, size, width),
+                       dtype=parts[0].data.dtype)
     else:
         buf, log = prev.data, prev.log
-        if stop > buf.shape[1]:
-            grown = np.zeros((buf.shape[0], max(2 * buf.shape[1], stop), width), dtype=buf.dtype)
-            grown[:, :buf.shape[1]] = buf
+        size = buf.shape[0 if keys else 1]
+        if stop > size:
+            grown = np.zeros((max(2 * size, stop), buf.shape[1], width) if keys else
+                             (buf.shape[0], max(2 * size, stop), width), dtype=buf.dtype)
+            if keys:
+                grown[:size] = buf
+            else:
+                grown[:, :size] = buf
             buf = grown
-    block = buf[:rows, n:stop]
-    for p, s, c in zip(parts, shapes, cols):
-        block[:, :, c] = p.data.reshape(rows, stop - n, s[-1])
+    # The written slot, or slots [n, stop) of (B_n, m, k) parts, which a
+    # key tape holds slot-major: (m, B_n, k).
+    at = n if len(lead) == 1 else slice(n, stop)
+    turn = keys and len(lead) == 2
+    index = (at, slice(0, rows)) if keys else (slice(0, rows), at)
+    for p, c in zip(parts, cols):
+        buf[index + (c,)] = p.data.swapaxes(0, 1) if turn else p.data
+    log.end = stop
 
     def bwd(g):
         log.add_value_grad(g, rows, n, stop)
-        block = g[:rows, n:stop]
-        grads = tuple(block[:, :, c].reshape(s) for s, c in zip(shapes, cols))
+        grads = tuple(g[index + (c,)].swapaxes(0, 1) if turn else g[index + (c,)] for c in cols)
         if prev is None:
             return grads
-        return (g if prev.data is buf else g[:, :prev.data.shape[1]],) + grads
+        return (g if prev.data is buf else g[:size] if keys else g[:, :size],) + grads
 
     parents = tuple(parts) if prev is None else (prev,) + tuple(parts)
     node = _make(buf, parents, bwd, "tape_write", screen=False, cls=_Tape)
-    node.log, node.rows = log, rows
+    node.log, node.rows, node.end, node.keys = log, rows, stop, keys
     return node
 
 
-def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
+def tape_attend(values: Tensor, keys: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
                 prev: Tensor, w_prev: Tensor, v: Tensor,
                 bias: Optional[Tensor] = None, mask=None):
     """Additive attention over slots [lo, hi) of a tape, one node.
 
-    ``memory`` (B, T, d + a), a tape node that ``tape_write`` made (any
-    other tensor is a ``TapeError``), holds per slot a value (the first d
-    columns) and its key, already projected into the a = len(v) attention
-    columns (the last a).  The read covers the first B_t rows of the
-    memory and of ``prev``, as many as ``x`` (B_t, in) has: in a packed
-    batch, the rows still live.  With q = W_x x + W_prev prev + bias:
+    ``values`` (B, T, d) and ``keys`` (T, B, a), a value tape and a key
+    tape that ``tape_write`` made (any other tensor is a ``TapeError``),
+    hold per slot a value and its key, already projected into the a =
+    len(v) attention columns.  The window must lie in the slots both
+    have written; a window reaching past them is a ``TapeError``.  The
+    read covers the first B_t rows of the tapes and of ``prev``, as many
+    as ``x`` (B_t, in) has: in a packed batch, the rows still live.  With
+    q = W_x x + W_prev prev + bias:
 
         scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
         weights   = softmax(scores), 0 where ``mask`` is 0
@@ -650,67 +709,72 @@ def tape_attend(memory: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     ``mask`` is (B, hi - lo) and is cut to the same rows.  ``prev`` is
     read in its first k = W_prev-width columns, so a summary block
     [h~ | c~] passes whole as h~.  Returns (out, weights): the one graph
-    node, and the softmax as a plain array in the memory's dtype (screened
+    node, and the softmax as a plain array in the tapes' dtype (screened
     for NaN/Inf through ``out``).
 
-    The memory's gradient is a ``Partial`` over the rows, window and key
-    columns read, formed in the forward's tanh buffer.  The value columns'
-    share, weights_j g, is not formed here: backward records (weights, g)
-    in the tape's read log, and the write of each slot adds it
-    (``tape_write``).  ``prev``'s gradient is a ``Partial`` over its first
-    B_t rows and k columns.
+    A recorded read keeps for its backward only q (B_t, a), its weights
+    and views of the two tapes: the backward recomputes tanh(key_j + q)
+    from the key slots, which no write may change after the read
+    (``tape_write``), so no (B_t, hi - lo, a) activation outlives the
+    forward.  The key tape's gradient is a ``Partial`` over the window and
+    rows read, formed in the recomputed buffer.  The values' share,
+    weights_j g, is not formed here: it is a ``ReadTerm`` that backward
+    files in the value tape's read log, and the write of each slot adds
+    it (``tape_write``).  ``prev``'s gradient is a ``Partial`` over its
+    first B_t rows and k columns.
     """
-    if not isinstance(memory, _Tape):
-        raise TapeError("tape_attend: the memory must be a tape node made by tape_write")
-    md, xd, wxd, pd, wpd, vd = memory.data, x.data, w_x.data, prev.data, w_prev.data, v.data
+    if not (isinstance(values, _Tape) and not values.keys and isinstance(keys, _Tape)
+            and keys.keys):
+        raise TapeError("tape_attend: values and keys must be a value tape and a key tape "
+                        "made by tape_write")
+    vals, kd, xd, wxd, pd, wpd, vd = (values.data, keys.data, x.data, w_x.data, prev.data,
+                                      w_prev.data, v.data)
     batch = xd.shape[0] if xd.ndim == 2 else -1
-    md = md[:batch]
     a, k = vd.shape[0], wpd.shape[1]
-    if md.shape[0] != batch or md.shape[2] <= a or \
-            not 0 <= lo < hi <= md.shape[1] or \
-            xd.shape != (batch, wxd.shape[1]) or wxd.shape[0] != a or \
+    if not 0 <= batch <= min(vals.shape[0], kd.shape[1]) or kd.shape[2] != a or \
+            not 0 <= lo < hi or xd.shape != (batch, wxd.shape[1]) or wxd.shape[0] != a or \
             pd.ndim != 2 or pd.shape[0] < batch or pd.shape[1] < k or wpd.shape[0] != a:
         raise ShapeMismatchError(
-            f"tape_attend: memory {memory.data.shape} window [{lo}, {hi}), x {xd.shape}, "
-            f"W_x {wxd.shape}, prev {pd.shape}, W_prev {wpd.shape}, "
+            f"tape_attend: values {vals.shape}, keys {kd.shape} window [{lo}, {hi}), "
+            f"x {xd.shape}, W_x {wxd.shape}, prev {pd.shape}, W_prev {wpd.shape}, "
             f"v {vd.shape} do not conform")
+    if hi > min(values.end, keys.end):
+        raise TapeError(f"tape_attend: window [{lo}, {hi}) reaches past the written slots "
+                        f"[0, {values.end}) of the values and [0, {keys.end}) of the keys")
     if mask is not None:
         mask = np.asarray(mask)[:batch]
-    if _grad_enabled and memory.requires_grad:
-        memory.log.reads += 1
-    d = md.shape[2] - a
-    window = md[:, lo:hi]
-    values = window[:, :, :d]
+    if _grad_enabled and values.requires_grad:
+        values.log.reads += 1
+    vals, kd = vals[:batch, lo:hi], kd[lo:hi, :batch]
     pd = pd[:batch, :k]
     q = xd @ wxd.T
     q += pd @ wpd.T
     if bias is not None:
         q += bias.data
-    z = window[:, :, d:] + q[:, None, :]
+    z = kd + q
     np.tanh(z, out=z)
-    scores = z @ vd
-    weights = softmax(scores, mask)
-    out = np.matmul(weights[:, None, :], values)[:, 0]
+    weights = softmax((z.reshape(-1, a) @ vd).reshape(hi - lo, batch).T, mask)
+    out = np.matmul(weights[:, None, :], vals)[:, 0]
 
     def bwd(g):
         # dL/dscores = w * (dL/dw - sum(dL/dw * w)); zero at masked slots.
-        gw = np.matmul(values, g[:, :, None])[:, :, 0]
-        gs = weights * (gw - (gw * weights).sum(axis=1, keepdims=True))
-        if memory.requires_grad:
-            memory.log.record(memory.data, lo, hi, weights, g)
+        gw = np.matmul(vals, g[:, :, None])[:, :, 0]
+        gs = (weights * (gw - (gw * weights).sum(axis=1, keepdims=True))).T
+        z = kd + q
+        np.tanh(z, out=z)
         gv = gs.reshape(-1) @ z.reshape(-1, a)
         # z becomes the key gradient (1 - z^2) * v * gs, in place.
         np.multiply(z, z, out=z)
         np.subtract(1.0, z, out=z)
         np.multiply(z, vd, out=z)
         np.multiply(z, gs[:, :, None], out=z)
-        gq = z.sum(axis=1)
-        grads = (Partial((slice(0, batch), slice(lo, hi), slice(d, None)), z),
+        gq = _sum(z, 0)
+        grads = (ReadTerm(lo, hi, weights, g), Partial((slice(lo, hi), slice(0, batch)), z),
                  gq @ wxd, Outer(gq, xd),
                  Partial((slice(0, batch), slice(0, k)), gq @ wpd), Outer(gq, pd), gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
-    parents = (memory, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
+    parents = (values, keys, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
     return _make(out, parents, bwd, "tape_attend"), weights
 
 

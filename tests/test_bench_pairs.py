@@ -101,3 +101,37 @@ def test_pairs_alternate_the_first_side(monkeypatch, capsys):
         ["run", "1", "parent"], ["run", "2", "parent"], ["run", "2", "change"],
         ["run", "3", "change"], ["run", "3", "parent"]]
     assert status == 0 and out[-1].startswith("claim train_tok_s: holds")
+
+
+def test_json_summary_is_added_to_a_list(monkeypatch, tmp_path, capsys):
+    # Two invocations on canned runs: the file holds both summaries, each
+    # with its quartiles, IQR, wins, failures, seed, src/ lines and runs.
+    dirs = {}
+    for side, lines in (("old", 3), ("new", 5)):
+        pkg = tmp_path / side / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text("x = 1\n" * lines)
+        dirs[side] = str(tmp_path / side)
+    results = {dirs["old"]: iter(PARENT * 2),
+               dirs["new"]: iter([(t * 1.15, r - 5.0, 1) for t, r in PARENT] * 2)}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, *_: json.loads(result_line(*next(results[checkout]))))
+    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda: (30, BETTER))
+    path = tmp_path / "bench.json"
+    for workload in ("lm-long-tape", "copy-seq2seq"):
+        bench_pairs.main([dirs["old"], dirs["new"], "--workload", workload, "--pairs", "10",
+                          "--seed", "7", "--claim", "peak_rss_mb", "--json", str(path)])
+    capsys.readouterr()
+    entries = json.loads(path.read_text())
+    assert [e["workload"] for e in entries] == ["lm-long-tape", "copy-seq2seq"]
+    first = entries[0]
+    assert (first["seed"], first["pairs"], first["claim"], first["claim_holds"]) == \
+        (7, 10, "peak_rss_mb", True)
+    tok = first["metrics"]["train_tok_s"]
+    assert tok["parent"] == pytest.approx([1022.5, 1045.0, 1067.5])
+    assert tok["parent_iqr"] == pytest.approx(45.0)
+    assert (tok["wins"], tok["losses"], tok["ties"]) == (10, 0, 0)
+    assert first["metrics"]["peak_rss_mb"]["median_gain"] == pytest.approx(5.0)
+    assert first["failed_attempted"] == {"parent": [0, 500], "change": [10, 500]}
+    assert first["src_lines"] == {"parent": 3, "change": 5}
+    assert len(first["runs"]) == 20 and first["runs"][1]["side"] == "change"

@@ -1,5 +1,7 @@
 """Cell-level tests: closed forms, naive-oracle equivalence, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,7 +295,8 @@ class TestFusedTape:
 
         grown = Tapes()
         hs_grown, grads_grown = run(grown)
-        assert grown.memory.data.shape[1] == 4 * Tapes.INITIAL_SLOTS > 40
+        assert grown.values.data.shape[1] == grown.keys.data.shape[0] == \
+            4 * Tapes.INITIAL_SLOTS > 40
         hs_fixed, grads_fixed = run(Tapes(length=40))
         np.testing.assert_array_equal(np.stack(hs_grown), np.stack(hs_fixed))
         for g_grown, g_fixed in zip(grads_grown, grads_fixed):
@@ -314,6 +317,29 @@ class TestFusedTape:
             return Tensor(0.0)._nid - before
 
         assert nodes_of_step(4) == nodes_of_step(64)
+
+
+def test_recorded_forward_keeps_no_attention_activations():
+    # A recorded 2-layer skip stack at B = 16, T = 128, H = a = 64: the
+    # memory held between forward and backward stays below half of the
+    # (B, t, a) tanh activations that its 2 x 127 reads would keep, sum
+    # over reads of B t a 8 bytes (127 MiB).  Keeping them held 165.7 MB.
+    batch, steps, hidden = 16, 128, 64
+    rng = np.random.default_rng(39)
+    stack = cells.init_stack(rng, 2, hidden, hidden, hidden, skip=True)
+    xs = [Tensor(rng.normal(size=(batch, hidden)), requires_grad=True) for _ in range(steps)]
+    activations = 2 * sum(batch * t * hidden * 8 for t in range(steps))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = run_stack(xs, stack)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < activations / 2, (held, activations)
+    total = ad.sum_all(run.top[-1].h)
+    backward(total)
+    assert all(x.grad is not None for x in xs)
 
 
 class TestAttentionSumInvariant:
@@ -589,16 +615,18 @@ class TestPackedStack:
     def test_refused_write_changes_nothing(self, shapes):
         tapes = Tapes(length=2)
         tapes.append(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1))))
-        memory, before = tapes.memory, tapes.memory.data.copy()
+        nodes = tapes.values, tapes.keys
+        before = [node.data.copy() for node in nodes]
         with pytest.raises(TapeError):
             tapes.append(*(Tensor(np.full(s, 7.0)) for s in shapes))
-        assert tapes.memory is memory and tapes.written == 1
-        assert memory.data.tobytes() == before.tobytes()
+        assert (tapes.values, tapes.keys) == nodes and tapes.written == 1
+        assert [node.data.tobytes() for node in nodes] == [b.tobytes() for b in before]
 
     def test_tape_rejects_more_rows_than_the_slot_before(self):
         tapes = Tapes(length=3)
         tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))
         tapes.append(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1))))
-        np.testing.assert_array_equal(tapes.memory.data[:, 1], [[1.0] * 5, [0.0] * 5])
+        np.testing.assert_array_equal(tapes.values.data[:, 1], [[1.0] * 4, [0.0] * 4])
+        np.testing.assert_array_equal(tapes.keys.data[1], [[1.0], [0.0]])
         with pytest.raises(TapeError, match="differ"):
             tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))

@@ -1,0 +1,84 @@
+"""``tools/lockstep.py`` on stubbed operations and a stubbed clock: the
+A B, B A alternation, the per-step ratios and their summary, and the
+output comparison.  No benchmark runs."""
+
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "lockstep", os.path.join(ROOT, "tools", "lockstep.py"))
+lockstep = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(lockstep)
+
+
+class Clock:
+    """A clock that each stubbed operation advances by its own cost."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def stubbed(clock, calls, costs, outputs):
+    """{op: {side: fn}} whose call i of (op, side) takes costs[op][side][i]
+    seconds and returns outputs[op][side][i]."""
+    def make(op, side):
+        count = iter(range(len(costs[op][side])))
+
+        def fn():
+            i = next(count)
+            calls.append((op, side))
+            clock.now += costs[op][side][i]
+            return outputs[op][side][i]
+        return fn
+    return {op: {side: make(op, side) for side in lockstep.SIDES} for op in costs}
+
+
+def test_sides_take_turns_a_b_then_b_a():
+    clock, calls = Clock(), []
+    costs = {op: {side: [1.0] * 4 for side in lockstep.SIDES} for op in ("train", "eval")}
+    outputs = {op: {side: [0.0] * 4 for side in lockstep.SIDES} for op in costs}
+    lockstep.alternate(stubbed(clock, calls, costs, outputs), 4, clock)
+    p, c = "parent", "change"
+    assert calls == [("train", p), ("train", c), ("eval", p), ("eval", c),
+                     ("train", c), ("train", p), ("eval", c), ("eval", p)] * 2
+
+
+def test_ratios_medians_wins_and_matches():
+    # The change takes 0.9, 0.8, 1.1, 0.9 and 0.7 of the parent's time;
+    # its fourth output differs beyond the tolerance, its fifth within it.
+    clock, calls = Clock(), []
+    parent = [0.10, 0.20, 0.10, 0.30, 0.10]
+    change = [t * r for t, r in zip(parent, [0.9, 0.8, 1.1, 0.9, 0.7])]
+    want = [1.0, (2.0, 3, 1), [4, 5], 1.5, 2.0]
+    got = [1.0, (2.0, 3, 1), [4, 5], 1.5 * (1 + 1e-6), 2.0 * (1 + 1e-12)]
+    results = lockstep.alternate(stubbed(clock, calls, {"train": {"parent": parent,
+                                                                  "change": change}},
+                                         {"train": {"parent": want, "change": got}}), 5, clock)
+    assert results["train"]["parent"][0] == pytest.approx(parent)
+    row = lockstep.summarize(results, 1e-10)["train"]
+    assert row["parent_s"] == pytest.approx(0.10)
+    assert row["change_s"] == pytest.approx(0.11)
+    assert row["ratio"] == pytest.approx((0.8, 0.9, 0.9))
+    assert (row["wins"], row["steps"], row["matched"]) == (4, 5, 4)
+    line = lockstep.report({"train": row})[1].split()
+    assert line[:4] == ["train", "100", "110", "0.900"]
+
+
+def test_outputs_compare_ints_exactly_and_sequences_item_by_item():
+    assert lockstep.same([1, 2, 3], [1, 2, 3], 1e-10)
+    assert not lockstep.same([1, 2, 3], [1, 2, 4], 1e-10)
+    assert not lockstep.same([1, 2], [1, 2, 3], 1e-10)
+    assert lockstep.same((0.5, 7), (0.5 + 1e-12, 7), 1e-10)
+
+
+def test_unknown_op_is_refused(capsys):
+    with pytest.raises(SystemExit):
+        lockstep.main(["a", "b", "--workload", "lm-long-tape", "--ops", "train,fly",
+                       "--steps", "2"])
+    assert "--ops" in capsys.readouterr().err

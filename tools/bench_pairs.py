@@ -2,7 +2,7 @@
 """Alternating benchmark pairs between two checkouts.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N \
-        --seed S [--claim METRIC]
+        --seed S [--claim METRIC] [--json PATH]
 
 Runs ``perfbench/run.py --workload W --seed S --trace 0`` N times in each
 checkout, one parent run and one change run per pair, for the run length
@@ -17,9 +17,17 @@ With ``--claim METRIC`` the last line says whether a gain in METRIC
 holds: the change wins at least nine tenths of all pairs run (ties count
 as neither), and its median is better than the parent's by more than the
 parent's IQR.  The exit status is 0 when it holds and 1 when it does not.
+
+With ``--json PATH`` the summary is also added to the list of summaries
+in PATH (a new file starts the list), so one file can hold several
+workloads' pairs: the workload, seed and pair count, the claim and its
+verdict, per metric each side's quartiles, the parent's IQR and the
+wins, losses and ties, each side's failed and attempted operations, each
+checkout's ``src/`` line count, and every run's result line.
 """
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -108,6 +116,40 @@ def report(table: dict, failures: dict, claim: str = None) -> list:
     return lines
 
 
+def src_lines(checkout: str) -> int:
+    """Lines of the Python files under the checkout's ``src/``."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
+def summary_json(args, dirs: dict, runs: dict, table: dict, failures: dict) -> dict:
+    """The summary ``--json`` records for one invocation."""
+    verdict = None if args.claim is None else claim_holds(table[args.claim])
+    return {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+            "claim": args.claim, "claim_holds": verdict,
+            "metrics": {name: {**row, "median_gain": median_gain(row)}
+                        for name, row in table.items()},
+            "failed_attempted": {side: list(failures[side]) for side in SIDES},
+            "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
+            "runs": [{"pair": pair, "side": side, "result": runs[pair][side]}
+                     for pair in sorted(runs) for side in runs[pair]]}
+
+
+def append_json(path: str, summary: dict) -> None:
+    """Add ``summary`` to the list in ``path``, starting one if absent."""
+    entries = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    entries.append(summary)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_dir")
@@ -116,6 +158,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--claim", help="end-to-end metric whose gain to test")
+    parser.add_argument("--json", help="file whose list of summaries to add this one to")
     args = parser.parse_args(argv)
     seconds, better = benchmark_spec()
     if args.claim is not None and args.claim not in better:
@@ -130,6 +173,8 @@ def main(argv=None) -> int:
             print(f"run {pair} {side} {json.dumps(result)}", flush=True)
     table, failures = summarize(runs, better)
     print("\n".join(report(table, failures, args.claim)))
+    if args.json:
+        append_json(args.json, summary_json(args, dirs, runs, table, failures))
     return 0 if args.claim is None or claim_holds(table[args.claim]) else 1
 
 

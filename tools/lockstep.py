@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""In-process lockstep timing of two checkouts, one operation at a time.
+
+    python3 tools/lockstep.py PARENT_DIR CHANGE_DIR --workload W \
+        --ops train,eval[,decode] --steps N [--seed S]
+
+Imports each checkout's ``src/lstmn`` under a package name of its own
+(``lstmn_parent``, ``lstmn_change``) and loads its
+``perfbench/harness.py`` and ``perfbench/workloads.py`` once, read-only,
+against that package.  Both sides are set up from the same inputs at one
+seed (the benchmark's model seed), and then take turns: for step i and
+each operation in ``--ops``, both sides run it, the parent first when i
+is even and the change first when i is odd (A B, B A, ...), so that
+neither side always runs first.  An operation is a train step over the
+next batch of ``harness.train_batches``, an eval batch or a B = 1 decode,
+cycling over the held-out batches and sources; both sides see the same
+sequence.
+
+Per operation it prints each side's median milliseconds, the median of
+the per-step change/parent time ratios with their quartiles, the change's
+wins (steps where it was faster), and how many steps' outputs matched
+(train losses, eval NLL and hits, decodes, within the benchmark's
+reference tolerance).
+
+Caveat: both sides share one process, so they share one heap, one
+allocator state and one garbage collector.  Memory one side leaves behind
+can change the other's allocation costs, and the tool measures time
+only; resident memory needs separate processes (``tools/bench_pairs.py``).
+BLAS is pinned to one thread, as in ``perfbench/run.py``.
+"""
+
+import os
+import sys
+
+if __name__ == "__main__":
+    # Pin the BLAS pool before numpy loads, as perfbench/run.py does.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import itertools  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+SIDES = ("parent", "change")
+OPS = ("train", "eval", "decode")
+
+
+def _load(name: str, path: str, package: bool = False):
+    """Import the module or package at ``path`` as ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py") if package else path,
+        submodule_search_locations=[path] if package else None)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_side(checkout: str, side: str) -> tuple:
+    """(package, harness, workloads) of one checkout: its ``src/lstmn`` as
+    ``lstmn_<side>``, and its perfbench modules bound to that package."""
+    package = _load(f"lstmn_{side}", os.path.join(checkout, "src", "lstmn"), package=True)
+    saved = sys.modules.get("lstmn")
+    sys.modules["lstmn"] = package
+    try:
+        harness = _load(f"harness_{side}", os.path.join(checkout, "perfbench", "harness.py"))
+        workloads = _load(f"workloads_{side}",
+                          os.path.join(checkout, "perfbench", "workloads.py"))
+    finally:
+        if saved is None:
+            del sys.modules["lstmn"]
+        else:
+            sys.modules["lstmn"] = saved
+    return package, harness, workloads
+
+
+def side_ops(checkout: str, side: str, workload: str, seed: int, names) -> tuple:
+    """One side set up for ``workload`` at input seed ``seed``: ({op name:
+    fn() -> output}, the harness).  Each call runs the op's next item."""
+    package, harness, workloads = load_side(checkout, side)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = workloads.write_inputs(package.synthetic, workload, seed, tmp)
+        run = harness.set_up(harness.make_config(workloads.WORKLOADS[workload], paths))
+    items = {"train": harness.train_batches(run),
+             "eval": itertools.cycle(harness.val_batches(run)),
+             "decode": itertools.cycle(harness.decode_sources(run))}
+    op = {"train": lambda b: harness.train_step(run, b)[0],
+          "eval": lambda b: harness.eval_batch(run, b),
+          "decode": lambda s: harness.decode(run, s)[0]}
+    return {name: (lambda name=name: op[name](next(items[name]))) for name in names}, harness
+
+
+def alternate(ops: dict, steps: int, clock=time.perf_counter) -> dict:
+    """Run ``ops`` {op name: {side: fn() -> output}} ``steps`` times each,
+    both sides per step, the parent first on even steps and the change
+    first on odd ones.  Returns {op name: {side: ([seconds], [outputs])}}."""
+    out = {name: {side: ([], []) for side in SIDES} for name in ops}
+    for i in range(steps):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for name, fns in ops.items():
+            for side in order:
+                t0 = clock()
+                result = fns[side]()
+                seconds = clock() - t0
+                out[name][side][0].append(seconds)
+                out[name][side][1].append(result)
+    return out
+
+
+def same(a, b, rtol: float) -> bool:
+    """Outputs equal: sequences item by item, ints exactly, floats within
+    ``rtol``."""
+    if isinstance(a, (list, tuple, np.ndarray)):
+        return len(a) == len(b) and all(same(x, y, rtol) for x, y in zip(a, b))
+    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
+        return a == b
+    return abs(a - b) <= rtol * abs(b)
+
+
+def summarize(results: dict, rtol: float) -> dict:
+    """Per op: each side's median seconds, the change/parent ratios'
+    quartiles, wins (ratio < 1), steps and matching outputs."""
+    table = {}
+    for name, sides in results.items():
+        (tp, op), (tc, oc) = sides["parent"], sides["change"]
+        ratios = np.asarray(tc) / np.asarray(tp)
+        q1, med, q3 = np.percentile(ratios, [25, 50, 75])
+        table[name] = {"parent_s": float(np.median(tp)), "change_s": float(np.median(tc)),
+                       "ratio": (float(q1), float(med), float(q3)),
+                       "wins": int((ratios < 1.0).sum()), "steps": len(ratios),
+                       "matched": sum(same(a, b, rtol) for a, b in zip(op, oc))}
+    return table
+
+
+def report(table: dict) -> list:
+    lines = [f"{'op':<8}{'parent ms':>11}{'change ms':>11}{'ratio':>8}  {'IQR':<17}"
+             f"{'wins':>9}{'outputs matched':>18}"]
+    for name, row in table.items():
+        q1, med, q3 = row["ratio"]
+        lines.append(f"{name:<8}{1e3 * row['parent_s']:>11.4g}{1e3 * row['change_s']:>11.4g}"
+                     f"{med:>8.3f}  [{q1:.3f}, {q3:.3f}]"
+                     f"{row['wins']:>5} of {row['steps']:<3}"
+                     f"{row['matched']:>9} of {row['steps']}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--ops", default="train,eval",
+                        help="comma-separated, from " + ", ".join(OPS))
+    parser.add_argument("--steps", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=0, help="input seed of the workload")
+    args = parser.parse_args(argv)
+    names = args.ops.split(",")
+    if not names or any(n not in OPS for n in names) or len(set(names)) != len(names):
+        parser.error(f"--ops takes distinct names from {', '.join(OPS)}")
+    ops, harness = {}, None
+    for side, checkout in zip(SIDES, (args.parent_dir, args.change_dir)):
+        fns, harness = side_ops(os.path.abspath(checkout), side, args.workload, args.seed, names)
+        for name in names:
+            ops.setdefault(name, {})[side] = fns[name]
+    table = summarize(alternate(ops, args.steps), harness.REFERENCE_RTOL)
+    print("\n".join(report(table)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
