@@ -32,25 +32,28 @@ memory term in the same node.  Each kernel pays a fixed cost per call
 that dominates at B = 1 (greedy decoding), so the kernels call the
 ufunc reductions directly and write their nonlinearities in place.
 
-A memory tape is two buffers that ``tape_write`` allocates, grows and
-writes in place, one slot per step or several slots at once (the source
-that inter-attention reads): a value tape (B, T, d) and a key tape
-(T, B, a), laid out slot-major so that a read's window of keys is one
-contiguous run of B_t a values per slot.  ``tape_attend`` reads a window
-of both in one node (its attention weights a plain array), so a
-recurrent step adds a fixed number of nodes however long the tape.
-``tape_attend`` reads only tapes: a memory that no ``tape_write`` made is
-a ``TapeError``, and so are a read past the slots written and a write of
-a slot written before.  A recorded read keeps for its backward only its
-query, its weights and views of the tapes; the backward recomputes
-tanh(key + q) from the key tape, so no read holds a (B_t, window, a)
-activation, and a T-step sequence holds O(B T (d + a) + B T^2) for its
-reads, not O(B T^2 a).  A read's backward returns the key tape's
-gradient over its window, and for the value tape a ``ReadTerm``, its
-weights and output gradient, which ``backward`` files in the read log
-that the chain of writes shares, sized to the reads the forward counted;
-each write's backward then adds the value gradient of its slots,
-sum_r weights_r g_r, as one batched product over the log.
+A memory tape is one chain of nodes that ``tape_write`` makes, each
+holding the tape's two buffers after a write: the slot values (B, T, d)
+as its data and their keys (T, B, a) beside them, laid out slot-major
+so that a read's window of keys is one contiguous run of B_t a values
+per slot.  A write allocates, grows and fills both in place, one slot
+per step or several slots at once (the source that inter-attention
+reads), and ``tape_attend`` reads a window of a tape in one node (its
+attention weights a plain array), so a recurrent step adds a fixed
+number of nodes however long the tape.  ``tape_attend`` reads only
+tapes: a memory that no ``tape_write`` made is a ``TapeError``, and so
+are a read past the slots written and a write of a slot written before.
+A recorded read keeps for its backward only its query, its weights and
+views of the tape; the backward recomputes tanh(key + q) from the keys,
+so no read holds a (B_t, window, a) activation, and a T-step sequence
+holds O(B T (d + a) + B T^2) for its reads, not O(B T^2 a).  A read's
+backward returns a ``ReadTerm``, its weights, output gradient and key
+gradient, which ``backward`` files in the read log that the chain of
+writes shares: the weights and output gradients in arrays sized to the
+reads the forward counted, the key gradient added at once into the
+log's key-gradient buffer.  Each write's backward then adds the value
+gradient of its slots, sum_r weights_r g_r, as one batched product over
+the log, and takes its key's gradient from that buffer.
 
 Every loss ends in ``affine_nll``, the output affine map and softmax NLL
 in one node over the rows it is given;
@@ -249,7 +252,7 @@ def _accumulate(parent: Tensor, g, free: bool) -> None:
     parent tape's read log, and the tape gets a zeroed buffer for the
     value gradient that its writes add."""
     if isinstance(g, ReadTerm):
-        parent.log.record(parent.data, *g)
+        parent.log.record(parent, *g)
         if parent.grad is None:
             parent.grad = np.zeros_like(parent.data)
     elif isinstance(g, Partial):
@@ -542,82 +545,91 @@ def attend(weights: np.ndarray, slots) -> Tensor:
 
 
 class _Tape(Tensor):
-    """A tape node, made by ``tape_write``: the buffer after a write, the
-    rows that write covered, the slots written [0, ``end``) at this node,
-    whether it is a key tape, and the read log of its chain of writes."""
-    __slots__ = ("log", "rows", "end", "keys")
+    """A tape node, made by ``tape_write``: the slot values after a write
+    as its data, their slot-major keys beside them (``keys``), the rows
+    that write covered, the slots written [0, ``end``) at this node, and
+    the read log of its chain of writes."""
+    __slots__ = ("keys", "log", "rows", "end")
 
 
 class ReadTerm(NamedTuple):
-    """A read's share of its value tape's gradient, left unformed: the
-    read's weights over slots [lo, hi) and its output gradient g.
-    ``backward`` files it in the tape's read log, and each write of those
-    slots forms sum_r weights_r g_r for them (``tape_write``)."""
+    """A read's share of its tape's gradient, filed in the tape's read log
+    by ``backward``: the read's weights over slots [lo, hi) and its output
+    gradient g, from which each write of those slots forms their value
+    gradient sum_r weights_r g_r (``tape_write``), and the read's key
+    gradient (hi - lo, B_t, a), which the log adds at once."""
     lo: int
     hi: int
     weights: np.ndarray
     g: np.ndarray
+    key_grad: np.ndarray
 
 
 class _ReadLog:
     """The state one chain of tape writes shares: its written end, and the
-    reads of a value tape, filed by ``backward`` (``ReadTerm``) so that
-    each write can form its slots' value gradient at once.
+    reads of its slots, filed by ``backward`` (``ReadTerm``) so that each
+    write can form its slots' gradients at once.
 
     ``end`` is the end of the slots the chain has written: every write
-    starts there.  ``tape_attend``'s forward counts a value tape's reads
-    in ``reads``.  Read r keeps its weights in ``weights[:, lo:hi, r]``
+    starts there.  ``tape_attend``'s forward counts the chain's reads in
+    ``reads``.  Read r keeps its weights in ``weights[:, lo:hi, r]``
     (B, slots, R), laid out per slot, and its output gradient in
     ``grads[:, r]`` (B, R, d); the entries of rows and slots it did not
-    read stay 0.  The arrays are made at the first record, in the
-    memory's dtype, with R = ``reads``.  Each read and write runs backward
+    read stay 0.  Its key gradient is added at once into ``key_grads``,
+    laid out like the keys (slots, B, a); ``read_end`` is the end of the
+    slots read.  The arrays are made at the first record, in the shapes
+    and dtype of the tape that read read (the last read, so every slot
+    read fits), with R = ``reads``.  Each read and write runs backward
     once (``backward``), so the log fills once and no record outruns the
-    count.  A key tape's log records nothing.
+    count.
     """
 
-    __slots__ = ("weights", "grads", "reads", "count", "end")
+    __slots__ = ("weights", "grads", "key_grads", "reads", "count", "end", "read_end")
 
     def __init__(self):
-        self.weights = self.grads = None
-        self.reads = self.count = self.end = 0
+        self.weights = self.grads = self.key_grads = None
+        self.reads = self.count = self.end = self.read_end = 0
 
-    def record(self, memory: np.ndarray, lo: int, hi: int, weights: np.ndarray,
-               g: np.ndarray) -> None:
+    def record(self, tape: "_Tape", lo: int, hi: int, weights: np.ndarray, g: np.ndarray,
+               key_grad: np.ndarray) -> None:
         r = self.count
         if self.weights is None:
-            batch, slots = memory.shape[:2]
-            self.weights = np.zeros((batch, slots, self.reads), dtype=memory.dtype)
-            self.grads = np.zeros((batch, self.reads, g.shape[1]), dtype=memory.dtype)
+            batch, slots = tape.data.shape[:2]
+            self.weights = np.zeros((batch, slots, self.reads), dtype=tape.data.dtype)
+            self.grads = np.zeros((batch, self.reads, g.shape[1]), dtype=tape.data.dtype)
+            self.key_grads = np.zeros_like(tape.keys)
         self.weights[:weights.shape[0], lo:hi, r] = weights
         self.grads[:g.shape[0], r] = g
-        self.count = r + 1
+        self.key_grads[lo:hi, :key_grad.shape[1]] += key_grad
+        self.count, self.read_end = r + 1, max(self.read_end, hi)
 
     def add_value_grad(self, g: np.ndarray, rows: int, start: int, stop: int) -> None:
         """Add sum_r weights_r[:, j] g_r, over every read recorded so far,
-        into slots [start, stop) of the value tape gradient ``g``: one
-        batched product."""
+        into slots [start, stop) of the value gradient ``g``: one batched
+        product."""
         if self.count:
             g[:rows, start:stop] += np.matmul(
                 self.weights[:rows, start:stop, :self.count], self.grads[:rows, :self.count])
 
 
-def tape_write(prev: Optional[Tensor], n: int, parts, slots: int, keys: bool = False) -> Tensor:
-    """Write slots [n, n + m) of a tape from the (B_n, m, k_i) ``parts``,
-    side by side, into its first B_n rows (a (B_n, k_i) part is m = 1), and
+def tape_write(prev: Optional[Tensor], n: int, parts, key: Tensor, slots: int) -> Tensor:
+    """Write slots [n, n + m) of a tape, their values from the (B_n, m,
+    k_i) ``parts``, side by side, and their keys from the (B_n, m, a)
+    ``key``, into the first B_n rows (a (B_n, k) part is m = 1), and
     return the tape node after the write: the one code that allocates,
-    grows, checks and fills a tape buffer.
+    grows, checks and fills a tape.
 
-    A value tape is laid out (B, T, k), a slot's values per row, as the
-    read's weighted sum wants them; a key tape (``keys``) is laid out
-    slot-major, (T, B, k), so that a read's window of keys is one
-    contiguous run of B_t k values per slot.  ``prev`` is the tape
-    node before the write, None for the first, which allocates a zeroed
-    buffer of max(``slots``, n + m) slots and B_n rows in the parts'
-    dtype, and the read log (``_ReadLog``) that the chain shares.  A
-    write past the end copies the buffer into one of twice the slots (at
-    least n + m), so ``prev``'s data is this node's or the shorter buffer
-    it grew from.  The parts share their leading shape; a later write
-    fills the tape's width and covers no more rows than the write before
+    A tape node holds the values (B, T, sum k_i) as its data, a slot's
+    values per row, as the read's weighted sum wants them, and the keys
+    (T, B, a), slot-major, so that a read's window of keys is one
+    contiguous run of B_t a values per slot.  ``prev`` is the node before
+    the write, None for the first, which allocates both zeroed, with
+    max(``slots``, n + m) slots and B_n rows in the parts' dtype, and the
+    read log (``_ReadLog``) that the chain shares.  A write past the end
+    copies both into buffers of twice the slots (at least n + m), so
+    ``prev``'s buffers are this node's or the shorter ones they grew
+    from.  The parts and the key share their leading shape; a later write
+    fills the tape's widths and covers no more rows than the write before
     it (in a packed batch, the rows still live; a slot's other rows stay
     zero and are never read).  Slots are written once, in order: a write
     starts at the chain's written end, from the chain's last node, so no
@@ -629,22 +641,23 @@ def tape_write(prev: Optional[Tensor], n: int, parts, slots: int, keys: bool = F
     from the log of the reads that ran backward before it: every read of
     those slots, as reads are made after the write.  It then hands this
     node's gradient to ``prev`` unchanged (cut to its length after a
-    growth), so one gradient buffer runs back through the whole chain of
-    writes, and gives each part its columns of the written rows and
-    slots.  The buffer is not screened for NaN/Inf: only those rows
-    changed, and the kernels that made the parts screened them.
+    growth), so one gradient buffer runs back through the whole chain,
+    gives each part its columns of the written rows and slots, and gives
+    the key those rows and slots of the log's key gradient, or none when
+    no read reached them.  The buffers are not screened for NaN/Inf: only
+    those rows changed, and the kernels that made the parts screened them.
     """
-    shapes = [p.data.shape for p in parts]
-    lead = shapes[0][:-1]
+    shapes = [p.data.shape for p in parts] + [key.data.shape]
+    lead, a = shapes[0][:-1], shapes[-1][-1]
     rows, stop = lead[0] if lead else 0, n + (lead[1] if len(lead) == 2 else 1)
     cols, width = [], 0
-    for s in shapes:
+    for s in shapes[:-1]:
         cols.append(slice(width, width + s[-1]))
         width += s[-1]
     if len(lead) not in (1, 2) or stop <= n or any(s[:-1] != lead for s in shapes) or \
-            (prev is not None and (keys != prev.keys or width != prev.data.shape[2] or
+            (prev is not None and ((width, a) != (prev.data.shape[2], prev.keys.shape[2]) or
                                    rows > prev.rows)):
-        raise TapeError(f"tape_write: slot shapes differ: parts {shapes} "
+        raise TapeError(f"tape_write: slot shapes differ: parts and key {shapes} "
                         f"into slot {n} of tape {None if prev is None else prev.data.shape}")
     end = 0 if prev is None else prev.log.end
     if n != end or (prev is not None and prev.end != end):
@@ -652,55 +665,47 @@ def tape_write(prev: Optional[Tensor], n: int, parts, slots: int, keys: bool = F
                         f"{0 if prev is None else prev.end} of a chain written to slot {end}: "
                         "slots are written once, in order, from the chain's last node")
     if prev is None:
-        size, log = max(slots, stop), _ReadLog()
-        buf = np.zeros((size, rows, width) if keys else (rows, size, width),
-                       dtype=parts[0].data.dtype)
+        size, log, dtype = max(slots, stop), _ReadLog(), parts[0].data.dtype
+        buf, keys = np.zeros((rows, size, width), dtype), np.zeros((size, rows, a), dtype)
     else:
-        buf, log = prev.data, prev.log
-        size = buf.shape[0 if keys else 1]
+        buf, keys, log = prev.data, prev.keys, prev.log
+        size = buf.shape[1]
         if stop > size:
-            grown = np.zeros((max(2 * size, stop), buf.shape[1], width) if keys else
-                             (buf.shape[0], max(2 * size, stop), width), dtype=buf.dtype)
-            if keys:
-                grown[:size] = buf
-            else:
-                grown[:, :size] = buf
-            buf = grown
-    # The written slot, or slots [n, stop) of (B_n, m, k) parts, which a
-    # key tape holds slot-major: (m, B_n, k).
+            more = max(size, stop - size)
+            buf = np.pad(buf, ((0, 0), (0, more), (0, 0)))
+            keys = np.pad(keys, ((0, more), (0, 0), (0, 0)))
+    # The written slot, or slots [n, stop); the keys are written, and their
+    # gradient read, through a (B, T, a) view of their slot-major buffer.
     at = n if len(lead) == 1 else slice(n, stop)
-    turn = keys and len(lead) == 2
-    index = (at, slice(0, rows)) if keys else (slice(0, rows), at)
     for p, c in zip(parts, cols):
-        buf[index + (c,)] = p.data.swapaxes(0, 1) if turn else p.data
+        buf[:rows, at, c] = p.data
+    keys.swapaxes(0, 1)[:rows, at] = key.data
     log.end = stop
 
     def bwd(g):
         log.add_value_grad(g, rows, n, stop)
-        grads = tuple(g[index + (c,)].swapaxes(0, 1) if turn else g[index + (c,)] for c in cols)
-        if prev is None:
-            return grads
-        return (g if prev.data is buf else g[:size] if keys else g[:, :size],) + grads
+        gk = log.key_grads.swapaxes(0, 1)[:rows, at] if n < log.read_end else None
+        grads = tuple(g[:rows, at, c] for c in cols) + (gk,)
+        return grads if prev is None else (g if prev.data is buf else g[:, :size],) + grads
 
-    parents = tuple(parts) if prev is None else (prev,) + tuple(parts)
+    parents = (() if prev is None else (prev,)) + tuple(parts) + (key,)
     node = _make(buf, parents, bwd, "tape_write", screen=False, cls=_Tape)
-    node.log, node.rows, node.end, node.keys = log, rows, stop, keys
+    node.keys, node.log, node.rows, node.end = keys, log, rows, stop
     return node
 
 
-def tape_attend(values: Tensor, keys: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
+def tape_attend(tape: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
                 prev: Tensor, w_prev: Tensor, v: Tensor,
                 bias: Optional[Tensor] = None, mask=None):
     """Additive attention over slots [lo, hi) of a tape, one node.
 
-    ``values`` (B, T, d) and ``keys`` (T, B, a), a value tape and a key
-    tape that ``tape_write`` made (any other tensor is a ``TapeError``),
-    hold per slot a value and its key, already projected into the a =
-    len(v) attention columns.  The window must lie in the slots both
-    have written; a window reaching past them is a ``TapeError``.  The
-    read covers the first B_t rows of the tapes and of ``prev``, as many
-    as ``x`` (B_t, in) has: in a packed batch, the rows still live.  With
-    q = W_x x + W_prev prev + bias:
+    ``tape``, a tape node that ``tape_write`` made (any other tensor is a
+    ``TapeError``), holds per slot a value (B, T, d) and its key (T, B,
+    a), already projected into the a = len(v) attention columns.  The
+    window must lie in the slots written; a window reaching past them is
+    a ``TapeError``.  The read covers the first B_t rows of the tape and
+    of ``prev``, as many as ``x`` (B_t, in) has: in a packed batch, the
+    rows still live.  With q = W_x x + W_prev prev + bias:
 
         scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
         weights   = softmax(scores), 0 where ``mask`` is 0
@@ -709,42 +714,39 @@ def tape_attend(values: Tensor, keys: Tensor, lo: int, hi: int, x: Tensor, w_x: 
     ``mask`` is (B, hi - lo) and is cut to the same rows.  ``prev`` is
     read in its first k = W_prev-width columns, so a summary block
     [h~ | c~] passes whole as h~.  Returns (out, weights): the one graph
-    node, and the softmax as a plain array in the tapes' dtype (screened
+    node, and the softmax as a plain array in the tape's dtype (screened
     for NaN/Inf through ``out``).
 
     A recorded read keeps for its backward only q (B_t, a), its weights
-    and views of the two tapes: the backward recomputes tanh(key_j + q)
-    from the key slots, which no write may change after the read
-    (``tape_write``), so no (B_t, hi - lo, a) activation outlives the
-    forward.  The key tape's gradient is a ``Partial`` over the window and
-    rows read, formed in the recomputed buffer.  The values' share,
-    weights_j g, is not formed here: it is a ``ReadTerm`` that backward
-    files in the value tape's read log, and the write of each slot adds
-    it (``tape_write``).  ``prev``'s gradient is a ``Partial`` over its
-    first B_t rows and k columns.
+    and views of the tape: the backward recomputes tanh(key_j + q) from
+    the keys, which no write may change after the read (``tape_write``),
+    so no (B_t, hi - lo, a) activation outlives the forward.  The tape's
+    gradient is a ``ReadTerm``: the weights and g, from which the write of
+    each slot forms its value gradient weights_j g, and the key gradient
+    over the window and rows read, formed in the recomputed buffer, which
+    backward adds into the read log at once.  ``prev``'s gradient is a
+    ``Partial`` over its first B_t rows and k columns.
     """
-    if not (isinstance(values, _Tape) and not values.keys and isinstance(keys, _Tape)
-            and keys.keys):
-        raise TapeError("tape_attend: values and keys must be a value tape and a key tape "
-                        "made by tape_write")
-    vals, kd, xd, wxd, pd, wpd, vd = (values.data, keys.data, x.data, w_x.data, prev.data,
+    if not isinstance(tape, _Tape):
+        raise TapeError("tape_attend: the memory must be a tape node made by tape_write")
+    vals, kd, xd, wxd, pd, wpd, vd = (tape.data, tape.keys, x.data, w_x.data, prev.data,
                                       w_prev.data, v.data)
     batch = xd.shape[0] if xd.ndim == 2 else -1
     a, k = vd.shape[0], wpd.shape[1]
-    if not 0 <= batch <= min(vals.shape[0], kd.shape[1]) or kd.shape[2] != a or \
+    if not 0 <= batch <= vals.shape[0] or kd.shape[2] != a or \
             not 0 <= lo < hi or xd.shape != (batch, wxd.shape[1]) or wxd.shape[0] != a or \
             pd.ndim != 2 or pd.shape[0] < batch or pd.shape[1] < k or wpd.shape[0] != a:
         raise ShapeMismatchError(
             f"tape_attend: values {vals.shape}, keys {kd.shape} window [{lo}, {hi}), "
             f"x {xd.shape}, W_x {wxd.shape}, prev {pd.shape}, W_prev {wpd.shape}, "
             f"v {vd.shape} do not conform")
-    if hi > min(values.end, keys.end):
+    if hi > tape.end:
         raise TapeError(f"tape_attend: window [{lo}, {hi}) reaches past the written slots "
-                        f"[0, {values.end}) of the values and [0, {keys.end}) of the keys")
+                        f"[0, {tape.end})")
     if mask is not None:
         mask = np.asarray(mask)[:batch]
-    if _grad_enabled and values.requires_grad:
-        values.log.reads += 1
+    if _grad_enabled and tape.requires_grad:
+        tape.log.reads += 1
     vals, kd = vals[:batch, lo:hi], kd[lo:hi, :batch]
     pd = pd[:batch, :k]
     q = xd @ wxd.T
@@ -769,12 +771,11 @@ def tape_attend(values: Tensor, keys: Tensor, lo: int, hi: int, x: Tensor, w_x: 
         np.multiply(z, vd, out=z)
         np.multiply(z, gs[:, :, None], out=z)
         gq = _sum(z, 0)
-        grads = (ReadTerm(lo, hi, weights, g), Partial((slice(lo, hi), slice(0, batch)), z),
-                 gq @ wxd, Outer(gq, xd),
+        grads = (ReadTerm(lo, hi, weights, g, z), gq @ wxd, Outer(gq, xd),
                  Partial((slice(0, batch), slice(0, k)), gq @ wpd), Outer(gq, pd), gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
-    parents = (values, keys, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
+    parents = (tape, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
     return _make(out, parents, bwd, "tape_attend"), weights
 
 

@@ -17,15 +17,16 @@ cell forms the source memory term r * a~.
 weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
 k's output, optionally with a skip connection from the token embedding.
 
-A tape layer keeps two buffers, the slot values [h | c] and their
-attention keys, that each step writes in place through
+A tape layer keeps one tape, whose slots hold the values [h | c] and
+their attention keys, that each step writes in place through one
 ``autodiff.tape_write`` (``Tapes``); the attention read and both
 summaries are a single fused node (``autodiff.tape_attend``), and the
-backward hands one gradient buffer per tape down the chain of writes, so
-a step costs the same graph work at any tape length.  Each value write's
-backward adds its slot's value gradient from the reads that chain's read
-log holds, in one product; a read keeps no tanh activations, and its
-backward recomputes them from the key tape.
+backward hands one gradient buffer down the chain of writes, so a step
+costs the same graph work at any tape length.  Each write's backward
+adds its slot's value gradient from the reads that the chain's read log
+holds, in one product, and takes its key's gradient from the log; a read
+keeps no tanh activations, and its backward recomputes them from the
+keys.
 
 All step functions are batch-first: token inputs are (B, in), state
 blocks (B, 2h).  A batch may be packed (``autodiff``'s row-prefix rule):
@@ -116,18 +117,16 @@ class StackWeights:
 
 class Tapes:
     """Per-sequence hidden and memory tapes, with cached attention keys:
-    a value tape (B, T, 2h) and a key tape (T, B, a).
+    one tape (``autodiff.tape_write``) whose slot i holds the values
+    [h_i | c_i] and the key W_h h_i.
 
-    Slot i holds the values [h_i | c_i] and the key W_h h_i: the key is
-    projected once, when the slot is appended, and reused by every later
-    step, and a read of the values gives a summary block [h~ | c~].  The
-    key tape is slot-major, so a read's window of keys is one contiguous
-    run per slot (``autodiff.tape_attend``).  ``append`` writes the next
-    slot of both by ``autodiff.tape_write``, which allocates each buffer
-    for ``length`` slots (or ``INITIAL_SLOTS``), doubles it when full and
-    checks each slot's shape; ``values`` and ``keys`` are the tape nodes
-    after the latest write, the ends of the chains of writes that the
-    backward runs back.
+    The key is projected once, when the slot is appended, and reused by
+    every later step, and a read of the values gives a summary block
+    [h~ | c~].  ``append`` writes the next slot by one ``tape_write``,
+    which allocates the tape for ``length`` slots (or ``INITIAL_SLOTS``),
+    doubles it when full and checks each slot's shapes; ``memory`` is the
+    tape node after the latest write, the end of the chain of writes that
+    the backward runs back.
 
     With a capacity, attention reads only the newest ``capacity`` slots:
     the read window is [n - capacity, n) over the n slots written, and
@@ -141,8 +140,7 @@ class Tapes:
             raise TapeError(f"tape capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.length = length
-        self.values: Optional[Tensor] = None
-        self.keys: Optional[Tensor] = None
+        self.memory: Optional[Tensor] = None
         self.written = 0
 
     def __len__(self) -> int:
@@ -156,18 +154,12 @@ class Tapes:
 
     def append(self, *parts: Tensor) -> None:
         """Write the next slot from ``parts``: ([h | c], key) or (h, c,
-        key), the value parts of one width.  The key's rows and width are
-        checked here too, so that a refused slot changes neither tape;
-        ``tape_write`` checks the rest: the value parts' rows, at most the
-        last slot's (a packed batch's rows only end), and the value tape's
-        width."""
-        if len(parts) < 2 or len({p.data.shape[-1] for p in parts[:-1]}) != 1 or \
-                parts[-1].data.shape[:-1] != parts[0].data.shape[:-1] or \
-                (self.keys is not None and parts[-1].data.shape[-1] != self.keys.data.shape[2]):
+        key), the value parts of one width; ``tape_write`` checks the
+        rest against the tape."""
+        if len({p.data.shape[-1] for p in parts[:-1]}) != 1:
             raise TapeError(f"tape slot shapes differ: parts {[p.data.shape for p in parts]}")
-        size = self.length or self.INITIAL_SLOTS
-        self.values = ad.tape_write(self.values, self.written, parts[:-1], size)
-        self.keys = ad.tape_write(self.keys, self.written, parts[-1:], size, keys=True)
+        self.memory = ad.tape_write(self.memory, self.written, parts[:-1], parts[-1],
+                                    self.length or self.INITIAL_SLOTS)
         self.written += 1
 
 
@@ -256,8 +248,7 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     if len(tapes) == 0:
         raise TapeError("attention over an empty tape")
     lo, hi = tapes.window()
-    return ad.tape_attend(tapes.values, tapes.keys, lo, hi, x, w.w_x, htilde_prev, w.w_htilde,
-                          w.v, w.bias)
+    return ad.tape_attend(tapes.memory, lo, hi, x, w.w_x, htilde_prev, w.w_htilde, w.v, w.bias)
 
 
 def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
@@ -309,9 +300,9 @@ class StackRun:
 
     def tape_states(self) -> tuple:
         """Every step's top-layer h and c, as two (B, T, h) column slices
-        of the top value tape's [h | c] slots (``run_stack`` sizes the tape
+        of the top tape's [h | c] slot values (``run_stack`` sizes the tape
         to the sequence): two nodes at any length.  Tape layers only."""
-        mem = self.tapes.values
+        mem = self.tapes.memory
         if mem is None:
             raise TapeError("an LSTM top layer keeps no tape")
         hidden = self.top[0].h.data.shape[1]

@@ -33,14 +33,17 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _collect_overrides(extras: list) -> dict:
+    """The ``--key value`` pairs by key, '-' in a key read as '_'.  A key
+    given twice is refused rather than the later value silently winning."""
     overrides = {}
-    i = 0
-    while i < len(extras):
+    for i in range(0, len(extras), 2):
         key = extras[i]
         if not key.startswith("--") or i + 1 >= len(extras):
             raise ConfigError(f"expected '--key value' pairs, got {' '.join(extras)!r}")
-        overrides[key[2:]] = extras[i + 1]
-        i += 2
+        key = key[2:].replace("-", "_")
+        if key in overrides:
+            raise ConfigError(f"command-line key {key} is set again")
+        overrides[key] = extras[i + 1]
     return overrides
 
 

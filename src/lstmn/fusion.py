@@ -16,17 +16,17 @@ step.  Both couplings run the same tape-cell step, ``cells.lstmn_step``:
 
 Inter-attention uses the same fused kernel as the tape cell
 (``autodiff.tape_attend``): the source is packed once per decoded
-sequence into a (B, m, 2h) value tape [y_j | a_j] and a slot-major
-(m, B, a) key tape W_gamma y_j, each by one ``autodiff.tape_write`` of
-all m slots (``source_projection``), and each decode step reads all of
-it in one node.  Intra and inter reads thus take one backward path: each
-read logs its weights and output gradient, and the source value write
-forms the whole source's value gradient in one batched product; a read
-keeps no tanh activations, and its backward recomputes them from the
-key tape.
+sequence into one tape of m slots, the values [y_j | a_j] and the keys
+W_gamma y_j, by one ``autodiff.tape_write`` (``source_projection``), and
+each decode step reads all of it in one node.  Intra and inter reads
+thus take one backward path: each read logs its weights, output
+gradient and key gradient, and the source write forms the whole
+source's value gradient in one batched product and takes its keys'
+gradient from the log; a read keeps no tanh activations, and its
+backward recomputes them from the keys.
 
 ``DecoderState.step`` is the one decode step (inter-attention, then
-the tape-cell step, with the transfer gate for deep fusion): seven graph
+the tape-cell step, with the transfer gate for deep fusion): six graph
 nodes per deep step once the target tape holds a slot.  Teacher-forced
 training (``run_decoder``) and greedy decoding
 (``models.Seq2SeqModel.generate``) both drive it.  The decoder may run packed, the batch sorted by target
@@ -122,26 +122,25 @@ def encode(xs: list, w: StackWeights, capacity: Optional[int] = None,
     return SourceTapes(y=y, a=a, mask=mask), run.traces
 
 
-def source_projection(src: SourceTapes, w: InterAttentionWeights) -> tuple:
-    """Pack the source into the tapes inter-attention reads, once per
-    decoded sequence and reused by all decode steps: the value tape
-    [y_j | a_j] and the key tape W_gamma y_j, each one ``tape_write`` of
-    all m slots, so the backward forms the whole source's value gradient
-    in one product.  Returns (value tape, key tape)."""
-    return (ad.tape_write(None, 0, (src.y, src.a), src.length),
-            ad.tape_write(None, 0, (ad.linear(src.y, w.w_gamma),), src.length, keys=True))
+def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
+    """Pack the source into the tape inter-attention reads, once per
+    decoded sequence and reused by all decode steps: the values
+    [y_j | a_j] and the keys W_gamma y_j of all m slots in one
+    ``tape_write``, so the backward forms the whole source's value
+    gradient in one product."""
+    return ad.tape_write(None, 0, (src.y, src.a), ad.linear(src.y, w.w_gamma), src.length)
 
 
 def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
-                 w: InterAttentionWeights, src_proj: tuple) -> tuple:
+                 w: InterAttentionWeights, src_proj: Tensor) -> tuple:
     """Align the current target input against the whole source, read from
-    ``src_proj``, the tapes ``source_projection(src, w)``: (the summary
+    ``src_proj``, the tape ``source_projection(src, w)``: (the summary
     block [gamma~ | alpha~] (B, 2h), the weights as a plain (B, m) array).
     ``gamma_tilde_prev`` is the previous gamma~, or the previous summary
     block, whose gamma~ columns the query reads."""
     if src.length < 1:
         raise TapeError("inter-attention needs a non-empty source")
-    return ad.tape_attend(*src_proj, 0, src.length, x, w.w_x, gamma_tilde_prev,
+    return ad.tape_attend(src_proj, 0, src.length, x, w.w_x, gamma_tilde_prev,
                           w.w_gammatilde, w.u, mask=src.mask)
 
 
@@ -149,7 +148,7 @@ class DecoderState:
     """Decoding state for one batch: the target tapes, the carried intra
     summary block [h~ | c~] and inter summary block [gamma~ | alpha~]
     (``gamma_tilde``; a zero gamma~ before the first step), the latest cell
-    state, and the source tapes packed once for inter-attention.  ``length``
+    state, and the source tape packed once for inter-attention.  ``length``
     preallocates that many tape slots."""
 
     def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,

@@ -107,13 +107,13 @@ def init_classifier_head(rng, in_size: int, hidden: int, labels: int,
         dropout=dropout)
 
 
-def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray],
+def lm_loss(hidden_states: list, targets: np.ndarray, mask: np.ndarray,
             proj: OutputProjection):
     """Summed NLL of targets[:, t] under the projection of h_t.
 
     ``hidden_states`` is the per-step list of states; targets and mask
-    are (B, T).  Masked positions contribute to neither the NLL nor the
-    token count.  Returns (nll scalar Tensor, token count, greedy hits).
+    are (B, T).  Masked positions (mask 0) contribute to neither the NLL
+    nor the token count.  Returns (nll scalar Tensor, token count, greedy hits).
 
     Step t's states are full rows (B, h), or packed: the first B_t rows,
     which must be exactly the rows the mask marks live at step t (rows
@@ -126,19 +126,16 @@ def lm_loss(hidden_states: list, targets: np.ndarray, mask: Optional[np.ndarray]
     around padding are gathered to them from the step-major (t, b)
     concat, so padded states get an exact zero gradient.
     """
-    targets = np.asarray(targets)
+    targets, mask = np.asarray(targets), np.asarray(mask) != 0
     batch, steps = targets.shape
-    if steps != len(hidden_states):
-        raise ad.ShapeMismatchError(
-            f"lm_loss: {len(hidden_states)} hidden states vs targets {targets.shape}")
+    if steps != len(hidden_states) or mask.shape != targets.shape:
+        raise ad.ShapeMismatchError(f"lm_loss: {len(hidden_states)} hidden states and mask "
+                                    f"{mask.shape} vs targets {targets.shape}")
     rows = np.array([h.data.shape[0] for h in hidden_states])
-    if (rows != batch).any() and (mask is None or not np.array_equal(
-            np.asarray(mask) != 0, np.arange(batch)[:, None] < rows)):
+    if (rows != batch).any() and not np.array_equal(mask, np.arange(batch)[:, None] < rows):
         raise ad.ShapeMismatchError(f"lm_loss: packed states of {rows.tolist()} rows need "
                                     "a mask live in exactly those rows of each step")
-    targets = targets.T.reshape(-1)
-    live = np.arange(targets.size) if mask is None \
-        else np.flatnonzero(np.asarray(mask).T.reshape(-1))
+    targets, live = targets.T.reshape(-1), np.flatnonzero(mask.T.reshape(-1))
     h = ad.concat(hidden_states, axis=0)
     if h.data.shape[0] != live.size:
         h = ad.lookup(h, live)

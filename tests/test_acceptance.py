@@ -26,7 +26,9 @@ change that only reordered float sums once moved ``seq2seq-shallow``
 (11, 3) from 0.98 at epoch 7 to 0.82 at epoch 8, and back to 0.99 by
 epoch 10.  The median measures sustained learning and is not strictly
 looser than the last epoch: 0.95, 0.95, 0.89 passes the shallow bound,
-and 0.5, 0.5, 0.95 fails it.
+and 0.5, 0.5, 0.95 fails it.  The copy cases also run in float32, with
+the same seeds, budget and bounds, and their trained parameters must be
+float32.
 
 Seed pairs (corpus, model), for both tasks: (11, 3) and (12, 4).
 """
@@ -36,6 +38,7 @@ import pytest
 
 from lstmn import autodiff as ad
 from lstmn import checkpoint, config, data, models, synthetic, train
+from lstmn.checkpoint import load_checkpoint
 from lstmn.config import build_config
 
 pytestmark = pytest.mark.acceptance
@@ -94,15 +97,36 @@ def test_lstmn_recalls_brackets_that_lstm_cannot(tmp_path, corpus_seed, model_se
     assert nll["lstmn"] <= 2.5 and nll["lstmn"] <= nll["lstm"] - 0.3, nll
 
 
-@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
-@pytest.mark.parametrize("model_name,bound", [("seq2seq-shallow", 0.90),
-                                              ("seq2seq-deep", 0.70)])
-def test_fusion_decoders_learn_to_copy(tmp_path, corpus_seed, model_seed, model_name, bound):
+def learn_to_copy(tmp_path, corpus_seed, model_seed, model_name, bound, precision):
+    """Train on the copy task at ``precision``; returns the run's result
+    after checking the accuracy bound."""
     rng = np.random.default_rng(corpus_seed)
     lines_train = synthetic.copy_pairs(rng, 800)
     lines_val = synthetic.copy_pairs(rng, 200)
-    _, result = run(tmp_path, model_name, lines_train, lines_val, model=model_name,
-                    epochs="8", seed=str(model_seed))
+    try:
+        _, result = run(tmp_path, model_name, lines_train, lines_val, model=model_name,
+                        epochs="8", seed=str(model_seed), precision=precision)
+    finally:
+        ad.set_default_dtype(np.float64)
     assert result.steps == 400
     accuracies = [m.accuracy for m in result.val_metrics]
     assert np.median(accuracies[-3:]) >= bound, accuracies
+    return result
+
+
+COPY_CASES = [("seq2seq-shallow", 0.90), ("seq2seq-deep", 0.70)]
+
+
+@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
+@pytest.mark.parametrize("model_name,bound", COPY_CASES)
+def test_fusion_decoders_learn_to_copy(tmp_path, corpus_seed, model_seed, model_name, bound):
+    learn_to_copy(tmp_path, corpus_seed, model_seed, model_name, bound, "float64")
+
+
+@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
+@pytest.mark.parametrize("model_name,bound", COPY_CASES)
+def test_fusion_decoders_learn_to_copy_in_float32(tmp_path, corpus_seed, model_seed,
+                                                  model_name, bound):
+    result = learn_to_copy(tmp_path, corpus_seed, model_seed, model_name, bound, "float32")
+    stored = load_checkpoint(result.checkpoint_path)
+    assert stored and {a.dtype for a in stored.values()} == {np.dtype(np.float32)}

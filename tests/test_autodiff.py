@@ -268,22 +268,13 @@ def _nll_block_rows(rows: int, vocab: int, itemsize: int = 8):
         ad.NLL_BLOCK_BYTES = budget
 
 
-def _tapes(memory: Tensor, a: int = 2) -> tuple:
+def _tape(memory: Tensor, a: int = 2) -> Tensor:
     """A (B, T, d + a) memory, values in its first d columns and keys in
-    its last a, as the tapes ``tape_attend`` reads: (value tape, key
-    tape), each one ``tape_write`` of all its slots into a fresh buffer."""
+    its last a, as the tape ``tape_attend`` reads: one ``tape_write`` of
+    all its slots into fresh buffers."""
     d = memory.data.shape[2] - a
-    return _write(None, 0, ad.slice_cols(memory, 0, d), ad.slice_cols(memory, d, d + a),
-                  memory.data.shape[1])
-
-
-def _write(tapes, n: int, value: Tensor, key: Tensor, slots: int) -> tuple:
-    """Slots n.. of a value tape and its key tape from one part each, as
-    ``cells.Tapes`` writes them: the (values, keys) nodes after the write
-    to ``tapes``, the pair before it (None for the first write)."""
-    values, keys = tapes or (None, None)
-    return (ad.tape_write(values, n, (value,), slots),
-            ad.tape_write(keys, n, (key,), slots, keys=True))
+    return ad.tape_write(None, 0, (ad.slice_cols(memory, 0, d),),
+                         ad.slice_cols(memory, d, d + a), memory.data.shape[1])
 
 
 class TestGradCheck:
@@ -415,8 +406,8 @@ def _kernel_cases():
         # third, each followed by a read of every slot written so far.
         node, total = None, ad.sum_all(Tensor(np.zeros(1)))
         for n, (h, k) in enumerate(zip(slot_h, slot_k)):
-            node = _write(node, n, h, k, 2)
-            out = ad.tape_attend(*node, 0, n + 1, q_x, w_qx, q_p, w_qp, v_att)[0]
+            node = ad.tape_write(node, n, (h,), k, 2)
+            out = ad.tape_attend(node, 0, n + 1, q_x, w_qx, q_p, w_qp, v_att)[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, y_att)))
         return total
 
@@ -433,10 +424,10 @@ def _kernel_cases():
     g_wr, g_inter3 = t(3, 5), t(3, 6)
 
     def source_reads():
-        node = _write(None, 0, src_v, src_k, 2)
+        node = ad.tape_write(None, 0, (src_v,), src_k, 2)
         total = ad.sum_all(Tensor(np.zeros(1)))
         for r in range(3):
-            out = ad.tape_attend(*node, 0, 2, src_x[r], w_qx, src_p[r], w_qp, v_att,
+            out = ad.tape_attend(node, 0, 2, src_x[r], w_qx, src_p[r], w_qp, v_att,
                                  mask=[[1, 1], [0, 1], [1, 0]])[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - r]))))
         return total
@@ -445,9 +436,9 @@ def _kernel_cases():
         # Each write is followed by a read of every slot written so far by
         # the rows still live; the buffer's ended rows are never read.
         node, total = None, ad.sum_all(Tensor(np.zeros(1)))
-        for n, parts in enumerate(zip(pk_h, pk_k)):
-            node = _write(node, n, *parts, 3)
-            out = ad.tape_attend(*node, 0, n + 1, pk_x[n], w_qx, pk_p[n], w_qp, v_att)[0]
+        for n, (h, k) in enumerate(zip(pk_h, pk_k)):
+            node = ad.tape_write(node, n, (h,), k, 3)
+            out = ad.tape_attend(node, 0, n + 1, pk_x[n], w_qx, pk_p[n], w_qp, v_att)[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - n]))))
         return total
 
@@ -489,10 +480,10 @@ def _kernel_cases():
                           lambda: ad.sum_all(_square(ad.attend(pk_wts, pk_slots)))),
         # B=2, a capacity-style read window [1, 4) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
-            ad.tape_attend(*_tapes(mem), 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
+            ad.tape_attend(_tape(mem), 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
         # No attention bias, every slot, and a padded-source mask.
         "tape_attend_masked": (attend_params, lambda: ad.sum_all(ad.mul(
-            ad.tape_attend(*_tapes(mem), 0, 5, q_x, w_qx, q_p, w_qp, v_att,
+            ad.tape_attend(_tape(mem), 0, 5, q_x, w_qx, q_p, w_qp, v_att,
                            mask=[[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])[0], y_att))),
         # 2 live rows of a 3-row memory, a capacity-style window [1, 4) and
         # a mask; the ended third row's mask is all 0, which a read of it
@@ -501,12 +492,12 @@ def _kernel_cases():
             {"memory": mem3, "x": px, "W_x": w_qx, "prev": pp, "W_prev": w_qp, "v": v_att,
              "bias": b_att},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                *_tapes(mem3), 1, 4, px, w_qx, pp, w_qp, v_att, b_att,
+                _tape(mem3), 1, 4, px, w_qx, pp, w_qp, v_att, b_att,
                 mask=[[1, 1, 0], [1, 0, 1], [0, 0, 0]])[0], y_att))),
         "tape_attend_carried_prev": (
             {"memory": mem3, "x": px, "prev": pp3, "W_prev": w_qp},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                *_tapes(mem3), 0, 5, px, Tensor(w_qx.data), pp3, w_qp, Tensor(v_att.data))[0],
+                _tape(mem3), 0, 5, px, Tensor(w_qx.data), pp3, w_qp, Tensor(v_att.data))[0],
                 y_att))),
         # The two stages tape_attend fuses, each checked on its own inputs:
         # the broadcast add of the query onto every slot key (query path
@@ -514,15 +505,15 @@ def _kernel_cases():
         # (v and the memory only), over a window that ends at the last slot.
         "bcast_add_slots": ({"x": q_x, "W_x": w_qx, "prev": q_p, "W_prev": w_qp, "bias": b_att},
                             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                                *_tapes(Tensor(mem.data)), 0, 3, q_x, w_qx, q_p, w_qp,
+                                _tape(Tensor(mem.data)), 0, 3, q_x, w_qx, q_p, w_qp,
                                 Tensor(v_att.data), b_att)[0], y_att))),
         "slot_dot": ({"memory": mem, "v": v_att}, lambda: ad.sum_all(ad.mul(ad.tape_attend(
-            *_tapes(mem), 2, 5, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
+            _tape(mem), 2, 5, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
             Tensor(w_qp.data), v_att)[0], y_att))),
         "tape_attend_summary_prev": (
             {"prev": summary_prev, "W_prev": w_qp},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                *_tapes(Tensor(mem.data)), 0, 5, Tensor(q_x.data), Tensor(w_qx.data),
+                _tape(Tensor(mem.data)), 0, 5, Tensor(q_x.data), Tensor(w_qx.data),
                 summary_prev, w_qp, Tensor(v_att.data))[0], y_att))),
         "gate_cell": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias,
                        "inter": g_inter, "W_r": g_wr},
@@ -677,7 +668,7 @@ def test_tape_attend_row_prefix_matches_oracle():
     memory = np.concatenate([H, C, H @ w_h.T], axis=2)
     x, prev = rng.normal(size=(2, 4)), rng.normal(size=(2, hid))
     mask = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0]])
-    out, weights = ad.tape_attend(*_tapes(Tensor(memory), att), 1, 4, Tensor(x), Tensor(w_x),
+    out, weights = ad.tape_attend(_tape(Tensor(memory), att), 1, 4, Tensor(x), Tensor(w_x),
                                   Tensor(prev), Tensor(w_ht), Tensor(v), Tensor(bias),
                                   mask=mask)
     assert out.data.shape == (2, 2 * hid) and weights.shape == (2, 3)
@@ -691,16 +682,16 @@ def test_tape_attend_row_prefix_matches_oracle():
 
 
 def _attend_read(rng, read: str):
-    """tape_attend's arguments over the tapes of a (2, 5, 3 + 2) memory:
+    """tape_attend's arguments over the tape of a (2, 5, 3 + 2) memory:
     the intra read (window [1, 4), with bias) or the inter read (every
     slot, masked)."""
     mem, x, w_x, prev, w_prev, v, bias = (
         _rng_tensor(rng, *shape) for shape in [(2, 5, 5), (2, 3), (2, 3), (2, 4), (2, 4), (2,),
                                                (2,)])
-    tapes = _tapes(mem)
+    tape = _tape(mem)
     if read == "intra":
-        return (*tapes, 1, 4, x, w_x, prev, w_prev, v, bias), {}
-    return (*tapes, 0, 5, x, w_x, prev, w_prev, v), {"mask": [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]}
+        return (tape, 1, 4, x, w_x, prev, w_prev, v, bias), {}
+    return (tape, 0, 5, x, w_x, prev, w_prev, v), {"mask": [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]}
 
 
 @pytest.mark.parametrize("record", [True, False])
@@ -723,36 +714,34 @@ def test_tape_attend_weights_are_an_array_in_the_memory_dtype(read, dtype):
         out, weights = ad.tape_attend(*args, **kwargs)
     finally:
         ad.set_default_dtype(np.float64)
-    assert args[0].data.dtype == dtype and out.data.dtype == dtype
+    assert args[0].data.dtype == args[0].keys.dtype == out.data.dtype == dtype
     assert type(weights) is np.ndarray and weights.dtype == dtype
-    assert weights.shape == (2, args[3] - args[2])
+    assert weights.shape == (2, args[2] - args[1])
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-6)
 
 
 def test_tape_attend_refuses_a_memory_no_tape_write_made():
-    # A leaf in place of either tape, or the two tapes swapped.
     args, kwargs = _attend_read(np.random.default_rng(17), "intra")
-    values, keys = args[:2]
-    for tapes in [(Tensor(values.data, requires_grad=True), keys),
-                  (values, Tensor(keys.data, requires_grad=True)), (keys, values)]:
-        for mode in (contextlib.nullcontext(), ad.no_grad()):
-            with mode, pytest.raises(TapeError, match="tape_write"):
-                ad.tape_attend(*tapes, *args[2:], **kwargs)
+    leaf = Tensor(args[0].data, requires_grad=True)
+    for mode in (contextlib.nullcontext(), ad.no_grad()):
+        with mode, pytest.raises(TapeError, match="tape_write"):
+            ad.tape_attend(leaf, *args[1:], **kwargs)
 
 
 def test_tape_attend_memory_gradient_is_the_key_columns_only():
-    # 2 live rows of 3-row tapes, window [1, 4): the key tape's Partial
-    # spans those slots and rows of the slot-major keys; the value tape
-    # gets only the read's weights and output gradient, for its log.
+    # 2 live rows of a 3-row tape, window [1, 4): the tape gets a
+    # ReadTerm, the read's weights and output gradient for its log and the
+    # key gradient of those slots and rows of the slot-major keys; no
+    # value gradient is formed.
     args, _ = _attend_read(np.random.default_rng(18), "intra")
-    tapes = _tapes(_rng_tensor(np.random.default_rng(19), 3, 5, 5))
-    out, weights = ad.tape_attend(*tapes, *args[2:])
+    tape = _tape(_rng_tensor(np.random.default_rng(19), 3, 5, 5))
+    out, weights = ad.tape_attend(tape, *args[1:])
     g = np.ones(out.data.shape)
     grads = out._backward_fn(g)
     assert isinstance(grads[0], ad.ReadTerm) and grads[0][:2] == (1, 4)
     assert grads[0].weights is weights and grads[0].g is g
-    assert isinstance(grads[1], ad.Partial) and grads[1].values.shape == (3, 2, 2)
-    assert grads[1].index == (slice(1, 4), slice(0, 2))
+    assert grads[0].key_grad.shape == (3, 2, 2)
+    assert not any(isinstance(gr, ad.Partial) and gr.values.ndim == 3 for gr in grads[1:])
 
 
 def test_capacity_chain_memory_gradients_match_dense_oracle():
@@ -771,13 +760,13 @@ def test_capacity_chain_memory_gradients_match_dense_oracle():
     for n, b in enumerate(rows):
         if n:
             lo = max(0, n - 2)
-            out, weights = ad.tape_attend(*node, lo, n, xs[n], w_x, prevs[n], w_p, v, bias)
+            out, weights = ad.tape_attend(node, lo, n, xs[n], w_x, prevs[n], w_p, v, bias)
             term = ad.sum_all(ad.mul(out, Tensor(ys[n])))
             total = term if total is None else ad.add(total, term)
             reads.append((n, lo, weights))
-        node = _write(node, n, hs[n], keys[n], 5)
+        node = ad.tape_write(node, n, (hs[n],), keys[n], 5)
     backward(total, params=hs + keys)
-    vbuf, kbuf = node[0].data, node[1].data.swapaxes(0, 1)
+    vbuf, kbuf = node.data, node.keys.swapaxes(0, 1)
 
     want_h = [np.zeros(h.data.shape) for h in hs]
     want_k = [np.zeros(k.data.shape) for k in keys]
@@ -796,117 +785,119 @@ def test_capacity_chain_memory_gradients_match_dense_oracle():
 
 def test_tape_write_row_prefix():
     # Slot 1 written by 1 live row of 3: its other rows stay zero, and each
-    # part's gradient is exactly its columns of the rows it wrote.  The
-    # value tape holds [h | c] row by row, the key tape k slot by slot.
+    # value part's gradient is exactly its columns of the rows it wrote.
+    # The tape holds [h | c] row by row and the key k slot by slot; a key
+    # that no read reached gets no gradient.
     rng = np.random.default_rng(14)
     h3, c3, k3 = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 3, 1), _rng_tensor(rng, 3, 2)
     h1, c1, k1 = _rng_tensor(rng, 1, 2), _rng_tensor(rng, 1, 1), _rng_tensor(rng, 1, 2)
-    values = ad.tape_write(ad.tape_write(None, 0, (h3, c3), 2), 1, (h1, c1), 2)
-    keys = ad.tape_write(ad.tape_write(None, 0, (k3,), 2, keys=True), 1, (k1,), 2, keys=True)
-    vbuf, kbuf = values.data, keys.data
+    node = ad.tape_write(ad.tape_write(None, 0, (h3, c3), k3, 2), 1, (h1, c1), k1, 2)
+    vbuf, kbuf = node.data, node.keys
     assert vbuf.shape == (3, 2, 3) and kbuf.shape == (2, 3, 2)
     np.testing.assert_array_equal(vbuf[:, 0], np.concatenate([h3.data, c3.data], axis=1))
     np.testing.assert_array_equal(vbuf[0, 1], np.concatenate([h1.data[0], c1.data[0]]))
     np.testing.assert_array_equal(kbuf[0], k3.data)
     np.testing.assert_array_equal(kbuf[1, 0], k1.data[0])
     assert (vbuf[1:, 1] == 0.0).all() and (kbuf[1, 1:] == 0.0).all()
-    gv, gk = rng.normal(size=vbuf.shape), rng.normal(size=kbuf.shape)
-    backward(ad.add(ad.sum_all(ad.mul(values, Tensor(gv))), ad.sum_all(ad.mul(keys, Tensor(gk)))))
+    gv = rng.normal(size=vbuf.shape)
+    backward(ad.sum_all(ad.mul(node, Tensor(gv))))
     for part, want in [(h3, gv[:, 0, :2]), (c3, gv[:, 0, 2:]), (h1, gv[:1, 1, :2]),
-                       (c1, gv[:1, 1, 2:]), (k3, gk[0]), (k1, gk[1, :1])]:
+                       (c1, gv[:1, 1, 2:])]:
         np.testing.assert_array_equal(part.grad, want)
+    assert k3.grad is None and k1.grad is None
 
 
 def test_tape_write_rejects_extra_or_unequal_rows():
-    first = ad.tape_write(None, 0, (Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 1)))), 2)
+    # After a 2-row slot of [h | c] width 3 and key width 2: more rows, a
+    # wider value, a wider key, a key of other rows, each refused; and a
+    # first write of parts of unequal rows.
+    def zeros(*shape):
+        return Tensor(np.zeros(shape))
+    first = ad.tape_write(None, 0, (zeros(2, 2), zeros(2, 1)), zeros(2, 2), 2)
+    for parts, key in [((zeros(3, 2), zeros(3, 1)), zeros(3, 2)),
+                       ((zeros(2, 2), zeros(2, 2)), zeros(2, 2)),
+                       ((zeros(2, 2), zeros(2, 1)), zeros(2, 3)),
+                       ((zeros(2, 2), zeros(2, 1)), zeros(1, 2))]:
+        with pytest.raises(TapeError, match="tape_write"):
+            ad.tape_write(first, 1, parts, key, 2)
     with pytest.raises(TapeError, match="tape_write"):
-        ad.tape_write(first, 1, (Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 1)))), 2)
-    with pytest.raises(TapeError, match="tape_write"):
-        ad.tape_write(None, 0, (Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 1)))), 2)
+        ad.tape_write(None, 0, (zeros(2, 2), zeros(1, 1)), zeros(2, 2), 2)
 
 
-def _written(keys: bool, count: int, slots: int = 8):
-    """A value tape, or a key tape, of ``slots`` allocated slots, the first
-    ``count`` written one by one."""
+def _written(count: int, slots: int = 8):
+    """A tape of ``slots`` allocated slots, the first ``count`` written one
+    by one."""
     rng, node = np.random.default_rng(35), None
     for n in range(count):
-        node = ad.tape_write(node, n, (_rng_tensor(rng, 2, 2),), slots, keys=keys)
+        node = ad.tape_write(node, n, (_rng_tensor(rng, 2, 2),), _rng_tensor(rng, 2, 2), slots)
     return node
 
 
-@pytest.mark.parametrize("keys", [False, True], ids=["values", "keys"])
-def test_a_written_slot_is_never_written_again(keys):
+def test_a_written_slot_is_never_written_again():
     # After writes of slots 0 and 1 and a read of [0, 2), a rewrite of
     # slot 0 from the chain's end, or of slot 1 from the node before it,
     # would change a slot under the read, whose backward reads it again.
     # Both are refused before anything is written, and so is a gap.
-    first = _written(keys, 1, slots=4)
-    node = ad.tape_write(first, 1, (_rng_tensor(np.random.default_rng(36), 2, 2),), 4,
-                         keys=keys)
-    other = _written(not keys, 2, slots=4)
-    values, key_tape = (other, node) if keys else (node, other)
-    rng = np.random.default_rng(37)
-    out, _ = ad.tape_attend(values, key_tape, 0, 2, _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3),
+    first = _written(1, slots=4)
+    rng = np.random.default_rng(36)
+    node = ad.tape_write(first, 1, (_rng_tensor(rng, 2, 2),), _rng_tensor(rng, 2, 2), 4)
+    out, _ = ad.tape_attend(node, 0, 2, _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3),
                             _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
-    before = node.data.copy()
+    before = node.data.tobytes() + node.keys.tobytes()
+    seven = Tensor(np.full((2, 2), 7.0))
     for prev, n in [(node, 0), (node, 1), (first, 1), (node, 3)]:
         with pytest.raises(TapeError, match="written once, in order"):
-            ad.tape_write(prev, n, (Tensor(np.full((2, 2), 7.0)),), 4, keys=keys)
-    assert node.data.tobytes() == before.tobytes() and node.log.end == 2
+            ad.tape_write(prev, n, (seven,), seven, 4)
+    assert node.data.tobytes() + node.keys.tobytes() == before and node.log.end == 2
     backward(ad.sum_all(out))
 
 
-@pytest.mark.parametrize("short", ["values", "keys", "both"])
-def test_a_read_past_the_written_slots_is_refused(short):
-    # Tapes of 8 allocated slots, 1 of them written in the short tape(s)
-    # and 8 in the other: a read of [0, 8) would weigh 7 zero slots.
-    values = _written(False, 1 if short in ("values", "both") else 8)
-    keys = _written(True, 1 if short in ("keys", "both") else 8)
+def test_a_read_past_the_written_slots_is_refused():
+    # A tape of 8 allocated slots, 1 of them written: a read of [0, 8)
+    # would weigh 7 zero slots.
+    tape = _written(1)
     rng = np.random.default_rng(38)
     args = (_rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4),
             _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
     for mode in (contextlib.nullcontext(), ad.no_grad()):
         with mode, pytest.raises(TapeError, match="past the written slots"):
-            ad.tape_attend(values, keys, 0, 8, *args)
-        assert ad.tape_attend(values, keys, 0, 1, *args)[1].shape == (2, 1)
+            ad.tape_attend(tape, 0, 8, *args)
+        assert ad.tape_attend(tape, 0, 1, *args)[1].shape == (2, 1)
 
 
 def test_source_read_three_times_keeps_three_read_columns():
     # The forward counts the chain's reads, and the first backward record
     # sizes the read log to them: no doubling to 4.
     rng = np.random.default_rng(21)
-    values, keys = _write(None, 0, _rng_tensor(rng, 2, 2, 3), _rng_tensor(rng, 2, 2, 2), 2)
+    tape = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
     w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
     total = None
     for _ in range(3):
-        out, _ = ad.tape_attend(values, keys, 0, 2, _rng_tensor(rng, 2, 3), w_x,
+        out, _ = ad.tape_attend(tape, 0, 2, _rng_tensor(rng, 2, 3), w_x,
                                 _rng_tensor(rng, 2, 4), w_p, v)
         total = ad.sum_all(out) if total is None else ad.add(total, ad.sum_all(out))
     backward(total)
-    assert values.log.weights.shape == (2, 2, 3) and values.log.grads.shape == (2, 3, 3)
-    assert keys.log.count == 0
+    assert tape.log.weights.shape == (2, 2, 3) and tape.log.grads.shape == (2, 3, 3)
+    assert tape.log.key_grads.shape == (2, 2, 2)
 
 
 def _write_read_chain(slots, hs, ks, xs, g, slot_rank=False):
-    """Writes slot n of a value tape from hs[n] and of its key tape from
+    """Writes slot n of a tape, its values from hs[n] and its key from
     ks[n], as (B, k) parts or as (B, 1, k) ones, and after each write reads
-    every slot written; backward of the reads plus sum([values | keys] *
-    g).  Returns the buffers, as one (B, T, 3) array [values | keys], and
-    the parts' gradients."""
+    every slot written; backward of the reads plus sum(values * g).
+    Returns the buffers, as one (B, T, 3) array [values | keys], and the
+    parts' gradients."""
     rng = np.random.default_rng(23)
     w_x, w_p, v = (Tensor(rng.normal(size=s)) for s in [(1, 3), (1, 3), (1,)])
     node, total, parts = None, ad.sum_all(Tensor(np.zeros(1))), []
     for n, (h, k, x) in enumerate(zip(hs, ks, xs)):
         pair = [Tensor(a[:, None] if slot_rank else a, requires_grad=True) for a in (h, k)]
         parts += pair
-        node = _write(node, n, *pair, slots)
-        out, _ = ad.tape_attend(*node, 0, n + 1, Tensor(x), w_x, Tensor(x), w_p, v)
+        node = ad.tape_write(node, n, pair[:1], pair[1], slots)
+        out, _ = ad.tape_attend(node, 0, n + 1, Tensor(x), w_x, Tensor(x), w_p, v)
         total = ad.add(total, ad.sum_all(ad.mul(out, out)))
-    values, keys = node
-    g = g[:, :values.data.shape[1]]
-    backward(ad.add(total, ad.add(ad.sum_all(ad.mul(values, Tensor(g[:, :, :2]))), ad.sum_all(
-        ad.mul(keys, Tensor(g[:, :, 2:].swapaxes(0, 1).copy()))))))
-    buf = np.concatenate([values.data, keys.data.swapaxes(0, 1)], axis=2)
+    backward(ad.add(total, ad.sum_all(ad.mul(node, Tensor(g[:, :node.data.shape[1], :2])))))
+    buf = np.concatenate([node.data, node.keys.swapaxes(0, 1)], axis=2)
     return buf, [p.grad.reshape(p.data.shape[0], -1) for p in parts]
 
 
@@ -994,7 +985,7 @@ def test_carried_operand_is_read_in_its_row_prefix(kernel):
         others = [mem, x, w_x, w_p, v]
 
         def build(prev):
-            return lambda: ad.tape_attend(*_tapes(mem), 0, 4, x, w_x, prev, w_p, v)[0]
+            return lambda: ad.tape_attend(_tape(mem), 0, 4, x, w_x, prev, w_p, v)[0]
     read = rng.normal(size=build(cut)().data.shape)
     full = _value_and_grads(build(carried), [carried] + others, read)
     alone = _value_and_grads(build(cut), [cut] + others, read)
@@ -1016,7 +1007,7 @@ def test_carried_operand_with_fewer_rows_is_refused(kernel):
                          _rng_tensor(rng, 2, 6), _rng_tensor(rng, 3, 5))
     else:
         with pytest.raises(ShapeMismatchError, match="tape_attend"):
-            ad.tape_attend(*_tapes(_rng_tensor(rng, 3, 2, 5)), 0, 2, x, _rng_tensor(rng, 2, 2),
+            ad.tape_attend(_tape(_rng_tensor(rng, 3, 2, 5)), 0, 2, x, _rng_tensor(rng, 2, 2),
                            _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
 
 
@@ -1040,39 +1031,39 @@ def test_attend_sums_prefix_slots_like_a_dense_oracle():
 
 
 def _read_twice():
-    """2-slot value and key tapes and two reads of them, A and B."""
+    """A 2-slot tape and two reads of it, A and B."""
     rng = np.random.default_rng(28)
-    node = _write(None, 0, _rng_tensor(rng, 2, 2, 3), _rng_tensor(rng, 2, 2, 2), 2)
+    node = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
     w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
-    reads = [ad.tape_attend(*node, 0, 2, _rng_tensor(rng, 2, 3), w_x, _rng_tensor(rng, 2, 4),
+    reads = [ad.tape_attend(node, 0, 2, _rng_tensor(rng, 2, 3), w_x, _rng_tensor(rng, 2, 4),
                             w_p, v)[0] for _ in range(2)]
     return node, reads
 
 
 @pytest.mark.parametrize("second", ["other read", "same read", "tape"])
 def test_a_tape_chain_runs_backward_once(second):
-    # After backward(sum(A)) the read log holds A's record, and both
-    # tapes have run backward: a second loss through the chain would add
-    # A's value gradient again.
-    (values, keys), (a, b) = _read_twice()
+    # After backward(sum(A)) the read log holds A's record, and the tape
+    # has run backward: a second loss through the chain would add A's
+    # value and key gradients again.
+    node, (a, b) = _read_twice()
     backward(ad.sum_all(a))
     loss = {"other read": lambda: ad.sum_all(b), "same read": lambda: ad.sum_all(ad.mul(a, 2.0)),
-            "tape": lambda: ad.add(ad.sum_all(values), ad.sum_all(keys))}[second]()
+            "tape": lambda: ad.sum_all(node)}[second]()
     with pytest.raises(GraphStateError, match="backward once"):
         backward(loss)
 
 
 def test_a_read_of_a_constant_tape_runs_backward_once():
-    # The read keeps no log record for constant tapes, but it is spent
+    # The read keeps no log record for a constant tape, but it is spent
     # after its backward like any node: a second loss through it is
     # refused.
     rng = np.random.default_rng(34)
-    node = _write(None, 0, _rng_tensor(rng, 2, 3, 3, requires_grad=False),
-                  _rng_tensor(rng, 2, 3, 2, requires_grad=False), 3)
+    node = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 3, 3, requires_grad=False),),
+                         _rng_tensor(rng, 2, 3, 2, requires_grad=False), 3)
     x = _rng_tensor(rng, 2, 3)
     w_x, prev, w_p, v = (_rng_tensor(rng, *shape, requires_grad=False)
                          for shape in [(2, 3), (2, 4), (2, 4), (2,)])
-    out, _ = ad.tape_attend(*node, 0, 3, x, w_x, prev, w_p, v)
+    out, _ = ad.tape_attend(node, 0, 3, x, w_x, prev, w_p, v)
     backward(ad.sum_all(out))
     with pytest.raises(GraphStateError, match="backward once"):
         backward(ad.sum_all(ad.mul(out, 1.0)))

@@ -123,7 +123,8 @@ def test_json_summary_is_added_to_a_list(monkeypatch, tmp_path, capsys):
                           "--seed", "7", "--claim", "peak_rss_mb", "--json", str(path)])
     capsys.readouterr()
     entries = json.loads(path.read_text())
-    assert [e["workload"] for e in entries] == ["lm-long-tape", "copy-seq2seq"]
+    assert [(e["tool"], e["workload"]) for e in entries] == [
+        ("bench_pairs", "lm-long-tape"), ("bench_pairs", "copy-seq2seq")]
     first = entries[0]
     assert (first["seed"], first["pairs"], first["claim"], first["claim_holds"]) == \
         (7, 10, "peak_rss_mb", True)

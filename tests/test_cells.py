@@ -295,7 +295,7 @@ class TestFusedTape:
 
         grown = Tapes()
         hs_grown, grads_grown = run(grown)
-        assert grown.values.data.shape[1] == grown.keys.data.shape[0] == \
+        assert grown.memory.data.shape[1] == grown.memory.keys.shape[0] == \
             4 * Tapes.INITIAL_SLOTS > 40
         hs_fixed, grads_fixed = run(Tapes(length=40))
         np.testing.assert_array_equal(np.stack(hs_grown), np.stack(hs_fixed))
@@ -615,18 +615,18 @@ class TestPackedStack:
     def test_refused_write_changes_nothing(self, shapes):
         tapes = Tapes(length=2)
         tapes.append(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1))))
-        nodes = tapes.values, tapes.keys
-        before = [node.data.copy() for node in nodes]
+        node = tapes.memory
+        before = [node.data.copy(), node.keys.copy()]
         with pytest.raises(TapeError):
             tapes.append(*(Tensor(np.full(s, 7.0)) for s in shapes))
-        assert (tapes.values, tapes.keys) == nodes and tapes.written == 1
-        assert [node.data.tobytes() for node in nodes] == [b.tobytes() for b in before]
+        assert tapes.memory is node and tapes.written == 1
+        assert [node.data.tobytes(), node.keys.tobytes()] == [b.tobytes() for b in before]
 
     def test_tape_rejects_more_rows_than_the_slot_before(self):
         tapes = Tapes(length=3)
         tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))
         tapes.append(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1))))
-        np.testing.assert_array_equal(tapes.values.data[:, 1], [[1.0] * 4, [0.0] * 4])
-        np.testing.assert_array_equal(tapes.keys.data[1], [[1.0], [0.0]])
+        np.testing.assert_array_equal(tapes.memory.data[:, 1], [[1.0] * 4, [0.0] * 4])
+        np.testing.assert_array_equal(tapes.memory.keys[1], [[1.0], [0.0]])
         with pytest.raises(TapeError, match="differ"):
             tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))

@@ -615,6 +615,17 @@ class TestCliMain:
         assert err.strip().count("\n") == 0
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pairs", [["--lr", "1", "--lr", "2"],
+                                       ["--grad-clip", "1", "--grad_clip", "2"]],
+                             ids=["same", "dash-and-underscore"])
+    def test_override_given_twice_is_one_error_line(self, tmp_path, capsys, pairs):
+        out = tmp_path / "out"
+        assert cli.main(["train", "--out", str(out)] + pairs) == 1
+        err = capsys.readouterr().err
+        key = pairs[0][2:].replace("-", "_")
+        assert err == f"error: command-line key {key} is set again\n"
+        assert not out.exists()
+
     def test_minus_one_is_one_error_line(self, tmp_path, capsys):
         assert cli.main(["train", "--grad_clip", "-1", "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err

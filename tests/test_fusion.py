@@ -311,13 +311,14 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("mode,ops", [
         # Inter- and intra-attention, the fused cell with the transfer
-        # gate, h, the slot's key and the value and key tape writes.
+        # gate, h, the slot's key and the one tape write of its values
+        # and key.
         ("deep", ["gate_cell", "linear", "slice_cols", "tape_attend", "tape_attend",
-                  "tape_write", "tape_write"]),
+                  "tape_write"]),
         # The same without the transfer gate, plus gamma~ cut from the
         # summary block and joined to h for the prediction input.
         ("shallow", ["concat", "gate_cell", "linear", "slice_cols", "slice_cols",
-                     "tape_attend", "tape_attend", "tape_write", "tape_write"])])
+                     "tape_attend", "tape_attend", "tape_write"])])
     def test_step_after_the_first(self, made_ops, mode, ops):
         rng = np.random.default_rng(49)
         dec = random_decoder(rng, 3, 2, 2)

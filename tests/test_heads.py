@@ -26,7 +26,7 @@ class TestLmLoss:
                                 b=Tensor(np.zeros(vocab)))
         hs = [Tensor(np.zeros((1, 3))) for _ in range(tokens)]
         targets = np.arange(tokens).reshape(1, tokens) % vocab
-        nll, count, _ = lm_loss(hs, targets, None, proj)
+        nll, count, _ = lm_loss(hs, targets, np.ones(targets.shape), proj)
         metrics = EvalMetrics(nll=nll.item(), tokens=count)
         assert metrics.ppl == pytest.approx(vocab, abs=1e-8)
 
@@ -39,7 +39,7 @@ class TestLmLoss:
             onehot = np.zeros((1, vocab))
             onehot[0, targets[0, t]] = 1e4   # huge margin stands in for +inf
             hs.append(Tensor(onehot))
-        nll, count, _ = lm_loss(hs, targets, None, proj)
+        nll, count, _ = lm_loss(hs, targets, np.ones(targets.shape), proj)
         assert np.exp(nll.item() / count) == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_per_token_summation_oracle(self):
@@ -77,7 +77,15 @@ class TestLmLoss:
     def test_target_out_of_range(self):
         proj = identity_projection(3)
         with pytest.raises(IndexError):
-            lm_loss([Tensor(np.zeros((1, 3)))], np.array([[3]]), None, proj)
+            lm_loss([Tensor(np.zeros((1, 3)))], np.array([[3]]), np.ones((1, 1)), proj)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 2), (2, 4)])
+    def test_mask_of_another_shape_is_refused(self, shape):
+        # A (3, 2) mask for (2, 3) targets would read live positions
+        # transposed, and a (2, 2) one would drop the last step's tokens.
+        hs = [Tensor(np.ones((2, 4))) for _ in range(3)]
+        with pytest.raises(ad.ShapeMismatchError, match="mask"):
+            lm_loss(hs, np.zeros((2, 3), dtype=int), np.ones(shape), identity_projection(4))
 
     def test_segmentation_invariance(self):
         # One stream vs the same stream split in two: identical total NLL
@@ -87,9 +95,10 @@ class TestLmLoss:
                                 b=Tensor(rng.normal(size=5)))
         hs = [Tensor(rng.normal(size=(1, 3))) for _ in range(6)]
         targets = rng.integers(0, 5, size=(1, 6))
-        whole, n_whole, _ = lm_loss(hs, targets, None, proj)
-        first, n1, _ = lm_loss(hs[:4], targets[:, :4], None, proj)
-        second, n2, _ = lm_loss(hs[4:], targets[:, 4:], None, proj)
+        ones = np.ones(targets.shape)
+        whole, n_whole, _ = lm_loss(hs, targets, ones, proj)
+        first, n1, _ = lm_loss(hs[:4], targets[:, :4], ones[:, :4], proj)
+        second, n2, _ = lm_loss(hs[4:], targets[:, 4:], ones[:, 4:], proj)
         assert whole.item() == pytest.approx(first.item() + second.item(), abs=1e-12)
         assert n_whole == n1 + n2
 
@@ -145,7 +154,8 @@ class TestPaddingLeak:
     def test_eval_of_padded_batch_matches_unpadded_sentences(self):
         pad = np.random.default_rng(60).normal(size=self.mask.shape + (self.HIDDEN,))
         nll, tokens, hits = lm_loss(self.padded_states(pad), self.targets, self.mask, self.proj)
-        alone = [lm_loss([Tensor(row[None]) for row in seq], tgt[None], None, self.proj)
+        alone = [lm_loss([Tensor(row[None]) for row in seq], tgt[None], np.ones((1, len(tgt))),
+                         self.proj)
                  for seq, tgt in zip(self.seqs, self.tgts)]
         assert nll.item() == pytest.approx(sum(a[0].item() for a in alone), rel=1e-12)
         assert tokens == sum(a[1] for a in alone) == sum(self.LENGTHS)

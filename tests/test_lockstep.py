@@ -1,9 +1,11 @@
 """``tools/lockstep.py`` on stubbed operations and a stubbed clock: the
-A B, B A alternation, the per-step ratios and their summary, and the
-output comparison.  No benchmark runs."""
+A B, B A alternation, the per-step ratios and their summary, the output
+comparison and the JSON entry.  No benchmark runs."""
 
 import importlib.util
+import json
 import os
+import types
 
 import pytest
 
@@ -82,3 +84,34 @@ def test_unknown_op_is_refused(capsys):
         lockstep.main(["a", "b", "--workload", "lm-long-tape", "--ops", "train,fly",
                        "--steps", "2"])
     assert "--ops" in capsys.readouterr().err
+
+
+def test_json_entry_is_added_to_the_bench_pairs_list(monkeypatch, tmp_path, capsys):
+    # A list that holds one bench_pairs entry gains a lockstep entry per
+    # invocation: the workload, seed, steps and the per-op table.
+    clock, calls = Clock(), []
+    # Costs in eighths of a second, so the stubbed clock adds exactly.
+    costs = {"train": {"parent": [0.25, 0.25, 0.5, 0.25], "change": [0.125, 0.375, 0.25, 0.125]},
+             "decode": {"parent": [0.25] * 4, "change": [0.25] * 4}}
+    outputs = {op: {"parent": [1.0, 2.0, 3.0, 4.0], "change": [1.0, 2.0, 3.5, 4.0]}
+               for op in costs}
+    ops = stubbed(clock, calls, costs, outputs)
+    harness = types.SimpleNamespace(REFERENCE_RTOL=1e-10)
+    monkeypatch.setattr(lockstep, "side_ops", lambda checkout, side, workload, seed, names:
+                        ({name: ops[name][side] for name in names}, harness))
+    alternate = lockstep.alternate
+    monkeypatch.setattr(lockstep, "alternate", lambda fns, steps: alternate(fns, steps, clock))
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps([{"tool": "bench_pairs", "workload": "copy-seq2seq"}]))
+    assert lockstep.main(["a", "b", "--workload", "lm-long-tape", "--ops", "train,decode",
+                          "--steps", "4", "--seed", "3", "--json", str(path)]) == 0
+    capsys.readouterr()
+    entries = json.loads(path.read_text())
+    assert [e["tool"] for e in entries] == ["bench_pairs", "lockstep"]
+    entry = entries[1]
+    assert (entry["workload"], entry["seed"], entry["steps"]) == ("lm-long-tape", 3, 4)
+    train, decode = entry["ops"]["train"], entry["ops"]["decode"]
+    assert (train["parent_s"], train["change_s"]) == (0.25, 0.1875)
+    assert train["ratio"] == pytest.approx([0.5, 0.5, 0.75])
+    assert (train["wins"], train["steps"], train["matched"]) == (3, 4, 3)
+    assert decode["ratio"] == pytest.approx([1.0, 1.0, 1.0]) and decode["wins"] == 0

@@ -208,9 +208,9 @@ class TestSeq2Seq:
         assert len(out) <= 5
         assert all(0 <= t < len(vocab) for t in out)
 
-    def test_greedy_token_makes_nine_nodes(self, monkeypatch):
+    def test_greedy_token_makes_eight_nodes(self, monkeypatch):
         # One generated token after the first: its embedding lookup, the
-        # seven nodes of a deep decode step and the output projection.
+        # six nodes of a deep decode step and the output projection.
         vocab = make_vocab()
         model = models.Seq2SeqModel(cfg_for(model="seq2seq-deep", optimizer="adam"), vocab,
                                     np.random.default_rng(17))
@@ -232,7 +232,7 @@ class TestSeq2Seq:
         assert made[1][:len(made[0])] == made[0]
         assert sorted(made[1][len(made[0]):]) == [
             "gate_cell", "linear", "linear", "lookup", "slice_cols", "tape_attend",
-            "tape_attend", "tape_write", "tape_write"]
+            "tape_attend", "tape_write"]
 
     def test_gradients_through_the_encoder_tape_read(self):
         # encode -> run_decoder -> loss on a tiny deep-fusion model: two
@@ -649,12 +649,12 @@ class TestFloat32:
 
         def recording_write(*args, **kwargs):
             node = write(*args, **kwargs)
-            buffers.append(node.data.dtype)
+            buffers.extend([node.data.dtype, node.keys.dtype])
             return node
 
         def recording_record(log, *args):
             record(log, *args)
-            logs.extend([log.weights.dtype, log.grads.dtype])
+            logs.extend([log.weights.dtype, log.grads.dtype, log.key_grads.dtype])
 
         monkeypatch.setattr(ad, "tape_write", recording_write)
         monkeypatch.setattr(ad._ReadLog, "record", recording_record)

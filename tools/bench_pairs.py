@@ -20,10 +20,12 @@ parent's IQR.  The exit status is 0 when it holds and 1 when it does not.
 
 With ``--json PATH`` the summary is also added to the list of summaries
 in PATH (a new file starts the list), so one file can hold several
-workloads' pairs: the workload, seed and pair count, the claim and its
-verdict, per metric each side's quartiles, the parent's IQR and the
-wins, losses and ties, each side's failed and attempted operations, each
-checkout's ``src/`` line count, and every run's result line.
+workloads' pairs, and ``tools/lockstep.py --json`` entries beside them.
+An entry is marked ``"tool": "bench_pairs"`` and holds the workload,
+seed and pair count, the claim and its verdict, per metric each side's
+quartiles, the parent's IQR and the wins, losses and ties, each side's
+failed and attempted operations, each checkout's ``src/`` line count,
+and every run's result line.
 """
 
 import argparse
@@ -128,7 +130,8 @@ def src_lines(checkout: str) -> int:
 def summary_json(args, dirs: dict, runs: dict, table: dict, failures: dict) -> dict:
     """The summary ``--json`` records for one invocation."""
     verdict = None if args.claim is None else claim_holds(table[args.claim])
-    return {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+    return {"tool": "bench_pairs", "workload": args.workload, "seed": args.seed,
+            "pairs": args.pairs,
             "claim": args.claim, "claim_holds": verdict,
             "metrics": {name: {**row, "median_gain": median_gain(row)}
                         for name, row in table.items()},

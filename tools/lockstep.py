@@ -2,7 +2,7 @@
 """In-process lockstep timing of two checkouts, one operation at a time.
 
     python3 tools/lockstep.py PARENT_DIR CHANGE_DIR --workload W \
-        --ops train,eval[,decode] --steps N [--seed S]
+        --ops train,eval[,decode] --steps N [--seed S] [--json PATH]
 
 Imports each checkout's ``src/lstmn`` under a package name of its own
 (``lstmn_parent``, ``lstmn_change``) and loads its
@@ -20,7 +20,10 @@ Per operation it prints each side's median milliseconds, the median of
 the per-step change/parent time ratios with their quartiles, the change's
 wins (steps where it was faster), and how many steps' outputs matched
 (train losses, eval NLL and hits, decodes, within the benchmark's
-reference tolerance).
+reference tolerance).  With ``--json PATH`` that table is also added,
+as one entry marked ``"tool": "lockstep"`` with the workload, seed and
+step count, to the list of summaries in PATH that ``tools/bench_pairs.py
+--json`` writes (a new file starts the list).
 
 Caveat: both sides share one process, so they share one heap, one
 allocator state and one garbage collector.  Memory one side leaves behind
@@ -148,6 +151,13 @@ def report(table: dict) -> list:
     return lines
 
 
+def summary_json(args, table: dict) -> dict:
+    """The entry ``--json`` adds for one invocation: ``summarize``'s table
+    per op, seconds as they are measured."""
+    return {"tool": "lockstep", "workload": args.workload, "seed": args.seed,
+            "steps": args.steps, "ops": table}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_dir")
@@ -157,6 +167,7 @@ def main(argv=None) -> int:
                         help="comma-separated, from " + ", ".join(OPS))
     parser.add_argument("--steps", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0, help="input seed of the workload")
+    parser.add_argument("--json", help="file whose list of summaries to add this one to")
     args = parser.parse_args(argv)
     names = args.ops.split(",")
     if not names or any(n not in OPS for n in names) or len(set(names)) != len(names):
@@ -168,6 +179,10 @@ def main(argv=None) -> int:
             ops.setdefault(name, {})[side] = fns[name]
     table = summarize(alternate(ops, args.steps), harness.REFERENCE_RTOL)
     print("\n".join(report(table)))
+    if args.json:
+        tools = os.path.dirname(os.path.abspath(__file__))
+        bench_pairs = _load("bench_pairs", os.path.join(tools, "bench_pairs.py"))
+        bench_pairs.append_json(args.json, summary_json(args, table))
     return 0
 
 
