@@ -826,43 +826,70 @@ def test_tape_write_rejects_extra_or_unequal_rows():
 
 def _written(count: int, slots: int = 8):
     """A tape of ``slots`` allocated slots, the first ``count`` written one
-    by one."""
-    rng, node = np.random.default_rng(35), None
+    by one, and the (part, key) that wrote each slot."""
+    rng, node, leaves = np.random.default_rng(35), None, []
     for n in range(count):
-        node = ad.tape_write(node, n, (_rng_tensor(rng, 2, 2),), _rng_tensor(rng, 2, 2), slots)
-    return node
+        part, key = _rng_tensor(rng, 2, 2), _rng_tensor(rng, 2, 2)
+        node = ad.tape_write(node, n, (part,), key, slots)
+        leaves.append((part, key))
+    return node, leaves
 
 
-def test_a_written_slot_is_never_written_again():
+@pytest.mark.parametrize("changed", ["values", "keys"])
+def test_a_written_slot_is_never_written_again(changed):
     # After writes of slots 0 and 1 and a read of [0, 2), a rewrite of
     # slot 0 from the chain's end, or of slot 1 from the node before it,
     # would change a slot under the read, whose backward reads it again.
-    # Both are refused before anything is written, and so is a gap.
-    first = _written(1, slots=4)
+    # Both are refused before anything is written, and so is a gap, when
+    # the rewrite changes only the slot's values (its key as written) or
+    # only its key (its values as written).
+    first, leaves = _written(1, slots=4)
     rng = np.random.default_rng(36)
-    node = ad.tape_write(first, 1, (_rng_tensor(rng, 2, 2),), _rng_tensor(rng, 2, 2), 4)
+    leaves.append((_rng_tensor(rng, 2, 2), _rng_tensor(rng, 2, 2)))
+    node = ad.tape_write(first, 1, (leaves[1][0],), leaves[1][1], 4)
     out, _ = ad.tape_attend(node, 0, 2, _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3),
                             _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
     before = node.data.tobytes() + node.keys.tobytes()
     seven = Tensor(np.full((2, 2), 7.0))
     for prev, n in [(node, 0), (node, 1), (first, 1), (node, 3)]:
+        part, key = leaves[min(n, 1)]
+        part, key = (seven, key) if changed == "values" else (part, seven)
         with pytest.raises(TapeError, match="written once, in order"):
-            ad.tape_write(prev, n, (seven,), seven, 4)
+            ad.tape_write(prev, n, (part,), key, 4)
     assert node.data.tobytes() + node.keys.tobytes() == before and node.log.end == 2
     backward(ad.sum_all(out))
 
 
-def test_a_read_past_the_written_slots_is_refused():
-    # A tape of 8 allocated slots, 1 of them written: a read of [0, 8)
-    # would weigh 7 zero slots.
-    tape = _written(1)
+def _read_two_of_eight(refuse: bool):
+    """The gradients of slot 1's value part and key after a read of [0, 2)
+    from a tape of 8 allocated slots, 2 of them written; first, if
+    ``refuse``, reads of [0, 8) and [1, 8), with and without a graph, each
+    refused: they would weigh 6 zero slots of values and of keys."""
+    tape, leaves = _written(2)
     rng = np.random.default_rng(38)
     args = (_rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4),
             _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
-    for mode in (contextlib.nullcontext(), ad.no_grad()):
-        with mode, pytest.raises(TapeError, match="past the written slots"):
-            ad.tape_attend(tape, 0, 8, *args)
-        assert ad.tape_attend(tape, 0, 1, *args)[1].shape == (2, 1)
+    for mode in (contextlib.nullcontext, ad.no_grad) if refuse else ():
+        for lo in (0, 1):
+            with mode(), pytest.raises(TapeError, match="past the written slots"):
+                ad.tape_attend(tape, lo, 8, *args)
+    out, weights = ad.tape_attend(tape, 0, 2, *args)
+    assert weights.shape == (2, 2)
+    backward(ad.sum_all(out))
+    part, key = leaves[1]
+    return {"values": part.grad, "keys": key.grad}
+
+
+@pytest.mark.parametrize("short", ["values", "keys", "both"])
+def test_a_read_past_the_written_slots_is_refused(short):
+    # A tape's values and keys share one written end, so a read past it
+    # is refused for both, and the refusals leave the gradients alone: the
+    # values' gradient, the keys', or both, after a good read are those of
+    # a tape that saw only the good read.
+    got, want = _read_two_of_eight(True), _read_two_of_eight(False)
+    for name in ("values", "keys") if short == "both" else (short,):
+        assert np.abs(want[name]).max() > 0.0
+        np.testing.assert_array_equal(got[name], want[name])
 
 
 def test_source_read_three_times_keeps_three_read_columns():
