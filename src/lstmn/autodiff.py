@@ -38,11 +38,13 @@ as its data and their keys (T, B, a) beside them, laid out slot-major
 so that a read's window of keys is one contiguous run of B_t a values
 per slot.  A write allocates, grows and fills both in place, one slot
 per step or several slots at once (the source that inter-attention
-reads), and ``tape_attend`` reads a window of a tape in one node (its
-attention weights a plain array), so a recurrent step adds a fixed
-number of nodes however long the tape.  ``tape_attend`` reads only
-tapes: a memory that no ``tape_write`` made is a ``TapeError``, and so
-are a read past the slots written and a write of a slot written before.
+reads).  Each node knows its written end: a write appends at the end
+of the node it is given, and ``tape_attend`` reads a window that ends
+there, in one node (its attention weights a plain array), so a
+recurrent step adds a fixed number of nodes however long the tape.
+``tape_attend`` reads only tapes: a memory that no ``tape_write`` made
+is a ``TapeError``, and so is a write from a node that is not its
+chain's last, which would change a slot written before.
 A recorded read keeps for its backward only its query, its weights and
 views of the tape; the backward recomputes tanh(key + q) from the keys,
 so no read holds a (B_t, window, a) activation, and a T-step sequence
@@ -147,8 +149,8 @@ class GraphStateError(RuntimeError):
 
 class TapeError(ValueError):
     """A tape invariant (matching slot shapes, non-empty read, a memory
-    made by ``tape_write``, slots written once and in order, a read of
-    written slots only) was violated."""
+    made by ``tape_write``, writes from the chain's last node only) was
+    violated."""
 
 
 def _finite(arr: np.ndarray, op: str) -> np.ndarray:
@@ -547,19 +549,20 @@ def attend(weights: np.ndarray, slots) -> Tensor:
 class _Tape(Tensor):
     """A tape node, made by ``tape_write``: the slot values after a write
     as its data, their slot-major keys beside them (``keys``), the rows
-    that write covered, the slots written [0, ``end``) at this node, and
-    the read log of its chain of writes."""
+    that write covered, the slots written [0, ``end``) at this node (where
+    the next write starts and every read of this node ends), and the read
+    log of its chain of writes."""
     __slots__ = ("keys", "log", "rows", "end")
 
 
 class ReadTerm(NamedTuple):
     """A read's share of its tape's gradient, filed in the tape's read log
-    by ``backward``: the read's weights over slots [lo, hi) and its output
-    gradient g, from which each write of those slots forms their value
-    gradient sum_r weights_r g_r (``tape_write``), and the read's key
-    gradient (hi - lo, B_t, a), which the log adds at once."""
+    by ``backward``: the read's weights over slots [lo, hi), hi the read
+    tape node's written end, and its output gradient g, from which each
+    write of those slots forms their value gradient sum_r weights_r g_r
+    (``tape_write``), and the read's key gradient (hi - lo, B_t, a), which
+    the log adds at once."""
     lo: int
-    hi: int
     weights: np.ndarray
     g: np.ndarray
     key_grad: np.ndarray
@@ -577,11 +580,10 @@ class _ReadLog:
     ``grads[:, r]`` (B, R, d); the entries of rows and slots it did not
     read stay 0.  Its key gradient is added at once into ``key_grads``,
     laid out like the keys (slots, B, a); ``read_end`` is the end of the
-    slots read.  The arrays are made at the first record, in the shapes
-    and dtype of the tape that read read (the last read, so every slot
-    read fits), with R = ``reads``.  Each read and write runs backward
-    once (``backward``), so the log fills once and no record outruns the
-    count.
+    slots read.  The arrays are made at the first record, for the slots
+    the chain has written, in the rows and dtype of its tape, with R =
+    ``reads``.  Each read and write runs backward once (``backward``), so
+    the log fills once and no record outruns the count.
     """
 
     __slots__ = ("weights", "grads", "key_grads", "reads", "count", "end", "read_end")
@@ -590,14 +592,14 @@ class _ReadLog:
         self.weights = self.grads = self.key_grads = None
         self.reads = self.count = self.end = self.read_end = 0
 
-    def record(self, tape: "_Tape", lo: int, hi: int, weights: np.ndarray, g: np.ndarray,
+    def record(self, tape: "_Tape", lo: int, weights: np.ndarray, g: np.ndarray,
                key_grad: np.ndarray) -> None:
-        r = self.count
+        r, hi = self.count, tape.end
         if self.weights is None:
-            batch, slots = tape.data.shape[:2]
-            self.weights = np.zeros((batch, slots, self.reads), dtype=tape.data.dtype)
+            batch = tape.data.shape[0]
+            self.weights = np.zeros((batch, self.end, self.reads), dtype=tape.data.dtype)
             self.grads = np.zeros((batch, self.reads, g.shape[1]), dtype=tape.data.dtype)
-            self.key_grads = np.zeros_like(tape.keys)
+            self.key_grads = np.zeros_like(tape.keys[:self.end])
         self.weights[:weights.shape[0], lo:hi, r] = weights
         self.grads[:g.shape[0], r] = g
         self.key_grads[lo:hi, :key_grad.shape[1]] += key_grad
@@ -612,30 +614,29 @@ class _ReadLog:
                 self.weights[:rows, start:stop, :self.count], self.grads[:rows, :self.count])
 
 
-def tape_write(prev: Optional[Tensor], n: int, parts, key: Tensor, slots: int) -> Tensor:
-    """Write slots [n, n + m) of a tape, their values from the (B_n, m,
-    k_i) ``parts``, side by side, and their keys from the (B_n, m, a)
-    ``key``, into the first B_n rows (a (B_n, k) part is m = 1), and
-    return the tape node after the write: the one code that allocates,
-    grows, checks and fills a tape.
+def tape_write(prev: Optional[Tensor], parts, key: Tensor, slots: int) -> Tensor:
+    """Append m slots to a tape at ``prev``'s written end (0 for the
+    first write), their values from the (B_n, m, k_i) ``parts``, side by
+    side, and their keys from the (B_n, m, a) ``key``, into the first B_n
+    rows (a (B_n, k) part is m = 1), and return the tape node after the
+    write: the one code that allocates, grows, checks and fills a tape.
 
     A tape node holds the values (B, T, sum k_i) as its data, a slot's
     values per row, as the read's weighted sum wants them, and the keys
     (T, B, a), slot-major, so that a read's window of keys is one
     contiguous run of B_t a values per slot.  ``prev`` is the node before
     the write, None for the first, which allocates both zeroed, with
-    max(``slots``, n + m) slots and B_n rows in the parts' dtype, and the
+    max(``slots``, m) slots and B_n rows in the parts' dtype, and the
     read log (``_ReadLog``) that the chain shares.  A write past the end
-    copies both into buffers of twice the slots (at least n + m), so
+    copies both into buffers of twice the slots (at least the new end), so
     ``prev``'s buffers are this node's or the shorter ones they grew
     from.  The parts and the key share their leading shape; a later write
     fills the tape's widths and covers no more rows than the write before
     it (in a packed batch, the rows still live; a slot's other rows stay
-    zero and are never read).  Slots are written once, in order: a write
-    starts at the chain's written end, from the chain's last node, so no
-    write changes a slot that a read (whose backward reads it again) has
-    seen.  Any other write is a ``TapeError``, raised before anything is
-    written.
+    zero and are never read).  Slots are written once: a write from a
+    node that is not its chain's last would change a slot that a read
+    (whose backward reads it again) may have seen, and is a
+    ``TapeError``, raised before anything is written.
 
     Backward first adds the value gradient of the slots written, formed
     from the log of the reads that ran backward before it: every read of
@@ -647,6 +648,7 @@ def tape_write(prev: Optional[Tensor], n: int, parts, key: Tensor, slots: int) -
     no read reached them.  The buffers are not screened for NaN/Inf: only
     those rows changed, and the kernels that made the parts screened them.
     """
+    n = 0 if prev is None else prev.end
     shapes = [p.data.shape for p in parts] + [key.data.shape]
     lead, a = shapes[0][:-1], shapes[-1][-1]
     rows, stop = lead[0] if lead else 0, n + (lead[1] if len(lead) == 2 else 1)
@@ -659,11 +661,10 @@ def tape_write(prev: Optional[Tensor], n: int, parts, key: Tensor, slots: int) -
                                    rows > prev.rows)):
         raise TapeError(f"tape_write: slot shapes differ: parts and key {shapes} "
                         f"into slot {n} of tape {None if prev is None else prev.data.shape}")
-    end = 0 if prev is None else prev.log.end
-    if n != end or (prev is not None and prev.end != end):
-        raise TapeError(f"tape_write: slot {n} written from a node at slot "
-                        f"{0 if prev is None else prev.end} of a chain written to slot {end}: "
-                        "slots are written once, in order, from the chain's last node")
+    if prev is not None and n != prev.log.end:
+        raise TapeError(f"tape_write: a write from the node at slot {n} of a chain written "
+                        f"to slot {prev.log.end}: slots are written once, in order, from "
+                        "the chain's last node")
     if prev is None:
         size, log, dtype = max(slots, stop), _ReadLog(), parts[0].data.dtype
         buf, keys = np.zeros((rows, size, width), dtype), np.zeros((size, rows, a), dtype)
@@ -694,18 +695,19 @@ def tape_write(prev: Optional[Tensor], n: int, parts, key: Tensor, slots: int) -
     return node
 
 
-def tape_attend(tape: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
+def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
                 prev: Tensor, w_prev: Tensor, v: Tensor,
                 bias: Optional[Tensor] = None, mask=None):
-    """Additive attention over slots [lo, hi) of a tape, one node.
+    """Additive attention over slots [lo, hi) of a tape, one node, where
+    hi is the tape node's written end.
 
     ``tape``, a tape node that ``tape_write`` made (any other tensor is a
     ``TapeError``), holds per slot a value (B, T, d) and its key (T, B,
-    a), already projected into the a = len(v) attention columns.  The
-    window must lie in the slots written; a window reaching past them is
-    a ``TapeError``.  The read covers the first B_t rows of the tape and
-    of ``prev``, as many as ``x`` (B_t, in) has: in a packed batch, the
-    rows still live.  With q = W_x x + W_prev prev + bias:
+    a), already projected into the a = len(v) attention columns.  A read
+    of a node that later writes followed covers only the slots written
+    at that node.  The read covers the first B_t rows of the tape and of
+    ``prev``, as many as ``x`` (B_t, in) has: in a packed batch, the rows
+    still live.  With q = W_x x + W_prev prev + bias:
 
         scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
         weights   = softmax(scores), 0 where ``mask`` is 0
@@ -729,6 +731,7 @@ def tape_attend(tape: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
     """
     if not isinstance(tape, _Tape):
         raise TapeError("tape_attend: the memory must be a tape node made by tape_write")
+    hi = tape.end
     vals, kd, xd, wxd, pd, wpd, vd = (tape.data, tape.keys, x.data, w_x.data, prev.data,
                                       w_prev.data, v.data)
     batch = xd.shape[0] if xd.ndim == 2 else -1
@@ -740,9 +743,6 @@ def tape_attend(tape: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
             f"tape_attend: values {vals.shape}, keys {kd.shape} window [{lo}, {hi}), "
             f"x {xd.shape}, W_x {wxd.shape}, prev {pd.shape}, W_prev {wpd.shape}, "
             f"v {vd.shape} do not conform")
-    if hi > tape.end:
-        raise TapeError(f"tape_attend: window [{lo}, {hi}) reaches past the written slots "
-                        f"[0, {tape.end})")
     if mask is not None:
         mask = np.asarray(mask)[:batch]
     if _grad_enabled and tape.requires_grad:
@@ -771,7 +771,7 @@ def tape_attend(tape: Tensor, lo: int, hi: int, x: Tensor, w_x: Tensor,
         np.multiply(z, vd, out=z)
         np.multiply(z, gs[:, :, None], out=z)
         gq = _sum(z, 0)
-        grads = (ReadTerm(lo, hi, weights, g, z), gq @ wxd, Outer(gq, xd),
+        grads = (ReadTerm(lo, weights, g, z), gq @ wxd, Outer(gq, xd),
                  Partial((slice(0, batch), slice(0, k)), gq @ wpd), Outer(gq, pd), gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 

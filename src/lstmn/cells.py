@@ -15,18 +15,19 @@ cell forms the source memory term r * a~.
 
 ``run_stack`` is the one layer stack: a layer without intra-attention
 weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
-k's output, optionally with a skip connection from the token embedding.
+k's outputs over the whole sequence, one layer at a time, optionally
+with a skip connection from the token embedding.
 
 A tape layer keeps one tape, whose slots hold the values [h | c] and
-their attention keys, that each step writes in place through one
-``autodiff.tape_write`` (``Tapes``); the attention read and both
-summaries are a single fused node (``autodiff.tape_attend``), and the
-backward hands one gradient buffer down the chain of writes, so a step
-costs the same graph work at any tape length.  Each write's backward
-adds its slot's value gradient from the reads that the chain's read log
-holds, in one product, and takes its key's gradient from the log; a read
-keeps no tanh activations, and its backward recomputes them from the
-keys.
+their attention keys, to which each step appends in place through one
+``autodiff.tape_write`` (``Tapes``); the attention read, which ends at
+the tape's written end, and both summaries are a single fused node
+(``autodiff.tape_attend``), and the backward hands one gradient buffer
+down the chain of writes, so a step costs the same graph work at any
+tape length.  Each write's backward adds its slot's value gradient from
+the reads that the chain's read log holds, in one product, and takes its
+key's gradient from the log; a read keeps no tanh activations, and its
+backward recomputes them from the keys.
 
 All step functions are batch-first: token inputs are (B, in), state
 blocks (B, 2h).  A batch may be packed (``autodiff``'s row-prefix rule):
@@ -126,7 +127,7 @@ class Tapes:
     which allocates the tape for ``length`` slots (or ``INITIAL_SLOTS``),
     doubles it when full and checks each slot's shapes; ``memory`` is the
     tape node after the latest write, the end of the chain of writes that
-    the backward runs back.
+    the backward runs back, whose written end counts the slots written.
 
     With a capacity, attention reads only the newest ``capacity`` slots:
     the read window is [n - capacity, n) over the n slots written, and
@@ -141,16 +142,10 @@ class Tapes:
         self.capacity = capacity
         self.length = length
         self.memory: Optional[Tensor] = None
-        self.written = 0
 
     def __len__(self) -> int:
-        if self.capacity is None:
-            return self.written
-        return min(self.written, self.capacity)
-
-    def window(self) -> tuple:
-        """Slots [lo, hi) that attention reads."""
-        return self.written - len(self), self.written
+        written = 0 if self.memory is None else self.memory.end
+        return written if self.capacity is None else min(written, self.capacity)
 
     def append(self, *parts: Tensor) -> None:
         """Write the next slot from ``parts``: ([h | c], key) or (h, c,
@@ -158,9 +153,8 @@ class Tapes:
         rest against the tape."""
         if len({p.data.shape[-1] for p in parts[:-1]}) != 1:
             raise TapeError(f"tape slot shapes differ: parts {[p.data.shape for p in parts]}")
-        self.memory = ad.tape_write(self.memory, self.written, parts[:-1], parts[-1],
+        self.memory = ad.tape_write(self.memory, parts[:-1], parts[-1],
                                     self.length or self.INITIAL_SLOTS)
-        self.written += 1
 
 
 # Values per ``rng.uniform`` call when ``glorot`` fills a matrix.
@@ -247,8 +241,8 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     """
     if len(tapes) == 0:
         raise TapeError("attention over an empty tape")
-    lo, hi = tapes.window()
-    return ad.tape_attend(tapes.memory, lo, hi, x, w.w_x, htilde_prev, w.w_htilde, w.v, w.bias)
+    return ad.tape_attend(tapes.memory, tapes.memory.end - len(tapes), x, w.w_x, htilde_prev,
+                          w.w_htilde, w.v, w.bias)
 
 
 def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
@@ -310,36 +304,33 @@ class StackRun:
 
 
 def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
-    """Process a token-embedding sequence left to right; layer k+1
-    consumes layer k's output (concatenated with x when skip connections
-    are on).  A tape layer carries its summary block [h~ | c~] between
-    steps, an LSTM layer its [h | c].  ``capacity`` bounds only how far
-    back the attention may look.
+    """Process a token-embedding sequence left to right, one layer at a
+    time: layer 1 over every step, then layer k+1 over layer k's outputs
+    (concatenated with x when skip connections are on).  A tape layer
+    carries its summary block [h~ | c~] between steps, an LSTM layer its
+    [h | c].  ``capacity`` bounds only how far back attention may look.
 
     The batch may be packed: ``xs[t]`` holds the first B_t rows, those
     still live at step t, with B_t never growing (rows sorted longest
     first); step t's states and tape slot then have B_t rows."""
     if not xs:
         raise TapeError("cannot run over an empty sequence")
-    batch = xs[0].data.shape[0]
-    tapes = [Tapes(capacity, length=len(xs)) for _ in w.layers]
-    carried = [zero_state(batch, layer.gates.hidden_size) if layer.attn is None else None
-               for layer in w.layers]
-    run = StackRun(top=[], traces=[], tapes=tapes[-1])
-    for x in xs:
-        if x.data.shape[0] > batch:
-            raise TapeError(f"a step has {x.data.shape[0]} rows after a step with {batch}; "
-                            "packed rows must be sorted longest first")
-        batch = x.data.shape[0]
-        inp = x
-        for k, layer in enumerate(w.layers):
-            if k > 0:
-                inp = ad.concat([state.h, x], axis=1) if w.skip else state.h
+    rows = [x.data.shape[0] for x in xs]
+    if rows != sorted(rows, reverse=True):
+        raise TapeError(f"steps of {rows} rows: packed rows must be sorted longest first")
+    states = None
+    for layer in w.layers:
+        below, states, traces = states, [], []
+        tapes = Tapes(capacity, length=len(xs))
+        carried = zero_state(rows[0], layer.gates.hidden_size) if layer.attn is None else None
+        for t, x in enumerate(xs):
+            if below is not None:
+                x = ad.concat([below[t].h, x], axis=1) if w.skip else below[t].h
             if layer.attn is None:
-                state, weights = lstm_step(inp, carried[k], layer.gates), None
-                carried[k] = state.hc
+                state, weights = lstm_step(x, carried, layer.gates), None
+                carried = state.hc
             else:
-                state, carried[k], weights = lstmn_step(inp, tapes[k], carried[k], layer)
-        run.top.append(state)
-        run.traces.append(weights)
-    return run
+                state, carried, weights = lstmn_step(x, tapes, carried, layer)
+            states.append(state)
+            traces.append(weights)
+    return StackRun(top=states, traces=traces, tapes=tapes)

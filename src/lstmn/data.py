@@ -3,7 +3,7 @@ and masked batch construction.
 
 File formats:
   lm-text            one sentence per line, whitespace-tokenized
-  labeled-sentences  label<TAB>sentence
+  labeled-sentences  label<TAB>sentence, the label an integer 0..4
   sentence-pairs     label<TAB>premise<TAB>hypothesis (lowercased on load;
                      the unknown label "-" drops the pair)
   embeddings         token v1 ... vd, space-separated finite decimal text
@@ -41,8 +41,6 @@ class Vocabulary:
     def __init__(self, tokens: list):
         self.index_to_token = list(RESERVED) + list(tokens)
         self.token_to_index = {t: i for i, t in enumerate(self.index_to_token)}
-        if len(self.token_to_index) != len(self.index_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
 
     def __len__(self) -> int:
         return len(self.index_to_token)
@@ -78,7 +76,12 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        tokens = [line.rstrip("\n") for _, line in text_lines(path, DataFormatError)]
+        tokens, first = [], {}
+        for lineno, line in text_lines(path, DataFormatError):
+            tokens.append(line.rstrip("\n"))
+            if first.setdefault(tokens[-1], lineno) != lineno:
+                raise DataFormatError(f"{path}:{lineno}: duplicate token {tokens[-1]!r}, "
+                                      f"first on line {first[tokens[-1]]}")
         if tuple(tokens[:len(RESERVED)]) != RESERVED:
             raise DataFormatError(f"{path}: reserved token block missing or reordered")
         return cls(tokens[len(RESERVED):])
@@ -166,6 +169,7 @@ def load_pretrained(path: str, vocab: Vocabulary, seed: int = 0) -> EmbeddingTab
 
 @dataclass
 class LoadedDataset:
+    path: str
     kind: str
     examples: list
     dropped: int = 0
@@ -186,7 +190,7 @@ class LoadedDataset:
 
 def load_dataset(path: str, kind: str) -> LoadedDataset:
     """Parse one split.  Examples are token lists:
-    lm-text -> [tokens]; labeled-sentences -> (label, tokens);
+    lm-text -> [tokens]; labeled-sentences -> (integer label, tokens);
     sentence-pairs -> (label, premise_tokens, hypothesis_tokens)."""
     if kind not in ("lm-text", "labeled-sentences", "sentence-pairs"):
         raise ConfigError(f"unknown dataset kind {kind!r}")
@@ -204,7 +208,14 @@ def load_dataset(path: str, kind: str) -> LoadedDataset:
             if len(parts) != 2 or not parts[1].strip():
                 raise DataFormatError(
                     f"{path}:{lineno}: expected 'label<TAB>sentence'")
-            examples.append((parts[0].strip(), parts[1].split()))
+            try:
+                label = int(parts[0])
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: sentiment label "
+                                      f"{parts[0].strip()!r} is not an integer") from None
+            if not 0 <= label <= 4:
+                raise DataFormatError(f"{path}:{lineno}: sentiment label {label} outside 0..4")
+            examples.append((label, parts[1].split()))
         else:
             if len(parts) != 3 or not parts[1].strip() or not parts[2].strip():
                 raise DataFormatError(
@@ -215,7 +226,7 @@ def load_dataset(path: str, kind: str) -> LoadedDataset:
                 continue
             examples.append((label, parts[1].lower().split(),
                              parts[2].lower().split()))
-    return LoadedDataset(kind=kind, examples=examples, dropped=dropped)
+    return LoadedDataset(path=path, kind=kind, examples=examples, dropped=dropped)
 
 
 @dataclass

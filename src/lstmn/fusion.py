@@ -18,12 +18,13 @@ Inter-attention uses the same fused kernel as the tape cell
 (``autodiff.tape_attend``): the source is packed once per decoded
 sequence into one tape of m slots, the values [y_j | a_j] and the keys
 W_gamma y_j, by one ``autodiff.tape_write`` (``source_projection``), and
-each decode step reads all of it in one node.  Intra and inter reads
-thus take one backward path: each read logs its weights, output
-gradient and key gradient, and the source write forms the whole
-source's value gradient in one batched product and takes its keys'
-gradient from the log; a read keeps no tanh activations, and its
-backward recomputes them from the keys.
+each decode step reads all of it, up to that tape's written end, in one
+node; the decoder keeps that tape and the source mask.  Intra and inter
+reads thus take one backward path: each read logs its weights, output
+gradient and key gradient, and the source write forms the whole source's
+value gradient in one batched product and takes its keys' gradient from
+the log; a read keeps no tanh activations, and its backward recomputes
+them from the keys.
 
 ``DecoderState.step`` is the one decode step (inter-attention, then
 the tape-cell step, with the transfer gate for deep fusion): six graph
@@ -127,40 +128,40 @@ def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
     decoded sequence and reused by all decode steps: the values
     [y_j | a_j] and the keys W_gamma y_j of all m slots in one
     ``tape_write``, so the backward forms the whole source's value
-    gradient in one product."""
-    return ad.tape_write(None, 0, (src.y, src.a), ad.linear(src.y, w.w_gamma), src.length)
-
-
-def inter_attend(x: Tensor, src: SourceTapes, gamma_tilde_prev: Tensor,
-                 w: InterAttentionWeights, src_proj: Tensor) -> tuple:
-    """Align the current target input against the whole source, read from
-    ``src_proj``, the tape ``source_projection(src, w)``: (the summary
-    block [gamma~ | alpha~] (B, 2h), the weights as a plain (B, m) array).
-    ``gamma_tilde_prev`` is the previous gamma~, or the previous summary
-    block, whose gamma~ columns the query reads."""
+    gradient in one product.  An empty source is a ``TapeError``."""
     if src.length < 1:
         raise TapeError("inter-attention needs a non-empty source")
-    return ad.tape_attend(src_proj, 0, src.length, x, w.w_x, gamma_tilde_prev,
-                          w.w_gammatilde, w.u, mask=src.mask)
+    return ad.tape_write(None, (src.y, src.a), ad.linear(src.y, w.w_gamma), src.length)
+
+
+def inter_attend(x: Tensor, source: Tensor, gamma_tilde_prev: Tensor,
+                 w: InterAttentionWeights, mask: Optional[np.ndarray]) -> tuple:
+    """Align the current target input against the whole source, read from
+    ``source``, the tape ``source_projection`` made, under the source
+    ``mask``: (the summary block [gamma~ | alpha~] (B, 2h), the weights as
+    a plain (B, m) array).  ``gamma_tilde_prev`` is the previous gamma~,
+    or the previous summary block, whose gamma~ columns the query reads."""
+    return ad.tape_attend(source, 0, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
+                          mask=mask)
 
 
 class DecoderState:
     """Decoding state for one batch: the target tapes, the carried intra
     summary block [h~ | c~] and inter summary block [gamma~ | alpha~]
     (``gamma_tilde``; a zero gamma~ before the first step), the latest cell
-    state, and the source tape packed once for inter-attention.  ``length``
-    preallocates that many tape slots."""
+    state, and the source tape packed once for inter-attention with the
+    source mask.  ``length`` preallocates that many tape slots."""
 
     def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,
                  capacity: Optional[int] = None, length: Optional[int] = None):
         if mode not in ("deep", "shallow"):
             raise ValueError(f"unknown fusion mode {mode!r}")
-        self.src, self.w, self.mode = src, w, mode
+        self.w, self.mode = w, mode
         self.tapes = Tapes(capacity, length=length)
         self.summary = None   # unused while the target tape is empty
         self.gamma_tilde = Tensor(np.zeros((src.y.data.shape[0], w.cell.gates.hidden_size)))
         self.state: Optional[CellState] = None
-        self.src_proj = source_projection(src, w.inter)
+        self.source, self.mask = source_projection(src, w.inter), src.mask
 
     def step(self, x: Tensor):
         """One decoder step: inter-attention, then the tape-cell step, for
@@ -172,7 +173,7 @@ class DecoderState:
         (never more than the step before); the kernels read the same rows
         of the carried summary blocks and of the source."""
         w = self.w.inter
-        self.gamma_tilde, inter = inter_attend(x, self.src, self.gamma_tilde, w, self.src_proj)
+        self.gamma_tilde, inter = inter_attend(x, self.source, self.gamma_tilde, w, self.mask)
         if self.mode == "deep":
             self.state, self.summary, intra = cells.lstmn_step(
                 x, self.tapes, self.summary, self.w.cell, self.gamma_tilde, w.w_r)

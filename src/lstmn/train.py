@@ -39,13 +39,8 @@ def _apply_precision(cfg: RunConfig) -> None:
     ad.set_default_dtype(np.float64 if cfg.precision == "float64" else np.float32)
 
 
-def _map_sentiment_label(label: str, num_labels: int):
-    try:
-        value = int(label)
-    except ValueError:
-        raise data.DataFormatError(f"sentiment label {label!r} is not an integer") from None
-    if not 0 <= value <= 4:
-        raise data.DataFormatError(f"sentiment label {value} outside 0..4")
+def _map_sentiment_label(value: int, num_labels: int):
+    """The 0..4 label that ``data.load_dataset`` read, for the task."""
     if num_labels == 5:
         return value
     if value == 2:
@@ -84,7 +79,7 @@ def prepare_examples(cfg: RunConfig, dataset: data.LoadedDataset, vocab: Vocabul
             seqs.append(vocab.encode(ex[1]))
             seqs2.append(vocab.encode(ex[2]))
     if not seqs:
-        raise data.DataFormatError("no usable examples after label filtering")
+        raise data.DataFormatError(f"{dataset.path}: no usable examples after label filtering")
     return seqs, (seqs2 or None), (labels or None), dropped
 
 

@@ -26,9 +26,11 @@ change that only reordered float sums once moved ``seq2seq-shallow``
 (11, 3) from 0.98 at epoch 7 to 0.82 at epoch 8, and back to 0.99 by
 epoch 10.  The median measures sustained learning and is not strictly
 looser than the last epoch: 0.95, 0.95, 0.89 passes the shallow bound,
-and 0.5, 0.5, 0.95 fails it.  The copy cases also run in float32, with
-the same seeds, budget and bounds, and their trained parameters must be
-float32.
+and 0.5, 0.5, 0.95 fails it.
+
+Both tasks also run in float32, with the same seeds, budgets and bounds
+(the bracket NLL scored in float32 too), and their trained parameters
+must be float32.
 
 Seed pairs (corpus, model), for both tasks: (11, 3) and (12, 4).
 """
@@ -84,17 +86,36 @@ def close_nll(cfg, result) -> float:
     return total / count
 
 
-@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
-def test_lstmn_recalls_brackets_that_lstm_cannot(tmp_path, corpus_seed, model_seed):
+def recall_brackets(tmp_path, corpus_seed, model_seed, precision):
+    """Train ``lstm`` and ``lstmn`` on the bracket language at
+    ``precision``, scoring each in it; returns their results after
+    checking the NLL bounds."""
     rng = np.random.default_rng(corpus_seed)
     lines_train = synthetic.bracket_corpus(rng, 40000)
     lines_val = synthetic.bracket_corpus(rng, 6000)
-    nll = {}
-    for name in ("lstm", "lstmn"):
-        cfg, result = run(tmp_path, name, lines_train, lines_val, model=name, epochs="15",
-                          seed=str(model_seed))
-        nll[name] = close_nll(cfg, result)
+    nll, results = {}, []
+    try:
+        for name in ("lstm", "lstmn"):
+            cfg, result = run(tmp_path, name, lines_train, lines_val, model=name, epochs="15",
+                              seed=str(model_seed), precision=precision)
+            nll[name] = close_nll(cfg, result)
+            results.append(result)
+    finally:
+        ad.set_default_dtype(np.float64)
     assert nll["lstmn"] <= 2.5 and nll["lstmn"] <= nll["lstm"] - 0.3, nll
+    return results
+
+
+@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
+def test_lstmn_recalls_brackets_that_lstm_cannot(tmp_path, corpus_seed, model_seed):
+    recall_brackets(tmp_path, corpus_seed, model_seed, "float64")
+
+
+@pytest.mark.parametrize("corpus_seed,model_seed", SEED_PAIRS)
+def test_lstmn_recalls_brackets_that_lstm_cannot_in_float32(tmp_path, corpus_seed, model_seed):
+    for result in recall_brackets(tmp_path, corpus_seed, model_seed, "float32"):
+        stored = load_checkpoint(result.checkpoint_path)
+        assert stored and {a.dtype for a in stored.values()} == {np.dtype(np.float32)}
 
 
 def learn_to_copy(tmp_path, corpus_seed, model_seed, model_name, bound, precision):

@@ -273,7 +273,7 @@ def _tape(memory: Tensor, a: int = 2) -> Tensor:
     its last a, as the tape ``tape_attend`` reads: one ``tape_write`` of
     all its slots into fresh buffers."""
     d = memory.data.shape[2] - a
-    return ad.tape_write(None, 0, (ad.slice_cols(memory, 0, d),),
+    return ad.tape_write(None, (ad.slice_cols(memory, 0, d),),
                          ad.slice_cols(memory, d, d + a), memory.data.shape[1])
 
 
@@ -405,9 +405,9 @@ def _kernel_cases():
         # Three writes into a 2-slot buffer that grows to 4 before the
         # third, each followed by a read of every slot written so far.
         node, total = None, ad.sum_all(Tensor(np.zeros(1)))
-        for n, (h, k) in enumerate(zip(slot_h, slot_k)):
-            node = ad.tape_write(node, n, (h,), k, 2)
-            out = ad.tape_attend(node, 0, n + 1, q_x, w_qx, q_p, w_qp, v_att)[0]
+        for h, k in zip(slot_h, slot_k):
+            node = ad.tape_write(node, (h,), k, 2)
+            out = ad.tape_attend(node, 0, q_x, w_qx, q_p, w_qp, v_att)[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, y_att)))
         return total
 
@@ -424,10 +424,10 @@ def _kernel_cases():
     g_wr, g_inter3 = t(3, 5), t(3, 6)
 
     def source_reads():
-        node = ad.tape_write(None, 0, (src_v,), src_k, 2)
+        node = ad.tape_write(None, (src_v,), src_k, 2)
         total = ad.sum_all(Tensor(np.zeros(1)))
         for r in range(3):
-            out = ad.tape_attend(node, 0, 2, src_x[r], w_qx, src_p[r], w_qp, v_att,
+            out = ad.tape_attend(node, 0, src_x[r], w_qx, src_p[r], w_qp, v_att,
                                  mask=[[1, 1], [0, 1], [1, 0]])[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - r]))))
         return total
@@ -437,8 +437,8 @@ def _kernel_cases():
         # the rows still live; the buffer's ended rows are never read.
         node, total = None, ad.sum_all(Tensor(np.zeros(1)))
         for n, (h, k) in enumerate(zip(pk_h, pk_k)):
-            node = ad.tape_write(node, n, (h,), k, 3)
-            out = ad.tape_attend(node, 0, n + 1, pk_x[n], w_qx, pk_p[n], w_qp, v_att)[0]
+            node = ad.tape_write(node, (h,), k, 3)
+            out = ad.tape_attend(node, 0, pk_x[n], w_qx, pk_p[n], w_qp, v_att)[0]
             total = ad.add(total, ad.sum_all(ad.mul(out, Tensor(y3[:3 - n]))))
         return total
 
@@ -478,42 +478,42 @@ def _kernel_cases():
                    lambda: ad.sum_all(_square(ad.attend(wts, slots)))),
         "attend_packed": ({f"s{i}": s for i, s in enumerate(pk_slots)},
                           lambda: ad.sum_all(_square(ad.attend(pk_wts, pk_slots)))),
-        # B=2, a capacity-style read window [1, 4) of five slots, with bias.
+        # B=2, a capacity-style read window [1, 5) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
-            ad.tape_attend(_tape(mem), 1, 4, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
+            ad.tape_attend(_tape(mem), 1, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
         # No attention bias, every slot, and a padded-source mask.
         "tape_attend_masked": (attend_params, lambda: ad.sum_all(ad.mul(
-            ad.tape_attend(_tape(mem), 0, 5, q_x, w_qx, q_p, w_qp, v_att,
+            ad.tape_attend(_tape(mem), 0, q_x, w_qx, q_p, w_qp, v_att,
                            mask=[[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])[0], y_att))),
-        # 2 live rows of a 3-row memory, a capacity-style window [1, 4) and
+        # 2 live rows of a 3-row memory, a capacity-style window [1, 5) and
         # a mask; the ended third row's mask is all 0, which a read of it
         # would reject, and its memory gradient must be exactly 0.
         "tape_attend_packed": (
             {"memory": mem3, "x": px, "W_x": w_qx, "prev": pp, "W_prev": w_qp, "v": v_att,
              "bias": b_att},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                _tape(mem3), 1, 4, px, w_qx, pp, w_qp, v_att, b_att,
-                mask=[[1, 1, 0], [1, 0, 1], [0, 0, 0]])[0], y_att))),
+                _tape(mem3), 1, px, w_qx, pp, w_qp, v_att, b_att,
+                mask=[[1, 1, 0, 1], [1, 0, 1, 1], [0, 0, 0, 0]])[0], y_att))),
         "tape_attend_carried_prev": (
             {"memory": mem3, "x": px, "prev": pp3, "W_prev": w_qp},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                _tape(mem3), 0, 5, px, Tensor(w_qx.data), pp3, w_qp, Tensor(v_att.data))[0],
+                _tape(mem3), 0, px, Tensor(w_qx.data), pp3, w_qp, Tensor(v_att.data))[0],
                 y_att))),
         # The two stages tape_attend fuses, each checked on its own inputs:
         # the broadcast add of the query onto every slot key (query path
         # only, memory held fixed) and the per-slot v . tanh(...) scores
-        # (v and the memory only), over a window that ends at the last slot.
+        # (v and the memory only, over a window that starts past the first slot).
         "bcast_add_slots": ({"x": q_x, "W_x": w_qx, "prev": q_p, "W_prev": w_qp, "bias": b_att},
                             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                                _tape(Tensor(mem.data)), 0, 3, q_x, w_qx, q_p, w_qp,
+                                _tape(Tensor(mem.data[:, :3])), 0, q_x, w_qx, q_p, w_qp,
                                 Tensor(v_att.data), b_att)[0], y_att))),
         "slot_dot": ({"memory": mem, "v": v_att}, lambda: ad.sum_all(ad.mul(ad.tape_attend(
-            _tape(mem), 2, 5, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
+            _tape(mem), 2, Tensor(q_x.data), Tensor(w_qx.data), Tensor(q_p.data),
             Tensor(w_qp.data), v_att)[0], y_att))),
         "tape_attend_summary_prev": (
             {"prev": summary_prev, "W_prev": w_qp},
             lambda: ad.sum_all(ad.mul(ad.tape_attend(
-                _tape(Tensor(mem.data)), 0, 5, Tensor(q_x.data), Tensor(w_qx.data),
+                _tape(Tensor(mem.data)), 0, Tensor(q_x.data), Tensor(w_qx.data),
                 summary_prev, w_qp, Tensor(v_att.data))[0], y_att))),
         "gate_cell": ({"state": g_state, "x": g_x, "W": g_w, "bias": g_bias,
                        "inter": g_inter, "W_r": g_wr},
@@ -657,8 +657,8 @@ class TestNoGradMode:
 
 
 def test_tape_attend_row_prefix_matches_oracle():
-    # x has 2 rows and reads the first 2 rows of a 3-row memory over the
-    # window [1, 4), masked; each row against the oracle over its own
+    # x has 2 rows and reads the first 2 rows of a 3-row memory of four
+    # slots over the window [1, 4), masked; each row against the oracle over its own
     # unmasked window slots.  The third row's all-zero mask is never read.
     rng = np.random.default_rng(13)
     hid, att = 2, 3
@@ -668,7 +668,7 @@ def test_tape_attend_row_prefix_matches_oracle():
     memory = np.concatenate([H, C, H @ w_h.T], axis=2)
     x, prev = rng.normal(size=(2, 4)), rng.normal(size=(2, hid))
     mask = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0]])
-    out, weights = ad.tape_attend(_tape(Tensor(memory), att), 1, 4, Tensor(x), Tensor(w_x),
+    out, weights = ad.tape_attend(_tape(Tensor(memory[:, :4]), att), 1, Tensor(x), Tensor(w_x),
                                   Tensor(prev), Tensor(w_ht), Tensor(v), Tensor(bias),
                                   mask=mask)
     assert out.data.shape == (2, 2 * hid) and weights.shape == (2, 3)
@@ -683,15 +683,15 @@ def test_tape_attend_row_prefix_matches_oracle():
 
 def _attend_read(rng, read: str):
     """tape_attend's arguments over the tape of a (2, 5, 3 + 2) memory:
-    the intra read (window [1, 4), with bias) or the inter read (every
+    the intra read (window [1, 5), with bias) or the inter read (every
     slot, masked)."""
     mem, x, w_x, prev, w_prev, v, bias = (
         _rng_tensor(rng, *shape) for shape in [(2, 5, 5), (2, 3), (2, 3), (2, 4), (2, 4), (2,),
                                                (2,)])
     tape = _tape(mem)
     if read == "intra":
-        return (tape, 1, 4, x, w_x, prev, w_prev, v, bias), {}
-    return (tape, 0, 5, x, w_x, prev, w_prev, v), {"mask": [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]}
+        return (tape, 1, x, w_x, prev, w_prev, v, bias), {}
+    return (tape, 0, x, w_x, prev, w_prev, v), {"mask": [[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]]}
 
 
 @pytest.mark.parametrize("record", [True, False])
@@ -716,7 +716,7 @@ def test_tape_attend_weights_are_an_array_in_the_memory_dtype(read, dtype):
         ad.set_default_dtype(np.float64)
     assert args[0].data.dtype == args[0].keys.dtype == out.data.dtype == dtype
     assert type(weights) is np.ndarray and weights.dtype == dtype
-    assert weights.shape == (2, args[2] - args[1])
+    assert weights.shape == (2, args[0].end - args[1])
     np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-6)
 
 
@@ -729,7 +729,7 @@ def test_tape_attend_refuses_a_memory_no_tape_write_made():
 
 
 def test_tape_attend_memory_gradient_is_the_key_columns_only():
-    # 2 live rows of a 3-row tape, window [1, 4): the tape gets a
+    # 2 live rows of a 3-row tape, window [1, 5): the tape gets a
     # ReadTerm, the read's weights and output gradient for its log and the
     # key gradient of those slots and rows of the slot-major keys; no
     # value gradient is formed.
@@ -738,9 +738,9 @@ def test_tape_attend_memory_gradient_is_the_key_columns_only():
     out, weights = ad.tape_attend(tape, *args[1:])
     g = np.ones(out.data.shape)
     grads = out._backward_fn(g)
-    assert isinstance(grads[0], ad.ReadTerm) and grads[0][:2] == (1, 4)
+    assert isinstance(grads[0], ad.ReadTerm) and grads[0].lo == 1
     assert grads[0].weights is weights and grads[0].g is g
-    assert grads[0].key_grad.shape == (3, 2, 2)
+    assert grads[0].key_grad.shape == (4, 2, 2)
     assert not any(isinstance(gr, ad.Partial) and gr.values.ndim == 3 for gr in grads[1:])
 
 
@@ -760,11 +760,11 @@ def test_capacity_chain_memory_gradients_match_dense_oracle():
     for n, b in enumerate(rows):
         if n:
             lo = max(0, n - 2)
-            out, weights = ad.tape_attend(node, lo, n, xs[n], w_x, prevs[n], w_p, v, bias)
+            out, weights = ad.tape_attend(node, lo, xs[n], w_x, prevs[n], w_p, v, bias)
             term = ad.sum_all(ad.mul(out, Tensor(ys[n])))
             total = term if total is None else ad.add(total, term)
             reads.append((n, lo, weights))
-        node = ad.tape_write(node, n, (hs[n],), keys[n], 5)
+        node = ad.tape_write(node, (hs[n],), keys[n], 5)
     backward(total, params=hs + keys)
     vbuf, kbuf = node.data, node.keys.swapaxes(0, 1)
 
@@ -791,7 +791,7 @@ def test_tape_write_row_prefix():
     rng = np.random.default_rng(14)
     h3, c3, k3 = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 3, 1), _rng_tensor(rng, 3, 2)
     h1, c1, k1 = _rng_tensor(rng, 1, 2), _rng_tensor(rng, 1, 1), _rng_tensor(rng, 1, 2)
-    node = ad.tape_write(ad.tape_write(None, 0, (h3, c3), k3, 2), 1, (h1, c1), k1, 2)
+    node = ad.tape_write(ad.tape_write(None, (h3, c3), k3, 2), (h1, c1), k1, 2)
     vbuf, kbuf = node.data, node.keys
     assert vbuf.shape == (3, 2, 3) and kbuf.shape == (2, 3, 2)
     np.testing.assert_array_equal(vbuf[:, 0], np.concatenate([h3.data, c3.data], axis=1))
@@ -813,15 +813,15 @@ def test_tape_write_rejects_extra_or_unequal_rows():
     # first write of parts of unequal rows.
     def zeros(*shape):
         return Tensor(np.zeros(shape))
-    first = ad.tape_write(None, 0, (zeros(2, 2), zeros(2, 1)), zeros(2, 2), 2)
+    first = ad.tape_write(None, (zeros(2, 2), zeros(2, 1)), zeros(2, 2), 2)
     for parts, key in [((zeros(3, 2), zeros(3, 1)), zeros(3, 2)),
                        ((zeros(2, 2), zeros(2, 2)), zeros(2, 2)),
                        ((zeros(2, 2), zeros(2, 1)), zeros(2, 3)),
                        ((zeros(2, 2), zeros(2, 1)), zeros(1, 2))]:
         with pytest.raises(TapeError, match="tape_write"):
-            ad.tape_write(first, 1, parts, key, 2)
+            ad.tape_write(first, parts, key, 2)
     with pytest.raises(TapeError, match="tape_write"):
-        ad.tape_write(None, 0, (zeros(2, 2), zeros(1, 1)), zeros(2, 2), 2)
+        ad.tape_write(None, (zeros(2, 2), zeros(1, 1)), zeros(2, 2), 2)
 
 
 def _written(count: int, slots: int = 8):
@@ -830,77 +830,79 @@ def _written(count: int, slots: int = 8):
     rng, node, leaves = np.random.default_rng(35), None, []
     for n in range(count):
         part, key = _rng_tensor(rng, 2, 2), _rng_tensor(rng, 2, 2)
-        node = ad.tape_write(node, n, (part,), key, slots)
+        node = ad.tape_write(node, (part,), key, slots)
         leaves.append((part, key))
     return node, leaves
 
 
 @pytest.mark.parametrize("changed", ["values", "keys"])
 def test_a_written_slot_is_never_written_again(changed):
-    # After writes of slots 0 and 1 and a read of [0, 2), a rewrite of
-    # slot 0 from the chain's end, or of slot 1 from the node before it,
-    # would change a slot under the read, whose backward reads it again.
-    # Both are refused before anything is written, and so is a gap, when
-    # the rewrite changes only the slot's values (its key as written) or
-    # only its key (its values as written).
+    # After writes of slots 0 and 1 and a read of both, a write from the
+    # node before the chain's end would rewrite slot 1 under the read,
+    # whose backward reads it again.  It is refused before anything is
+    # written, when the rewrite changes only the slot's values (its key as
+    # written) or only its key (its values as written).
     first, leaves = _written(1, slots=4)
     rng = np.random.default_rng(36)
     leaves.append((_rng_tensor(rng, 2, 2), _rng_tensor(rng, 2, 2)))
-    node = ad.tape_write(first, 1, (leaves[1][0],), leaves[1][1], 4)
-    out, _ = ad.tape_attend(node, 0, 2, _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3),
+    node = ad.tape_write(first, (leaves[1][0],), leaves[1][1], 4)
+    out, _ = ad.tape_attend(node, 0, _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3),
                             _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
     before = node.data.tobytes() + node.keys.tobytes()
     seven = Tensor(np.full((2, 2), 7.0))
-    for prev, n in [(node, 0), (node, 1), (first, 1), (node, 3)]:
-        part, key = leaves[min(n, 1)]
-        part, key = (seven, key) if changed == "values" else (part, seven)
-        with pytest.raises(TapeError, match="written once, in order"):
-            ad.tape_write(prev, n, (part,), key, 4)
+    part, key = (seven, leaves[1][1]) if changed == "values" else (leaves[1][0], seven)
+    with pytest.raises(TapeError, match="written once, in order"):
+        ad.tape_write(first, (part,), key, 4)
     assert node.data.tobytes() + node.keys.tobytes() == before and node.log.end == 2
     backward(ad.sum_all(out))
 
 
-def _read_two_of_eight(refuse: bool):
-    """The gradients of slot 1's value part and key after a read of [0, 2)
-    from a tape of 8 allocated slots, 2 of them written; first, if
-    ``refuse``, reads of [0, 8) and [1, 8), with and without a graph, each
-    refused: they would weigh 6 zero slots of values and of keys."""
-    tape, leaves = _written(2)
+def _read_older_node(slots: int, further: bool):
+    """A read of the node after two writes into a tape of ``slots``
+    allocated slots; if ``further``, made after a third write from that
+    node, with the loss also weighing the third slot's values.  Returns
+    the read's weights and the gradients of the two written parts, their
+    keys and the read's inputs."""
+    tape, leaves = _written(2, slots)
     rng = np.random.default_rng(38)
-    args = (_rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4),
-            _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
-    for mode in (contextlib.nullcontext, ad.no_grad) if refuse else ():
-        for lo in (0, 1):
-            with mode(), pytest.raises(TapeError, match="past the written slots"):
-                ad.tape_attend(tape, lo, 8, *args)
-    out, weights = ad.tape_attend(tape, 0, 2, *args)
-    assert weights.shape == (2, 2)
-    backward(ad.sum_all(out))
-    part, key = leaves[1]
-    return {"values": part.grad, "keys": key.grad}
+    args = [_rng_tensor(rng, *shape) for shape in [(2, 3), (2, 3), (2, 4), (2, 4), (2,)]]
+    third = (_rng_tensor(rng, 2, 2), _rng_tensor(rng, 2, 2))
+    newer = ad.tape_write(tape, (third[0],), third[1], slots) if further else None
+    out, weights = ad.tape_attend(tape, 0, *args)
+    loss = ad.sum_all(out)
+    if further:
+        g = np.zeros(newer.data.shape)
+        g[:, 2] = rng.normal(size=(2, 2))
+        loss = ad.add(loss, ad.sum_all(ad.mul(newer, Tensor(g))))
+    backward(loss)
+    if further:
+        np.testing.assert_array_equal(third[0].grad, g[:, 2])
+        assert third[1].grad is None
+    return [weights] + [t.grad for pair in leaves for t in pair] + [t.grad for t in args]
 
 
-@pytest.mark.parametrize("short", ["values", "keys", "both"])
-def test_a_read_past_the_written_slots_is_refused(short):
-    # A tape's values and keys share one written end, so a read past it
-    # is refused for both, and the refusals leave the gradients alone: the
-    # values' gradient, the keys', or both, after a good read are those of
-    # a tape that saw only the good read.
-    got, want = _read_two_of_eight(True), _read_two_of_eight(False)
-    for name in ("values", "keys") if short == "both" else (short,):
-        assert np.abs(want[name]).max() > 0.0
-        np.testing.assert_array_equal(got[name], want[name])
+@pytest.mark.parametrize("slots", [2, 8])
+def test_a_read_of_an_older_node_covers_its_own_slots(slots):
+    # A read of the node after two writes, made after a third write from
+    # it (which grows a 2-slot tape, or fills an 8-slot one in place),
+    # covers slots [0, 2): its weights and every gradient equal those of
+    # a tape that was never written further, and the third slot's part
+    # gets only the loss's own term and its key no gradient.
+    got, want = _read_older_node(slots, True), _read_older_node(slots, False)
+    assert got[0].shape == (2, 2)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_source_read_three_times_keeps_three_read_columns():
     # The forward counts the chain's reads, and the first backward record
     # sizes the read log to them: no doubling to 4.
     rng = np.random.default_rng(21)
-    tape = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
+    tape = ad.tape_write(None, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
     w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
     total = None
     for _ in range(3):
-        out, _ = ad.tape_attend(tape, 0, 2, _rng_tensor(rng, 2, 3), w_x,
+        out, _ = ad.tape_attend(tape, 0, _rng_tensor(rng, 2, 3), w_x,
                                 _rng_tensor(rng, 2, 4), w_p, v)
         total = ad.sum_all(out) if total is None else ad.add(total, ad.sum_all(out))
     backward(total)
@@ -917,11 +919,11 @@ def _write_read_chain(slots, hs, ks, xs, g, slot_rank=False):
     rng = np.random.default_rng(23)
     w_x, w_p, v = (Tensor(rng.normal(size=s)) for s in [(1, 3), (1, 3), (1,)])
     node, total, parts = None, ad.sum_all(Tensor(np.zeros(1))), []
-    for n, (h, k, x) in enumerate(zip(hs, ks, xs)):
+    for h, k, x in zip(hs, ks, xs):
         pair = [Tensor(a[:, None] if slot_rank else a, requires_grad=True) for a in (h, k)]
         parts += pair
-        node = ad.tape_write(node, n, pair[:1], pair[1], slots)
-        out, _ = ad.tape_attend(node, 0, n + 1, Tensor(x), w_x, Tensor(x), w_p, v)
+        node = ad.tape_write(node, pair[:1], pair[1], slots)
+        out, _ = ad.tape_attend(node, 0, Tensor(x), w_x, Tensor(x), w_p, v)
         total = ad.add(total, ad.sum_all(ad.mul(out, out)))
     backward(ad.add(total, ad.sum_all(ad.mul(node, Tensor(g[:, :node.data.shape[1], :2])))))
     buf = np.concatenate([node.data, node.keys.swapaxes(0, 1)], axis=2)
@@ -1012,7 +1014,7 @@ def test_carried_operand_is_read_in_its_row_prefix(kernel):
         others = [mem, x, w_x, w_p, v]
 
         def build(prev):
-            return lambda: ad.tape_attend(_tape(mem), 0, 4, x, w_x, prev, w_p, v)[0]
+            return lambda: ad.tape_attend(_tape(mem), 0, x, w_x, prev, w_p, v)[0]
     read = rng.normal(size=build(cut)().data.shape)
     full = _value_and_grads(build(carried), [carried] + others, read)
     alone = _value_and_grads(build(cut), [cut] + others, read)
@@ -1034,7 +1036,7 @@ def test_carried_operand_with_fewer_rows_is_refused(kernel):
                          _rng_tensor(rng, 2, 6), _rng_tensor(rng, 3, 5))
     else:
         with pytest.raises(ShapeMismatchError, match="tape_attend"):
-            ad.tape_attend(_tape(_rng_tensor(rng, 3, 2, 5)), 0, 2, x, _rng_tensor(rng, 2, 2),
+            ad.tape_attend(_tape(_rng_tensor(rng, 3, 2, 5)), 0, x, _rng_tensor(rng, 2, 2),
                            _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
 
 
@@ -1060,9 +1062,9 @@ def test_attend_sums_prefix_slots_like_a_dense_oracle():
 def _read_twice():
     """A 2-slot tape and two reads of it, A and B."""
     rng = np.random.default_rng(28)
-    node = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
+    node = ad.tape_write(None, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
     w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
-    reads = [ad.tape_attend(node, 0, 2, _rng_tensor(rng, 2, 3), w_x, _rng_tensor(rng, 2, 4),
+    reads = [ad.tape_attend(node, 0, _rng_tensor(rng, 2, 3), w_x, _rng_tensor(rng, 2, 4),
                             w_p, v)[0] for _ in range(2)]
     return node, reads
 
@@ -1085,12 +1087,12 @@ def test_a_read_of_a_constant_tape_runs_backward_once():
     # after its backward like any node: a second loss through it is
     # refused.
     rng = np.random.default_rng(34)
-    node = ad.tape_write(None, 0, (_rng_tensor(rng, 2, 3, 3, requires_grad=False),),
+    node = ad.tape_write(None, (_rng_tensor(rng, 2, 3, 3, requires_grad=False),),
                          _rng_tensor(rng, 2, 3, 2, requires_grad=False), 3)
     x = _rng_tensor(rng, 2, 3)
     w_x, prev, w_p, v = (_rng_tensor(rng, *shape, requires_grad=False)
                          for shape in [(2, 3), (2, 4), (2, 4), (2,)])
-    out, _ = ad.tape_attend(node, 0, 3, x, w_x, prev, w_p, v)
+    out, _ = ad.tape_attend(node, 0, x, w_x, prev, w_p, v)
     backward(ad.sum_all(out))
     with pytest.raises(GraphStateError, match="backward once"):
         backward(ad.sum_all(ad.mul(out, 1.0)))

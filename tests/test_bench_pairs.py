@@ -135,4 +135,16 @@ def test_json_summary_is_added_to_a_list(monkeypatch, tmp_path, capsys):
     assert first["metrics"]["peak_rss_mb"]["median_gain"] == pytest.approx(5.0)
     assert first["failed_attempted"] == {"parent": [0, 500], "change": [10, 500]}
     assert first["src_lines"] == {"parent": 3, "change": 5}
+    assert first["src_code_lines"] == {"parent": 3, "change": 5}
     assert len(first["runs"]) == 20 and first["runs"][1]["side"] == "change"
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks(tmp_path):
+    # Seven lines: a two-line module docstring, a comment, a blank line and
+    # two code lines, one of them holding a string that is no docstring.
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text('"""A module,\nin two lines."""\n# a comment\n\n'
+                                'x = 1\ny = """not a docstring"""\n')
+    assert bench_pairs.src_lines(str(tmp_path)) == 6
+    assert bench_pairs.src_code_lines(str(tmp_path)) == 2

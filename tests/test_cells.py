@@ -619,7 +619,7 @@ class TestPackedStack:
         before = [node.data.copy(), node.keys.copy()]
         with pytest.raises(TapeError):
             tapes.append(*(Tensor(np.full(s, 7.0)) for s in shapes))
-        assert tapes.memory is node and tapes.written == 1
+        assert tapes.memory is node and len(tapes) == 1
         assert [node.data.tobytes(), node.keys.tobytes()] == [b.tobytes() for b in before]
 
     def test_tape_rejects_more_rows_than_the_slot_before(self):

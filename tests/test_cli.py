@@ -669,6 +669,43 @@ class TestCliMain:
         assert err.startswith(f"error: {overrides['train_data']}:{lines}: not UTF-8 text")
         assert err.strip().count("\n") == 0
 
+    @pytest.mark.parametrize("label,message", [("x", "sentiment label 'x' is not an integer"),
+                                               ("7", "sentiment label 7 outside 0..4")],
+                             ids=["not-an-integer", "out-of-range"])
+    def test_bad_sentiment_label_is_one_error_line_naming_file_and_line(self, tmp_path, capsys,
+                                                                        label, message):
+        path, out = tmp_path / "sent.tsv", tmp_path / "out"
+        path.write_text(f"3\tfine film\n{label}\tgood movie\n")
+        assert cli.main(["train", "--task", "sentiment", "--train_data", str(path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: {message}\n"
+        assert not out.exists()
+
+    def test_no_usable_examples_is_one_error_line_naming_the_file(self, tmp_path, capsys):
+        # The binary task drops neutral (2) rows, and this file has no others.
+        path, out = tmp_path / "neutral.tsv", tmp_path / "out"
+        path.write_text("2\tso so\n2\tfair enough\n")
+        assert cli.main(["train", "--task", "sentiment", "--num_labels", "2",
+                         "--train_data", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: no usable examples after label filtering\n"
+        assert not out.exists()
+
+    def test_duplicate_vocabulary_token_is_one_error_line_naming_file_and_line(self, tmp_path,
+                                                                               capsys):
+        args = ["train", "--out", str(tmp_path / "run")]
+        for key, value in lm_overrides(tmp_path, epochs="0").items():
+            args += [f"--{key}", value]
+        assert cli.main(args) == 0
+        vocab = tmp_path / "run" / "vocab.txt"
+        tokens = vocab.read_text().splitlines()
+        vocab.write_text("\n".join(tokens + [tokens[5]]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.npz")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {vocab}:{len(tokens) + 1}: duplicate token {tokens[5]!r}, "
+                       "first on line 6\n")
+
     def test_readme_fixed_flags_match_the_parser(self):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:

@@ -175,7 +175,7 @@ class TestLoadDataset:
         path = tmp_path / "sent.tsv"
         path.write_text("3\tA fine film\n0\tDreadful stuff\n")
         ds = load_dataset(path, "labeled-sentences")
-        assert ds.examples[0] == ("3", ["A", "fine", "film"])
+        assert ds.examples[0] == (3, ["A", "fine", "film"])
 
     def test_pairs_lowercased_and_split(self, tmp_path):
         path = tmp_path / "pairs.tsv"

@@ -22,8 +22,8 @@ from lstmn.fusion import (
 def read_source(x, src, gamma_tilde_prev, w):
     """``inter_attend`` over the source tape that ``source_projection``
     packs, its summary block cut into (gamma~, alpha~, weights)."""
-    summary, weights = inter_attend(x, src, gamma_tilde_prev, w,
-                                    fusion.source_projection(src, w))
+    summary, weights = inter_attend(x, fusion.source_projection(src, w), gamma_tilde_prev, w,
+                                    src.mask)
     hidden = src.y.data.shape[2]
     return summary.data[:, :hidden], summary.data[:, hidden:], weights
 
@@ -199,6 +199,12 @@ class TestInterAttend:
         with pytest.raises(ad.ShapeMismatchError, match="no unmasked"):
             read_source(Tensor(rng.normal(size=(2, 2))), src,
                         Tensor(np.zeros((2, 2))), dec.inter)
+
+    def test_empty_source_rejected(self):
+        dec = fusion.init_decoder(np.random.default_rng(0), 2, 2, 2)
+        src = SourceTapes(y=Tensor(np.zeros((1, 0, 2))), a=Tensor(np.zeros((1, 0, 2))))
+        with pytest.raises(TapeError, match="non-empty source"):
+            DecoderState(src, dec, "deep")
 
 
 class TestDeepDecode:

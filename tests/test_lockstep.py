@@ -72,6 +72,25 @@ def test_ratios_medians_wins_and_matches():
     assert line[:4] == ["train", "100", "110", "0.900"]
 
 
+def test_bootstrap_interval_holds_the_median_and_repeats():
+    # Twenty steps whose change/parent ratios spread over 0.80..1.18: the
+    # interval holds their median, lies inside their range, and a second
+    # run over the same times gives it again, bit for bit.
+    parent = [0.125] * 20
+    change = [0.125 * r for r in [0.80 + 0.02 * ((7 * i) % 20) for i in range(20)]]
+    rows = []
+    for _ in range(2):
+        clock, calls = Clock(), []
+        outputs = {"train": {side: [0.0] * 20 for side in lockstep.SIDES}}
+        results = lockstep.alternate(stubbed(clock, calls, {"train": {
+            "parent": parent, "change": change}}, outputs), 20, clock)
+        rows.append(lockstep.summarize(results, 1e-10)["train"])
+    lo, hi = rows[0]["ratio_ci"]
+    assert 0.80 <= lo < rows[0]["ratio"][1] < hi <= 1.18
+    assert rows[0]["ratio_ci"] == rows[1]["ratio_ci"]
+    assert f"[{lo:.3f}, {hi:.3f}]" in lockstep.report({"train": rows[0]})[1]
+
+
 def test_outputs_compare_ints_exactly_and_sequences_item_by_item():
     assert lockstep.same([1, 2, 3], [1, 2, 3], 1e-10)
     assert not lockstep.same([1, 2, 3], [1, 2, 4], 1e-10)
@@ -115,3 +134,5 @@ def test_json_entry_is_added_to_the_bench_pairs_list(monkeypatch, tmp_path, caps
     assert train["ratio"] == pytest.approx([0.5, 0.5, 0.75])
     assert (train["wins"], train["steps"], train["matched"]) == (3, 4, 3)
     assert decode["ratio"] == pytest.approx([1.0, 1.0, 1.0]) and decode["wins"] == 0
+    assert train["ratio_ci"][0] <= 0.5 <= train["ratio_ci"][1]
+    assert decode["ratio_ci"] == pytest.approx([1.0, 1.0])

@@ -24,16 +24,21 @@ workloads' pairs, and ``tools/lockstep.py --json`` entries beside them.
 An entry is marked ``"tool": "bench_pairs"`` and holds the workload,
 seed and pair count, the claim and its verdict, per metric each side's
 quartiles, the parent's IQR and the wins, losses and ties, each side's
-failed and attempted operations, each checkout's ``src/`` line count,
-and every run's result line.
+failed and attempted operations, each checkout's ``src/`` line count
+(``src_lines``) and its count of lines that hold code, not only a
+docstring, a comment or blanks (``src_code_lines``), and every run's
+result line.
 """
 
 import argparse
+import ast
 import glob
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 
@@ -127,6 +132,36 @@ def src_lines(checkout: str) -> int:
     return total
 
 
+# Tokens that hold no code: a line of only these is blank or a comment.
+LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                 tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python ``source`` that hold a token other than a comment
+    or a docstring (the string that opens a module, class or function)."""
+    docstrings = {(node.body[0].value.lineno, node.body[0].value.col_offset)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in LAYOUT_TOKENS and not (tok.type == tokenize.STRING and
+                                                  tok.start in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def src_code_lines(checkout: str) -> int:
+    """``code_lines`` summed over the Python files under ``src/``."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+        with open(path, encoding="utf-8") as fh:
+            total += code_lines(fh.read())
+    return total
+
+
 def summary_json(args, dirs: dict, runs: dict, table: dict, failures: dict) -> dict:
     """The summary ``--json`` records for one invocation."""
     verdict = None if args.claim is None else claim_holds(table[args.claim])
@@ -137,6 +172,7 @@ def summary_json(args, dirs: dict, runs: dict, table: dict, failures: dict) -> d
                         for name, row in table.items()},
             "failed_attempted": {side: list(failures[side]) for side in SIDES},
             "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
+            "src_code_lines": {side: src_code_lines(dirs[side]) for side in SIDES},
             "runs": [{"pair": pair, "side": side, "result": runs[pair][side]}
                      for pair in sorted(runs) for side in runs[pair]]}
 

@@ -17,8 +17,10 @@ cycling over the held-out batches and sources; both sides see the same
 sequence.
 
 Per operation it prints each side's median milliseconds, the median of
-the per-step change/parent time ratios with their quartiles, the change's
-wins (steps where it was faster), and how many steps' outputs matched
+the per-step change/parent time ratios with their quartiles and a 95%
+percentile-bootstrap interval (steps resampled with replacement from a
+fixed seed, so a rerun prints the same interval), the change's wins
+(steps where it was faster), and how many steps' outputs matched
 (train losses, eval NLL and hits, decodes, within the benchmark's
 reference tolerance).  With ``--json PATH`` that table is also added,
 as one entry marked ``"tool": "lockstep"`` with the workload, seed and
@@ -50,6 +52,9 @@ import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
 OPS = ("train", "eval", "decode")
+# Resamples and seed of the bootstrap interval of the median ratio.
+BOOTSTRAP_RESAMPLES = 2000
+BOOTSTRAP_SEED = 0
 
 
 def _load(name: str, path: str, package: bool = False):
@@ -124,9 +129,21 @@ def same(a, b, rtol: float) -> bool:
     return abs(a - b) <= rtol * abs(b)
 
 
+def bootstrap_interval(ratios: np.ndarray) -> tuple:
+    """The 95% percentile-bootstrap interval of the median of ``ratios``:
+    the 2.5th and 97.5th percentiles of the medians of
+    ``BOOTSTRAP_RESAMPLES`` resamples of the steps, drawn with replacement
+    from ``BOOTSTRAP_SEED``."""
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    medians = np.median(rng.choice(ratios, size=(BOOTSTRAP_RESAMPLES, len(ratios))), axis=1)
+    lo, hi = np.percentile(medians, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 def summarize(results: dict, rtol: float) -> dict:
     """Per op: each side's median seconds, the change/parent ratios'
-    quartiles, wins (ratio < 1), steps and matching outputs."""
+    quartiles and the bootstrap interval of their median, wins (ratio <
+    1), steps and matching outputs."""
     table = {}
     for name, sides in results.items():
         (tp, op), (tc, oc) = sides["parent"], sides["change"]
@@ -134,18 +151,20 @@ def summarize(results: dict, rtol: float) -> dict:
         q1, med, q3 = np.percentile(ratios, [25, 50, 75])
         table[name] = {"parent_s": float(np.median(tp)), "change_s": float(np.median(tc)),
                        "ratio": (float(q1), float(med), float(q3)),
+                       "ratio_ci": bootstrap_interval(ratios),
                        "wins": int((ratios < 1.0).sum()), "steps": len(ratios),
                        "matched": sum(same(a, b, rtol) for a, b in zip(op, oc))}
     return table
 
 
 def report(table: dict) -> list:
-    lines = [f"{'op':<8}{'parent ms':>11}{'change ms':>11}{'ratio':>8}  {'IQR':<17}"
-             f"{'wins':>9}{'outputs matched':>18}"]
+    lines = [f"{'op':<8}{'parent ms':>11}{'change ms':>11}{'ratio':>8}  {'IQR':<16}"
+             f"{'95% interval':<16}{'wins':>5}{'outputs matched':>18}"]
     for name, row in table.items():
         q1, med, q3 = row["ratio"]
+        lo, hi = row["ratio_ci"]
         lines.append(f"{name:<8}{1e3 * row['parent_s']:>11.4g}{1e3 * row['change_s']:>11.4g}"
-                     f"{med:>8.3f}  [{q1:.3f}, {q3:.3f}]"
+                     f"{med:>8.3f}  [{q1:.3f}, {q3:.3f}]  [{lo:.3f}, {hi:.3f}]  "
                      f"{row['wins']:>5} of {row['steps']:<3}"
                      f"{row['matched']:>9} of {row['steps']}")
     return lines
