@@ -18,8 +18,9 @@ as it has run, and a later backward that reaches it is a
 ``GraphStateError``.
 
 The kernel set is small, one kernel per job: ``add`` (same shapes),
-``mul``, ``relu``, ``sum_all``, ``concat``, ``slice_cols`` (last axis),
-``linear`` (the one affine map: optional bias, any leading axes),
+``mul``, ``relu``, ``sum_all``, ``concat``, ``slice_cols`` (last axis,
+optionally over a tape's packed rows), ``linear`` (the one affine map:
+optional bias, any leading axes),
 ``lookup``, ``attend`` (per-step slots under constant weights),
 ``gate_cell``, ``tape_write``, ``tape_attend`` and ``affine_nll``.
 Shapes are batch-first: (B, n) per step, (B, T, n) for tape slots.  A
@@ -66,11 +67,18 @@ column-major output projection (``heads.OutputProjection``) gets a
 column-major gradient.  Every other parameter, and so its gradient, is
 row-major.
 Batches of variable-length rows are packed, and only the kernels keep
-the row-prefix rule: rows sorted longest first, step t's tensors hold
-the B_t live rows, B_t never growing.  An operand carried from an
-earlier step (a tape, ``gate_cell``'s state and inter-attention
-summary, ``tape_attend``'s prev) may have more rows: the kernel reads its first B_t and returns its
-gradient as a row-prefix ``Partial``; fewer rows is an error.
+the row rules: rows sorted longest first, step t's tensors hold the B_t
+live rows, B_t never growing.  A layer's inputs for every step are one
+step-major block, step t's in rows [o_t, o_t + B_t), and ``gate_cell``
+and ``tape_attend`` read step t's range of it and return its gradient
+as a row-range ``Partial``; ``slice_cols`` gathers a tape's slots back
+into that order.  An operand carried from an earlier step (a tape,
+``gate_cell``'s state and inter-attention summary, ``tape_attend``'s
+prev) may have more rows: the kernel reads its first B_t and returns its
+gradient as a row-prefix ``Partial``; fewer rows is an error.  Columns
+follow one rule too: ``linear`` and ``tape_attend`` read the first k
+columns of an operand wider than their weight, so a state block [h | c]
+passes whole where h is wanted.
 
 Inside a ``no_grad()`` block no graph is recorded: every node is made
 with no parents and no backward closure, and ``requires_grad`` False,
@@ -241,7 +249,8 @@ class Outer(NamedTuple):
 
 
 def _unique_rows(index) -> bool:
-    """True for a basic index, or a 1-D integer index that is strictly
+    """True for a basic index, a tuple index (the kernels make one only
+    of distinct positions), or a 1-D integer index that is strictly
     increasing and so cannot name a row twice."""
     if not isinstance(index, np.ndarray):
         return True
@@ -311,14 +320,17 @@ def backward(loss: Tensor, params=()) -> None:
     outers = {}
     loss.grad = np.ones_like(loss.data)
     for node in nodes:
-        if node._backward_fn is None or node.grad is None:
+        if node._backward_fn is None:
             continue
         # Closures return fresh arrays, their incoming gradient, or views
         # of it.  A fresh array, or the incoming gradient of a node other
         # than the loss (dropped below), is free for the first parent that
         # receives it; views, and arrays handed out before, are copied.
+        # A node that got no gradient (a tape's last key, which no read
+        # reached) has nothing to hand on, and is spent all the same.
         held = [loss.grad]
-        for parent, g in zip(node._parents, node._backward_fn(node.grad)):
+        grads = () if node.grad is None else node._backward_fn(node.grad)
+        for parent, g in zip(node._parents, grads):
             if g is None or not parent.requires_grad:
                 continue
             if isinstance(g, Outer):
@@ -365,20 +377,27 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x (..., n) @ w (m, n)^T [+ b (m,)] -> (..., m) over any leading
-    axes; weights stored row-per-output."""
+    """x (..., n) @ w (m, k)^T [+ b (m,)] -> (..., m) over any leading
+    axes; weights stored row-per-output.  x is read in its first k <= n
+    columns, so a state block [h | c] passes whole as h, and its gradient
+    is then a ``Partial`` over those columns."""
     xd, wd = x.data, w.data
-    if xd.ndim < 1 or wd.ndim != 2 or xd.shape[-1] != wd.shape[1] or \
+    if xd.ndim < 1 or wd.ndim != 2 or xd.shape[-1] < wd.shape[1] or \
             (b is not None and b.data.shape != (wd.shape[0],)):
         raise ShapeMismatchError(f"linear: shapes {xd.shape}, {wd.shape} and bias "
                                  f"{b if b is None else b.data.shape} do not conform")
+    k = wd.shape[1]
+    cut = xd.shape[-1] > k
+    if cut:
+        xd = xd[..., :k]
     out = xd @ wd.T
     if b is not None:
         out += b.data
 
     def bwd(g):
         rows = g.reshape(-1, g.shape[-1])
-        grads = (g @ wd, Outer(rows, xd.reshape(-1, xd.shape[-1])))
+        gx = g @ wd
+        grads = (Partial((..., slice(0, k)), gx) if cut else gx, Outer(rows, xd.reshape(-1, k)))
         return grads if b is None else grads + (rows.sum(axis=0),)
 
     return _make(out, (x, w) if b is None else (x, w, b), bwd, "linear")
@@ -404,12 +423,30 @@ def concat(tensors, axis: int = -1) -> Tensor:
     return _make(np.concatenate(datas, axis=axis), tensors, bwd, "concat")
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Columns [start:stop) of the last axis, at any rank."""
-    if x.data.ndim < 1:
-        raise ShapeMismatchError("slice_cols: a scalar has no columns")
+def slice_cols(x: Tensor, start: int, stop: int, rows=None) -> Tensor:
+    """Columns [start:stop) of the last axis, at any rank.
+
+    With ``rows``, the row counts B_t of a packed batch's steps, x is a
+    (B, T, n) tape of slots and only its live rows are taken: step t's
+    first B_t rows, step after step, as one (sum B_t, stop - start)
+    block, the packed step-major order every core's input block has.
+    Each position is taken once, so the gradient is a ``Partial`` that
+    ``backward`` adds in one indexed pass."""
+    xd = x.data
+    if xd.ndim < 1 or (rows is not None and (
+            xd.ndim != 3 or not 0 < len(rows) <= xd.shape[1] or
+            not 0 <= min(rows) <= max(rows) <= xd.shape[0])):
+        raise ShapeMismatchError(f"slice_cols: x {xd.shape} and step rows "
+                                 f"{None if rows is None else list(rows)} do not conform")
     cols = (..., slice(start, stop))
-    return _make(x.data[cols].copy(), (x,), lambda g: (Partial(cols, g),), "slice_cols")
+    if rows is None:
+        out = xd[cols].copy()
+    else:
+        steps = np.repeat(np.arange(len(rows)), rows)
+        firsts = np.repeat(np.cumsum(rows) - rows, rows)
+        cols = (np.arange(steps.size) - firsts, steps, slice(start, stop))
+        out = xd[cols]
+    return _make(out, (x,), lambda g: (Partial(cols, g),), "slice_cols")
 
 
 def _sigmoid_(z: np.ndarray) -> np.ndarray:
@@ -422,13 +459,22 @@ def _sigmoid_(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _span(xd: np.ndarray, span) -> tuple:
+    """The rows [start, stop) of an input block that one step reads:
+    ``span``, or every row."""
+    return (0, xd.shape[0] if xd.ndim else 0) if span is None else span
+
+
 def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
-              inter: Optional[Tensor] = None, w_r: Optional[Tensor] = None) -> Tensor:
+              inter: Optional[Tensor] = None, w_r: Optional[Tensor] = None,
+              span: Optional[tuple] = None) -> Tensor:
     """The LSTM gate block and memory update in one node, with deep
     fusion's transfer term when ``inter`` and ``w_r`` are given.
 
-    ``state`` (>= B, 2h) is [rec | carried], read in its first B rows,
-    ``x`` (B, in) the step input,
+    ``x`` (N, in) is the input block, read in its rows ``span`` = (start,
+    stop), B = stop - start of them (by default all N): a packed step's
+    rows of a layer's step-major block.  ``state`` (>= B, 2h) is [rec |
+    carried], read in its first B rows,
     ``w`` (4h, h + in) the gate rows in (i, f, o, c-hat) order and ``bias``
     (4h,).  ``inter`` (>= B, 2h) is the inter-attention summary block
     [g~ | a~], read like ``state``, and ``w_r`` (h, h + in) the transfer
@@ -440,23 +486,26 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
         h = o * tanh(c)
 
     Returns [h | c] (B, 2h).  Every sigmoid is 0.5 (1 + tanh(z / 2)), and
-    c sums in the order written; seeded runs depend on both.
+    c sums in the order written; seeded runs depend on both.  x's
+    gradient is a ``Partial`` over the rows read, unless they are all.
     """
     sd, xd, wd = state.data, x.data, w.data
     hid = wd.shape[0] // 4
-    batch = xd.shape[0] if xd.ndim == 2 else -1
+    start, stop = _span(xd, span)
+    batch = stop - start
     deep = inter is not None or w_r is not None
     if sd.ndim != 2 or wd.ndim != 2 or wd.shape[0] != 4 * hid or sd.shape[1] != 2 * hid or \
-            sd.shape[0] < batch or xd.shape != (batch, wd.shape[1] - hid) or \
-            bias.data.shape != (4 * hid,) or \
+            xd.ndim != 2 or not 0 <= start < stop <= xd.shape[0] or sd.shape[0] < batch or \
+            xd.shape[1] != wd.shape[1] - hid or bias.data.shape != (4 * hid,) or \
             (deep and (inter is None or w_r is None or inter.data.ndim != 2 or
                        inter.data.shape[0] < batch or inter.data.shape[1] != 2 * hid or
                        w_r.data.shape != (hid, wd.shape[1]))):
         raise ShapeMismatchError(
-            f"gate_cell: state {sd.shape}, x {xd.shape}, W {wd.shape}, bias {bias.data.shape}, "
-            f"inter {inter if inter is None else inter.data.shape}, "
+            f"gate_cell: state {sd.shape}, x {xd.shape} rows [{start}, {stop}), W {wd.shape}, "
+            f"bias {bias.data.shape}, inter {inter if inter is None else inter.data.shape}, "
             f"W_r {w_r if w_r is None else w_r.data.shape} do not conform")
     cut, sd = sd.shape[0] > batch, sd[:batch]
+    xcut, xd = batch < xd.shape[0], xd[start:stop]
     carried = sd[:, hid:]
     inp = np.concatenate([sd[:, :hid], xd], axis=1)
     z = inp @ wd.T
@@ -494,7 +543,8 @@ def gate_cell(state: Tensor, x: Tensor, w: Tensor, bias: Tensor,
             gx = gx + ginp_r[:, hid:]
             ginter = np.concatenate([ginp_r[:, :hid], dc * r], axis=1)
             transfer = (Partial(rows, ginter) if icut else ginter, Outer(gzr, inp_r))
-        return (Partial(rows, gstate) if cut else gstate, gx, Outer(gz, inp),
+        return (Partial(rows, gstate) if cut else gstate,
+                Partial((slice(start, stop),), gx) if xcut else gx, Outer(gz, inp),
                 gz.sum(axis=0)) + transfer
 
     parents = (state, x, w, bias) + ((inter, w_r) if deep else ())
@@ -697,7 +747,7 @@ def tape_write(prev: Optional[Tensor], parts, key: Tensor, slots: int) -> Tensor
 
 def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
                 prev: Tensor, w_prev: Tensor, v: Tensor,
-                bias: Optional[Tensor] = None, mask=None):
+                bias: Optional[Tensor] = None, mask=None, span: Optional[tuple] = None):
     """Additive attention over slots [lo, hi) of a tape, one node, where
     hi is the tape node's written end.
 
@@ -705,9 +755,11 @@ def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
     ``TapeError``), holds per slot a value (B, T, d) and its key (T, B,
     a), already projected into the a = len(v) attention columns.  A read
     of a node that later writes followed covers only the slots written
-    at that node.  The read covers the first B_t rows of the tape and of
-    ``prev``, as many as ``x`` (B_t, in) has: in a packed batch, the rows
-    still live.  With q = W_x x + W_prev prev + bias:
+    at that node.  ``x`` (N, in) is the input block, read in its rows
+    ``span`` = (start, stop), B_t = stop - start of them (by default all
+    N), like ``gate_cell``'s; the read covers the first B_t rows of the
+    tape and of ``prev``: in a packed batch, the rows still live.  With
+    q = W_x x + W_prev prev + bias:
 
         scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
         weights   = softmax(scores), 0 where ``mask`` is 0
@@ -727,22 +779,26 @@ def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
     each slot forms its value gradient weights_j g, and the key gradient
     over the window and rows read, formed in the recomputed buffer, which
     backward adds into the read log at once.  ``prev``'s gradient is a
-    ``Partial`` over its first B_t rows and k columns.
+    ``Partial`` over its first B_t rows and k columns, and x's over the
+    rows read, unless they are all.
     """
     if not isinstance(tape, _Tape):
         raise TapeError("tape_attend: the memory must be a tape node made by tape_write")
     hi = tape.end
     vals, kd, xd, wxd, pd, wpd, vd = (tape.data, tape.keys, x.data, w_x.data, prev.data,
                                       w_prev.data, v.data)
-    batch = xd.shape[0] if xd.ndim == 2 else -1
+    start, stop = _span(xd, span)
+    batch = stop - start
     a, k = vd.shape[0], wpd.shape[1]
-    if not 0 <= batch <= vals.shape[0] or kd.shape[2] != a or \
-            not 0 <= lo < hi or xd.shape != (batch, wxd.shape[1]) or wxd.shape[0] != a or \
-            pd.ndim != 2 or pd.shape[0] < batch or pd.shape[1] < k or wpd.shape[0] != a:
+    if xd.ndim != 2 or not 0 <= start < stop <= xd.shape[0] or batch > vals.shape[0] or \
+            kd.shape[2] != a or not 0 <= lo < hi or xd.shape[1] != wxd.shape[1] or \
+            wxd.shape[0] != a or pd.ndim != 2 or pd.shape[0] < batch or pd.shape[1] < k or \
+            wpd.shape[0] != a:
         raise ShapeMismatchError(
             f"tape_attend: values {vals.shape}, keys {kd.shape} window [{lo}, {hi}), "
-            f"x {xd.shape}, W_x {wxd.shape}, prev {pd.shape}, W_prev {wpd.shape}, "
-            f"v {vd.shape} do not conform")
+            f"x {xd.shape} rows [{start}, {stop}), W_x {wxd.shape}, prev {pd.shape}, "
+            f"W_prev {wpd.shape}, v {vd.shape} do not conform")
+    xcut, xd = batch < xd.shape[0], xd[start:stop]
     if mask is not None:
         mask = np.asarray(mask)[:batch]
     if _grad_enabled and tape.requires_grad:
@@ -771,8 +827,10 @@ def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
         np.multiply(z, vd, out=z)
         np.multiply(z, gs[:, :, None], out=z)
         gq = _sum(z, 0)
-        grads = (ReadTerm(lo, weights, g, z), gq @ wxd, Outer(gq, xd),
-                 Partial((slice(0, batch), slice(0, k)), gq @ wpd), Outer(gq, pd), gv)
+        gx = gq @ wxd
+        grads = (ReadTerm(lo, weights, g, z), Partial((slice(start, stop),), gx) if xcut else gx,
+                 Outer(gq, xd), Partial((slice(0, batch), slice(0, k)), gq @ wpd),
+                 Outer(gq, pd), gv)
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
     parents = (tape, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))

@@ -7,16 +7,25 @@ adaptive summaries (h~, c~) that replace the single recurrent state.
 A state is one (B, 2h) block [h | c].  ``lstm_step`` maps a block to
 the next through one fused node (``autodiff.gate_cell``): the LSTM's
 own [h | c], or, in the tape cell, the summary block [h~ | c~] that the
-attention read returns.  Only h gets a node of its own.  ``lstmn_step``
-is the one tape-cell step: every tape layer and both fusion decoders
-(``fusion.DecoderState``) run it, deep fusion passing its inter-attention
-summary block [g~ | a~] and transfer gate ``W_r``, from which the gate
-cell forms the source memory term r * a~.
+attention read returns.  Only the block is a node: h is read from it,
+by the slot key's ``linear`` in its first columns, and gets a node of
+its own only where a caller asks a ``CellState`` for it.
+``lstmn_step`` is the one tape-cell step: every tape layer and both
+fusion decoders (``fusion.DecoderState``) run it, deep fusion passing
+its inter-attention summary block [g~ | a~] and transfer gate ``W_r``,
+from which the gate cell forms the source memory term r * a~.  A tape
+step is four nodes: the read (``tape_attend``), ``gate_cell``, the
+slot's key (``linear``) and the slot's ``tape_write``; an LSTM step is
+one ``gate_cell``.
 
 ``run_stack`` is the one layer stack: a layer without intra-attention
 weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
 k's outputs over the whole sequence, one layer at a time, optionally
-with a skip connection from the token embedding.
+with a skip connection from the token embedding.  Each layer reads one
+packed, step-major input block, step t's input in its rows [o_t, o_t +
+B_t), and an upper layer's block is formed once: one gather of the
+lower tape's h columns, which hold every step (``StackRun.packed``),
+joined to the embedding block when skip connections are on.
 
 A tape layer keeps one tape, whose slots hold the values [h | c] and
 their attention keys, to which each step appends in place through one
@@ -29,16 +38,18 @@ the reads that the chain's read log holds, in one product, and takes its
 key's gradient from the log; a read keeps no tanh activations, and its
 backward recomputes them from the keys.
 
-All step functions are batch-first: token inputs are (B, in), state
-blocks (B, 2h).  A batch may be packed (``autodiff``'s row-prefix rule):
-step t runs only its B_t live rows, and the kernels read those rows of
-the blocks and tapes carried from earlier steps, so padded steps cost
-nothing and cannot leak into a row's state.  Weights are immutable
+All step functions are batch-first: an input block is (N, in), read in
+a step's row range ``span`` (all of it by default), state blocks (B,
+2h).  A batch may be packed (``autodiff``'s row rules): step t runs only
+its B_t live rows, and the kernels read those rows of the blocks and
+tapes carried from earlier steps, so padded steps cost nothing and
+cannot leak into a row's state.  Weights are immutable
 during forward/backward; tapes belong to one sequence, never shared.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -50,14 +61,18 @@ from .autodiff import TapeError, Tensor
 
 class CellState(NamedTuple):
     """One step's output: the (B, 2h) block [h | c] from
-    ``autodiff.gate_cell``, and h as a node of its own."""
+    ``autodiff.gate_cell``."""
     hc: Tensor
-    h: Tensor
+
+    @property
+    def h(self) -> Tensor:
+        """h, as a new slice node of ``hc`` on every read."""
+        return ad.slice_cols(self.hc, 0, self.hc.data.shape[1] // 2)
 
     @property
     def c(self) -> Tensor:
         """c, as a new slice node of ``hc`` on every read."""
-        hidden = self.h.data.shape[1]
+        hidden = self.hc.data.shape[1] // 2
         return ad.slice_cols(self.hc, hidden, 2 * hidden)
 
 
@@ -220,21 +235,22 @@ def zero_state(batch: int, hidden: int) -> Tensor:
 
 
 def lstm_step(x: Tensor, prev: Tensor, w: GateWeights, inter: Optional[Tensor] = None,
-              w_r: Optional[Tensor] = None) -> CellState:
-    """One LSTM update from the block ``prev`` = [rec | carried]: the gate
-    block over [rec, x] and c = [r * a~ +] f * carried + i * c-hat,
-    h = o * tanh(c), the bracket with deep fusion's summary block ``inter``
-    = [g~ | a~] and r = sigmoid(``w_r`` [g~, x])."""
-    hc = ad.gate_cell(prev, x, w.w, w.bias, inter, w_r)
-    return CellState(hc, ad.slice_cols(hc, 0, w.hidden_size))
+              w_r: Optional[Tensor] = None, span: Optional[tuple] = None) -> CellState:
+    """One LSTM update from the block ``prev`` = [rec | carried] and the
+    rows ``span`` of the input block ``x``: the gate block over [rec, x]
+    and c = [r * a~ +] f * carried + i * c-hat, h = o * tanh(c), the
+    bracket with deep fusion's summary block ``inter`` = [g~ | a~] and
+    r = sigmoid(``w_r`` [g~, x])."""
+    return CellState(ad.gate_cell(prev, x, w.w, w.bias, inter, w_r, span=span))
 
 
 def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
-                 w: IntraAttentionWeights) -> tuple:
+                 w: IntraAttentionWeights, span: Optional[tuple] = None) -> tuple:
     """Attention over the tape's read window: (summary block [h~ | c~],
     weights as a plain (B, len(tapes)) array), from one fused
-    ``autodiff.tape_attend`` node.  ``htilde_prev`` is the previous h~,
-    or the previous summary block (whose h~ columns are read).
+    ``autodiff.tape_attend`` node over the rows ``span`` of the input
+    block ``x``.  ``htilde_prev`` is the previous h~, or the previous
+    summary block (whose h~ columns are read).
 
     The tape must be non-empty; the first-step convention is
     ``lstmn_step``'s concern.
@@ -242,32 +258,35 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
     if len(tapes) == 0:
         raise TapeError("attention over an empty tape")
     return ad.tape_attend(tapes.memory, tapes.memory.end - len(tapes), x, w.w_x, htilde_prev,
-                          w.w_htilde, w.v, w.bias)
+                          w.w_htilde, w.v, w.bias, span=span)
 
 
 def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
                w: LstmnLayerWeights, inter: Optional[Tensor] = None,
-               w_r: Optional[Tensor] = None):
-    """One memory-tape update; appends the new [h | c] and its key to
-    ``tapes``.  ``summary_prev`` is the previous step's summary block
-    [h~ | c~] (or its h~ alone), whose h~ the attention query reads.
-    Returns (state, summary block, attention weights or None).
+               w_r: Optional[Tensor] = None, span: Optional[tuple] = None):
+    """One memory-tape update over the rows ``span`` of the input block
+    ``x`` (all of it by default); appends the new [h | c] and its key
+    W_h h to ``tapes``.  ``summary_prev`` is the previous step's summary
+    block [h~ | c~] (or its h~ alone), whose h~ the attention query
+    reads.  Returns (state, summary block, attention weights or None).
 
     The one tape-cell step of the encoder layers and of both fusion
-    decoders.  Deep fusion passes its inter-attention summary block
-    ``inter`` = [g~ | a~] and transfer gate ``w_r``, for the extra memory
-    term r * a~: c_t = (r * a~ + f * c~) + i * c-hat.
+    decoders: four nodes once the tape holds a slot.  Deep fusion passes
+    its inter-attention summary block ``inter`` = [g~ | a~] and transfer
+    gate ``w_r``, for the extra memory term r * a~: c_t = (r * a~ + f * c~)
+    + i * c-hat.
 
     Empty-tape convention: at the first step the summary is the zero
     block (and ``summary_prev`` is unused), so the gate block sees
     [0, x_t] and c_t reduces to [r * a~ +] i * c-hat.
     """
     if len(tapes) == 0:
-        summary, weights = zero_state(x.data.shape[0], w.gates.hidden_size), None
+        batch = x.data.shape[0] if span is None else span[1] - span[0]
+        summary, weights = zero_state(batch, w.gates.hidden_size), None
     else:
-        summary, weights = intra_attend(x, tapes, summary_prev, w.attn)
-    state = lstm_step(x, summary, w.gates, inter, w_r)
-    tapes.append(state.hc, ad.linear(state.h, w.attn.w_h))
+        summary, weights = intra_attend(x, tapes, summary_prev, w.attn, span)
+    state = lstm_step(x, summary, w.gates, inter, w_r, span)
+    tapes.append(state.hc, ad.linear(state.hc, w.attn.w_h))
     return state, summary, weights
 
 
@@ -276,21 +295,32 @@ class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
     step even when a capacity bound keeps attention from reading them),
     per-step top-layer attention weights (None for an LSTM top layer or
-    an empty tape; step t's n columns are slots t-n..t-1) and the top
-    layer's tapes."""
+    an empty tape; step t's n columns are slots t-n..t-1), the top
+    layer's tapes and the steps' row counts B_t."""
     top: list             # [T] of CellState
     traces: list          # [T] of (B, n) weights or None
     tapes: Tapes
+    rows: list            # [T] of B_t
 
     @property
     def top_h(self) -> list:
-        """[T] of (B, h)."""
+        """[T] of (B_t, h), new slice nodes on every read."""
         return [s.h for s in self.top]
 
     @property
     def top_c(self) -> list:
-        """[T] of (B, h), new slice nodes on every read."""
+        """[T] of (B_t, h), new slice nodes on every read."""
         return [s.c for s in self.top]
+
+    def packed(self) -> Tensor:
+        """Every step's top-layer h as one packed, step-major (sum B_t, h)
+        block: one gather of the top tape's h columns, which hold every
+        step, or for an LSTM layer, which keeps no tape, the h columns of
+        its joined states."""
+        hidden = self.top[0].hc.data.shape[1] // 2
+        if self.tapes.memory is None:
+            return ad.slice_cols(ad.concat([s.hc for s in self.top], axis=0), 0, hidden)
+        return ad.slice_cols(self.tapes.memory, 0, hidden, rows=self.rows)
 
     def tape_states(self) -> tuple:
         """Every step's top-layer h and c, as two (B, T, h) column slices
@@ -299,38 +329,59 @@ class StackRun:
         mem = self.tapes.memory
         if mem is None:
             raise TapeError("an LSTM top layer keeps no tape")
-        hidden = self.top[0].h.data.shape[1]
+        hidden = mem.data.shape[2] // 2
         return ad.slice_cols(mem, 0, hidden), ad.slice_cols(mem, hidden, 2 * hidden)
 
 
-def run_stack(xs: list, w: StackWeights, capacity: Optional[int] = None) -> StackRun:
+def packed_input(xs, rows: Optional[list]) -> tuple:
+    """(input block, [B_t], each step's row range [o_t, o_t + B_t)) of a
+    packed, step-major block with its step ``rows``, or of a list of
+    per-step (B_t, in) inputs, joined once into one: B_t never growing,
+    none empty, and summing to the block's rows."""
+    if not isinstance(xs, Tensor):
+        rows = [x.data.shape[0] for x in xs]
+    if not rows:
+        raise TapeError("cannot run over an empty sequence")
+    if list(rows) != sorted(rows, reverse=True) or rows[-1] < 1:
+        raise TapeError(f"steps of {rows} rows: packed rows must be sorted longest first "
+                        "and never empty")
+    block = xs if isinstance(xs, Tensor) else ad.concat(xs, axis=0)
+    if block.data.ndim != 2 or sum(rows) != block.data.shape[0]:
+        raise ad.ShapeMismatchError(f"an input block {block.data.shape} for steps of "
+                                    f"{rows} rows")
+    ends = list(itertools.accumulate(rows))
+    return block, list(rows), list(zip([0] + ends[:-1], ends))
+
+
+def run_stack(xs, w: StackWeights, capacity: Optional[int] = None,
+              rows: Optional[list] = None) -> StackRun:
     """Process a token-embedding sequence left to right, one layer at a
     time: layer 1 over every step, then layer k+1 over layer k's outputs
-    (concatenated with x when skip connections are on).  A tape layer
-    carries its summary block [h~ | c~] between steps, an LSTM layer its
-    [h | c].  ``capacity`` bounds only how far back attention may look.
+    (joined with the embeddings when skip connections are on).  A tape
+    layer carries its summary block [h~ | c~] between steps, an LSTM layer
+    its [h | c].  ``capacity`` bounds only how far back attention may look.
 
-    The batch may be packed: ``xs[t]`` holds the first B_t rows, those
-    still live at step t, with B_t never growing (rows sorted longest
-    first); step t's states and tape slot then have B_t rows."""
-    if not xs:
-        raise TapeError("cannot run over an empty sequence")
-    rows = [x.data.shape[0] for x in xs]
-    if rows != sorted(rows, reverse=True):
-        raise TapeError(f"steps of {rows} rows: packed rows must be sorted longest first")
-    states = None
+    ``xs`` is the packed, step-major (sum B_t, in) input block, step t's
+    B_t = ``rows[t]`` rows after step t - 1's, those still live at step t,
+    with B_t never growing (rows sorted longest first); step t's states
+    and tape slot then have B_t rows.  A list of per-step (B_t, in) inputs
+    is joined into one block first."""
+    block, rows, spans = packed_input(xs, rows)
+    x, run = block, None
     for layer in w.layers:
-        below, states, traces = states, [], []
-        tapes = Tapes(capacity, length=len(xs))
+        if run is not None:
+            # Dropping the layer below here frees its tape under no_grad.
+            below, run = run.packed(), None
+            x = ad.concat([below, block], axis=1) if w.skip else below
+        tapes, states, traces = Tapes(capacity, length=len(rows)), [], []
         carried = zero_state(rows[0], layer.gates.hidden_size) if layer.attn is None else None
-        for t, x in enumerate(xs):
-            if below is not None:
-                x = ad.concat([below[t].h, x], axis=1) if w.skip else below[t].h
+        for span in spans:
             if layer.attn is None:
-                state, weights = lstm_step(x, carried, layer.gates), None
+                state, weights = lstm_step(x, carried, layer.gates, span=span), None
                 carried = state.hc
             else:
-                state, carried, weights = lstmn_step(x, tapes, carried, layer)
+                state, carried, weights = lstmn_step(x, tapes, carried, layer, span=span)
             states.append(state)
             traces.append(weights)
-    return StackRun(top=states, traces=traces, tapes=tapes)
+        run = StackRun(top=states, traces=traces, tapes=tapes, rows=rows)
+    return run

@@ -27,10 +27,15 @@ the log; a read keeps no tanh activations, and its backward recomputes
 them from the keys.
 
 ``DecoderState.step`` is the one decode step (inter-attention, then
-the tape-cell step, with the transfer gate for deep fusion): six graph
-nodes per deep step once the target tape holds a slot.  Teacher-forced
-training (``run_decoder``) and greedy decoding
-(``models.Seq2SeqModel.generate``) both drive it.  The decoder may run packed, the batch sorted by target
+the tape-cell step, with the transfer gate for deep fusion): five graph
+nodes per step once the target tape holds a slot, the inter read and
+the four of a tape step.  Teacher-forced training (``run_decoder``)
+reads every step's input from one packed, step-major block, and greedy
+decoding (``models.Seq2SeqModel.generate``) passes a one-row block per
+step; the prediction input is formed apart from the step
+(``DecoderState.features``, ``DecodeRun.packed``), so a greedy token adds
+only its embedding lookup and the output projection: seven nodes for
+deep fusion.  The decoder may run packed, the batch sorted by target
 length, longest first: step t takes the B_t live rows, and its kernels
 read the same rows of the carried summary and context and of a source
 encoded over the whole batch.
@@ -107,18 +112,17 @@ def init_decoder(rng, hidden: int, embed: int, attn_size: int,
     )
 
 
-def encode(xs: list, w: StackWeights, capacity: Optional[int] = None,
-           mask: Optional[np.ndarray] = None):
-    """Run the encoder over source embeddings, left to right.
+def encode(xs, w: StackWeights, capacity: Optional[int] = None,
+           mask: Optional[np.ndarray] = None, rows: Optional[list] = None):
+    """Run the encoder over source embeddings, left to right: a packed
+    block with its step ``rows``, or per-step inputs (``cells.run_stack``).
 
     Returns (SourceTapes, the top layer's per-step attention weights, as
     ``StackRun.traces``).  The source tapes are the h and c columns of the
     encoder's top tape, which holds every step's state; ``capacity`` only
     bounds how far back the encoder's own attention may look.
     """
-    if not xs:
-        raise TapeError("cannot encode an empty source")
-    run = cells.run_stack(xs, w, capacity=capacity)
+    run = cells.run_stack(xs, w, capacity=capacity, rows=rows)
     y, a = run.tape_states()
     return SourceTapes(y=y, a=a, mask=mask), run.traces
 
@@ -135,14 +139,16 @@ def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
 
 
 def inter_attend(x: Tensor, source: Tensor, gamma_tilde_prev: Tensor,
-                 w: InterAttentionWeights, mask: Optional[np.ndarray]) -> tuple:
-    """Align the current target input against the whole source, read from
+                 w: InterAttentionWeights, mask: Optional[np.ndarray],
+                 span: Optional[tuple] = None) -> tuple:
+    """Align the current target input, rows ``span`` of the input block
+    ``x`` (all of it by default), against the whole source, read from
     ``source``, the tape ``source_projection`` made, under the source
     ``mask``: (the summary block [gamma~ | alpha~] (B, 2h), the weights as
     a plain (B, m) array).  ``gamma_tilde_prev`` is the previous gamma~,
     or the previous summary block, whose gamma~ columns the query reads."""
     return ad.tape_attend(source, 0, x, w.w_x, gamma_tilde_prev, w.w_gammatilde, w.u,
-                          mask=mask)
+                          mask=mask, span=span)
 
 
 class DecoderState:
@@ -163,46 +169,82 @@ class DecoderState:
         self.state: Optional[CellState] = None
         self.source, self.mask = source_projection(src, w.inter), src.mask
 
-    def step(self, x: Tensor):
-        """One decoder step: inter-attention, then the tape-cell step, for
-        deep fusion with the transfer gate over the inter summary block.
-        Returns (prediction input, intra weights, inter weights): h_t for
-        deep fusion, [h_t, gamma~_t] for shallow.
+    def step(self, x: Tensor, span: Optional[tuple] = None) -> tuple:
+        """One decoder step over the rows ``span`` of the input block ``x``
+        (all of it by default): inter-attention, then the tape-cell step,
+        for deep fusion with the transfer gate over the inter summary
+        block.  Returns (intra weights, inter weights).
 
-        ``x`` holds the first B_t rows, those still live in a packed batch
+        The rows are the first B_t, those still live in a packed batch
         (never more than the step before); the kernels read the same rows
         of the carried summary blocks and of the source."""
-        w = self.w.inter
-        self.gamma_tilde, inter = inter_attend(x, self.source, self.gamma_tilde, w, self.mask)
+        w, deep = self.w.inter, self.mode == "deep"
+        self.gamma_tilde, inter = inter_attend(x, self.source, self.gamma_tilde, w, self.mask,
+                                               span)
+        self.state, self.summary, intra = cells.lstmn_step(
+            x, self.tapes, self.summary, self.w.cell, self.gamma_tilde if deep else None,
+            w.w_r if deep else None, span)
+        return intra, inter
+
+    def features(self) -> Tensor:
+        """The latest step's prediction input for the output projection:
+        [h_t | c_t] for deep fusion, which the projection reads in its
+        first columns, h_t; [h_t, gamma~_t] for shallow."""
         if self.mode == "deep":
-            self.state, self.summary, intra = cells.lstmn_step(
-                x, self.tapes, self.summary, self.w.cell, self.gamma_tilde, w.w_r)
-            return self.state.h, intra, inter
-        self.state, self.summary, intra = cells.lstmn_step(x, self.tapes, self.summary, self.w.cell)
-        hidden = self.state.h.data.shape[1]
-        return ad.concat([self.state.h, ad.slice_cols(self.gamma_tilde, 0, hidden)], axis=1), \
-            intra, inter
+            return self.state.hc
+        return _shallow_features(self.state.h, self.gamma_tilde)
+
+
+def _shallow_features(h: Tensor, gamma: Tensor) -> Tensor:
+    """[h, gamma~] from h and the inter summary block [gamma~ | alpha~]."""
+    return ad.concat([h, ad.slice_cols(gamma, 0, h.data.shape[1])], axis=1)
 
 
 @dataclass
 class DecodeRun:
-    """Per-step decoder outputs: prediction inputs (h_t for deep fusion,
-    [h_t, gamma~_t] for shallow), plus both attention weight streams:
-    intra as in ``StackRun.traces``, inter (B, m) over the whole source."""
-    outputs: list
+    """Per-step decoder states, inter summary blocks [gamma~ | alpha~]
+    and both attention weight streams (intra as in ``StackRun.traces``,
+    inter (B, m) over the whole source), with the target tapes, the
+    steps' row counts and the fusion mode."""
+    top: list             # [T] of CellState
+    gammas: list          # [T] of (B_t, 2h)
     intra: list
     inter: list
+    tapes: Tapes
+    rows: list
+    mode: str
+
+    @property
+    def outputs(self) -> list:
+        """Per-step prediction inputs, new nodes on every read: h_t for
+        deep fusion, [h_t, gamma~_t] for shallow."""
+        if self.mode == "deep":
+            return [s.h for s in self.top]
+        return [_shallow_features(s.h, g) for s, g in zip(self.top, self.gammas)]
+
+    def packed(self) -> Tensor:
+        """Every step's prediction input as one packed, step-major block:
+        the target tape's h columns, gathered once, joined for shallow
+        fusion to the gamma~ columns of the joined inter summaries."""
+        hidden = self.tapes.memory.data.shape[2] // 2
+        h = ad.slice_cols(self.tapes.memory, 0, hidden, rows=self.rows)
+        if self.mode == "deep":
+            return h
+        return _shallow_features(h, ad.concat(self.gammas, axis=0))
 
 
-def run_decoder(xs: list, src: SourceTapes, w: DecoderWeights, mode: str,
-                capacity: Optional[int] = None) -> DecodeRun:
-    if not xs:
-        raise TapeError("cannot decode an empty target")
-    decoder = DecoderState(src, w, mode, capacity, length=len(xs))
-    run = DecodeRun([], [], [])
-    for x in xs:
-        out, intra, inter = decoder.step(x)
-        run.outputs.append(out)
+def run_decoder(xs, src: SourceTapes, w: DecoderWeights, mode: str,
+                capacity: Optional[int] = None, rows: Optional[list] = None) -> DecodeRun:
+    """Teacher-forced decoding of a packed, step-major input block with its
+    step ``rows``, or of per-step inputs joined into one
+    (``cells.run_stack``)."""
+    block, rows, spans = cells.packed_input(xs, rows)
+    decoder = DecoderState(src, w, mode, capacity, length=len(rows))
+    run = DecodeRun([], [], [], [], decoder.tapes, rows, mode)
+    for span in spans:
+        intra, inter = decoder.step(block, span)
+        run.top.append(decoder.state)
+        run.gammas.append(decoder.gamma_tilde)
         run.intra.append(intra)
         run.inter.append(inter)
     return run

@@ -1,9 +1,10 @@
 """Task heads and losses: next-token NLL with perplexity and greedy hits,
 mean pooling, and the classifier head over pooled features.  Both losses
 return ``autodiff.affine_nll``'s greedy hits with the NLL, so training
-and evaluation share one path.  ``lm_loss`` takes per-step states as
-full rows, or packed (step t's B_t live rows, longest first), as the
-models give them; ``mean_pool`` takes them packed."""
+and evaluation share one path.  ``lm_loss`` takes its states in one of
+three forms: one packed, step-major block of the live positions, as the
+models give it, or a per-step list, packed (step t's B_t live rows,
+longest first) or full rows; ``mean_pool`` takes them per step, packed."""
 
 from __future__ import annotations
 
@@ -107,37 +108,45 @@ def init_classifier_head(rng, in_size: int, hidden: int, labels: int,
         dropout=dropout)
 
 
-def lm_loss(hidden_states: list, targets: np.ndarray, mask: np.ndarray,
-            proj: OutputProjection):
+def lm_loss(hidden_states, targets: np.ndarray, mask: np.ndarray, proj: OutputProjection):
     """Summed NLL of targets[:, t] under the projection of h_t.
 
-    ``hidden_states`` is the per-step list of states; targets and mask
-    are (B, T).  Masked positions (mask 0) contribute to neither the NLL
-    nor the token count.  Returns (nll scalar Tensor, token count, greedy hits).
+    Targets and mask are (B, T).  Masked positions (mask 0) contribute to
+    neither the NLL nor the token count.  Returns (nll scalar Tensor,
+    token count, greedy hits).
 
-    Step t's states are full rows (B, h), or packed: the first B_t rows,
-    which must be exactly the rows the mask marks live at step t (rows
-    sorted longest first, as ``models.pack`` orders them).  Only the live
-    positions are projected, in one ``autodiff.affine_nll`` node: while a
-    graph is recorded, one (live, V) buffer serves the logits, the softmax
-    and the gradient; under ``no_grad`` the logits are formed one row
-    block at a time and never held whole.
-    Packed states, step-major, are those positions already; full rows
-    around padding are gathered to them from the step-major (t, b)
-    concat, so padded states get an exact zero gradient.
+    ``hidden_states`` is one packed (live, h) block, the live positions
+    in step-major order (step t's B_t rows, longest first, as
+    ``models.pack`` orders them, so the mask is live in a prefix of each
+    step's rows), or the per-step list of states: full rows (B, h), or
+    packed, step t's first B_t rows, which must be exactly the rows the
+    mask marks live at step t.  Only the live positions are projected, in
+    one ``autodiff.affine_nll`` node: while a graph is recorded, one
+    (live, V) buffer serves the logits, the softmax and the gradient;
+    under ``no_grad`` the logits are formed one row block at a time and
+    never held whole.  A packed list, joined step-major, is those
+    positions already; full rows around padding are gathered to them from
+    the step-major (t, b) concat, so padded states get an exact zero
+    gradient.
     """
     targets, mask = np.asarray(targets), np.asarray(mask) != 0
     batch, steps = targets.shape
-    if steps != len(hidden_states) or mask.shape != targets.shape:
-        raise ad.ShapeMismatchError(f"lm_loss: {len(hidden_states)} hidden states and mask "
-                                    f"{mask.shape} vs targets {targets.shape}")
-    rows = np.array([h.data.shape[0] for h in hidden_states])
-    if (rows != batch).any() and not np.array_equal(mask, np.arange(batch)[:, None] < rows):
+    block = isinstance(hidden_states, Tensor)
+    states = [hidden_states] if block else hidden_states
+    if mask.shape != targets.shape or (not block and steps != len(states)):
+        raise ad.ShapeMismatchError(f"lm_loss: hidden states {[h.data.shape for h in states]} "
+                                    f"and mask {mask.shape} vs targets {targets.shape}")
+    rows = mask.sum(axis=0) if block else np.array([h.data.shape[0] for h in states])
+    if (block or (rows != batch).any()) and \
+            not np.array_equal(mask, np.arange(batch)[:, None] < rows):
         raise ad.ShapeMismatchError(f"lm_loss: packed states of {rows.tolist()} rows need "
                                     "a mask live in exactly those rows of each step")
     targets, live = targets.T.reshape(-1), np.flatnonzero(mask.T.reshape(-1))
-    h = ad.concat(hidden_states, axis=0)
+    h = hidden_states if block else ad.concat(states, axis=0)
     if h.data.shape[0] != live.size:
+        if block:
+            raise ad.ShapeMismatchError(f"lm_loss: {h.data.shape[0]} packed states for "
+                                        f"{live.size} live positions")
         h = ad.lookup(h, live)
     nll, hits = ad.affine_nll(h, proj.w, proj.b, targets[live])
     return nll, live.size, lm_correct(hits)

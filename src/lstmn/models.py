@@ -15,7 +15,11 @@ Every read of a token block goes through ``Model._read``, which sorts,
 embeds and runs a core or the fusion decoder.  Every core but the
 seq2seq encoder runs packed (``pack``): a batch's rows are sorted
 longest first and step t runs only B_t rows, the live prefix, so no
-padded position is computed or read.  Classifiers pool the packed
+padded position is computed or read.  A read embeds every step at once:
+one ``lookup`` of the live ids in step-major order gives the core its
+input block, step t's embeddings in rows [o_t, o_t + B_t), and the
+encoder of a seq2seq read gets one of its own.  Language models take
+their states back as one packed block; classifiers pool the packed
 states and return their features in batch order.
 ``evaluate``, ``generate`` and ``attention_traces`` never call backward
 and run under ``autodiff.no_grad``.
@@ -98,23 +102,25 @@ class Model:
 
     def _read(self, tokens: np.ndarray, mask=None, core=None, src=None):
         """One packed left-to-right read of a (B, L) token block: rows
-        sorted by ``pack(mask)`` (all live when ``mask`` is None), step t
-        embeds its first B_t rows and ``core`` (default: the model's stack)
-        runs them.  With ``src``, the rows' (source tokens, mask or None),
-        ``core`` first encodes every source row and the fusion decoder
-        runs instead.  Returns (row order, B_t, the ``StackRun`` or
-        ``DecodeRun``, the encoder traces or None)."""
+        sorted by ``pack(mask)`` (all live when ``mask`` is None), one
+        lookup embeds step t's first B_t rows, step after step, and
+        ``core`` (default: the model's stack) runs that block.  With
+        ``src``, the rows' (source tokens, mask or None), ``core`` first
+        encodes every source row and the fusion decoder runs instead.
+        Returns (row order, B_t, the ``StackRun`` or ``DecodeRun``, the
+        encoder traces or None)."""
         order, rows = pack(np.ones(tokens.shape) if mask is None else mask)
         core = self.stack if core is None else core
         table, enc_traces = self.embeddings.weights, None
         if src is not None:
             src_tokens, src_mask = (None if a is None else a[order] for a in src)
-            memory, enc_traces = fusion.encode([ad.lookup(table, ids) for ids in src_tokens.T],
-                                               core, self.capacity, mask=src_mask)
-        tokens = tokens[order]
-        xs = [ad.lookup(table, tokens[:n, t]) for t, n in enumerate(rows)]
-        run = cells.run_stack(xs, core, self.capacity) if src is None else \
-            fusion.run_decoder(xs, memory, self.decoder, self.mode, self.capacity)
+            memory, enc_traces = fusion.encode(ad.lookup(table, src_tokens.T.reshape(-1)), core,
+                                               self.capacity, mask=src_mask,
+                                               rows=[len(order)] * src_tokens.shape[1])
+        live = np.arange(len(order))[:, None] < rows
+        xs = ad.lookup(table, tokens[order, :len(rows)].T[live.T])
+        run = cells.run_stack(xs, core, self.capacity, rows) if src is None else \
+            fusion.run_decoder(xs, memory, self.decoder, self.mode, self.capacity, rows)
         return order, rows, run, enc_traces
 
     @ad.no_grad()
@@ -146,12 +152,12 @@ class LanguageModel(Model):
         return super()._parts() + [("output", self.proj)]
 
     def _predict(self, batch: Batch):
-        """(per-step states, targets, mask): rows are [<s> w1 .. wn </s>],
-        shifted for next-token prediction.  The rows are packed (``pack``):
-        targets and mask come sorted longest first, and step t's states
-        are the first B_t rows, exactly the live ones."""
+        """(states, targets, mask): rows are [<s> w1 .. wn </s>], shifted
+        for next-token prediction.  The rows are packed (``pack``): targets
+        and mask come sorted longest first, and the states are one packed,
+        step-major block, step t's B_t rows exactly the live ones."""
         order, rows, run, _ = self._read(batch.tokens[:, :-1], batch.mask[:, 1:])
-        return run.top_h, batch.tokens[order, 1:len(rows) + 1], \
+        return run.packed(), batch.tokens[order, 1:len(rows) + 1], \
             batch.mask[order, 1:len(rows) + 1]
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
@@ -184,20 +190,22 @@ class Seq2SeqModel(LanguageModel):
         over every row, the decoder packed, as in ``LanguageModel``."""
         inputs, targets, out_mask = self._decoder_io(batch)
         order, rows, run, _ = self._read(inputs, out_mask, src=(batch.tokens, batch.mask))
-        return run.outputs, targets[order, :len(rows)], out_mask[order, :len(rows)]
+        return run.packed(), targets[order, :len(rows)], out_mask[order, :len(rows)]
 
     @ad.no_grad()
     def generate(self, src_tokens: np.ndarray, max_len: int = 50) -> list:
-        """Greedy decoding for one source sequence (token ids)."""
-        xs = [ad.lookup(self.embeddings.weights, ids) for ids in src_tokens[:, None]]
-        src, _ = fusion.encode(xs, self.stack, self.capacity)
+        """Greedy decoding for one source sequence (token ids): each step
+        reads a one-row block, the embedding of the token before."""
+        table = self.embeddings.weights
+        src, _ = fusion.encode(ad.lookup(table, src_tokens), self.stack, self.capacity,
+                               rows=[1] * len(src_tokens))
         decoder = fusion.DecoderState(src, self.decoder, self.mode, self.capacity,
                                       length=max_len)
         token = self.vocab.bos
         out = []
         for _ in range(max_len):
-            feats, _, _ = decoder.step(ad.lookup(self.embeddings.weights, np.array([token])))
-            token = int(self.proj(feats).data.argmax())
+            decoder.step(ad.lookup(table, np.array([token])))
+            token = int(self.proj(decoder.features()).data.argmax())
             if token == self.vocab.eos:
                 break
             out.append(token)

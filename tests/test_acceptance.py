@@ -73,16 +73,15 @@ def close_nll(cfg, result) -> float:
     total, count = 0.0, 0
     with ad.no_grad():
         for batch in data.batchify(seqs, cfg.batch_size, seed=cfg.seed):
+            # The states are one packed block: the live positions, step-major.
             states, targets, mask = model._predict(batch)
-            for t, h in enumerate(states):
-                rows = h.data.shape[0]
-                z = h.data @ w.T + b
-                top = z.max(axis=1, keepdims=True)
-                logp = z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
-                tgt = targets[:rows, t]
-                pick = np.isin(tgt, close) & (mask[:rows, t] != 0)
-                total -= logp[pick, tgt[pick]].sum()
-                count += int(pick.sum())
+            tgt = targets.T.reshape(-1)[np.flatnonzero(mask.T.reshape(-1))]
+            z = states.data @ w.T + b
+            top = z.max(axis=1, keepdims=True)
+            logp = z - top - np.log(np.exp(z - top).sum(axis=1, keepdims=True))
+            pick = np.isin(tgt, close)
+            total -= logp[pick, tgt[pick]].sum()
+            count += int(pick.sum())
     return total / count
 
 

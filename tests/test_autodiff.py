@@ -451,6 +451,11 @@ def _kernel_cases():
         with _nll_block_rows(2, 5):
             return ad.affine_nll(blk_h, blk_w, blk_b, np.array([1, 4, 1, 0, 2, 3, 4]))[0]
 
+    # Input blocks whose interior rows [1, 3) a step reads, as a packed
+    # step reads its rows of a layer's step-major block; an x wider than
+    # the (4, 3) weight; and a (3, 4, 5) tape of a packed batch's slots.
+    blk_x2, blk_x3, x25, slots3 = t(5, 2), t(4, 3), t(2, 5), t(3, 4, 5)
+
     cases = {
         "add": ({"a": x23, "b": y23}, lambda: ad.sum_all(_square(ad.add(x23, y23)))),
         "mul": ({"a": x23, "b": y23}, lambda: ad.sum_all(ad.mul(x23, y23))),
@@ -459,6 +464,9 @@ def _kernel_cases():
         "linear_bias": ({"x": x24, "w": w34, "b": bias},
                         lambda: ad.sum_all(_square(ad.linear(x24, w34, bias)))),
         # One projection of every slot of a (B, T, n) block.
+        # x's first 3 columns; the other 2 get exactly 0.
+        "linear_first_columns": ({"x": x25, "w": w43},
+                                 lambda: ad.sum_all(_square(ad.linear(x25, w43)))),
         "linear_slots": ({"x3": x3d, "w": w43, "b": b4},
                          lambda: ad.sum_all(_square(ad.linear(x3d, w43, b4)))),
         "concat": ({"a": x23, "b": y23},
@@ -472,6 +480,9 @@ def _kernel_cases():
                               _square(ad.slice_cols(x24, 1, 2)))),
             ad.add(ad.sum_all(_square(ad.slice_cols(x24, 2, 4))),
                    ad.sum_all(ad.mul(x24, x24))))),
+        # The live rows of steps of 3, 2, 2 and 1 rows, step-major.
+        "slice_cols_packed": ({"a": slots3}, lambda: ad.sum_all(_square(
+            ad.slice_cols(slots3, 1, 4, rows=[3, 2, 2, 1])))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, shift)))),
         "sum_all": ({"a": x23}, lambda: _square(ad.sum_all(x23))),
         "attend": ({f"s{i}": s for i, s in enumerate(slots)},
@@ -526,6 +537,19 @@ def _kernel_cases():
                                "W_r": g_wr},
                               lambda: ad.sum_all(ad.mul(ad.gate_cell(
                                   g_state3, g_x, g_w, g_bias, g_inter3, g_wr), g_read))),
+        "gate_cell_span": ({"state": g_state, "x": blk_x2, "W": g_w, "bias": g_bias},
+                           lambda: ad.sum_all(ad.mul(ad.gate_cell(
+                               g_state, blk_x2, g_w, g_bias, span=(1, 3)), g_read))),
+        "gate_cell_span_deep": ({"state": g_state, "x": blk_x2, "W": g_w, "bias": g_bias,
+                                 "inter": g_inter, "W_r": g_wr},
+                                lambda: ad.sum_all(ad.mul(ad.gate_cell(
+                                    g_state, blk_x2, g_w, g_bias, g_inter, g_wr, span=(1, 3)),
+                                    g_read))),
+        "tape_attend_span": ({"memory": mem, "x": blk_x3, "W_x": w_qx, "prev": q_p,
+                              "W_prev": w_qp, "v": v_att, "bias": b_att},
+                             lambda: ad.sum_all(ad.mul(ad.tape_attend(
+                                 _tape(mem), 1, blk_x3, w_qx, q_p, w_qp, v_att, b_att,
+                                 span=(1, 3))[0], y_att))),
         "tape_write": ({**{f"h{i}": h for i, h in enumerate(slot_h)},
                         **{f"k{i}": k for i, k in enumerate(slot_k)}}, tape_chain),
         "tape_write_packed": ({**{f"h{i}": h for i, h in enumerate(pk_h)},
@@ -1038,6 +1062,139 @@ def test_carried_operand_with_fewer_rows_is_refused(kernel):
         with pytest.raises(ShapeMismatchError, match="tape_attend"):
             ad.tape_attend(_tape(_rng_tensor(rng, 3, 2, 5)), 0, x, _rng_tensor(rng, 2, 2),
                            _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2))
+
+
+def _span_call(kernel: str, rng, block: Tensor, span):
+    """``kernel`` over the rows ``span`` of ``block`` (None: all of it),
+    with the other operands drawn from ``rng``: (output, other leaves)."""
+    if kernel == "tape_attend":
+        mem, w_x, prev, w_p, v = (_rng_tensor(rng, *s) for s in [(2, 4, 5), (2, 3), (2, 4),
+                                                                 (2, 4), (2,)])
+        return ad.tape_attend(_tape(mem), 0, block, w_x, prev, w_p, v, span=span)[0], \
+            [mem, w_x, prev, w_p, v]
+    state, w, b, inter, w_r = (_rng_tensor(rng, *s) for s in [(2, 6), (12, 5), (12,), (2, 6),
+                                                              (3, 5)])
+    if kernel == "gate_cell":
+        return ad.gate_cell(state, block, w, b, span=span), [state, w, b]
+    return ad.gate_cell(state, block, w, b, inter, w_r, span=span), [state, w, b, inter, w_r]
+
+
+@pytest.mark.parametrize("kernel", ["gate_cell", "gate_cell_inter", "tape_attend"])
+def test_a_step_reads_its_row_range_of_the_block(kernel):
+    # Rows [1, 3) of a 5-row block give the values and gradients, bit for
+    # bit, of the same call on a copy of those rows, and every other row
+    # of the block gets exactly 0.
+    width = 3 if kernel == "tape_attend" else 2
+    block = _rng_tensor(np.random.default_rng(27), 5, width)
+    rows = Tensor(block.data[1:3].copy(), requires_grad=True)
+    results = []
+    for x, span in ((block, (1, 3)), (rows, None)):
+        out, others = _span_call(kernel, np.random.default_rng(28), x, span)
+        read = np.random.default_rng(29).normal(size=out.data.shape)
+        zero_grad([x] + others)
+        backward(ad.sum_all(ad.mul(out, Tensor(read))), params=[x] + others)
+        results.append([out.data, x.grad] + [leaf.grad for leaf in others])
+    (out, g_block, *g_others), (alone, g_rows, *g_alone) = results
+    assert out.tobytes() == alone.tobytes()
+    assert g_block[1:3].tobytes() == g_rows.tobytes()
+    assert not g_block[:1].any() and not g_block[3:].any()
+    for a, b in zip(g_others, g_alone):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_row_range_read_matches_the_oracles():
+    # Rows [2, 4) of a 5-row block, each against the straight-line cell
+    # and attention oracles on its own row.
+    rng = np.random.default_rng(30)
+    hid, att = 3, 2
+    block = rng.normal(size=(5, 2))
+    state, inter = rng.normal(size=(2, 2 * hid)), rng.normal(size=(2, 2 * hid))
+    w, b, w_r = rng.normal(size=(4 * hid, hid + 2)), rng.normal(size=4 * hid), \
+        rng.normal(size=(hid, hid + 2))
+    H, C = rng.normal(size=(2, 3, hid)), rng.normal(size=(2, 3, hid))
+    w_h, w_x, w_ht = (rng.normal(size=(att, n)) for n in (hid, 2, hid))
+    v, bias = rng.normal(size=att), rng.normal(size=att)
+    tape = ad.tape_write(None, (Tensor(np.concatenate([H, C], axis=2)),),
+                         Tensor(H @ w_h.T), 3)
+    plain = ad.gate_cell(Tensor(state), Tensor(block), Tensor(w), Tensor(b), span=(2, 4))
+    deep = ad.gate_cell(Tensor(state), Tensor(block), Tensor(w), Tensor(b), Tensor(inter),
+                        Tensor(w_r), span=(2, 4))
+    read, weights = ad.tape_attend(tape, 0, Tensor(block), Tensor(w_x), Tensor(state),
+                                   Tensor(w_ht), Tensor(v), Tensor(bias), span=(2, 4))
+    for r in range(2):
+        x, rec, carried = block[2 + r], state[r, :hid], state[r, hid:]
+        h_ref, c_ref = oracles.lstm_step_ref(x, rec, carried, w, b)
+        np.testing.assert_allclose(plain.data[r], np.concatenate([h_ref, c_ref]), atol=1e-12)
+        h_ref, c_ref, _ = oracles.deep_fusion_cell_ref(
+            x, rec, carried, inter[r, :hid], inter[r, hid:], w, b, w_r)
+        np.testing.assert_allclose(deep.data[r], np.concatenate([h_ref, c_ref]), atol=1e-12)
+        w_ref, ht_ref, ct_ref = oracles.intra_summaries_ref(
+            x, H[r], C[r], rec, v, w_h, w_x, w_ht, bias, hid)
+        np.testing.assert_allclose(read.data[r], np.concatenate([ht_ref, ct_ref]), atol=1e-12)
+        np.testing.assert_allclose(weights[r], w_ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", ["gate_cell", "gate_cell_inter", "tape_attend"])
+@pytest.mark.parametrize("span", [(3, 6), (5, 6), (2, 2), (3, 2), (-1, 1)])
+def test_a_row_range_past_the_block_or_empty_is_refused(kernel, span, made_nodes):
+    # A 5-row block: a range past its rows, an empty or reversed one, or
+    # one before its first row is refused before any node is made, and a
+    # refused read leaves the tape's read count as it was.
+    width = 3 if kernel == "tape_attend" else 2
+    block = _rng_tensor(np.random.default_rng(31), 5, width)
+    rng = np.random.default_rng(32)
+    tape = _tape(_rng_tensor(rng, 2, 4, 5))
+    made_nodes.clear()
+    with pytest.raises(ShapeMismatchError, match=kernel.split("_inter")[0]):
+        if kernel == "tape_attend":
+            ad.tape_attend(tape, 0, block, *(_rng_tensor(rng, *s) for s in [(2, 3), (2, 4),
+                                                                             (2, 4), (2,)]),
+                           span=span)
+        else:
+            _span_call(kernel, rng, block, span)
+    assert made_nodes == [] and tape.log.reads == 0
+
+
+def test_linear_reads_the_first_columns_of_a_wider_x():
+    # A [h | c] block passes whole where h is wanted: the value of the
+    # product with its first columns, and their gradient, bit for bit;
+    # the other columns get exactly 0.  A narrower x is refused.
+    rng = np.random.default_rng(33)
+    x, w, b = _rng_tensor(rng, 2, 5), _rng_tensor(rng, 4, 3), _rng_tensor(rng, 4)
+    first = Tensor(x.data[:, :3].copy(), requires_grad=True)
+    read = rng.normal(size=(2, 4))
+    results = []
+    for leaf in (x, first):
+        zero_grad([leaf, w, b])
+        out = ad.linear(leaf, w, b)
+        backward(ad.sum_all(ad.mul(out, Tensor(read))), params=[leaf, w, b])
+        results.append((out.data, leaf.grad, w.grad, b.grad))
+    (out, gx, gw, gb), (alone, g_first, gw_alone, gb_alone) = results
+    assert out.tobytes() == alone.tobytes()
+    assert gx[:, :3].tobytes() == g_first.tobytes() and not gx[:, 3:].any()
+    assert gw.tobytes() == gw_alone.tobytes() and gb.tobytes() == gb_alone.tobytes()
+    with pytest.raises(ShapeMismatchError, match="linear"):
+        ad.linear(_rng_tensor(rng, 2, 2), w)
+
+
+def test_slice_cols_gathers_the_packed_rows_of_a_tape():
+    # Steps of 3, 2, 2 and 1 rows over a (3, 5, 4) tape: step t's first
+    # B_t rows, step after step; rows past the tape's are refused.
+    x = Tensor(np.arange(60.0).reshape(3, 5, 4), requires_grad=True)
+    out = ad.slice_cols(x, 1, 3, rows=[3, 2, 2, 1])
+    want = np.concatenate([x.data[:b, t, 1:3] for t, b in enumerate([3, 2, 2, 1])])
+    assert out.data.tobytes() == want.tobytes()
+    read = np.random.default_rng(34).normal(size=out.data.shape)
+    backward(ad.sum_all(ad.mul(out, Tensor(read))), params=[x])
+    dense = np.zeros_like(x.data)
+    at = 0
+    for t, b in enumerate([3, 2, 2, 1]):
+        dense[:b, t, 1:3] = read[at:at + b]
+        at += b
+    assert x.grad.tobytes() == dense.tobytes()
+    for rows in ([4, 1], [1] * 6, [], [2, -1]):
+        with pytest.raises(ShapeMismatchError, match="slice_cols"):
+            ad.slice_cols(x, 0, 2, rows=rows)
 
 
 def test_attend_sums_prefix_slots_like_a_dense_oracle():

@@ -1,9 +1,12 @@
 """Cell-level tests: closed forms, naive-oracle equivalence, gradients."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lstmn import autodiff as ad
@@ -630,3 +633,94 @@ class TestPackedStack:
         np.testing.assert_array_equal(tapes.memory.keys[1], [[1.0], [0.0]])
         with pytest.raises(TapeError, match="differ"):
             tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))
+
+
+@pytest.fixture
+def made_ops(monkeypatch):
+    """The op name of every node ``_make`` makes from here on."""
+    ops = []
+    make = ad._make
+
+    def counting(data, parents, backward_fn, op, *args, **kwargs):
+        ops.append(op)
+        return make(data, parents, backward_fn, op, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_make", counting)
+    return ops
+
+
+class TestNodeCounts:
+    """Graph nodes that ``run_stack`` records over a packed input block:
+    a fixed number per step and layer, plus a per-layer count that does
+    not grow with the sequence."""
+
+    @staticmethod
+    def ops_of_run(made_ops, stack, steps):
+        x = Tensor(np.random.default_rng(steps).normal(size=(2 * steps, 2)), requires_grad=True)
+        made_ops.clear()
+        run_stack(x, stack, rows=[2] * steps)
+        return Counter(made_ops)
+
+    @pytest.mark.parametrize("layers,skip", [(1, False), (2, False), (2, True), (3, True)])
+    def test_a_tape_step_is_four_nodes(self, made_ops, layers, skip):
+        # Each step of each layer: the read (none at a layer's first
+        # step), the gate cell, the slot's key and the slot's write.  Each
+        # upper layer adds the one gather of the lower tape's h columns,
+        # and the skip join with the embedding block.
+        stack = cells.init_stack(np.random.default_rng(40), layers, 3, 2, 2, skip=skip)
+        per_layer = (layers - 1) * (1 + skip) - layers
+        for steps in (3, 8):
+            ops = self.ops_of_run(made_ops, stack, steps)
+            assert sum(ops.values()) == 4 * steps * layers + per_layer
+            assert ops == Counter(tape_attend=(steps - 1) * layers, gate_cell=steps * layers,
+                                  linear=steps * layers, tape_write=steps * layers,
+                                  slice_cols=layers - 1, concat=(layers - 1) * skip)
+
+    @pytest.mark.parametrize("layers,skip", [(1, False), (2, False), (3, True)])
+    def test_an_lstm_step_is_one_gate_cell(self, made_ops, layers, skip):
+        # Each upper layer joins the states below once and takes their h
+        # columns, then joins the embedding block when skip is on.
+        stack = lstm_stack(np.random.default_rng(41), layers, hidden=3, embed=2, skip=skip)
+        for steps in (3, 8):
+            ops = self.ops_of_run(made_ops, stack, steps)
+            assert ops == Counter(gate_cell=steps * layers, concat=(layers - 1) * (1 + skip),
+                                  slice_cols=layers - 1)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(family=st.sampled_from(["lstm", "lstmn", "lstmn-stack"]), skip=st.booleans(),
+       capacity=st.sampled_from([None, 1, 2]), seed=st.integers(0, 2**16),
+       rows=st.lists(st.integers(1, 4), min_size=1, max_size=6).map(
+           lambda r: sorted(r, reverse=True)))
+def test_each_row_of_a_packed_block_matches_its_batch_of_one(family, skip, capacity, seed, rows):
+    # One packed-block run, its loss reading only row b's states, against
+    # row b run alone: outputs, the block's gradient and every parameter
+    # gradient agree, and no other row of the block gets a gradient, so
+    # no step's row range reads a neighbour's rows.
+    rng = np.random.default_rng(seed)
+    stack = cells.init_stack(rng, 1 if family == "lstmn" else 2, 3, 2,
+                             None if family == "lstm" else 2, skip=skip)
+    params = list(stack.named().values())
+    for p in params:
+        p.data[...] = rng.normal(scale=0.7, size=p.data.shape)
+    xd, read = rng.normal(size=(sum(rows), 2)), rng.normal(size=(sum(rows), 3))
+    firsts = np.cumsum([0] + rows[:-1])
+
+    def run(x_data, step_rows, weights):
+        x = Tensor(x_data, requires_grad=True)
+        zero_grad(params)
+        out = run_stack(x, stack, capacity, rows=step_rows).packed()
+        backward(ad.sum_all(ad.mul(out, Tensor(weights))), params=params + [x])
+        return out.data, x.grad, [p.grad.copy() for p in params]
+
+    for b in range(rows[0]):
+        at = firsts[np.array(rows) > b] + b
+        only_b = np.zeros_like(read)
+        only_b[at] = read[at]
+        out, gx, grads = run(xd, rows, only_b)
+        alone, gx_alone, grads_alone = run(xd[at], [1] * len(at), read[at])
+        np.testing.assert_allclose(out[at], alone, rtol=1e-10)
+        np.testing.assert_allclose(gx[at], gx_alone, rtol=1e-10)
+        assert not np.delete(gx, at, axis=0).any()
+        for g, g_alone in zip(grads, grads_alone):
+            np.testing.assert_allclose(g, g_alone, rtol=1e-10)

@@ -256,7 +256,7 @@ class TestDeepDecode:
         H, C = [], []
         hp, gp = np.zeros(3), np.zeros(3)
         for x in xs:
-            _, _, inter = decoder.step(row(x))
+            _, inter = decoder.step(row(x))
             state = decoder.state
             # c_ref = r_ref * a_ref + f * c~ + i * c-hat: the c check pins
             # the transfer gate r.
@@ -317,12 +317,13 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("mode,ops", [
         # Inter- and intra-attention, the fused cell with the transfer
-        # gate, h, the slot's key and the one tape write of its values
-        # and key.
-        ("deep", ["gate_cell", "linear", "slice_cols", "tape_attend", "tape_attend",
-                  "tape_write"]),
-        # The same without the transfer gate, plus gamma~ cut from the
-        # summary block and joined to h for the prediction input.
+        # gate, the slot's key, read from the [h | c] block's h columns,
+        # and the one tape write of its values and key; the prediction
+        # input is that block, which the output projection reads in its
+        # h columns.
+        ("deep", ["gate_cell", "linear", "tape_attend", "tape_attend", "tape_write"]),
+        # The same without the transfer gate, plus h and gamma~ cut from
+        # their blocks and joined for the prediction input.
         ("shallow", ["concat", "gate_cell", "linear", "slice_cols", "slice_cols",
                      "tape_attend", "tape_attend", "tape_write"])])
     def test_step_after_the_first(self, made_ops, mode, ops):
@@ -335,6 +336,7 @@ class TestNodeCounts:
             decoder.step(row(rng.normal(size=2)))
             made_ops.clear()
             decoder.step(row(rng.normal(size=2)))
+            decoder.features()
         assert sorted(made_ops) == ops
 
 
@@ -346,7 +348,9 @@ class TestShallowDecode:
                   dec.inter.w_gamma, dec.inter.w_x, dec.inter.w_gammatilde):
             t.data[...] = 0.0
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.zeros((1, 2, 2))))
-        context, _, _ = DecoderState(src, dec, "shallow").step(row([1.0, 1.0]))
+        decoder = DecoderState(src, dec, "shallow")
+        decoder.step(row([1.0, 1.0]))
+        context = decoder.features()
         np.testing.assert_array_equal(context.data, np.zeros((1, 4)))
 
     def test_singleton_source_context_is_that_slot(self):
@@ -354,7 +358,9 @@ class TestShallowDecode:
         dec = random_decoder(rng, 2, 2, 2)
         y = rng.normal(size=(1, 1, 2))
         src = SourceTapes(y=Tensor(y), a=Tensor(rng.normal(size=(1, 1, 2))))
-        context, _, _ = DecoderState(src, dec, "shallow").step(row(rng.normal(size=2)))
+        decoder = DecoderState(src, dec, "shallow")
+        decoder.step(row(rng.normal(size=2)))
+        context = decoder.features()
         np.testing.assert_array_equal(context.data[:, 2:], y[:, 0])
 
     def test_cell_update_is_plain_tape_step(self):
@@ -436,7 +442,8 @@ class TestFusionIdentities:
         shallow_hs, shallow_cs = [], []
         for x in xs:
             # Sever the context path: keep only the h half of each output.
-            shallow_hs.append(shallow.step(x)[0].data[:, :3])
+            shallow.step(x)
+            shallow_hs.append(shallow.features().data[:, :3])
             shallow_cs.append(shallow.state.c.data)
         np.testing.assert_array_equal(deep_cs, np.stack(shallow_cs))
         np.testing.assert_array_equal(deep_hs, np.stack(shallow_hs))

@@ -1,10 +1,13 @@
-"""``tools/lockstep.py`` on stubbed operations and a stubbed clock: the
-A B, B A alternation, the per-step ratios and their summary, the output
-comparison and the JSON entry.  No benchmark runs."""
+"""``tools/lockstep.py`` on stubbed operations, a stubbed clock and a
+stubbed ``git archive``: the A B, B A alternation, the per-step ratios
+and their summary, the output comparison, the anchor tree and the JSON
+entry.  No benchmark runs."""
 
 import importlib.util
+import io
 import json
 import os
+import tarfile
 import types
 
 import pytest
@@ -136,3 +139,58 @@ def test_json_entry_is_added_to_the_bench_pairs_list(monkeypatch, tmp_path, caps
     assert decode["ratio"] == pytest.approx([1.0, 1.0, 1.0]) and decode["wins"] == 0
     assert train["ratio_ci"][0] <= 0.5 <= train["ratio_ci"][1]
     assert decode["ratio_ci"] == pytest.approx([1.0, 1.0])
+
+
+def test_anchor_times_the_git_archive_of_rev_as_the_parent(monkeypatch, tmp_path, capsys):
+    # With --anchor the parent is REV's tree, unpacked from a stubbed
+    # ``git archive`` into a temporary directory that is gone afterwards,
+    # and the JSON entry names the anchor.
+    tree = io.BytesIO()
+    with tarfile.open(fileobj=tree, mode="w") as tar:
+        marker = b"the anchor tree"
+        info = tarfile.TarInfo("src/MARKER")
+        info.size = len(marker)
+        tar.addfile(info, io.BytesIO(marker))
+    commands = []
+
+    def git(cmd, check, capture_output):
+        commands.append(cmd)
+        return types.SimpleNamespace(stdout=tree.getvalue())
+
+    monkeypatch.setattr(lockstep.subprocess, "run", git)
+    clock, calls = Clock(), []
+    ops = stubbed(clock, calls, {"eval": {side: [0.25] * 2 for side in lockstep.SIDES}},
+                  {"eval": {side: [1.0] * 2 for side in lockstep.SIDES}})
+    checkouts = {}
+
+    def side_ops(checkout, side, workload, seed, names):
+        checkouts[side] = checkout
+        if side == "parent":
+            with open(os.path.join(checkout, "src", "MARKER"), "rb") as fh:
+                checkouts["marker"] = fh.read()
+        return {name: ops[name][side] for name in names}, types.SimpleNamespace(
+            REFERENCE_RTOL=1e-10)
+
+    monkeypatch.setattr(lockstep, "side_ops", side_ops)
+    alternate = lockstep.alternate
+    monkeypatch.setattr(lockstep, "alternate", lambda fns, steps: alternate(fns, steps, clock))
+    path = tmp_path / "bench.json"
+    assert lockstep.main(["--anchor", "3f17e58", str(tmp_path), "--workload", "copy-seq2seq",
+                          "--ops", "eval", "--steps", "2", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert commands == [["git", "-C", lockstep.ROOT, "archive", "--format=tar", "3f17e58"]]
+    assert checkouts["marker"] == marker and checkouts["change"] == str(tmp_path)
+    assert not os.path.exists(checkouts["parent"])
+    entry = json.loads(path.read_text())[0]
+    assert (entry["anchor"], entry["workload"], entry["ops"]["eval"]["steps"]) == \
+        ("3f17e58", "copy-seq2seq", 2)
+
+
+@pytest.mark.parametrize("dirs", [["a"], ["a", "b"]])
+def test_anchor_takes_the_change_dir_alone(dirs, capsys):
+    # Two directories without --anchor, one with it; anything else is
+    # refused before any checkout is read.
+    argv = dirs + ["--workload", "lm-long-tape", "--steps", "2"]
+    with pytest.raises(SystemExit):
+        lockstep.main(argv if len(dirs) == 1 else ["--anchor", "HEAD"] + argv)
+    assert "CHANGE_DIR" in capsys.readouterr().err

@@ -114,11 +114,45 @@ class TestLanguageModel:
         assert report.passed, str(report)
 
 
+@pytest.mark.parametrize("name,per_token", [
+    # A tape step per layer (read, gate cell, key, write); the second
+    # layer's input block and the loss's states are formed once.
+    ("lstmn", 4), ("lstmn-stack", 8), ("lstm", 2)])
+def test_one_sentence_eval_nodes_per_token_do_not_grow_with_its_length(name, per_token,
+                                                                        monkeypatch):
+    # The B = 1 evaluation that greedy next-token prediction runs: its
+    # nodes are a fixed count per token plus a count per sentence.
+    vocab = make_vocab()
+    extra = {"lstmn": {}, "lstmn-stack": dict(layers=2, skip_connections=True),
+             "lstm": dict(layers=2)}[name]
+    model = models.LanguageModel(cfg_for(model=name, **extra), vocab, np.random.default_rng(18))
+    ops, make = [], ad._make
+
+    def counting(data, parents, backward_fn, op, *args, **kwargs):
+        ops.append(op)
+        return make(data, parents, backward_fn, op, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_make", counting)
+    fixed = set()
+    for length in (3, 7, 20):
+        ops.clear()
+        model.evaluate([lm_batch(vocab, [["w1"] * length])])
+        fixed.add(len(ops) - per_token * (length + 1))
+    assert len(fixed) == 1 and fixed.pop() <= 8
+
+
+def packed_steps(states, mask) -> list:
+    """The per-step (B_t, h) states of the packed, step-major block that
+    ``_predict`` returns, B_t the live rows of mask column t."""
+    rows = (np.asarray(mask) != 0).sum(axis=0)
+    return [ad.Tensor(s) for s in np.split(states.data, np.cumsum(rows)[:-1])]
+
+
 def per_step_hits(proj, states, targets, mask) -> int:
     """Greedy hits from one projection per step: the evaluation oracle.
-    Step t's states may be packed, the first rows of targets and mask."""
+    Step t's states are packed, the first rows of targets and mask."""
     hits = 0
-    for t, h in enumerate(states):
+    for t, h in enumerate(packed_steps(states, mask)):
         pred = proj(h).data.argmax(axis=1)
         rows = len(pred)
         hits += int(((pred == targets[:rows, t]) & (mask[:rows, t] != 0)).sum())
@@ -208,9 +242,10 @@ class TestSeq2Seq:
         assert len(out) <= 5
         assert all(0 <= t < len(vocab) for t in out)
 
-    def test_greedy_token_makes_eight_nodes(self, monkeypatch):
+    def test_greedy_token_makes_seven_nodes(self, monkeypatch):
         # One generated token after the first: its embedding lookup, the
-        # six nodes of a deep decode step and the output projection.
+        # five nodes of a deep decode step and the output projection,
+        # which reads h_t as the first columns of the [h_t | c_t] block.
         vocab = make_vocab()
         model = models.Seq2SeqModel(cfg_for(model="seq2seq-deep", optimizer="adam"), vocab,
                                     np.random.default_rng(17))
@@ -231,8 +266,8 @@ class TestSeq2Seq:
             made.append(list(ops))
         assert made[1][:len(made[0])] == made[0]
         assert sorted(made[1][len(made[0]):]) == [
-            "gate_cell", "linear", "linear", "lookup", "slice_cols", "tape_attend",
-            "tape_attend", "tape_write"]
+            "gate_cell", "linear", "linear", "lookup", "tape_attend", "tape_attend",
+            "tape_write"]
 
     def test_gradients_through_the_encoder_tape_read(self):
         # encode -> run_decoder -> loss on a tiny deep-fusion model: two
@@ -322,7 +357,7 @@ class TestPackedPadding:
         states, targets, live = model._predict(batch)
         w, b = model.proj.w.data, model.proj.b.data
         stats = np.zeros((len(order), 2))
-        for t, h in enumerate(states):
+        for t, h in enumerate(packed_steps(states, live)):
             logits = h.data @ w.T + b
             for j, z in enumerate(logits):
                 assert live[j, t]

@@ -3,6 +3,7 @@
 
     python3 tools/lockstep.py PARENT_DIR CHANGE_DIR --workload W \
         --ops train,eval[,decode] --steps N [--seed S] [--json PATH]
+    python3 tools/lockstep.py --anchor REV CHANGE_DIR --workload W ...
 
 Imports each checkout's ``src/lstmn`` under a package name of its own
 (``lstmn_parent``, ``lstmn_change``) and loads its
@@ -27,6 +28,12 @@ as one entry marked ``"tool": "lockstep"`` with the workload, seed and
 step count, to the list of summaries in PATH that ``tools/bench_pairs.py
 --json`` writes (a new file starts the list).
 
+With ``--anchor REV`` the parent is the tree of commit REV of the
+repository this tool sits in, extracted by ``git archive`` into a
+temporary directory for the run, and the entry is marked ``"anchor":
+REV``.  Timing every change against one fixed tree gives records that
+stay comparable across changes; ``tools/trajectory.py`` lists them.
+
 Caveat: both sides share one process, so they share one heap, one
 allocator state and one garbage collector.  Memory one side leaves behind
 can change the other's allocation costs, and the tool measures time
@@ -43,13 +50,18 @@ if __name__ == "__main__":
         os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib.util  # noqa: E402
+import io  # noqa: E402
 import itertools  # noqa: E402
+import subprocess  # noqa: E402
+import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 OPS = ("train", "eval", "decode")
 # Resamples and seed of the bootstrap interval of the median ratio.
@@ -66,6 +78,18 @@ def _load(name: str, path: str, package: bool = False):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def anchor_tree(rev: str):
+    """A temporary directory holding the tree of commit ``rev`` of this
+    repository, from ``git archive``, removed on exit."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        yield tmp
 
 
 def load_side(checkout: str, side: str) -> tuple:
@@ -173,14 +197,17 @@ def report(table: dict) -> list:
 def summary_json(args, table: dict) -> dict:
     """The entry ``--json`` adds for one invocation: ``summarize``'s table
     per op, seconds as they are measured."""
-    return {"tool": "lockstep", "workload": args.workload, "seed": args.seed,
-            "steps": args.steps, "ops": table}
+    entry = {"tool": "lockstep", "workload": args.workload, "seed": args.seed,
+             "steps": args.steps, "ops": table}
+    return entry if args.anchor is None else {**entry, "anchor": args.anchor}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent_dir")
-    parser.add_argument("change_dir")
+    parser.add_argument("dirs", nargs="+", metavar="DIR",
+                        help="PARENT_DIR CHANGE_DIR, or CHANGE_DIR alone with --anchor")
+    parser.add_argument("--anchor", metavar="REV",
+                        help="time the tree of commit REV as the parent")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--ops", default="train,eval",
                         help="comma-separated, from " + ", ".join(OPS))
@@ -191,12 +218,16 @@ def main(argv=None) -> int:
     names = args.ops.split(",")
     if not names or any(n not in OPS for n in names) or len(set(names)) != len(names):
         parser.error(f"--ops takes distinct names from {', '.join(OPS)}")
-    ops, harness = {}, None
-    for side, checkout in zip(SIDES, (args.parent_dir, args.change_dir)):
-        fns, harness = side_ops(os.path.abspath(checkout), side, args.workload, args.seed, names)
-        for name in names:
-            ops.setdefault(name, {})[side] = fns[name]
-    table = summarize(alternate(ops, args.steps), harness.REFERENCE_RTOL)
+    if len(args.dirs) != (1 if args.anchor else 2):
+        parser.error("give PARENT_DIR and CHANGE_DIR, or CHANGE_DIR alone with --anchor")
+    with anchor_tree(args.anchor) if args.anchor else contextlib.nullcontext() as anchor:
+        ops, harness = {}, None
+        for side, checkout in zip(SIDES, ([anchor] if anchor else []) + args.dirs):
+            fns, harness = side_ops(os.path.abspath(checkout), side, args.workload, args.seed,
+                                    names)
+            for name in names:
+                ops.setdefault(name, {})[side] = fns[name]
+        table = summarize(alternate(ops, args.steps), harness.REFERENCE_RTOL)
     print("\n".join(report(table)))
     if args.json:
         tools = os.path.dirname(os.path.abspath(__file__))

@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""The anchored lockstep ratios of every benchmark record, in PR order.
+
+    python3 tools/trajectory.py [BENCH_FILE ...]
+
+Reads the ``BENCH_<pr>.json`` files given (by default every one at the
+root of the repository), orders them by PR number, and prints one line
+per anchored ``tools/lockstep.py --anchor`` entry, grouped by workload
+and operation: the PR, the anchor, the steps, the median change/anchor
+time ratio and its 95% bootstrap interval.  Entries timed against a
+parent rather than an anchor are left out: only ratios to one fixed tree
+compare across PRs.
+"""
+
+import argparse
+import glob
+import json
+import os
+import re
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def pr_number(path: str) -> int:
+    match = re.fullmatch(r"BENCH_(\d+)\.json", os.path.basename(path))
+    if match is None:
+        raise ValueError(f"{path}: not a BENCH_<pr>.json file")
+    return int(match.group(1))
+
+
+def rows(paths) -> list:
+    """(workload, op, pr, anchor, steps, median ratio, (lo, hi)) of every
+    anchored entry, sorted by workload, op and PR."""
+    out = []
+    for pr, path in sorted((pr_number(path), path) for path in paths):
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+        for entry in entries:
+            if entry.get("tool") != "lockstep" or "anchor" not in entry:
+                continue
+            for op, row in entry["ops"].items():
+                out.append((entry["workload"], op, pr, entry["anchor"], row["steps"],
+                            row["ratio"][1], tuple(row["ratio_ci"])))
+    return sorted(out, key=lambda r: r[:3])
+
+
+def report(table: list) -> list:
+    lines = [f"{'workload':<14}{'op':<8}{'PR':>4}  {'anchor':<10}{'steps':>6}{'ratio':>8}"
+             "  95% interval"]
+    for workload, op, pr, anchor, steps, ratio, (lo, hi) in table:
+        lines.append(f"{workload:<14}{op:<8}{pr:>4}  {anchor:<10}{steps:>6}{ratio:>8.3f}"
+                     f"  [{lo:.3f}, {hi:.3f}]")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("files", nargs="*", help="BENCH_<pr>.json files (default: all)")
+    args = parser.parse_args(argv)
+    paths = args.files or glob.glob(os.path.join(ROOT, "BENCH_*.json"))
+    print("\n".join(report(rows(paths))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
