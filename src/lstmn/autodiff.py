@@ -21,8 +21,11 @@ The kernel set is small, one kernel per job: ``add`` (same shapes),
 ``mul``, ``relu``, ``sum_all``, ``concat``, ``slice_cols`` (last axis,
 optionally over a tape's packed rows), ``linear`` (the one affine map:
 optional bias, any leading axes),
-``lookup``, ``attend`` (per-step slots under constant weights),
+``lookup``, ``attend`` (a block's rows under constant weights),
 ``gate_cell``, ``tape_write``, ``tape_attend`` and ``affine_nll``.
+``add`` and ``sum_all`` serve only tests and the benchmark's probe loss:
+the models' losses end in ``affine_nll``, and training keeps the L2
+penalty out of the graph.
 Shapes are batch-first: (B, n) per step, (B, T, n) for tape slots.  A
 recurrent cell's state is one (B, 2h) block [h | c]: ``gate_cell`` maps
 such a block (the LSTM's [h_{t-1} | c_{t-1}] or a tape summary
@@ -581,19 +584,13 @@ def softmax(z: np.ndarray, mask=None) -> np.ndarray:
     return e
 
 
-def attend(weights: np.ndarray, slots) -> Tensor:
-    """Weighted sum of T (B_t, n) slots with a constant (B, T) weights
-    array, B = B_0 >= B_1 >= ...: slot t adds weights[:B_t, t] * slots[t]
-    into the first B_t rows of the (B, n) output."""
-    slots = list(slots)
-    rows, shapes = [s.data.shape[0] for s in slots], [s.data.shape for s in slots]
-    if not slots or len({s[1:] for s in shapes}) != 1 or len(shapes[0]) != 2 or \
-            weights.shape != (rows[0], len(slots)) or rows != sorted(rows, reverse=True):
-        raise ShapeMismatchError(f"attend: weights {weights.shape} and slots {shapes} "
+def attend(weights: np.ndarray, x: Tensor) -> Tensor:
+    """Constant (B, N) weights times an (N, n) block, in one product: each
+    output row a weighted sum of x's rows; x's gradient is weights.T @ g."""
+    if weights.ndim != 2 or x.data.ndim != 2 or weights.shape[1] != x.data.shape[0]:
+        raise ShapeMismatchError(f"attend: weights {weights.shape} and x {x.data.shape} "
                                  "do not conform")
-    x3 = np.stack([np.pad(s.data, ((0, rows[0] - b), (0, 0))) for s, b in zip(slots, rows)], 1)
-    return _make(np.einsum("bt,btn->bn", weights, x3), slots,
-                 lambda g: tuple(w[:b, None] * g[:b] for w, b in zip(weights.T, rows)), "attend")
+    return _make(weights @ x.data, (x,), lambda g: (weights.T @ g,), "attend")
 
 
 class _Tape(Tensor):

@@ -293,7 +293,8 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
 @dataclass
 class StackRun:
     """Full-sequence result: per-step top-layer states (kept for every
-    step even when a capacity bound keeps attention from reading them),
+    step even when a capacity bound keeps attention from reading them;
+    the models read them as one block, ``packed``),
     per-step top-layer attention weights (None for an LSTM top layer or
     an empty tape; step t's n columns are slots t-n..t-1), the top
     layer's tapes and the steps' row counts B_t."""
@@ -304,12 +305,14 @@ class StackRun:
 
     @property
     def top_h(self) -> list:
-        """[T] of (B_t, h), new slice nodes on every read."""
+        """[T] of (B_t, h), new slice nodes on every read; only the
+        benchmark's probes and tests read states per step."""
         return [s.h for s in self.top]
 
     @property
     def top_c(self) -> list:
-        """[T] of (B_t, h), new slice nodes on every read."""
+        """[T] of (B_t, h), new slice nodes on every read; only the
+        benchmark's probes and tests read them."""
         return [s.c for s in self.top]
 
     def packed(self) -> Tensor:

@@ -217,7 +217,8 @@ class DecodeRun:
     @property
     def outputs(self) -> list:
         """Per-step prediction inputs, new nodes on every read: h_t for
-        deep fusion, [h_t, gamma~_t] for shallow."""
+        deep fusion, [h_t, gamma~_t] for shallow.  Only the benchmark's
+        probes and tests read them per step; the models read ``packed``."""
         if self.mode == "deep":
             return [s.h for s in self.top]
         return [_shallow_features(s.h, g) for s, g in zip(self.top, self.gammas)]

@@ -1,10 +1,11 @@
 """Task heads and losses: next-token NLL with perplexity and greedy hits,
 mean pooling, and the classifier head over pooled features.  Both losses
 return ``autodiff.affine_nll``'s greedy hits with the NLL, so training
-and evaluation share one path.  ``lm_loss`` takes its states in one of
-three forms: one packed, step-major block of the live positions, as the
-models give it, or a per-step list, packed (step t's B_t live rows,
-longest first) or full rows; ``mean_pool`` takes them per step, packed."""
+and evaluation share one path.  Every model hands a head its states as
+one packed, step-major block of the live positions (step t's B_t live
+rows, longest first): ``lm_loss`` projects it, and ``mean_pool`` pools
+it in one product.  ``lm_loss`` also takes a per-step list of full (B, h)
+rows, which only tests and the benchmark's probes pass."""
 
 from __future__ import annotations
 
@@ -117,36 +118,30 @@ def lm_loss(hidden_states, targets: np.ndarray, mask: np.ndarray, proj: OutputPr
 
     ``hidden_states`` is one packed (live, h) block, the live positions
     in step-major order (step t's B_t rows, longest first, as
-    ``models.pack`` orders them, so the mask is live in a prefix of each
-    step's rows), or the per-step list of states: full rows (B, h), or
-    packed, step t's first B_t rows, which must be exactly the rows the
-    mask marks live at step t.  Only the live positions are projected, in
-    one ``autodiff.affine_nll`` node: while a graph is recorded, one
-    (live, V) buffer serves the logits, the softmax and the gradient;
-    under ``no_grad`` the logits are formed one row block at a time and
-    never held whole.  A packed list, joined step-major, is those
-    positions already; full rows around padding are gathered to them from
-    the step-major (t, b) concat, so padded states get an exact zero
-    gradient.
+    ``models.pack`` orders them, so the mask must be live in a prefix of
+    each step's rows), or the per-step list of full (B, h) rows.  Only the
+    live positions are projected, in one ``autodiff.affine_nll`` node:
+    while a graph is recorded, one (live, V) buffer serves the logits, the
+    softmax and the gradient; under ``no_grad`` the logits are formed one
+    row block at a time and never held whole.  Full rows around padding
+    are gathered to the live positions from the step-major (t, b) concat,
+    so padded states get an exact zero gradient.
     """
     targets, mask = np.asarray(targets), np.asarray(mask) != 0
     batch, steps = targets.shape
     block = isinstance(hidden_states, Tensor)
     states = [hidden_states] if block else hidden_states
-    if mask.shape != targets.shape or (not block and steps != len(states)):
+    if mask.shape != targets.shape or \
+            (not block and [h.data.shape[0] for h in states] != [batch] * steps):
         raise ad.ShapeMismatchError(f"lm_loss: hidden states {[h.data.shape for h in states]} "
                                     f"and mask {mask.shape} vs targets {targets.shape}")
-    rows = mask.sum(axis=0) if block else np.array([h.data.shape[0] for h in states])
-    if (block or (rows != batch).any()) and \
-            not np.array_equal(mask, np.arange(batch)[:, None] < rows):
-        raise ad.ShapeMismatchError(f"lm_loss: packed states of {rows.tolist()} rows need "
-                                    "a mask live in exactly those rows of each step")
     targets, live = targets.T.reshape(-1), np.flatnonzero(mask.T.reshape(-1))
     h = hidden_states if block else ad.concat(states, axis=0)
+    if block and (h.data.shape[0] != live.size or
+                  not np.array_equal(mask, np.arange(batch)[:, None] < mask.sum(axis=0))):
+        raise ad.ShapeMismatchError(f"lm_loss: {h.data.shape[0]} packed states need a mask "
+                                    f"live in a prefix of each step's rows, {live.size} in all")
     if h.data.shape[0] != live.size:
-        if block:
-            raise ad.ShapeMismatchError(f"lm_loss: {h.data.shape[0]} packed states for "
-                                        f"{live.size} live positions")
         h = ad.lookup(h, live)
     nll, hits = ad.affine_nll(h, proj.w, proj.b, targets[live])
     return nll, live.size, lm_correct(hits)
@@ -157,12 +152,17 @@ def lm_correct(hits: np.ndarray) -> int:
     return int(hits.sum())
 
 
-def mean_pool(states: list) -> Tensor:
-    """Each row's mean over its steps of packed (B_t, h) states (row i is
-    in the steps with B_t > i): an ``attend`` under constant weights built
-    in the states' dtype."""
-    if not states:
-        raise TapeError("cannot pool an empty tape")
-    rows = [s.data.shape[0] for s in states]
-    live = (np.arange(rows[0])[:, None] < rows).astype(states[0].data.dtype)
-    return ad.attend(live / live.sum(axis=1, keepdims=True), states)
+def mean_pool(states: Tensor, rows: list, order: np.ndarray) -> Tensor:
+    """Each sequence's mean state, from a packed, step-major (sum B_t, h)
+    block whose step t holds sorted rows 0..B_t - 1 (``rows`` = [B_t],
+    longest first), with ``order[i]`` the batch row of sorted row i: one
+    ``attend`` whose constant weights, in the states' dtype, hold 1/len_i
+    at each of sorted row i's positions and are placed at output row
+    ``order[i]``, so the means come back in batch order."""
+    if not rows or rows[0] < len(order):
+        raise TapeError("cannot pool a row with no live token")
+    ranks = np.concatenate([np.arange(b) for b in rows])
+    weights = np.zeros((len(order), ranks.size), dtype=states.data.dtype)
+    inverse = 1 / np.bincount(ranks).astype(weights.dtype)
+    weights[np.asarray(order)[ranks], np.arange(ranks.size)] = inverse[ranks]
+    return ad.attend(weights, states)

@@ -18,9 +18,10 @@ longest first and step t runs only B_t rows, the live prefix, so no
 padded position is computed or read.  A read embeds every step at once:
 one ``lookup`` of the live ids in step-major order gives the core its
 input block, step t's embeddings in rows [o_t, o_t + B_t), and the
-encoder of a seq2seq read gets one of its own.  Language models take
-their states back as one packed block; classifiers pool the packed
-states and return their features in batch order.
+encoder of a seq2seq read gets one of its own.  Every model takes a
+read's states back as one packed block (``run.packed()``): language
+models project it, and classifiers pool it in one product whose rows
+come back in batch order.
 ``evaluate``, ``generate`` and ``attention_traces`` never call backward
 and run under ``autodiff.no_grad``.
 """
@@ -225,15 +226,12 @@ class _Classifier(Model):
         return super()._parts() + [("head", self.head)]
 
     def _pool(self, tokens: np.ndarray, mask: np.ndarray, core=None, src=None) -> ad.Tensor:
-        """Each row's mean top-layer state over its live tokens, from
-        ``_read`` through ``core``, or with ``src`` (premise tokens and
-        mask) through the fusion decoder; one ``lookup`` puts the pooled
-        rows back in batch order."""
+        """Each row's mean top-layer state over its live tokens, in batch
+        order, pooled from the packed block of a ``_read`` through ``core``,
+        or with ``src`` (premise tokens and mask) through the fusion
+        decoder."""
         order, rows, run, _ = self._read(tokens, mask, core, src)
-        if rows[0] < len(order):
-            raise ad.TapeError("cannot pool a row with no live token")
-        return ad.lookup(heads.mean_pool(run.top_h if src is None else run.outputs),
-                         np.argsort(order))
+        return heads.mean_pool(run.packed(), rows, order)
 
     def loss(self, batch: Batch, training: bool = False, rng=None):
         nll, hits = self.head.loss(self._features(batch), batch.labels, training, rng)

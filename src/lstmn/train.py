@@ -199,11 +199,26 @@ def run_train(cfg: RunConfig, out_dir: str) -> TrainResult:
 
 def _train_step(cfg: RunConfig, model, tensors: list, opt, batch, epoch: int, rng) -> tuple:
     """One optimizer step on ``batch``: loss, backward, the embedding
-    gradient policy, clipping and the update.  Returns (loss, grad norm)."""
+    gradient policy, clipping and the update.  Returns (loss, grad norm).
+
+    The L2 penalty l2 * sum(w * w) over ``model.l2_params()`` stays out of
+    the graph.  Each of those gradients starts as the penalty's, l2 * w
+    doubled, before backward adds the loss's; the returned loss adds the
+    penalty's value.  Both are formed in the order and dtypes, and land
+    first, as they would from the penalty's own graph nodes."""
     ad.zero_grad(tensors)
     loss, _ = model.loss(batch, training=True, rng=rng)
+    value = loss.data
     if cfg.l2 > 0:
-        loss = ad.add(loss, ad.mul(_sum_squares(model.l2_params()), cfg.l2))
+        penalty = None
+        for w in model.l2_params():
+            term = (w.data * w.data).sum()
+            penalty = term if penalty is None else penalty + term
+            w.grad = cfg.l2 * w.data
+            w.grad *= 2
+        value = value + penalty * cfg.l2
+        if not np.isfinite(value):
+            raise ad.NonFiniteError("l2 penalty produced non-finite values")
     ad.backward(loss, params=tensors)
     if cfg.embedding_grad_policy != "none":
         emb = model.embeddings
@@ -214,15 +229,7 @@ def _train_step(cfg: RunConfig, model, tensors: list, opt, batch, epoch: int, rn
     else:
         grad_norm = optim.global_grad_norm(tensors)
     opt.step()
-    return loss.item(), grad_norm
-
-
-def _sum_squares(tensors):
-    total = None
-    for t in tensors:
-        term = ad.sum_all(ad.mul(t, t))
-        total = term if total is None else ad.add(total, term)
-    return total
+    return float(value), grad_norm
 
 
 def _stem(path: str) -> str:

@@ -372,7 +372,7 @@ def _kernel_cases():
     w43 = t(4, 3)
     x3d = t(2, 4, 3)
     wts = np.abs(rng.normal(size=(2, 4)))   # constant weights: no gradient
-    slots = [t(2, 3) for _ in range(3)]
+    att_x = t(4, 3)
     table = t(5, 3)
     nll_h = t(4, 3)
     x24 = t(2, 4)
@@ -393,7 +393,6 @@ def _kernel_cases():
     g_read = Tensor(rng.normal(size=(2, 6)))
     summary_prev = t(2, 6)   # a [h~ | c~] block; the query reads its first 4 columns
     w34, b4 = t(3, 4), t(4)
-    slots.append(t(2, 3))
     # A packed batch: a (3, 5, 5) memory read by 2 live rows, and writes
     # by 3, 2 and 1 live rows, each with a query of its own rows.
     mem3, px, pp = t(3, 5, 5), t(2, 3), t(2, 4)
@@ -416,10 +415,13 @@ def _kernel_cases():
     src_v, src_k = t(3, 2, 3), t(3, 2, 2)
     src_x, src_p = [t(3 - r, 3) for r in range(3)], [t(3 - r, 4) for r in range(3)]
     # Carried operands with more rows than the step input: a 3-row [h | c]
-    # state for a 2-row x, a 3-row prev for a 2-row read; and prefix slots
-    # of 3, 3, 2 and 1 rows under (3, 4) weights.
+    # state for a 2-row x, a 3-row prev for a 2-row read; and a packed
+    # block of steps of 3, 3, 2 and 1 rows under (3, 9) weights that read
+    # only each sorted row's positions, into output rows [2, 0, 1].
     g_state3, pp3 = t(3, 6), t(3, 4)
-    pk_slots, pk_wts = [t(b, 3) for b in (3, 3, 2, 1)], np.abs(rng.normal(size=(3, 4)))
+    pool_x, pk_ranks = t(9, 3), np.array([0, 1, 2, 0, 1, 2, 0, 1, 0])
+    pk_wts = np.zeros((3, 9))
+    pk_wts[np.array([2, 0, 1])[pk_ranks], np.arange(9)] = np.abs(rng.normal(size=9))
     # The transfer gate, and a 3-row summary block for a 2-row step.
     g_wr, g_inter3 = t(3, 5), t(3, 6)
 
@@ -485,10 +487,9 @@ def _kernel_cases():
             ad.slice_cols(slots3, 1, 4, rows=[3, 2, 2, 1])))),
         "relu": ({"a": x23}, lambda: ad.sum_all(ad.relu(ad.add(x23, shift)))),
         "sum_all": ({"a": x23}, lambda: _square(ad.sum_all(x23))),
-        "attend": ({f"s{i}": s for i, s in enumerate(slots)},
-                   lambda: ad.sum_all(_square(ad.attend(wts, slots)))),
-        "attend_packed": ({f"s{i}": s for i, s in enumerate(pk_slots)},
-                          lambda: ad.sum_all(_square(ad.attend(pk_wts, pk_slots)))),
+        "attend": ({"x": att_x}, lambda: ad.sum_all(_square(ad.attend(wts, att_x)))),
+        "attend_packed": ({"x": pool_x},
+                          lambda: ad.sum_all(_square(ad.attend(pk_wts, pool_x)))),
         # B=2, a capacity-style read window [1, 5) of five slots, with bias.
         "tape_attend": ({**attend_params, "bias": b_att}, lambda: ad.sum_all(ad.mul(
             ad.tape_attend(_tape(mem), 1, q_x, w_qx, q_p, w_qp, v_att, b_att)[0], y_att))),
@@ -1198,22 +1199,29 @@ def test_slice_cols_gathers_the_packed_rows_of_a_tape():
 
 
 def test_attend_sums_prefix_slots_like_a_dense_oracle():
-    # Slots of 3, 2, 2 and 1 rows: row i sums only the slots that have it,
-    # and slot t's gradient is weights[:B_t, t] times the output's.
+    # A packed block of steps of 3, 2, 2 and 1 rows, (B, T, n) slots' live
+    # prefixes, under weights that read only each sorted row's positions
+    # and put sorted row i in output row order[i]: that row sums only the
+    # slots that have row i, and a position's gradient is its weight
+    # times its output row's.
     rng = np.random.default_rng(27)
-    rows = [3, 2, 2, 1]
-    slots = [_rng_tensor(rng, b, 4) for b in rows]
-    weights = rng.uniform(size=(3, 4))
-    out = ad.attend(weights, slots)
+    rows, order = [3, 2, 2, 1], np.array([1, 2, 0])
+    full = rng.normal(size=(3, 4, 4))
+    steps = np.repeat(np.arange(4), rows)
+    ranks = np.concatenate([np.arange(b) for b in rows])
+    x = Tensor(full[ranks, steps], requires_grad=True)
+    dense = rng.uniform(size=(3, 4)) * (np.arange(3)[:, None] < rows)
+    weights = np.zeros((3, 8))
+    weights[order[ranks], np.arange(8)] = dense[ranks, steps]
+    out = ad.attend(weights, x)
     for i in range(3):
-        want = sum(weights[i, t] * s.data[i] for t, s in enumerate(slots) if i < rows[t])
-        np.testing.assert_allclose(out.data[i], want, rtol=1e-14)
+        want = sum(dense[i, t] * full[i, t] for t in range(4) if i < rows[t])
+        np.testing.assert_allclose(out.data[order[i]], want, rtol=1e-14)
     g = rng.normal(size=out.data.shape)
     backward(ad.sum_all(ad.mul(out, Tensor(g))))
-    for t, s in enumerate(slots):
-        np.testing.assert_allclose(s.grad, weights[:rows[t], t, None] * g[:rows[t]], rtol=1e-15)
+    np.testing.assert_allclose(x.grad, dense[ranks, steps, None] * g[order[ranks]], rtol=1e-15)
     with pytest.raises(ShapeMismatchError, match="attend"):
-        ad.attend(weights[:2, :2], [_rng_tensor(rng, 1, 4), _rng_tensor(rng, 2, 4)])
+        ad.attend(weights[:, :7], x)
 
 
 def _read_twice():

@@ -635,20 +635,6 @@ class TestPackedStack:
             tapes.append(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 1))))
 
 
-@pytest.fixture
-def made_ops(monkeypatch):
-    """The op name of every node ``_make`` makes from here on."""
-    ops = []
-    make = ad._make
-
-    def counting(data, parents, backward_fn, op, *args, **kwargs):
-        ops.append(op)
-        return make(data, parents, backward_fn, op, *args, **kwargs)
-
-    monkeypatch.setattr(ad, "_make", counting)
-    return ops
-
-
 class TestNodeCounts:
     """Graph nodes that ``run_stack`` records over a packed input block:
     a fixed number per step and layer, plus a per-layer count that does

@@ -192,6 +192,16 @@ class TestRunTrain:
                                  r"\(epoch 2, batch 3, step 8\)$"):
             train.run_train(cfg, str(tmp_path / "out"))
 
+    def test_overflowing_l2_penalty_names_l2_epoch_batch_and_step(self, tmp_path):
+        # l2 * sum(w * w) overflows at the first step, in the penalty that
+        # the train step adds outside the graph.
+        cfg = build_config(overrides=lm_overrides(tmp_path, l2="1e308"))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^l2 penalty produced non-finite values "
+                                      r"\(epoch 1, batch 1, step 1\)$"):
+            train.run_train(cfg, str(tmp_path / "out"))
+        assert (tmp_path / "out" / "train.log").read_text() == ""
+
     def test_effective_config_reproduces_run(self, tmp_path):
         cfg = build_config(overrides=lm_overrides(tmp_path))
         first = train.run_train(cfg, str(tmp_path / "out-a"))

@@ -302,19 +302,6 @@ class TestNodeCounts:
     """Graph nodes per decode step: greedy decoding at B=1 pays a fixed
     cost per node, so the deep step's count is pinned."""
 
-    @pytest.fixture
-    def made_ops(self, monkeypatch):
-        """The op name of every node ``_make`` makes from here on."""
-        ops = []
-        make = ad._make
-
-        def counting(data, parents, backward_fn, op, *args, **kwargs):
-            ops.append(op)
-            return make(data, parents, backward_fn, op, *args, **kwargs)
-
-        monkeypatch.setattr(ad, "_make", counting)
-        return ops
-
     @pytest.mark.parametrize("mode,ops", [
         # Inter- and intra-attention, the fused cell with the transfer
         # gate, the slot's key, read from the [h | c] block's h columns,

@@ -1,8 +1,9 @@
 """Seeded numerics of every model family, pinned to recorded values.
 
 For each family this records the checkpoint names in ``params()`` order,
-the L2 parameter order, per-parameter init sums, three Adam steps (loss
-and global gradient norm, with training-mode dropout), evaluation
+the L2 parameter order, per-parameter init sums, three Adam steps of
+``train._train_step`` with L2 (loss and global gradient norm, with
+training-mode dropout; the config's Adam clips nothing), evaluation
 NLL/tokens/accuracy after them, greedy ``generate`` outputs for seq2seq
 language models, and every attention-trace distribution.  The values in
 ``golden.json`` were recorded before the model layer was restructured;
@@ -18,8 +19,7 @@ import os
 import numpy as np
 import pytest
 
-from lstmn import autodiff as ad
-from lstmn import data, models, optim
+from lstmn import data, models, optim, train
 from lstmn.config import ConfigError, build_config
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden.json")
@@ -92,21 +92,16 @@ def record(name) -> dict:
            "init_sums": [float(t.data.sum()) for t in tensors]}
 
     batches = family_batches(cfg, vocab)
+    # The pinned steps neither clip nor scale the embedding gradient.
+    assert cfg.grad_clip == 0 and cfg.embedding_grad_policy == "none"
     opt = optim.Adam(tensors, lr=cfg.lr)
     dropout_rng = np.random.default_rng([cfg.seed, 1])
     losses, norms = [], []
     for step in range(3):
-        ad.zero_grad(tensors)
-        loss, _ = model.loss(batches[step % len(batches)], training=True, rng=dropout_rng)
-        penalty = None
-        for t in model.l2_params():
-            term = ad.sum_all(ad.mul(t, t))
-            penalty = term if penalty is None else ad.add(penalty, term)
-        loss = ad.add(loss, ad.mul(penalty, cfg.l2))
-        ad.backward(loss, params=tensors)
-        norms.append(optim.global_grad_norm(tensors))
-        opt.step()
-        losses.append(loss.item())
+        loss, norm = train._train_step(cfg, model, tensors, opt, batches[step % len(batches)],
+                                       1, dropout_rng)
+        losses.append(loss)
+        norms.append(norm)
     out["losses"], out["grad_norms"] = losses, norms
 
     metrics = model.evaluate(batches)

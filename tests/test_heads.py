@@ -61,6 +61,35 @@ class TestLmLoss:
         assert nll.item() == pytest.approx(expected, abs=1e-10)
         assert count == int(mask.sum())
 
+    def test_packed_block_matches_the_full_rows(self):
+        # The block form the models pass: the live positions of rows sorted
+        # longest first, step-major, against the full-row list of the same
+        # states around padding.
+        rng = np.random.default_rng(49)
+        proj = OutputProjection(w=Tensor(rng.normal(size=(7, 4))), b=Tensor(rng.normal(size=7)))
+        full = rng.normal(size=(3, 4, 4))
+        targets = rng.integers(0, 7, size=(3, 4))
+        mask = (np.arange(4) < np.array([[4], [3], [1]])).astype(float)
+        block = Tensor(np.concatenate([full[:b, t] for t, b in enumerate([3, 2, 2, 1])]))
+        nll, count, hits = lm_loss(block, targets, mask, proj)
+        want = lm_loss([Tensor(full[:, t]) for t in range(4)], targets, mask, proj)
+        assert (nll.item(), count, hits) == pytest.approx((want[0].item(),) + want[1:],
+                                                         rel=1e-14)
+        assert count == 8
+
+    @pytest.mark.parametrize("form", ["step list", "block rows", "block mask"])
+    def test_packed_states_of_other_rows_are_refused(self, form):
+        # A per-step list must hold full rows, and a block needs exactly a
+        # mask live in a prefix of each step's rows, one state per position.
+        mask = np.array([[1.0, 1.0], [1.0, 0.0]])
+        states = {"step list": [Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3)))],
+                  "block rows": Tensor(np.ones((4, 3))),
+                  "block mask": Tensor(np.ones((3, 3)))}[form]
+        if form == "block mask":
+            mask = mask[::-1]
+        with pytest.raises(ad.ShapeMismatchError, match="lm_loss"):
+            lm_loss(states, np.zeros((2, 2), dtype=int), mask, identity_projection(3))
+
     def test_masked_positions_do_not_change_loss(self):
         rng = np.random.default_rng(51)
         proj = OutputProjection(w=Tensor(rng.normal(size=(5, 3))),
@@ -172,51 +201,55 @@ class TestPaddingLeak:
             assert np.all(p.grad == 0.0)
 
 
-def packed(full: np.ndarray, rows) -> list:
-    """Step t's state of a packed batch: the first rows[t] rows of
-    ``full[:, t]`` (rows sorted longest first)."""
-    return [Tensor(full[:b, t], requires_grad=True) for t, b in enumerate(rows)]
+def packed(full: np.ndarray, rows) -> Tensor:
+    """The packed, step-major block of a batch whose rows are sorted
+    longest first: step t's first rows[t] rows of ``full[:, t]``, step
+    after step."""
+    return Tensor(np.concatenate([full[:b, t] for t, b in enumerate(rows)]), requires_grad=True)
 
 
 class TestPoolingAndClassify:
     def test_single_step_pool_is_that_vector(self):
+        # Sorted rows [0, 1] are batch rows [1, 0]: each comes back in its
+        # batch row.
         h = np.random.default_rng(53).normal(size=(2, 4))
-        pooled = mean_pool([Tensor(h)])
-        np.testing.assert_array_equal(pooled.data, h)
+        pooled = mean_pool(Tensor(h), [2], np.array([1, 0]))
+        np.testing.assert_array_equal(pooled.data, h[::-1])
 
     def test_identical_steps_pool_to_same_vector(self):
         h = np.random.default_rng(54).normal(size=(3, 1, 2))
-        pooled = mean_pool(packed(np.repeat(h, 4, axis=1), [3, 3, 2, 1]))
+        pooled = mean_pool(packed(np.repeat(h, 4, axis=1), [3, 3, 2, 1]), [3, 3, 2, 1],
+                           np.arange(3))
         np.testing.assert_allclose(pooled.data, h[:, 0], atol=1e-12)
 
     def test_pool_matches_arithmetic_mean_oracle(self):
         full = np.random.default_rng(55).normal(size=(3, 4, 2))
-        lengths = [4, 3, 1]
-        pooled = mean_pool(packed(full, [3, 2, 2, 1]))
+        lengths, order = [4, 3, 1], np.array([2, 0, 1])
+        pooled = mean_pool(packed(full, [3, 2, 2, 1]), [3, 2, 2, 1], order)
         for r, n in enumerate(lengths):
-            np.testing.assert_allclose(pooled.data[r], full[r, :n].mean(axis=0), atol=1e-12)
+            np.testing.assert_allclose(pooled.data[order[r]], full[r, :n].mean(axis=0),
+                                       atol=1e-12)
 
     def test_pool_is_order_invariant(self):
         # Steps of equal row counts may swap: [2, 2, 2] then [1, 1].
         full = np.random.default_rng(56).normal(size=(2, 5, 3))
-        states = packed(full, [2, 2, 2, 1, 1])
-        fwd = mean_pool(states)
-        rev = mean_pool(states[2::-1] + states[:2:-1])
+        rows, order = [2, 2, 2, 1, 1], np.arange(2)
+        fwd = mean_pool(packed(full, rows), rows, order)
+        rev = mean_pool(packed(full[:, [2, 1, 0, 4, 3]], rows), rows, order)
         np.testing.assert_allclose(fwd.data, rev.data, atol=1e-15)
 
     def test_steps_beyond_a_rows_count_never_enter_its_mean(self):
         # Row 1 ends after 2 of 3 steps: its mean and its gradients are
         # those of its own 2 steps, and step 3 has no row 1 to read.
         full = np.random.default_rng(57).normal(size=(2, 3, 3))
-        states = packed(full, [2, 2, 1])
-        pooled = mean_pool(states)
-        np.testing.assert_allclose(pooled.data[1], full[1, :2].mean(axis=0), atol=1e-12)
+        states, order = packed(full, [2, 2, 1]), np.array([1, 0])
+        pooled = mean_pool(states, [2, 2, 1], order)
+        np.testing.assert_allclose(pooled.data[order[1]], full[1, :2].mean(axis=0), atol=1e-12)
         g = np.random.default_rng(58).normal(size=pooled.data.shape)
         ad.backward(ad.sum_all(ad.mul(pooled, Tensor(g))))
-        counts = np.array([[3.0], [2.0]])
-        for s in states:
-            b = s.data.shape[0]
-            np.testing.assert_allclose(s.grad, g[:b] / counts[:b], rtol=1e-15)
+        ranks = np.array([0, 1, 0, 1, 0])
+        counts = np.array([3.0, 2.0])[ranks, None]
+        np.testing.assert_allclose(states.grad, g[order[ranks]] / counts, rtol=1e-15)
 
     @pytest.mark.parametrize("rows", [[1, 1, 1], [2, 2, 1]], ids=["full", "packed"])
     def test_float32_states_pool_in_float32(self, rows):
@@ -225,10 +258,15 @@ class TestPoolingAndClassify:
             hs = packed(np.full((rows[0], 3, 3), 0.5), rows)
         finally:
             ad.set_default_dtype(np.float64)
-        pooled = mean_pool(hs)
+        pooled = mean_pool(hs, rows, np.arange(rows[0]))
         ad.backward(ad.sum_all(pooled))
         assert pooled.data.dtype == np.float32
-        assert all(h.grad.dtype == np.float32 for h in hs)
+        assert hs.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("rows", [[], [1, 1]])
+    def test_a_row_with_no_position_is_refused(self, rows):
+        with pytest.raises(ad.TapeError, match="no live token"):
+            mean_pool(Tensor(np.ones((sum(rows), 2))), rows, np.arange(2))
 
 
 def test_metrics_record_format():

@@ -1,5 +1,8 @@
 """Model-level tests: wiring, padding invariance, checkpoint naming."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -119,25 +122,18 @@ class TestLanguageModel:
     # layer's input block and the loss's states are formed once.
     ("lstmn", 4), ("lstmn-stack", 8), ("lstm", 2)])
 def test_one_sentence_eval_nodes_per_token_do_not_grow_with_its_length(name, per_token,
-                                                                        monkeypatch):
+                                                                        made_ops):
     # The B = 1 evaluation that greedy next-token prediction runs: its
     # nodes are a fixed count per token plus a count per sentence.
     vocab = make_vocab()
     extra = {"lstmn": {}, "lstmn-stack": dict(layers=2, skip_connections=True),
              "lstm": dict(layers=2)}[name]
     model = models.LanguageModel(cfg_for(model=name, **extra), vocab, np.random.default_rng(18))
-    ops, make = [], ad._make
-
-    def counting(data, parents, backward_fn, op, *args, **kwargs):
-        ops.append(op)
-        return make(data, parents, backward_fn, op, *args, **kwargs)
-
-    monkeypatch.setattr(ad, "_make", counting)
     fixed = set()
     for length in (3, 7, 20):
-        ops.clear()
+        made_ops.clear()
         model.evaluate([lm_batch(vocab, [["w1"] * length])])
-        fixed.add(len(ops) - per_token * (length + 1))
+        fixed.add(len(made_ops) - per_token * (length + 1))
     assert len(fixed) == 1 and fixed.pop() <= 8
 
 
@@ -401,18 +397,20 @@ class TestPackedPadding:
         for g, h in zip(base_grads, after_grads):
             np.testing.assert_array_equal(g, h)
 
-    @pytest.mark.parametrize("name,unpermutes", [
+    @pytest.mark.parametrize("name,pools", [
         ("lstmn-stack", 0), ("sentiment-lstmn-stack", 1), ("nli-lstmn", 2),
         ("nli-seq2seq-deep", 1)])
-    def test_train_step_cuts_no_rows(self, name, unpermutes, monkeypatch):
-        # Every lookup of a train step is an embedding lookup, but for the
-        # one per pooled core that puts a classifier's rows back in batch
-        # order: no carried block is cut to the live rows outside a kernel.
+    def test_train_step_cuts_no_rows(self, name, pools, monkeypatch):
+        # Every lookup of a train step is an embedding lookup: no carried
+        # block is cut to the live rows outside a kernel, and a classifier
+        # pools each read in one ``attend`` that puts its rows back in
+        # batch order.
         vocab, model = self.model(name)
         batch = self.batch(vocab, model, range(4))
-        lookups, make = [], ad._make
+        ops, lookups, make = [], [], ad._make
 
         def recording_make(data, parents, backward_fn, op, *args, **kwargs):
+            ops.append(op)
             if op == "lookup":
                 lookups.append(parents[0])
             return make(data, parents, backward_fn, op, *args, **kwargs)
@@ -422,7 +420,42 @@ class TestPackedPadding:
         ad.backward(loss, params=list(model.params().values()))
         table = model.embeddings.weights
         assert any(p is table for p in lookups)
-        assert sum(p is not table for p in lookups) == unpermutes
+        assert all(p is table for p in lookups)
+        assert ops.count("attend") == pools
+
+    @pytest.mark.parametrize("name,ops", [
+        # An LSTM top keeps no tape: its states are joined, then cut to h.
+        ("sentiment-lstm", dict(concat=1, slice_cols=1)),
+        ("sentiment-lstmn-stack", dict(slice_cols=1)),
+        ("nli-lstmn", dict(slice_cols=1)),
+        ("nli-lstmn-tied", dict(slice_cols=1)),
+        ("nli-seq2seq-deep", dict(slice_cols=1)),
+        # [h, gamma~]: the gammas joined, cut to gamma~ and joined to h.
+        ("nli-seq2seq-shallow", dict(concat=2, slice_cols=2))])
+    def test_a_classifier_read_pools_in_a_fixed_count_of_nodes(self, name, ops, made_ops,
+                                                               monkeypatch):
+        # After its read, a pooled core makes one gather of the top states'
+        # h columns (with the joins above) and one ``attend``, however long
+        # the rows.
+        vocab, model = self.model(name)
+        read, pooled = model._read, []
+
+        def read_then_count(*args, **kwargs):
+            out = read(*args, **kwargs)
+            made_ops.clear()
+            return out
+
+        def pool_and_record(*args, **kwargs):
+            out = models._Classifier._pool(model, *args, **kwargs)
+            pooled.append(Counter(made_ops))
+            return out
+
+        monkeypatch.setattr(model, "_read", read_then_count)
+        monkeypatch.setattr(model, "_pool", pool_and_record)
+        for rows in (range(4), [0, 3]):
+            model._features(self.batch(vocab, model, rows))
+        want = Counter(attend=1, **ops)
+        assert pooled == [want] * (4 if name.startswith("nli-lstmn") else 2)
 
 
 class TestClassifierModels:
@@ -787,3 +820,76 @@ class TestWeightLayout:
         if isinstance(opt, optim.Adam):
             for p, m, v in zip(tensors, opt.m, opt.v):
                 assert self.layout(m) == self.layout(v) == self.layout(p.data)
+
+
+class TestL2:
+    """``train._train_step`` keeps the L2 penalty out of the graph; the
+    graph's own formula, penalty nodes added to the loss, is the oracle."""
+
+    CASES = {
+        "lm-float64": (np.float64, dict(model="lstmn")),
+        "lm-float32": (np.float32, dict(model="lstmn")),
+        "sentiment-lstmn-stack": (np.float64, dict(task="sentiment", model="lstmn-stack",
+                                                   layers=2, capacity=2)),
+        "sentiment-lstm-float32": (np.float32, dict(task="sentiment", model="lstm")),
+    }
+
+    class Snapshot:
+        """An optimizer that keeps each gradient as backward left it."""
+
+        def __init__(self, tensors):
+            self.tensors, self.grads = tensors, None
+
+        def step(self):
+            self.grads = [t.grad for t in self.tensors]
+
+    def build(self, case):
+        overrides = dict(self.CASES[case][1], l2=1e-3, grad_clip=0, dropout=0.3)
+        vocab, cfg = make_vocab(), cfg_for(**overrides)
+        model = models.build_model(cfg, vocab, np.random.default_rng(43))
+        # Nonzero biases too, so that each gradient sums several terms.
+        rng = np.random.default_rng(44)
+        for t in model.params().values():
+            t.data[...] = rng.normal(scale=0.5, size=t.data.shape)
+        batch = lm_batch(vocab, [["w0", "w1", "w2", "w3"], ["w5", "w1"], ["w4"]])
+        if cfg.task == "sentiment":
+            batch.labels = np.array([1, 0, 4])
+        return cfg, model, batch
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_train_step_matches_the_penalty_in_the_graph_bit_for_bit(self, case):
+        dtype = self.CASES[case][0]
+        ad.set_default_dtype(dtype)
+        try:
+            cfg, model, batch = self.build(case)
+            tensors = list(model.params().values())
+            ad.zero_grad(tensors)
+            loss, _ = model.loss(batch, training=True, rng=np.random.default_rng(0))
+            penalty = None
+            for t in model.l2_params():
+                term = ad.sum_all(ad.mul(t, t))
+                penalty = term if penalty is None else ad.add(penalty, term)
+            loss = ad.add(loss, ad.mul(penalty, cfg.l2))
+            ad.backward(loss, params=tensors)
+            want = [t.grad for t in tensors]
+            snapshot = self.Snapshot(tensors)
+            value, _ = train._train_step(cfg, model, tensors, snapshot, batch, 1,
+                                         np.random.default_rng(0))
+        finally:
+            ad.set_default_dtype(np.float64)
+        assert value == loss.item()
+        for name, g, h in zip(model.params(), snapshot.grads, want):
+            assert g.dtype == h.dtype == dtype and g.tobytes() == h.tobytes(), name
+        if cfg.task == "lm":
+            assert TestWeightLayout.layout(model.proj.w.grad) == (False, True)
+
+    def test_the_penalty_adds_no_node(self, made_ops):
+        cfg, model, batch = self.build("sentiment-lstmn-stack")
+        tensors = list(model.params().values())
+        counts = []
+        for l2 in (cfg.l2, 0.0):
+            made_ops.clear()
+            train._train_step(dataclasses.replace(cfg, l2=l2), model, tensors,
+                              self.Snapshot(tensors), batch, 1, np.random.default_rng(0))
+            counts.append(Counter(made_ops))
+        assert counts[0] == counts[1] and "add" not in counts[0]
