@@ -95,6 +95,7 @@ decoding and attention tracing run in this mode.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
@@ -106,6 +107,34 @@ import numpy as np
 # vocabulary (V = 10,004) in float64, so small vocabularies and single
 # sentences stay one block.
 NLL_BLOCK_BYTES = 8 << 20
+
+# glibc's malloc gives a block of at least its mmap threshold its own
+# mapping, which free returns to the system; smaller blocks come from the
+# heap, whose freed space stays resident.  Left alone, the threshold rises
+# to the size of each mapped block freed (up to 32 MiB), so after the first
+# train steps a step's (N, V) logits and its output-weight and embedding
+# gradients come from the heap, and the resident peak depends on the holes
+# that earlier steps of other shapes, evaluations and decodes left there:
+# 241 or 276-279 MB from one 30 s ``lm-ptb-scale`` benchmark run to the
+# next (2-vCPU Xeon guest), with the same work.  Pinned, every block of at
+# least this size is mapped and unmapped on its own, whatever came before;
+# a step's per-step arrays, far smaller, stay on the heap.
+MMAP_THRESHOLD_BYTES = 4 << 20
+_M_MMAP_THRESHOLD = -3      # glibc's <malloc.h>
+
+
+def _pin_mmap_threshold() -> None:
+    """Fix the C library's mmap threshold at ``MMAP_THRESHOLD_BYTES`` for
+    the process (which also stops glibc moving it); a no-op where the C
+    library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+
+
+_pin_mmap_threshold()
 
 # Additive mask surrogate: large enough that exp underflows to exactly 0
 # after max subtraction.

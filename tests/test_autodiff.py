@@ -1,6 +1,7 @@
 """Kernel, backward, and gradient-check tests for the autodiff engine."""
 
 import contextlib
+import ctypes
 import inspect
 import tracemalloc
 
@@ -1433,3 +1434,33 @@ def test_affine_nll_without_a_graph_holds_one_block_of_logits():
     finally:
         tracemalloc.stop()
     assert peak < 2 * ad.NLL_BLOCK_BYTES
+
+
+def _glibc_mallinfo2():
+    try:
+        fn = ctypes.CDLL(None).mallinfo2
+    except (OSError, TypeError, AttributeError):
+        return None
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+            "uordblks", "fordblks", "keepcost")]
+    fn.restype = MallInfo2
+    return fn
+
+
+@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
+def test_a_large_array_is_mapped_even_after_a_larger_one_was_freed():
+    # Unpinned, freeing the 4x larger mapped block would raise glibc's
+    # mmap threshold past the next block, which would then come from the
+    # heap, where its space stays resident after it is freed.
+    mallinfo2 = _glibc_mallinfo2()
+    size = ad.MMAP_THRESHOLD_BYTES
+    larger = np.ones(4 * size // 8)
+    del larger
+    mapped = mallinfo2().hblkhd
+    block = np.ones(size // 8)
+    assert mallinfo2().hblkhd - mapped >= size
+    del block
+    assert mallinfo2().hblkhd == mapped
