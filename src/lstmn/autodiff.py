@@ -8,11 +8,13 @@ recorded graph is replayed exactly in reverse creation order by
 consumers.  A kernel whose gradient touches only part of an input (row
 gathers, column slices) returns it as a ``Partial``, which ``backward``
 adds into the input's gradient buffer in place.  A weight's gradient
-from ``linear``, ``gate_cell`` and ``tape_attend`` is an ``Outer``
-(lhs, rhs), meaning lhs.T @ rhs: ``backward`` keeps a leaf's terms until
-the replay ends and forms their sum in one product over their joined
-rows, so a recurrence pays one weight-gradient product per weight, not
-one per step.  A graph runs backward once: each node frees its closure,
+from ``linear``, ``gate_cell``, ``tape_attend`` and ``affine_nll`` is
+an ``Outer`` (lhs, rhs), meaning lhs.T @ rhs: ``backward`` keeps a
+leaf's terms until the leaf's last consumer has run and then forms their
+sum in one product over their joined rows, in a buffer laid out like the
+leaf, so a recurrence pays one weight-gradient product per weight, not
+one per step, and a layer's terms are gone before the layer below it
+runs backward.  A graph runs backward once: each node frees its closure,
 and with it the forward state the closure held, and its parents as soon
 as it has run, and a later backward that reaches it is a
 ``GraphStateError``.
@@ -59,16 +61,17 @@ writes shares: the weights and output gradients in arrays sized to the
 reads the forward counted, the key gradient added at once into the
 log's key-gradient buffer.  Each write's backward then adds the value
 gradient of its slots, sum_r weights_r g_r, as one batched product over
-the log, and takes its key's gradient from that buffer.
+the log, and takes its key's gradient from that buffer; the chain's
+first write, which runs backward last, then drops the log's arrays.
 
 Every loss ends in ``affine_nll``, the output affine map and softmax NLL
 in one node over the rows it is given;
 it forms the logits in row blocks of at most ``NLL_BLOCK_BYTES``, so
-the (N, V) logits exist only while a graph is recorded, for the backward;
-its weight gradient comes in the weight's own memory layout, so the
-column-major output projection (``heads.OutputProjection``) gets a
-column-major gradient.  Every other parameter, and so its gradient, is
-row-major.
+the (N, V) logits exist only while a graph is recorded, for the backward.
+Like every leaf's product, its weight gradient comes in the weight's own
+memory layout, so the column-major output projection
+(``heads.OutputProjection``) gets a column-major gradient.  Every other
+parameter, and so its gradient, is row-major.
 Batches of variable-length rows are packed, and only the kernels keep
 the row rules: rows sorted longest first, step t's tensors hold the B_t
 live rows, B_t never growing.  A layer's inputs for every step are one
@@ -119,6 +122,10 @@ NLL_BLOCK_BYTES = 8 << 20
 # next (2-vCPU Xeon guest), with the same work.  Pinned, every block of at
 # least this size is mapped and unmapped on its own, whatever came before;
 # a step's per-step arrays, far smaller, stay on the heap.
+# Setting it also freezes glibc's trim threshold at its 128 KiB default, as
+# glibc then adjusts neither: the heap top is handed back and refaulted far
+# more often, and ``lm-long-tape`` took about 7,300 minor faults per train
+# step against 4,500 unpinned (in-process, same guest).
 MMAP_THRESHOLD_BYTES = 4 << 20
 _M_MMAP_THRESHOLD = -3      # glibc's <malloc.h>
 
@@ -273,8 +280,9 @@ class Partial(NamedTuple):
 
 class Outer(NamedTuple):
     """The gradient ``lhs.T @ rhs`` (rows of both are summed over), left
-    unformed so that ``backward`` can join a leaf's terms into one product.
-    Both arrays must stay as they are until backward ends, so neither may
+    unformed so that ``backward`` can join a leaf's terms into one product,
+    formed when the leaf's last consumer has run, in the leaf's own memory
+    layout.  Both arrays must stay as they are until then, so neither may
     alias another gradient the kernel returns."""
     lhs: np.ndarray
     rhs: np.ndarray
@@ -311,14 +319,26 @@ def _accumulate(parent: Tensor, g, free: bool) -> None:
         parent.grad += g
 
 
+def _outer_sum(leaf: Tensor, terms: list) -> np.ndarray:
+    """The sum of a leaf's ``Outer`` terms in one product over their joined
+    rows (a single term as it is), in a buffer laid out like the leaf.  A
+    function of its own, so the terms are dropped when it returns."""
+    lhs, rhs = terms[0] if len(terms) == 1 else map(np.concatenate, zip(*terms))
+    return np.matmul(lhs.T, rhs, out=np.empty_like(leaf.data))
+
+
 def backward(loss: Tensor, params=()) -> None:
     """Populate .grad for every leaf tensor the scalar ``loss`` depends on.
 
     Tensors in ``params`` that the loss does not reach get zero-filled
-    gradients.  A leaf's ``Outer`` terms are kept through the replay and
-    summed after it in one product, their rows joined, then added to the
-    rest of its gradient; an ``Outer`` for an interior node is formed at
-    once.  Each node runs backward once: after its closure has run, its
+    gradients.  The graph walk counts each leaf's consumer edges (a node
+    that names a leaf twice counts twice).  A leaf's ``Outer`` terms are
+    kept until its last consumer has run, so after every other term of
+    its gradient, a seed set before backward included; then they are
+    summed in one product over their joined rows (a single term as it
+    is), in a buffer laid out like the leaf, added to the rest of its
+    gradient, and dropped.  An ``Outer`` for an interior node is formed
+    at once.  Each node runs backward once: after its closure has run, its
     gradient (unless it is the loss), closure and parents are dropped,
     which frees the forward state the closure held, and the node is
     spent.  A backward whose graph reaches a spent node, the loss again
@@ -334,6 +354,7 @@ def backward(loss: Tensor, params=()) -> None:
 
     nodes = []
     seen = set()
+    consumers = {}      # leaf -> its consumer edges that have not run yet
     stack = [loss]
     while stack:
         t = stack.pop()
@@ -345,6 +366,9 @@ def backward(loss: Tensor, params=()) -> None:
         seen.add(id(t))
         nodes.append(t)
         stack.extend(t._parents)
+        for p in t._parents:
+            if p._backward_fn is None and p.requires_grad:
+                consumers[p] = consumers.get(p, 0) + 1
     # Creation order is a topological order (an op is created after its
     # inputs), so descending node id replays the tape in reverse.
     nodes.sort(key=lambda t: t._nid, reverse=True)
@@ -374,13 +398,18 @@ def backward(loss: Tensor, params=()) -> None:
                 and not any(g is h for h in held)
             _accumulate(parent, g, free)
             held.append(g)
+        # A leaf whose last consumer has now run gets its product, and its
+        # terms go.
+        for parent in node._parents:
+            left = consumers.get(parent)
+            if left is not None:
+                consumers[parent] = left - 1
+                if left == 1 and parent in outers:
+                    _accumulate(parent, _outer_sum(parent, outers.pop(parent)), True)
         if node is not loss:
             node.grad = None
         node._backward_fn, node._parents, node._backward_done = None, (), True
 
-    for leaf, terms in outers.items():
-        lhs, rhs = (np.concatenate(side) for side in zip(*terms))
-        _accumulate(leaf, lhs.T @ rhs, True)
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -659,7 +688,10 @@ class _ReadLog:
     slots read.  The arrays are made at the first record, for the slots
     the chain has written, in the rows and dtype of its tape, with R =
     ``reads``.  Each read and write runs backward once (``backward``), so
-    the log fills once and no record outruns the count.
+    the log fills once and no record outruns the count.  Every read of the
+    chain is made after its first write, so runs backward before it: that
+    write, the last of the chain's nodes to run, drops the three arrays
+    once it has used them, and the log lives on only as counts.
     """
 
     __slots__ = ("weights", "grads", "key_grads", "reads", "count", "end", "read_end")
@@ -721,7 +753,8 @@ def tape_write(prev: Optional[Tensor], parts, key: Tensor, slots: int) -> Tensor
     growth), so one gradient buffer runs back through the whole chain,
     gives each part its columns of the written rows and slots, and gives
     the key those rows and slots of the log's key gradient, or none when
-    no read reached them.  The buffers are not screened for NaN/Inf: only
+    no read reached them.  The first write (``prev`` None) runs last and
+    drops the log's arrays.  The buffers are not screened for NaN/Inf: only
     those rows changed, and the kernels that made the parts screened them.
     """
     n = 0 if prev is None else prev.end
@@ -762,6 +795,8 @@ def tape_write(prev: Optional[Tensor], parts, key: Tensor, slots: int) -> Tensor
     def bwd(g):
         log.add_value_grad(g, rows, n, stop)
         gk = log.key_grads.swapaxes(0, 1)[:rows, at] if n < log.read_end else None
+        if prev is None:    # the chain's first write runs backward last
+            log.weights = log.grads = log.key_grads = None
         grads = tuple(g[:rows, at, c] for c in cols) + (gk,)
         return grads if prev is None else (g if prev.data is buf else g[:, :size],) + grads
 
@@ -913,11 +948,11 @@ def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
     Otherwise the blocks are ``_row_blocks`` of at most
     ``NLL_BLOCK_BYTES``, so evaluation never holds (N, V) logits.
 
-    W's gradient comes in W's own layout: it is formed into a buffer laid
-    out like W, so a column-major W (``heads.OutputProjection``) gets the
-    product BLAS forms fastest, hᵀz, and a row-major W exactly the
-    product zᵀh.  h's gradient is formed as (Wᵀzᵀ)ᵀ, which is faster for
-    a column-major W, and comes back row-major.
+    W's gradient is ``Outer(z, h)``, which ``backward`` forms in W's own
+    layout: a column-major W (``heads.OutputProjection``) gets the product
+    BLAS forms fastest, hᵀz, and a row-major W exactly the product zᵀh.
+    h's gradient is formed as (Wᵀzᵀ)ᵀ, which is faster for a column-major
+    W, and comes back row-major.
     """
     hd, wd = h.data, w.data
     if hd.ndim != 2 or wd.ndim != 2 or hd.shape[1] != wd.shape[1] or \
@@ -959,7 +994,7 @@ def affine_nll(h: Tensor, w: Tensor, b: Tensor, targets):
         np.multiply(z, (g / total)[:, None], out=z)
         z[rows, targets] -= g
         gh = np.ascontiguousarray(np.matmul(wd.T, z.T).T)
-        return gh, np.matmul(z.T, hd, out=np.empty_like(wd)), z.sum(axis=0)
+        return gh, Outer(z, hd), z.sum(axis=0)
 
     return _make(np.asarray(nll), (h, w, b), bwd, "affine_nll"), hits
 

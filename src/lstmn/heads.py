@@ -54,9 +54,9 @@ class OutputProjection:
 
     ``w`` keeps the (V, h) shape and the ``output.W`` checkpoint name, but
     its data is stored column-major (Fortran order), so that
-    ``affine_nll`` forms its gradient zᵀh (z the (N, V) softmax gradient,
-    h the (N, h) states) in W's own layout, which BLAS computes as the
-    plain row-major product hᵀz.  A row-major zᵀh takes OpenBLAS's
+    ``autodiff.backward`` forms its gradient zᵀh (``affine_nll``'s
+    ``Outer``, z the (N, V) softmax gradient, h the (N, h) states) in W's
+    own layout, which BLAS computes as the plain row-major product hᵀz.  A row-major zᵀh takes OpenBLAS's
     transposed path: at the PTB shapes (V = 10,004, h = 300) about half
     again as long, with some 17 MB of extra working memory.
     """

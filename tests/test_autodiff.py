@@ -4,6 +4,7 @@ import contextlib
 import ctypes
 import inspect
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -238,6 +239,70 @@ class TestOuter:
         backward(ad.add(ad.sum_all(ad.mul(ad.linear(Tensor(x), w), Tensor(c))),
                         ad.sum_all(ad.mul(w, Tensor(d)))))
         np.testing.assert_allclose(w.grad, c.T @ x + d, rtol=1e-13)
+
+    @staticmethod
+    def _mixed_leaf_loss(w: Tensor, x: np.ndarray, d: np.ndarray) -> Tensor:
+        """A loss in which ``w`` gets a ``Partial`` (a row gather, created
+        first and so run last), two ``Outer`` terms (``linear``) and plain
+        arrays, two of them from one node that names w twice."""
+        terms = [ad.sum_all(_square(ad.lookup(w, [2, 0, 2]))),
+                 ad.sum_all(_square(ad.linear(Tensor(x), w))),
+                 ad.sum_all(ad.mul(ad.mul(w, w), Tensor(d))),
+                 ad.sum_all(ad.linear(Tensor(x[:2]), w))]
+        total = terms[0]
+        for t in terms[1:]:
+            total = ad.add(total, t)
+        return total
+
+    def test_a_leaf_with_outer_plain_and_partial_terms_passes_grad_check(self):
+        rng = np.random.default_rng(34)
+        w, x, d = _rng_tensor(rng, 3, 2), rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+        report = grad_check(lambda: self._mixed_leaf_loss(w, x, d), {"w": w})
+        assert report.passed, str(report)
+
+    def test_a_seeded_leaf_adds_its_product_to_the_seed(self):
+        # The L2 seed of ``train._train_step`` (l2 * w, doubled) lands
+        # first, as the penalty's own nodes would, and the leaf's product
+        # is added to it.
+        rng = np.random.default_rng(35)
+        w, x, d = _rng_tensor(rng, 3, 2), rng.normal(size=(4, 2)), rng.normal(size=(3, 2))
+        l2 = 1e-2
+
+        def loss():
+            return ad.add(ad.mul(ad.sum_all(ad.mul(w, w)), l2), self._mixed_leaf_loss(w, x, d))
+
+        report = grad_check(loss, {"w": w})
+        assert report.passed, str(report)
+        zero_grad([w])
+        backward(loss())
+        in_graph = w.grad
+        w.grad = l2 * w.data
+        w.grad *= 2
+        backward(self._mixed_leaf_loss(w, x, d))
+        np.testing.assert_allclose(w.grad, in_graph, rtol=1e-13)
+
+    def test_a_leafs_terms_are_dropped_once_its_last_consumer_has_run(self):
+        # w's one consumer runs backward first; two nodes later its Outer
+        # arrays must be gone, not held until the replay ends.
+        rng = np.random.default_rng(36)
+        w, x = _rng_tensor(rng, 3, 2), _rng_tensor(rng, 4, 2)
+        refs, alive = [], []
+
+        def probe(g):
+            alive.append([r() is not None for r in refs])
+            return (g,)
+
+        def weight_bwd(g):
+            lhs, rhs = g.copy(), second.data.copy()
+            refs.extend([weakref.ref(lhs), weakref.ref(rhs)])
+            return g @ w.data, ad.Outer(lhs, rhs)
+
+        first = ad._make(x.data.copy(), (x,), probe, "probe")
+        second = ad.mul(first, 2.0)
+        y = ad._make(second.data @ w.data.T, (second, w), weight_bwd, "probe")
+        backward(ad.sum_all(y))
+        assert alive == [[False, False]]
+        np.testing.assert_array_equal(w.grad, np.ones((4, 3)).T @ second.data)
 
     def test_constant_weight_gets_no_gradient(self):
         rng = np.random.default_rng(33)
@@ -920,9 +985,24 @@ def test_a_read_of_an_older_node_covers_its_own_slots(slots):
         np.testing.assert_array_equal(a, b)
 
 
-def test_source_read_three_times_keeps_three_read_columns():
+def _recorded_log_shapes(monkeypatch) -> list:
+    """Inside the test, every ``_ReadLog.record`` call appends the shapes
+    of the log's three arrays just after it to the returned list."""
+    shapes, record = [], ad._ReadLog.record
+
+    def recording_record(log, *args):
+        record(log, *args)
+        shapes.append((log.weights.shape, log.grads.shape, log.key_grads.shape))
+
+    monkeypatch.setattr(ad._ReadLog, "record", recording_record)
+    return shapes
+
+
+def test_source_read_three_times_keeps_three_read_columns(monkeypatch):
     # The forward counts the chain's reads, and the first backward record
-    # sizes the read log to them: no doubling to 4.
+    # sizes the read log to them: no doubling to 4.  The shapes are taken
+    # at record time, as the chain's first write drops the arrays.
+    shapes = _recorded_log_shapes(monkeypatch)
     rng = np.random.default_rng(21)
     tape = ad.tape_write(None, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
     w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
@@ -932,8 +1012,28 @@ def test_source_read_three_times_keeps_three_read_columns():
                                 _rng_tensor(rng, 2, 4), w_p, v)
         total = ad.sum_all(out) if total is None else ad.add(total, ad.sum_all(out))
     backward(total)
-    assert tape.log.weights.shape == (2, 2, 3) and tape.log.grads.shape == (2, 3, 3)
-    assert tape.log.key_grads.shape == (2, 2, 2)
+    assert shapes == [((2, 2, 3), (2, 3, 3), (2, 2, 2))] * 3
+
+
+def test_a_chain_drops_its_read_log_after_its_first_write(monkeypatch):
+    # Three writes, each read after it: the log fills during backward and
+    # holds no arrays once the chain's first write has run, while the
+    # tape's values and keys stay as the forward wrote them.
+    shapes = _recorded_log_shapes(monkeypatch)
+    rng = np.random.default_rng(24)
+    w_x, w_p, v = _rng_tensor(rng, 2, 3), _rng_tensor(rng, 2, 4), _rng_tensor(rng, 2)
+    node, total = None, None
+    for _ in range(3):
+        node = ad.tape_write(node, (_rng_tensor(rng, 2, 3),), _rng_tensor(rng, 2, 2), 2)
+        out, _ = ad.tape_attend(node, 0, _rng_tensor(rng, 2, 3), w_x,
+                                _rng_tensor(rng, 2, 4), w_p, v)
+        total = ad.sum_all(out) if total is None else ad.add(total, ad.sum_all(out))
+    values, keys = node.data.copy(), node.keys.copy()
+    backward(total)
+    assert len(shapes) == 3
+    assert node.log.weights is None and node.log.grads is None and node.log.key_grads is None
+    np.testing.assert_array_equal(node.data, values)
+    np.testing.assert_array_equal(node.keys, keys)
 
 
 def _write_read_chain(slots, hs, ks, xs, g, slot_rank=False):

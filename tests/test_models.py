@@ -822,6 +822,49 @@ class TestWeightLayout:
                 assert self.layout(m) == self.layout(v) == self.layout(p.data)
 
 
+class TestEarlyWeightGradients:
+    """``backward`` forms a weight's gradient once its last consumer has
+    run.  The stack runs layer by layer, so in a two-layer train step
+    every layer-2 node runs backward before any layer-1 node, and every
+    layer-2 weight, its L2 seed included, has its final gradient by the
+    time the first node that reads a layer-1 weight runs."""
+
+    def test_upper_layer_gradients_are_final_before_the_lower_layer_runs(self, monkeypatch):
+        vocab = make_vocab()
+        cfg = cfg_for(model="lstmn-stack", layers=2, l2=1e-3)
+        model = models.build_model(cfg, vocab, np.random.default_rng(41))
+        params = model.params()
+        upper = {n: p for n, p in params.items() if n.startswith("layer2.")}
+        lower = [p for n, p in params.items() if n.startswith("layer1.")]
+        early, final = [], []
+        make, backward = ad._make, ad.backward
+
+        def recording_make(data, parents, backward_fn, *args, **kwargs):
+            if backward_fn is not None and any(p is q for p in parents for q in lower):
+                fn = backward_fn
+
+                def backward_fn(g):
+                    if not early:
+                        early.append({n: p.grad.copy() for n, p in upper.items()
+                                      if p.grad is not None})
+                    return fn(g)
+            return make(data, parents, backward_fn, *args, **kwargs)
+
+        def recording_backward(*args, **kwargs):
+            backward(*args, **kwargs)
+            final.append({n: p.grad.copy() for n, p in upper.items()})
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        monkeypatch.setattr(ad, "backward", recording_backward)
+        tensors = list(params.values())
+        batch = lm_batch(vocab, [["w0", "w1", "w2", "w3"], ["w5", "w1"]])
+        train._train_step(cfg, model, tensors, optim.Sgd(tensors, lr=cfg.lr), batch, 1,
+                          np.random.default_rng(0))
+        assert len(early) == len(final) == 1 and set(early[0]) == set(upper)
+        for name, grad in final[0].items():
+            np.testing.assert_array_equal(early[0][name], grad, err_msg=name)
+
+
 class TestL2:
     """``train._train_step`` keeps the L2 penalty out of the graph; the
     graph's own formula, penalty nodes added to the loss, is the oracle."""
