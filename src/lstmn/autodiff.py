@@ -465,23 +465,22 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
 
 def concat(tensors, axis: int = -1) -> Tensor:
+    """The tensors joined along ``axis``; no tensors, unequal ranks, shapes
+    that differ off the axis or an axis out of range are a
+    ``ShapeMismatchError``."""
     tensors = list(tensors)
-    if not tensors:
-        raise ShapeMismatchError("concat: needs at least one tensor")
     datas = [t.data for t in tensors]
-    ref = list(datas[0].shape)
-    for d in datas[1:]:
-        s = list(d.shape)
-        s[axis] = ref[axis]
-        if s != ref:
-            raise ShapeMismatchError(
-                f"concat: shapes {datas[0].shape} and {d.shape} differ off axis {axis}")
+    try:
+        out = np.concatenate(datas, axis=axis)
+    except ValueError as err:   # numpy's AxisError is a ValueError too
+        raise ShapeMismatchError(f"concat: shapes {[d.shape for d in datas]} along axis "
+                                 f"{axis}: {err}") from None
     splits = list(itertools.accumulate(d.shape[axis] for d in datas[:-1]))
 
     def bwd(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    return _make(np.concatenate(datas, axis=axis), tensors, bwd, "concat")
+    return _make(out, tensors, bwd, "concat")
 
 
 def slice_cols(x: Tensor, start: int, stop: int, rows=None) -> Tensor:
@@ -707,7 +706,7 @@ class _ReadLog:
             batch = tape.data.shape[0]
             self.weights = np.zeros((batch, self.end, self.reads), dtype=tape.data.dtype)
             self.grads = np.zeros((batch, self.reads, g.shape[1]), dtype=tape.data.dtype)
-            self.key_grads = np.zeros_like(tape.keys[:self.end])
+            self.key_grads = np.zeros((self.end,) + tape.keys.shape[1:], tape.keys.dtype)
         self.weights[:weights.shape[0], lo:hi, r] = weights
         self.grads[:g.shape[0], r] = g
         self.key_grads[lo:hi, :key_grad.shape[1]] += key_grad
@@ -819,7 +818,8 @@ def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
     at that node.  ``x`` (N, in) is the input block, read in its rows
     ``span`` = (start, stop), B_t = stop - start of them (by default all
     N), like ``gate_cell``'s; the read covers the first B_t rows of the
-    tape and of ``prev``: in a packed batch, the rows still live.  With
+    tape, no more than the node's write covered, and of ``prev``: in a
+    packed batch, the rows still live.  With
     q = W_x x + W_prev prev + bias:
 
         scores_j  = v . tanh(key_j + q)           (B_t, hi - lo)
@@ -851,19 +851,17 @@ def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
     start, stop = _span(xd, span)
     batch = stop - start
     a, k = vd.shape[0], wpd.shape[1]
-    if xd.ndim != 2 or not 0 <= start < stop <= xd.shape[0] or batch > vals.shape[0] or \
+    if xd.ndim != 2 or not 0 <= start < stop <= xd.shape[0] or batch > tape.rows or \
             kd.shape[2] != a or not 0 <= lo < hi or xd.shape[1] != wxd.shape[1] or \
             wxd.shape[0] != a or pd.ndim != 2 or pd.shape[0] < batch or pd.shape[1] < k or \
             wpd.shape[0] != a:
         raise ShapeMismatchError(
-            f"tape_attend: values {vals.shape}, keys {kd.shape} window [{lo}, {hi}), "
-            f"x {xd.shape} rows [{start}, {stop}), W_x {wxd.shape}, prev {pd.shape}, "
-            f"W_prev {wpd.shape}, v {vd.shape} do not conform")
+            f"tape_attend: values {vals.shape} written in {tape.rows} rows, keys {kd.shape} "
+            f"window [{lo}, {hi}), x {xd.shape} rows [{start}, {stop}), W_x {wxd.shape}, "
+            f"prev {pd.shape}, W_prev {wpd.shape}, v {vd.shape} do not conform")
     xcut, xd = batch < xd.shape[0], xd[start:stop]
     if mask is not None:
         mask = np.asarray(mask)[:batch]
-    if _grad_enabled and tape.requires_grad:
-        tape.log.reads += 1
     vals, kd = vals[:batch, lo:hi], kd[lo:hi, :batch]
     pd = pd[:batch, :k]
     q = xd @ wxd.T
@@ -895,7 +893,10 @@ def tape_attend(tape: Tensor, lo: int, x: Tensor, w_x: Tensor,
         return grads if bias is None else grads + (gq.sum(axis=0),)
 
     parents = (tape, x, w_x, prev, w_prev, v) + (() if bias is None else (bias,))
-    return _make(out, parents, bwd, "tape_attend"), weights
+    node = _make(out, parents, bwd, "tape_attend")
+    if _grad_enabled and tape.requires_grad:    # a refused read is not counted
+        tape.log.reads += 1
+    return node, weights
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -4,19 +4,19 @@ The tape cell keeps every past (h_i, c_i) pair in a per-sequence tape
 and, at each step, addresses them with an attention distribution to form
 adaptive summaries (h~, c~) that replace the single recurrent state.
 
-A state is one (B, 2h) block [h | c].  ``lstm_step`` maps a block to
-the next through one fused node (``autodiff.gate_cell``): the LSTM's
-own [h | c], or, in the tape cell, the summary block [h~ | c~] that the
-attention read returns.  Only the block is a node: h is read from it,
-by the slot key's ``linear`` in its first columns, and gets a node of
-its own only where a caller asks a ``CellState`` for it.
-``lstmn_step`` is the one tape-cell step: every tape layer and both
-fusion decoders (``fusion.DecoderState``) run it, deep fusion passing
-its inter-attention summary block [g~ | a~] and transfer gate ``W_r``,
-from which the gate cell forms the source memory term r * a~.  A tape
-step is four nodes: the read (``tape_attend``), ``gate_cell``, the
-slot's key (``linear``) and the slot's ``tape_write``; an LSTM step is
-one ``gate_cell``.
+A state is one (B, 2h) block [h | c], the node that one
+``autodiff.gate_cell`` makes from the block before: the LSTM's own
+[h | c] or, in the tape cell, the summary block [h~ | c~] that the
+attention read returns.
+h is read from the block, by the slot key's ``linear`` in its first
+columns, and gets a ``slice_cols`` node of its own only where a caller
+asks for it (``StackRun.top_h``).  ``lstmn_step`` is the one tape-cell
+step: every tape layer and both fusion decoders (``fusion.DecoderState``)
+run it, deep fusion passing its inter-attention summary block [g~ | a~]
+and transfer gate ``W_r``, from which the gate cell forms the source
+memory term r * a~.  A tape step is four nodes: the read
+(``tape_attend``), ``gate_cell``, the slot's key (``linear``) and the
+slot's ``tape_write``; an LSTM step is one ``gate_cell``.
 
 ``run_stack`` is the one layer stack: a layer without intra-attention
 weights is a plain LSTM layer (model ``lstm``), and layer k+1 reads layer
@@ -51,29 +51,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import TapeError, Tensor
-
-
-class CellState(NamedTuple):
-    """One step's output: the (B, 2h) block [h | c] from
-    ``autodiff.gate_cell``."""
-    hc: Tensor
-
-    @property
-    def h(self) -> Tensor:
-        """h, as a new slice node of ``hc`` on every read."""
-        return ad.slice_cols(self.hc, 0, self.hc.data.shape[1] // 2)
-
-    @property
-    def c(self) -> Tensor:
-        """c, as a new slice node of ``hc`` on every read."""
-        hidden = self.hc.data.shape[1] // 2
-        return ad.slice_cols(self.hc, hidden, 2 * hidden)
 
 
 @dataclass
@@ -234,16 +217,6 @@ def zero_state(batch: int, hidden: int) -> Tensor:
     return Tensor(np.zeros((batch, 2 * hidden)))
 
 
-def lstm_step(x: Tensor, prev: Tensor, w: GateWeights, inter: Optional[Tensor] = None,
-              w_r: Optional[Tensor] = None, span: Optional[tuple] = None) -> CellState:
-    """One LSTM update from the block ``prev`` = [rec | carried] and the
-    rows ``span`` of the input block ``x``: the gate block over [rec, x]
-    and c = [r * a~ +] f * carried + i * c-hat, h = o * tanh(c), the
-    bracket with deep fusion's summary block ``inter`` = [g~ | a~] and
-    r = sigmoid(``w_r`` [g~, x])."""
-    return CellState(ad.gate_cell(prev, x, w.w, w.bias, inter, w_r, span=span))
-
-
 def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
                  w: IntraAttentionWeights, span: Optional[tuple] = None) -> tuple:
     """Attention over the tape's read window: (summary block [h~ | c~],
@@ -268,7 +241,8 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
     ``x`` (all of it by default); appends the new [h | c] and its key
     W_h h to ``tapes``.  ``summary_prev`` is the previous step's summary
     block [h~ | c~] (or its h~ alone), whose h~ the attention query
-    reads.  Returns (state, summary block, attention weights or None).
+    reads.  Returns (the state block [h | c], the summary block, the
+    attention weights or None).
 
     The one tape-cell step of the encoder layers and of both fusion
     decoders: four nodes once the tape holds a slot.  Deep fusion passes
@@ -285,20 +259,20 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
         summary, weights = zero_state(batch, w.gates.hidden_size), None
     else:
         summary, weights = intra_attend(x, tapes, summary_prev, w.attn, span)
-    state = lstm_step(x, summary, w.gates, inter, w_r, span)
-    tapes.append(state.hc, ad.linear(state.hc, w.attn.w_h))
+    state = ad.gate_cell(summary, x, w.gates.w, w.gates.bias, inter, w_r, span=span)
+    tapes.append(state, ad.linear(state, w.attn.w_h))
     return state, summary, weights
 
 
 @dataclass
 class StackRun:
-    """Full-sequence result: per-step top-layer states (kept for every
-    step even when a capacity bound keeps attention from reading them;
-    the models read them as one block, ``packed``),
+    """Full-sequence result: per-step top-layer state blocks [h | c]
+    (kept for every step even when a capacity bound keeps attention from
+    reading them; the models read them as one block, ``packed``),
     per-step top-layer attention weights (None for an LSTM top layer or
     an empty tape; step t's n columns are slots t-n..t-1), the top
     layer's tapes and the steps' row counts B_t."""
-    top: list             # [T] of CellState
+    top: list             # [T] of (B_t, 2h) [h | c]
     traces: list          # [T] of (B, n) weights or None
     tapes: Tapes
     rows: list            # [T] of B_t
@@ -307,22 +281,22 @@ class StackRun:
     def top_h(self) -> list:
         """[T] of (B_t, h), new slice nodes on every read; only the
         benchmark's probes and tests read states per step."""
-        return [s.h for s in self.top]
+        return [ad.slice_cols(s, 0, s.data.shape[1] // 2) for s in self.top]
 
     @property
     def top_c(self) -> list:
         """[T] of (B_t, h), new slice nodes on every read; only the
         benchmark's probes and tests read them."""
-        return [s.c for s in self.top]
+        return [ad.slice_cols(s, s.data.shape[1] // 2, s.data.shape[1]) for s in self.top]
 
     def packed(self) -> Tensor:
         """Every step's top-layer h as one packed, step-major (sum B_t, h)
         block: one gather of the top tape's h columns, which hold every
         step, or for an LSTM layer, which keeps no tape, the h columns of
         its joined states."""
-        hidden = self.top[0].hc.data.shape[1] // 2
+        hidden = self.top[0].data.shape[1] // 2
         if self.tapes.memory is None:
-            return ad.slice_cols(ad.concat([s.hc for s in self.top], axis=0), 0, hidden)
+            return ad.slice_cols(ad.concat(self.top, axis=0), 0, hidden)
         return ad.slice_cols(self.tapes.memory, 0, hidden, rows=self.rows)
 
     def tape_states(self) -> tuple:
@@ -380,8 +354,9 @@ def run_stack(xs, w: StackWeights, capacity: Optional[int] = None,
         carried = zero_state(rows[0], layer.gates.hidden_size) if layer.attn is None else None
         for span in spans:
             if layer.attn is None:
-                state, weights = lstm_step(x, carried, layer.gates, span=span), None
-                carried = state.hc
+                state = carried = ad.gate_cell(carried, x, layer.gates.w, layer.gates.bias,
+                                               span=span)
+                weights = None
             else:
                 state, carried, weights = lstmn_step(x, tapes, carried, layer, span=span)
             states.append(state)

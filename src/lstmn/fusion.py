@@ -29,7 +29,9 @@ them from the keys.
 ``DecoderState.step`` is the one decode step (inter-attention, then
 the tape-cell step, with the transfer gate for deep fusion): five graph
 nodes per step once the target tape holds a slot, the inter read and
-the four of a tape step.  Teacher-forced training (``run_decoder``)
+the four of a tape step.  Its state is the [h | c] block the gate cell
+returns, and a teacher-forced run is a ``cells.StackRun`` (``DecodeRun``)
+that also keeps the inter summaries and weights.  Training (``run_decoder``)
 reads every step's input from one packed, step-major block, and greedy
 decoding (``models.Seq2SeqModel.generate``) passes a one-row block per
 step; the prediction input is formed apart from the step
@@ -51,7 +53,7 @@ import numpy as np
 from . import autodiff as ad
 from . import cells
 from .autodiff import Tensor
-from .cells import CellState, LstmnLayerWeights, StackWeights, TapeError, Tapes
+from .cells import LstmnLayerWeights, StackRun, StackWeights, TapeError, Tapes
 
 
 @dataclass
@@ -154,9 +156,9 @@ def inter_attend(x: Tensor, source: Tensor, gamma_tilde_prev: Tensor,
 class DecoderState:
     """Decoding state for one batch: the target tapes, the carried intra
     summary block [h~ | c~] and inter summary block [gamma~ | alpha~]
-    (``gamma_tilde``; a zero gamma~ before the first step), the latest cell
-    state, and the source tape packed once for inter-attention with the
-    source mask.  ``length`` preallocates that many tape slots."""
+    (``gamma_tilde``; a zero gamma~ before the first step), the latest
+    state block [h | c], the source tape packed once for inter-attention
+    and the source mask.  ``length`` preallocates that many tape slots."""
 
     def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,
                  capacity: Optional[int] = None, length: Optional[int] = None):
@@ -166,7 +168,7 @@ class DecoderState:
         self.tapes = Tapes(capacity, length=length)
         self.summary = None   # unused while the target tape is empty
         self.gamma_tilde = Tensor(np.zeros((src.y.data.shape[0], w.cell.gates.hidden_size)))
-        self.state: Optional[CellState] = None
+        self.state: Optional[Tensor] = None
         self.source, self.mask = source_projection(src, w.inter), src.mask
 
     def step(self, x: Tensor, span: Optional[tuple] = None) -> tuple:
@@ -191,8 +193,9 @@ class DecoderState:
         [h_t | c_t] for deep fusion, which the projection reads in its
         first columns, h_t; [h_t, gamma~_t] for shallow."""
         if self.mode == "deep":
-            return self.state.hc
-        return _shallow_features(self.state.h, self.gamma_tilde)
+            return self.state
+        h = ad.slice_cols(self.state, 0, self.state.data.shape[1] // 2)
+        return _shallow_features(h, self.gamma_tilde)
 
 
 def _shallow_features(h: Tensor, gamma: Tensor) -> Tensor:
@@ -201,17 +204,12 @@ def _shallow_features(h: Tensor, gamma: Tensor) -> Tensor:
 
 
 @dataclass
-class DecodeRun:
-    """Per-step decoder states, inter summary blocks [gamma~ | alpha~]
-    and both attention weight streams (intra as in ``StackRun.traces``,
-    inter (B, m) over the whole source), with the target tapes, the
-    steps' row counts and the fusion mode."""
-    top: list             # [T] of CellState
+class DecodeRun(StackRun):
+    """The decoder's ``StackRun``, its ``traces`` the intra-attention
+    weights, with the per-step inter summary blocks [gamma~ | alpha~],
+    the inter weights (B, m) over the whole source and the fusion mode."""
     gammas: list          # [T] of (B_t, 2h)
-    intra: list
-    inter: list
-    tapes: Tapes
-    rows: list
+    inter: list           # [T] of (B_t, m)
     mode: str
 
     @property
@@ -220,15 +218,15 @@ class DecodeRun:
         deep fusion, [h_t, gamma~_t] for shallow.  Only the benchmark's
         probes and tests read them per step; the models read ``packed``."""
         if self.mode == "deep":
-            return [s.h for s in self.top]
-        return [_shallow_features(s.h, g) for s, g in zip(self.top, self.gammas)]
+            return self.top_h
+        return [_shallow_features(h, g) for h, g in zip(self.top_h, self.gammas)]
 
     def packed(self) -> Tensor:
         """Every step's prediction input as one packed, step-major block:
-        the target tape's h columns, gathered once, joined for shallow
-        fusion to the gamma~ columns of the joined inter summaries."""
-        hidden = self.tapes.memory.data.shape[2] // 2
-        h = ad.slice_cols(self.tapes.memory, 0, hidden, rows=self.rows)
+        the target tape's h columns, gathered once (``StackRun.packed``),
+        joined for shallow fusion to the gamma~ columns of the joined inter
+        summaries."""
+        h = super().packed()
         if self.mode == "deep":
             return h
         return _shallow_features(h, ad.concat(self.gammas, axis=0))
@@ -241,11 +239,11 @@ def run_decoder(xs, src: SourceTapes, w: DecoderWeights, mode: str,
     (``cells.run_stack``)."""
     block, rows, spans = cells.packed_input(xs, rows)
     decoder = DecoderState(src, w, mode, capacity, length=len(rows))
-    run = DecodeRun([], [], [], [], decoder.tapes, rows, mode)
+    run = DecodeRun([], [], decoder.tapes, rows, [], [], mode)
     for span in spans:
         intra, inter = decoder.step(block, span)
         run.top.append(decoder.state)
+        run.traces.append(intra)
         run.gammas.append(decoder.gamma_tilde)
-        run.intra.append(intra)
         run.inter.append(inter)
     return run

@@ -18,10 +18,12 @@ longest first and step t runs only B_t rows, the live prefix, so no
 padded position is computed or read.  A read embeds every step at once:
 one ``lookup`` of the live ids in step-major order gives the core its
 input block, step t's embeddings in rows [o_t, o_t + B_t), and the
-encoder of a seq2seq read gets one of its own.  Every model takes a
-read's states back as one packed block (``run.packed()``): language
-models project it, and classifiers pool it in one product whose rows
-come back in batch order.
+encoder of a seq2seq read gets one of its own.  A read returns a
+``cells.StackRun``, or the fusion decoder's subclass of it
+(``fusion.DecodeRun``), and every model takes its states back as one
+packed block (``run.packed()``): language models project it, and
+classifiers pool it in one product whose rows come back in batch
+order.
 ``evaluate``, ``generate`` and ``attention_traces`` never call backward
 and run under ``autodiff.no_grad``.
 """
@@ -133,7 +135,7 @@ class Model:
         per-step (1, n) weight arrays, None at an empty-tape step."""
         if self.mode:
             _, _, run, enc_traces = self._read(tgt_ids[None, :], src=(token_ids[None, :], None))
-            return {"encoder-intra": enc_traces, "intra": run.intra, "inter": run.inter}
+            return {"encoder-intra": enc_traces, "intra": run.traces, "inter": run.inter}
         if self.cfg.model == "lstm":
             raise ConfigError("model lstm has no attention to dump")
         return {"intra": self._read(token_ids[None, :])[2].traces}

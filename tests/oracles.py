@@ -65,6 +65,29 @@ def read_memory_grads_ref(values, keys, q, v, weights, g):
     return np.outer(weights, g), gs[:, None] * v * (1.0 - z * z)
 
 
+def tape_read_ref(values, keys, x, w_x, prev, w_prev, v, bias, mask, g):
+    """One row of a tape read and the gradients of g . out with respect to
+    everything it reads: values (T, d) and keys (T, a) the slots read,
+    q = w_x x + w_prev prev [+ bias], weights the softmax of
+    v . tanh(key_j + q) over the slots ``mask`` (or None) keeps, 0
+    elsewhere, and out = sum_j weights_j values_j.  Returns (out, weights,
+    {name: gradient}) for values, keys, x, w_x, prev, w_prev, v and bias."""
+    q = w_x @ x + w_prev @ prev
+    if bias is not None:
+        q = q + bias
+    z = np.tanh(keys + q)
+    keep = np.ones(len(keys), dtype=bool) if mask is None else np.asarray(mask) != 0
+    weights = np.zeros(len(keys))
+    weights[keep] = softmax((z @ v)[keep])
+    gval, gkey = read_memory_grads_ref(values, keys, q, v, weights, g)
+    gq = gkey.sum(axis=0)    # key_j and q enter the tanh as one sum
+    gw = values @ g
+    gs = weights * (gw - gw @ weights)
+    return weights @ values, weights, dict(
+        values=gval, keys=gkey, x=w_x.T @ gq, w_x=np.outer(gq, x), prev=w_prev.T @ gq,
+        w_prev=np.outer(gq, prev), v=gs @ z, bias=gq)
+
+
 def lstmn_step_ref(x, H, C, htilde_prev, W, b, v, w_h, w_x, w_ht, bias):
     """Returns (h, c, weights, htilde, ctilde); H/C lists of past vectors."""
     hidden = W.shape[0] // 4

@@ -66,6 +66,18 @@ class TestForwardKernels:
         assert cat.data.shape == (2, 5)
         np.testing.assert_array_equal(ad.slice_cols(cat, 3, 5).data, b.data)
 
+    @pytest.mark.parametrize("shapes,axis", [
+        ([(2, 3), (3, 2)], 1),        # rows differ off the axis
+        ([(2, 3), (2, 3, 1)], 1),     # ranks differ
+        ([(2, 3, 1), (2, 3)], 2),
+        ([(2, 3), (2, 3)], 2),        # no such axis
+        ([(2, 3)], -3),
+        ([], 0),                      # nothing to join
+    ])
+    def test_concat_refusals_are_shape_mismatches(self, shapes, axis):
+        with pytest.raises(ShapeMismatchError, match="concat"):
+            ad.concat([Tensor(np.zeros(s)) for s in shapes], axis=axis)
+
     def test_lookup_gathers_rows(self):
         table = Tensor(np.arange(6.0).reshape(3, 2))
         out = ad.lookup(table, np.array([2, 0]))
@@ -983,6 +995,61 @@ def test_a_read_of_an_older_node_covers_its_own_slots(slots):
     assert got[0].shape == (2, 2)
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+
+
+def _reads_across_a_growth(older_last: bool) -> list:
+    """Two writes into a 1-slot tape, the second growing it, and one read
+    of each node, the read of the older node made first or last.  Returns
+    the gradients of both parts and keys and of the reads' inputs."""
+    rng = np.random.default_rng(44)
+    parts, keys = [_rng_tensor(rng, 2, 3) for _ in range(2)], [_rng_tensor(rng, 2, 2)
+                                                               for _ in range(2)]
+    inputs = [_rng_tensor(rng, *shape) for shape in [(2, 3), (2, 3), (2, 4), (2, 4), (2,)]]
+    older = ad.tape_write(None, (parts[0],), keys[0], 1)
+    newer = ad.tape_write(older, (parts[1],), keys[1], 1)
+    total = None
+    for node in (newer, older) if older_last else (older, newer):
+        out, _ = ad.tape_attend(node, 0, *inputs)
+        total = ad.sum_all(out) if total is None else ad.add(total, ad.sum_all(out))
+    backward(total)
+    return [t.grad for t in parts + keys + inputs]
+
+
+def test_a_read_of_a_node_before_a_growth_may_run_backward_first():
+    # The read made last runs backward first and sizes the chain's read
+    # log.  A read of the node before the growing write once sized the
+    # log's key gradient to that node's 1-slot buffer, so the newer read's
+    # record did not fit (a numpy broadcast error).
+    got, want = _reads_across_a_growth(True), _reads_across_a_growth(False)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-13)
+
+
+def test_a_read_of_more_rows_than_its_node_wrote_is_refused():
+    # Two rows, then one: a 2-row read of the second node once weighed
+    # row 1's unwritten slot, whose values and key are zeros.  The first
+    # node's 2 rows and the second's 1 may still be read.
+    rng = np.random.default_rng(46)
+    first = ad.tape_write(None, (_rng_tensor(rng, 2, 3),), _rng_tensor(rng, 2, 2), 2)
+    second = ad.tape_write(first, (_rng_tensor(rng, 1, 3),), _rng_tensor(rng, 1, 2), 2)
+    inputs = [_rng_tensor(rng, *shape) for shape in [(2, 3), (2, 3), (2, 4), (2, 4), (2,)]]
+    with pytest.raises(ShapeMismatchError, match="written in 1 rows"):
+        ad.tape_attend(second, 0, *inputs)
+    assert ad.tape_attend(first, 0, *inputs)[1].shape == (2, 1)
+    assert ad.tape_attend(second, 0, *inputs, span=(0, 1))[1].shape == (1, 2)
+
+
+def test_a_refused_read_is_not_counted():
+    # A read refused for a fully masked row leaves the chain's read count,
+    # which sizes its read log, as it was.
+    rng = np.random.default_rng(45)
+    tape = ad.tape_write(None, (_rng_tensor(rng, 2, 2, 3),), _rng_tensor(rng, 2, 2, 2), 2)
+    inputs = [_rng_tensor(rng, *shape) for shape in [(2, 3), (2, 3), (2, 4), (2, 4), (2,)]]
+    with pytest.raises(ShapeMismatchError, match="no unmasked"):
+        ad.tape_attend(tape, 0, *inputs, mask=[[1.0, 0.0], [0.0, 0.0]])
+    assert tape.log.reads == 0
+    ad.tape_attend(tape, 0, *inputs)
+    assert tape.log.reads == 1
 
 
 def _recorded_log_shapes(monkeypatch) -> list:

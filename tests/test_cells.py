@@ -18,7 +18,6 @@ from lstmn.cells import (
     LstmnLayerWeights,
     TapeError,
     Tapes,
-    lstm_step,
     lstmn_step,
     run_stack,
     zero_state,
@@ -28,6 +27,11 @@ from lstmn.cells import (
 def row(vec):
     """Lift a 1-D vector to a batch-of-one row."""
     return Tensor(np.asarray(vec, dtype=np.float64)[None, :])
+
+
+def h_and_c(block):
+    """The h and c arrays of a state block [h | c]."""
+    return np.split(block.data, 2, axis=1)
 
 
 def zero_gate_weights(hidden, in_size):
@@ -61,33 +65,34 @@ def layer_ref_args(layer):
 class TestLstmStep:
     def test_zero_weights_zero_memory(self):
         w = zero_gate_weights(1, 1)
-        state = lstm_step(row([0.0]), zero_state(1, 1), w)
-        np.testing.assert_array_equal(state.h.data, [[0.0]])
-        np.testing.assert_array_equal(state.c.data, [[0.0]])
+        h, c = h_and_c(ad.gate_cell(zero_state(1, 1), row([0.0]), w.w, w.bias))
+        np.testing.assert_array_equal(h, [[0.0]])
+        np.testing.assert_array_equal(c, [[0.0]])
 
     def test_zero_weights_unit_memory(self):
         # sigma(0) = 0.5 gates halve the carried memory.
         w = zero_gate_weights(1, 1)
-        state = lstm_step(row([0.3]), row([0.0, 1.0]), w)
-        assert state.c.item() == pytest.approx(0.5, abs=1e-15)
-        assert state.h.item() == pytest.approx(0.5 * np.tanh(0.5), abs=1e-12)
+        h, c = h_and_c(ad.gate_cell(row([0.0, 1.0]), row([0.3]), w.w, w.bias))
+        assert c.item() == pytest.approx(0.5, abs=1e-15)
+        assert h.item() == pytest.approx(0.5 * np.tanh(0.5), abs=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
         w = GateWeights(w=Tensor(rng.normal(size=(12, 6))),
                         bias=Tensor(rng.normal(size=12)))
         x, h0, c0 = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        state = lstm_step(row(x), row(np.concatenate([h0, c0])), w)
+        h, c = h_and_c(ad.gate_cell(row(np.concatenate([h0, c0])), row(x), w.w, w.bias))
         h_ref, c_ref = oracles.lstm_step_ref(x, h0, c0, w.w.data, w.bias.data)
-        np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
-        np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
+        np.testing.assert_allclose(h[0], h_ref, atol=1e-12)
+        np.testing.assert_allclose(c[0], c_ref, atol=1e-12)
 
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(6)
         w = GateWeights(w=Tensor(rng.normal(scale=3.0, size=(8, 5))),
                         bias=Tensor(rng.normal(scale=3.0, size=8)))
-        state = lstm_step(row(rng.normal(size=3)), row(rng.normal(size=4)), w)
-        assert np.all(np.abs(state.h.data) <= 1.0)
+        x, prev = row(rng.normal(size=3)), row(rng.normal(size=4))
+        h, _ = h_and_c(ad.gate_cell(prev, x, w.w, w.bias))
+        assert np.all(np.abs(h) <= 1.0)
 
 
 class TestIntraAttend:
@@ -146,8 +151,9 @@ class TestLstmnStep:
                 w_htilde=Tensor(np.zeros((3, 2)), requires_grad=True)))
         tapes = Tapes()
         state, _, weights = lstmn_step(row([1.0, -1.0]), tapes, Tensor(np.zeros((1, 2))), layer)
-        np.testing.assert_array_equal(state.h.data, np.zeros((1, 2)))
-        np.testing.assert_array_equal(state.c.data, np.zeros((1, 2)))
+        h, c = h_and_c(state)
+        np.testing.assert_array_equal(h, np.zeros((1, 2)))
+        np.testing.assert_array_equal(c, np.zeros((1, 2)))
         assert weights is None
         assert len(tapes) == 1
 
@@ -161,9 +167,9 @@ class TestLstmnStep:
         x1, x2 = row(rng.normal(size=2)), row(rng.normal(size=2))
         s1, summary1, _ = lstmn_step(x1, tapes, htp, layer)
         s2, summary2, _ = lstmn_step(x2, tapes, summary1, layer)
-        ref = lstm_step(x2, s1.hc, layer.gates)
-        np.testing.assert_array_equal(s2.hc.data, ref.hc.data)
-        np.testing.assert_array_equal(summary2.data, s1.hc.data)
+        ref = ad.gate_cell(s1, x2, layer.gates.w, layer.gates.bias)
+        np.testing.assert_array_equal(s2.data, ref.data)
+        np.testing.assert_array_equal(summary2.data, s1.data)
 
     def test_matches_naive_oracle_over_sequence(self):
         rng = np.random.default_rng(12)
@@ -177,8 +183,9 @@ class TestLstmnStep:
             state, htilde, weights = lstmn_step(row(x), tapes, htilde, layer)
             h_ref, c_ref, w_ref, ht_ref, _ = oracles.lstmn_step_ref(
                 x, H, C, hp, **layer_ref_args(layer))
-            np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
-            np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
+            h, c = h_and_c(state)
+            np.testing.assert_allclose(h[0], h_ref, atol=1e-12)
+            np.testing.assert_allclose(c[0], c_ref, atol=1e-12)
             if weights is not None:
                 np.testing.assert_allclose(weights[0], w_ref, atol=1e-12)
             H.append(h_ref)
@@ -197,7 +204,8 @@ class TestLstmnStep:
             total = None
             for x in xs:
                 state, htilde, _ = lstmn_step(Tensor(x), tapes, htilde, layer)
-                term = ad.sum_all(ad.mul(state.h, state.h))
+                h = ad.slice_cols(state, 0, 3)
+                term = ad.sum_all(ad.mul(h, h))
                 total = term if total is None else ad.add(total, term)
             return total
 
@@ -244,8 +252,9 @@ class TestLstmnStep:
             state, htilde, _ = lstmn_step(row(x), tapes, htilde, layer)
             h_ref, c_ref, _, ht_ref, _ = oracles.lstmn_step_ref(
                 x, H[-cap:], C[-cap:], hp, **layer_ref_args(layer))
-            np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
-            np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
+            h, c = h_and_c(state)
+            np.testing.assert_allclose(h[0], h_ref, atol=1e-12)
+            np.testing.assert_allclose(c[0], c_ref, atol=1e-12)
             assert len(tapes) == min(t + 1, cap)
             H.append(h_ref)
             C.append(c_ref)
@@ -265,11 +274,12 @@ class TestFusedTape:
         for _ in range(7):
             x = rng.normal(size=(batch, 2))
             state, htilde, weights = lstmn_step(Tensor(x), tapes, htilde, layer)
+            h, c = h_and_c(state)
             for b in range(batch):
                 h_ref, c_ref, w_ref, ht_ref, ct_ref = oracles.lstmn_step_ref(
                     x[b], H[b][-cap:], C[b][-cap:], hp[b], **layer_ref_args(layer))
-                np.testing.assert_allclose(state.h.data[b], h_ref, atol=1e-12)
-                np.testing.assert_allclose(state.c.data[b], c_ref, atol=1e-12)
+                np.testing.assert_allclose(h[b], h_ref, atol=1e-12)
+                np.testing.assert_allclose(c[b], c_ref, atol=1e-12)
                 np.testing.assert_allclose(htilde.data[b, 3:], ct_ref, atol=1e-12)
                 if weights is not None:
                     np.testing.assert_allclose(weights[b], w_ref, atol=1e-12)
@@ -290,8 +300,9 @@ class TestFusedTape:
             htilde, total, hs = Tensor(np.zeros((2, 3))), None, []
             for x in xs:
                 state, htilde, _ = lstmn_step(Tensor(x), tapes, htilde, layer)
-                hs.append(state.h.data.copy())
-                term = ad.sum_all(ad.mul(state.h, state.h))
+                h = ad.slice_cols(state, 0, 3)
+                hs.append(h.data)
+                term = ad.sum_all(ad.mul(h, h))
                 total = term if total is None else ad.add(total, term)
             backward(total, params=params)
             return hs, [p.grad.copy() for p in params]
@@ -340,7 +351,7 @@ def test_recorded_forward_keeps_no_attention_activations():
     finally:
         tracemalloc.stop()
     assert held < activations / 2, (held, activations)
-    total = ad.sum_all(run.top[-1].h)
+    total = ad.sum_all(run.top_h[-1])
     backward(total)
     assert all(x.grad is not None for x in xs)
 
@@ -370,7 +381,7 @@ class TestAttentionSumInvariant:
             state, htilde, weights = lstmn_step(row(rng.normal(size=2)), tapes, htilde, layer)
             if weights is not None:
                 assert min(hs) - 1e-12 <= htilde.data[0, 0] <= max(hs) + 1e-12
-            hs.append(state.h.data[0, 0])
+            hs.append(state.data[0, 0])
 
 
 class TestStack:
@@ -384,7 +395,7 @@ class TestStack:
         ht_d = Tensor(np.zeros((1, 3)))
         for x, h in zip(xs, run.top_h):
             s_d, ht_d, _ = lstmn_step(x, t_direct, ht_d, layer)
-            np.testing.assert_array_equal(h.data, s_d.h.data)
+            np.testing.assert_array_equal(h.data, h_and_c(s_d)[0])
 
     def test_two_layers_zero_weights_zero_outputs(self):
         layers = []
@@ -446,14 +457,15 @@ class TestNonMarkovContrast:
         xs = [row(rng.normal(size=2)) for _ in range(4)]
         s1, summary1, _ = lstmn_step(xs[0], tapes, htilde, layer)
         s2, summary2, _ = lstmn_step(xs[1], tapes, summary1, layer)
-        leaf = Tensor(s1.h.data.copy(), requires_grad=True)
+        (h1, c1), (h2, c2) = h_and_c(s1), h_and_c(s2)
+        leaf = Tensor(h1.copy(), requires_grad=True)
         rebuilt = Tapes()
-        rebuilt.append(leaf, Tensor(s1.c.data.copy()), ad.linear(leaf, layer.attn.w_h))
-        h2 = Tensor(s2.h.data.copy())
-        rebuilt.append(h2, Tensor(s2.c.data.copy()), ad.linear(h2, layer.attn.w_h))
+        rebuilt.append(leaf, Tensor(c1.copy()), ad.linear(leaf, layer.attn.w_h))
+        h2 = Tensor(h2.copy())
+        rebuilt.append(h2, Tensor(c2.copy()), ad.linear(h2, layer.attn.w_h))
         _, summary3, _ = lstmn_step(xs[2], rebuilt, Tensor(summary2.data.copy()), layer)
         s4, _, _ = lstmn_step(xs[3], rebuilt, summary3, layer)
-        backward(ad.sum_all(s4.h), params=[leaf])
+        backward(ad.sum_all(ad.slice_cols(s4, 0, 3)), params=[leaf])
         assert np.abs(leaf.grad).max() > 1e-8
 
     def test_lstm_future_depends_only_on_latest_state(self):
@@ -463,14 +475,14 @@ class TestNonMarkovContrast:
         xs = [row(rng.normal(size=2)) for _ in range(4)]
         state = zero_state(1, 3)
         for x in xs:
-            state = lstm_step(x, state, w).hc
+            state = ad.gate_cell(state, x, w.w, w.bias)
         # Recompute steps 3..4 from the stored [h_2 | c_2] alone.
         s2 = zero_state(1, 3)
         for x in xs[:2]:
-            s2 = lstm_step(x, s2, w).hc
+            s2 = ad.gate_cell(s2, x, w.w, w.bias)
         redo = Tensor(s2.data.copy())
         for x in xs[2:]:
-            redo = lstm_step(x, redo, w).hc
+            redo = ad.gate_cell(redo, x, w.w, w.bias)
         np.testing.assert_array_equal(redo.data, state.data)
 
 
@@ -488,9 +500,10 @@ def test_float32_steps_stay_float32():
         for _ in range(3):
             x = Tensor(rng.normal(size=(2, 2)))
             state, summary, _ = lstmn_step(x, tapes, summary, layer, inter, w_r)
-            hc = lstm_step(x, hc, lstm).hc
-            blocks += [summary, state.hc, hc]
-            term = ad.add(ad.sum_all(ad.mul(state.h, state.h)), ad.sum_all(hc))
+            hc = ad.gate_cell(hc, x, lstm.w, lstm.bias)
+            blocks += [summary, state, hc]
+            h = ad.slice_cols(state, 0, 3)
+            term = ad.add(ad.sum_all(ad.mul(h, h)), ad.sum_all(hc))
             total = term if total is None else ad.add(total, term)
         params = list(layer.named("layer1").values()) + [lstm.w, lstm.bias]
         backward(total, params=params)
@@ -533,7 +546,7 @@ def test_run_lstm_baseline_matches_manual_chain():
     assert run.traces == [None] * 3
     state = zero_state(1, 3)
     for x, h, c in zip(xs, run.top_h, run.top_c):
-        state = lstm_step(x, state, stack.layers[0].gates).hc
+        state = ad.gate_cell(state, x, stack.layers[0].gates.w, stack.layers[0].gates.bias)
         np.testing.assert_array_equal(state.data, np.concatenate([h.data, c.data], axis=1))
 
 
@@ -546,11 +559,12 @@ def test_run_stack_lstm_skip_feeds_h_and_x_upward():
     xs = [Tensor(rng.normal(size=(2, embed))) for _ in range(4)]
     run = run_stack(xs, stack)
     lower, upper = zero_state(2, hidden), zero_state(2, hidden)
+    bottom, top = (layer.gates for layer in stack.layers)
     for x, h in zip(xs, run.top_h):
-        lower = lstm_step(x, lower, stack.layers[0].gates)
-        upper = lstm_step(ad.concat([lower.h, x], axis=1), upper, stack.layers[1].gates)
-        np.testing.assert_array_equal(upper.h.data, h.data)
-        lower, upper = lower.hc, upper.hc
+        lower = ad.gate_cell(lower, x, bottom.w, bottom.bias)
+        upper = ad.gate_cell(upper, ad.concat([ad.slice_cols(lower, 0, hidden), x], axis=1),
+                             top.w, top.bias)
+        np.testing.assert_array_equal(upper.data[:, :hidden], h.data)
 
 
 class TestPackedStack:
@@ -580,7 +594,7 @@ class TestPackedStack:
         for r, n in enumerate(self.LENGTHS):
             alone = run_stack([Tensor(x[r:r + 1, t]) for t in range(n)], stack, capacity)
             for t in range(n):
-                np.testing.assert_allclose(run.top[t].hc.data[r], alone.top[t].hc.data[0],
+                np.testing.assert_allclose(run.top[t].data[r], alone.top[t].data[0],
                                            rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("kind", ["lstm", "lstmn"])

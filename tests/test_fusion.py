@@ -32,6 +32,11 @@ def row(vec):
     return Tensor(np.asarray(vec, dtype=np.float64)[None, :])
 
 
+def h_and_c(block):
+    """The h and c arrays of a state block [h | c]."""
+    return np.split(block.data, 2, axis=1)
+
+
 def randomize(rng, tensors, scale=0.8):
     for t in tensors:
         if t is not None:
@@ -219,14 +224,15 @@ class TestDeepDecode:
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.zeros((1, 2, 2))))
         decoder = DecoderState(src, dec, "deep")
         decoder.step(row([0.7, -0.3]))
-        np.testing.assert_array_equal(decoder.state.c.data, np.zeros((1, 2)))
-        np.testing.assert_array_equal(decoder.state.h.data, np.zeros((1, 2)))
+        h, c = h_and_c(decoder.state)
+        np.testing.assert_array_equal(c, np.zeros((1, 2)))
+        np.testing.assert_array_equal(h, np.zeros((1, 2)))
         # A unit source memory gives alpha~ = 1, and c-hat = tanh(0) = 0,
         # so c = r * alpha~ is the gate itself.
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.ones((1, 2, 2))))
         decoder = DecoderState(src, dec, "deep")
         decoder.step(row([0.7, -0.3]))
-        np.testing.assert_allclose(decoder.state.c.data, np.full((1, 2), 0.5))
+        np.testing.assert_allclose(h_and_c(decoder.state)[1], np.full((1, 2), 0.5))
 
     def test_first_step_singleton_source_closed_form(self):
         # Empty target tape kills the intra terms: c = r*alpha_1 + i*c-hat.
@@ -237,13 +243,13 @@ class TestDeepDecode:
         x = rng.normal(size=2)
         decoder = DecoderState(SourceTapes(y=Tensor(y), a=Tensor(a)), dec, "deep")
         decoder.step(row(x))
-        state = decoder.state
+        h, c = h_and_c(decoder.state)
         i, f, o, chat = oracles.gate_blocks(
             np.zeros(3), x, dec.cell.gates.w.data, dec.cell.gates.bias.data)
         r = oracles.sigmoid(dec.inter.w_r.data @ np.concatenate([y[0, 0], x]))
         c_ref = r * a[0, 0] + i * chat
-        np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
-        np.testing.assert_allclose(state.h.data[0], o * np.tanh(c_ref), atol=1e-12)
+        np.testing.assert_allclose(c[0], c_ref, atol=1e-12)
+        np.testing.assert_allclose(h[0], o * np.tanh(c_ref), atol=1e-12)
 
     def test_matches_straight_line_oracle_over_steps(self):
         rng = np.random.default_rng(38)
@@ -257,7 +263,7 @@ class TestDeepDecode:
         hp, gp = np.zeros(3), np.zeros(3)
         for x in xs:
             _, inter = decoder.step(row(x))
-            state = decoder.state
+            h, c = h_and_c(decoder.state)
             # c_ref = r_ref * a_ref + f * c~ + i * c-hat: the c check pins
             # the transfer gate r.
             h_ref, c_ref, w_ref, p_ref, r_ref, ht_ref, g_ref, a_ref = \
@@ -268,8 +274,8 @@ class TestDeepDecode:
                     dec.cell.attn.w_htilde.data, dec.cell.attn.bias.data,
                     dec.inter.u.data, dec.inter.w_gamma.data, dec.inter.w_x.data,
                     dec.inter.w_gammatilde.data, dec.inter.w_r.data)
-            np.testing.assert_allclose(state.h.data[0], h_ref, atol=1e-12)
-            np.testing.assert_allclose(state.c.data[0], c_ref, atol=1e-12)
+            np.testing.assert_allclose(h[0], h_ref, atol=1e-12)
+            np.testing.assert_allclose(c[0], c_ref, atol=1e-12)
             np.testing.assert_allclose(inter[0], p_ref, atol=1e-12)
             H.append(h_ref)
             C.append(c_ref)
@@ -362,8 +368,7 @@ class TestShallowDecode:
         for x in xs:
             s_ref, ht_r, _ = cells.lstmn_step(x, t_ref, ht_r, dec.cell)
             decoder.step(x)
-            np.testing.assert_array_equal(decoder.state.h.data, s_ref.h.data)
-            np.testing.assert_array_equal(decoder.state.c.data, s_ref.c.data)
+            np.testing.assert_array_equal(decoder.state.data, s_ref.data)
 
     def test_end_to_end_gradients(self):
         rng = np.random.default_rng(43)
@@ -396,8 +401,9 @@ class TestFusionIdentities:
         hs, cs = [], []
         for x in xs:
             decoder.step(x)
-            hs.append(decoder.state.h.data)
-            cs.append(decoder.state.c.data)
+            h, c = h_and_c(decoder.state)
+            hs.append(h)
+            cs.append(c)
         return np.stack(hs), np.stack(cs)
 
     def test_zero_source_memory_reproduces_plain_decoder(self):
@@ -414,8 +420,9 @@ class TestFusionIdentities:
         plain_hs, plain_cs = [], []
         for x in xs:
             state, ht, _ = cells.lstmn_step(x, tapes, ht, dec.cell)
-            plain_hs.append(state.h.data.copy())
-            plain_cs.append(state.c.data.copy())
+            h, c = h_and_c(state)
+            plain_hs.append(h)
+            plain_cs.append(c)
         np.testing.assert_array_equal(deep_cs, np.stack(plain_cs))
         np.testing.assert_array_equal(deep_hs, np.stack(plain_hs))
 
@@ -431,7 +438,7 @@ class TestFusionIdentities:
             # Sever the context path: keep only the h half of each output.
             shallow.step(x)
             shallow_hs.append(shallow.features().data[:, :3])
-            shallow_cs.append(shallow.state.c.data)
+            shallow_cs.append(h_and_c(shallow.state)[1])
         np.testing.assert_array_equal(deep_cs, np.stack(shallow_cs))
         np.testing.assert_array_equal(deep_hs, np.stack(shallow_hs))
 

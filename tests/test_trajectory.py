@@ -1,6 +1,6 @@
 """``tools/trajectory.py`` on canned benchmark records: anchored lockstep
-entries only, grouped by workload and op, in PR order.  No benchmark
-runs."""
+entries only, grouped by workload and op, in PR order, then each PR's
+``src/`` line counts.  No benchmark runs."""
 
 import importlib.util
 import json
@@ -44,7 +44,7 @@ def test_anchored_ratios_per_workload_and_op_in_pr_order(tmp_path, capsys):
         lockstep_entry("copy-seq2seq", {"train": (0.93, 0.92, 0.94)}, anchor="3f17e58")])
     assert trajectory.main([later, earlier]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[:3] for line in lines[1:]] == [
+    assert [line.split()[:3] for line in lines[1:lines.index("")]] == [
         ["copy-seq2seq", "train", "27"], ["lm-long-tape", "decode", "27"],
         ["lm-long-tape", "decode", "100"], ["lm-long-tape", "train", "27"]]
     assert lines[2].split()[3:] == ["3f17e58", "40", "0.850", "[0.830,", "0.870]"]
@@ -55,3 +55,32 @@ def test_a_file_not_named_for_a_pr_is_refused(tmp_path):
     path.write_text("[]")
     with pytest.raises(ValueError, match="BENCH_<pr>"):
         trajectory.main([str(path)])
+
+
+def pairs_entry(workload, lines, code_lines=None):
+    """A ``tools/bench_pairs.py --json`` entry with its (parent, change)
+    line counts; an older entry carries no code-line count."""
+    entry = {"tool": "bench_pairs", "workload": workload, "seed": 0, "pairs": 5,
+             "src_lines": dict(zip(("parent", "change"), lines))}
+    if code_lines is not None:
+        entry["src_code_lines"] = dict(zip(("parent", "change"), code_lines))
+    return entry
+
+
+def test_line_counts_per_pr_parent_to_change(tmp_path, capsys):
+    # One line per distinct pair of counts: three workloads timed on one
+    # tree give one line, a PR that timed two trees gives two; lockstep
+    # entries carry no counts and add none.
+    later = write(tmp_path, 29, [
+        pairs_entry(w, (3467, 3438), (2051, 2038))
+        for w in ("lm-long-tape", "copy-seq2seq", "lm-ptb-scale")] + [
+        lockstep_entry("lm-long-tape", {"train": (0.98, 0.97, 0.99)}, anchor="3f17e58")])
+    earlier = write(tmp_path, 24, [pairs_entry("lm-long-tape", (3240, 3235)),
+                                   pairs_entry("lm-long-tape", (3240, 3231))])
+    assert trajectory.main([later, earlier]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = lines[lines.index("") + 1:]
+    assert counts[0].split() == ["PR", "src", "lines", "code", "lines"]
+    assert [line.split() for line in counts[1:]] == [
+        ["24", "3240", "->", "3235", "-"], ["24", "3240", "->", "3231", "-"],
+        ["29", "3467", "->", "3438", "2051", "->", "2038"]]
