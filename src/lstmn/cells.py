@@ -60,18 +60,6 @@ from .autodiff import TapeError, Tensor
 
 
 @dataclass
-class GateWeights:
-    """Gate block mapping [recurrent-input, token-input] to the four gate
-    pre-activations, stacked row-wise in (i, f, o, c-hat) order."""
-    w: Tensor            # (4h, h + in)
-    bias: Tensor         # (4h,)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w.data.shape[0] // 4
-
-
-@dataclass
 class IntraAttentionWeights:
     v: Tensor            # (a,)
     w_h: Tensor          # (a, h)   tape-slot projection
@@ -82,15 +70,22 @@ class IntraAttentionWeights:
 
 @dataclass
 class LstmnLayerWeights:
-    """One stack layer: a tape layer, or a plain LSTM layer when ``attn``
-    is None."""
-    gates: GateWeights
+    """One stack layer: the gate block W, mapping [recurrent-input,
+    token-input] to the four gate pre-activations stacked row-wise in (i,
+    f, o, c-hat) order, and its bias; a tape layer, or a plain LSTM layer
+    when ``attn`` is None."""
+    w: Tensor            # (4h, h + in)
+    bias: Tensor         # (4h,)
     attn: Optional[IntraAttentionWeights] = None
+
+    @property
+    def hidden_size(self) -> int:
+        return self.w.data.shape[0] // 4
 
     def named(self, prefix: str, upper: bool = False) -> dict:
         """Checkpoint tensors for one layer.  Upper layers store their
         input projection as W_l (it projects the layer below's output)."""
-        out = {f"{prefix}.W": self.gates.w, f"{prefix}.bias": self.gates.bias}
+        out = {f"{prefix}.W": self.w, f"{prefix}.bias": self.bias}
         if self.attn is not None:
             out[f"{prefix}.v"] = self.attn.v
             out[f"{prefix}.W_h"] = self.attn.w_h
@@ -176,27 +171,20 @@ def zeros_param(*shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def init_gate_weights(rng, hidden: int, in_size: int) -> GateWeights:
-    return GateWeights(w=glorot(rng, 4 * hidden, hidden + in_size), bias=zeros_param(4 * hidden))
-
-
-def init_intra_attention(rng, attn_size: int, hidden: int, in_size: int,
-                         bias: bool = True) -> IntraAttentionWeights:
-    return IntraAttentionWeights(
-        v=zeros_param(attn_size),
-        w_h=glorot(rng, attn_size, hidden),
-        w_x=glorot(rng, attn_size, in_size),
-        w_htilde=glorot(rng, attn_size, hidden),
-        bias=zeros_param(attn_size) if bias else None,
-    )
-
-
 def init_lstmn_layer(rng, hidden: int, in_size: int, attn_size: Optional[int],
                      attention_bias: bool = True) -> LstmnLayerWeights:
-    gates = init_gate_weights(rng, hidden, in_size)
-    return LstmnLayerWeights(gates, None if attn_size is None else
-                             init_intra_attention(rng, attn_size, hidden, in_size,
-                                                  bias=attention_bias))
+    """A layer with Glorot W and zero bias, then for a tape layer (an
+    ``attn_size``) Glorot W_h, W_x and W_htilde, drawn in that order, and
+    zero v and attention bias (None without ``attention_bias``)."""
+    layer = LstmnLayerWeights(glorot(rng, 4 * hidden, hidden + in_size), zeros_param(4 * hidden))
+    if attn_size is not None:
+        layer.attn = IntraAttentionWeights(
+            v=zeros_param(attn_size),
+            w_h=glorot(rng, attn_size, hidden),
+            w_x=glorot(rng, attn_size, in_size),
+            w_htilde=glorot(rng, attn_size, hidden),
+            bias=zeros_param(attn_size) if attention_bias else None)
+    return layer
 
 
 def init_stack(rng, num_layers: int, hidden: int, embed: int, attn_size: Optional[int],
@@ -235,7 +223,7 @@ def intra_attend(x: Tensor, tapes: Tapes, htilde_prev: Tensor,
 
 
 def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
-               w: LstmnLayerWeights, inter: Optional[Tensor] = None,
+               layer: LstmnLayerWeights, inter: Optional[Tensor] = None,
                w_r: Optional[Tensor] = None, span: Optional[tuple] = None):
     """One memory-tape update over the rows ``span`` of the input block
     ``x`` (all of it by default); appends the new [h | c] and its key
@@ -256,11 +244,11 @@ def lstmn_step(x: Tensor, tapes: Tapes, summary_prev: Optional[Tensor],
     """
     if len(tapes) == 0:
         batch = x.data.shape[0] if span is None else span[1] - span[0]
-        summary, weights = zero_state(batch, w.gates.hidden_size), None
+        summary, weights = zero_state(batch, layer.hidden_size), None
     else:
-        summary, weights = intra_attend(x, tapes, summary_prev, w.attn, span)
-    state = ad.gate_cell(summary, x, w.gates.w, w.gates.bias, inter, w_r, span=span)
-    tapes.append(state, ad.linear(state, w.attn.w_h))
+        summary, weights = intra_attend(x, tapes, summary_prev, layer.attn, span)
+    state = ad.gate_cell(summary, x, layer.w, layer.bias, inter, w_r, span=span)
+    tapes.append(state, ad.linear(state, layer.attn.w_h))
     return state, summary, weights
 
 
@@ -298,16 +286,6 @@ class StackRun:
         if self.tapes.memory is None:
             return ad.slice_cols(ad.concat(self.top, axis=0), 0, hidden)
         return ad.slice_cols(self.tapes.memory, 0, hidden, rows=self.rows)
-
-    def tape_states(self) -> tuple:
-        """Every step's top-layer h and c, as two (B, T, h) column slices
-        of the top tape's [h | c] slot values (``run_stack`` sizes the tape
-        to the sequence): two nodes at any length.  Tape layers only."""
-        mem = self.tapes.memory
-        if mem is None:
-            raise TapeError("an LSTM top layer keeps no tape")
-        hidden = mem.data.shape[2] // 2
-        return ad.slice_cols(mem, 0, hidden), ad.slice_cols(mem, hidden, 2 * hidden)
 
 
 def packed_input(xs, rows: Optional[list]) -> tuple:
@@ -351,11 +329,10 @@ def run_stack(xs, w: StackWeights, capacity: Optional[int] = None,
             below, run = run.packed(), None
             x = ad.concat([below, block], axis=1) if w.skip else below
         tapes, states, traces = Tapes(capacity, length=len(rows)), [], []
-        carried = zero_state(rows[0], layer.gates.hidden_size) if layer.attn is None else None
+        carried = zero_state(rows[0], layer.hidden_size) if layer.attn is None else None
         for span in spans:
             if layer.attn is None:
-                state = carried = ad.gate_cell(carried, x, layer.gates.w, layer.gates.bias,
-                                               span=span)
+                state = carried = ad.gate_cell(carried, x, layer.w, layer.bias, span=span)
                 weights = None
             else:
                 state, carried, weights = lstmn_step(x, tapes, carried, layer, span=span)

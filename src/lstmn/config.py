@@ -10,6 +10,7 @@ model.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -21,6 +22,9 @@ TASKS = ("lm", "sentiment", "nli")
 MODELS = ("lstm", "lstmn", "lstmn-stack", "seq2seq-shallow", "seq2seq-deep")
 SEQ2SEQ_MODELS = ("seq2seq-shallow", "seq2seq-deep")
 EMBEDDING_POLICIES = ("auto", "none", "scale-first-epoch", "freeze-pretrained-first-epoch")
+NLI_LABELS = ("entailment", "contradiction", "neutral")
+# The label counts a task's data can fill: binary or fine-grained sentiment.
+_LABEL_COUNTS = {"sentiment": (2, 5), "nli": (len(NLI_LABELS),)}
 
 
 @dataclass
@@ -90,11 +94,13 @@ _AUTO_EMBEDDING_POLICY = {"sentiment": "scale-first-epoch",
                           "nli": "freeze-pretrained-first-epoch"}
 
 
-def _parse_value(name: str, raw: str):
+def _parse_value(name: str, raw) -> object:
+    """The field ``name``'s value from ``raw``, or from its text when it is
+    not a string, so a Python value passes the same checks as a typed one."""
     if name not in _FIELDS:
         raise ConfigError(f"unknown config key: {name}")
     ftype = _FIELDS[name].type
-    raw = raw.strip()
+    raw = str(raw).strip()
     try:
         if ftype == "bool":
             low = raw.lower()
@@ -105,11 +111,14 @@ def _parse_value(name: str, raw: str):
             raise ValueError(raw)
         if ftype == "int":
             return int(raw)
-        if ftype == "float":
-            return float(raw)
-        return raw
+        if ftype != "float":
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"config key {name}: cannot parse {raw!r} as {ftype}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {name}: {raw!r} is not a finite number")
+    return value
 
 
 def text_lines(path: str, error: type = ConfigError):
@@ -162,7 +171,7 @@ def build_config(file_path: str = "", overrides: dict | None = None) -> RunConfi
         values.update(parse_config_file(file_path))
     for key, raw in (overrides or {}).items():
         key = key.replace("-", "_")
-        values[key] = _parse_value(key, raw) if isinstance(raw, str) else raw
+        values[key] = _parse_value(key, raw)
     cfg = RunConfig(**values)
     return finalize(cfg)
 
@@ -227,6 +236,10 @@ def finalize(cfg: RunConfig) -> RunConfig:
             f"embedding_grad_scale must be >= 0, got {cfg.embedding_grad_scale}")
     require(cfg.task == "lm" or cfg.num_labels >= 2,
             f"num_labels must be >= 2 for task {cfg.task}, got {cfg.num_labels}")
+    labels = _LABEL_COUNTS.get(cfg.task, ())
+    require(not labels or cfg.num_labels in labels,
+            f"num_labels must be {' or '.join(map(str, labels))} for task {cfg.task}, "
+            f"got {cfg.num_labels}")
     require(cfg.epochs >= 0, f"epochs must be >= 0, got {cfg.epochs}")
     require(cfg.batch_size >= 1, f"batch_size must be >= 1, got {cfg.batch_size}")
     require(cfg.max_steps >= 0, f"max_steps must be >= 0, got {cfg.max_steps}")

@@ -66,9 +66,6 @@ class Vocabulary:
         return np.array([self.token_to_index.get(t, unk) for t in tokens],
                         dtype=np.int64)
 
-    def decode(self, ids) -> list:
-        return [self.index_to_token[i] for i in ids]
-
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for token in self.index_to_token:

@@ -30,12 +30,12 @@ them from the keys.
 the tape-cell step, with the transfer gate for deep fusion): five graph
 nodes per step once the target tape holds a slot, the inter read and
 the four of a tape step.  Its state is the [h | c] block the gate cell
-returns, and a teacher-forced run is a ``cells.StackRun`` (``DecodeRun``)
-that also keeps the inter summaries and weights.  Training (``run_decoder``)
+returns, and the decoder is its own run, a ``cells.StackRun`` that also
+keeps the inter summaries and weights.  Training (``run_decoder``)
 reads every step's input from one packed, step-major block, and greedy
 decoding (``models.Seq2SeqModel.generate``) passes a one-row block per
 step; the prediction input is formed apart from the step
-(``DecoderState.features``, ``DecodeRun.packed``), so a greedy token adds
+(``DecoderState.features``, ``DecoderState.packed``), so a greedy token adds
 only its embedding lookup and the output projection: seven nodes for
 deep fusion.  The decoder may run packed, the batch sorted by target
 length, longest first: step t takes the B_t live rows, and its kernels
@@ -63,10 +63,6 @@ class SourceTapes:
     y: Tensor
     a: Tensor
     mask: Optional[np.ndarray] = None
-
-    @property
-    def length(self) -> int:
-        return self.y.data.shape[1]
 
 
 @dataclass
@@ -96,22 +92,17 @@ class DecoderWeights:
         return out
 
 
-def init_inter_attention(rng, attn_size: int, hidden: int, embed: int) -> InterAttentionWeights:
-    return InterAttentionWeights(
+def init_decoder(rng, hidden: int, embed: int, attn_size: int,
+                 attention_bias: bool = True) -> DecoderWeights:
+    """The tape layer, then Glorot W_gamma, W_x, W_gammatilde and W_r,
+    drawn in that order, and zero u."""
+    cell = cells.init_lstmn_layer(rng, hidden, embed, attn_size, attention_bias)
+    return DecoderWeights(cell, InterAttentionWeights(
         u=cells.zeros_param(attn_size),
         w_gamma=cells.glorot(rng, attn_size, hidden),
         w_x=cells.glorot(rng, attn_size, embed),
         w_gammatilde=cells.glorot(rng, attn_size, hidden),
-        w_r=cells.glorot(rng, hidden, hidden + embed),
-    )
-
-
-def init_decoder(rng, hidden: int, embed: int, attn_size: int,
-                 attention_bias: bool = True) -> DecoderWeights:
-    return DecoderWeights(
-        cell=cells.init_lstmn_layer(rng, hidden, embed, attn_size, attention_bias),
-        inter=init_inter_attention(rng, attn_size, hidden, embed),
-    )
+        w_r=cells.glorot(rng, hidden, hidden + embed)))
 
 
 def encode(xs, w: StackWeights, capacity: Optional[int] = None,
@@ -125,8 +116,12 @@ def encode(xs, w: StackWeights, capacity: Optional[int] = None,
     bounds how far back the encoder's own attention may look.
     """
     run = cells.run_stack(xs, w, capacity=capacity, rows=rows)
-    y, a = run.tape_states()
-    return SourceTapes(y=y, a=a, mask=mask), run.traces
+    mem = run.tapes.memory
+    if mem is None:
+        raise TapeError("an LSTM top layer keeps no tape")
+    hidden = mem.data.shape[2] // 2
+    return SourceTapes(y=ad.slice_cols(mem, 0, hidden), a=ad.slice_cols(mem, hidden, 2 * hidden),
+                       mask=mask), run.traces
 
 
 def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
@@ -135,9 +130,10 @@ def source_projection(src: SourceTapes, w: InterAttentionWeights) -> Tensor:
     [y_j | a_j] and the keys W_gamma y_j of all m slots in one
     ``tape_write``, so the backward forms the whole source's value
     gradient in one product.  An empty source is a ``TapeError``."""
-    if src.length < 1:
+    length = src.y.data.shape[1]
+    if length < 1:
         raise TapeError("inter-attention needs a non-empty source")
-    return ad.tape_write(None, (src.y, src.a), ad.linear(src.y, w.w_gamma), src.length)
+    return ad.tape_write(None, (src.y, src.a), ad.linear(src.y, w.w_gamma), length)
 
 
 def inter_attend(x: Tensor, source: Tensor, gamma_tilde_prev: Tensor,
@@ -153,40 +149,50 @@ def inter_attend(x: Tensor, source: Tensor, gamma_tilde_prev: Tensor,
                           mask=mask, span=span)
 
 
-class DecoderState:
-    """Decoding state for one batch: the target tapes, the carried intra
-    summary block [h~ | c~] and inter summary block [gamma~ | alpha~]
-    (``gamma_tilde``; a zero gamma~ before the first step), the latest
-    state block [h | c], the source tape packed once for inter-attention
-    and the source mask.  ``length`` preallocates that many tape slots."""
+class DecoderState(StackRun):
+    """Decoding of one batch, and its run: the target tapes, the carried
+    intra summary block [h~ | c~], the source tape packed once for
+    inter-attention and the source mask; and per step, as a ``StackRun``,
+    the state block [h | c] (``state``, the latest), the intra weights and
+    B_t, with the inter summary block [gamma~ | alpha~] (``gammas``) and
+    the inter weights (B, m) over the whole source (``inter``).  ``length``
+    preallocates that many tape slots."""
 
     def __init__(self, src: SourceTapes, w: DecoderWeights, mode: str,
                  capacity: Optional[int] = None, length: Optional[int] = None):
         if mode not in ("deep", "shallow"):
             raise ValueError(f"unknown fusion mode {mode!r}")
-        self.w, self.mode = w, mode
-        self.tapes = Tapes(capacity, length=length)
+        super().__init__([], [], Tapes(capacity, length=length), [])
+        self.w, self.mode, self.gammas, self.inter = w, mode, [], []
         self.summary = None   # unused while the target tape is empty
-        self.gamma_tilde = Tensor(np.zeros((src.y.data.shape[0], w.cell.gates.hidden_size)))
-        self.state: Optional[Tensor] = None
         self.source, self.mask = source_projection(src, w.inter), src.mask
 
-    def step(self, x: Tensor, span: Optional[tuple] = None) -> tuple:
+    @property
+    def state(self) -> Tensor:
+        return self.top[-1]
+
+    def step(self, x: Tensor, span: Optional[tuple] = None) -> None:
         """One decoder step over the rows ``span`` of the input block ``x``
         (all of it by default): inter-attention, then the tape-cell step,
         for deep fusion with the transfer gate over the inter summary
-        block.  Returns (intra weights, inter weights).
+        block.  A zero gamma~ is the first step's previous context.
 
         The rows are the first B_t, those still live in a packed batch
         (never more than the step before); the kernels read the same rows
         of the carried summary blocks and of the source."""
         w, deep = self.w.inter, self.mode == "deep"
-        self.gamma_tilde, inter = inter_attend(x, self.source, self.gamma_tilde, w, self.mask,
-                                               span)
-        self.state, self.summary, intra = cells.lstmn_step(
-            x, self.tapes, self.summary, self.w.cell, self.gamma_tilde if deep else None,
+        rows = x.data.shape[0] if span is None else span[1] - span[0]
+        prev = self.gammas[-1] if self.gammas else \
+            Tensor(np.zeros((rows, self.w.cell.hidden_size)))
+        gamma, inter = inter_attend(x, self.source, prev, w, self.mask, span)
+        state, self.summary, intra = cells.lstmn_step(
+            x, self.tapes, self.summary, self.w.cell, gamma if deep else None,
             w.w_r if deep else None, span)
-        return intra, inter
+        self.top.append(state)
+        self.traces.append(intra)
+        self.rows.append(rows)
+        self.gammas.append(gamma)
+        self.inter.append(inter)
 
     def features(self) -> Tensor:
         """The latest step's prediction input for the output projection:
@@ -195,22 +201,7 @@ class DecoderState:
         if self.mode == "deep":
             return self.state
         h = ad.slice_cols(self.state, 0, self.state.data.shape[1] // 2)
-        return _shallow_features(h, self.gamma_tilde)
-
-
-def _shallow_features(h: Tensor, gamma: Tensor) -> Tensor:
-    """[h, gamma~] from h and the inter summary block [gamma~ | alpha~]."""
-    return ad.concat([h, ad.slice_cols(gamma, 0, h.data.shape[1])], axis=1)
-
-
-@dataclass
-class DecodeRun(StackRun):
-    """The decoder's ``StackRun``, its ``traces`` the intra-attention
-    weights, with the per-step inter summary blocks [gamma~ | alpha~],
-    the inter weights (B, m) over the whole source and the fusion mode."""
-    gammas: list          # [T] of (B_t, 2h)
-    inter: list           # [T] of (B_t, m)
-    mode: str
+        return _shallow_features(h, self.gammas[-1])
 
     @property
     def outputs(self) -> list:
@@ -232,18 +223,18 @@ class DecodeRun(StackRun):
         return _shallow_features(h, ad.concat(self.gammas, axis=0))
 
 
+def _shallow_features(h: Tensor, gamma: Tensor) -> Tensor:
+    """[h, gamma~] from h and the inter summary block [gamma~ | alpha~]."""
+    return ad.concat([h, ad.slice_cols(gamma, 0, h.data.shape[1])], axis=1)
+
+
 def run_decoder(xs, src: SourceTapes, w: DecoderWeights, mode: str,
-                capacity: Optional[int] = None, rows: Optional[list] = None) -> DecodeRun:
+                capacity: Optional[int] = None, rows: Optional[list] = None) -> DecoderState:
     """Teacher-forced decoding of a packed, step-major input block with its
     step ``rows``, or of per-step inputs joined into one
-    (``cells.run_stack``)."""
+    (``cells.run_stack``): the decoder after every step."""
     block, rows, spans = cells.packed_input(xs, rows)
     decoder = DecoderState(src, w, mode, capacity, length=len(rows))
-    run = DecodeRun([], [], decoder.tapes, rows, [], [], mode)
     for span in spans:
-        intra, inter = decoder.step(block, span)
-        run.top.append(decoder.state)
-        run.traces.append(intra)
-        run.gammas.append(decoder.gamma_tilde)
-        run.inter.append(inter)
-    return run
+        decoder.step(block, span)
+    return decoder

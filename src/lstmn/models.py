@@ -19,8 +19,8 @@ padded position is computed or read.  A read embeds every step at once:
 one ``lookup`` of the live ids in step-major order gives the core its
 input block, step t's embeddings in rows [o_t, o_t + B_t), and the
 encoder of a seq2seq read gets one of its own.  A read returns a
-``cells.StackRun``, or the fusion decoder's subclass of it
-(``fusion.DecodeRun``), and every model takes its states back as one
+``cells.StackRun``, or the fusion decoder, a subclass of it
+(``fusion.DecoderState``), and every model takes its states back as one
 packed block (``run.packed()``): language models project it, and
 classifiers pool it in one product whose rows come back in batch
 order.
@@ -37,8 +37,6 @@ from . import cells, data, fusion, heads
 from .config import SEQ2SEQ_MODELS, ConfigError, RunConfig
 from .data import Batch, EmbeddingTable, Vocabulary
 from .heads import EvalMetrics
-
-NLI_LABELS = ("entailment", "contradiction", "neutral")
 
 
 def pack(mask: np.ndarray) -> tuple:
@@ -110,8 +108,8 @@ class Model:
         ``core`` (default: the model's stack) runs that block.  With
         ``src``, the rows' (source tokens, mask or None), ``core`` first
         encodes every source row and the fusion decoder runs instead.
-        Returns (row order, B_t, the ``StackRun`` or ``DecodeRun``, the
-        encoder traces or None)."""
+        Returns (row order, B_t, the ``StackRun`` or ``DecoderState``,
+        the encoder traces or None)."""
         order, rows = pack(np.ones(tokens.shape) if mask is None else mask)
         core = self.stack if core is None else core
         table, enc_traces = self.embeddings.weights, None

@@ -20,10 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint, data, models, optim, synthetic
-from .config import SEQ2SEQ_MODELS, ConfigError, RunConfig, data_kind, format_config
+from .config import NLI_LABELS, SEQ2SEQ_MODELS, ConfigError, RunConfig, data_kind, format_config
 from .data import Vocabulary
 from .heads import EvalMetrics
-from .models import NLI_LABELS
 
 
 @dataclass

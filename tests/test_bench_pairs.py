@@ -1,6 +1,6 @@
 """``tools/bench_pairs.py`` on canned ``perfbench/run.py`` result lines:
-the pair order, the per-side quartiles, the wins and the claim rule.  No
-benchmark runs."""
+the pair order, the per-side quartiles, the wins, the claim rule and the
+no-regression rule.  No benchmark runs."""
 
 import importlib.util
 import json
@@ -14,7 +14,8 @@ _spec = importlib.util.spec_from_file_location(
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"train_tok_s": "higher", "peak_rss_mb": "lower"}
+METRICS = {"train_tok_s": {"better": "higher", "bound": 0.25},
+           "peak_rss_mb": {"better": "lower", "bound": 0.15}}
 
 
 def result_line(tok_s: float, rss: float, failed: int = 0) -> str:
@@ -38,7 +39,7 @@ def test_quartiles_wins_and_a_claim_that_holds():
     # parent's less 5 MB in every pair.
     change = [(t * 1.15, r - 5.0) for t, r in PARENT]
     change[4] = PARENT[4]
-    table, failures = bench_pairs.summarize(canned(PARENT, change), BETTER)
+    table, failures = bench_pairs.summarize(canned(PARENT, change), METRICS)
     tok = table["train_tok_s"]
     assert tok["parent"] == pytest.approx((1022.5, 1045.0, 1067.5))
     assert tok["parent_iqr"] == pytest.approx(45.0)
@@ -50,7 +51,8 @@ def test_quartiles_wins_and_a_claim_that_holds():
     assert bench_pairs.claim_holds(rss)
     assert failures == {"parent": (0, 500), "change": (0, 500)}
     lines = bench_pairs.report(table, failures, claim="peak_rss_mb")
-    assert lines[-1].startswith("claim peak_rss_mb: holds (wins 9 of 10, need 9;")
+    assert lines[-2].startswith("claim peak_rss_mb: holds (wins 9 of 10, need 9;")
+    assert lines[-1] == "no-regression rule: holds"
     assert "1022.5 / 1045 / 1067.5" in next(l for l in lines if l.startswith("train_tok_s"))
 
 
@@ -58,16 +60,16 @@ def test_eight_wins_in_ten_do_not_hold():
     change = [(t * 1.15, r) for t, r in PARENT]
     for i in (2, 7):
         change[i] = (PARENT[i][0] * 0.99, PARENT[i][1])
-    table, failures = bench_pairs.summarize(canned(PARENT, change), BETTER)
+    table, failures = bench_pairs.summarize(canned(PARENT, change), METRICS)
     assert table["train_tok_s"]["wins"] == 8
     assert not bench_pairs.claim_holds(table["train_tok_s"])
-    assert "does not hold" in bench_pairs.report(table, failures, "train_tok_s")[-1]
+    assert "does not hold" in bench_pairs.report(table, failures, "train_tok_s")[-2]
 
 
 def test_a_gap_inside_the_parent_iqr_does_not_hold():
     # Ten wins of 2%, about 20 tok/s, against a parent IQR of 45.
     change = [(t * 1.02, r) for t, r in PARENT]
-    table, _ = bench_pairs.summarize(canned(PARENT, change), BETTER)
+    table, _ = bench_pairs.summarize(canned(PARENT, change), METRICS)
     assert table["train_tok_s"]["wins"] == 10
     assert not bench_pairs.claim_holds(table["train_tok_s"])
 
@@ -75,11 +77,74 @@ def test_a_gap_inside_the_parent_iqr_does_not_hold():
 def test_a_worse_median_does_not_hold_and_failures_are_counted():
     change = [(t, r + 50.0) for t, r in PARENT]
     change[0] = (PARENT[0][0], PARENT[0][1] - 1.0, 3)
-    table, failures = bench_pairs.summarize(canned(PARENT, change), BETTER)
+    table, failures = bench_pairs.summarize(canned(PARENT, change), METRICS)
     assert (table["peak_rss_mb"]["wins"], table["peak_rss_mb"]["losses"]) == (1, 9)
     assert bench_pairs.median_gain(table["peak_rss_mb"]) == pytest.approx(-50.0)
     assert not bench_pairs.claim_holds(table["peak_rss_mb"])
     assert failures["change"] == (3, 500)
+
+
+def test_a_worse_median_within_its_bound_holds_the_rule():
+    # 10% slower against a 25% bound; RSS 5% higher against a 15% bound.
+    change = [(t * 0.9, r * 1.05) for t, r in PARENT]
+    table, failures = bench_pairs.summarize(canned(PARENT, change), METRICS)
+    assert table["train_tok_s"]["losses"] == 10
+    assert [row["verdict"] for row in table.values()] == ["within", "within"]
+    assert bench_pairs.rule_holds(table, failures)
+    assert bench_pairs.report(table, failures)[-1] == "no-regression rule: holds"
+
+
+def test_a_median_worse_than_its_bound_fails_the_rule():
+    # 20% more RSS against a 15% bound: its median 361.2 MB against 301.
+    change = [(t, r * 1.2) for t, r in PARENT]
+    table, failures = bench_pairs.summarize(canned(PARENT, change), METRICS)
+    rss = table["peak_rss_mb"]
+    assert rss["margin"] == pytest.approx(0.15 * 301.0)
+    assert (rss["verdict"], table["train_tok_s"]["verdict"]) == ("worse", "within")
+    assert not bench_pairs.rule_holds(table, failures)
+    assert bench_pairs.report(table, failures)[-1] == \
+        "no-regression rule: fails (worse peak_rss_mb)"
+
+
+def test_a_parent_iqr_wider_than_the_margin_is_unresolved():
+    # The parent's runs spread from 600 to 1400 tok/s: an IQR of 400
+    # against a margin of 0.25 x 1000; the change's median is no worse.
+    parent = [(600.0 if i % 2 else 1400.0, 300.0) for i in range(10)]
+    table, failures = bench_pairs.summarize(canned(parent, parent), METRICS)
+    tok = table["train_tok_s"]
+    assert tok["parent_iqr"] == pytest.approx(800.0)
+    assert tok["margin"] == pytest.approx(250.0)
+    assert tok["verdict"] == "unresolved"
+    assert not bench_pairs.rule_holds(table, failures)
+    assert bench_pairs.report(table, failures)[-1] == \
+        "no-regression rule: fails (unresolved train_tok_s)"
+    # Unless every change run reads better than every parent run.
+    change = [(1500.0, r) for _, r in parent]
+    table, failures = bench_pairs.summarize(canned(parent, change), METRICS)
+    assert table["train_tok_s"]["verdict"] == "within"
+    assert bench_pairs.rule_holds(table, failures)
+
+
+def test_a_larger_failed_share_fails_the_rule(monkeypatch, capsys):
+    # Every metric equal, but the change fails 2 of 50 operations in one run.
+    change = list(PARENT)
+    change[3] = PARENT[3] + (2,)
+    table, failures = bench_pairs.summarize(canned(PARENT, change), METRICS)
+    assert all(row["verdict"] == "within" for row in table.values())
+    assert failures == {"parent": (0, 500), "change": (2, 500)}
+    assert not bench_pairs.rule_holds(table, failures)
+    lines = bench_pairs.report(table, failures)
+    assert lines[-2] == "failed operations: parent 0 of 500 (0.00%), change 2 of 500 (0.40%)"
+    assert lines[-1] == "no-regression rule: fails (failed share up)"
+    # The same runs through main: the rule fails, so the exit status is 1.
+    results = {"old": iter(PARENT), "new": iter(change)}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, *_: json.loads(result_line(*next(results[checkout]))))
+    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda: (30, METRICS))
+    assert bench_pairs.main(["old", "new", "--workload", "lm-ptb-scale", "--pairs", "10",
+                             "--seed", "3"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "no-regression rule: fails (failed share up)"
 
 
 def test_pairs_alternate_the_first_side(monkeypatch, capsys):
@@ -91,7 +156,7 @@ def test_pairs_alternate_the_first_side(monkeypatch, capsys):
         return json.loads(result_line(1000.0 + side if checkout == "new" else 1000.0, 300.0))
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
-    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda: (30, BETTER))
+    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda: (30, METRICS))
     status = bench_pairs.main(["old", "new", "--workload", "lm-ptb-scale", "--pairs", "4",
                                "--seed", "17", "--claim", "train_tok_s"])
     assert calls == ["old", "new", "new", "old", "old", "new", "new", "old"]
@@ -100,7 +165,8 @@ def test_pairs_alternate_the_first_side(monkeypatch, capsys):
         ["run", "0", "parent"], ["run", "0", "change"], ["run", "1", "change"],
         ["run", "1", "parent"], ["run", "2", "parent"], ["run", "2", "change"],
         ["run", "3", "change"], ["run", "3", "parent"]]
-    assert status == 0 and out[-1].startswith("claim train_tok_s: holds")
+    assert status == 0 and out[-2].startswith("claim train_tok_s: holds")
+    assert out[-1] == "no-regression rule: holds"
 
 
 def test_json_summary_is_added_to_a_list(monkeypatch, tmp_path, capsys):
@@ -116,7 +182,7 @@ def test_json_summary_is_added_to_a_list(monkeypatch, tmp_path, capsys):
                dirs["new"]: iter([(t * 1.15, r - 5.0, 1) for t, r in PARENT] * 2)}
     monkeypatch.setattr(bench_pairs, "run_once",
                         lambda checkout, *_: json.loads(result_line(*next(results[checkout]))))
-    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda: (30, BETTER))
+    monkeypatch.setattr(bench_pairs, "benchmark_spec", lambda: (30, METRICS))
     path = tmp_path / "bench.json"
     for workload in ("lm-long-tape", "copy-seq2seq"):
         bench_pairs.main([dirs["old"], dirs["new"], "--workload", workload, "--pairs", "10",
@@ -128,11 +194,16 @@ def test_json_summary_is_added_to_a_list(monkeypatch, tmp_path, capsys):
     first = entries[0]
     assert (first["seed"], first["pairs"], first["claim"], first["claim_holds"]) == \
         (7, 10, "peak_rss_mb", True)
+    # The change's one failed operation per run is a larger failed share.
+    assert first["no_regression"] is False
+    assert first["failed_share"] == pytest.approx({"parent": 0.0, "change": 0.02})
     tok = first["metrics"]["train_tok_s"]
     assert tok["parent"] == pytest.approx([1022.5, 1045.0, 1067.5])
     assert tok["parent_iqr"] == pytest.approx(45.0)
     assert (tok["wins"], tok["losses"], tok["ties"]) == (10, 0, 0)
     assert first["metrics"]["peak_rss_mb"]["median_gain"] == pytest.approx(5.0)
+    assert (tok["bound"], tok["verdict"]) == (0.25, "within")
+    assert tok["margin"] == pytest.approx(0.25 * 1045.0)
     assert first["failed_attempted"] == {"parent": [0, 500], "change": [10, 500]}
     assert first["src_lines"] == {"parent": 3, "change": 5}
     assert first["src_code_lines"] == {"parent": 3, "change": 5}

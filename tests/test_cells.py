@@ -13,7 +13,6 @@ from lstmn import autodiff as ad
 from lstmn import cells
 from lstmn.autodiff import Tensor, backward, grad_check, zero_grad
 from lstmn.cells import (
-    GateWeights,
     IntraAttentionWeights,
     LstmnLayerWeights,
     TapeError,
@@ -34,10 +33,12 @@ def h_and_c(block):
     return np.split(block.data, 2, axis=1)
 
 
-def zero_gate_weights(hidden, in_size):
-    return GateWeights(
+def zero_layer(hidden, in_size, attn=None):
+    """A layer with zero gate weights: plain LSTM unless ``attn`` is given."""
+    return LstmnLayerWeights(
         w=Tensor(np.zeros((4 * hidden, hidden + in_size)), requires_grad=True),
         bias=Tensor(np.zeros(4 * hidden), requires_grad=True),
+        attn=attn,
     )
 
 
@@ -47,7 +48,7 @@ def random_layer(rng, hidden, in_size, attn, bias=True):
 
 def randomize_layer(rng, layer, scale=0.6):
     """init_* zeroes v and biases; fill everything for generic-position tests."""
-    for t in (layer.gates.w, layer.gates.bias, layer.attn.v, layer.attn.w_h,
+    for t in (layer.w, layer.bias, layer.attn.v, layer.attn.w_h,
               layer.attn.w_x, layer.attn.w_htilde, layer.attn.bias):
         if t is not None:
             t.data[...] = rng.normal(scale=scale, size=t.data.shape)
@@ -56,7 +57,7 @@ def randomize_layer(rng, layer, scale=0.6):
 
 def layer_ref_args(layer):
     a = layer.attn
-    return dict(W=layer.gates.w.data, b=layer.gates.bias.data,
+    return dict(W=layer.w.data, b=layer.bias.data,
                 v=a.v.data, w_h=a.w_h.data, w_x=a.w_x.data,
                 w_ht=a.w_htilde.data,
                 bias=None if a.bias is None else a.bias.data)
@@ -64,22 +65,22 @@ def layer_ref_args(layer):
 
 class TestLstmStep:
     def test_zero_weights_zero_memory(self):
-        w = zero_gate_weights(1, 1)
+        w = zero_layer(1, 1)
         h, c = h_and_c(ad.gate_cell(zero_state(1, 1), row([0.0]), w.w, w.bias))
         np.testing.assert_array_equal(h, [[0.0]])
         np.testing.assert_array_equal(c, [[0.0]])
 
     def test_zero_weights_unit_memory(self):
         # sigma(0) = 0.5 gates halve the carried memory.
-        w = zero_gate_weights(1, 1)
+        w = zero_layer(1, 1)
         h, c = h_and_c(ad.gate_cell(row([0.0, 1.0]), row([0.3]), w.w, w.bias))
         assert c.item() == pytest.approx(0.5, abs=1e-15)
         assert h.item() == pytest.approx(0.5 * np.tanh(0.5), abs=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(5)
-        w = GateWeights(w=Tensor(rng.normal(size=(12, 6))),
-                        bias=Tensor(rng.normal(size=12)))
+        w = LstmnLayerWeights(w=Tensor(rng.normal(size=(12, 6))),
+                              bias=Tensor(rng.normal(size=12)))
         x, h0, c0 = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
         h, c = h_and_c(ad.gate_cell(row(np.concatenate([h0, c0])), row(x), w.w, w.bias))
         h_ref, c_ref = oracles.lstm_step_ref(x, h0, c0, w.w.data, w.bias.data)
@@ -88,8 +89,8 @@ class TestLstmStep:
 
     def test_hidden_state_bounded(self):
         rng = np.random.default_rng(6)
-        w = GateWeights(w=Tensor(rng.normal(scale=3.0, size=(8, 5))),
-                        bias=Tensor(rng.normal(scale=3.0, size=8)))
+        w = LstmnLayerWeights(w=Tensor(rng.normal(scale=3.0, size=(8, 5))),
+                              bias=Tensor(rng.normal(scale=3.0, size=8)))
         x, prev = row(rng.normal(size=3)), row(rng.normal(size=4))
         h, _ = h_and_c(ad.gate_cell(prev, x, w.w, w.bias))
         assert np.all(np.abs(h) <= 1.0)
@@ -142,8 +143,8 @@ class TestIntraAttend:
 
 class TestLstmnStep:
     def test_first_step_zero_weights(self):
-        layer = LstmnLayerWeights(
-            gates=zero_gate_weights(2, 2),
+        layer = zero_layer(
+            2, 2,
             attn=IntraAttentionWeights(
                 v=Tensor(np.zeros(3), requires_grad=True),
                 w_h=Tensor(np.zeros((3, 2)), requires_grad=True),
@@ -167,7 +168,7 @@ class TestLstmnStep:
         x1, x2 = row(rng.normal(size=2)), row(rng.normal(size=2))
         s1, summary1, _ = lstmn_step(x1, tapes, htp, layer)
         s2, summary2, _ = lstmn_step(x2, tapes, summary1, layer)
-        ref = ad.gate_cell(s1, x2, layer.gates.w, layer.gates.bias)
+        ref = ad.gate_cell(s1, x2, layer.w, layer.bias)
         np.testing.assert_array_equal(s2.data, ref.data)
         np.testing.assert_array_equal(summary2.data, s1.data)
 
@@ -400,8 +401,8 @@ class TestStack:
     def test_two_layers_zero_weights_zero_outputs(self):
         layers = []
         for in_size in (2, 1):
-            layers.append(LstmnLayerWeights(
-                gates=zero_gate_weights(1, in_size),
+            layers.append(zero_layer(
+                1, in_size,
                 attn=IntraAttentionWeights(
                     v=Tensor(np.zeros(2), requires_grad=True),
                     w_h=Tensor(np.zeros((2, 1)), requires_grad=True),
@@ -438,9 +439,9 @@ class TestStack:
     def test_skip_changes_upper_input_width(self):
         rng = np.random.default_rng(20)
         stack = cells.init_stack(rng, 2, hidden=3, embed=2, attn_size=2, skip=True)
-        assert stack.layers[1].gates.w.data.shape == (12, 3 + 3 + 2)
+        assert stack.layers[1].w.data.shape == (12, 3 + 3 + 2)
         plain = cells.init_stack(rng, 2, hidden=3, embed=2, attn_size=2, skip=False)
-        assert plain.layers[1].gates.w.data.shape == (12, 3 + 3)
+        assert plain.layers[1].w.data.shape == (12, 3 + 3)
 
 
 class TestNonMarkovContrast:
@@ -470,8 +471,8 @@ class TestNonMarkovContrast:
 
     def test_lstm_future_depends_only_on_latest_state(self):
         rng = np.random.default_rng(22)
-        w = GateWeights(w=Tensor(rng.normal(size=(12, 5))),
-                        bias=Tensor(rng.normal(size=12)))
+        w = LstmnLayerWeights(w=Tensor(rng.normal(size=(12, 5))),
+                              bias=Tensor(rng.normal(size=12)))
         xs = [row(rng.normal(size=2)) for _ in range(4)]
         state = zero_state(1, 3)
         for x in xs:
@@ -493,8 +494,8 @@ def test_float32_steps_stay_float32():
     try:
         rng = np.random.default_rng(27)
         layer = randomize_layer(rng, random_layer(rng, 3, 2, 2))
-        lstm = GateWeights(w=Tensor(rng.normal(size=(12, 5)), requires_grad=True),
-                           bias=Tensor(rng.normal(size=12), requires_grad=True))
+        lstm = LstmnLayerWeights(w=Tensor(rng.normal(size=(12, 5)), requires_grad=True),
+                                 bias=Tensor(rng.normal(size=12), requires_grad=True))
         inter, w_r = Tensor(rng.normal(size=(2, 6))), Tensor(rng.normal(size=(3, 5)))
         tapes, summary, hc, total, blocks = Tapes(), None, zero_state(2, 3), None, []
         for _ in range(3):
@@ -533,7 +534,7 @@ def lstm_stack(rng, layers, hidden, embed, skip=False):
     stack = cells.init_stack(rng, layers, hidden, embed, attn_size=None, skip=skip)
     for layer in stack.layers:
         assert layer.attn is None
-        for t in (layer.gates.w, layer.gates.bias):
+        for t in (layer.w, layer.bias):
             t.data[...] = rng.normal(size=t.data.shape)
     return stack
 
@@ -546,7 +547,7 @@ def test_run_lstm_baseline_matches_manual_chain():
     assert run.traces == [None] * 3
     state = zero_state(1, 3)
     for x, h, c in zip(xs, run.top_h, run.top_c):
-        state = ad.gate_cell(state, x, stack.layers[0].gates.w, stack.layers[0].gates.bias)
+        state = ad.gate_cell(state, x, stack.layers[0].w, stack.layers[0].bias)
         np.testing.assert_array_equal(state.data, np.concatenate([h.data, c.data], axis=1))
 
 
@@ -559,7 +560,7 @@ def test_run_stack_lstm_skip_feeds_h_and_x_upward():
     xs = [Tensor(rng.normal(size=(2, embed))) for _ in range(4)]
     run = run_stack(xs, stack)
     lower, upper = zero_state(2, hidden), zero_state(2, hidden)
-    bottom, top = (layer.gates for layer in stack.layers)
+    bottom, top = stack.layers
     for x, h in zip(xs, run.top_h):
         lower = ad.gate_cell(lower, x, bottom.w, bottom.bias)
         upper = ad.gate_cell(upper, ad.concat([ad.slice_cols(lower, 0, hidden), x], axis=1),

@@ -1,12 +1,18 @@
 """Config, workflow, and CLI tests."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
+import math
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lstmn import checkpoint, cli, models, optim, synthetic, train
 from lstmn.autodiff import NonFiniteError, Tensor, set_default_dtype
@@ -106,6 +112,54 @@ class TestConfig:
         with pytest.raises(ConfigError, match=fragment):
             build_config(overrides=overrides)
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400", "-Infinity"])
+    @pytest.mark.parametrize("key", ["lr", "l2", "grad_clip", "adam_eps"])
+    def test_non_finite_float_is_refused_naming_the_key(self, key, text):
+        with pytest.raises(ConfigError, match=f"config key {key}: .* is not a finite number"):
+            build_config(overrides={key: text})
+        with pytest.raises(ConfigError, match=f"config key {key}: .* is not a finite number"):
+            build_config(overrides={key: float(text)})
+
+    def test_non_finite_float_in_a_config_file_is_refused(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("dropout = nan\n")
+        with pytest.raises(ConfigError, match="config key dropout: 'nan' is not a finite"):
+            build_config(str(path))
+
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"hiden": 5}, "unknown config key: hiden"),
+        ({"hidden": 64.5}, "config key hidden: cannot parse '64.5' as int"),
+        ({"hidden": True}, "config key hidden: cannot parse 'True' as int"),
+        ({"bucketing": 2}, "config key bucketing: cannot parse '2' as bool"),
+        ({"lr": "0.1", "dropout": float("inf")}, "config key dropout"),
+    ])
+    def test_python_valued_overrides_pass_the_key_and_type_checks(self, overrides, fragment):
+        with pytest.raises(ConfigError, match=re.escape(fragment)):
+            build_config(overrides=overrides)
+
+    def test_python_valued_overrides_build_the_config_of_their_text(self):
+        # The forms the benchmark workloads use: ints, floats and bools.
+        values = dict(task="lm", model="lstmn-stack", hidden=64, embedding=64, layers=2,
+                      skip_connections=True, optimizer="sgd", lr=0.65, lr_decay=0.85,
+                      grad_clip=5.0, dropout=0.0, batch_size=16, vocab_size=10000,
+                      adam_eps=1e-8, seed=0)
+        cfg = build_config(overrides=values)
+        assert cfg == build_config(overrides={k: str(v) for k, v in values.items()})
+        assert (cfg.hidden, cfg.lr, cfg.skip_connections, cfg.adam_eps) == (64, 0.65, True, 1e-8)
+
+    @pytest.mark.parametrize("task, labels", [("sentiment", "3"), ("sentiment", "4"),
+                                              ("sentiment", "6"), ("nli", "2"), ("nli", "4")])
+    def test_num_labels_the_task_cannot_fill_is_refused(self, task, labels):
+        with pytest.raises(ConfigError, match=f"num_labels must be .* for task {task}, "
+                                              f"got {labels}"):
+            build_config(overrides=dict(task=task, num_labels=labels))
+
+    @pytest.mark.parametrize("task, labels", [("sentiment", "2"), ("sentiment", "5"),
+                                              ("nli", "3"), ("lm", "7")])
+    def test_num_labels_the_task_fills_is_accepted(self, task, labels):
+        assert build_config(overrides=dict(task=task, num_labels=labels)).num_labels == \
+            int(labels)
+
     def test_adam_bounds_accept_their_closed_ends(self):
         cfg = build_config(overrides=dict(beta1="0", beta2="0", embedding_grad_scale="0"))
         assert (cfg.beta1, cfg.beta2, cfg.embedding_grad_scale) == (0.0, 0.0, 0.0)
@@ -147,6 +201,48 @@ class TestConfig:
         assert data_kind(build_config(overrides=dict(task="sentiment"))) == \
             "labeled-sentences"
         assert data_kind(build_config(overrides=dict(task="nli"))) == "sentence-pairs"
+
+
+FIELD_NAMES = [f.name for f in dataclasses.fields(RunConfig)]
+NUMBERS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 400, 10 ** 400), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308, -1e308, 5e-324, 0.5]))
+WORDS = st.text("abcdefghijklmnopqrstuvwxyzABC_", max_size=8)   # "" included
+# What a command line or a config file can hold.
+TEXTS = st.one_of(NUMBERS.map(str), WORDS, st.booleans().map(str), st.sampled_from(
+    ["true", "off", "Yes", " 7 ", "1_000", "1e5", "-Infinity", "NaN", "9" * 5000, "1.0"]))
+
+
+class TestConfigProperties:
+    """Every field, fed text and Python values: a ``ConfigError``, or a
+    config whose fields have their declared types and finite floats."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.dictionaries(st.sampled_from(FIELD_NAMES),
+                           st.one_of(TEXTS, NUMBERS, st.booleans(), WORDS), max_size=4))
+    def test_build_config_refuses_or_types_every_field(self, overrides):
+        try:
+            cfg = build_config(overrides=overrides)
+        except ConfigError:
+            return
+        for f in dataclasses.fields(RunConfig):
+            value = getattr(cfg, f.name)
+            assert type(value).__name__ == f.type, (f.name, value)
+            assert f.type != "float" or math.isfinite(value), (f.name, value)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(key=st.sampled_from(FIELD_NAMES), text=TEXTS)
+    def test_cli_train_without_data_is_one_error_line_and_writes_nothing(self, key, text):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["train", "--out", "run", f"--{key}", text])
+            finally:
+                set_default_dtype(np.float64)   # --precision float32 sets it
+            assert not os.path.exists("run")
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestRunTrain:
@@ -641,6 +737,31 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert err == "error: grad_clip must be >= 0, got -1.0\n"
         assert not (tmp_path / "out").exists()
+
+    def test_infinite_lr_is_one_error_line_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["train", "--out", str(out)]
+        for key, value in lm_overrides(tmp_path, max_steps="2", lr="inf").items():
+            args += [f"--{key}", value]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: config key lr: 'inf' is not a finite number\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task, labels, lines", [
+        ("sentiment", "3", ["0\tbad film", "4\tgood movie"]),
+        ("nli", "2", ["entailment\ta dog runs\tan animal moves",
+                      "neutral\ta dog runs\tthe dog is old"]),
+        ("nli", "4", ["contradiction\ta dog runs\tno dog runs"])])
+    def test_num_labels_the_data_cannot_fill_is_one_error_line_before_any_write(
+            self, tmp_path, capsys, task, labels, lines):
+        path, out = tmp_path / "data.tsv", tmp_path / "out"
+        synthetic.write_lines(path, lines)
+        assert cli.main(["train", "--task", task, "--num_labels", labels,
+                         "--train_data", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: num_labels must be ") and err.count("\n") == 1
+        assert f"for task {task}, got {labels}" in err
+        assert not out.exists()
 
     def test_non_utf8_config_is_one_error_line_naming_file_and_line(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

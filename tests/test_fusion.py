@@ -46,7 +46,7 @@ def randomize(rng, tensors, scale=0.8):
 def random_encoder(rng, hidden, embed, attn, layers=1):
     stack = cells.init_stack(rng, layers, hidden, embed, attn)
     for layer in stack.layers:
-        randomize(rng, [layer.gates.w, layer.gates.bias, layer.attn.v,
+        randomize(rng, [layer.w, layer.bias, layer.attn.v,
                         layer.attn.w_h, layer.attn.w_x, layer.attn.w_htilde,
                         layer.attn.bias])
     return stack
@@ -54,7 +54,7 @@ def random_encoder(rng, hidden, embed, attn, layers=1):
 
 def random_decoder(rng, hidden, embed, attn):
     dec = fusion.init_decoder(rng, hidden, embed, attn)
-    randomize(rng, [dec.cell.gates.w, dec.cell.gates.bias, dec.cell.attn.v,
+    randomize(rng, [dec.cell.w, dec.cell.bias, dec.cell.attn.v,
                     dec.cell.attn.w_h, dec.cell.attn.w_x, dec.cell.attn.w_htilde,
                     dec.cell.attn.bias, dec.inter.u, dec.inter.w_gamma,
                     dec.inter.w_x, dec.inter.w_gammatilde, dec.inter.w_r])
@@ -64,8 +64,8 @@ def random_decoder(rng, hidden, embed, attn):
 def encode_ref(xs, layer):
     """Source tapes via the straight-line cell oracle (single layer)."""
     H, C = [], []
-    hp = np.zeros(layer.gates.hidden_size)
-    args = dict(W=layer.gates.w.data, b=layer.gates.bias.data,
+    hp = np.zeros(layer.hidden_size)
+    args = dict(W=layer.w.data, b=layer.bias.data,
                 v=layer.attn.v.data, w_h=layer.attn.w_h.data,
                 w_x=layer.attn.w_x.data, w_ht=layer.attn.w_htilde.data,
                 bias=layer.attn.bias.data)
@@ -82,13 +82,12 @@ class TestEncode:
         rng = np.random.default_rng(30)
         enc = random_encoder(rng, 2, 2, 2)
         src, traces = encode([row(rng.normal(size=2))], enc)
-        assert src.length == 1
         assert src.y.data.shape == (1, 1, 2)
         assert traces[0] is None   # no attention at the first step
 
     def test_zero_weights_zero_tapes(self):
         enc = cells.init_stack(np.random.default_rng(0), 1, 2, 2, 2)
-        for t in (enc.layers[0].gates.w, enc.layers[0].gates.bias):
+        for t in (enc.layers[0].w, enc.layers[0].bias):
             t.data[...] = 0.0
         src, _ = encode([row([0.5, -0.5]), row([1.0, 2.0])], enc)
         np.testing.assert_array_equal(src.y.data, np.zeros((1, 2, 2)))
@@ -117,9 +116,8 @@ class TestEncode:
 
     def test_lstm_top_layer_has_no_tape_to_read(self):
         stack = cells.init_stack(np.random.default_rng(0), 1, 2, 2, attn_size=None)
-        run = cells.run_stack([row([0.5, -0.5])], stack)
         with pytest.raises(TapeError, match="no tape"):
-            run.tape_states()
+            encode([row([0.5, -0.5])], stack)
 
     def test_empty_source_rejected(self):
         enc = cells.init_stack(np.random.default_rng(0), 1, 2, 2, 2)
@@ -218,7 +216,7 @@ class TestDeepDecode:
         # alpha~ = 0, so the new memory is exactly zero.
         rng = np.random.default_rng(36)
         dec = fusion.init_decoder(rng, 2, 2, 2)
-        for t in (dec.cell.gates.w, dec.cell.gates.bias, dec.inter.w_r,
+        for t in (dec.cell.w, dec.cell.bias, dec.inter.w_r,
                   dec.inter.w_gamma, dec.inter.w_x, dec.inter.w_gammatilde):
             t.data[...] = 0.0
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.zeros((1, 2, 2))))
@@ -245,7 +243,7 @@ class TestDeepDecode:
         decoder.step(row(x))
         h, c = h_and_c(decoder.state)
         i, f, o, chat = oracles.gate_blocks(
-            np.zeros(3), x, dec.cell.gates.w.data, dec.cell.gates.bias.data)
+            np.zeros(3), x, dec.cell.w.data, dec.cell.bias.data)
         r = oracles.sigmoid(dec.inter.w_r.data @ np.concatenate([y[0, 0], x]))
         c_ref = r * a[0, 0] + i * chat
         np.testing.assert_allclose(c[0], c_ref, atol=1e-12)
@@ -262,14 +260,15 @@ class TestDeepDecode:
         H, C = [], []
         hp, gp = np.zeros(3), np.zeros(3)
         for x in xs:
-            _, inter = decoder.step(row(x))
+            decoder.step(row(x))
             h, c = h_and_c(decoder.state)
+            inter = decoder.inter[-1]
             # c_ref = r_ref * a_ref + f * c~ + i * c-hat: the c check pins
             # the transfer gate r.
             h_ref, c_ref, w_ref, p_ref, r_ref, ht_ref, g_ref, a_ref = \
                 oracles.deep_decode_step_ref(
                     x, H, C, hp, Y, A, gp,
-                    dec.cell.gates.w.data, dec.cell.gates.bias.data,
+                    dec.cell.w.data, dec.cell.bias.data,
                     dec.cell.attn.v.data, dec.cell.attn.w_h.data, dec.cell.attn.w_x.data,
                     dec.cell.attn.w_htilde.data, dec.cell.attn.bias.data,
                     dec.inter.u.data, dec.inter.w_gamma.data, dec.inter.w_x.data,
@@ -337,7 +336,7 @@ class TestShallowDecode:
     def test_zero_weights_prediction_input_zero(self):
         rng = np.random.default_rng(40)
         dec = fusion.init_decoder(rng, 2, 2, 2)
-        for t in (dec.cell.gates.w, dec.cell.gates.bias,
+        for t in (dec.cell.w, dec.cell.bias,
                   dec.inter.w_gamma, dec.inter.w_x, dec.inter.w_gammatilde):
             t.data[...] = 0.0
         src = SourceTapes(y=Tensor(np.zeros((1, 2, 2))), a=Tensor(np.zeros((1, 2, 2))))

@@ -11,20 +11,32 @@ with the parent.  Each run is a subprocess started in its own checkout,
 so each side imports its own ``src/``.  Every run's result line is printed
 as it arrives (``run <pair> <side> <json>``); then, per end-to-end
 metric, each side's median and quartiles, the parent's interquartile
-range (IQR) and the change's wins, losses and ties, pair by pair.
+range (IQR), the change's wins, losses and ties, pair by pair, and the
+metric's verdict under the benchmark's no-regression rule.
 
-With ``--claim METRIC`` the last line says whether a gain in METRIC
+The rule takes each metric's ``bound`` from ``BENCHMARK.json``; its
+margin is bound x the parent's median.  A metric is "worse" when the
+change's median is worse than the parent's by more than the margin,
+"unresolved" when the parent's IQR is wider than the margin, so the runs
+spread too widely to tell, unless every change run reads better than
+every parent run, and "within" otherwise.  The rule holds when
+every metric is within and the change's share of failed operations is
+no larger than the parent's; the last line gives its verdict.
+
+With ``--claim METRIC`` the line before it says whether a gain in METRIC
 holds: the change wins at least nine tenths of all pairs run (ties count
 as neither), and its median is better than the parent's by more than the
-parent's IQR.  The exit status is 0 when it holds and 1 when it does not.
+parent's IQR.  The exit status is 0 when the rule holds and a claim, if
+any, holds too, and 1 otherwise.
 
 With ``--json PATH`` the summary is also added to the list of summaries
 in PATH (a new file starts the list), so one file can hold several
 workloads' pairs, and ``tools/lockstep.py --json`` entries beside them.
 An entry is marked ``"tool": "bench_pairs"`` and holds the workload,
 seed and pair count, the claim and its verdict, per metric each side's
-quartiles, the parent's IQR and the wins, losses and ties, each side's
-failed and attempted operations, each checkout's ``src/`` line count
+quartiles, the parent's IQR, the wins, losses and ties, the bound, margin
+and verdict, each side's failed and attempted operations, whether the
+failed share rose and the rule's verdict (``no_regression``), each checkout's ``src/`` line count
 (``src_lines``) and its count of lines that hold code, not only a
 docstring, a comment or blanks (``src_code_lines``), and every run's
 result line.
@@ -47,10 +59,11 @@ SIDES = ("parent", "change")
 
 
 def benchmark_spec() -> tuple:
-    """(run seconds, {metric: "higher" or "lower"}) from BENCHMARK.json."""
+    """(run seconds, {metric: its entry, with "better" and "bound"}) from
+    BENCHMARK.json's end-to-end metrics."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: m for m in spec["end_to_end"]}
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -68,23 +81,31 @@ def quartiles(values) -> tuple:
     return float(q1), float(med), float(q3)
 
 
-def summarize(runs: dict, better: dict) -> tuple:
+def summarize(runs: dict, metrics: dict) -> tuple:
     """From ``runs`` {pair: {side: result}}, complete pairs only: per
-    metric each side's quartiles, the parent's IQR and the change's wins,
-    losses and ties; and per side, (failed, attempted) operations."""
+    metric of ``metrics`` ({name: {"better", "bound"}}) each side's
+    quartiles, the parent's IQR, the change's wins, losses and ties, and
+    the rule's margin and verdict; and per side, (failed, attempted)
+    operations."""
     pairs = [runs[p] for p in sorted(runs) if set(runs[p]) == set(SIDES)]
     table = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs]
                   for side in SIDES}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         gains = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
         parent = quartiles(values["parent"])
-        table[name] = {
+        row = table[name] = {
             "parent": parent, "change": quartiles(values["change"]),
-            "parent_iqr": parent[2] - parent[0], "better": direction,
+            "parent_iqr": parent[2] - parent[0], "better": spec["better"],
             "wins": sum(g > 0 for g in gains), "losses": sum(g < 0 for g in gains),
-            "ties": sum(g == 0 for g in gains), "pairs": len(pairs)}
+            "ties": sum(g == 0 for g in gains), "pairs": len(pairs),
+            "bound": spec["bound"], "margin": spec["bound"] * abs(parent[1])}
+        every_run_better = min(sign * c for c in values["change"]) > \
+            max(sign * p for p in values["parent"])
+        row["verdict"] = "worse" if -median_gain(row) > row["margin"] else \
+            "unresolved" if row["parent_iqr"] > row["margin"] and not every_run_better \
+            else "within"
     failures = {side: (sum(pair[side]["failed"] for pair in pairs),
                        sum(pair[side]["attempted"] for pair in pairs)) for side in SIDES}
     return table, failures
@@ -96,6 +117,20 @@ def median_gain(row: dict) -> float:
     return gap if row["better"] == "higher" else -gap
 
 
+def failed_shares(failures: dict) -> dict:
+    """Each side's failed operations over its attempted ones."""
+    return {side: failed / attempted if attempted else 0.0
+            for side, (failed, attempted) in failures.items()}
+
+
+def rule_holds(table: dict, failures: dict) -> bool:
+    """The no-regression rule: every metric within its bound, and the
+    change's failed share no larger than the parent's."""
+    shares = failed_shares(failures)
+    return all(row["verdict"] == "within" for row in table.values()) and \
+        shares["change"] <= shares["parent"]
+
+
 def claim_holds(row: dict) -> bool:
     """The gain rule: wins in at least nine tenths of all pairs run, and a
     median better than the parent's by more than the parent's IQR."""
@@ -104,22 +139,32 @@ def claim_holds(row: dict) -> bool:
 
 
 def report(table: dict, failures: dict, claim: str = None) -> list:
-    """``summarize``'s results as lines; with ``claim``, the verdict last."""
+    """``summarize``'s results as lines; with ``claim``, its verdict next
+    to last; the rule's verdict last."""
     lines = [f"{'metric':<24}{'parent q1/med/q3':>32}{'change q1/med/q3':>32}"
-             f"{'median':>9}{'parent IQR':>12}  wins/losses/ties"]
+             f"{'median':>9}{'parent IQR':>12}{'margin':>12}  wins/losses/ties  verdict"]
     for name, row in table.items():
         p, c = row["parent"], row["change"]
         delta = (c[1] - p[1]) / p[1] if p[1] else float("nan")
         lines.append(f"{name:<24}{'%.6g / %.6g / %.6g' % p:>32}{'%.6g / %.6g / %.6g' % c:>32}"
-                     f"{delta:>+9.2%}{row['parent_iqr']:>12.4g}  "
-                     f"{row['wins']}/{row['losses']}/{row['ties']} of {row['pairs']}")
+                     f"{delta:>+9.2%}{row['parent_iqr']:>12.4g}{row['margin']:>12.4g}  "
+                     f"{row['wins']}/{row['losses']}/{row['ties']} of {row['pairs']}  "
+                     f"{row['verdict']}")
+    shares = failed_shares(failures)
     lines.append("failed operations: " + ", ".join(
-        f"{side} {failures[side][0]} of {failures[side][1]}" for side in SIDES))
+        f"{side} {failures[side][0]} of {failures[side][1]} ({shares[side]:.2%})"
+        for side in SIDES))
     if claim is not None:
         row = table[claim]
         lines.append(f"claim {claim}: {'holds' if claim_holds(row) else 'does not hold'} "
                      f"(wins {row['wins']} of {row['pairs']}, need {0.9 * row['pairs']:g}; "
                      f"median gain {median_gain(row):.6g}, parent IQR {row['parent_iqr']:.6g})")
+    faults = [f"{row['verdict']} {name}" for name, row in table.items()
+              if row["verdict"] != "within"]
+    if shares["change"] > shares["parent"]:
+        faults.append("failed share up")
+    lines.append("no-regression rule: " + ("holds" if not faults else
+                                           "fails (" + "; ".join(faults) + ")"))
     return lines
 
 
@@ -168,9 +213,11 @@ def summary_json(args, dirs: dict, runs: dict, table: dict, failures: dict) -> d
     return {"tool": "bench_pairs", "workload": args.workload, "seed": args.seed,
             "pairs": args.pairs,
             "claim": args.claim, "claim_holds": verdict,
+            "no_regression": rule_holds(table, failures),
             "metrics": {name: {**row, "median_gain": median_gain(row)}
                         for name, row in table.items()},
             "failed_attempted": {side: list(failures[side]) for side in SIDES},
+            "failed_share": failed_shares(failures),
             "src_lines": {side: src_lines(dirs[side]) for side in SIDES},
             "src_code_lines": {side: src_code_lines(dirs[side]) for side in SIDES},
             "runs": [{"pair": pair, "side": side, "result": runs[pair][side]}
@@ -199,9 +246,9 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="end-to-end metric whose gain to test")
     parser.add_argument("--json", help="file whose list of summaries to add this one to")
     args = parser.parse_args(argv)
-    seconds, better = benchmark_spec()
-    if args.claim is not None and args.claim not in better:
-        parser.error(f"--claim must be one of {sorted(better)}")
+    seconds, metrics = benchmark_spec()
+    if args.claim is not None and args.claim not in metrics:
+        parser.error(f"--claim must be one of {sorted(metrics)}")
     dirs = {"parent": args.parent_dir, "change": args.change_dir}
     runs = {}
     for pair in range(args.pairs):
@@ -210,11 +257,12 @@ def main(argv=None) -> int:
             result = run_once(dirs[side], args.workload, args.seed, seconds)
             runs.setdefault(pair, {})[side] = result
             print(f"run {pair} {side} {json.dumps(result)}", flush=True)
-    table, failures = summarize(runs, better)
+    table, failures = summarize(runs, metrics)
     print("\n".join(report(table, failures, args.claim)))
     if args.json:
         append_json(args.json, summary_json(args, dirs, runs, table, failures))
-    return 0 if args.claim is None or claim_holds(table[args.claim]) else 1
+    claim = args.claim is None or claim_holds(table[args.claim])
+    return 0 if claim and rule_holds(table, failures) else 1
 
 
 if __name__ == "__main__":
